@@ -19,6 +19,7 @@
 #include "analysis/prm.h"
 #include "analysis/schedulability.h"
 #include "analysis/theorems.h"
+#include "core/admission.h"
 #include "core/kmeans.h"
 #include "core/solutions.h"
 #include "model/platform.h"
@@ -147,6 +148,58 @@ void BM_KMeansSlowdownVectors(benchmark::State& state) {
     benchmark::DoNotOptimize(core::kmeans(points, 4, rng));
 }
 BENCHMARK(BM_KMeansSlowdownVectors);
+
+void BM_GenerateTaskset(benchmark::State& state) {
+  // One serve-sized taskset (reference utilization 0.25) on Platform A: the
+  // per-grid PARSEC surface table is built once, so each call pays only for
+  // its own tasks' WCET tables.
+  workload::GeneratorConfig cfg;
+  cfg.grid = model::PlatformSpec::A().grid;
+  cfg.target_ref_utilization = 0.25;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    util::Rng rng(++seed);
+    benchmark::DoNotOptimize(workload::generate_taskset(cfg, rng));
+  }
+}
+BENCHMARK(BM_GenerateTaskset);
+
+void BM_AdmitVmFullPlatform(benchmark::State& state) {
+  // The saturated serve path: Platform A filled with small VMs until
+  // admissions fail, then one more admit — rejected, so the decision must
+  // cost no copy of the placed VCPUs.
+  const auto platform = model::PlatformSpec::A();
+  const auto vm_tasks = [&](int vm, double util, std::uint64_t seed) {
+    workload::GeneratorConfig cfg;
+    cfg.grid = platform.grid;
+    cfg.target_ref_utilization = util;
+    util::Rng rng(seed);
+    auto tasks = workload::generate_taskset(cfg, rng);
+    for (auto& t : tasks) t.vm = vm;
+    return tasks;
+  };
+  core::AdmissionState full;
+  core::VmAllocConfig vm_cfg;
+  int vm = 0;
+  for (int misses = 0; misses < 8; ++vm) {
+    util::Rng rng(static_cast<std::uint64_t>(vm));
+    auto res = core::admit_vm(full, vm_tasks(vm, 0.3, 100 + vm), vm, platform,
+                              vm_cfg, rng);
+    if (res.admitted)
+      full = std::move(res.state);
+    else
+      ++misses;
+  }
+  const auto newcomer = vm_tasks(vm, 0.3, 7);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    util::Rng rng(++seed);
+    benchmark::DoNotOptimize(
+        core::admit_vm(full, newcomer, vm, platform, vm_cfg, rng));
+  }
+  state.SetLabel(std::to_string(full.vcpus.size()) + " VCPUs placed");
+}
+BENCHMARK(BM_AdmitVmFullPlatform);
 
 void BM_SolveEndToEnd(benchmark::State& state) {
   const auto solution = static_cast<core::Solution>(state.range(0));

@@ -11,8 +11,9 @@
 # build-tsan/) so the regular build/ stays untouched. address and
 # undefined build and run everything; thread builds only the parallel test
 # binaries and runs the thread-pool/experiment/fault-validator/scenario-
-# matrix suites plus the admission-service suite (the rest of the test
-# suite is single-threaded, and TSan's ~10x slowdown buys nothing there).
+# matrix suites plus the admission-service suite and the PARSEC surface
+# table's concurrent-generator test (the rest of the test suite is
+# single-threaded, and TSan's ~10x slowdown buys nothing there).
 # The scenario-matrix suite matters for TSan specifically: it drives
 # run_matrix with checkpointing at --jobs 2+, where worker-thread slot
 # writes and the checkpoint snapshot must stay serialized; the service
@@ -225,11 +226,25 @@ serve_smoke() {
     fi
   done
 
+  echo "--- --inner-jobs 1 and 3: byte-identical report and timeline ---"
+  local j
+  for j in 1 3; do
+    "$vc2m" serve "${args[@]}" --inner-jobs "$j" --json "$work/ij$j.json" \
+      --timeline "$work/ij$j.bin" --sample-every 50 > /dev/null
+  done
+  cmp "$work/ij1.json" "$work/ij3.json" \
+    || { echo "serve report differs between --inner-jobs 1 and 3"; return 1; }
+  cmp "$work/ij1.bin" "$work/ij3.bin" \
+    || { echo "timeline differs between --inner-jobs 1 and 3"; return 1; }
+
   echo "--- strict flags: malformed numeric values must exit 2 ---"
   local bad rc flag value
+  # --inner-jobs must be >= 0; a seed of 2^53 or more would not survive
+  # the report's JSON number.
   for bad in "--seed 12x" "--util nan" "--vms 1e3" "--jobs 2.5" \
              "--snapshot-every -1" "--deadline-us 5ms" "--backoff-us abc" \
-             "--max-retries two" "--queue-cap 0x10"; do
+             "--max-retries two" "--queue-cap 0x10" "--inner-jobs -1" \
+             "--seed 9007199254740992"; do
     flag="${bad% *}" value="${bad#* }"
     rc=0
     "$vc2m" serve --trace "$trace" "$flag" "$value" \
@@ -426,8 +441,8 @@ for san in "${sanitizers[@]}"; do
   ctest_args=(--output-on-failure -j "$(nproc)")
   if [ "$san" = thread ]; then
     build_args=(--target test_parallel test_faults test_scenario test_service
-                test_telemetry test_golden)
-    ctest_args+=(-R '^(ThreadPool|ParallelExperiment|ExperimentResultGuards|FaultValidatorParallel|ScenarioMatrix|TraceGen|Journal|CrashSpec|ShedPolicy|Service|ServeReport|Timeline|TelemetryText|SpanRing|Spans|StatsSnapshot)')
+                test_telemetry test_golden test_workload)
+    ctest_args+=(-R '^(ThreadPool|ParallelExperiment|ExperimentResultGuards|FaultValidatorParallel|ScenarioMatrix|TraceGen|Journal|CrashSpec|ShedPolicy|Service|ServeReport|Timeline|TelemetryText|SpanRing|Spans|StatsSnapshot|SurfaceTable)')
   fi
   echo "=== ${san}: configure (${dir}/) ==="
   cmake -B "$dir" -S . -DVC2M_SANITIZE="$san" >/dev/null

@@ -9,41 +9,6 @@
 namespace vc2m::analysis {
 namespace {
 
-/// Exact Σ Θ/Π ≤ 1 via a common multiple of the periods when it fits;
-/// long-double fallback for pathological period sets. Templated over the
-/// index range so the whole-set overloads can pass an iota view instead of
-/// materializing a fresh index vector per admission test (these run inside
-/// the hv_alloc grant/balance loops).
-template <typename IndexRange>
-bool utilization_at_most_one(std::span<const model::Vcpu> vcpus,
-                             const IndexRange& on_core, unsigned c,
-                             unsigned b) {
-  std::int64_t l = 1;
-  bool exact = true;
-  for (const std::size_t j : on_core) {
-    const std::int64_t p = vcpus[j].period.raw_ns();
-    VC2M_CHECK(p > 0);
-    const std::int64_t g = std::gcd(l, p);
-    if (l / g > kPeriodLcmCap / p) {
-      exact = false;
-      break;
-    }
-    l = l / g * p;
-  }
-  if (exact) {
-    __int128 demand = 0;
-    for (const std::size_t j : on_core)
-      demand += static_cast<__int128>(vcpus[j].budget.at(c, b).raw_ns()) *
-                (l / vcpus[j].period.raw_ns());
-    return demand <= static_cast<__int128>(l);
-  }
-  long double u = 0;
-  for (const std::size_t j : on_core)
-    u += static_cast<long double>(vcpus[j].budget.at(c, b).raw_ns()) /
-         static_cast<long double>(vcpus[j].period.raw_ns());
-  return u <= 1.0L;
-}
-
 inline auto all_indices(std::size_t n) {
   return std::views::iota(std::size_t{0}, n);
 }
@@ -69,7 +34,9 @@ double core_utilization(std::span<const model::Vcpu> vcpus, unsigned c,
 bool core_schedulable(std::span<const model::Vcpu> vcpus,
                       std::span<const std::size_t> on_core, unsigned c,
                       unsigned b) {
-  const bool ok = utilization_at_most_one(vcpus, on_core, c, b);
+  const bool ok = utilization_at_most_one(
+      [&](std::size_t j) -> const model::Vcpu& { return vcpus[j]; }, on_core,
+      c, b);
   if (auto* ctr = util::alloc_counters()) {
     ++ctr->admission_tests;
     ctr->admission_passed += ok ? 1 : 0;
@@ -79,7 +46,9 @@ bool core_schedulable(std::span<const model::Vcpu> vcpus,
 
 bool core_schedulable(std::span<const model::Vcpu> vcpus, unsigned c,
                       unsigned b) {
-  const bool ok = utilization_at_most_one(vcpus, all_indices(vcpus.size()), c, b);
+  const bool ok = utilization_at_most_one(
+      [&](std::size_t j) -> const model::Vcpu& { return vcpus[j]; },
+      all_indices(vcpus.size()), c, b);
   if (auto* ctr = util::alloc_counters()) {
     ++ctr->admission_tests;
     ctr->admission_passed += ok ? 1 : 0;

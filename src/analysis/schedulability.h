@@ -10,10 +10,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
 #include "model/task.h"
+#include "util/error.h"
 
 namespace vc2m::analysis {
 
@@ -21,6 +23,45 @@ namespace vc2m::analysis {
 /// of the periods on a core exceeds this, the test (and core::CoreLoad's
 /// incremental variant) falls back to long-double accumulation.
 inline constexpr std::int64_t kPeriodLcmCap = std::int64_t{1} << 50;
+
+/// Exact Σ_j Θ_j(c,b)/Π_j ≤ 1 over the VCPUs `vcpu_at(j)`, j in `on_core`,
+/// via a common multiple of the periods when it fits under kPeriodLcmCap;
+/// long-double fallback for pathological period sets. Counts nothing. The
+/// accessor lets core::CoreLoad test VCPUs that live in two vectors, and
+/// the index range lets the whole-set overloads pass an iota view instead
+/// of materializing an index vector per test.
+template <typename VcpuAt, typename IndexRange>
+bool utilization_at_most_one(const VcpuAt& vcpu_at, const IndexRange& on_core,
+                             unsigned c, unsigned b) {
+  std::int64_t l = 1;
+  bool exact = true;
+  for (const std::size_t j : on_core) {
+    const std::int64_t p = vcpu_at(j).period.raw_ns();
+    VC2M_CHECK(p > 0);
+    const std::int64_t g = std::gcd(l, p);
+    if (l / g > kPeriodLcmCap / p) {
+      exact = false;
+      break;
+    }
+    l = l / g * p;
+  }
+  if (exact) {
+    __int128 demand = 0;
+    for (const std::size_t j : on_core) {
+      const model::Vcpu& v = vcpu_at(j);
+      demand += static_cast<__int128>(v.budget.at(c, b).raw_ns()) *
+                (l / v.period.raw_ns());
+    }
+    return demand <= static_cast<__int128>(l);
+  }
+  long double u = 0;
+  for (const std::size_t j : on_core) {
+    const model::Vcpu& v = vcpu_at(j);
+    u += static_cast<long double>(v.budget.at(c, b).raw_ns()) /
+         static_cast<long double>(v.period.raw_ns());
+  }
+  return u <= 1.0L;
+}
 
 /// Σ_j Θ_j(c,b)/Π_j over the given VCPUs.
 double core_utilization(std::span<const model::Vcpu> vcpus, unsigned c,

@@ -49,20 +49,27 @@ model::Vcpu regulated_vcpu(const model::Taskset& tasks,
   v.budget = model::WcetFn(grid);
 
   // Θ(c,b) = Π · Σ e_i(c,b)/p_i = Σ e_i(c,b)/q_i, computed exactly over the
-  // common denominator `den` and rounded up to the nanosecond.
-  for (unsigned c = grid.c_min; c <= grid.c_max; ++c)
-    for (unsigned b = grid.b_min; b <= grid.b_max; ++b) {
-      __int128 num = 0;
-      for (const std::size_t i : task_indices) {
-        const auto& t = tasks[i];
-        VC2M_CHECK_MSG(t.wcet.grid() == grid,
-                       "tasks on one VCPU must share a resource grid");
-        const std::int64_t q = t.period / pi;
-        num += static_cast<__int128>(t.wcet.at(c, b).raw_ns()) * (den / q);
-      }
-      const auto theta = static_cast<std::int64_t>((num + den - 1) / den);
-      v.budget.set(c, b, util::Time::ns(theta));
-    }
+  // common denominator `den` and rounded up to the nanosecond. Grids are
+  // checked once per task; the cell loop then walks the flat tables.
+  std::vector<const util::Time*> wcets;
+  std::vector<std::int64_t> weights;  // den / q_i
+  wcets.reserve(task_indices.size());
+  weights.reserve(task_indices.size());
+  for (const std::size_t i : task_indices) {
+    const auto& t = tasks[i];
+    VC2M_CHECK_MSG(t.wcet.grid() == grid && t.wcet.flat().size() == grid.size(),
+                   "tasks on one VCPU must share a resource grid");
+    wcets.push_back(t.wcet.flat().data());
+    weights.push_back(den / (t.period / pi));
+  }
+  auto& budget = v.budget.flat();
+  for (std::size_t cell = 0; cell < budget.size(); ++cell) {
+    __int128 num = 0;
+    for (std::size_t k = 0; k < wcets.size(); ++k)
+      num += static_cast<__int128>(wcets[k][cell].raw_ns()) * weights[k];
+    budget[cell] =
+        util::Time::ns(static_cast<std::int64_t>((num + den - 1) / den));
+  }
   return v;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "analysis/context.h"
 #include "core/core_load.h"
@@ -49,21 +50,64 @@ std::optional<std::pair<unsigned, unsigned>> fit_with_grants(
   return std::make_pair(c, b);
 }
 
-}  // namespace
+/// `mapping` with `vm_id`'s VCPUs taken off their cores and empty trailing
+/// cores trimmed (interior cores keep their partitions — shrinking them
+/// would perturb running VMs' cache contents). Indices still refer into
+/// `vcpus`.
+HvAllocResult mapping_without(std::span<const model::Vcpu> vcpus,
+                              HvAllocResult mapping, int vm_id) {
+  for (auto& core : mapping.vcpus_on_core)
+    std::erase_if(core, [&](std::size_t v) { return vcpus[v].vm == vm_id; });
+  while (!mapping.vcpus_on_core.empty() &&
+         mapping.vcpus_on_core.back().empty()) {
+    mapping.vcpus_on_core.pop_back();
+    mapping.cache.pop_back();
+    mapping.bw.pop_back();
+    --mapping.cores_used;
+  }
+  return mapping;
+}
 
-AdmitResult admit_vm(const AdmissionState& current,
+/// The committed state: `placed` without VM `dropped`'s VCPUs, then
+/// `added`, with `mapping` (which indexes `placed ++ added`) remapped onto
+/// the compacted vector. The only place a decision copies VCPUs.
+AdmissionState compact(std::span<const model::Vcpu> placed,
+                       std::optional<int> dropped,
+                       std::span<const model::Vcpu> added,
+                       HvAllocResult mapping) {
+  AdmissionState next;
+  const std::size_t total = placed.size() + added.size();
+  std::vector<std::size_t> remap(total, total);
+  next.vcpus.reserve(total);
+  for (std::size_t i = 0; i < placed.size(); ++i) {
+    if (placed[i].vm == dropped) continue;
+    remap[i] = next.vcpus.size();
+    next.vcpus.push_back(placed[i]);
+  }
+  for (std::size_t j = 0; j < added.size(); ++j) {
+    remap[placed.size() + j] = next.vcpus.size();
+    next.vcpus.push_back(added[j]);
+  }
+  for (auto& core : mapping.vcpus_on_core)
+    for (auto& v : core) v = remap[v];
+  mapping.schedulable = true;
+  next.mapping = std::move(mapping);
+  return next;
+}
+
+/// admit_vm over a running system given as `placed` (only the VCPUs
+/// `mapping` lists are live; a resize leaves the old VM's VCPUs in `placed`
+/// but off every core) without copying it. New VCPU j has index
+/// placed.size() + j in the probes and in `mapping`; decision events name
+/// it by its index in the committed state, `live + j`. Nothing is copied
+/// unless the VM is admitted.
+AdmitResult place_vm(std::span<const model::Vcpu> placed, std::size_t live,
+                     std::optional<int> dropped, HvAllocResult mapping,
                      const model::Taskset& vm_tasks, int vm_id,
                      const model::PlatformSpec& platform,
                      const VmAllocConfig& vm_cfg, util::Rng& rng) {
-  VC2M_CHECK(!vm_tasks.empty());
-  for (const auto& t : vm_tasks)
-    VC2M_CHECK_MSG(t.vm == vm_id, "task does not belong to the admitted VM");
-  for (const auto& v : current.vcpus)
-    VC2M_CHECK_MSG(v.vm != vm_id, "VM id already present");
-
   AdmitResult result;
   result.request_id = vm_cfg.request_id;
-  AdmissionState next = current;
   analysis::AnalysisContext ctx;  // one memo + counter scope per decision
   ctx.set_inner_parallelism(vm_cfg.inner_pool, vm_cfg.inner_jobs);
   ctx.set_request_id(vm_cfg.request_id);
@@ -76,36 +120,36 @@ AdmitResult admit_vm(const AdmissionState& current,
             [](const model::Vcpu& a, const model::Vcpu& b) {
               return a.reference_utilization() > b.reference_utilization();
             });
+  for (auto& vcpu : new_vcpus) vcpu.vm = vm_id;
 
   const auto& grid = platform.grid;
-  unsigned free_c = platform.total_cache() - next.mapping.total_cache();
-  unsigned free_b = platform.total_bw() - next.mapping.total_bw();
+  unsigned free_c = platform.total_cache() - mapping.total_cache();
+  unsigned free_b = platform.total_bw() - mapping.total_bw();
 
-  for (auto& vcpu : new_vcpus) {
-    vcpu.vm = vm_id;
-    next.vcpus.push_back(vcpu);
-    const std::size_t vi = next.vcpus.size() - 1;
+  for (std::size_t j = 0; j < new_vcpus.size(); ++j) {
+    const std::size_t vi = placed.size() + j;
+    const auto entity = static_cast<std::int32_t>(live + j);
 
     // Candidate placements compete on pool consumption (partitions newly
     // drawn from the free pools), ties broken toward lower utilization —
     // so a lightly loaded or fresh core beats squeezing onto a hot one
     // with expensive grants.
-    std::size_t best_core = next.mapping.cores_used;  // == "open new core"
+    std::size_t best_core = mapping.cores_used;  // == "open new core"
     bool have_candidate = false;
     std::pair<unsigned, unsigned> best_alloc{0, 0};
     unsigned best_cost = ~0u;
     double best_util = 2.0;
-    for (unsigned k = 0; k < next.mapping.cores_used; ++k) {
-      CoreLoad with_new(next.vcpus, grid, next.mapping.vcpus_on_core[k]);
+    for (unsigned k = 0; k < mapping.cores_used; ++k) {
+      CoreLoad with_new(placed, new_vcpus, grid);
+      for (const std::size_t v : mapping.vcpus_on_core[k]) with_new.add(v);
       with_new.add(vi);
-      const auto fit =
-          fit_with_grants(with_new, next.mapping.cache[k],
-                          next.mapping.bw[k], free_c, free_b, grid);
+      const auto fit = fit_with_grants(with_new, mapping.cache[k],
+                                       mapping.bw[k], free_c, free_b, grid);
       if (auto* log = obs::decision_log()) {
         obs::DecisionEvent e;
         e.kind = obs::DecisionKind::kAdmitPlacement;
         e.vm = vm_id;
-        e.entity = static_cast<std::int32_t>(vi);
+        e.entity = entity;
         e.core = static_cast<std::int32_t>(k);
         if (fit) {
           e.accepted = true;
@@ -118,18 +162,18 @@ AdmitResult admit_vm(const AdmissionState& current,
           // No grant sequence from the current partitions makes the core
           // schedulable with the VCPU added.
           e.constraint = obs::DecisionConstraint::kNoBeneficialGrant;
-          e.cache = static_cast<std::int32_t>(next.mapping.cache[k]);
-          e.bw = static_cast<std::int32_t>(next.mapping.bw[k]);
-          const double u = with_new.utilization(next.mapping.cache[k],
-                                                next.mapping.bw[k]);
+          e.cache = static_cast<std::int32_t>(mapping.cache[k]);
+          e.bw = static_cast<std::int32_t>(mapping.bw[k]);
+          const double u =
+              with_new.utilization(mapping.cache[k], mapping.bw[k]);
           e.value = u;
           e.margin = std::max(0.0, u - 1.0);
         }
         log->emit(e);
       }
       if (!fit) continue;
-      const unsigned cost = (fit->first - next.mapping.cache[k]) +
-                            (fit->second - next.mapping.bw[k]);
+      const unsigned cost =
+          (fit->first - mapping.cache[k]) + (fit->second - mapping.bw[k]);
       const double u = with_new.utilization(fit->first, fit->second);
       if (cost < best_cost || (cost == best_cost && u < best_util)) {
         best_core = k;
@@ -139,9 +183,9 @@ AdmitResult admit_vm(const AdmissionState& current,
         have_candidate = true;
       }
     }
-    if (next.mapping.cores_used < platform.cores && free_c >= grid.c_min &&
+    if (mapping.cores_used < platform.cores && free_c >= grid.c_min &&
         free_b >= grid.b_min) {
-      CoreLoad alone(next.vcpus, grid);
+      CoreLoad alone(placed, new_vcpus, grid);
       alone.add(vi);
       const auto fit =
           fit_with_grants(alone, grid.c_min, grid.b_min, free_c - grid.c_min,
@@ -150,8 +194,8 @@ AdmitResult admit_vm(const AdmissionState& current,
         obs::DecisionEvent e;
         e.kind = obs::DecisionKind::kAdmitPlacement;
         e.vm = vm_id;
-        e.entity = static_cast<std::int32_t>(vi);
-        e.core = static_cast<std::int32_t>(next.mapping.cores_used);  // new
+        e.entity = entity;
+        e.core = static_cast<std::int32_t>(mapping.cores_used);  // new
         if (fit) {
           e.accepted = true;
           e.cache = static_cast<std::int32_t>(fit->first);
@@ -173,20 +217,20 @@ AdmitResult admit_vm(const AdmissionState& current,
         const unsigned cost = fit->first + fit->second;
         const double u = alone.utilization(fit->first, fit->second);
         if (cost < best_cost || (cost == best_cost && u < best_util)) {
-          best_core = next.mapping.cores_used;
+          best_core = mapping.cores_used;
           best_alloc = *fit;
           have_candidate = true;
         }
       }
     }
-    if (!have_candidate) {  // rejection: `current` untouched
+    if (!have_candidate) {  // rejection: nothing was copied or committed
       if (auto* log = obs::decision_log()) {
         obs::DecisionEvent e;
         e.kind = obs::DecisionKind::kAdmitVerdict;
         e.vm = vm_id;
-        e.entity = static_cast<std::int32_t>(vi);
-        e.value = next.vcpus[vi].reference_utilization();
-        if (next.mapping.cores_used >= platform.cores) {
+        e.entity = entity;
+        e.value = new_vcpus[j].reference_utilization();
+        if (mapping.cores_used >= platform.cores) {
           e.constraint = obs::DecisionConstraint::kCoreLimit;
         } else if (free_c < grid.c_min) {
           e.constraint = obs::DecisionConstraint::kCachePoolExhausted;
@@ -202,19 +246,19 @@ AdmitResult admit_vm(const AdmissionState& current,
       return result;
     }
 
-    if (best_core < next.mapping.cores_used) {
-      free_c -= best_alloc.first - next.mapping.cache[best_core];
-      free_b -= best_alloc.second - next.mapping.bw[best_core];
-      next.mapping.cache[best_core] = best_alloc.first;
-      next.mapping.bw[best_core] = best_alloc.second;
-      next.mapping.vcpus_on_core[best_core].push_back(vi);
+    if (best_core < mapping.cores_used) {
+      free_c -= best_alloc.first - mapping.cache[best_core];
+      free_b -= best_alloc.second - mapping.bw[best_core];
+      mapping.cache[best_core] = best_alloc.first;
+      mapping.bw[best_core] = best_alloc.second;
+      mapping.vcpus_on_core[best_core].push_back(vi);
     } else {
       free_c -= best_alloc.first;
       free_b -= best_alloc.second;
-      next.mapping.vcpus_on_core.push_back({vi});
-      next.mapping.cache.push_back(best_alloc.first);
-      next.mapping.bw.push_back(best_alloc.second);
-      ++next.mapping.cores_used;
+      mapping.vcpus_on_core.push_back({vi});
+      mapping.cache.push_back(best_alloc.first);
+      mapping.bw.push_back(best_alloc.second);
+      ++mapping.cores_used;
     }
   }
 
@@ -223,62 +267,56 @@ AdmitResult admit_vm(const AdmissionState& current,
     e.kind = obs::DecisionKind::kAdmitVerdict;
     e.accepted = true;
     e.vm = vm_id;
-    e.core = static_cast<std::int32_t>(next.mapping.cores_used);
+    e.core = static_cast<std::int32_t>(mapping.cores_used);
     e.value = static_cast<double>(new_vcpus.size());
     log->emit(e);
   }
-  next.mapping.schedulable = true;
   result.admitted = true;
-  result.state = std::move(next);
+  result.state = compact(placed, dropped, new_vcpus, std::move(mapping));
   return result;
 }
 
+}  // namespace
+
+AdmitResult admit_vm(const AdmissionState& current,
+                     const model::Taskset& vm_tasks, int vm_id,
+                     const model::PlatformSpec& platform,
+                     const VmAllocConfig& vm_cfg, util::Rng& rng) {
+  VC2M_CHECK(!vm_tasks.empty());
+  for (const auto& t : vm_tasks)
+    VC2M_CHECK_MSG(t.vm == vm_id, "task does not belong to the admitted VM");
+  for (const auto& v : current.vcpus)
+    VC2M_CHECK_MSG(v.vm != vm_id, "VM id already present");
+  return place_vm(current.vcpus, current.vcpus.size(), std::nullopt,
+                  current.mapping, vm_tasks, vm_id, platform, vm_cfg, rng);
+}
+
 AdmissionState remove_vm(const AdmissionState& current, int vm_id) {
-  AdmissionState next;
-  next.mapping = current.mapping;
-
-  // Compact the VCPU vector; remap indices in the core lists.
-  std::vector<std::size_t> remap(current.vcpus.size(),
-                                 current.vcpus.size());
-  for (std::size_t i = 0; i < current.vcpus.size(); ++i) {
-    if (current.vcpus[i].vm == vm_id) continue;
-    remap[i] = next.vcpus.size();
-    next.vcpus.push_back(current.vcpus[i]);
-  }
-  VC2M_CHECK_MSG(next.vcpus.size() < current.vcpus.size(),
-                 "VM id not present");
-
-  for (auto& core : next.mapping.vcpus_on_core) {
-    std::vector<std::size_t> kept;
-    for (const std::size_t v : core)
-      if (remap[v] < current.vcpus.size()) kept.push_back(remap[v]);
-    core = std::move(kept);
-  }
-  // Trim empty trailing cores (interior cores keep their partitions —
-  // shrinking them would perturb running VMs' cache contents).
-  while (!next.mapping.vcpus_on_core.empty() &&
-         next.mapping.vcpus_on_core.back().empty()) {
-    next.mapping.vcpus_on_core.pop_back();
-    next.mapping.cache.pop_back();
-    next.mapping.bw.pop_back();
-    --next.mapping.cores_used;
-  }
-  next.mapping.schedulable = true;
-  return next;
+  const auto kept = static_cast<std::size_t>(std::count_if(
+      current.vcpus.begin(), current.vcpus.end(),
+      [&](const model::Vcpu& v) { return v.vm != vm_id; }));
+  VC2M_CHECK_MSG(kept < current.vcpus.size(), "VM id not present");
+  return compact(current.vcpus, vm_id, {},
+                 mapping_without(current.vcpus, current.mapping, vm_id));
 }
 
 AdmitResult resize_vm(const AdmissionState& current,
                       const model::Taskset& new_tasks, int vm_id,
                       const model::PlatformSpec& platform,
                       const VmAllocConfig& vm_cfg, util::Rng& rng) {
-  bool present = false;
-  for (const auto& v : current.vcpus) present = present || v.vm == vm_id;
-  VC2M_CHECK_MSG(present, "resize: VM id not present");
-  // remove_vm and admit_vm are both purely functional, so the rollback on
-  // rejection is the absence of an assignment: `current` still holds the
-  // original VM and nothing observed the intermediate removed state.
-  const AdmissionState without = remove_vm(current, vm_id);
-  return admit_vm(without, new_tasks, vm_id, platform, vm_cfg, rng);
+  const auto kept = static_cast<std::size_t>(std::count_if(
+      current.vcpus.begin(), current.vcpus.end(),
+      [&](const model::Vcpu& v) { return v.vm != vm_id; }));
+  VC2M_CHECK_MSG(kept < current.vcpus.size(), "resize: VM id not present");
+  VC2M_CHECK(!new_tasks.empty());
+  for (const auto& t : new_tasks)
+    VC2M_CHECK_MSG(t.vm == vm_id, "task does not belong to the admitted VM");
+  // The old VM comes off its cores in the probe mapping only; `current` is
+  // never touched, so a rejection rolls back by returning nothing, and the
+  // committed state is built (old VM dropped) only on success.
+  return place_vm(current.vcpus, kept, vm_id,
+                  mapping_without(current.vcpus, current.mapping, vm_id),
+                  new_tasks, vm_id, platform, vm_cfg, rng);
 }
 
 }  // namespace vc2m::core

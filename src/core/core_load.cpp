@@ -11,7 +11,13 @@ namespace vc2m::core {
 
 CoreLoad::CoreLoad(std::span<const model::Vcpu> vcpus,
                    const model::ResourceGrid& grid)
-    : vcpus_(vcpus),
+    : CoreLoad(vcpus, {}, grid) {}
+
+CoreLoad::CoreLoad(std::span<const model::Vcpu> placed,
+                   std::span<const model::Vcpu> pending,
+                   const model::ResourceGrid& grid)
+    : placed_(placed),
+      pending_(pending),
       grid_(grid),
       demand_(grid.size(), 0),
       demand_valid_(grid.size(), 0),
@@ -27,16 +33,35 @@ CoreLoad::CoreLoad(std::span<const model::Vcpu> vcpus,
   for (const std::size_t v : members) add(v);
 }
 
+void CoreLoad::shift_demand(const model::Vcpu& v, std::int64_t w, int sign) {
+  if (!demand_materialized_) return;
+  std::size_t i = 0;
+  for (unsigned c = grid_.c_min; c <= grid_.c_max; ++c)
+    for (unsigned b = grid_.b_min; b <= grid_.b_max; ++b, ++i)
+      if (demand_valid_[i])
+        demand_[i] +=
+            sign * static_cast<__int128>(budget(v, i, c, b).raw_ns()) * w;
+}
+
 void CoreLoad::add(std::size_t vcpu_index) {
-  VC2M_CHECK(vcpu_index < vcpus_.size());
+  VC2M_CHECK(vcpu_index < placed_.size() + pending_.size());
+  const model::Vcpu& v = vcpu(vcpu_index);
+  // The one grid check for this member: while every member's budget is
+  // defined over this core's grid, probes index the budget tables with the
+  // core's flat grid index.
+  on_grid_ = on_grid_ && v.budget.grid() == grid_ &&
+             v.budget.flat().size() == grid_.size();
   on_core_.push_back(vcpu_index);
-  std::fill(util_valid_.begin(), util_valid_.end(), 0);
+  if (util_cached_) {
+    std::fill(util_valid_.begin(), util_valid_.end(), 0);
+    util_cached_ = false;
+  }
   if (!exact_) {
     std::fill(sched_valid_.begin(), sched_valid_.end(), 0);
     return;
   }
 
-  const std::int64_t p = vcpus_[vcpu_index].period.raw_ns();
+  const std::int64_t p = v.period.raw_ns();
   VC2M_CHECK(p > 0);
   const std::int64_t g = std::gcd(common_multiple_, p);
   if (common_multiple_ / g > analysis::kPeriodLcmCap / p) {
@@ -50,35 +75,25 @@ void CoreLoad::add(std::size_t vcpu_index) {
   const std::int64_t scale = next / common_multiple_;
   if (scale > 1) {
     for (auto& w : weight_) w *= scale;
-    for (std::size_t i = 0; i < demand_.size(); ++i)
-      if (demand_valid_[i]) demand_[i] *= scale;
+    if (demand_materialized_)
+      for (std::size_t i = 0; i < demand_.size(); ++i)
+        if (demand_valid_[i]) demand_[i] *= scale;
   }
   common_multiple_ = next;
   const std::int64_t w = common_multiple_ / p;
   weight_.push_back(w);
-
-  const auto& budget = vcpus_[vcpu_index].budget;
-  for (unsigned c = grid_.c_min; c <= grid_.c_max; ++c)
-    for (unsigned b = grid_.b_min; b <= grid_.b_max; ++b) {
-      const std::size_t i = grid_.index(c, b);
-      if (demand_valid_[i])
-        demand_[i] += static_cast<__int128>(budget.at(c, b).raw_ns()) * w;
-    }
+  shift_demand(v, w, +1);
 }
 
 std::size_t CoreLoad::remove_at(std::size_t pos) {
   VC2M_CHECK(pos < on_core_.size());
   const std::size_t v = on_core_[pos];
-  std::fill(util_valid_.begin(), util_valid_.end(), 0);
+  if (util_cached_) {
+    std::fill(util_valid_.begin(), util_valid_.end(), 0);
+    util_cached_ = false;
+  }
   if (exact_) {
-    const std::int64_t w = weight_[pos];
-    const auto& budget = vcpus_[v].budget;
-    for (unsigned c = grid_.c_min; c <= grid_.c_max; ++c)
-      for (unsigned b = grid_.b_min; b <= grid_.b_max; ++b) {
-        const std::size_t i = grid_.index(c, b);
-        if (demand_valid_[i])
-          demand_[i] -= static_cast<__int128>(budget.at(c, b).raw_ns()) * w;
-      }
+    shift_demand(vcpu(v), weight_[pos], -1);
     weight_.erase(weight_.begin() + static_cast<std::ptrdiff_t>(pos));
     // common_multiple_ stays: it remains a common multiple of the
     // remaining periods, which is all the exact comparison needs.
@@ -95,27 +110,36 @@ double CoreLoad::utilization(unsigned c, unsigned b) {
     if (auto* ctr = util::alloc_counters()) ++ctr->load_cache_hits;
     return util_[i];
   }
-  const double u = analysis::core_utilization(vcpus_, on_core_, c, b);
+  // The same in-order sum analysis::core_utilization performs.
+  double u = 0;
+  for (const std::size_t j : on_core_) {
+    const model::Vcpu& v = vcpu(j);
+    u += budget(v, i, c, b).ratio(v.period);
+  }
   util_[i] = u;
   util_valid_[i] = 1;
+  util_cached_ = true;
   return u;
 }
 
 bool CoreLoad::schedulable(unsigned c, unsigned b) {
   const std::size_t i = grid_.index(c, b);
   if (!exact_) {
+    bool ok;
     if (sched_valid_[i]) {
-      const bool ok = sched_[i] != 0;
-      if (auto* ctr = util::alloc_counters()) {
-        ++ctr->load_cache_hits;
-        ++ctr->admission_tests;
-        ctr->admission_passed += ok ? 1 : 0;
-      }
-      return ok;
+      ok = sched_[i] != 0;
+      if (auto* ctr = util::alloc_counters()) ++ctr->load_cache_hits;
+    } else {
+      ok = analysis::utilization_at_most_one(
+          [this](std::size_t j) -> const model::Vcpu& { return vcpu(j); },
+          on_core_, c, b);
+      sched_[i] = ok ? 1 : 0;
+      sched_valid_[i] = 1;
     }
-    const bool ok = analysis::core_schedulable(vcpus_, on_core_, c, b);
-    sched_[i] = ok ? 1 : 0;
-    sched_valid_[i] = 1;
+    if (auto* ctr = util::alloc_counters()) {
+      ++ctr->admission_tests;
+      ctr->admission_passed += ok ? 1 : 0;
+    }
     return ok;
   }
 
@@ -124,11 +148,11 @@ bool CoreLoad::schedulable(unsigned c, unsigned b) {
   } else {
     __int128 d = 0;
     for (std::size_t k = 0; k < on_core_.size(); ++k)
-      d += static_cast<__int128>(
-               vcpus_[on_core_[k]].budget.at(c, b).raw_ns()) *
+      d += static_cast<__int128>(budget(vcpu(on_core_[k]), i, c, b).raw_ns()) *
            weight_[k];
     demand_[i] = d;
     demand_valid_[i] = 1;
+    demand_materialized_ = true;
   }
   const bool ok = demand_[i] <= static_cast<__int128>(common_multiple_);
   if (auto* ctr = util::alloc_counters()) {

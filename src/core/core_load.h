@@ -43,6 +43,15 @@ class CoreLoad {
   CoreLoad(std::span<const model::Vcpu> vcpus,
            const model::ResourceGrid& grid);
 
+  /// An empty core over the concatenation `placed ++ pending`: index i <
+  /// placed.size() names placed[i], the rest name pending[i -
+  /// placed.size()]. Admission probes its new VCPUs against the running
+  /// ones this way without copying them into one vector. Both spans must
+  /// outlive the CoreLoad.
+  CoreLoad(std::span<const model::Vcpu> placed,
+           std::span<const model::Vcpu> pending,
+           const model::ResourceGrid& grid);
+
   /// Convenience: an initial membership, added in order.
   CoreLoad(std::span<const model::Vcpu> vcpus, const model::ResourceGrid& grid,
            std::span<const std::size_t> members);
@@ -69,13 +78,29 @@ class CoreLoad {
   bool schedulable(unsigned c, unsigned b);
 
  private:
-  std::span<const model::Vcpu> vcpus_;
+  const model::Vcpu& vcpu(std::size_t i) const {
+    return i < placed_.size() ? placed_[i] : pending_[i - placed_.size()];
+  }
+  /// Θ_v at (c, b), whose flat index on this core's grid is i.
+  util::Time budget(const model::Vcpu& v, std::size_t i, unsigned c,
+                    unsigned b) const {
+    return on_grid_ ? v.budget.flat()[i] : v.budget.at(c, b);
+  }
+  /// Adds `sign` × the member's weighted budget to every materialized point.
+  void shift_demand(const model::Vcpu& v, std::int64_t w, int sign);
+
+  std::span<const model::Vcpu> placed_;
+  std::span<const model::Vcpu> pending_;
   model::ResourceGrid grid_;
+  /// Every member's budget table is over grid_ (else probes use at()).
+  bool on_grid_ = true;
   std::vector<std::size_t> on_core_;
 
   // Exact-mode state: L (common multiple of member periods), per-member
   // weights L/Π_j parallel to on_core_, and lazily materialized demands.
+  // Until a point is materialized, membership edits skip the grid walk.
   bool exact_ = true;
+  bool demand_materialized_ = false;
   std::int64_t common_multiple_ = 1;
   std::vector<std::int64_t> weight_;
   std::vector<__int128> demand_;           // per grid point, row-major
@@ -86,6 +111,7 @@ class CoreLoad {
   std::vector<std::uint8_t> sched_valid_;
 
   // Cached utilization sums, dropped on membership edits.
+  bool util_cached_ = false;
   std::vector<double> util_;
   std::vector<std::uint8_t> util_valid_;
 };

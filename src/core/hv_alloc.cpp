@@ -389,9 +389,9 @@ HvAllocResult allocate_heuristic(std::span<const model::Vcpu> vcpus,
   // Cluster VCPUs by slowdown vector once; reused for every core count.
   const std::size_t k =
       cfg.cluster_vcpus ? std::min(cfg.clusters, vcpus.size()) : 1;
-  std::vector<std::vector<double>> points;
-  points.reserve(vcpus.size());
-  for (const auto& v : vcpus) points.push_back(v.slowdown().flat());
+  FeatureMatrix points(vcpus.front().budget.grid().size());
+  points.reserve_rows(vcpus.size());
+  for (const auto& v : vcpus) points.add_slowdown(v.budget);
   const auto clusters = [&] {
     VC2M_PROFILE_PHASE("cluster");
     return cluster_members(kmeans(points, k, rng), k);

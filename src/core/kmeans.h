@@ -6,14 +6,42 @@
 // (§4.2, §4.3). Features are the flattened s(c,b) surfaces; distance is
 // Euclidean; seeding is kmeans++ from the caller's RNG so results are
 // reproducible.
+//
+// The points live in one contiguous row-major matrix that the callers fill
+// straight from their WCET/budget tables. Every distance is summed in
+// dimension order, whatever the blocking, so results are bit-identical to
+// the one-pair squared_distance().
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
+#include "model/surface.h"
 #include "util/rng.h"
 
 namespace vc2m::core {
+
+/// Points as one contiguous row-major rows() × dim() matrix.
+class FeatureMatrix {
+ public:
+  explicit FeatureMatrix(std::size_t dim) : dim_(dim) {}
+
+  std::size_t rows() const { return dim_ == 0 ? 0 : values_.size() / dim_; }
+  std::size_t dim() const { return dim_; }
+  const double* row(std::size_t i) const { return values_.data() + i * dim_; }
+
+  void reserve_rows(std::size_t n) { values_.reserve(n * dim_); }
+  /// Appends one point of dim() coordinates.
+  void add_row(std::span<const double> point);
+  /// Appends f's slowdown vector e(c,b)/e(C,B): the values of
+  /// WcetFn::slowdown(), without the Surface temporary.
+  void add_slowdown(const model::WcetFn& f);
+
+ private:
+  std::size_t dim_;
+  std::vector<double> values_;
+};
 
 struct KMeansResult {
   /// assignment[i] = cluster of point i, in [0, k).
@@ -22,9 +50,14 @@ struct KMeansResult {
   unsigned iterations = 0;
 };
 
-/// Lloyd's algorithm with kmeans++ seeding. Requires 1 <= k <= points.size()
-/// and all points of equal, non-zero dimension. Empty clusters are repaired
-/// by stealing the point farthest from its current centroid.
+/// Lloyd's algorithm with kmeans++ seeding. Requires 1 <= k <= rows() and
+/// dim() > 0. Empty clusters are repaired by stealing the point farthest
+/// from its current centroid.
+KMeansResult kmeans(const FeatureMatrix& points, std::size_t k,
+                    util::Rng& rng, unsigned max_iters = 50);
+
+/// Convenience overload: copies `points` (all of equal, non-zero
+/// dimension) into a FeatureMatrix.
 KMeansResult kmeans(const std::vector<std::vector<double>>& points,
                     std::size_t k, util::Rng& rng, unsigned max_iters = 50);
 

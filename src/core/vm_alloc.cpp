@@ -191,10 +191,9 @@ std::vector<model::Vcpu> allocate_vm_heuristic(
   const std::size_t k = std::min({cfg.clusters, m, n});
 
   // Cluster by slowdown vector.
-  std::vector<std::vector<double>> points;
-  points.reserve(n);
-  for (const std::size_t i : vm_task_idx)
-    points.push_back(tasks[i].slowdown().flat());
+  FeatureMatrix points(tasks[vm_task_idx.front()].wcet.grid().size());
+  points.reserve_rows(n);
+  for (const std::size_t i : vm_task_idx) points.add_slowdown(tasks[i].wcet);
   const auto clusters = [&] {
     VC2M_PROFILE_PHASE("cluster");
     return cluster_members(kmeans(points, k, rng), k);

@@ -72,11 +72,12 @@ class WcetFn {
   /// e(c,b) = round(reference * s(c,b)); s must have s(C,B) == 1.
   static WcetFn from_slowdown(util::Time reference, const Surface& s) {
     WcetFn f(s.grid());
-    for (unsigned c = s.grid().c_min; c <= s.grid().c_max; ++c)
-      for (unsigned b = s.grid().b_min; b <= s.grid().b_max; ++b) {
-        const double ns = static_cast<double>(reference.raw_ns()) * s.at(c, b);
-        f.set(c, b, util::Time::ns(static_cast<std::int64_t>(ns + 0.5)));
-      }
+    const auto& in = s.flat();
+    VC2M_CHECK(in.size() == f.values_.size());
+    const double ref = static_cast<double>(reference.raw_ns());
+    for (std::size_t i = 0; i < in.size(); ++i)
+      f.values_[i] =
+          util::Time::ns(static_cast<std::int64_t>(ref * in[i] + 0.5));
     return f;
   }
 
@@ -93,14 +94,20 @@ class WcetFn {
   /// Reference value e* = e(C, B).
   util::Time reference() const { return at(grid_.c_max, grid_.b_max); }
 
+  /// Flat view in row-major (cache-major) order, grid().size() entries:
+  /// what hot loops iterate once the caller has checked the grid.
+  const std::vector<util::Time>& flat() const { return values_; }
+  std::vector<util::Time>& flat() { return values_; }
+
   /// Slowdown vector s(c,b) = e(c,b)/e(C,B).
   Surface slowdown() const {
     Surface s(grid_);
     const double ref = static_cast<double>(reference().raw_ns());
     VC2M_CHECK_MSG(ref > 0, "reference WCET must be positive");
-    for (unsigned c = grid_.c_min; c <= grid_.c_max; ++c)
-      for (unsigned b = grid_.b_min; b <= grid_.b_max; ++b)
-        s.set(c, b, static_cast<double>(at(c, b).raw_ns()) / ref);
+    auto& out = s.flat();
+    VC2M_CHECK(out.size() == values_.size());
+    for (std::size_t i = 0; i < values_.size(); ++i)
+      out[i] = static_cast<double>(values_[i].raw_ns()) / ref;
     return s;
   }
 

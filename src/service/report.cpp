@@ -32,6 +32,11 @@ std::uint64_t get_count(const Value& obj, const std::string& key,
                      v->number == std::floor(v->number),
                  what << ": field '" << key
                       << "' must be a non-negative integer");
+  // At 2^53 and above a double no longer holds every integer: the value
+  // read back may not be the one that was written.
+  VC2M_CHECK_MSG(v->number < static_cast<double>(kMaxExactCount),
+                 what << ": field '" << key
+                      << "' is not below 2^53 and cannot be read exactly");
   return static_cast<std::uint64_t>(v->number);
 }
 

@@ -21,6 +21,11 @@ namespace vc2m::service {
 
 inline constexpr const char* kServeReportSchema = "vc2m-serve-report/1";
 
+/// Integer fields, the seed among them, are JSON numbers (doubles): only
+/// values below 2^53 survive the round trip exactly, so the reader rejects
+/// anything at or above and `vc2m serve --seed` refuses such seeds.
+inline constexpr std::uint64_t kMaxExactCount = std::uint64_t{1} << 53;
+
 struct ServeReport {
   std::string schema = kServeReportSchema;
   std::string git_rev;

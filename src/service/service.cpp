@@ -554,12 +554,16 @@ bool load_snapshot(const std::string& path, const std::string& digest,
 
 ServiceResult run_service(const ServiceConfig& cfg_in) {
   ServiceConfig cfg = cfg_in;
-  // Single-decision service path: admissions solve one surface at a time,
-  // so stripe them over a service-lifetime inner pool when the platform has
-  // spare hardware threads (verdicts and journal digests are bit-identical
-  // at any inner-jobs value; the digest does not cover vm_cfg).
+  // Single-decision service path: existing-CSA admissions solve one
+  // min-budget surface at a time, so stripe them over a service-lifetime
+  // inner pool when the platform has spare hardware threads (verdicts and
+  // journal digests are bit-identical at any inner-jobs value; the digest
+  // does not cover vm_cfg). The other VCPU analyses never submit work to
+  // the pool, so they get none.
   std::unique_ptr<util::ThreadPool> inner_pool;
-  if (cfg.vm_cfg.inner_pool == nullptr && cfg.vm_cfg.inner_jobs != 1) {
+  if (cfg.vm_cfg.analysis != core::VcpuAnalysis::kExistingCsa) {
+    cfg.vm_cfg.inner_jobs = 1;
+  } else if (cfg.vm_cfg.inner_pool == nullptr && cfg.vm_cfg.inner_jobs != 1) {
     const unsigned w = cfg.vm_cfg.inner_jobs == 0
                            ? util::ThreadPool::hardware_workers()
                            : static_cast<unsigned>(cfg.vm_cfg.inner_jobs);

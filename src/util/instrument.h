@@ -18,8 +18,10 @@ struct AllocCounters {
   // KMeans clustering (VM level and hypervisor level).
   std::uint64_t kmeans_runs = 0;
   std::uint64_t kmeans_iterations = 0;
-  /// Total centroid movement (squared distance) of each run's final
-  /// update step — the convergence delta the iteration cap cuts off.
+  /// Per run, Σ_c ‖centroid_c − mean of cluster c‖² after the last update
+  /// step. It is not a convergence delta: it is nonzero only when an
+  /// empty-cluster repair stole a point from a cluster whose centroid that
+  /// step had already computed, leaving the centroid off its members' mean.
   double kmeans_final_shift = 0;
 
   // Schedulability / admission testing.

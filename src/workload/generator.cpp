@@ -57,15 +57,9 @@ model::Taskset generate_taskset(const GeneratorConfig& cfg, util::Rng& rng) {
 
   const auto& suite = parsec_suite();
   const auto menu = harmonic_period_menu(cfg, rng);
-
-  // Pre-compute per-benchmark surfaces and max slowdowns for this grid.
-  std::vector<model::Surface> surfaces;
-  std::vector<double> s_max;
-  surfaces.reserve(suite.size());
-  for (const auto& p : suite) {
-    surfaces.push_back(p.surface(cfg.grid));
-    s_max.push_back(p.max_slowdown(cfg.grid));
-  }
+  const SurfaceTable& table = surface_table(cfg.grid);
+  const auto& surfaces = table.surfaces;
+  const auto& s_max = table.s_max;
 
   model::Taskset ts;
   double total_ref = 0;

@@ -1,6 +1,10 @@
 #include "workload/parsec.h"
 
+#include <array>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include "util/error.h"
 
@@ -93,6 +97,27 @@ const ParsecProfile& find_profile(const std::string& name) {
   for (const auto& p : parsec_suite())
     if (p.name == name) return p;
   throw util::Error("unknown PARSEC profile: " + name);
+}
+
+const SurfaceTable& surface_table(const model::ResourceGrid& grid) {
+  grid.validate();
+  // One immutable table per distinct grid, never freed: a process sees a
+  // handful of grids (the platforms), ~36 KB each on a 20×20 grid.
+  static std::mutex mu;
+  static std::map<std::array<unsigned, 4>, std::unique_ptr<const SurfaceTable>>
+      tables;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto& slot = tables[{grid.c_min, grid.c_max, grid.b_min, grid.b_max}];
+  if (!slot) {
+    auto t = std::make_unique<SurfaceTable>();
+    t->grid = grid;
+    for (const auto& p : parsec_suite()) {
+      t->surfaces.push_back(p.surface(grid));
+      t->s_max.push_back(p.max_slowdown(grid));
+    }
+    slot = std::move(t);
+  }
+  return *slot;
 }
 
 }  // namespace vc2m::workload

@@ -71,4 +71,17 @@ const std::vector<ParsecProfile>& parsec_suite();
 /// Lookup by name; throws util::Error if unknown.
 const ParsecProfile& find_profile(const std::string& name);
 
+/// Every suite profile evaluated on one grid: the slowdown surfaces and
+/// s^max values in parsec_suite() order.
+struct SurfaceTable {
+  model::ResourceGrid grid;
+  std::vector<model::Surface> surfaces;
+  std::vector<double> s_max;
+};
+
+/// The suite's table for `grid`, built on the first call for that grid and
+/// shared read-only afterwards (safe to call from any thread). The profiles
+/// are constants, so a table never goes stale and is never rebuilt.
+const SurfaceTable& surface_table(const model::ResourceGrid& grid);
+
 }  // namespace vc2m::workload

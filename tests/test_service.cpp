@@ -399,6 +399,39 @@ TEST(Service, RecoverToleratesTornTailAndForeignJournal) {
   std::remove((wal + ".snap").c_str());
 }
 
+TEST(Service, InnerJobsLeaveReportAndTimelineByteIdentical) {
+  // The inner pool exists only for existing-CSA admissions (the other
+  // analyses never submit to it); either way the report and the metrics
+  // timeline are byte-identical at any --inner-jobs.
+  for (const auto analysis :
+       {core::VcpuAnalysis::kRegulated, core::VcpuAnalysis::kExistingCsa}) {
+    std::string report, timeline;
+    for (const int jobs : {1, 3}) {
+      const std::string path = testing::TempDir() + "/vc2m_inner_jobs" +
+                               std::to_string(jobs) + ".bin";
+      std::remove(path.c_str());
+      auto cfg = small_config(
+          "poisson:requests=120,interarrival-us=300,util=0.1..0.4,"
+          "remove-frac=0.3,resize-frac=0.1");
+      cfg.vm_cfg.analysis = analysis;
+      cfg.vm_cfg.inner_jobs = jobs;
+      cfg.timeline_path = path;
+      cfg.sample_every = 10;
+      const auto res = run_service(cfg);
+      const std::string tl = read_file(path);
+      ASSERT_FALSE(tl.empty());
+      if (jobs == 1) {
+        report = report_text(res.report);
+        timeline = tl;
+      } else {
+        EXPECT_EQ(report_text(res.report), report) << "inner_jobs=" << jobs;
+        EXPECT_EQ(tl, timeline) << "inner_jobs=" << jobs;
+      }
+      std::remove(path.c_str());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Serve report artifact.
 
@@ -420,6 +453,34 @@ TEST(ServeReport, RoundTripAndStrictness) {
   EXPECT_THROW(read_serve_report(garbage), util::Error);
   std::istringstream not_json("not json");
   EXPECT_THROW(read_serve_report(not_json), util::Error);
+}
+
+TEST(ServeReport, SeedBelow2To53RoundTripsExactly) {
+  auto r = run_service(small_config()).report;
+  r.seed = kMaxExactCount - 1;
+  std::istringstream is(report_text(r));
+  EXPECT_EQ(read_serve_report(is).seed, kMaxExactCount - 1);
+}
+
+TEST(ServeReport, IntegersAtOrAbove2To53AreRejectedByName) {
+  // 2^53 + 1 is written exactly but would read back as 2^53: the reader
+  // must refuse, naming the field, instead of returning a rounded value.
+  auto r = run_service(small_config()).report;
+  for (const std::uint64_t seed : {kMaxExactCount, kMaxExactCount + 1}) {
+    r.seed = seed;
+    std::istringstream is(report_text(r));
+    try {
+      read_serve_report(is);
+      ADD_FAILURE() << "seed " << seed << " was accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'seed'"), std::string::npos)
+          << e.what();
+    }
+  }
+  r = run_service(small_config()).report;
+  r.commits = kMaxExactCount;
+  std::istringstream is(report_text(r));
+  EXPECT_THROW(read_serve_report(is), util::Error);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "model/platform.h"
 #include "util/rng.h"
@@ -186,6 +189,67 @@ TEST(Generator, TaskLabelsComeFromTheSuite) {
   Rng rng(13);
   const auto ts = generate_taskset(config_for(2.0), rng);
   for (const auto& t : ts) EXPECT_NO_THROW(find_profile(t.label));
+}
+
+// ------------------------------------------------------ surface table ----
+
+/// Every field generate_taskset sets, WCET tables cell by cell.
+std::string taskset_text(const model::Taskset& ts) {
+  std::ostringstream os;
+  for (const auto& t : ts) {
+    os << t.label << '|' << t.vm << '|' << t.period.raw_ns() << '|'
+       << t.max_wcet.raw_ns() << '|';
+    for (const Time e : t.wcet.flat()) os << e.raw_ns() << ',';
+    os << '\n';
+  }
+  return os.str();
+}
+
+TEST(SurfaceTable, MatchesTheProfilesAndIsSharedPerGrid) {
+  for (const auto& platform :
+       {PlatformSpec::A(), PlatformSpec::B(), PlatformSpec::C()}) {
+    const SurfaceTable& t = surface_table(platform.grid);
+    EXPECT_EQ(&t, &surface_table(platform.grid));
+    EXPECT_EQ(t.grid, platform.grid);
+    ASSERT_EQ(t.surfaces.size(), parsec_suite().size());
+    for (std::size_t k = 0; k < parsec_suite().size(); ++k) {
+      const auto& p = parsec_suite()[k];
+      EXPECT_EQ(t.surfaces[k].flat(), p.surface(platform.grid).flat());
+      EXPECT_EQ(t.s_max[k], p.max_slowdown(platform.grid));
+    }
+  }
+}
+
+TEST(SurfaceTable, ConcurrentGeneratorsMatchTheSerialOutput) {
+  // Eight threads race to build and read the tables of Platforms A, B and
+  // C (B shares A's grid) through generate_taskset; every taskset must
+  // equal the one a serial run generates afterwards. TSan runs this too.
+  const std::vector<ResourceGrid> grids = {PlatformSpec::A().grid,
+                                           PlatformSpec::B().grid,
+                                           PlatformSpec::C().grid,
+                                           ResourceGrid{1, 9, 2, 7}};
+  constexpr int kThreads = 8, kPerThread = 12;
+  const auto job = [&](int thread, int i) {
+    GeneratorConfig cfg;
+    cfg.grid = grids[static_cast<std::size_t>(thread + i) % grids.size()];
+    cfg.target_ref_utilization = 0.5 + 0.1 * i;
+    cfg.num_vms = 1 + i % 3;
+    Rng rng(static_cast<std::uint64_t>(1000 * thread + i));
+    return taskset_text(generate_taskset(cfg, rng));
+  };
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      for (int i = 0; i < kPerThread; ++i) got[t].push_back(job(t, i));
+    });
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t)
+    for (int i = 0; i < kPerThread; ++i)
+      EXPECT_EQ(got[t][i], job(t, i)) << "thread " << t << " taskset " << i;
 }
 
 // ----------------------------------------------------------- CSV I/O ----

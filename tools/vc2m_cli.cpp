@@ -135,6 +135,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -193,8 +194,9 @@ struct Args {
   double util_hi = 2.0;
   int jobs = 0;  ///< sweep worker threads; 0 = hardware concurrency
   /// Intra-solve stripes for the min-budget surface batches; 1 = serial,
-  /// 0 = hardware. Bit-identical results at any value.
-  int inner_jobs = 1;
+  /// 0 = hardware. Bit-identical results at any value. Unset: 1 for
+  /// experiment, 0 for the single-decision explain and serve.
+  std::optional<int> inner_jobs;
   // fault injection (simulate + experiment)
   std::string faults;            ///< sim/faults.h spec, empty = none
   std::string policy = "strict"; ///< enforcement policy name
@@ -249,7 +251,8 @@ struct Args {
                "[--policy strict|kill|throttle|degrade]\n"
                "       vc2m explain tasks.csv [--platform P] [--solution S] "
                "[--seed S]\n"
-               "                    [--json out.json] [--events]\n"
+               "                    [--json out.json] [--events] "
+               "[--inner-jobs N]\n"
                "       vc2m check --trace out.json|out.csv\n"
                "       vc2m perfdiff base.json current.json "
                "[--max-regress 10%|0.1] [--min-abs-sec S]\n"
@@ -264,6 +267,7 @@ struct Args {
                "                  [--timeline FILE] [--sample-every N] "
                "[--stats-every N]\n"
                "                  [--span-ring K] [--span-trace out.json]\n"
+               "                  [--inner-jobs N]\n"
                "       vc2m timeline FILE... [--diff BASE] [--csv]\n"
                "       vc2m scenario run PATH... [--jobs N] [--shard i/m] "
                "[--resume]\n"
@@ -289,8 +293,10 @@ struct Args {
 /// std::invalid_argument, and `--util 1.5x` silently parsed the prefix. A
 /// flag value must now consume the whole token or the process prints
 /// "<flag>: bad value '<token>'" and exits 2 (the usage exit code).
-[[noreturn]] void bad_value(const std::string& flag, const std::string& s) {
-  std::cerr << flag << ": bad value '" << s << "'\n";
+[[noreturn]] void bad_value(const std::string& flag, const std::string& s,
+                            const std::string& why = "") {
+  std::cerr << flag << ": bad value '" << s << "'"
+            << (why.empty() ? "" : " (" + why + ")") << "\n";
   std::exit(2);
 }
 
@@ -582,10 +588,21 @@ int cmd_solve(const Args& a) {
   return 0;
 }
 
+/// --inner-jobs for the single-decision commands (explain, serve):
+/// hardware threads (0) unless given; a negative count exits 2.
+int decision_inner_jobs(const Args& a) {
+  const int jobs = a.inner_jobs.value_or(0);
+  if (jobs < 0)
+    bad_value("--inner-jobs", std::to_string(jobs),
+              "must be >= 0, 0 = hardware concurrency");
+  return jobs;
+}
+
 int cmd_explain(const Args& a) {
   std::string file = a.file;
   if (file.empty() && !a.positional.empty()) file = a.positional.front();
   if (file.empty()) usage(2);
+  const int inner_jobs = decision_inner_jobs(a);
   if (!a.json_out.empty())
     util::ensure_output_path_writable(a.json_out, "explain report");
   const auto platform = platform_of(a.platform);
@@ -593,9 +610,10 @@ int cmd_explain(const Args& a) {
   const auto& strat = strategy_of(a.solution);
   util::Rng rng(a.seed);
   // Single-solve path: stripe the min-budget surface search over the
-  // hardware threads (bit-identical results at any inner-jobs value).
+  // hardware threads unless told otherwise (bit-identical results at any
+  // inner-jobs value).
   core::SolveConfig scfg;
-  scfg.inner_jobs = 0;
+  scfg.inner_jobs = inner_jobs;
   const auto report =
       obs::explain_solve(strat, tasks, platform, scfg, rng);
   obs::render_explain(std::cout, report, a.events);
@@ -697,7 +715,7 @@ int cmd_simulate(const Args& a) {
 int cmd_experiment(const Args& a) {
   if (a.jobs < 0)
     throw util::Error("--jobs must be >= 0 (0 = hardware concurrency)");
-  if (a.inner_jobs < 0)
+  if (a.inner_jobs.value_or(1) < 0)
     throw util::Error("--inner-jobs must be >= 0 (0 = hardware concurrency)");
   if (!a.pool_trace.empty())
     util::ensure_output_path_writable(a.pool_trace, "pool trace");
@@ -712,7 +730,7 @@ int cmd_experiment(const Args& a) {
   cfg.num_vms = a.vms;
   cfg.seed = a.seed;
   cfg.jobs = a.jobs;
-  cfg.solve.inner_jobs = a.inner_jobs;
+  cfg.solve.inner_jobs = a.inner_jobs.value_or(1);
   if (!a.solutions.empty()) cfg.solutions = solutions_of(a.solutions);
   if (!a.faults.empty()) {
     if (a.fault_horizon <= 0)
@@ -859,6 +877,10 @@ void install_stats_signal() {
 
 int cmd_serve(const Args& a) {
   if (a.trace.empty()) usage(2);
+  if (a.seed >= service::kMaxExactCount)
+    bad_value("--seed", std::to_string(a.seed),
+              "serve seeds must be below 2^53 to round-trip the report");
+  const int inner_jobs = decision_inner_jobs(a);
   if (!a.json_out.empty())
     util::ensure_output_path_writable(a.json_out, "serve report");
   if (!a.timeline.empty())
@@ -873,7 +895,7 @@ int cmd_serve(const Args& a) {
   cfg.platform_name = a.platform;
   // One admission decision at a time: use intra-decision parallelism
   // (0 = hardware threads; decisions and digests are bit-identical).
-  cfg.vm_cfg.inner_jobs = 0;
+  cfg.vm_cfg.inner_jobs = inner_jobs;
   cfg.trace = service::parse_trace_spec(a.trace);
   cfg.seed = a.seed;
   if (a.deadline_us < 0) throw util::Error("--deadline-us must be >= 0");
