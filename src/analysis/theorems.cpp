@@ -1,6 +1,7 @@
 #include "analysis/theorems.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "util/error.h"
@@ -62,13 +63,17 @@ model::Vcpu regulated_vcpu(const model::Taskset& tasks,
     wcets.push_back(t.wcet.flat().data());
     weights.push_back(den / (t.period / pi));
   }
+  // Harmonic period menus make den a power of two: then a shift gives the
+  // same quotient as the 128-bit division for every non-negative dividend.
+  const bool pow2 = (den & (den - 1)) == 0;
+  const int shift = std::countr_zero(static_cast<std::uint64_t>(den));
   auto& budget = v.budget.flat();
   for (std::size_t cell = 0; cell < budget.size(); ++cell) {
-    __int128 num = 0;
+    __int128 num = den - 1;
     for (std::size_t k = 0; k < wcets.size(); ++k)
       num += static_cast<__int128>(wcets[k][cell].raw_ns()) * weights[k];
-    budget[cell] =
-        util::Time::ns(static_cast<std::int64_t>((num + den - 1) / den));
+    budget[cell] = util::Time::ns(static_cast<std::int64_t>(
+        pow2 && num >= 0 ? num >> shift : num / den));
   }
   return v;
 }

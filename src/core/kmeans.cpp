@@ -42,22 +42,20 @@ void distance4(const double* const a[4], const double* const b[4],
 }
 
 /// nearest[i] = min(nearest[i], distance(point i, c)) for every point, four
-/// points per pass.
+/// points per pass; a short last block repeats its last point.
 void lower_nearest(const FeatureMatrix& points, const double* c,
                    std::vector<double>& nearest) {
   const std::size_t n = points.rows(), dim = points.dim();
   const double* const cs[4] = {c, c, c, c};
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double* const ps[4] = {points.row(i), points.row(i + 1),
-                                 points.row(i + 2), points.row(i + 3)};
+  for (std::size_t i = 0; i < n; i += 4) {
+    const double* ps[4];
+    for (std::size_t j = 0; j < 4; ++j)
+      ps[j] = points.row(std::min(i + j, n - 1));
     double d[4];
     distance4(ps, cs, dim, d);
-    for (std::size_t j = 0; j < 4; ++j)
+    for (std::size_t j = 0; j < 4 && i + j < n; ++j)
       nearest[i + j] = std::min(nearest[i + j], d[j]);
   }
-  for (; i < n; ++i)
-    nearest[i] = std::min(nearest[i], distance(points.row(i), c, dim));
 }
 
 /// kmeans++: first centroid uniform, then proportional to squared distance
@@ -96,30 +94,23 @@ void seed_centroids(const FeatureMatrix& points, std::size_t k,
 }
 
 /// Index of the centroid nearest to p (lowest index on ties), four
-/// centroids per pass.
+/// centroids per pass; a short last block repeats its last centroid.
 std::size_t nearest_centroid(const double* p, const std::vector<double>& cent,
                              std::size_t k, std::size_t dim) {
   std::size_t best = 0;
   double best_d = std::numeric_limits<double>::infinity();
   const double* const ps[4] = {p, p, p, p};
-  std::size_t c = 0;
-  for (; c + 4 <= k; c += 4) {
-    const double* const cs[4] = {&cent[c * dim], &cent[(c + 1) * dim],
-                                 &cent[(c + 2) * dim], &cent[(c + 3) * dim]};
+  for (std::size_t c = 0; c < k; c += 4) {
+    const double* cs[4];
+    for (std::size_t j = 0; j < 4; ++j)
+      cs[j] = &cent[std::min(c + j, k - 1) * dim];
     double d[4];
     distance4(ps, cs, dim, d);
-    for (std::size_t j = 0; j < 4; ++j)
+    for (std::size_t j = 0; j < 4 && c + j < k; ++j)
       if (d[j] < best_d) {
         best_d = d[j];
         best = c + j;
       }
-  }
-  for (; c < k; ++c) {
-    const double d = distance(p, &cent[c * dim], dim);
-    if (d < best_d) {
-      best_d = d;
-      best = c;
-    }
   }
   return best;
 }
@@ -140,12 +131,6 @@ void FeatureMatrix::add_slowdown(const model::WcetFn& f) {
 void FeatureMatrix::add_row(std::span<const double> point) {
   VC2M_CHECK(point.size() == dim_);
   values_.insert(values_.end(), point.begin(), point.end());
-}
-
-double squared_distance(const std::vector<double>& a,
-                        const std::vector<double>& b) {
-  VC2M_CHECK(a.size() == b.size());
-  return distance(a.data(), b.data(), a.size());
 }
 
 KMeansResult kmeans(const FeatureMatrix& points, std::size_t k,
@@ -243,8 +228,8 @@ KMeansResult kmeans(const FeatureMatrix& points, std::size_t k,
   }
   res.centroids.reserve(k);
   for (std::size_t c = 0; c < k; ++c)
-    res.centroids.emplace_back(cent.begin() + static_cast<std::ptrdiff_t>(c * dim),
-                               cent.begin() + static_cast<std::ptrdiff_t>((c + 1) * dim));
+    res.centroids.emplace_back(cent.data() + c * dim,
+                               cent.data() + (c + 1) * dim);
   return res;
 }
 

@@ -8,9 +8,9 @@
 // reproducible.
 //
 // The points live in one contiguous row-major matrix that the callers fill
-// straight from their WCET/budget tables. Every distance is summed in
-// dimension order, whatever the blocking, so results are bit-identical to
-// the one-pair squared_distance().
+// straight from their WCET/budget tables. Every squared distance is summed
+// in dimension order, one accumulator per pair, however many pairs a pass
+// computes, so results do not depend on the blocking.
 #pragma once
 
 #include <cstddef>
@@ -65,9 +65,5 @@ KMeansResult kmeans(const std::vector<std::vector<double>>& points,
 /// empty only if kmeans() was given degenerate duplicate points).
 std::vector<std::vector<std::size_t>> cluster_members(
     const KMeansResult& result, std::size_t k);
-
-/// Squared Euclidean distance (exposed for tests).
-double squared_distance(const std::vector<double>& a,
-                        const std::vector<double>& b);
 
 }  // namespace vc2m::core

@@ -577,6 +577,9 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
   }
   ServiceResult result;
   const auto trace = generate_trace(cfg.trace, cfg.seed);
+  // One span per decision: at least one per request. Sizing the vector
+  // once keeps its doubling copies out of the run's peak memory.
+  if (cfg.collect_spans) result.spans.reserve(trace.size());
   const std::string digest = config_digest(cfg);
   const bool journaling = !cfg.journal_path.empty();
   const std::string snap_path =

@@ -153,7 +153,8 @@ TEST(KMeansPinTest, EmptyClusterRepairStealsFromComputedCentroid) {
   // exactly when kmeans_final_shift is nonzero.
   const auto pool = feature_pool();
   std::vector<std::vector<double>> pts;
-  for (const std::size_t id : {96, 16, 57, 73, 31, 1, 12}) pts.push_back(pool[id]);
+  for (const std::size_t id : {96, 16, 57, 73, 31, 1, 12})
+    pts.push_back(pool[id]);
   const auto got = run_pinned(pts, 3, 107835);
   EXPECT_GT(std::bit_cast<double>(got.shift_bits), 0.0);
   expect_pin(got, {3, 0x400d3b7d1db6b319ull, "cff1029e3331b7ca"}, "repair");
@@ -223,6 +224,18 @@ WcetFn regulated_reference(const Taskset& ts,
   return out;
 }
 
+void expect_regulated_matches(const Taskset& ts,
+                              const std::vector<std::size_t>& idx,
+                              const std::string& label) {
+  const auto v = analysis::regulated_vcpu(ts, idx);
+  const auto want = regulated_reference(ts, idx);
+  const auto& g = want.grid();
+  for (unsigned c = g.c_min; c <= g.c_max; ++c)
+    for (unsigned b = g.b_min; b <= g.b_max; ++b)
+      ASSERT_EQ(v.budget.at(c, b), want.at(c, b))
+          << label << " (" << c << "," << b << ")";
+}
+
 TEST(GridKernelOracle, RegulatedVcpuMatchesAtLoop) {
   for (const auto& platform : platforms()) {
     const auto& g = platform.grid;
@@ -231,17 +244,21 @@ TEST(GridKernelOracle, RegulatedVcpuMatchesAtLoop) {
       std::vector<std::size_t> all(ts.size());
       std::iota(all.begin(), all.end(), 0);
       // Every prefix exercises a different period mix and denominator.
-      for (std::size_t n = 1; n <= all.size(); ++n) {
-        const std::vector<std::size_t> idx(all.begin(), all.begin() + n);
-        const auto v = analysis::regulated_vcpu(ts, idx);
-        const auto want = regulated_reference(ts, idx);
-        for (unsigned c = g.c_min; c <= g.c_max; ++c)
-          for (unsigned b = g.b_min; b <= g.b_max; ++b)
-            ASSERT_EQ(v.budget.at(c, b), want.at(c, b))
-                << platform.name << " seed " << seed << " n " << n << " ("
-                << c << "," << b << ")";
-      }
+      for (std::size_t n = 1; n <= all.size(); ++n)
+        expect_regulated_matches(
+            ts, std::vector<std::size_t>(all.begin(), all.begin() + n),
+            platform.name + " seed " + std::to_string(seed) + " n " +
+                std::to_string(n));
     }
+    // Generated period menus are powers of two apart; periods 3x and 6x
+    // apart make a denominator (6) that is not a power of two.
+    auto mixed = tasks_on(g, 2.0, 99);
+    ASSERT_GE(mixed.size(), 3u);
+    mixed.resize(3);
+    mixed[0].period = Time::ms(100);
+    mixed[1].period = Time::ms(300);
+    mixed[2].period = Time::ms(600);
+    expect_regulated_matches(mixed, {0, 1, 2}, platform.name + " den 6");
   }
 }
 
@@ -431,7 +448,8 @@ TEST(AdmissionPinTest, ChurnDecisionsEventsAndStates) {
       } else {
         EXPECT_TRUE(res.state.vcpus.empty());
       }
-      outcomes += resize ? (res.admitted ? 'R' : 'r') : (res.admitted ? 'A' : 'a');
+      outcomes +=
+          resize ? (res.admitted ? 'R' : 'r') : (res.admitted ? 'A' : 'a');
     }
     add_events(log, events);
     add_state(state, states);
