@@ -325,13 +325,25 @@ telemetry_smoke() {
     || { echo "recovered report differs from baseline"; return 1; }
 
   echo "--- SIGUSR1 renders a stats snapshot mid-run ---"
-  local slow="poisson:requests=6000,interarrival-us=300,util=0.1..0.4"
+  # A trace far longer than the probe needs, so the run is still live when
+  # the signal lands however fast the service is; once the snapshot shows
+  # up (or after 10 s), SIGTERM ends the run with its interrupted exit 130.
+  local slow="poisson:requests=200000,interarrival-us=300,util=0.1..0.4"
   "$vc2m" serve --trace "$slow" --seed 7 \
     > /dev/null 2> "$work/usr1.txt" &
   local pid=$!
   sleep 0.5
   kill -USR1 "$pid" 2>/dev/null || true
-  wait "$pid" || { echo "serve under SIGUSR1 failed"; return 1; }
+  for _ in $(seq 1 100); do
+    grep -q "\[vc2m serve\]" "$work/usr1.txt" && break
+    sleep 0.1
+  done
+  kill -TERM "$pid" 2>/dev/null || true
+  rc=0
+  wait "$pid" || rc=$?
+  if [ "$rc" -ne 0 ] && [ "$rc" -ne 130 ]; then
+    echo "serve under SIGUSR1 failed (rc=$rc)"; return 1
+  fi
   grep -q "\[vc2m serve\]" "$work/usr1.txt" \
     || { echo "SIGUSR1 rendered no stats snapshot"; return 1; }
 

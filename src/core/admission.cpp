@@ -96,16 +96,23 @@ AdmissionState compact(std::span<const model::Vcpu> placed,
 }
 
 /// admit_vm over a running system given as `placed` (only the VCPUs
-/// `mapping` lists are live; a resize leaves the old VM's VCPUs in `placed`
-/// but off every core) without copying it. New VCPU j has index
+/// `mapping` lists are live; a resize leaves the `dropped` VM's VCPUs in
+/// `placed` but off every core) without copying it. New VCPU j has index
 /// placed.size() + j in the probes and in `mapping`; decision events name
-/// it by its index in the committed state, `live + j`. Nothing is copied
-/// unless the VM is admitted.
-AdmitResult place_vm(std::span<const model::Vcpu> placed, std::size_t live,
+/// it by its index in the committed state. Nothing is copied unless the
+/// VM is admitted.
+AdmitResult place_vm(std::span<const model::Vcpu> placed,
                      std::optional<int> dropped, HvAllocResult mapping,
                      const model::Taskset& vm_tasks, int vm_id,
                      const model::PlatformSpec& platform,
                      const VmAllocConfig& vm_cfg, util::Rng& rng) {
+  VC2M_CHECK(!vm_tasks.empty());
+  for (const auto& t : vm_tasks)
+    VC2M_CHECK_MSG(t.vm == vm_id, "task does not belong to the admitted VM");
+  const auto live = static_cast<std::size_t>(
+      std::count_if(placed.begin(), placed.end(),
+                    [&](const model::Vcpu& v) { return v.vm != dropped; }));
+
   AdmitResult result;
   result.request_id = vm_cfg.request_id;
   analysis::AnalysisContext ctx;  // one memo + counter scope per decision
@@ -276,26 +283,24 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed, std::size_t live,
   return result;
 }
 
+bool vm_present(const AdmissionState& st, int vm_id) {
+  return std::any_of(st.vcpus.begin(), st.vcpus.end(),
+                     [&](const model::Vcpu& v) { return v.vm == vm_id; });
+}
+
 }  // namespace
 
 AdmitResult admit_vm(const AdmissionState& current,
                      const model::Taskset& vm_tasks, int vm_id,
                      const model::PlatformSpec& platform,
                      const VmAllocConfig& vm_cfg, util::Rng& rng) {
-  VC2M_CHECK(!vm_tasks.empty());
-  for (const auto& t : vm_tasks)
-    VC2M_CHECK_MSG(t.vm == vm_id, "task does not belong to the admitted VM");
-  for (const auto& v : current.vcpus)
-    VC2M_CHECK_MSG(v.vm != vm_id, "VM id already present");
-  return place_vm(current.vcpus, current.vcpus.size(), std::nullopt,
-                  current.mapping, vm_tasks, vm_id, platform, vm_cfg, rng);
+  VC2M_CHECK_MSG(!vm_present(current, vm_id), "VM id already present");
+  return place_vm(current.vcpus, std::nullopt, current.mapping, vm_tasks,
+                  vm_id, platform, vm_cfg, rng);
 }
 
 AdmissionState remove_vm(const AdmissionState& current, int vm_id) {
-  const auto kept = static_cast<std::size_t>(std::count_if(
-      current.vcpus.begin(), current.vcpus.end(),
-      [&](const model::Vcpu& v) { return v.vm != vm_id; }));
-  VC2M_CHECK_MSG(kept < current.vcpus.size(), "VM id not present");
+  VC2M_CHECK_MSG(vm_present(current, vm_id), "VM id not present");
   return compact(current.vcpus, vm_id, {},
                  mapping_without(current.vcpus, current.mapping, vm_id));
 }
@@ -304,17 +309,11 @@ AdmitResult resize_vm(const AdmissionState& current,
                       const model::Taskset& new_tasks, int vm_id,
                       const model::PlatformSpec& platform,
                       const VmAllocConfig& vm_cfg, util::Rng& rng) {
-  const auto kept = static_cast<std::size_t>(std::count_if(
-      current.vcpus.begin(), current.vcpus.end(),
-      [&](const model::Vcpu& v) { return v.vm != vm_id; }));
-  VC2M_CHECK_MSG(kept < current.vcpus.size(), "resize: VM id not present");
-  VC2M_CHECK(!new_tasks.empty());
-  for (const auto& t : new_tasks)
-    VC2M_CHECK_MSG(t.vm == vm_id, "task does not belong to the admitted VM");
+  VC2M_CHECK_MSG(vm_present(current, vm_id), "resize: VM id not present");
   // The old VM comes off its cores in the probe mapping only; `current` is
   // never touched, so a rejection rolls back by returning nothing, and the
   // committed state is built (old VM dropped) only on success.
-  return place_vm(current.vcpus, kept, vm_id,
+  return place_vm(current.vcpus, vm_id,
                   mapping_without(current.vcpus, current.mapping, vm_id),
                   new_tasks, vm_id, platform, vm_cfg, rng);
 }

@@ -110,7 +110,6 @@ const SurfaceTable& surface_table(const model::ResourceGrid& grid) {
   auto& slot = tables[{grid.c_min, grid.c_max, grid.b_min, grid.b_max}];
   if (!slot) {
     auto t = std::make_unique<SurfaceTable>();
-    t->grid = grid;
     for (const auto& p : parsec_suite()) {
       t->surfaces.push_back(p.surface(grid));
       t->s_max.push_back(p.max_slowdown(grid));

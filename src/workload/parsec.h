@@ -74,7 +74,6 @@ const ParsecProfile& find_profile(const std::string& name);
 /// Every suite profile evaluated on one grid: the slowdown surfaces and
 /// s^max values in parsec_suite() order.
 struct SurfaceTable {
-  model::ResourceGrid grid;
   std::vector<model::Surface> surfaces;
   std::vector<double> s_max;
 };

@@ -210,7 +210,6 @@ TEST(SurfaceTable, MatchesTheProfilesAndIsSharedPerGrid) {
        {PlatformSpec::A(), PlatformSpec::B(), PlatformSpec::C()}) {
     const SurfaceTable& t = surface_table(platform.grid);
     EXPECT_EQ(&t, &surface_table(platform.grid));
-    EXPECT_EQ(t.grid, platform.grid);
     ASSERT_EQ(t.surfaces.size(), parsec_suite().size());
     for (std::size_t k = 0; k < parsec_suite().size(); ++k) {
       const auto& p = parsec_suite()[k];
