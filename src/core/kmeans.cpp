@@ -206,9 +206,9 @@ KMeansResult kmeans(const FeatureMatrix& points, std::size_t k,
       for (std::size_t d = 0; d < dim; ++d)
         cent[c * dim + d] = sums[c * dim + d] / count;
     }
-    // Σ_c ‖centroid_c − sums_c/count_c‖². A centroid computed from its
-    // final sums contributes exactly +0.0, which leaves the sum unchanged,
-    // so only stale centroids are measured.
+    // Σ_c ‖centroid_c − sums_c/count_c‖². For finite features a centroid
+    // computed from its final sums contributes exactly +0.0, which leaves
+    // the sum unchanged, so only stale centroids are measured.
     last_shift = 0;
     for (std::size_t c = 0; c < k; ++c) {
       if (!stale[c]) continue;
