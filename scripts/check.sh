@@ -11,8 +11,10 @@
 # build-tsan/) so the regular build/ stays untouched. address and
 # undefined build and run everything; thread builds only the parallel test
 # binaries and runs the thread-pool/experiment/fault-validator/scenario-
-# matrix suites plus the admission-service suite and the PARSEC surface
-# table's concurrent-generator test (the rest of the test suite is
+# matrix suites plus the admission-service suite, the PARSEC surface
+# table's concurrent-generator test and the min-budget memo pins (whose
+# inner-jobs case stripes a batch over a shared pool; the rest of the
+# test suite is
 # single-threaded, and TSan's ~10x slowdown buys nothing there).
 # The scenario-matrix suite matters for TSan specifically: it drives
 # run_matrix with checkpointing at --jobs 2+, where worker-thread slot
@@ -453,8 +455,8 @@ for san in "${sanitizers[@]}"; do
   ctest_args=(--output-on-failure -j "$(nproc)")
   if [ "$san" = thread ]; then
     build_args=(--target test_parallel test_faults test_scenario test_service
-                test_telemetry test_golden test_workload)
-    ctest_args+=(-R '^(ThreadPool|ParallelExperiment|ExperimentResultGuards|FaultValidatorParallel|ScenarioMatrix|TraceGen|Journal|CrashSpec|ShedPolicy|Service|ServeReport|Timeline|TelemetryText|SpanRing|Spans|StatsSnapshot|SurfaceTable)')
+                test_telemetry test_golden test_workload test_analysis)
+    ctest_args+=(-R '^(ThreadPool|ParallelExperiment|ExperimentResultGuards|FaultValidatorParallel|ScenarioMatrix|TraceGen|Journal|CrashSpec|ShedPolicy|Service|ServeReport|Timeline|TelemetryText|SpanRing|Spans|StatsSnapshot|SurfaceTable|AnalysisContextMemo)')
   fi
   echo "=== ${san}: configure (${dir}/) ==="
   cmake -B "$dir" -S . -DVC2M_SANITIZE="$san" >/dev/null
