@@ -1,21 +1,33 @@
 #include "analysis/prm.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/error.h"
 
 namespace vc2m::analysis {
 
+namespace {
+
+/// sbf of (Π, Θ) at t in raw ns, unchecked: with gap = Π − Θ and
+/// k = ⌊(t − gap)/Π⌋ whole periods before the last ramp,
+///   sbf(t) = kΘ + min(max(0, t − 2·gap − kΠ), Θ)   for t > gap.
+/// Every intermediate stays within [−Π, t], so no input overflows.
+std::int64_t supply(std::int64_t pi, std::int64_t theta, std::int64_t t) {
+  const std::int64_t gap = pi - theta;
+  if (t <= gap) return 0;
+  const std::int64_t k = (t - gap) / pi;
+  const std::int64_t partial =
+      std::max<std::int64_t>(0, t - gap - gap - pi * k);
+  // The partial chunk can never exceed one budget.
+  return theta * k + std::min(partial, theta);
+}
+
+}  // namespace
+
 util::Time Prm::sbf(util::Time t) const {
   VC2M_CHECK(budget >= util::Time::zero() && budget <= period);
-  const util::Time gap = period - budget;  // Π − Θ
-  if (t <= gap) return util::Time::zero();
-  const std::int64_t k = (t - gap) / period + 1;  // ⌊(t−(Π−Θ))/Π⌋ + 1
-  const util::Time whole = budget * (k - 1);
-  const util::Time partial =
-      util::max(util::Time::zero(), t - gap - gap - period * (k - 1));
-  // The partial chunk can never exceed one budget.
-  return whole + util::min(partial, budget);
+  return util::Time::ns(supply(period.raw_ns(), budget.raw_ns(), t.raw_ns()));
 }
 
 double Prm::lsbf(util::Time t) const {
@@ -38,27 +50,6 @@ bool edf_schedulable_on_prm(std::span<const PTask> tasks, const Prm& prm) {
   return true;
 }
 
-namespace {
-
-/// Budget feasibility is monotone in Θ: binary search the minimum feasible
-/// budget in [U·Π, hi]. `hi` must be feasible, so the minimum exists.
-util::Time search_min_budget(std::span<const PTask> tasks, util::Time period,
-                             double u, util::Time hi) {
-  util::Time lo = util::Time::ns(static_cast<std::int64_t>(
-      u * static_cast<double>(period.raw_ns())));  // U·Π is a lower bound
-  while (lo < hi) {
-    const util::Time mid = util::Time::ns(
-        lo.raw_ns() + (hi.raw_ns() - lo.raw_ns()) / 2);
-    if (edf_schedulable_on_prm(tasks, Prm{period, mid}))
-      hi = mid;
-    else
-      lo = mid + util::Time::ns(1);
-  }
-  return hi;
-}
-
-}  // namespace
-
 std::optional<util::Time> min_budget_edf(std::span<const PTask> tasks,
                                          util::Time period) {
   VC2M_CHECK(period > util::Time::zero());
@@ -70,75 +61,117 @@ std::optional<util::Time> min_budget_edf(std::span<const PTask> tasks,
   // Feasible at Θ = Π iff schedulable on a dedicated core.
   if (!edf_schedulable_on_prm(tasks, Prm{period, period})) return std::nullopt;
 
-  return search_min_budget(tasks, period, u, period);
+  // Feasibility is monotone in Θ: binary search the least feasible budget
+  // in [U·Π, Π].
+  util::Time lo = util::Time::ns(static_cast<std::int64_t>(
+      u * static_cast<double>(period.raw_ns())));  // U·Π is a lower bound
+  util::Time hi = period;
+  while (lo < hi) {
+    const util::Time mid = util::Time::ns(
+        lo.raw_ns() + (hi.raw_ns() - lo.raw_ns()) / 2);
+    if (edf_schedulable_on_prm(tasks, Prm{period, mid}))
+      hi = mid;
+    else
+      lo = mid + util::Time::ns(1);
+  }
+  return hi;
 }
 
-std::optional<util::Time> min_budget_edf_bounded(std::span<const PTask> tasks,
-                                                 util::Time period,
-                                                 util::Time feasible_hi) {
-  VC2M_CHECK(period > util::Time::zero());
-  if (tasks.empty()) return util::Time::zero();
+namespace {
 
-  const double u = total_utilization(tasks);
-  if (u > 1.0 + 1e-12) return std::nullopt;
-
-  // A hint at or above Π adds nothing over the Θ = Π probe; and a hint
-  // below the U·Π lower bound cannot bracket the search from above.
-  if (feasible_hi >= period ||
-      feasible_hi < util::Time::ns(static_cast<std::int64_t>(
-                        u * static_cast<double>(period.raw_ns()))))
-    return min_budget_edf(tasks, period);
-
-  // Verify the hint (one schedulability test): when it holds it doubles as
-  // the Θ = Π feasibility probe and tightens the search window; when it
-  // does not, fall back to the unhinted path so the result never changes.
-  if (!edf_schedulable_on_prm(tasks, Prm{period, feasible_hi}))
-    return min_budget_edf(tasks, period);
-
-  return search_min_budget(tasks, period, u, feasible_hi);
+/// ⌈a / b⌉ for b > 0 (C++ division truncates toward zero, which is
+/// already the ceiling for negative a).
+template <class I>
+I ceil_div(I a, I b) {
+  return a / b + (a % b > 0 ? 1 : 0);
 }
 
-bool curve_schedulable(const DemandCurve& curve, double total_util,
-                       const Prm& prm) {
-  VC2M_CHECK(prm.period > util::Time::zero());
-  VC2M_CHECK(prm.budget >= util::Time::zero() && prm.budget <= prm.period);
+/// min_budget_for_point's arithmetic in integer type I. With s = t − 2(Π−Θ)
+/// and j = ⌊s/Π⌋, the supply is sbf = jΘ + min(s − jΠ, Θ) for s ≥ 0. As Θ
+/// runs over [0, Π], s runs over [t − 2Π, t], so j takes at most three
+/// values; on piece j both branches are linear in Θ and
+///   sbf ≥ d  ⇔  (j+2)Θ ≥ d + base  and  (j+1)Θ ≥ d,
+/// where base = (j+2)Π − t and the piece is base ≤ 2Θ < base + Π. The
+/// pieces are visited in increasing Θ; sbf is monotone in Θ, so the first
+/// piece holding a solution holds the least one.
+template <class I>
+I invert_sbf(I pi, I t, I d) {
+  const I q = t / pi;
+  const I r = t - q * pi;
+  for (I j = q >= 2 ? q - 2 : 0; j <= q; ++j) {
+    const I base = (j - q + 2) * pi - r;  // (j+2)Π − t, free of overflow
+    const I lo = std::max<I>(0, ceil_div<I>(base, 2));
+    const I hi = std::min<I>(pi, ceil_div<I>(base + pi, 2) - 1);
+    const I theta = std::max({lo, ceil_div<I>(d + base, j + 2),
+                              ceil_div<I>(d, j + 1)});
+    if (theta <= hi) return theta;
+  }
+  // Θ = Π lies on piece q and supplies t ≥ d, so the loop returns.
+  VC2M_CHECK_MSG(false, "sbf inversion found no budget (d > t?)");
+  return pi;
+}
 
-  // Long-run rate condition — the identical expression (and epsilon) the
-  // reference path applies, on the identical ordered utilization sum.
-  if (total_util > prm.bandwidth() + 1e-12) return false;
+}  // namespace
 
-  const std::size_t n = curve.points.size();
-  for (std::size_t k = 0; k < n; ++k)
-    if (curve.demand[k] > prm.sbf(curve.points[k])) return false;
-  return true;
+util::Time min_budget_for_point(util::Time period, util::Time t,
+                                util::Time demand) {
+  const std::int64_t pi = period.raw_ns();
+  VC2M_CHECK(pi > 0);
+  VC2M_CHECK(demand >= util::Time::zero() && demand <= t);
+  if (demand == util::Time::zero()) return util::Time::zero();
+  // Intermediates stay within t + 3Π; use 128 bits only near the int64 edge.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  if (pi <= kMax / 4 && t.raw_ns() <= kMax - 3 * pi)
+    return util::Time::ns(invert_sbf<std::int64_t>(pi, t.raw_ns(),
+                                                   demand.raw_ns()));
+  return util::Time::ns(static_cast<std::int64_t>(invert_sbf<__int128>(
+      pi, t.raw_ns(), demand.raw_ns())));
 }
 
 std::optional<util::Time> min_budget_on_curve(const DemandCurve& curve,
                                               double total_util,
                                               util::Time period) {
   VC2M_CHECK(period > util::Time::zero());
-  if (curve.points.empty() && curve.demand.empty() && total_util == 0.0)
-    return util::Time::zero();
-
+  VC2M_CHECK(curve.points.size() == curve.demand.size());
+  if (curve.points.empty() && total_util == 0.0) return util::Time::zero();
   if (total_util > 1.0 + 1e-12) return std::nullopt;
 
-  // Feasible at Θ = Π iff schedulable on a dedicated core.
-  if (!curve_schedulable(curve, total_util, Prm{period, period}))
-    return std::nullopt;
+  // The bisection's lower end ⌊U·Π⌋; when it reaches Π the search returns
+  // Π without probing.
+  const std::int64_t pi = period.raw_ns();
+  std::int64_t theta = std::min(
+      pi, static_cast<std::int64_t>(total_util * static_cast<double>(pi)));
 
-  // Identical bracket and midpoint arithmetic to search_min_budget.
-  util::Time lo = util::Time::ns(static_cast<std::int64_t>(
-      total_util * static_cast<double>(period.raw_ns())));
-  util::Time hi = period;
-  while (lo < hi) {
-    const util::Time mid =
-        util::Time::ns(lo.raw_ns() + (hi.raw_ns() - lo.raw_ns()) / 2);
-    if (curve_schedulable(curve, total_util, Prm{period, mid}))
-      hi = mid;
-    else
-      lo = mid + util::Time::ns(1);
+  // Raise it to the least budget passing the rate test (the same
+  // expression and epsilon as edf_schedulable_on_prm) by bisecting
+  // (⌊U·Π⌋, Π]; Θ = Π passes, since U ≤ 1 + 1e-12. ⌊U·Π⌋ is at most two
+  // short when U·Π is exact to the nanosecond, so the first two probes
+  // step by one.
+  const auto rate_ok = [&](std::int64_t b) {
+    return !(total_util > Prm{period, util::Time::ns(b)}.bandwidth() + 1e-12);
+  };
+  if (!rate_ok(theta)) {
+    std::int64_t bad = theta, good = pi;
+    while (good - bad > 1) {
+      const std::int64_t mid =
+          bad - theta < 2 ? bad + 1 : bad + (good - bad) / 2;
+      (rate_ok(mid) ? good : bad) = mid;
+    }
+    theta = good;
   }
-  return hi;
+
+  // One walk: raise Θ to each checkpoint's own minimum where it falls
+  // short. Supply is monotone in Θ, so checkpoints already passed stay
+  // covered. Demand above t fails even on a dedicated core.
+  for (std::size_t k = 0; k < curve.points.size(); ++k) {
+    const std::int64_t t = curve.points[k].raw_ns();
+    const std::int64_t d = curve.demand[k].raw_ns();
+    if (d > t) return std::nullopt;
+    if (supply(pi, theta, t) < d)
+      theta = min_budget_for_point(period, curve.points[k], curve.demand[k])
+                  .raw_ns();
+  }
+  return util::Time::ns(theta);
 }
 
 }  // namespace vc2m::analysis

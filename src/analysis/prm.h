@@ -40,51 +40,45 @@ bool edf_schedulable_on_prm(std::span<const PTask> tasks, const Prm& prm);
 
 /// Minimum integer-nanosecond budget Θ such that the taskset is
 /// EDF-schedulable on (Π = period, Θ); std::nullopt if even Θ = Π fails
-/// (i.e. the taskset exceeds a dedicated core).
+/// (i.e. the taskset exceeds a dedicated core). The reference: a binary
+/// search over [⌊U·Π⌋, Π] that re-derives checkpoints and demand per probe.
+/// It is the readable specification and the tests' oracle; the engine uses
+/// min_budget_on_curve, which returns the same minimum.
 std::optional<util::Time> min_budget_edf(std::span<const PTask> tasks,
                                          util::Time period);
 
-/// min_budget_edf with a caller-supplied upper bound for the binary search:
-/// `feasible_hi` should be a budget believed feasible for `tasks` (e.g. the
-/// minimum budget of the same tasks under a pointwise-larger WCET surface —
-/// budget surfaces are non-increasing in cache/BW). The hint is verified
-/// with one schedulability test before it replaces the Θ = Π feasibility
-/// probe; if it does not hold, the full search runs instead. The returned
-/// minimum is always identical to min_budget_edf(tasks, period) — the hint
-/// only reduces how many demand-bound evaluations finding it takes.
-std::optional<util::Time> min_budget_edf_bounded(std::span<const PTask> tasks,
-                                                 util::Time period,
-                                                 util::Time feasible_hi);
-
 // ---------------------------------------------------------------------------
-// Precomputed-demand fast path (the SoA kernels; see docs/performance.md).
+// Exact minimum budget on a precomputed demand curve (the hot path; see
+// docs/performance.md, "Layer 1b").
 //
-// Inside one min-budget binary search the taskset is fixed: the checkpoint
-// set and the demand at every checkpoint do not depend on the probed Θ.
-// The reference path above nevertheless re-derives both per probe (a fresh
-// dbf_checkpoints allocation + sort, then one dbf() per point). The curve
-// form computes demand once and re-runs only the Θ-dependent sbf
-// comparisons — the verdict of every probe, and therefore the returned
-// minimum, is bit-identical to the reference (integer demand/supply, and
-// the same ordered double sum for the rate condition).
+// Both conditions of edf_schedulable_on_prm are monotone in Θ: sbf_(Π,Θ)(t)
+// never decreases as Θ grows, and neither does the double Θ/Π of the rate
+// test. min_budget_edf's bisection over [⌊U·Π⌋, Π] therefore returns
+// exactly max(⌊U·Π⌋, θ_rate, max_k θ_k), where θ_rate is the least budget
+// passing the rate test and θ_k the least budget whose supply covers the
+// demand at checkpoint t_k. The curve form computes that maximum directly:
+// one walk over the checkpoints, inverting sbf only where the running Θ
+// falls short.
 
 /// One task group's demand, precomputed over the dbf checkpoints of its
 /// (periods, horizon) pair. Both spans borrow caller storage (typically an
-/// AnalysisContext cache + arena).
+/// AnalysisContext group + arena).
 struct DemandCurve {
   std::span<const util::Time> points;  ///< sorted dbf checkpoints
   std::span<const util::Time> demand;  ///< dbf at each point
 };
 
-/// edf_schedulable_on_prm on a precomputed curve. `total_util` must be
-/// total_utilization() of the same tasks (the bit-identical ordered sum);
-/// `curve` must cover the checkpoints of lcm(hyperperiod, prm.period).
-bool curve_schedulable(const DemandCurve& curve, double total_util,
-                       const Prm& prm);
+/// The least Θ in [0, Π] with sbf_(Π,Θ)(t) ≥ demand. Requires Π > 0 and
+/// 0 ≤ demand ≤ t (Θ = Π supplies exactly t). Exact for every int64 input.
+util::Time min_budget_for_point(util::Time period, util::Time t,
+                                util::Time demand);
 
-/// min_budget_edf on a precomputed curve: same probes, same binary-search
-/// arithmetic, same minimum — demand evaluated zero times (the curve
-/// carries it).
+/// min_budget_edf on a precomputed curve: the identical minimum (and
+/// std::nullopt exactly when min_budget_edf returns it), computed without
+/// a search. `total_util` must be total_utilization() of the same tasks
+/// (the bit-identical ordered sum); `curve` must cover the checkpoints of
+/// lcm(hyperperiod, period). An empty curve with total_util 0 is the
+/// empty taskset.
 std::optional<util::Time> min_budget_on_curve(const DemandCurve& curve,
                                               double total_util,
                                               util::Time period);

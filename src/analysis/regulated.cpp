@@ -1,8 +1,5 @@
 #include "analysis/regulated.h"
 
-#include <vector>
-
-#include "analysis/context.h"
 #include "util/error.h"
 
 namespace vc2m::analysis {
@@ -36,53 +33,16 @@ std::optional<util::Time> min_budget_regulated(std::span<const PTask> tasks,
   if (tasks.empty()) return util::Time::zero();
   const double u = total_utilization(tasks);
   if (u > 1.0 + 1e-12) return std::nullopt;
-  if (!fast_kernels_enabled()) {
-    if (!edf_schedulable_on_regulated(tasks, {period, period}))
-      return std::nullopt;
+  if (!edf_schedulable_on_regulated(tasks, {period, period}))
+    return std::nullopt;
 
-    util::Time lo = util::Time::ns(static_cast<std::int64_t>(
-        u * static_cast<double>(period.raw_ns())));
-    util::Time hi = period;
-    while (lo < hi) {
-      const util::Time mid =
-          util::Time::ns(lo.raw_ns() + (hi.raw_ns() - lo.raw_ns()) / 2);
-      if (edf_schedulable_on_regulated(tasks, {period, mid}))
-        hi = mid;
-      else
-        lo = mid + util::Time::ns(1);
-    }
-    return hi;
-  }
-
-  // Fast path: the checkpoint set and the demand at each checkpoint do not
-  // depend on the probed Θ, so compute both once and re-run only the
-  // Θ-dependent supply comparisons per probe. Demand and supply are exact
-  // integers and the rate condition uses the identical u, so every probe's
-  // verdict — and the returned minimum — is bit-identical to the reference
-  // path above.
-  const util::Time horizon = util::lcm(hyperperiod(tasks), period);
-  TaskArrays soa;
-  soa.assign(tasks);
-  std::vector<util::Time> points;
-  merge_checkpoints(soa.period, horizon, points);
-  std::vector<util::Time> demand(points.size());
-  demand_at(soa.period, soa.wcet, points, demand);
-  const auto schedulable = [&](util::Time theta) {
-    const RegulatedSupply supply{period, theta};
-    if (u > supply.bandwidth() + 1e-12) return false;
-    for (std::size_t k = 0; k < points.size(); ++k)
-      if (demand[k] > supply.sbf(points[k])) return false;
-    return true;
-  };
-
-  if (!schedulable(period)) return std::nullopt;
   util::Time lo = util::Time::ns(static_cast<std::int64_t>(
       u * static_cast<double>(period.raw_ns())));
   util::Time hi = period;
   while (lo < hi) {
     const util::Time mid =
         util::Time::ns(lo.raw_ns() + (hi.raw_ns() - lo.raw_ns()) / 2);
-    if (schedulable(mid))
+    if (edf_schedulable_on_regulated(tasks, {period, mid}))
       hi = mid;
     else
       lo = mid + util::Time::ns(1);

@@ -67,64 +67,38 @@ model::Vcpu vcpu_existing_csa(const model::Taskset& tasks,
     log->emit(e);
   };
 
-  if (analysis::fast_kernels_enabled()) {
-    // Fast path: materialize every grid cell's task view in the context
-    // arena and answer the whole budget surface in one batch (shared
-    // checkpoint stream, optional inner-parallel striping). Decision
-    // events are replayed serially below in the legacy cell order and
-    // interleaving: [kBudgetSearch iff that cell ran a fresh search]
-    // then kBudgetPoint, per cell.
-    const std::size_t nc = grid.c_max - grid.c_min + 1u;
-    const std::size_t nb = grid.b_max - grid.b_min + 1u;
-    const std::size_t cells = nc * nb;
-    util::Arena::Scope mark(ctx.arena());
-    auto cell_tasks =
-        ctx.arena().alloc_array<analysis::PTask>(cells * idx.size());
-    auto queries =
-        ctx.arena().alloc_array<std::span<const analysis::PTask>>(cells);
-    std::size_t cell = 0;
-    for (unsigned c = grid.c_min; c <= grid.c_max; ++c)
-      for (unsigned b = grid.b_min; b <= grid.b_max; ++b, ++cell) {
-        analysis::PTask* dst = cell_tasks.data() + cell * idx.size();
-        for (std::size_t k = 0; k < idx.size(); ++k)
-          dst[k] = {tasks[idx[k]].period, tasks[idx[k]].wcet.at(c, b)};
-        queries[cell] = {dst, idx.size()};
-      }
-    const auto res = ctx.min_budget_batch(queries, pi);
-    cell = 0;
-    for (unsigned c = grid.c_min; c <= grid.c_max; ++c)
-      for (unsigned b = grid.b_min; b <= grid.b_max; ++b, ++cell) {
-        const auto& r = res[cell];
-        v.budget.set(c, b, r.theta ? *r.theta : pi * 2);
-        if (r.searched)
-          analysis::AnalysisContext::emit_budget_search(queries[cell], pi,
-                                                        r.theta);
-        emit_point(c, b, queries[cell], r.theta);
-      }
-    return v;
-  }
-
-  std::vector<analysis::PTask> ptasks(idx.size());
-  // Budget surfaces are non-increasing in c and b (WCET surfaces are
-  // monotone), so the budget already found at (c−1, b) or (c, b−1) is a
-  // feasible upper bound here: it seeds the bounded binary search without
-  // changing the minimum. prev_row holds Θ(c−1, ·).
-  std::vector<std::optional<util::Time>> prev_row(grid.bw_levels());
-  for (unsigned c = grid.c_min; c <= grid.c_max; ++c) {
-    std::optional<util::Time> left;
-    for (unsigned b = grid.b_min; b <= grid.b_max; ++b) {
+  // Materialize every grid cell's task view in the context arena and
+  // answer the whole budget surface in one batch (one group memo, optional
+  // inner-parallel striping). Decision events are replayed serially in
+  // cell order: [kBudgetSearch iff that cell computed a fresh budget] then
+  // kBudgetPoint, per cell.
+  const std::size_t nc = grid.c_max - grid.c_min + 1u;
+  const std::size_t nb = grid.b_max - grid.b_min + 1u;
+  const std::size_t cells = nc * nb;
+  util::Arena::Scope mark(ctx.arena());
+  auto cell_tasks =
+      ctx.arena().alloc_array<analysis::PTask>(cells * idx.size());
+  auto queries =
+      ctx.arena().alloc_array<std::span<const analysis::PTask>>(cells);
+  std::size_t cell = 0;
+  for (unsigned c = grid.c_min; c <= grid.c_max; ++c)
+    for (unsigned b = grid.b_min; b <= grid.b_max; ++b, ++cell) {
+      analysis::PTask* dst = cell_tasks.data() + cell * idx.size();
       for (std::size_t k = 0; k < idx.size(); ++k)
-        ptasks[k] = {tasks[idx[k]].period, tasks[idx[k]].wcet.at(c, b)};
-      std::optional<util::Time> hint = left;
-      const auto& up = prev_row[b - grid.b_min];
-      if (up && (!hint || *up < *hint)) hint = up;
-      const auto theta = ctx.min_budget(ptasks, pi, hint);
-      v.budget.set(c, b, theta ? *theta : pi * 2);
-      emit_point(c, b, ptasks, theta);
-      left = theta;
-      prev_row[b - grid.b_min] = theta;
+        dst[k] = {tasks[idx[k]].period, tasks[idx[k]].wcet.at(c, b)};
+      queries[cell] = {dst, idx.size()};
     }
-  }
+  const auto res = ctx.min_budget_batch(queries, pi);
+  cell = 0;
+  for (unsigned c = grid.c_min; c <= grid.c_max; ++c)
+    for (unsigned b = grid.b_min; b <= grid.b_max; ++b, ++cell) {
+      const auto& r = res[cell];
+      v.budget.set(c, b, r.theta ? *r.theta : pi * 2);
+      if (r.searched)
+        analysis::AnalysisContext::emit_budget_search(queries[cell], pi,
+                                                      r.theta);
+      emit_point(c, b, queries[cell], r.theta);
+    }
   return v;
 }
 

@@ -11,11 +11,11 @@
 //   - the existing CSA [13] (PRM minimum budget per grid point) for the
 //     Heuristic (existing CSA) comparison solution.
 //
-// The existing-CSA paths take an analysis::AnalysisContext: budget surfaces
-// are memoized there and each grid point's binary search is bounded by the
-// already-computed neighbor budgets (surfaces are non-increasing in cache
-// and BW), cutting demand-bound evaluations without changing any result.
-// The context-free overloads run with a private context.
+// The existing-CSA paths take an analysis::AnalysisContext: a VCPU's whole
+// 380-cell budget surface is one min_budget_batch, which memoizes budgets
+// per (Π, periods) group, shares one checkpoint stream across the cells and
+// computes each fresh budget exactly, without a search. The context-free
+// overloads run with a private context.
 #pragma once
 
 #include <cstddef>

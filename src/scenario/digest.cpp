@@ -1,31 +1,26 @@
 #include "scenario/digest.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <sstream>
+
+#include "util/hash.h"
 
 namespace vc2m::scenario {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 std::uint64_t vcpu_hash(const std::vector<model::Vcpu>& vcpus) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+  using util::fnv1a_word;
+  std::uint64_t h = util::kFnvOffsetBasis;
   for (const auto& v : vcpus) {
-    h = fnv1a(h, static_cast<std::uint64_t>(v.period.raw_ns()));
-    h = fnv1a(h, static_cast<std::uint64_t>(v.vm));
-    for (const std::size_t t : v.tasks) h = fnv1a(h, t);
+    h = fnv1a_word(h, static_cast<std::uint64_t>(v.period.raw_ns()));
+    h = fnv1a_word(h, static_cast<std::uint64_t>(v.vm));
+    for (const std::size_t t : v.tasks) h = fnv1a_word(h, t);
     const auto& g = v.budget.grid();
     for (unsigned c = g.c_min; c <= g.c_max; ++c)
       for (unsigned b = g.b_min; b <= g.b_max; ++b)
-        h = fnv1a(h, static_cast<std::uint64_t>(v.budget.at(c, b).raw_ns()));
+        h = fnv1a_word(h,
+                       static_cast<std::uint64_t>(v.budget.at(c, b).raw_ns()));
   }
   return h;
 }
@@ -48,23 +43,12 @@ std::string solve_digest(const core::SolveResult& res) {
     for (std::size_t i = 0; i < m.vcpus_on_core[k].size(); ++i)
       os << (i ? "," : "") << m.vcpus_on_core[k][i];
   }
-  char hex[24];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(vcpu_hash(res.vcpus)));
-  os << "|vhash=" << hex;
+  os << "|vhash=" << util::hex16(vcpu_hash(res.vcpus));
   return os.str();
 }
 
 std::string text_digest(const std::string& text) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ull;
-  }
-  char hex[24];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(h));
-  return hex;
+  return util::hex16(util::fnv1a(text));
 }
 
 }  // namespace vc2m::scenario

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "util/error.h"
+#include "util/hash.h"
 
 namespace vc2m::service {
 
@@ -18,15 +19,6 @@ namespace {
 // payload comes anywhere close, and an honest bound stops a mangled length
 // field from making the scanner "wait" for gigabytes of payload.
 constexpr std::uint32_t kMaxPayload = 1u << 20;
-
-std::uint64_t fnv1a(const char* data, std::size_t n) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= static_cast<unsigned char>(data[i]);
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
 
 void put_u32(std::string& out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i)
@@ -120,7 +112,7 @@ void JournalWriter::append(const std::string& payload) {
   std::string frame;
   frame.reserve(12 + payload.size());
   put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u64(frame, fnv1a(payload.data(), payload.size()));
+  put_u64(frame, util::fnv1a(payload));
   frame += payload;
   write_all(fd_, path_, frame.data(), frame.size());
   if (::fsync(fd_) != 0)
@@ -165,7 +157,8 @@ FrameScan scan_frames(const std::string& path) {
     const std::uint32_t len = get_u32(bytes.data() + off);
     const std::uint64_t sum = get_u64(bytes.data() + off + 4);
     if (len > kMaxPayload || off + 12 + len > bytes.size()) break;
-    if (fnv1a(bytes.data() + off + 12, len) != sum) break;
+    if (util::fnv1a(util::kFnvOffsetBasis, bytes.data() + off + 12, len) != sum)
+      break;
     out.payloads.push_back(bytes.substr(off + 12, len));
     off += 12 + len;
     out.valid_bytes = off;

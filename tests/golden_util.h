@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -19,6 +18,7 @@
 
 #include "core/solutions.h"
 #include "model/platform.h"
+#include "util/hash.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -33,26 +33,20 @@ inline const char* const kGoldenFile = VC2M_GOLDEN_DIR "/engine.golden";
 // ---------------------------------------------------------------------------
 // Digest helpers
 
-inline std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 /// Hash of everything that defines a VCPU vector: periods, owners, served
 /// task lists, and the full budget surface in raw nanoseconds.
 inline std::uint64_t vcpu_hash(const std::vector<model::Vcpu>& vcpus) {
-  std::uint64_t h = 0xCBF29CE484222325ull;
+  using util::fnv1a_word;
+  std::uint64_t h = util::kFnvOffsetBasis;
   for (const auto& v : vcpus) {
-    h = fnv1a(h, static_cast<std::uint64_t>(v.period.raw_ns()));
-    h = fnv1a(h, static_cast<std::uint64_t>(v.vm));
-    for (const std::size_t t : v.tasks) h = fnv1a(h, t);
+    h = fnv1a_word(h, static_cast<std::uint64_t>(v.period.raw_ns()));
+    h = fnv1a_word(h, static_cast<std::uint64_t>(v.vm));
+    for (const std::size_t t : v.tasks) h = fnv1a_word(h, t);
     const auto& g = v.budget.grid();
     for (unsigned c = g.c_min; c <= g.c_max; ++c)
       for (unsigned b = g.b_min; b <= g.b_max; ++b)
-        h = fnv1a(h, static_cast<std::uint64_t>(v.budget.at(c, b).raw_ns()));
+        h = fnv1a_word(h,
+                       static_cast<std::uint64_t>(v.budget.at(c, b).raw_ns()));
   }
   return h;
 }
@@ -76,12 +70,9 @@ inline std::string mapping_digest(const core::HvAllocResult& m) {
 
 inline std::string solve_digest(const core::SolveResult& res) {
   std::ostringstream os;
-  char hex[24];
   os << "sched=" << (res.schedulable ? 1 : 0) << "|"
-     << mapping_digest(res.mapping);
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(vcpu_hash(res.vcpus)));
-  os << "|vhash=" << hex;
+     << mapping_digest(res.mapping)
+     << "|vhash=" << util::hex16(vcpu_hash(res.vcpus));
   return os.str();
 }
 

@@ -12,7 +12,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -25,6 +24,7 @@
 #include "core/kmeans.h"
 #include "model/platform.h"
 #include "obs/decision_log.h"
+#include "util/hash.h"
 #include "util/instrument.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -44,26 +44,16 @@ using util::Time;
 /// FNV-1a over 64-bit words: a compact pin for long exact sequences.
 class Digest {
  public:
-  void add(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFF;
-      h_ *= 0x100000001B3ull;
-    }
-  }
+  void add(std::uint64_t v) { h_ = util::fnv1a_word(h_, v); }
   void add_double(double d) {
     std::uint64_t bits;
     std::memcpy(&bits, &d, sizeof bits);
     add(bits);
   }
-  std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h_));
-    return buf;
-  }
+  std::string hex() const { return util::hex16(h_); }
 
  private:
-  std::uint64_t h_ = 0xCBF29CE484222325ull;
+  std::uint64_t h_ = util::kFnvOffsetBasis;
 };
 
 std::uint64_t bits_of(double d) {
