@@ -5,7 +5,7 @@
 // utilization. The paper's observations to reproduce: the overhead-free
 // analyses stay fast and flat (< 3 s there, far less here), while the
 // existing-CSA variants are orders of magnitude slower and grow with
-// utilization (they binary-search a PRM budget at every (c,b) grid point
+// utilization (they need a PRM minimum budget at every (c,b) grid point
 // for every VCPU).
 #include <iostream>
 

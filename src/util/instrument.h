@@ -42,11 +42,12 @@ struct AllocCounters {
   // SoA / arena / intra-solve-parallel kernels (analysis fast path). All
   // three are deterministic at any --jobs / --inner-jobs: arena_bytes counts
   // rounded allocation *requests* (a pure function of the work, unlike
-  // high-water marks), soa_rebuilds counts checkpoint/SoA cache entries
-  // built, inner_tasks counts min-budget cells processed by the batch
-  // engine whether they ran serially or striped over the pool.
+  // high-water marks), soa_rebuilds counts checkpoint streams built (one
+  // per (Π, periods) group that needs one), inner_tasks counts min-budget
+  // cells processed by the batch engine whether they ran serially or
+  // striped over the pool.
   std::uint64_t arena_bytes = 0;    ///< bytes served by scratch arenas
-  std::uint64_t soa_rebuilds = 0;   ///< checkpoint/SoA cache builds
+  std::uint64_t soa_rebuilds = 0;   ///< checkpoint stream builds
   std::uint64_t inner_tasks = 0;    ///< batched min-budget cells computed
 
   // Per-phase wall time (seconds).
