@@ -1,53 +1,31 @@
 // Shared helpers for the table/figure bench binaries.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/experiment.h"
 #include "obs/bench_report.h"
+#include "util/parse.h"
 #include "util/phase_profiler.h"
 
 namespace vc2m::bench {
 
-/// Strict numeric parsing for bench flags: the whole token must be a valid
-/// number (atoi's silent-zero on "--tasksets abc" produced empty sweeps).
-inline double parse_double_arg(const char* flag, const char* s) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || *end != '\0' || !std::isfinite(v)) {
-    std::cerr << "bad value for " << flag << ": '" << s
-              << "' (not a finite number)\n";
+/// Strict numeric parsing for bench flags (util/parse.h): the whole token
+/// must be one in-range number of the flag's type, or the bench exits 2.
+template <class T>
+T flag_value(const char* flag, const char* s, std::optional<T> v,
+             const char* want) {
+  if (!v) {
+    std::cerr << "bad value for " << flag << ": '" << s << "' (want " << want
+              << ")\n";
     std::exit(2);
   }
-  return v;
-}
-
-inline long parse_int_arg(const char* flag, const char* s) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0') {
-    std::cerr << "bad value for " << flag << ": '" << s
-              << "' (not an integer)\n";
-    std::exit(2);
-  }
-  return v;
-}
-
-inline std::uint64_t parse_uint64_arg(const char* flag, const char* s) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0' || s[0] == '-') {
-    std::cerr << "bad value for " << flag << ": '" << s
-              << "' (not an unsigned integer)\n";
-    std::exit(2);
-  }
-  return v;
+  return *v;
 }
 
 /// Command-line options shared by the schedulability benches. The defaults
@@ -78,34 +56,30 @@ struct Options {
         return argv[++i];
       };
       if (arg == "--tasksets") {
-        opt.tasksets =
-            static_cast<int>(parse_int_arg("--tasksets", next("--tasksets")));
-        if (opt.tasksets <= 0) {
-          std::cerr << "--tasksets must be > 0\n";
-          std::exit(2);
-        }
+        const char* v = next("--tasksets");
+        opt.tasksets = flag_value(arg.c_str(), v, util::try_int<int>(v, 1),
+                                  "an integer >= 1");
       } else if (arg == "--step") {
-        opt.step = parse_double_arg("--step", next("--step"));
+        const char* v = next("--step");
+        opt.step =
+            flag_value(arg.c_str(), v, util::try_double(v), "a number");
         if (opt.step <= 0) {
           std::cerr << "--step must be > 0\n";
           std::exit(2);
         }
       } else if (arg == "--seed") {
-        opt.seed = parse_uint64_arg("--seed", next("--seed"));
+        const char* v = next("--seed");
+        opt.seed = flag_value(arg.c_str(), v, util::try_u64(v),
+                              "a non-negative integer");
       } else if (arg == "--jobs") {
-        opt.jobs = static_cast<int>(parse_int_arg("--jobs", next("--jobs")));
-        if (opt.jobs < 0) {
-          std::cerr << "--jobs must be >= 0 (0 = hardware concurrency)\n";
-          std::exit(2);
-        }
+        const char* v = next("--jobs");
+        opt.jobs = flag_value(arg.c_str(), v, util::try_int<int>(v, 0),
+                              "an integer >= 0, 0 = hardware concurrency");
       } else if (arg == "--inner-jobs") {
-        opt.inner_jobs = static_cast<int>(
-            parse_int_arg("--inner-jobs", next("--inner-jobs")));
-        if (opt.inner_jobs < 0) {
-          std::cerr << "--inner-jobs must be >= 0 (0 = hardware "
-                       "concurrency)\n";
-          std::exit(2);
-        }
+        const char* v = next("--inner-jobs");
+        opt.inner_jobs =
+            flag_value(arg.c_str(), v, util::try_int<int>(v, 0),
+                       "an integer >= 0, 0 = hardware concurrency");
       } else if (arg == "--csv-dir") {
         opt.csv_dir = next("--csv-dir");
       } else if (arg == "--json") {

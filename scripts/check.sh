@@ -246,7 +246,7 @@ serve_smoke() {
   for bad in "--seed 12x" "--util nan" "--vms 1e3" "--jobs 2.5" \
              "--snapshot-every -1" "--deadline-us 5ms" "--backoff-us abc" \
              "--max-retries two" "--queue-cap 0x10" "--inner-jobs -1" \
-             "--seed 9007199254740992"; do
+             "--seed 9007199254740992" "--vms +5"; do
     flag="${bad% *}" value="${bad#* }"
     rc=0
     "$vc2m" serve --trace "$trace" "$flag" "$value" \
@@ -374,9 +374,27 @@ telemetry_smoke() {
 }
 
 perf_smoke() {
-  # $1 = build dir with bench/bench_micro_ops and tools/vc2m binaries.
+  # $1 = build dir with bench/bench_micro_ops, bench/bench_fig4_runtime and
+  # tools/vc2m binaries.
   local work; work="$(mktemp -d)"
   trap 'rm -rf "$work"' RETURN
+
+  echo "--- bench flags: out-of-range counts exit 2 before any sweep ---"
+  # Both once narrowed silently: 2^32 + 1 tasksets ran one per point and
+  # 2^32 jobs became 0 (hardware concurrency).
+  local bad rc
+  for bad in "--tasksets 4294967297" "--jobs 4294967296"; do
+    rc=0
+    "$1/bench/bench_fig4_runtime" ${bad} --csv-dir "$work/csv" \
+      > "$work/flag-out.txt" 2> "$work/flag-err.txt" || rc=$?
+    if [ "$rc" -ne 2 ] || [ -s "$work/flag-out.txt" ] || [ -e "$work/csv" ] \
+        || ! grep -q "bad value" "$work/flag-err.txt"; then
+      echo "bench flag '$bad': expected rc 2 before any sweep, got rc $rc:"
+      cat "$work/flag-err.txt"
+      return 1
+    fi
+  done
+
   "$1/bench/bench_micro_ops" --smoke --json "$work/BENCH_smoke.json" \
     > /dev/null
 

@@ -34,60 +34,24 @@ void write_phase(std::ostream& os, const PhaseStats& p, int indent) {
   os << "]}";
 }
 
-void write_histogram(std::ostream& os, const HistogramSummary& h) {
-  os << "{\"count\": " << h.count << ", \"mean\": " << num(h.mean)
-     << ", \"min\": " << num(h.min) << ", \"max\": " << num(h.max)
-     << ", \"p50\": " << num(h.p50) << ", \"p90\": " << num(h.p90)
-     << ", \"p95\": " << num(h.p95) << ", \"p99\": " << num(h.p99) << "}";
-}
-
 // The reader parses through obs::json (strict: duplicate keys and
 // non-finite numbers are rejected with byte offsets).
 using JsonValue = json::Value;
+using Kind = JsonValue::Kind;
 
-double get_number(const JsonValue& obj, const std::string& key) {
-  const JsonValue* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == JsonValue::Kind::kNumber,
-                 "bench report JSON: missing number field '" << key << "'");
-  return v->number;
-}
-
-std::string get_string(const JsonValue& obj, const std::string& key) {
-  const JsonValue* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == JsonValue::Kind::kString,
-                 "bench report JSON: missing string field '" << key << "'");
-  return v->str;
-}
+const std::string kWhat = "bench report JSON";
 
 PhaseStats parse_phase(const JsonValue& v) {
-  VC2M_CHECK_MSG(v.kind == JsonValue::Kind::kObject,
+  VC2M_CHECK_MSG(v.kind == Kind::kObject,
                  "bench report JSON: phase entries must be objects");
   PhaseStats p;
-  p.name = get_string(v, "name");
-  p.count = static_cast<std::uint64_t>(get_number(v, "count"));
-  p.total_sec = get_number(v, "total_sec");
-  p.self_sec = get_number(v, "self_sec");
-  if (const JsonValue* kids = v.find("children")) {
-    VC2M_CHECK_MSG(kids->kind == JsonValue::Kind::kArray,
-                   "bench report JSON: 'children' must be an array");
+  p.name = v.get_string("name", kWhat);
+  p.count = v.get_count("count", kWhat);
+  p.total_sec = v.get_number("total_sec", kWhat);
+  p.self_sec = v.get_number("self_sec", kWhat);
+  if (const JsonValue* kids = v.find("children", Kind::kArray, kWhat))
     for (const auto& c : kids->array) p.children.push_back(parse_phase(c));
-  }
   return p;
-}
-
-HistogramSummary parse_histogram(const JsonValue& v) {
-  VC2M_CHECK_MSG(v.kind == JsonValue::Kind::kObject,
-                 "bench report JSON: histogram entries must be objects");
-  HistogramSummary h;
-  h.count = static_cast<std::uint64_t>(get_number(v, "count"));
-  h.mean = get_number(v, "mean");
-  h.min = get_number(v, "min");
-  h.max = get_number(v, "max");
-  h.p50 = get_number(v, "p50");
-  h.p90 = get_number(v, "p90");
-  h.p95 = get_number(v, "p95");
-  h.p99 = get_number(v, "p99");
-  return h;
 }
 
 /// Counters where growth means the run did *better* (more reuse, more
@@ -135,6 +99,29 @@ HistogramSummary HistogramSummary::of(const util::SampleStats& s) {
   out.p95 = s.p(0.95);
   out.p99 = s.p(0.99);
   return out;
+}
+
+void HistogramSummary::write_json(std::ostream& os) const {
+  os << "{\"count\": " << count << ", \"mean\": " << num(mean)
+     << ", \"min\": " << num(min) << ", \"max\": " << num(max)
+     << ", \"p50\": " << num(p50) << ", \"p90\": " << num(p90)
+     << ", \"p95\": " << num(p95) << ", \"p99\": " << num(p99) << "}";
+}
+
+HistogramSummary HistogramSummary::read_json(const json::Value& v,
+                                             const std::string& what) {
+  VC2M_CHECK_MSG(v.kind == json::Value::Kind::kObject,
+                 what << ": histogram entries must be objects");
+  HistogramSummary h;
+  h.count = v.get_count("count", what);
+  h.mean = v.get_number("mean", what);
+  h.min = v.get_number("min", what);
+  h.max = v.get_number("max", what);
+  h.p50 = v.get_number("p50", what);
+  h.p90 = v.get_number("p90", what);
+  h.p95 = v.get_number("p95", what);
+  h.p99 = v.get_number("p99", what);
+  return h;
 }
 
 PoolSummary PoolSummary::of(const util::PoolTelemetry& t) {
@@ -212,7 +199,7 @@ void write_bench_report(std::ostream& os, const BenchReport& r) {
   first = true;
   for (const auto& [k, h] : r.histograms) {
     os << (first ? "\n" : ",\n") << "  \"" << json_escape(k) << "\": ";
-    write_histogram(os, h);
+    h.write_json(os);
     first = false;
   }
   os << (first ? "" : "\n") << "},\n";
@@ -235,63 +222,39 @@ void write_bench_report_file(const std::string& path, const BenchReport& r) {
 }
 
 BenchReport read_bench_report(std::istream& is) {
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string text = buf.str();
-  JsonValue root = json::parse(text, "bench report");
-  VC2M_CHECK_MSG(root.kind == JsonValue::Kind::kObject,
-                 "bench report JSON: top level must be an object");
+  const JsonValue root = json::parse_object(is, "bench report");
 
   BenchReport r;
-  r.schema = get_string(root, "schema");
+  r.schema = root.get_string("schema", kWhat);
   VC2M_CHECK_MSG(r.schema.rfind("vc2m-bench-report/", 0) == 0,
                  "not a vc2m bench report (schema '" << r.schema << "')");
-  r.name = get_string(root, "name");
-  r.git_rev = get_string(root, "git_rev");
+  r.name = root.get_string("name", kWhat);
+  r.git_rev = root.get_string("git_rev", kWhat);
 
-  if (const JsonValue* cfg = root.find("config")) {
-    VC2M_CHECK_MSG(cfg->kind == JsonValue::Kind::kObject,
-                   "bench report JSON: 'config' must be an object");
-    for (const auto& [k, v] : cfg->object) {
-      VC2M_CHECK_MSG(v.kind == JsonValue::Kind::kString,
-                     "bench report JSON: config values must be strings");
-      r.config[k] = v.str;
-    }
-  }
-  if (const JsonValue* ctr = root.find("counters")) {
-    VC2M_CHECK_MSG(ctr->kind == JsonValue::Kind::kObject,
-                   "bench report JSON: 'counters' must be an object");
+  r.config = root.get_string_map("config", kWhat);
+  if (const JsonValue* ctr = root.find("counters", Kind::kObject, kWhat)) {
     for (const auto& [k, v] : ctr->object) {
-      VC2M_CHECK_MSG(v.kind == JsonValue::Kind::kNumber,
+      VC2M_CHECK_MSG(v.kind == Kind::kNumber,
                      "bench report JSON: counter values must be numbers");
       r.counters[k] = v.number;
     }
   }
-  if (const JsonValue* ph = root.find("phases")) {
-    VC2M_CHECK_MSG(ph->kind == JsonValue::Kind::kArray,
-                   "bench report JSON: 'phases' must be an array");
+  if (const JsonValue* ph = root.find("phases", Kind::kArray, kWhat))
     for (const auto& p : ph->array)
       r.phases.children.push_back(parse_phase(p));
-  }
-  if (const JsonValue* hs = root.find("histograms")) {
-    VC2M_CHECK_MSG(hs->kind == JsonValue::Kind::kObject,
-                   "bench report JSON: 'histograms' must be an object");
-    for (const auto& [k, v] : hs->object) r.histograms[k] = parse_histogram(v);
-  }
-  if (const JsonValue* pool = root.find("pool")) {
-    VC2M_CHECK_MSG(pool->kind == JsonValue::Kind::kObject,
-                   "bench report JSON: 'pool' must be an object");
-    if (const JsonValue* ws = pool->find("workers")) {
-      VC2M_CHECK_MSG(ws->kind == JsonValue::Kind::kArray,
-                     "bench report JSON: 'pool.workers' must be an array");
+  if (const JsonValue* hs = root.find("histograms", Kind::kObject, kWhat))
+    for (const auto& [k, v] : hs->object)
+      r.histograms[k] = HistogramSummary::read_json(v, kWhat);
+  if (const JsonValue* pool = root.find("pool", Kind::kObject, kWhat)) {
+    if (const JsonValue* ws = pool->find("workers", Kind::kArray, kWhat)) {
       for (const auto& w : ws->array) {
-        VC2M_CHECK_MSG(w.kind == JsonValue::Kind::kObject,
+        VC2M_CHECK_MSG(w.kind == Kind::kObject,
                        "bench report JSON: pool workers must be objects");
         PoolSummary::Worker out;
-        out.executed = static_cast<std::uint64_t>(get_number(w, "executed"));
-        out.steals = static_cast<std::uint64_t>(get_number(w, "steals"));
-        out.idle_sec = get_number(w, "idle_sec");
-        out.max_queue = static_cast<std::uint64_t>(get_number(w, "max_queue"));
+        out.executed = w.get_count("executed", kWhat);
+        out.steals = w.get_count("steals", kWhat);
+        out.idle_sec = w.get_number("idle_sec", kWhat);
+        out.max_queue = w.get_count("max_queue", kWhat);
         r.pool.workers.push_back(out);
       }
     }

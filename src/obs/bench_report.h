@@ -30,6 +30,10 @@
 
 namespace vc2m::obs {
 
+namespace json {
+struct Value;
+}
+
 /// Fixed-quantile summary of a latency distribution — enough for the diff
 /// gate without shipping raw buckets.
 struct HistogramSummary {
@@ -44,6 +48,11 @@ struct HistogramSummary {
 
   static HistogramSummary of(const util::LogHistogram& h);
   static HistogramSummary of(const util::SampleStats& s);
+
+  /// The JSON object form shared by the bench and serve reports.
+  void write_json(std::ostream& os) const;
+  static HistogramSummary read_json(const json::Value& v,
+                                    const std::string& what);
 };
 
 /// Thread-pool telemetry as report data (idle time in seconds).

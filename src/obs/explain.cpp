@@ -195,46 +195,28 @@ void write_event(std::ostream& os, const DecisionEvent& e) {
      << ", \"margin\": " << json::number(e.margin) << "}";
 }
 
-double get_number(const json::Value& obj, const std::string& key) {
-  const json::Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == json::Value::Kind::kNumber,
-                 "explain report JSON: missing number field '" << key << "'");
-  return v->number;
-}
-
-std::string get_string(const json::Value& obj, const std::string& key) {
-  const json::Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == json::Value::Kind::kString,
-                 "explain report JSON: missing string field '" << key << "'");
-  return v->str;
-}
-
-bool get_bool(const json::Value& obj, const std::string& key) {
-  const json::Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == json::Value::Kind::kBool,
-                 "explain report JSON: missing boolean field '" << key << "'");
-  return v->boolean;
-}
+using Kind = json::Value::Kind;
+const std::string kWhat = "explain report JSON";
 
 DecisionEvent parse_event(const json::Value& v) {
-  VC2M_CHECK_MSG(v.kind == json::Value::Kind::kObject,
+  VC2M_CHECK_MSG(v.kind == Kind::kObject,
                  "explain report JSON: events must be objects");
   DecisionEvent e;
-  const std::string kind = get_string(v, "kind");
+  const std::string kind = v.get_string("kind", kWhat);
   VC2M_CHECK_MSG(decision_kind_from_string(kind, e.kind),
                  "explain report JSON: unknown event kind '" << kind << "'");
-  e.accepted = get_bool(v, "accepted");
-  const std::string constraint = get_string(v, "constraint");
+  e.accepted = v.get_bool("accepted", kWhat);
+  const std::string constraint = v.get_string("constraint", kWhat);
   VC2M_CHECK_MSG(decision_constraint_from_string(constraint, e.constraint),
                  "explain report JSON: unknown constraint '" << constraint
                                                              << "'");
-  e.vm = static_cast<std::int32_t>(get_number(v, "vm"));
-  e.entity = static_cast<std::int32_t>(get_number(v, "entity"));
-  e.core = static_cast<std::int32_t>(get_number(v, "core"));
-  e.cache = static_cast<std::int32_t>(get_number(v, "cache"));
-  e.bw = static_cast<std::int32_t>(get_number(v, "bw"));
-  e.value = get_number(v, "value");
-  e.margin = get_number(v, "margin");
+  e.vm = v.get_int<std::int32_t>("vm", kWhat);
+  e.entity = v.get_int<std::int32_t>("entity", kWhat);
+  e.core = v.get_int<std::int32_t>("core", kWhat);
+  e.cache = v.get_int<std::int32_t>("cache", kWhat);
+  e.bw = v.get_int<std::int32_t>("bw", kWhat);
+  e.value = v.get_number("value", kWhat);
+  e.margin = v.get_number("margin", kWhat);
   return e;
 }
 
@@ -358,81 +340,56 @@ void write_explain_report_file(const std::string& path,
 }
 
 ExplainReport read_explain_report(std::istream& is) {
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const json::Value root = json::parse(buf.str(), "explain report");
-  VC2M_CHECK_MSG(root.kind == json::Value::Kind::kObject,
-                 "explain report JSON: top level must be an object");
+  const json::Value root = json::parse_object(is, "explain report");
 
   ExplainReport r;
-  r.schema = get_string(root, "schema");
+  r.schema = root.get_string("schema", kWhat);
   VC2M_CHECK_MSG(r.schema.rfind("vc2m-explain-report/", 0) == 0,
                  "not a vc2m explain report (schema '" << r.schema << "')");
-  r.strategy = get_string(root, "strategy");
-  r.git_rev = get_string(root, "git_rev");
-  if (const json::Value* cfg = root.find("config")) {
-    VC2M_CHECK_MSG(cfg->kind == json::Value::Kind::kObject,
-                   "explain report JSON: 'config' must be an object");
-    for (const auto& [k, v] : cfg->object) {
-      VC2M_CHECK_MSG(v.kind == json::Value::Kind::kString,
-                     "explain report JSON: config values must be strings");
-      r.config[k] = v.str;
-    }
-  }
-  r.schedulable = get_bool(root, "schedulable");
-  r.cores_used = static_cast<unsigned>(get_number(root, "cores_used"));
+  r.strategy = root.get_string("strategy", kWhat);
+  r.git_rev = root.get_string("git_rev", kWhat);
+  r.config = root.get_string_map("config", kWhat);
+  r.schedulable = root.get_bool("schedulable", kWhat);
+  r.cores_used = root.get_int<unsigned>("cores_used", kWhat);
 
-  const json::Value* h = root.find("headroom");
-  VC2M_CHECK_MSG(h && h->kind == json::Value::Kind::kObject,
-                 "explain report JSON: missing 'headroom' object");
-  r.headroom.spare_cache =
-      static_cast<unsigned>(get_number(*h, "spare_cache"));
-  r.headroom.spare_bw = static_cast<unsigned>(get_number(*h, "spare_bw"));
-  if (const json::Value* cores = h->find("cores")) {
-    VC2M_CHECK_MSG(cores->kind == json::Value::Kind::kArray,
-                   "explain report JSON: 'headroom.cores' must be an array");
+  const json::Value& h = root.get_object("headroom", kWhat);
+  r.headroom.spare_cache = h.get_int<unsigned>("spare_cache", kWhat);
+  r.headroom.spare_bw = h.get_int<unsigned>("spare_bw", kWhat);
+  if (const json::Value* cores = h.find("cores", Kind::kArray, kWhat)) {
     for (const auto& v : cores->array) {
-      VC2M_CHECK_MSG(v.kind == json::Value::Kind::kObject,
+      VC2M_CHECK_MSG(v.kind == Kind::kObject,
                      "explain report JSON: headroom cores must be objects");
       CoreHeadroom c;
-      c.core = static_cast<unsigned>(get_number(v, "core"));
-      c.cache = static_cast<unsigned>(get_number(v, "cache"));
-      c.bw = static_cast<unsigned>(get_number(v, "bw"));
-      c.vcpus = static_cast<std::size_t>(get_number(v, "vcpus"));
-      c.utilization = get_number(v, "utilization");
-      c.slack = get_number(v, "slack");
-      c.reclaimable_cache =
-          static_cast<unsigned>(get_number(v, "reclaimable_cache"));
-      c.reclaimable_bw =
-          static_cast<unsigned>(get_number(v, "reclaimable_bw"));
+      c.core = v.get_int<unsigned>("core", kWhat);
+      c.cache = v.get_int<unsigned>("cache", kWhat);
+      c.bw = v.get_int<unsigned>("bw", kWhat);
+      c.vcpus = v.get_count("vcpus", kWhat);
+      c.utilization = v.get_number("utilization", kWhat);
+      c.slack = v.get_number("slack", kWhat);
+      c.reclaimable_cache = v.get_int<unsigned>("reclaimable_cache", kWhat);
+      c.reclaimable_bw = v.get_int<unsigned>("reclaimable_bw", kWhat);
       r.headroom.cores.push_back(c);
     }
   }
 
-  if (const json::Value* rejs = root.find("rejections")) {
-    VC2M_CHECK_MSG(rejs->kind == json::Value::Kind::kArray,
-                   "explain report JSON: 'rejections' must be an array");
+  if (const json::Value* rejs = root.find("rejections", Kind::kArray, kWhat)) {
     for (const auto& v : rejs->array) {
-      VC2M_CHECK_MSG(v.kind == json::Value::Kind::kObject,
+      VC2M_CHECK_MSG(v.kind == Kind::kObject,
                      "explain report JSON: rejections must be objects");
       VmRejection rej;
-      rej.vm = static_cast<int>(get_number(v, "vm"));
-      const std::string c = get_string(v, "constraint");
+      rej.vm = v.get_int<int>("vm", kWhat);
+      const std::string c = v.get_string("constraint", kWhat);
       VC2M_CHECK_MSG(decision_constraint_from_string(c, rej.constraint),
                      "explain report JSON: unknown constraint '" << c << "'");
-      rej.margin = get_number(v, "margin");
-      rej.detail = get_string(v, "detail");
+      rej.margin = v.get_number("margin", kWhat);
+      rej.detail = v.get_string("detail", kWhat);
       r.rejections.push_back(std::move(rej));
     }
   }
 
-  r.events_dropped =
-      static_cast<std::uint64_t>(get_number(root, "events_dropped"));
-  if (const json::Value* evs = root.find("events")) {
-    VC2M_CHECK_MSG(evs->kind == json::Value::Kind::kArray,
-                   "explain report JSON: 'events' must be an array");
+  r.events_dropped = root.get_count("events_dropped", kWhat);
+  if (const json::Value* evs = root.find("events", Kind::kArray, kWhat))
     for (const auto& v : evs->array) r.events.push_back(parse_event(v));
-  }
   return r;
 }
 

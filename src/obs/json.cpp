@@ -1,11 +1,15 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <istream>
+#include <sstream>
 
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace vc2m::obs::json {
 
@@ -122,17 +126,13 @@ class Parser {
       ++pos_;
     VC2M_CHECK_MSG(pos_ > start,
                    what_ << " JSON: expected a value at offset " << start);
-    const std::string tok = s_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double d = std::strtod(tok.c_str(), &end);
-    VC2M_CHECK_MSG(end && *end == '\0', what_ << " JSON: bad number '" << tok
-                                              << "' at offset " << start);
-    VC2M_CHECK_MSG(std::isfinite(d),
-                   what_ << " JSON: non-finite number '" << tok
-                         << "' at offset " << start);
+    const std::string_view tok(s_.data() + start, pos_ - start);
+    const auto d = util::try_double(tok);
+    VC2M_CHECK_MSG(d, what_ << " JSON: bad or non-finite number '" << tok
+                            << "' at offset " << start);
     Value v;
     v.kind = Value::Kind::kNumber;
-    v.number = d;
+    v.number = *d;
     return v;
   }
 
@@ -206,6 +206,88 @@ class Parser {
 
 Value parse(const std::string& text, const std::string& what) {
   return Parser(text, what).parse();
+}
+
+Value parse_object(std::istream& is, const std::string& what) {
+  std::ostringstream buf;
+  buf << is.rdbuf();
+  Value root = parse(buf.str(), what);
+  VC2M_CHECK_MSG(root.kind == Value::Kind::kObject,
+                 what << " JSON: top level must be an object");
+  return root;
+}
+
+const char* kind_name(Value::Kind k) {
+  switch (k) {
+    case Value::Kind::kNull: return "null";
+    case Value::Kind::kBool: return "boolean";
+    case Value::Kind::kNumber: return "number";
+    case Value::Kind::kString: return "string";
+    case Value::Kind::kArray: return "array";
+    case Value::Kind::kObject: return "object";
+  }
+  return "value";
+}
+
+void note_unknown_fields(const Value& obj,
+                         std::initializer_list<const char*> known,
+                         const std::string& what,
+                         std::vector<std::string>* notes) {
+  if (!notes) return;
+  for (const auto& [k, v] : obj.object)
+    if (std::find(known.begin(), known.end(), k) == known.end())
+      notes->push_back(what + ": unknown field '" + k +
+                       "' (written by a newer vc2m?) — ignored");
+}
+
+std::optional<std::uint64_t> Value::as_count() const {
+  if (kind != Kind::kNumber || number < 0 || number != std::floor(number) ||
+      number >= static_cast<double>(kMaxExactCount))
+    return std::nullopt;
+  return static_cast<std::uint64_t>(number);
+}
+
+const Value* Value::find(const std::string& key, Kind want,
+                         const std::string& what) const {
+  const Value* v = find(key);
+  VC2M_CHECK_MSG(!v || v->kind == want, what << ": field '" << key
+                                             << "' must be of type "
+                                             << kind_name(want));
+  return v;
+}
+
+const Value& Value::get(const std::string& key, Kind want,
+                        const std::string& what) const {
+  const Value* v = find(key);
+  VC2M_CHECK_MSG(v && v->kind == want, what << ": missing " << kind_name(want)
+                                            << " field '" << key << "'");
+  return *v;
+}
+
+std::uint64_t Value::get_count(const std::string& key,
+                               const std::string& what) const {
+  const auto v = get(key, Kind::kNumber, what).as_count();
+  VC2M_CHECK_MSG(v, what << ": field '" << key
+                         << "' must be a non-negative integer below 2^53");
+  return *v;
+}
+
+std::map<std::string, std::string> Value::get_string_map(
+    const std::string& key, const std::string& what) const {
+  std::map<std::string, std::string> out;
+  if (const Value* m = find(key, Kind::kObject, what))
+    for (const auto& [k, v] : m->object) {
+      VC2M_CHECK_MSG(v.kind == Kind::kString,
+                     what << ": field '" << key << "' must hold strings");
+      out[k] = v.str;
+    }
+  return out;
+}
+
+void Value::out_of_range(const std::string& key, const std::string& what,
+                         std::int64_t lo, std::int64_t hi) {
+  throw util::Error(what + ": field '" + key + "' must be an integer in [" +
+                    std::to_string(lo) + ", " + std::to_string(hi) + "]");
 }
 
 std::string escape(const std::string& s) {

@@ -16,13 +16,30 @@
 //
 // Errors throw util::Error with "<what> JSON: ... at offset N" messages,
 // where <what> names the artifact being parsed.
+//
+// The typed getters on Value are the one place report readers turn members
+// into C++ values. Integers are exact or refused: a count must be a
+// non-negative integer below 2^53 (from there on a double no longer holds
+// every integer, so the value read back may not be the one written), and
+// a narrow int must be integral and inside its range before any cast.
 #pragma once
 
+#include <cmath>
+#include <concepts>
+#include <cstdint>
+#include <initializer_list>
+#include <iosfwd>
+#include <limits>
+#include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace vc2m::obs::json {
+
+/// Counts read from JSON lie strictly below this.
+inline constexpr std::uint64_t kMaxExactCount = std::uint64_t{1} << 53;
 
 struct Value {
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -46,7 +63,82 @@ struct Value {
       if (k == key) return &v;
     return nullptr;
   }
+
+  /// This number as a count: a non-negative integer below kMaxExactCount.
+  std::optional<std::uint64_t> as_count() const;
+
+  /// This number as an Int in [lo, hi]. Int is at most 32 bits wide, so
+  /// every bound is exact in a double; wider integers are counts.
+  template <std::integral Int>
+  std::optional<Int> as_int(Int lo = std::numeric_limits<Int>::min(),
+                            Int hi = std::numeric_limits<Int>::max()) const {
+    static_assert(sizeof(Int) <= 4, "read wider integers with as_count()");
+    if (kind != Kind::kNumber || number != std::floor(number) || number < lo ||
+        number > hi)
+      return std::nullopt;
+    return static_cast<Int>(number);
+  }
+
+  /// An optional member: nullptr when absent, util::Error when present
+  /// with another kind.
+  const Value* find(const std::string& key, Kind want,
+                    const std::string& what) const;
+
+  // Required members of an object. Each getter throws util::Error
+  // "<what>: ... field '<key>' ..." when the member is absent or is not
+  // what the getter reads.
+  const Value& get(const std::string& key, Kind want,
+                   const std::string& what) const;
+  const std::string& get_string(const std::string& k,
+                                const std::string& what) const {
+    return get(k, Kind::kString, what).str;
+  }
+  bool get_bool(const std::string& k, const std::string& what) const {
+    return get(k, Kind::kBool, what).boolean;
+  }
+  double get_number(const std::string& k, const std::string& what) const {
+    return get(k, Kind::kNumber, what).number;
+  }
+  const Value& get_object(const std::string& k, const std::string& what) const {
+    return get(k, Kind::kObject, what);
+  }
+  const Value& get_array(const std::string& k, const std::string& what) const {
+    return get(k, Kind::kArray, what);
+  }
+  std::uint64_t get_count(const std::string& key,
+                          const std::string& what) const;
+  /// The optional member `key`, an object of strings, as a map.
+  std::map<std::string, std::string> get_string_map(
+      const std::string& key, const std::string& what) const;
+  template <std::integral Int>
+  Int get_int(const std::string& key, const std::string& what,
+              Int lo = std::numeric_limits<Int>::min(),
+              Int hi = std::numeric_limits<Int>::max()) const {
+    if (const auto v = get(key, Kind::kNumber, what).as_int<Int>(lo, hi))
+      return *v;
+    out_of_range(key, what, lo, hi);
+  }
+
+ private:
+  [[noreturn]] static void out_of_range(const std::string& key,
+                                        const std::string& what,
+                                        std::int64_t lo, std::int64_t hi);
 };
+
+/// "null", "boolean", "number", "string", "array" or "object".
+const char* kind_name(Value::Kind k);
+
+/// Forward compatibility: a member of `obj` not named in `known` is
+/// reported through `notes` (when non-null), never rejected — a newer
+/// writer may legitimately add fields.
+void note_unknown_fields(const Value& obj,
+                         std::initializer_list<const char*> known,
+                         const std::string& what,
+                         std::vector<std::string>* notes);
+
+/// Read all of `is` and parse it as one document whose top level must be
+/// an object.
+Value parse_object(std::istream& is, const std::string& what);
 
 /// Parse one complete JSON document. `what` names the artifact in error
 /// messages (e.g. "bench report"). Throws util::Error on malformed input,

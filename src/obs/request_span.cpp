@@ -1,9 +1,7 @@
 #include "obs/request_span.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <map>
@@ -12,45 +10,11 @@
 
 #include "util/error.h"
 #include "util/file.h"
+#include "util/record.h"
 
 namespace vc2m::obs {
 
 namespace {
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  VC2M_CHECK_MSG(!s.empty() && s.find('-') == std::string::npos,
-                 "request span: bad " << what << " '" << s << "'");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  VC2M_CHECK_MSG(end == s.c_str() + s.size() && errno == 0,
-                 "request span: bad " << what << " '" << s << "'");
-  return v;
-}
-
-std::int64_t parse_i64(const std::string& s, const char* what) {
-  VC2M_CHECK_MSG(!s.empty(), "request span: bad " << what << " '" << s << "'");
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  VC2M_CHECK_MSG(end == s.c_str() + s.size() && errno == 0,
-                 "request span: bad " << what << " '" << s << "'");
-  return v;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const auto pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
 
 /// Chrome `ts` is in microseconds; three decimals keep ns precision.
 std::string ts_us(std::int64_t ns) {
@@ -72,29 +36,21 @@ std::string serialize(const RequestSpan& s) {
 }
 
 RequestSpan parse_request_span(const std::string& payload) {
-  const auto parts = split(payload, '|');
-  VC2M_CHECK_MSG(parts.size() == 11,
-                 "request span: expected 11 fields, got " << parts.size());
-  auto field = [&](std::size_t i, const char* key) -> std::string {
-    const std::string prefix = std::string(key) + "=";
-    VC2M_CHECK_MSG(parts[i].rfind(prefix, 0) == 0,
-                   "request span: field " << i << " is not '" << key << "='");
-    return parts[i].substr(prefix.size());
-  };
+  util::FieldReader in = util::read_record(payload, 11, "request span");
   RequestSpan s;
-  s.seq = parse_u64(field(0, "seq"), "seq");
-  s.attempt = static_cast<unsigned>(parse_u64(field(1, "attempt"), "attempt"));
-  s.kind = field(2, "kind");
-  VC2M_CHECK_MSG(!s.kind.empty(), "request span: empty kind");
-  s.outcome = field(3, "outcome");
-  VC2M_CHECK_MSG(!s.outcome.empty(), "request span: empty outcome");
-  s.vm = static_cast<int>(parse_i64(field(4, "vm"), "vm"));
-  s.queued_ns = parse_i64(field(5, "queued_ns"), "queued_ns");
-  s.dequeued_ns = parse_i64(field(6, "dequeued_ns"), "dequeued_ns");
-  s.solved_ns = parse_i64(field(7, "solved_ns"), "solved_ns");
-  s.cost_ns = parse_i64(field(8, "cost_ns"), "cost_ns");
-  s.latency_ns = parse_i64(field(9, "latency_ns"), "latency_ns");
-  s.wall_ns = parse_i64(field(10, "wall_ns"), "wall_ns");
+  s.seq = in.u64("seq");
+  s.attempt = in.integer<unsigned>("attempt");
+  s.kind = in.value("kind");
+  if (s.kind.empty()) in.fail("empty kind");
+  s.outcome = in.value("outcome");
+  if (s.outcome.empty()) in.fail("empty outcome");
+  s.vm = in.integer<int>("vm");
+  s.queued_ns = in.i64("queued_ns");
+  s.dequeued_ns = in.i64("dequeued_ns");
+  s.solved_ns = in.i64("solved_ns");
+  s.cost_ns = in.i64("cost_ns");
+  s.latency_ns = in.i64("latency_ns");
+  s.wall_ns = in.i64("wall_ns");
   return s;
 }
 

@@ -10,6 +10,7 @@
 
 #include "util/error.h"
 #include "util/file.h"
+#include "util/record.h"
 
 namespace vc2m::obs {
 
@@ -346,23 +347,19 @@ std::vector<sim::TraceEvent> read_trace_csv(std::istream& is) {
   while (std::getline(is, line)) {
     ++lineno;
     if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string cell;
-    std::vector<std::string> cells;
-    while (std::getline(ls, cell, ',')) cells.push_back(cell);
-    VC2M_CHECK_MSG(cells.size() == 6,
-                   "trace CSV line " << lineno << ": expected 6 fields");
-    const auto kind = sim::trace_kind_from_string(cells[1]);
-    VC2M_CHECK_MSG(kind.has_value(), "trace CSV line "
-                                         << lineno << ": unknown kind '"
-                                         << cells[1] << "'");
+    util::FieldReader cells(line, ',',
+                            "trace CSV line " + std::to_string(lineno));
+    cells.expect_fields(6);
     sim::TraceEvent ev;
-    ev.when = util::Time::ns(std::stoll(cells[0]));
-    ev.kind = *kind;
-    ev.core = std::stoi(cells[2]);
-    ev.vcpu = std::stoi(cells[3]);
-    ev.task = std::stoi(cells[4]);
-    ev.job = std::stoll(cells[5]);
+    ev.when = util::Time::ns(cells.i64());
+    const std::string kind(cells.next());
+    const auto k = sim::trace_kind_from_string(kind);
+    if (!k) cells.fail("unknown kind '" + kind + "'");
+    ev.kind = *k;
+    ev.core = cells.integer<std::int32_t>();
+    ev.vcpu = cells.integer<std::int32_t>();
+    ev.task = cells.integer<std::int32_t>();
+    ev.job = cells.i64();
     out.push_back(ev);
   }
   return out;

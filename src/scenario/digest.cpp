@@ -7,8 +7,6 @@
 
 namespace vc2m::scenario {
 
-namespace {
-
 std::uint64_t vcpu_hash(const std::vector<model::Vcpu>& vcpus) {
   using util::fnv1a_word;
   std::uint64_t h = util::kFnvOffsetBasis;
@@ -25,13 +23,9 @@ std::uint64_t vcpu_hash(const std::vector<model::Vcpu>& vcpus) {
   return h;
 }
 
-}  // namespace
-
-std::string solve_digest(const core::SolveResult& res) {
-  const core::HvAllocResult& m = res.mapping;
+std::string mapping_digest(const core::HvAllocResult& m) {
   std::ostringstream os;
-  os << "sched=" << (res.schedulable ? 1 : 0) << "|cores=" << m.cores_used
-     << "|cache=";
+  os << "cores=" << m.cores_used << "|cache=";
   for (std::size_t k = 0; k < m.cache.size(); ++k)
     os << (k ? "," : "") << m.cache[k];
   os << "|bw=";
@@ -43,8 +37,13 @@ std::string solve_digest(const core::SolveResult& res) {
     for (std::size_t i = 0; i < m.vcpus_on_core[k].size(); ++i)
       os << (i ? "," : "") << m.vcpus_on_core[k][i];
   }
-  os << "|vhash=" << util::hex16(vcpu_hash(res.vcpus));
   return os.str();
+}
+
+std::string solve_digest(const core::SolveResult& res) {
+  return "sched=" + std::string(res.schedulable ? "1" : "0") + "|" +
+         mapping_digest(res.mapping) +
+         "|vhash=" + util::hex16(vcpu_hash(res.vcpus));
 }
 
 std::string text_digest(const std::string& text) {

@@ -1,20 +1,29 @@
 // Deterministic digest of a solve result, pinnable in a scenario's
-// "expect.digest" field.
+// "expect.digest" field and pinned by tests/golden/engine.golden.
 //
-// The format is byte-compatible with tests/golden_util.h (the frozen
-// engine.golden digests): "sched=S|cores=N|cache=..|bw=..|map=..|vhash=H"
-// where H is an FNV-1a hash over every VCPU's period, owner, served tasks,
-// and full budget surface in raw nanoseconds. test_scenario.cpp pins the
-// two implementations against each other, so a scenario digest carries the
-// same bit-identity guarantee as the golden suite.
+// The format is "sched=S|cores=N|cache=..|bw=..|map=..|vhash=H" where H is
+// an FNV-1a hash over every VCPU's period, owner, served tasks, and full
+// budget surface in raw nanoseconds. The golden suite computes its digests
+// with these same functions, so a scenario digest carries the golden
+// suite's bit-identity guarantee.
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/strategy.h"
 
 namespace vc2m::scenario {
 
+/// FNV-1a over every VCPU's period, owner, served tasks, and full budget
+/// surface in raw nanoseconds.
+std::uint64_t vcpu_hash(const std::vector<model::Vcpu>& vcpus);
+
+/// "cores=N|cache=..|bw=..|map=.." of a hypervisor-level mapping.
+std::string mapping_digest(const core::HvAllocResult& m);
+
+/// "sched=S|<mapping_digest>|vhash=<hex16 vcpu_hash>".
 std::string solve_digest(const core::SolveResult& res);
 
 /// FNV-1a over raw bytes as 16 lowercase hex chars. Used as the scenario

@@ -1,7 +1,6 @@
 #include "scenario/report.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -51,40 +50,11 @@ void write_record(std::ostream& os, const ScenarioRecord& r) {
   os << "}";
 }
 
-std::string get_string(const Value& obj, const std::string& key,
-                       const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kString,
-                 what << ": missing string field '" << key << "'");
-  return v->str;
-}
-
-bool get_bool(const Value& obj, const std::string& key,
-              const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kBool,
-                 what << ": missing boolean field '" << key << "'");
-  return v->boolean;
-}
-
-std::uint64_t get_count(const Value& obj, const std::string& key,
-                        const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kNumber && v->number >= 0 &&
-                     v->number == std::floor(v->number),
-                 what << ": field '" << key
-                      << "' must be a non-negative integer");
-  return static_cast<std::uint64_t>(v->number);
-}
-
 std::vector<std::string> get_string_array(const Value& obj,
                                           const std::string& key,
                                           const std::string& what) {
-  const Value* v = obj.find(key);
-  VC2M_CHECK_MSG(v && v->kind == Kind::kArray,
-                 what << ": missing array field '" << key << "'");
   std::vector<std::string> out;
-  for (const Value& item : v->array) {
+  for (const Value& item : obj.get_array(key, what).array) {
     VC2M_CHECK_MSG(item.kind == Kind::kString,
                    what << ": field '" << key << "' must hold strings");
     out.push_back(item.str);
@@ -96,30 +66,28 @@ ScenarioRecord parse_record(const Value& v, const std::string& what) {
   VC2M_CHECK_MSG(v.kind == Kind::kObject,
                  what << ": 'scenarios' entries must be objects");
   ScenarioRecord r;
-  r.name = get_string(v, "name", what);
-  r.file = get_string(v, "file", what);
-  r.scenario_hash = get_string(v, "scenario_hash", what);
-  const std::string verdict = get_string(v, "verdict", what);
+  r.name = v.get_string("name", what);
+  r.file = v.get_string("file", what);
+  r.scenario_hash = v.get_string("scenario_hash", what);
+  const std::string verdict = v.get_string("verdict", what);
   VC2M_CHECK_MSG(verdict == "schedulable" || verdict == "unschedulable",
                  what << ": bad verdict '" << verdict << "'");
   r.schedulable = verdict == "schedulable";
-  r.digest = get_string(v, "digest", what);
-  r.passed = get_bool(v, "passed", what);
+  r.digest = v.get_string("digest", what);
+  r.passed = v.get_bool("passed", what);
   r.failures = get_string_array(v, "failures", what);
   r.rejection_constraints = get_string_array(v, "rejection_constraints", what);
-  r.simulated = get_bool(v, "simulated", what);
+  r.simulated = v.get_bool("simulated", what);
   if (r.simulated) {
-    const Value* m = v.find("metrics");
-    VC2M_CHECK_MSG(m && m->kind == Kind::kObject,
-                   what << ": simulated record lacks a 'metrics' object");
-    r.jobs_released = get_count(*m, "jobs_released", what);
-    r.jobs_completed = get_count(*m, "jobs_completed", what);
-    r.deadline_misses = get_count(*m, "deadline_misses", what);
-    r.faults_injected = get_count(*m, "faults_injected", what);
-    r.jobs_killed = get_count(*m, "jobs_killed", what);
-    r.jobs_deferred = get_count(*m, "jobs_deferred", what);
-    r.trace_events = get_count(*m, "trace_events", what);
-    r.trace_violations = get_count(*m, "trace_violations", what);
+    const Value& m = v.get_object("metrics", what);
+    r.jobs_released = m.get_count("jobs_released", what);
+    r.jobs_completed = m.get_count("jobs_completed", what);
+    r.deadline_misses = m.get_count("deadline_misses", what);
+    r.faults_injected = m.get_count("faults_injected", what);
+    r.jobs_killed = m.get_count("jobs_killed", what);
+    r.jobs_deferred = m.get_count("jobs_deferred", what);
+    r.trace_events = m.get_count("trace_events", what);
+    r.trace_violations = m.get_count("trace_violations", what);
   }
   return r;
 }
@@ -162,59 +130,37 @@ void write_scenario_report_file(const std::string& path,
 
 ScenarioReport read_scenario_report(std::istream& is, const std::string& what,
                                     std::vector<std::string>* notes) {
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const Value root = obs::json::parse(buf.str(), what);
-  VC2M_CHECK_MSG(root.kind == Kind::kObject,
-                 what << ": top level must be an object");
-  // Forward compatibility: top-level fields this reader does not know are
-  // reported through `notes`, never rejected — a newer writer may
-  // legitimately add them.
-  if (notes) {
-    static constexpr const char* kKnown[] = {
-        "schema", "git_rev", "corpus", "shard",     "interrupted",
-        "total",  "passed",  "failed", "scenarios"};
-    for (const auto& [k, v] : root.object) {
-      bool hit = false;
-      for (const char* known : kKnown) hit = hit || k == known;
-      if (!hit)
-        notes->push_back(what + ": unknown field '" + k +
-                         "' (written by a newer vc2m?) — ignored");
-    }
-  }
+  const Value root = obs::json::parse_object(is, what);
+  obs::json::note_unknown_fields(
+      root,
+      {"schema", "git_rev", "corpus", "shard", "interrupted", "total",
+       "passed", "failed", "scenarios"},
+      what, notes);
   ScenarioReport r;
-  r.schema = get_string(root, "schema", what);
+  r.schema = root.get_string("schema", what);
   VC2M_CHECK_MSG(r.schema == kReportSchema,
                  what << ": unsupported schema '" << r.schema << "'");
-  r.git_rev = get_string(root, "git_rev", what);
-  r.corpus = get_string(root, "corpus", what);
-  const Value* shard = root.find("shard");
-  VC2M_CHECK_MSG(shard && shard->kind == Kind::kObject,
-                 what << ": missing 'shard' object");
-  r.shard_index = static_cast<int>(get_count(*shard, "index", what));
-  r.shard_count = static_cast<int>(get_count(*shard, "count", what));
+  r.git_rev = root.get_string("git_rev", what);
+  r.corpus = root.get_string("corpus", what);
+  const Value& shard = root.get_object("shard", what);
+  r.shard_index = shard.get_int<int>("index", what, 0);
+  r.shard_count = shard.get_int<int>("count", what, 1);
   VC2M_CHECK_MSG(r.shard_count >= 1 && r.shard_index < r.shard_count,
                  what << ": bad shard " << r.shard_index << "/"
                       << r.shard_count);
-  if (const Value* intr = root.find("interrupted")) {
-    VC2M_CHECK_MSG(intr->kind == Kind::kBool,
-                   what << ": 'interrupted' must be a boolean");
+  if (const Value* intr = root.find("interrupted", Kind::kBool, what))
     r.interrupted = intr->boolean;
-  }
-  const Value* scenarios = root.find("scenarios");
-  VC2M_CHECK_MSG(scenarios && scenarios->kind == Kind::kArray,
-                 what << ": missing 'scenarios' array");
-  for (const Value& v : scenarios->array) {
+  for (const Value& v : root.get_array("scenarios", what).array) {
     ScenarioRecord rec = parse_record(v, what);
     VC2M_CHECK_MSG(r.find(rec.name) == nullptr,
                    what << ": duplicate scenario '" << rec.name << "'");
     r.records.push_back(std::move(rec));
   }
-  VC2M_CHECK_MSG(get_count(root, "total", what) == r.records.size(),
+  VC2M_CHECK_MSG(root.get_count("total", what) == r.records.size(),
                  what << ": 'total' disagrees with the record count");
-  VC2M_CHECK_MSG(get_count(root, "passed", what) == r.passed(),
+  VC2M_CHECK_MSG(root.get_count("passed", what) == r.passed(),
                  what << ": 'passed' disagrees with the records");
-  VC2M_CHECK_MSG(get_count(root, "failed", what) == r.failed(),
+  VC2M_CHECK_MSG(root.get_count("failed", what) == r.failed(),
                  what << ": 'failed' disagrees with the records");
   return r;
 }

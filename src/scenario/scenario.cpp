@@ -1,7 +1,6 @@
 #include "scenario/scenario.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -19,6 +18,7 @@ namespace vc2m::scenario {
 
 namespace {
 
+using obs::json::kind_name;
 using obs::json::Value;
 using Kind = Value::Kind;
 
@@ -31,20 +31,9 @@ using Kind = Value::Kind;
   throw util::Error(os.str());
 }
 
-const char* kind_name(Kind k) {
-  switch (k) {
-    case Kind::kNull: return "null";
-    case Kind::kBool: return "boolean";
-    case Kind::kNumber: return "number";
-    case Kind::kString: return "string";
-    case Kind::kArray: return "array";
-    case Kind::kObject: return "object";
-  }
-  return "value";
-}
-
-/// Strict object reader: every member must be claimed by exactly one
-/// get_*() call; finish() rejects whatever is left, pointing at its key.
+/// Strict object reader: every member must be claimed (claim() and the
+/// readers built on it); finish() rejects whatever is left, pointing at
+/// its key.
 class ObjectReader {
  public:
   ObjectReader(const Value& v, const std::string& source,
@@ -66,7 +55,7 @@ class ObjectReader {
     return m;
   }
 
-  std::string get_string(const std::string& key, const std::string& dflt) {
+  std::string string_or(const std::string& key, const std::string& dflt) {
     const Value* m = claim(key, Kind::kString);
     return m ? m->str : dflt;
   }
@@ -87,33 +76,25 @@ class ObjectReader {
     return m->number;
   }
 
-  /// A non-negative integer-valued number, or `dflt` when absent.
-  std::uint64_t get_index(const std::string& key, std::uint64_t dflt) {
+  /// A count (a non-negative integer below 2^53), or `dflt` when absent.
+  std::uint64_t count_or(const std::string& key, std::uint64_t dflt) {
     const Value* m = claim(key, Kind::kNumber);
     if (!m) return dflt;
-    if (m->number < 0 || m->number != std::floor(m->number))
-      fail_at(source_, what_ + " key '" + key +
-                           "' must be a non-negative integer", m->offset);
-    return static_cast<std::uint64_t>(m->number);
+    if (const auto v = m->as_count()) return *v;
+    fail_at(source_, what_ + " key '" + key +
+                         "' must be a non-negative integer below 2^53",
+            m->offset);
   }
 
-  /// An integer in [1, cap], narrowed to int, or `dflt` when absent. The
-  /// bound check runs on the parsed double before any cast, so a value
-  /// past INT_MAX (e.g. 2^32 + 1) fails loudly instead of wrapping into
-  /// range.
-  int get_int(const std::string& key, int dflt, int cap) {
+  /// An integer in [1, cap], or `dflt` when absent. The bound check runs
+  /// before any cast, so a value past INT_MAX (e.g. 2^32 + 1) fails loudly
+  /// instead of wrapping into range.
+  int int_or(const std::string& key, int dflt, int cap) {
     const Value* m = claim(key, Kind::kNumber);
     if (!m) return dflt;
-    if (m->number != std::floor(m->number) || m->number < 1 ||
-        m->number > static_cast<double>(cap))
-      fail_at(source_, what_ + " key '" + key + "' must be an integer in "
-                           "1.." + std::to_string(cap), m->offset);
-    return static_cast<int>(m->number);
-  }
-
-  bool get_bool(const std::string& key, bool dflt) {
-    const Value* m = claim(key, Kind::kBool);
-    return m ? m->boolean : dflt;
+    if (const auto v = m->as_int<int>(1, cap)) return *v;
+    fail_at(source_, what_ + " key '" + key + "' must be an integer in "
+                         "1.." + std::to_string(cap), m->offset);
   }
 
   bool has(const std::string& key) const { return v_.find(key) != nullptr; }
@@ -155,7 +136,7 @@ WorkloadSpec parse_workload(const Value& v, const std::string& source,
   w.util = r.require_number("util");
   if (!(w.util > 0))
     fail_at(source, "'workload' key 'util' must be positive", v.offset);
-  const std::string dist = r.get_string("dist", "uniform");
+  const std::string dist = r.string_or("dist", "uniform");
   if (dist == "uniform") w.dist = workload::UtilDist::kUniform;
   else if (dist == "light") w.dist = workload::UtilDist::kBimodalLight;
   else if (dist == "medium") w.dist = workload::UtilDist::kBimodalMedium;
@@ -164,7 +145,7 @@ WorkloadSpec parse_workload(const Value& v, const std::string& source,
     fail_at(source, "'workload' key 'dist' must be one of "
                     "uniform|light|medium|heavy, got '" + dist + "'",
             v.find("dist")->offset);
-  w.vms = r.get_int("vms", 1, kMaxVms);
+  w.vms = r.int_or("vms", 1, kMaxVms);
   r.finish();
   return w;
 }
@@ -172,7 +153,7 @@ WorkloadSpec parse_workload(const Value& v, const std::string& source,
 SimulateSpec parse_simulate(const Value& v, const std::string& source) {
   ObjectReader r(v, source, "'simulate'");
   SimulateSpec s;
-  s.hyperperiods = r.get_int("hyperperiods", 3, kMaxHyperperiods);
+  s.hyperperiods = r.int_or("hyperperiods", 3, kMaxHyperperiods);
   r.finish();
   return s;
 }
@@ -187,13 +168,13 @@ Expectation parse_expect(const Value& v, const std::string& source) {
     fail_at(source, "'expect' key 'verdict' must be schedulable or "
                     "unschedulable, got '" + verdict + "'",
             v.find("verdict")->offset);
-  e.digest = r.get_string("digest", "");
+  e.digest = r.string_or("digest", "");
   if (const Value* m = r.claim("trace_clean", Kind::kBool))
     e.trace_clean = m->boolean;
   if (r.has("min_faults_injected"))
-    e.min_faults_injected = r.get_index("min_faults_injected", 0);
+    e.min_faults_injected = r.count_or("min_faults_injected", 0);
   if (r.has("max_deadline_misses"))
-    e.max_deadline_misses = r.get_index("max_deadline_misses", 0);
+    e.max_deadline_misses = r.count_or("max_deadline_misses", 0);
   if (const Value* m = r.claim("rejection_constraints", Kind::kArray)) {
     for (const Value& item : m->array) {
       if (item.kind != Kind::kString)
@@ -237,19 +218,19 @@ Scenario load_scenario(const std::string& text, const std::string& source) {
   if (!valid_name(sc.name))
     fail_at(source, "'name' must match [a-z0-9-]+, got '" + sc.name + "'",
             root.find("name")->offset);
-  sc.description = r.get_string("description", "");
+  sc.description = r.string_or("description", "");
 
-  sc.platform = r.get_string("platform", "A");
+  sc.platform = r.string_or("platform", "A");
   if (sc.platform != "A" && sc.platform != "B" && sc.platform != "C")
     fail_at(source, "'platform' must be A, B, or C, got '" + sc.platform +
                         "'", root.find("platform")->offset);
 
-  sc.solution = r.get_string("solution", "flat");
+  sc.solution = r.string_or("solution", "flat");
   if (!core::StrategyRegistry::instance().find(sc.solution))
     fail_at(source, "'solution' names no registered strategy: '" +
                         sc.solution + "'", root.find("solution")->offset);
 
-  sc.seed = r.get_index("seed", 42);
+  sc.seed = r.count_or("seed", 42);
 
   const Value* wl = r.claim("workload", Kind::kObject);
   if (!wl)
@@ -262,7 +243,7 @@ Scenario load_scenario(const std::string& text, const std::string& source) {
   }
   sc.workload = parse_workload(*wl, source, base_dir);
 
-  sc.faults = r.get_string("faults", "");
+  sc.faults = r.string_or("faults", "");
   if (!sc.faults.empty()) {
     try {
       (void)sim::parse_fault_spec(sc.faults);
@@ -272,7 +253,7 @@ Scenario load_scenario(const std::string& text, const std::string& source) {
     }
   }
 
-  sc.policy = r.get_string("policy", "strict");
+  sc.policy = r.string_or("policy", "strict");
   if (!sim::enforcement_policy_from_string(sc.policy))
     fail_at(source, "'policy' must be strict|kill|throttle|degrade, got '" +
                         sc.policy + "'", root.find("policy")->offset);

@@ -10,6 +10,7 @@
 
 #include "util/error.h"
 #include "util/hash.h"
+#include "util/record.h"
 
 namespace vc2m::service {
 
@@ -167,6 +168,22 @@ FrameScan scan_frames(const std::string& path) {
   return out;
 }
 
+bool read_header(const FrameScan& frames, const char* schema, const char* key,
+                 std::string& config_digest, std::uint64_t& value) {
+  if (frames.payloads.empty()) return false;
+  try {
+    util::FieldReader hdr =
+        util::read_record(frames.payloads.front(), 3, schema);
+    if (hdr.next() != schema) return false;
+    const std::string_view config = hdr.value("config");
+    value = hdr.u64(key);
+    config_digest = config;
+    return true;
+  } catch (const util::Error&) {
+    return false;
+  }
+}
+
 JournalScan scan_journal(const std::string& path) {
   JournalScan out;
   FrameScan frames = scan_frames(path);
@@ -175,29 +192,8 @@ JournalScan scan_journal(const std::string& path) {
   out.valid_bytes = frames.valid_bytes;
   out.torn = frames.torn;
 
-  if (!frames.payloads.empty()) {
-    // Header: "<schema>|config=<hex>|base=<N>".
-    const std::string& payload = frames.payloads.front();
-    const std::string schema_prefix = std::string(kJournalSchema) + "|";
-    if (payload.rfind(schema_prefix, 0) == 0) {
-      std::string rest = payload.substr(schema_prefix.size());
-      const auto bar = rest.find('|');
-      if (bar != std::string::npos && rest.rfind("config=", 0) == 0 &&
-          rest.find("base=", bar + 1) == bar + 1) {
-        const std::string base_str = rest.substr(bar + 6);
-        char* end = nullptr;
-        errno = 0;
-        const unsigned long long base =
-            std::strtoull(base_str.c_str(), &end, 10);
-        if (!base_str.empty() && end == base_str.c_str() + base_str.size() &&
-            errno == 0) {
-          out.config_digest = rest.substr(7, bar - 7);
-          out.base = base;
-          out.header_ok = true;
-        }
-      }
-    }
-  }
+  out.header_ok = read_header(frames, kJournalSchema, "base",
+                              out.config_digest, out.base);
   if (!out.header_ok) {
     // Without a valid header nothing after it is trustworthy.
     out.valid_bytes = 0;

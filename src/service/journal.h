@@ -76,6 +76,12 @@ struct FrameScan {
 
 FrameScan scan_frames(const std::string& path);
 
+/// The header every framed file starts with,
+/// "<schema>|config=<digest>|<key>=<N>": true, with the digest and N, when
+/// the first frame is exactly that; false otherwise (never throws).
+bool read_header(const FrameScan& frames, const char* schema, const char* key,
+                 std::string& config_digest, std::uint64_t& value);
+
 /// Result of scanning a journal file. `header_ok` is false when the file
 /// is missing, empty, or its first frame is invalid — the scanner never
 /// throws for malformed content (only for I/O errors opening a file that

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "obs/bench_report.h"
+#include "obs/json.h"
 
 namespace vc2m::service {
 
@@ -24,7 +25,7 @@ inline constexpr const char* kServeReportSchema = "vc2m-serve-report/1";
 /// Integer fields, the seed among them, are JSON numbers (doubles): only
 /// values below 2^53 survive the round trip exactly, so the reader rejects
 /// anything at or above and `vc2m serve --seed` refuses such seeds.
-inline constexpr std::uint64_t kMaxExactCount = std::uint64_t{1} << 53;
+using obs::json::kMaxExactCount;
 
 struct ServeReport {
   std::string schema = kServeReportSchema;

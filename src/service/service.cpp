@@ -24,33 +24,13 @@
 #include "util/error.h"
 #include "util/instrument.h"
 #include "util/log_histogram.h"
+#include "util/parse.h"
+#include "util/record.h"
 #include "util/thread_pool.h"
 
 namespace vc2m::service {
 
 namespace {
-
-// ---------------------------------------------------------------------------
-// Strict scalar parsing shared by the record/spec parsers.
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  VC2M_CHECK_MSG(!s.empty() && s[0] != '-' && end == s.c_str() + s.size() &&
-                     errno == 0,
-                 what << ": bad number '" << s << "'");
-  return v;
-}
-
-std::int64_t parse_i64(const std::string& s, const char* what) {
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  VC2M_CHECK_MSG(!s.empty() && end == s.c_str() + s.size() && errno == 0,
-                 what << ": bad number '" << s << "'");
-  return v;
-}
 
 bool request_kind_from_string(const std::string& s, RequestKind& out) {
   if (s == "admit") out = RequestKind::kAdmit;
@@ -58,17 +38,6 @@ bool request_kind_from_string(const std::string& s, RequestKind& out) {
   else if (s == "resize") out = RequestKind::kResize;
   else return false;
   return true;
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const auto p = s.find(sep, start);
-    out.push_back(s.substr(start, p - start));
-    if (p == std::string::npos) return out;
-    start = p + 1;
-  }
 }
 
 }  // namespace
@@ -138,33 +107,24 @@ std::string serialize(const JournalRecord& r) {
 }
 
 JournalRecord parse_journal_record(const std::string& payload) {
-  const auto parts = split(payload, '|');
-  VC2M_CHECK_MSG(parts.size() == 12,
-                 "journal record: want 12 fields, got " << parts.size());
-  auto field = [&](std::size_t i, const char* key) -> std::string {
-    const std::string prefix = std::string(key) + "=";
-    VC2M_CHECK_MSG(parts[i].rfind(prefix, 0) == 0,
-                   "journal record: field " << i << " must be '" << key
-                                            << "=...'");
-    return parts[i].substr(prefix.size());
-  };
+  util::FieldReader in = util::read_record(payload, 12, "journal record");
   JournalRecord r;
-  r.seq = parse_u64(field(0, "seq"), "journal record");
-  r.attempt =
-      static_cast<unsigned>(parse_u64(field(1, "attempt"), "journal record"));
-  VC2M_CHECK_MSG(request_kind_from_string(field(2, "kind"), r.kind),
-                 "journal record: unknown kind '" << field(2, "kind") << "'");
-  VC2M_CHECK_MSG(outcome_from_string(field(3, "outcome"), r.outcome),
-                 "journal record: unknown outcome '" << field(3, "outcome")
-                                                     << "'");
-  r.vm = static_cast<int>(parse_i64(field(4, "vm"), "journal record"));
-  r.tasks = parse_u64(field(5, "tasks"), "journal record");
-  r.events = parse_u64(field(6, "events"), "journal record");
-  r.cost_ns = parse_i64(field(7, "cost_ns"), "journal record");
-  r.latency_ns = parse_i64(field(8, "latency_ns"), "journal record");
-  r.dbf_evals = parse_u64(field(9, "dbf"), "journal record");
-  r.budget_evals = parse_u64(field(10, "budget"), "journal record");
-  r.admission_tests = parse_u64(field(11, "adm"), "journal record");
+  r.seq = in.u64("seq");
+  r.attempt = in.integer<unsigned>("attempt");
+  const std::string kind(in.value("kind"));
+  if (!request_kind_from_string(kind, r.kind))
+    in.fail("unknown kind '" + kind + "'");
+  const std::string outcome(in.value("outcome"));
+  if (!outcome_from_string(outcome, r.outcome))
+    in.fail("unknown outcome '" + outcome + "'");
+  r.vm = in.integer<int>("vm");
+  r.tasks = in.u64("tasks");
+  r.events = in.u64("events");
+  r.cost_ns = in.i64("cost_ns");
+  r.latency_ns = in.i64("latency_ns");
+  r.dbf_evals = in.u64("dbf");
+  r.budget_evals = in.u64("budget");
+  r.admission_tests = in.u64("adm");
   return r;
 }
 
@@ -180,7 +140,8 @@ CrashSpec parse_crash_spec(const std::string& spec) {
   else
     throw util::Error("crash spec: unknown point '" + point +
                       "' (before-append|after-append|mid-snapshot)");
-  out.at = parse_u64(spec.substr(colon + 1), "crash spec");
+  out.at = util::parse_u64(std::string_view(spec).substr(colon + 1),
+                           "crash spec");
   return out;
 }
 
@@ -426,115 +387,88 @@ bool load_snapshot(const std::string& path, const std::string& digest,
   // The checksum vouches for the bytes; parse failures past this point mean
   // a schema change, which also discards (with a warning), never crashes.
   try {
-    std::istringstream is(body);
-    std::string line;
-    auto next_line = [&]() -> std::string& {
-      VC2M_CHECK_MSG(static_cast<bool>(std::getline(is, line)),
-                     "snapshot truncated");
-      return line;
-    };
-    auto next_kv = [&](const char* key) -> std::string {
-      const std::string& l = next_line();
-      const std::string prefix = std::string(key) + "=";
-      VC2M_CHECK_MSG(l.rfind(prefix, 0) == 0,
-                     "snapshot: expected '" << key << "=' line");
-      return l.substr(prefix.size());
-    };
-    VC2M_CHECK_MSG(next_line() == kSnapshotSchema, "snapshot: bad schema");
-    if (next_kv("config") != digest) {
+    // One field per line (the body ends in a newline, so the last field
+    // is empty); the number lists split further at spaces.
+    util::FieldReader in(body, '\n', "snapshot");
+    VC2M_CHECK_MSG(in.next() == kSnapshotSchema, "snapshot: bad schema");
+    if (in.value("config") != digest) {
       warnings.push_back(
           "recover: snapshot '" + path +
           "' was written by a different configuration — discarding it");
       return false;
     }
+    auto tagged_line = [&](const char* tag) {
+      util::FieldReader ls(in.next(), ' ', "snapshot");
+      if (ls.next() != tag)
+        ls.fail(std::string("expected a '") + tag + "' line");
+      return ls;
+    };
     State out;
-    out.ordinal = parse_u64(next_kv("ordinal"), "snapshot");
-    journal_base = parse_u64(next_kv("journal_base"), "snapshot");
-    journal_records = parse_u64(next_kv("journal_records"), "snapshot");
-    out.trace_next = parse_u64(next_kv("trace_next"), "snapshot");
-    out.busy_until =
-        util::Time::ns(parse_i64(next_kv("busy_until"), "snapshot"));
-    out.est_ns_per_task = parse_i64(next_kv("est"), "snapshot");
-    out.commits = parse_u64(next_kv("commits"), "snapshot");
+    out.ordinal = in.u64("ordinal");
+    journal_base = in.u64("journal_base");
+    journal_records = in.u64("journal_records");
+    out.trace_next = in.u64("trace_next");
+    out.busy_until = util::Time::ns(in.i64("busy_until"));
+    out.est_ns_per_task = in.i64("est");
+    out.commits = in.u64("commits");
     {
-      std::istringstream ls(next_kv("stats"));
-      for (std::uint64_t* fld : stat_fields(out.stats)) {
-        VC2M_CHECK_MSG(static_cast<bool>(ls >> *fld), "snapshot: short stats");
-      }
+      util::FieldReader ls(in.value("stats"), ' ', "snapshot stats");
+      const auto fields = stat_fields(out.stats);
+      ls.expect_fields(fields.size());
+      for (std::uint64_t* fld : fields) *fld = ls.u64();
     }
-    out.lat_admitted = parse_histogram(next_kv("hist_admitted"));
-    out.lat_rejected = parse_histogram(next_kv("hist_rejected"));
-    out.lat_deferred = parse_histogram(next_kv("hist_deferred"));
-    out.lat_shed = parse_histogram(next_kv("hist_shed"));
+    out.lat_admitted = parse_histogram(in.value("hist_admitted"));
+    out.lat_rejected = parse_histogram(in.value("hist_rejected"));
+    out.lat_deferred = parse_histogram(in.value("hist_deferred"));
+    out.lat_shed = parse_histogram(in.value("hist_shed"));
     auto read_entries = [&](const char* key, const char* tag,
                             std::vector<QueueEntry>& into) {
-      const std::uint64_t n = parse_u64(next_kv(key), "snapshot");
-      for (std::uint64_t i = 0; i < n; ++i) {
-        std::istringstream ls(next_line());
-        std::string t;
+      for (std::uint64_t n = in.u64(key); n > 0; --n) {
+        util::FieldReader ls = tagged_line(tag);
         QueueEntry e;
-        std::int64_t ready = 0;
-        VC2M_CHECK_MSG(
-            static_cast<bool>(ls >> t >> e.seq >> e.attempt >> ready) &&
-                t == tag,
-            "snapshot: bad queue entry");
-        e.ready_at = util::Time::ns(ready);
+        e.seq = ls.u64();
+        e.attempt = ls.integer<unsigned>();
+        e.ready_at = util::Time::ns(ls.i64());
+        ls.finish();
         into.push_back(e);
       }
     };
     read_entries("queue", "q", out.queue);
     read_entries("retry", "r", out.retry);
-    const std::uint64_t nv = parse_u64(next_kv("vcpus"), "snapshot");
-    for (std::uint64_t i = 0; i < nv; ++i) {
-      std::istringstream ls(next_line());
-      std::string tag;
+    for (std::uint64_t n = in.u64("vcpus"); n > 0; --n) {
+      util::FieldReader ls = tagged_line("v");
       model::Vcpu v;
-      std::int64_t period = 0;
-      std::size_t ntasks = 0;
-      VC2M_CHECK_MSG(
-          static_cast<bool>(ls >> tag >> v.vm >> period >> ntasks) &&
-              tag == "v",
-          "snapshot: bad vcpu line");
-      v.period = util::Time::ns(period);
-      v.tasks.resize(ntasks);
-      for (auto& t : v.tasks)
-        VC2M_CHECK_MSG(static_cast<bool>(ls >> t), "snapshot: short vcpu");
+      v.vm = ls.integer<int>();
+      v.period = util::Time::ns(ls.i64());
+      for (std::uint64_t t = ls.u64(); t > 0; --t)
+        v.tasks.push_back(ls.integer<std::size_t>());
       model::ResourceGrid g;
-      VC2M_CHECK_MSG(
-          static_cast<bool>(ls >> g.c_min >> g.c_max >> g.b_min >> g.b_max),
-          "snapshot: bad vcpu grid");
+      g.c_min = ls.integer<unsigned>();
+      g.c_max = ls.integer<unsigned>();
+      g.b_min = ls.integer<unsigned>();
+      g.b_max = ls.integer<unsigned>();
       model::WcetFn fn(g);
       for (unsigned c = g.c_min; c <= g.c_max; ++c)
-        for (unsigned b = g.b_min; b <= g.b_max; ++b) {
-          std::int64_t ns = 0;
-          VC2M_CHECK_MSG(static_cast<bool>(ls >> ns),
-                         "snapshot: short budget surface");
-          fn.set(c, b, util::Time::ns(ns));
-        }
+        for (unsigned b = g.b_min; b <= g.b_max; ++b)
+          fn.set(c, b, util::Time::ns(ls.i64()));
+      ls.finish();
       v.budget = fn;
       out.adm.vcpus.push_back(std::move(v));
     }
     {
-      std::istringstream ls(next_kv("cores"));
-      std::size_t ncores = 0;
-      int sched = 0;
-      VC2M_CHECK_MSG(static_cast<bool>(ls >> ncores >> sched >>
-                                       out.adm.mapping.cores_used),
-                     "snapshot: bad cores line");
-      out.adm.mapping.schedulable = sched != 0;
-      for (std::size_t k = 0; k < ncores; ++k) {
-        std::istringstream cl(next_line());
-        std::string tag;
-        unsigned cache = 0, bw = 0;
-        std::size_t n = 0;
-        VC2M_CHECK_MSG(
-            static_cast<bool>(cl >> tag >> cache >> bw >> n) && tag == "c",
-            "snapshot: bad core line");
-        std::vector<std::size_t> members(n);
-        for (auto& vi : members)
-          VC2M_CHECK_MSG(static_cast<bool>(cl >> vi), "snapshot: short core");
-        out.adm.mapping.cache.push_back(cache);
-        out.adm.mapping.bw.push_back(bw);
+      util::FieldReader ls(in.value("cores"), ' ', "snapshot cores");
+      ls.expect_fields(3);
+      const std::uint64_t ncores = ls.u64();
+      out.adm.mapping.schedulable = ls.integer<int>() != 0;
+      out.adm.mapping.cores_used = ls.integer<unsigned>();
+      for (std::uint64_t k = 0; k < ncores; ++k) {
+        util::FieldReader cl = tagged_line("c");
+        out.adm.mapping.cache.push_back(cl.integer<unsigned>());
+        out.adm.mapping.bw.push_back(cl.integer<unsigned>());
+        std::vector<std::size_t> members;
+        for (std::uint64_t n = cl.u64(); n > 0; --n)
+          members.push_back(cl.integer<std::size_t>());
+        cl.finish();
         out.adm.mapping.vcpus_on_core.push_back(std::move(members));
       }
     }

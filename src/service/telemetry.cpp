@@ -1,105 +1,56 @@
 #include "service/telemetry.h"
 
 #include <bit>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
 #include "service/journal.h"
 #include "util/error.h"
+#include "util/hash.h"
+#include "util/parse.h"
+#include "util/record.h"
 
 namespace vc2m::service {
-
-namespace {
-
-std::uint64_t parse_u64(const std::string& s, const char* what) {
-  VC2M_CHECK_MSG(!s.empty() && s.find('-') == std::string::npos,
-                 "telemetry: bad " << what << " '" << s << "'");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  VC2M_CHECK_MSG(end == s.c_str() + s.size() && errno == 0,
-                 "telemetry: bad " << what << " '" << s << "'");
-  return v;
-}
-
-std::int64_t parse_i64(const std::string& s, const char* what) {
-  VC2M_CHECK_MSG(!s.empty(), "telemetry: bad " << what << " '" << s << "'");
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  VC2M_CHECK_MSG(end == s.c_str() + s.size() && errno == 0,
-                 "telemetry: bad " << what << " '" << s << "'");
-  return v;
-}
-
-/// Exact double round-trip as a 16-hex-digit bit pattern (mirrors the
-/// service snapshot's encoding).
-std::string double_bits(double d) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(d)));
-  return buf;
-}
-
-double bits_double(const std::string& s) {
-  VC2M_CHECK_MSG(s.size() == 16, "telemetry: bad double bits '" << s << "'");
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 16);
-  VC2M_CHECK_MSG(end == s.c_str() + 16 && errno == 0,
-                 "telemetry: bad double bits '" << s << "'");
-  return std::bit_cast<double>(static_cast<std::uint64_t>(v));
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const auto pos = s.find(sep, start);
-    if (pos == std::string::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-}  // namespace
 
 std::string serialize_histogram(const util::LogHistogram& h) {
   const auto snap = h.snapshot();
   std::ostringstream os;
-  os << snap.count << ' ' << snap.nonpositive << ' ' << double_bits(snap.sum)
-     << ' ' << double_bits(snap.min) << ' ' << double_bits(snap.max) << ' '
-     << snap.counts.size();
+  const auto bits = [](double d) {
+    return util::hex16(std::bit_cast<std::uint64_t>(d));
+  };
+  os << snap.count << ' ' << snap.nonpositive << ' ' << bits(snap.sum) << ' '
+     << bits(snap.min) << ' ' << bits(snap.max) << ' ' << snap.counts.size();
   for (const auto& [i, c] : snap.counts) os << ' ' << i << ':' << c;
   return os.str();
 }
 
-util::LogHistogram parse_histogram(const std::string& text) {
-  const auto parts = split(text, ' ');
-  VC2M_CHECK_MSG(parts.size() >= 6, "telemetry: truncated histogram");
+util::LogHistogram parse_histogram(std::string_view text) {
+  util::FieldReader in(text, ' ', "telemetry histogram");
   util::LogHistogram::Snapshot snap;
-  snap.count = parse_u64(parts[0], "histogram count");
-  snap.nonpositive = parse_u64(parts[1], "histogram nonpositive");
-  snap.sum = bits_double(parts[2]);
-  snap.min = bits_double(parts[3]);
-  snap.max = bits_double(parts[4]);
-  const std::uint64_t pairs = parse_u64(parts[5], "histogram pair count");
-  VC2M_CHECK_MSG(parts.size() == 6 + pairs,
-                 "telemetry: histogram pair count mismatch");
+  snap.count = in.u64();
+  snap.nonpositive = in.u64();
+  const auto bits = [&] {
+    return std::bit_cast<double>(
+        util::parse_hex16(in.next(), "telemetry histogram"));
+  };
+  snap.sum = bits();
+  snap.min = bits();
+  snap.max = bits();
+  const std::uint64_t pairs = in.u64();
+  if (in.left() != pairs) in.fail("bucket count mismatch");
+  // Buckets are written non-zero and in ascending index order; anything
+  // else would not re-serialize to the bytes it was read from.
   for (std::uint64_t k = 0; k < pairs; ++k) {
-    const std::string& cell = parts[6 + k];
-    const auto colon = cell.find(':');
-    VC2M_CHECK_MSG(colon != std::string::npos,
-                   "telemetry: bad histogram bucket '" << cell << "'");
-    snap.counts.emplace_back(
-        parse_u64(cell.substr(0, colon), "histogram bucket index"),
-        parse_u64(cell.substr(colon + 1), "histogram bucket count"));
+    util::FieldReader cell(in.next(), ':', "telemetry histogram bucket");
+    cell.expect_fields(2);
+    const auto index = cell.integer<std::size_t>();
+    const std::uint64_t count = cell.u64();
+    if (count == 0 ||
+        (!snap.counts.empty() && index <= snap.counts.back().first))
+      in.fail("buckets must be non-zero and in ascending order");
+    snap.counts.emplace_back(index, count);
   }
   return util::LogHistogram::from_snapshot(snap);
 }
@@ -124,40 +75,31 @@ std::string serialize(const MetricsSample& s) {
 }
 
 MetricsSample parse_metrics_sample(const std::string& payload) {
-  const auto parts = split(payload, '|');
-  VC2M_CHECK_MSG(parts.size() == 23,
-                 "metrics sample: expected 23 fields, got " << parts.size());
-  auto field = [&](std::size_t i, const char* key) -> std::string {
-    const std::string prefix = std::string(key) + "=";
-    VC2M_CHECK_MSG(parts[i].rfind(prefix, 0) == 0,
-                   "metrics sample: field " << i << " is not '" << key
-                                            << "='");
-    return parts[i].substr(prefix.size());
-  };
+  util::FieldReader in = util::read_record(payload, 23, "metrics sample");
   MetricsSample s;
-  s.index = parse_u64(field(0, "sample"), "sample");
-  s.served = parse_u64(field(1, "served"), "served");
-  s.vt_ns = parse_i64(field(2, "vt_ns"), "vt_ns");
-  s.queue_depth = parse_u64(field(3, "queue"), "queue");
-  s.retry_depth = parse_u64(field(4, "retry"), "retry");
-  s.est_ns_per_task = parse_i64(field(5, "est"), "est");
-  s.arrivals = parse_u64(field(6, "arrivals"), "arrivals");
-  s.admitted = parse_u64(field(7, "admitted"), "admitted");
-  s.rejected = parse_u64(field(8, "rejected"), "rejected");
-  s.probe_rejected = parse_u64(field(9, "probe_rejected"), "probe_rejected");
-  s.deferred = parse_u64(field(10, "deferred"), "deferred");
-  s.timed_out = parse_u64(field(11, "timed_out"), "timed_out");
-  s.shed = parse_u64(field(12, "shed"), "shed");
-  s.downgrades = parse_u64(field(13, "downgrades"), "downgrades");
-  s.backpressure = parse_u64(field(14, "backpressure"), "backpressure");
-  s.commits = parse_u64(field(15, "commits"), "commits");
-  s.dbf_evals = parse_u64(field(16, "dbf"), "dbf");
-  s.budget_evals = parse_u64(field(17, "budget"), "budget");
-  s.admission_tests = parse_u64(field(18, "adm"), "adm");
-  s.lat_admitted = parse_histogram(field(19, "lat_admitted"));
-  s.lat_rejected = parse_histogram(field(20, "lat_rejected"));
-  s.lat_deferred = parse_histogram(field(21, "lat_deferred"));
-  s.lat_shed = parse_histogram(field(22, "lat_shed"));
+  s.index = in.u64("sample");
+  s.served = in.u64("served");
+  s.vt_ns = in.i64("vt_ns");
+  s.queue_depth = in.u64("queue");
+  s.retry_depth = in.u64("retry");
+  s.est_ns_per_task = in.i64("est");
+  s.arrivals = in.u64("arrivals");
+  s.admitted = in.u64("admitted");
+  s.rejected = in.u64("rejected");
+  s.probe_rejected = in.u64("probe_rejected");
+  s.deferred = in.u64("deferred");
+  s.timed_out = in.u64("timed_out");
+  s.shed = in.u64("shed");
+  s.downgrades = in.u64("downgrades");
+  s.backpressure = in.u64("backpressure");
+  s.commits = in.u64("commits");
+  s.dbf_evals = in.u64("dbf");
+  s.budget_evals = in.u64("budget");
+  s.admission_tests = in.u64("adm");
+  s.lat_admitted = parse_histogram(in.value("lat_admitted"));
+  s.lat_rejected = parse_histogram(in.value("lat_rejected"));
+  s.lat_deferred = parse_histogram(in.value("lat_deferred"));
+  s.lat_shed = parse_histogram(in.value("lat_shed"));
   return s;
 }
 
@@ -176,29 +118,9 @@ TimelineScan scan_timeline(const std::string& path) {
   out.valid_bytes = frames.valid_bytes;
   out.torn = frames.torn;
 
-  if (!frames.payloads.empty()) {
-    const std::string& payload = frames.payloads.front();
-    const std::string schema_prefix = std::string(kTimelineSchema) + "|";
-    if (payload.rfind(schema_prefix, 0) == 0) {
-      std::string rest = payload.substr(schema_prefix.size());
-      const auto bar = rest.find('|');
-      if (bar != std::string::npos && rest.rfind("config=", 0) == 0 &&
-          rest.find("every=", bar + 1) == bar + 1) {
-        const std::string every_str = rest.substr(bar + 7);
-        char* end = nullptr;
-        errno = 0;
-        const unsigned long long every =
-            std::strtoull(every_str.c_str(), &end, 10);
-        if (!every_str.empty() &&
-            end == every_str.c_str() + every_str.size() && errno == 0 &&
-            every > 0) {
-          out.config_digest = rest.substr(7, bar - 7);
-          out.every = every;
-          out.header_ok = true;
-        }
-      }
-    }
-  }
+  out.header_ok = read_header(frames, kTimelineSchema, "every",
+                              out.config_digest, out.every) &&
+                  out.every > 0;
   if (!out.header_ok) {
     out.valid_bytes = 0;
     out.torn = !frames.payloads.empty() || frames.torn;
@@ -253,9 +175,9 @@ std::vector<obs::RequestSpan> read_span_dump(const std::string& path) {
   VC2M_CHECK_MSG(std::getline(f, line) &&
                      line.rfind(std::string(kSpanDumpSchema) + " ", 0) == 0,
                  "'" << path << "' is not a " << kSpanDumpSchema << " dump");
-  const std::uint64_t count =
-      parse_u64(line.substr(std::string(kSpanDumpSchema).size() + 1),
-                "span dump count");
+  const std::uint64_t count = util::parse_u64(
+      std::string_view(line).substr(std::strlen(kSpanDumpSchema) + 1),
+      "span dump count");
   std::vector<obs::RequestSpan> out;
   while (std::getline(f, line)) {
     if (line.empty()) continue;

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/request_span.h"
@@ -69,7 +70,7 @@ struct MetricsSample {
 /// timeline samples and the service snapshot.
 std::string serialize_histogram(const util::LogHistogram& h);
 /// Strict parse; throws util::Error on any malformed field.
-util::LogHistogram parse_histogram(const std::string& text);
+util::LogHistogram parse_histogram(std::string_view text);
 
 std::string serialize(const MetricsSample& s);
 /// Strict parse; throws util::Error on any malformed field.

@@ -1,10 +1,10 @@
 #include "service/trace_gen.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/error.h"
+#include "util/parse.h"
 #include "workload/generator.h"
 
 namespace vc2m::service {
@@ -15,19 +15,14 @@ constexpr double kPi = 3.14159265358979323846;
 
 double parse_num(const std::string& key, const std::string& s) {
   if (s.empty()) throw util::Error("trace spec: empty value for '" + key + "'");
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size() || !std::isfinite(v))
-    throw util::Error("trace spec: bad value '" + s + "' for '" + key + "'");
-  return v;
+  if (const auto v = util::try_double(s)) return *v;
+  throw util::Error("trace spec: bad value '" + s + "' for '" + key + "'");
 }
 
 std::uint64_t parse_count(const std::string& key, const std::string& s) {
-  const double v = parse_num(key, s);
-  if (v < 0 || v != std::floor(v))
-    throw util::Error("trace spec: '" + key +
-                      "' must be a non-negative integer, got '" + s + "'");
-  return static_cast<std::uint64_t>(v);
+  if (const auto v = util::try_u64(s)) return *v;
+  throw util::Error("trace spec: '" + key +
+                    "' must be a non-negative integer, got '" + s + "'");
 }
 
 void parse_range(const std::string& key, const std::string& s, double& lo,

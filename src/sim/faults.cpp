@@ -12,6 +12,7 @@
 #include "sim/deploy.h"
 #include "sim/simulation.h"
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace vc2m::sim {
 
@@ -68,16 +69,8 @@ FaultSpec parse_fault_spec(const std::string& spec) {
   std::string item;
   const auto parse_double = [](const std::string& key,
                                const std::string& value) {
-    std::size_t used = 0;
-    double v = 0;
-    try {
-      v = std::stod(value, &used);
-    } catch (const std::exception&) {
-      throw util::Error("fault spec: bad value for " + key + ": " + value);
-    }
-    if (used != value.size() || !std::isfinite(v))
-      throw util::Error("fault spec: bad value for " + key + ": " + value);
-    return v;
+    if (const auto v = util::try_double(value)) return *v;
+    throw util::Error("fault spec: bad value for " + key + ": " + value);
   };
   const auto parse_ms = [&](const std::string& key, const std::string& value) {
     return util::Time::ns(static_cast<std::int64_t>(
@@ -103,10 +96,10 @@ FaultSpec parse_fault_spec(const std::string& spec) {
     } else if (key == "revoke-window-ms") {
       out.revoke_window = parse_ms(key, value);
     } else if (key == "revoke-ways") {
-      const double w = parse_double(key, value);
-      if (w < 1 || w != std::floor(w))
+      const auto w = util::try_int<unsigned>(value, 1);
+      if (!w)
         throw util::Error("fault spec: revoke-ways must be a positive integer");
-      out.revoke_ways = static_cast<unsigned>(w);
+      out.revoke_ways = *w;
     } else if (key == "refill-delay-ms") {
       out.max_refill_delay = parse_ms(key, value);
     } else if (key == "refill-prob") {
@@ -114,10 +107,10 @@ FaultSpec parse_fault_spec(const std::string& spec) {
     } else if (key == "low-crit-frac") {
       out.low_crit_frac = parse_double(key, value);
     } else if (key == "seed") {
-      const double s = parse_double(key, value);
-      if (s < 0 || s != std::floor(s))
+      const auto seed = util::try_u64(value);
+      if (!seed)
         throw util::Error("fault spec: seed must be a non-negative integer");
-      out.seed = static_cast<std::uint64_t>(s);
+      out.seed = *seed;
     } else {
       throw util::Error("fault spec: unknown key: " + key);
     }

@@ -1,18 +1,20 @@
 // Strict CSV field parsing shared by the taskset / surface readers.
 //
-// Every helper rejects what std::sto* silently accepts: trailing garbage
-// ("5x"), non-finite values ("nan", "inf"), and negative values wrapped
-// into unsigned ("-1" → 4294967295). Every failure throws util::Error with
-// the source name, 1-based line number, and offending line, so a user can
-// fix a hand-edited file without bisecting it.
+// Fields follow the strict grammar of util/parse.h: no whitespace, no '+',
+// no trailing garbage ("5x"), no non-finite values ("nan", "inf"), no
+// negative values wrapped into unsigned ("-1"). Every failure throws
+// util::Error with the source name, 1-based line number, and offending
+// line, so a user can fix a hand-edited file without bisecting it.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
-#include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "util/error.h"
+#include "util/parse.h"
 
 namespace vc2m::workload::detail {
 
@@ -29,49 +31,18 @@ struct ParseContext {
   }
 };
 
-/// Parse a finite double, consuming the whole field.
-inline double parse_double(const ParseContext& ctx, const std::string& s,
-                           const char* field) {
-  std::size_t pos = 0;
-  double v = 0;
-  try {
-    v = std::stod(s, &pos);
-  } catch (const std::exception&) {
-    ctx.fail(std::string("non-numeric ") + field + " field '" + s + "'");
-  }
-  if (pos != s.size())
-    ctx.fail(std::string("trailing characters in ") + field + " field '" +
-             s + "'");
-  if (!std::isfinite(v))
-    ctx.fail(std::string("non-finite ") + field + " field '" + s + "'");
-  return v;
-}
-
-/// Parse a signed integer, consuming the whole field.
-inline std::int64_t parse_int(const ParseContext& ctx, const std::string& s,
-                              const char* field) {
-  std::size_t pos = 0;
-  long long v = 0;
-  try {
-    v = std::stoll(s, &pos);
-  } catch (const std::exception&) {
-    ctx.fail(std::string("non-integer ") + field + " field '" + s + "'");
-  }
-  if (pos != s.size())
-    ctx.fail(std::string("trailing characters in ") + field + " field '" +
-             s + "'");
-  return v;
-}
-
-/// Parse a non-negative integer; rejects the leading '-' that std::stoul
-/// would wrap around.
-inline std::uint64_t parse_unsigned(const ParseContext& ctx,
-                                    const std::string& s,
-                                    const char* field) {
-  const std::int64_t v = parse_int(ctx, s, field);
-  if (v < 0)
-    ctx.fail(std::string("negative ") + field + " field '" + s + "'");
-  return static_cast<std::uint64_t>(v);
+/// Parse one whole field as T: a finite double or an in-range integer.
+template <class T>
+T parse_field(const ParseContext& ctx, std::string_view s,
+              const char* field) {
+  std::optional<T> v;
+  if constexpr (std::is_floating_point_v<T>)
+    v = util::try_double(s);
+  else
+    v = util::try_int<T>(s);
+  if (!v)
+    ctx.fail(std::string("bad ") + field + " field '" + std::string(s) + "'");
+  return *v;
 }
 
 }  // namespace vc2m::workload::detail

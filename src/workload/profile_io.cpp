@@ -1,11 +1,11 @@
 #include "workload/profile_io.h"
 
 #include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "util/error.h"
 #include "util/file.h"
+#include "util/record.h"
 #include "workload/csv_field.h"
 
 namespace vc2m::workload {
@@ -42,19 +42,14 @@ model::WcetFn read_surface_csv(std::istream& is,
     if (line.empty() || line[0] == '#') continue;
     if (line.find("wcet_ms") != std::string::npos) continue;  // header
 
-    std::istringstream ss(line);
-    std::string field;
-    std::vector<std::string> fields;
-    while (std::getline(ss, field, ',')) fields.push_back(field);
+    const auto fields = util::split(line, ',');
     if (fields.size() != 3)
       ctx.fail("expected 3 fields (c,b,wcet_ms), got " +
                std::to_string(fields.size()));
 
-    const auto c =
-        static_cast<unsigned>(detail::parse_unsigned(ctx, fields[0], "c"));
-    const auto b =
-        static_cast<unsigned>(detail::parse_unsigned(ctx, fields[1], "b"));
-    const double wcet_ms = detail::parse_double(ctx, fields[2], "wcet_ms");
+    const auto c = detail::parse_field<unsigned>(ctx, fields[0], "c");
+    const auto b = detail::parse_field<unsigned>(ctx, fields[1], "b");
+    const auto wcet_ms = detail::parse_field<double>(ctx, fields[2], "wcet_ms");
     if (!grid.contains(c, b)) ctx.fail("surface point outside the grid");
     if (wcet_ms <= 0) ctx.fail("non-positive WCET");
     const std::size_t idx = grid.index(c, b);

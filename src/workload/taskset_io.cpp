@@ -2,11 +2,11 @@
 
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <vector>
 
 #include "util/error.h"
 #include "util/file.h"
+#include "util/record.h"
 #include "workload/csv_field.h"
 #include "workload/parsec.h"
 
@@ -41,18 +41,16 @@ model::Taskset read_taskset_csv(std::istream& is,
     if (line.empty() || line[0] == '#') continue;
     if (line.find("period_ms") != std::string::npos) continue;  // header
 
-    std::istringstream ss(line);
-    std::string field;
-    std::vector<std::string> fields;
-    while (std::getline(ss, field, ',')) fields.push_back(field);
+    const auto fields = util::split(line, ',');
     if (fields.size() != 4)
       ctx.fail("expected 4 fields (vm,period_ms,ref_wcet_ms,benchmark), got " +
                std::to_string(fields.size()));
 
-    const auto vm = detail::parse_int(ctx, fields[0], "vm");
-    const double period_ms = detail::parse_double(ctx, fields[1], "period_ms");
-    const double wcet_ms = detail::parse_double(ctx, fields[2], "ref_wcet_ms");
-    const std::string& bench = fields[3];
+    using detail::parse_field;
+    const int vm = parse_field<int>(ctx, fields[0], "vm");
+    const auto period_ms = parse_field<double>(ctx, fields[1], "period_ms");
+    const auto wcet_ms = parse_field<double>(ctx, fields[2], "ref_wcet_ms");
+    const std::string bench(fields[3]);
     if (vm < 0) ctx.fail("negative vm id");
     if (period_ms <= 0 || wcet_ms <= 0 || wcet_ms > period_ms)
       ctx.fail("implausible task parameters (need 0 < ref_wcet_ms <= "
@@ -67,7 +65,7 @@ model::Taskset read_taskset_csv(std::istream& is,
       ctx.fail(e.what());
     }
     model::Task t;
-    t.vm = static_cast<int>(vm);
+    t.vm = vm;
     t.period = util::Time::ns(static_cast<std::int64_t>(period_ms * 1e6));
     const auto ref =
         util::Time::ns(static_cast<std::int64_t>(wcet_ms * 1e6 + 0.5));

@@ -1,5 +1,6 @@
-// Shared golden-equivalence machinery: engine digests, the pinned scenario
-// grid, and the tests/golden/engine.golden loader.
+// Shared golden-equivalence machinery: the pinned scenario grid, the live
+// solve-digest lines (digests from scenario/digest.h), and the
+// tests/golden/engine.golden loader.
 //
 // Used by test_golden.cpp (the engine bit-identity suite) and
 // test_explain.cpp (decision recording must leave these digests untouched).
@@ -10,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -18,7 +18,8 @@
 
 #include "core/solutions.h"
 #include "model/platform.h"
-#include "util/hash.h"
+#include "scenario/digest.h"
+#include "util/record.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -29,52 +30,6 @@
 namespace vc2m::golden {
 
 inline const char* const kGoldenFile = VC2M_GOLDEN_DIR "/engine.golden";
-
-// ---------------------------------------------------------------------------
-// Digest helpers
-
-/// Hash of everything that defines a VCPU vector: periods, owners, served
-/// task lists, and the full budget surface in raw nanoseconds.
-inline std::uint64_t vcpu_hash(const std::vector<model::Vcpu>& vcpus) {
-  using util::fnv1a_word;
-  std::uint64_t h = util::kFnvOffsetBasis;
-  for (const auto& v : vcpus) {
-    h = fnv1a_word(h, static_cast<std::uint64_t>(v.period.raw_ns()));
-    h = fnv1a_word(h, static_cast<std::uint64_t>(v.vm));
-    for (const std::size_t t : v.tasks) h = fnv1a_word(h, t);
-    const auto& g = v.budget.grid();
-    for (unsigned c = g.c_min; c <= g.c_max; ++c)
-      for (unsigned b = g.b_min; b <= g.b_max; ++b)
-        h = fnv1a_word(h,
-                       static_cast<std::uint64_t>(v.budget.at(c, b).raw_ns()));
-  }
-  return h;
-}
-
-inline std::string mapping_digest(const core::HvAllocResult& m) {
-  std::ostringstream os;
-  os << "cores=" << m.cores_used << "|cache=";
-  for (std::size_t k = 0; k < m.cache.size(); ++k)
-    os << (k ? "," : "") << m.cache[k];
-  os << "|bw=";
-  for (std::size_t k = 0; k < m.bw.size(); ++k)
-    os << (k ? "," : "") << m.bw[k];
-  os << "|map=";
-  for (std::size_t k = 0; k < m.vcpus_on_core.size(); ++k) {
-    if (k) os << ";";
-    for (std::size_t i = 0; i < m.vcpus_on_core[k].size(); ++i)
-      os << (i ? "," : "") << m.vcpus_on_core[k][i];
-  }
-  return os.str();
-}
-
-inline std::string solve_digest(const core::SolveResult& res) {
-  std::ostringstream os;
-  os << "sched=" << (res.schedulable ? 1 : 0) << "|"
-     << mapping_digest(res.mapping)
-     << "|vhash=" << util::hex16(vcpu_hash(res.vcpus));
-  return os.str();
-}
 
 // ---------------------------------------------------------------------------
 // Scenario grid (fixed forever — golden lines are positional)
@@ -130,7 +85,7 @@ inline std::vector<std::string> solve_lines() {
       const auto res =
           core::solve(core::all_solutions()[si], tasks, platform, {}, rng);
       std::ostringstream os;
-      os << "solve|" << i << "|" << si << "|" << solve_digest(res);
+      os << "solve|" << i << "|" << si << "|" << scenario::solve_digest(res);
       lines.push_back(os.str());
     }
   }
@@ -160,10 +115,11 @@ inline GoldenFile load_golden() {
     else if (line.rfind("admit|", 0) == 0) g.admission.push_back(line);
     else if (line.rfind("exact|", 0) == 0) g.exact.push_back(line);
     else if (line.rfind("sweep-point|", 0) == 0) g.sweep.push_back(line);
-    else if (line.rfind("seed-effort|dbf_evaluations=", 0) == 0)
-      g.seed_dbf_evaluations = std::strtoull(
-          line.c_str() + std::string("seed-effort|dbf_evaluations=").size(),
-          nullptr, 10);
+    else if (line.rfind("seed-effort|", 0) == 0) {
+      util::FieldReader in = util::read_record(line, 3, "seed-effort");
+      in.next();
+      g.seed_dbf_evaluations = in.u64("dbf_evaluations");
+    }
   }
   g.loaded = true;
   return g;

@@ -198,7 +198,7 @@ TEST(Explain, SolveResultBitIdenticalWithAndWithoutRecording) {
   core::SolveResult recorded;
   (void)obs::explain_solve(strat, tasks, platform, {}, rec_rng, &recorded);
 
-  EXPECT_EQ(solve_digest(bare), solve_digest(recorded));
+  EXPECT_EQ(scenario::solve_digest(bare), scenario::solve_digest(recorded));
 }
 
 TEST(Explain, JsonRoundTripIsByteIdentical) {

@@ -10,9 +10,9 @@
 // --jobs 1/2/8 and records the seed allocator's total dbf-evaluation count,
 // against which the memoizing engine must be *strictly* cheaper.
 //
-// The digest helpers, scenario grid, and golden-file loader live in
-// tests/golden_util.h, shared with test_explain.cpp (decision recording must
-// reproduce these digests bit-identically).
+// The digests are scenario/digest.h's; the scenario grid and golden-file
+// loader live in tests/golden_util.h, shared with test_explain.cpp
+// (decision recording must reproduce these digests bit-identically).
 //
 // Regenerating (only when an intentional behavior change is accepted):
 //   VC2M_GOLDEN_CAPTURE=1 ./test_golden
@@ -43,6 +43,7 @@
 #include "core/strategy.h"
 #include "golden_util.h"
 #include "model/platform.h"
+#include "util/hash.h"
 #include "util/instrument.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -89,8 +90,8 @@ std::vector<std::string> admission_lines() {
         core::admit_vm(state, extra, 101, platform, vm_cfg, admit_rng);
     os << "admitted=" << (admit.admitted ? 1 : 0);
     if (admit.admitted) {
-      os << "|" << mapping_digest(admit.state.mapping)
-         << "|vhash=" << util::hex16(vcpu_hash(admit.state.vcpus));
+      os << "|" << scenario::mapping_digest(admit.state.mapping)
+         << "|vhash=" << util::hex16(scenario::vcpu_hash(admit.state.vcpus));
     }
     lines.push_back(os.str());
   }
@@ -121,7 +122,7 @@ std::vector<std::string> exact_lines() {
     core::ExactConfig ec;
     const auto exact = core::allocate_exact(res.vcpus, platform, ec);
     os << "sched=" << (exact.schedulable ? 1 : 0) << "|"
-       << mapping_digest(exact);
+       << scenario::mapping_digest(exact);
     lines.push_back(os.str());
   }
   return lines;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "obs/bench_report.h"
+#include "obs/explain.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/recorder.h"
@@ -793,6 +794,72 @@ TEST(BenchReport, ReaderRejectsNonFiniteNumbersWithFilePosition) {
           << bad << ": " << what;
     }
   }
+}
+
+/// `text` with the first occurrence of `from` replaced by `to`.
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const auto at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(BenchReport, CountsMustBeExactNonNegativeIntegers) {
+  // A phase or histogram count that is negative, fractional, huge (1e30
+  // has no uint64 value at all) or at/above 2^53 is refused by name.
+  std::stringstream ss;
+  write_bench_report(ss, sample_report());
+  const std::string text = ss.str();
+  for (const std::string& pin : {std::string("\"count\": 9,"),
+                                 std::string("\"count\": 100,")}) {
+    for (const char* bad :
+         {"-7.5", "1e30", "-1", "0.5", "9007199254740992"}) {
+      std::stringstream in(
+          replaced(text, pin, std::string("\"count\": ") + bad + ","));
+      try {
+        read_bench_report(in);
+        ADD_FAILURE() << pin << " -> " << bad << " was accepted";
+      } catch (const util::Error& e) {
+        EXPECT_NE(std::string(e.what()).find("'count'"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  std::stringstream edge(
+      replaced(text, "\"count\": 100,", "\"count\": 9007199254740991,"));
+  EXPECT_EQ(read_bench_report(edge).histograms.at("solve_seconds").count,
+            (std::uint64_t{1} << 53) - 1);
+}
+
+TEST(ExplainReport, EventIntegersMustFitTheirFields) {
+  ExplainReport r;
+  DecisionEvent e;
+  e.vm = 3;
+  e.entity = 4;
+  e.core = 1;
+  e.cache = 6;
+  e.bw = 5;
+  r.events.push_back(e);
+  std::ostringstream os;
+  write_explain_report(os, r);
+  const std::string text = os.str();
+  const std::pair<const char*, int> fields[] = {
+      {"vm", 3}, {"entity", 4}, {"core", 1}, {"cache", 6}, {"bw", 5}};
+  for (const auto& [field, value] : fields) {
+    const std::string key = std::string("\"") + field + "\": ";
+    const std::string pin = key + std::to_string(value);
+    for (const char* bad : {"2147483648", "-2147483649", "1e10", "1.5"}) {
+      std::istringstream in(replaced(text, pin, key + bad));
+      EXPECT_THROW(read_explain_report(in), util::Error) << field << bad;
+    }
+    std::istringstream edge(replaced(text, pin, key + "-2147483648"));
+    EXPECT_NO_THROW(read_explain_report(edge)) << field;
+  }
+  // The report-level unsigned fields refuse negatives.
+  std::istringstream neg(replaced(text, "\"cores_used\": 0",
+                                  "\"cores_used\": -1"));
+  EXPECT_THROW(read_explain_report(neg), util::Error);
 }
 
 TEST(BenchReport, SummarisesLogHistogramQuantiles) {

@@ -1,13 +1,14 @@
 // Scenario engine suite: the strict loader (unknown keys, wrong types,
 // duplicate keys, non-finite numbers, truncation — each rejected with a
 // byte offset), the shipped corpus (round-trips, pinned expectations hold),
-// digest compatibility with the frozen golden format, and the matrix runner
+// and the matrix runner
 // (bit-identical reports at any --jobs, disjoint/exhaustive shards whose
 // merge equals the unsharded run, resume-from-checkpoint identity), plus
 // the output-path regression tests for every artifact writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "golden_util.h"
 #include "obs/trace_export.h"
 #include "scenario/digest.h"
 #include "scenario/report.h"
@@ -24,7 +24,6 @@
 #include "scenario/scenario.h"
 #include "util/error.h"
 #include "util/file.h"
-#include "util/rng.h"
 
 #ifndef VC2M_SCENARIO_DIR
 #error "VC2M_SCENARIO_DIR must point at the shipped scenarios/ corpus"
@@ -187,6 +186,26 @@ TEST(ScenarioLoader, IntegerFieldsPastTheDomainCapDoNotWrapIntoRange) {
       << err;
 }
 
+TEST(ScenarioLoader, SeedMustBeBelow2To53) {
+  // From 2^53 on a JSON number no longer holds every integer (2^53 + 1
+  // reads back as 2^53), so the loader refuses such seeds at their offset.
+  auto with_seed = [](const std::string& seed) {
+    std::string text = minimal_scenario();
+    text.insert(text.find("\"workload\""), "\"seed\": " + seed + ",\n  ");
+    return text;
+  };
+  for (const char* seed : {"9007199254740992", "9007199254740993"}) {
+    const std::string text = with_seed(seed);
+    const std::string err = error_of(text);
+    EXPECT_NE(err.find("'seed' must be a non-negative integer below 2^53"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find(at_offset_of(text, seed)), std::string::npos) << err;
+  }
+  EXPECT_EQ(scenario::load_scenario(with_seed("9007199254740991"), "doc").seed,
+            (std::uint64_t{1} << 53) - 1);
+}
+
 TEST(ScenarioLoader, SemanticCrossFieldRulesFailAtLoadTime) {
   // simulate under an unschedulable expectation.
   EXPECT_NE(error_of(R"({"schema": "vc2m-scenario/1", "name": "x",
@@ -295,22 +314,6 @@ TEST(ScenarioCorpus, AllPinnedExpectationsHold) {
                                                      : rec.failures.front());
     EXPECT_EQ(rec.scenario_hash.size(), 16u)
         << file << ": records must carry the scenario content hash";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Digest compatibility with the frozen golden format
-
-TEST(ScenarioDigest, MatchesFrozenGoldenDigestOnTheGoldenGrid) {
-  for (const auto& sc : golden::scenarios()) {
-    const auto tasks = golden::scenario_taskset(sc);
-    const auto platform = golden::platform_of(sc.platform);
-    for (std::size_t si = 0; si < core::all_solutions().size(); ++si) {
-      util::Rng rng(sc.seed * 1000 + si);
-      const auto res =
-          core::solve(core::all_solutions()[si], tasks, platform, {}, rng);
-      EXPECT_EQ(scenario::solve_digest(res), golden::solve_digest(res));
-    }
   }
 }
 
@@ -499,6 +502,32 @@ TEST(ScenarioReport, UnknownFieldInAValidReportIsSurfacedNotRejected) {
   // Without a notes sink the field is silently skipped, still no throw.
   std::istringstream in2(text);
   EXPECT_NO_THROW((void)scenario::read_scenario_report(in2));
+}
+
+TEST(ScenarioReport, CountsAtOrAbove2To53AreRejectedByName) {
+  scenario::ScenarioReport r;
+  r.corpus = "c";
+  scenario::ScenarioRecord rec;
+  rec.name = "a";
+  rec.simulated = true;
+  rec.trace_events = (std::uint64_t{1} << 53) - 1;
+  r.records.push_back(rec);
+  std::istringstream ok(serialized(r));
+  EXPECT_EQ(scenario::read_scenario_report(ok).records[0].trace_events,
+            rec.trace_events);
+  for (const std::uint64_t n : {std::uint64_t{1} << 53,
+                                (std::uint64_t{1} << 53) + 1}) {
+    r.records[0].trace_events = n;
+    std::istringstream in(serialized(r));
+    try {
+      (void)scenario::read_scenario_report(in);
+      ADD_FAILURE() << "trace_events " << n << " was accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("'trace_events'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(ScenarioReport, MergeRejectsOverlappingShardsAndForeignCorpora) {

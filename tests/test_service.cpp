@@ -224,6 +224,18 @@ TEST(CrashSpec, ParseAndErrors) {
   EXPECT_THROW(parse_crash_spec("mid-snapshot:x"), util::Error);
 }
 
+TEST(CrashSpec, CountIsAStrictUnsignedInteger) {
+  // " -5" used to wrap to 2^64 - 5, so the crash never fired.
+  for (const char* n : {" -5", "-5", "+3", " 3", "3 ", "", "0x10", "1e3"})
+    EXPECT_THROW(parse_crash_spec(std::string("after-append:") + n),
+                 util::Error)
+        << "'" << n << "'";
+  EXPECT_EQ(parse_crash_spec("after-append:18446744073709551615").at,
+            18446744073709551615ull);
+  EXPECT_THROW(parse_crash_spec("after-append:18446744073709551616"),
+               util::Error);
+}
+
 // ---------------------------------------------------------------------------
 // Shed policies.
 

@@ -131,6 +131,106 @@ TEST(TelemetryText, MetricsSampleRoundTripIsExact) {
 }
 
 // ---------------------------------------------------------------------------
+// Strict record readers: every single-byte mutation of a serialized payload
+// must either throw util::Error or read back as exactly the mutated bytes.
+// The one tolerated difference is a mutation that leaves the number it
+// touches with leading zeros ("15" -> "05" or "20800" -> "-0800" read back
+// as "5" and "-800").
+
+/// True when `back` is `mutated` minus the leading zeros of the number
+/// that position `i` belongs to (or, for a '-', starts).
+bool only_leading_zeros(const std::string& mutated, std::size_t i,
+                        const std::string& back) {
+  const auto digit = [&](std::size_t k) {
+    return k < mutated.size() && mutated[k] >= '0' && mutated[k] <= '9';
+  };
+  std::size_t start = mutated[i] == '-' ? i + 1 : i;
+  while (start > 0 && digit(start - 1)) --start;
+  if (!digit(start) || mutated[start] != '0' || !digit(start + 1))
+    return false;
+  std::size_t end = start;
+  while (digit(end + 1) && mutated[end] == '0') ++end;
+  return mutated.substr(0, start) + mutated.substr(end) == back;
+}
+
+template <class Parse, class Serialize>
+void expect_every_mutation_rejected(const std::string& payload, Parse parse,
+                                    Serialize serialize) {
+  ASSERT_EQ(serialize(parse(payload)), payload);
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    for (int b = 0; b < 256; ++b) {
+      std::string mutated = payload;
+      mutated[i] = static_cast<char>(b);
+      if (mutated == payload) continue;
+      std::string back;
+      try {
+        back = serialize(parse(mutated));
+      } catch (const util::Error&) {
+        continue;
+      }
+      ++accepted;
+      if (back != mutated && !only_leading_zeros(mutated, i, back))
+        ADD_FAILURE() << "byte " << i << " -> " << b << " read as\n  "
+                      << back << "\nfrom\n  " << mutated;
+    }
+  // Digit-for-digit substitutions and the like must still be accepted.
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(RecordMutation, JournalRecordsSamplesAndSpansAreStrict) {
+  JournalRecord r;
+  r.seq = 1234;
+  r.attempt = 2;
+  r.kind = RequestKind::kResize;
+  r.outcome = Outcome::kResizeRejected;
+  r.vm = -17;
+  r.tasks = 12;
+  r.events = 305;
+  r.cost_ns = 20800;
+  r.latency_ns = 1500300;
+  r.dbf_evals = 41;
+  r.budget_evals = 9;
+  r.admission_tests = 100;
+  expect_every_mutation_rejected(
+      serialize(r), parse_journal_record,
+      [](const JournalRecord& x) { return serialize(x); });
+
+  MetricsSample m;
+  m.index = 4;
+  m.served = 500;
+  m.vt_ns = 123456789;
+  m.queue_depth = 3;
+  m.est_ns_per_task = -4242;
+  m.arrivals = 480;
+  m.rejected = 300;
+  m.commits = 77;
+  m.dbf_evals = 1000;
+  for (double x : {21.5, 0.0, 3.25, 1e6}) m.lat_admitted.add(x);
+  m.lat_rejected.add(20.1);
+  m.lat_rejected.add(33.0);
+  expect_every_mutation_rejected(
+      serialize(m), parse_metrics_sample,
+      [](const MetricsSample& x) { return serialize(x); });
+
+  obs::RequestSpan sp;
+  sp.seq = 77;
+  sp.attempt = 1;
+  sp.kind = "admit";
+  sp.outcome = "deferred";
+  sp.vm = 3;
+  sp.queued_ns = 1000;
+  sp.dequeued_ns = 2500;
+  sp.solved_ns = 23300;
+  sp.cost_ns = 20800;
+  sp.latency_ns = -30;
+  sp.wall_ns = 98765;
+  expect_every_mutation_rejected(
+      obs::serialize(sp), obs::parse_request_span,
+      [](const obs::RequestSpan& x) { return obs::serialize(x); });
+}
+
+// ---------------------------------------------------------------------------
 // The timeline artifact.
 
 TEST(Timeline, WriteScanHeaderAndCadence) {

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <vector>
 
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/log_histogram.h"
+#include "util/parse.h"
 #include "util/phase_profiler.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -424,6 +427,96 @@ TEST(Table, RespectsPrecision) {
   t.print(os);
   EXPECT_NE(os.str().find("3.1"), std::string::npos);
   EXPECT_EQ(os.str().find("3.14"), std::string::npos);
+}
+
+// --------------------------------------------------------------- parse ----
+
+TEST(Parse, StrictScalarGrammarTable) {
+  // Token -> the value each form reads, or nullopt for a rejection.
+  using U = std::optional<std::uint64_t>;
+  using I = std::optional<std::int64_t>;
+  using D = std::optional<double>;
+  struct Row {
+    const char* token;
+    U u64;
+    I i64;
+    D dbl;
+  };
+  const Row rows[] = {
+      {"0", 0, 0, 0.0},
+      {"42", 42, 42, 42.0},
+      {"007", 7, 7, 7.0},
+      {"-5", {}, -5, -5.0},
+      {"-0", {}, {}, -0.0},
+      {"", {}, {}, {}},
+      {"-", {}, {}, {}},
+      {"+3", {}, {}, {}},
+      {" 3", {}, {}, {}},
+      {"3 ", {}, {}, {}},
+      {"\t3", {}, {}, {}},
+      {"0x10", {}, {}, {}},
+      {"1e3", {}, {}, 1000.0},
+      {"2.5", {}, {}, 2.5},
+      {".5", {}, {}, 0.5},
+      {"5x", {}, {}, {}},
+      {"nan", {}, {}, {}},
+      {"inf", {}, {}, {}},
+      {"-inf", {}, {}, {}},
+      {"1e400", {}, {}, {}},
+      {"18446744073709551615", UINT64_MAX, {}, 18446744073709551615.0},
+      {"18446744073709551616", {}, {}, 18446744073709551616.0},
+      {"9223372036854775807", 9223372036854775807ull, INT64_MAX,
+       9223372036854775807.0},
+      {"9223372036854775808", 9223372036854775808ull, {},
+       9223372036854775808.0},
+      {"-9223372036854775808", {}, INT64_MIN, -9223372036854775808.0},
+      {"-9223372036854775809", {}, {}, -9223372036854775809.0},
+  };
+  for (const Row& r : rows) {
+    EXPECT_EQ(try_u64(r.token), r.u64) << "'" << r.token << "'";
+    EXPECT_EQ(try_i64(r.token), r.i64) << "'" << r.token << "'";
+    EXPECT_EQ(try_double(r.token), r.dbl) << "'" << r.token << "'";
+    if (r.u64)
+      EXPECT_EQ(parse_u64(r.token, "t"), *r.u64);
+    else
+      EXPECT_THROW(parse_u64(r.token, "t"), Error) << "'" << r.token << "'";
+    if (r.i64)
+      EXPECT_EQ(parse_i64(r.token, "t"), *r.i64);
+    else
+      EXPECT_THROW(parse_i64(r.token, "t"), Error) << "'" << r.token << "'";
+    if (r.dbl)
+      EXPECT_EQ(parse_double(r.token, "t"), *r.dbl);
+    else
+      EXPECT_THROW(parse_double(r.token, "t"), Error) << "'" << r.token << "'";
+  }
+
+  // A ranged integer: its bounds are in, one past either bound is out.
+  EXPECT_EQ(try_int<int>("1", 1, 8), 1);
+  EXPECT_EQ(try_int<int>("8", 1, 8), 8);
+  EXPECT_EQ(try_int<int>("0", 1, 8), std::nullopt);
+  EXPECT_EQ(try_int<int>("9", 1, 8), std::nullopt);
+  EXPECT_EQ(try_int<int>("2147483647"), INT32_MAX);
+  EXPECT_EQ(try_int<int>("2147483648"), std::nullopt);
+  EXPECT_EQ(try_int<unsigned>("4294967296"), std::nullopt);
+  EXPECT_EQ(try_int<unsigned>("-1"), std::nullopt);
+  EXPECT_THROW(parse_int<int>("9", "t", 1, 8), Error);
+
+  // hex16 is the exact inverse of util::hex16: 16 lowercase digits.
+  for (const std::uint64_t v : {std::uint64_t{0}, std::uint64_t{0xdeadbeef},
+                                UINT64_MAX})
+    EXPECT_EQ(parse_hex16(hex16(v), "t"), v);
+  for (const char* bad : {"", "deadbeef", "00000000DEADBEEF",
+                          "000000000000000g", "0x00000000000000",
+                          "00000000000000000"})
+    EXPECT_EQ(try_hex16(bad), std::nullopt) << bad;
+
+  // The error names its source and quotes the token.
+  try {
+    parse_u64("12x", "crash spec");
+    FAIL() << "expected throw";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()), "crash spec: bad number '12x'");
+  }
 }
 
 // --------------------------------------------------------------- error ----

@@ -126,15 +126,11 @@
 // from the profile's slowdown vectors scaled to the given reference WCET.
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -164,6 +160,7 @@
 #include "model/platform.h"
 #include "util/error.h"
 #include "util/file.h"
+#include "util/parse.h"
 #include "util/phase_profiler.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -288,10 +285,9 @@ struct Args {
   std::exit(code);
 }
 
-/// Strict numeric flag parsing. The predecessors of these helpers were bare
-/// std::stoi/std::stod calls: `--vms x` aborted with an uncaught
-/// std::invalid_argument, and `--util 1.5x` silently parsed the prefix. A
-/// flag value must now consume the whole token or the process prints
+/// Strict numeric flag parsing (util/parse.h): a flag value must be exactly
+/// one number of the flag's type — no sign on an unsigned, no '+', no
+/// spaces, no trailing bytes, in range — or the process prints
 /// "<flag>: bad value '<token>'" and exits 2 (the usage exit code).
 [[noreturn]] void bad_value(const std::string& flag, const std::string& s,
                             const std::string& why = "") {
@@ -301,41 +297,23 @@ struct Args {
 }
 
 std::int64_t i64_flag(const std::string& flag, const std::string& s) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (s.empty() || end != s.c_str() + s.size() || errno != 0)
-    bad_value(flag, s);
-  return v;
+  if (const auto v = util::try_i64(s)) return *v;
+  bad_value(flag, s);
 }
 
 int int_flag(const std::string& flag, const std::string& s) {
-  const std::int64_t v = i64_flag(flag, s);
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max())
-    bad_value(flag, s);
-  return static_cast<int>(v);
+  if (const auto v = util::try_int<int>(s)) return *v;
+  bad_value(flag, s);
 }
 
 std::uint64_t u64_flag(const std::string& flag, const std::string& s) {
-  // strtoull accepts "-1" (wrapping it); reject any sign explicitly.
-  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
-    bad_value(flag, s);
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (end != s.c_str() + s.size() || errno != 0) bad_value(flag, s);
-  return v;
+  if (const auto v = util::try_u64(s)) return *v;
+  bad_value(flag, s);
 }
 
 double double_flag(const std::string& flag, const std::string& s) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size() || errno != 0 ||
-      !std::isfinite(v))
-    bad_value(flag, s);
-  return v;
+  if (const auto v = util::try_double(s)) return *v;
+  bad_value(flag, s);
 }
 
 Args parse(int argc, char** argv) {
@@ -401,23 +379,17 @@ Args parse(int argc, char** argv) {
 /// Parse a perfdiff threshold: "10%" means 10 percent, a bare number is a
 /// fraction ("0.1" == "10%").
 double regress_of(const std::string& s) {
-  std::string num = s;
+  std::string_view num = s;
   double scale = 1.0;
-  if (!num.empty() && num.back() == '%') {
-    num.pop_back();
+  if (num.ends_with('%')) {
+    num.remove_suffix(1);
     scale = 0.01;
   }
-  std::size_t used = 0;
-  double v = 0;
-  try {
-    v = std::stod(num, &used);
-  } catch (const std::exception&) {
-    used = 0;
-  }
-  if (num.empty() || used != num.size() || v < 0)
+  const auto v = util::try_double(num);
+  if (!v || *v < 0)
     throw util::Error("--max-regress: bad threshold '" + s +
                       "' (want e.g. 10% or 0.1)");
-  return v * scale;
+  return *v * scale;
 }
 
 model::PlatformSpec platform_of(const std::string& name) {
@@ -827,25 +799,16 @@ int cmd_perfdiff(const Args& a) {
 /// Parse "--shard i/m" into (index, count); (0, 1) when unset.
 std::pair<int, int> shard_of(const std::string& s) {
   if (s.empty()) return {0, 1};
-  const auto slash = s.find('/');
-  bool ok = slash != std::string::npos;
-  long index = -1, count = 0;
-  if (ok) {
-    const std::string is = s.substr(0, slash), ms = s.substr(slash + 1);
-    char* end = nullptr;
-    errno = 0;
-    index = std::strtol(is.c_str(), &end, 10);
-    ok = !is.empty() && end == is.c_str() + is.size() && errno == 0;
-    if (ok) {
-      errno = 0;
-      count = std::strtol(ms.c_str(), &end, 10);
-      ok = !ms.empty() && end == ms.c_str() + ms.size() && errno == 0;
-    }
-  }
-  if (!ok || count < 1 || index < 0 || index >= count)
+  const std::string_view sv = s;
+  const auto slash = sv.find('/');
+  const auto index = util::try_int<int>(sv.substr(0, slash), 0);
+  const auto count = slash == std::string_view::npos
+                         ? std::nullopt
+                         : util::try_int<int>(sv.substr(slash + 1), 1);
+  if (!index || !count || *index >= *count)
     throw util::Error("--shard: want INDEX/COUNT with 0 <= INDEX < COUNT, "
                       "got '" + s + "'");
-  return {static_cast<int>(index), static_cast<int>(count)};
+  return {*index, *count};
 }
 
 /// SIGINT/SIGTERM land here; the service and scenario runner poll the flag
