@@ -239,21 +239,24 @@ serve_smoke() {
   cmp "$work/ij1.bin" "$work/ij3.bin" \
     || { echo "timeline differs between --inner-jobs 1 and 3"; return 1; }
 
-  echo "--- strict flags: malformed numeric values must exit 2 ---"
+  echo "--- strict flags: malformed values must exit 2 with no output ---"
   local bad rc flag value
   # --inner-jobs must be >= 0; a seed of 2^53 or more would not survive
-  # the report's JSON number.
+  # the report's JSON number; a trace spec may not hold an empty item.
   for bad in "--seed 12x" "--util nan" "--vms 1e3" "--jobs 2.5" \
              "--snapshot-every -1" "--deadline-us 5ms" "--backoff-us abc" \
              "--max-retries two" "--queue-cap 0x10" "--inner-jobs -1" \
-             "--seed 9007199254740992" "--vms +5"; do
+             "--seed 9007199254740992" "--vms +5" \
+             "--trace poisson:requests=5,"; do
     flag="${bad% *}" value="${bad#* }"
     rc=0
     "$vc2m" serve --trace "$trace" "$flag" "$value" \
-      > /dev/null 2> "$work/flag-err.txt" || rc=$?
-    if [ "$rc" -ne 2 ] || ! grep -q "bad value" "$work/flag-err.txt"; then
-      echo "flag '$flag $value': expected rc 2 + 'bad value', got rc $rc:"
-      cat "$work/flag-err.txt"
+      > "$work/flag-out.txt" 2> "$work/flag-err.txt" || rc=$?
+    if [ "$rc" -ne 2 ] || [ -s "$work/flag-out.txt" ] \
+        || ! grep -q "bad value" "$work/flag-err.txt"; then
+      echo "flag '$flag $value': expected rc 2 + 'bad value' and no output," \
+           "got rc $rc:"
+      cat "$work/flag-out.txt" "$work/flag-err.txt"
       return 1
     fi
   done
@@ -306,25 +309,58 @@ telemetry_smoke() {
   "$vc2m" timeline "$work/t.bin" --diff "$work/t_j2.bin" > /dev/null \
     || { echo "timeline differs at --inner-jobs 2"; return 1; }
 
-  echo "--- crash + --recover reproduces the timeline ---"
+  echo "--- crash + --recover reproduces the timeline at every crash point ---"
+  local crash rc
+  for crash in before-append:300 after-append:300 mid-snapshot:2; do
+    rm -f "$work/c.wal" "$work/c.wal.snap" "$work/c.wal.spans" "$work/c.bin"
+    rc=0
+    ASAN_OPTIONS=abort_on_error=1 "$vc2m" serve "${args[@]}" \
+      --journal "$work/c.wal" --timeline "$work/c.bin" --sample-every 50 \
+      --crash-at "$crash" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 137 ]; then
+      echo "telemetry crash run $crash: expected rc 137, got $rc"; return 1
+    fi
+    [ -s "$work/c.wal.spans" ] \
+      || { echo "$crash left no span-ring dump next to the journal"
+           return 1; }
+    "$vc2m" serve "${args[@]}" --journal "$work/c.wal" \
+      --timeline "$work/c.bin" --sample-every 50 --recover \
+      --json "$work/crec.json" > /dev/null 2>&1 \
+      || { echo "telemetry recovery after $crash failed"; return 1; }
+    cmp "$work/c.bin" "$work/t.bin" \
+      || { echo "recovered timeline after $crash differs from the" \
+                "uninterrupted run"; return 1; }
+    cmp "$work/crec.json" "$work/plain.json" \
+      || { echo "recovered report after $crash differs from baseline"
+           return 1; }
+  done
+
+  echo "--- recover with the timeline deleted: warn, no index gap ---"
+  # The snapshot folds samples the deleted file held; recovery cannot
+  # reproduce them, so it must say so and write no samples, not a file
+  # that starts mid-stream.
   rm -f "$work/c.wal" "$work/c.wal.snap" "$work/c.wal.spans" "$work/c.bin"
-  local rc=0
-  ASAN_OPTIONS=abort_on_error=1 "$vc2m" serve "${args[@]}" \
-    --journal "$work/c.wal" --timeline "$work/c.bin" --sample-every 50 \
+  rc=0
+  "$vc2m" serve "${args[@]}" --journal "$work/c.wal" \
+    --timeline "$work/c.bin" --sample-every 50 \
     --crash-at after-append:300 > /dev/null 2>&1 || rc=$?
-  if [ "$rc" -ne 137 ]; then
-    echo "telemetry crash run: expected rc 137, got $rc"; return 1
+  [ "$rc" -eq 137 ] || { echo "deleted-timeline crash run: rc $rc"; return 1; }
+  rm -f "$work/c.bin"
+  "$vc2m" serve "${args[@]}" --journal "$work/c.wal" \
+    --timeline "$work/c.bin" --sample-every 50 --recover \
+    > /dev/null 2> "$work/gap-err.txt" \
+    || { echo "recovery with the timeline deleted failed:"
+         cat "$work/gap-err.txt"; return 1; }
+  grep -q "cannot be reproduced" "$work/gap-err.txt" \
+    || { echo "no can't-reproduce warning for a deleted timeline"
+         cat "$work/gap-err.txt"; return 1; }
+  if [ -e "$work/c.bin" ]; then
+    "$vc2m" timeline "$work/c.bin" > /dev/null 2> "$work/gap-read.txt" || true
+    if grep -q "has index" "$work/gap-read.txt"; then
+      echo "recovery wrote a timeline with an index gap:"
+      cat "$work/gap-read.txt"; return 1
+    fi
   fi
-  [ -s "$work/c.wal.spans" ] \
-    || { echo "crash left no span-ring dump next to the journal"; return 1; }
-  "$vc2m" serve "${args[@]}" --journal "$work/c.wal" --timeline "$work/c.bin" \
-    --sample-every 50 --recover --json "$work/crec.json" > /dev/null 2>&1 \
-    || { echo "telemetry recovery failed"; return 1; }
-  cmp "$work/c.bin" "$work/t.bin" \
-    || { echo "recovered timeline differs from the uninterrupted run"
-         return 1; }
-  cmp "$work/crec.json" "$work/plain.json" \
-    || { echo "recovered report differs from baseline"; return 1; }
 
   echo "--- SIGUSR1 renders a stats snapshot mid-run ---"
   # A trace far longer than the probe needs, so the run is still live when
@@ -474,7 +510,7 @@ for san in "${sanitizers[@]}"; do
   if [ "$san" = thread ]; then
     build_args=(--target test_parallel test_faults test_scenario test_service
                 test_telemetry test_golden test_workload test_analysis)
-    ctest_args+=(-R '^(ThreadPool|ParallelExperiment|ExperimentResultGuards|FaultValidatorParallel|ScenarioMatrix|TraceGen|Journal|CrashSpec|ShedPolicy|Service|ServeReport|Timeline|TelemetryText|SpanRing|Spans|StatsSnapshot|SurfaceTable|AnalysisContextMemo)')
+    ctest_args+=(-R '^(ThreadPool|ParallelExperiment|ExperimentResultGuards|FaultValidatorParallel|ScenarioMatrix|TraceGen|Journal|CrashSpec|ShedPolicy|Decider|Service|ServeReport|Timeline|TelemetryText|SpanRing|Spans|StatsSnapshot|SurfaceTable|AnalysisContextMemo)')
   fi
   echo "=== ${san}: configure (${dir}/) ==="
   cmake -B "$dir" -S . -DVC2M_SANITIZE="$san" >/dev/null

@@ -2,28 +2,25 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
 
-#include <chrono>
-#include <iostream>
-
-#include "core/admission.h"
 #include "core/strategy.h"
 #include "obs/decision_log.h"
-#include "obs/request_span.h"
 #include "scenario/digest.h"
 #include "service/journal.h"
 #include "service/telemetry.h"
 #include "util/error.h"
 #include "util/instrument.h"
-#include "util/log_histogram.h"
+#include "util/names.h"
 #include "util/parse.h"
 #include "util/record.h"
 #include "util/thread_pool.h"
@@ -32,12 +29,58 @@ namespace vc2m::service {
 
 namespace {
 
-bool request_kind_from_string(const std::string& s, RequestKind& out) {
-  if (s == "admit") out = RequestKind::kAdmit;
-  else if (s == "remove") out = RequestKind::kRemove;
-  else if (s == "resize") out = RequestKind::kResize;
-  else return false;
-  return true;
+/// Stable names (reports, the config digest), indexed by ShedPolicy.
+constexpr const char* kShedPolicyNames[] = {"reject-newest", "reject-largest",
+                                            "criticality"};
+
+/// Everything the service knows about an outcome, indexed by its value.
+struct OutcomeRow {
+  const char* name;                    ///< journal and span spelling
+  std::uint64_t Stats::*counter;       ///< the counter it bumps
+  std::uint64_t ServeReport::*total;   ///< the report total it lands in
+  util::LogHistogram State::*latency;  ///< the latency class it feeds
+  bool mutates;     ///< changes the admitted state: a commit
+  bool terminal;    ///< ends the request (a deferral retries)
+  bool solved;      ///< the full solver ran: feeds the EWMA cost estimate
+  bool downgraded;  ///< reachable only past a downgrade to the probe
+};
+
+constexpr OutcomeRow kOutcomes[] = {
+    {"admitted", &Stats::admitted, &ServeReport::admitted, &State::lat_admitted,
+     true, true, true, false},
+    {"rejected", &Stats::rejected, &ServeReport::rejected, &State::lat_rejected,
+     false, true, true, false},
+    {"probe_rejected", &Stats::probe_rejected, &ServeReport::probe_rejected,
+     &State::lat_rejected, false, true, false, true},
+    {"deferred", &Stats::deferred, &ServeReport::deferred, &State::lat_deferred,
+     false, false, false, true},
+    {"timed_out", &Stats::timed_out, &ServeReport::timed_out,
+     &State::lat_rejected, false, true, false, true},
+    {"shed", &Stats::shed, &ServeReport::shed, &State::lat_shed, false, true,
+     false, false},
+    {"removed", &Stats::removed, &ServeReport::removed, &State::lat_admitted,
+     true, true, false, false},
+    {"not_present", &Stats::not_present, &ServeReport::not_present,
+     &State::lat_rejected, false, true, false, false},
+    {"resized", &Stats::resized, &ServeReport::resized, &State::lat_admitted,
+     true, true, true, false},
+    {"resize_rejected", &Stats::resize_rejected, &ServeReport::resize_rejected,
+     &State::lat_rejected, false, true, true, false},
+};
+static_assert(std::size(kOutcomes) ==
+              static_cast<std::size_t>(Outcome::kResizeRejected) + 1);
+
+const OutcomeRow& row_of(Outcome o) {
+  return kOutcomes[static_cast<std::size_t>(o)];
+}
+
+/// Decisions taken so far — one per journal record: every terminal outcome
+/// plus every deferral. The timeline sampler counts in this unit, and it
+/// restores with any snapshot.
+std::uint64_t decisions_of(const Stats& s) {
+  std::uint64_t d = 0;
+  for (const OutcomeRow& row : kOutcomes) d += s.*row.counter;
+  return d;
 }
 
 }  // namespace
@@ -46,51 +89,14 @@ bool request_kind_from_string(const std::string& s, RequestKind& out) {
 // Enum names (stable: they appear in journal records and reports).
 
 const char* to_string(ShedPolicy p) {
-  switch (p) {
-    case ShedPolicy::kRejectNewest: return "reject-newest";
-    case ShedPolicy::kRejectLargest: return "reject-largest";
-    case ShedPolicy::kCriticality: return "criticality";
-  }
-  return "?";
+  return util::enum_name(kShedPolicyNames, p);
 }
 
 bool shed_policy_from_string(const std::string& s, ShedPolicy& out) {
-  if (s == "reject-newest") out = ShedPolicy::kRejectNewest;
-  else if (s == "reject-largest") out = ShedPolicy::kRejectLargest;
-  else if (s == "criticality") out = ShedPolicy::kCriticality;
-  else return false;
-  return true;
+  return util::enum_from_name(kShedPolicyNames, s, out);
 }
 
-const char* to_string(Outcome o) {
-  switch (o) {
-    case Outcome::kAdmitted: return "admitted";
-    case Outcome::kRejected: return "rejected";
-    case Outcome::kProbeRejected: return "probe_rejected";
-    case Outcome::kDeferred: return "deferred";
-    case Outcome::kTimedOut: return "timed_out";
-    case Outcome::kShed: return "shed";
-    case Outcome::kRemoved: return "removed";
-    case Outcome::kNotPresent: return "not_present";
-    case Outcome::kResized: return "resized";
-    case Outcome::kResizeRejected: return "resize_rejected";
-  }
-  return "?";
-}
-
-bool outcome_from_string(const std::string& s, Outcome& out) {
-  static constexpr Outcome all[] = {
-      Outcome::kAdmitted,      Outcome::kRejected, Outcome::kProbeRejected,
-      Outcome::kDeferred,      Outcome::kTimedOut, Outcome::kShed,
-      Outcome::kRemoved,       Outcome::kNotPresent,
-      Outcome::kResized,       Outcome::kResizeRejected};
-  for (const Outcome o : all)
-    if (s == to_string(o)) {
-      out = o;
-      return true;
-    }
-  return false;
-}
+const char* to_string(Outcome o) { return util::enum_name(kOutcomes, o); }
 
 // ---------------------------------------------------------------------------
 // Journal records.
@@ -111,12 +117,12 @@ JournalRecord parse_journal_record(const std::string& payload) {
   JournalRecord r;
   r.seq = in.u64("seq");
   r.attempt = in.integer<unsigned>("attempt");
-  const std::string kind(in.value("kind"));
-  if (!request_kind_from_string(kind, r.kind))
-    in.fail("unknown kind '" + kind + "'");
-  const std::string outcome(in.value("outcome"));
-  if (!outcome_from_string(outcome, r.outcome))
-    in.fail("unknown outcome '" + outcome + "'");
+  const std::string_view kind = in.value("kind");
+  if (!util::enum_from_name(kRequestKindNames, kind, r.kind))
+    in.fail("unknown kind '" + std::string(kind) + "'");
+  const std::string_view outcome = in.value("outcome");
+  if (!util::enum_from_name(kOutcomes, outcome, r.outcome))
+    in.fail("unknown outcome '" + std::string(outcome) + "'");
   r.vm = in.integer<int>("vm");
   r.tasks = in.u64("tasks");
   r.events = in.u64("events");
@@ -134,10 +140,8 @@ CrashSpec parse_crash_spec(const std::string& spec) {
                  "crash spec: want POINT:N, got '" << spec << "'");
   const std::string point = spec.substr(0, colon);
   CrashSpec out;
-  if (point == "before-append") out.point = CrashPoint::kBeforeAppend;
-  else if (point == "after-append") out.point = CrashPoint::kAfterAppend;
-  else if (point == "mid-snapshot") out.point = CrashPoint::kMidSnapshot;
-  else
+  if (!util::enum_from_name(kCrashPointNames, point, out.point) ||
+      out.point == CrashPoint::kNone)
     throw util::Error("crash spec: unknown point '" + point +
                       "' (before-append|after-append|mid-snapshot)");
   out.at = util::parse_u64(std::string_view(spec).substr(colon + 1),
@@ -192,68 +196,9 @@ std::size_t shed_victim(ShedPolicy policy, const std::vector<QueueEntry>& queue,
 }
 
 // ---------------------------------------------------------------------------
-// The service state machine.
+// The Decider.
 
 namespace {
-
-struct Stats {
-  std::uint64_t arrivals = 0, admitted = 0, rejected = 0, probe_rejected = 0,
-                removed = 0, resized = 0, resize_rejected = 0, not_present = 0,
-                deferred = 0, retries = 0, shed = 0, timed_out = 0,
-                downgrades = 0, queue_max_depth = 0, backpressure = 0,
-                decision_events = 0, decision_dropped = 0,
-                // Cumulative allocator effort, folded from the journal's
-                // per-record deltas on recovery so the metrics timeline is
-                // replay-stable even for decisions whose solver run is
-                // skipped.
-                dbf_evals = 0, budget_evals = 0, admission_tests = 0;
-};
-
-// Fixed serialization order of the stats counters in a snapshot.
-std::array<std::uint64_t*, 20> stat_fields(Stats& s) {
-  return {&s.arrivals,     &s.admitted,       &s.rejected,
-          &s.probe_rejected, &s.removed,      &s.resized,
-          &s.resize_rejected, &s.not_present, &s.deferred,
-          &s.retries,      &s.shed,           &s.timed_out,
-          &s.downgrades,   &s.queue_max_depth, &s.backpressure,
-          &s.decision_events, &s.decision_dropped,
-          &s.dbf_evals,    &s.budget_evals,   &s.admission_tests};
-}
-
-/// Decisions taken so far — one per journal record: every terminal outcome
-/// plus every deferral. The timeline sampler counts in this unit, and the
-/// sum is derivable from Stats so it restores with any snapshot.
-std::uint64_t decisions_of(const Stats& s) {
-  return s.admitted + s.rejected + s.probe_rejected + s.deferred +
-         s.timed_out + s.shed + s.removed + s.not_present + s.resized +
-         s.resize_rejected;
-}
-
-struct State {
-  core::AdmissionState adm;
-  std::vector<QueueEntry> queue;  ///< bounded FIFO
-  std::vector<QueueEntry> retry;  ///< min-heap by (ready_at, seq)
-  std::uint64_t trace_next = 0;
-  util::Time busy_until = util::Time::zero();
-  std::int64_t est_ns_per_task = 200'000;  ///< EWMA full-solve cost estimate
-  std::uint64_t commits = 0;
-  std::uint64_t ordinal = 0;  ///< snapshots successfully written
-  Stats stats;
-  /// Per-outcome-class latency histograms (µs): admitted ∪ removed ∪
-  /// resized, the rejection family, deferrals (arrival → defer decision),
-  /// and sheds. The serve report and the timeline sample all four.
-  util::LogHistogram lat_admitted, lat_rejected, lat_deferred, lat_shed;
-};
-
-bool retry_after(const QueueEntry& a, const QueueEntry& b) {
-  return a.ready_at > b.ready_at ||
-         (a.ready_at == b.ready_at && a.seq > b.seq);
-}
-
-bool mutating(Outcome o) {
-  return o == Outcome::kAdmitted || o == Outcome::kRemoved ||
-         o == Outcome::kResized;
-}
 
 bool vm_present(const core::AdmissionState& adm, int vm) {
   for (const auto& v : adm.vcpus)
@@ -291,6 +236,56 @@ std::int64_t solve_cost(const util::AllocCounters& c) {
          120 * static_cast<std::int64_t>(c.admission_tests);
 }
 
+/// The record fields an attempt takes from its request.
+JournalRecord request_record(const ServeRequest& req, const QueueEntry& e) {
+  JournalRecord rec;
+  rec.seq = e.seq;
+  rec.attempt = e.attempt;
+  rec.kind = req.kind;
+  rec.vm = req.vm;
+  return rec;
+}
+
+/// Admit or resize a present VM: the downgrade ladder, then the solver.
+void admit_or_resize(Decision& d, const State& st, const ServeRequest& req,
+                     const QueueEntry& entry, util::Time start,
+                     const ServiceConfig& cfg,
+                     const util::AllocCounterScope& counters) {
+  JournalRecord& rec = d.rec;
+  const model::Taskset tasks = materialize_taskset(req, cfg.platform.grid);
+  rec.tasks = tasks.size();
+  const auto n = static_cast<std::int64_t>(tasks.size());
+  if (cfg.deadline > util::Time::zero() &&
+      (start - entry.ready_at) + util::Time::ns(st.est_ns_per_task * n) >
+          cfg.deadline) {
+    // The full solve would bust the deadline: run the headroom probe.
+    rec.cost_ns =
+        4'000 + 200 * static_cast<std::int64_t>(st.adm.vcpus.size()) + 100 * n;
+    if (model::total_reference_utilization(tasks) >
+        headroom_upper_bound(st.adm, cfg.platform))
+      rec.outcome = Outcome::kProbeRejected;
+    else if (entry.attempt < cfg.max_retries)
+      rec.outcome = Outcome::kDeferred;
+    else
+      rec.outcome = Outcome::kTimedOut;
+    return;
+  }
+  util::Rng rng(mix_seed(cfg.seed, entry.seq, entry.attempt));
+  core::VmAllocConfig vmc = cfg.vm_cfg;
+  vmc.request_id = static_cast<std::int64_t>(entry.seq);
+  const bool admit = req.kind == RequestKind::kAdmit;
+  core::AdmitResult r =
+      admit ? core::admit_vm(st.adm, tasks, req.vm, cfg.platform, vmc, rng)
+            : core::resize_vm(st.adm, tasks, req.vm, cfg.platform, vmc, rng);
+  if (r.admitted) d.adm = std::move(r.state);
+  rec.outcome = admit ? (r.admitted ? Outcome::kAdmitted : Outcome::kRejected)
+                      : (r.admitted ? Outcome::kResized
+                                    : Outcome::kResizeRejected);
+  rec.cost_ns = solve_cost(counters.counters());
+}
+
+}  // namespace
+
 std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t seq,
                        unsigned attempt) {
   std::uint64_t h = seed ^ 0xCBF29CE484222325ull;
@@ -299,9 +294,52 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t seq,
   return h;
 }
 
+Decision decide(const State& st, const ServeRequest& req,
+                const QueueEntry& entry, util::Time start,
+                const ServiceConfig& cfg) {
+  Decision d{request_record(req, entry)};
+  util::AllocCounterScope counters;
+  obs::DecisionLog log;
+  {
+    obs::DecisionLogScope scope(log);
+    if (req.kind != RequestKind::kAdmit && !vm_present(st.adm, req.vm)) {
+      d.rec.outcome = Outcome::kNotPresent;
+      d.rec.cost_ns = 2'000;
+    } else if (req.kind == RequestKind::kRemove) {
+      d.adm = core::remove_vm(st.adm, req.vm);
+      d.rec.outcome = Outcome::kRemoved;
+      d.rec.cost_ns = 8'000 + 2'000 * static_cast<std::int64_t>(
+                                          st.adm.vcpus.size() -
+                                          d.adm->vcpus.size());
+    } else {
+      admit_or_resize(d, st, req, entry, start, cfg, counters);
+    }
+  }
+  d.rec.events = log.events().size();
+  d.dropped = log.dropped();
+  const util::AllocCounters ac = counters.counters();
+  d.rec.dbf_evals = ac.dbf_evaluations;
+  d.rec.budget_evals = ac.budget_evaluations;
+  d.rec.admission_tests = ac.admission_tests;
+  return d;
+}
+
 // ---------------------------------------------------------------------------
 // Snapshot serialization. Line-based text, FNV-checksummed; doubles as hex
 // bit patterns so restore is exact.
+
+namespace {
+
+// Fixed serialization order of the stats counters in a snapshot.
+std::array<std::uint64_t*, 20> stat_fields(Stats& s) {
+  return {&s.arrivals,     &s.admitted,       &s.rejected,
+          &s.probe_rejected, &s.removed,      &s.resized,
+          &s.resize_rejected, &s.not_present, &s.deferred,
+          &s.retries,      &s.shed,           &s.timed_out,
+          &s.downgrades,   &s.queue_max_depth, &s.backpressure,
+          &s.decision_events, &s.decision_dropped,
+          &s.dbf_evals,    &s.budget_evals,   &s.admission_tests};
+}
 
 std::string snapshot_text(State& st, const std::string& digest,
                           std::uint64_t journal_base,
@@ -481,606 +519,426 @@ bool load_snapshot(const std::string& path, const std::string& digest,
   }
 }
 
-}  // namespace
+// ---------------------------------------------------------------------------
+// Recovery: the snapshot, the journal scan, and the replay plan.
+
+/// Where the journal stands after recovery: the records left to replay
+/// and how the Committer opens the file.
+struct JournalPlan {
+  std::vector<JournalRecord> replay;  ///< records to fold or recompute
+  std::uint64_t base = 0;             ///< base of the on-disk journal
+  std::uint64_t records = 0;          ///< records in the on-disk journal
+  std::uint64_t valid_bytes = 0;      ///< append offset; 0 = start fresh
+};
+
+/// Restore `st` from the snapshot and plan the replay of the journal that
+/// continues it. Without --recover the run starts fresh, and a stale
+/// snapshot from an earlier run is deleted so that a later --recover
+/// cannot pair it with the new journal.
+JournalPlan recover(const ServiceConfig& cfg, const std::string& digest,
+                    State& st, std::vector<std::string>& warnings) {
+  const std::string snap_path = cfg.journal_path + ".snap";
+  JournalPlan plan;
+  if (!cfg.recover) {
+    std::remove(snap_path.c_str());
+    return plan;
+  }
+  std::uint64_t snap_jb = 0, snap_jr = 0;
+  const bool have_snap =
+      load_snapshot(snap_path, digest, st, snap_jb, snap_jr, warnings);
+  const JournalScan scan = scan_journal(cfg.journal_path);
+  bool use_journal = false;
+  std::size_t skip = 0;
+  if (!scan.exists) {
+    if (!have_snap)
+      warnings.push_back("recover: no journal or snapshot at '" +
+                         cfg.journal_path + "' — starting fresh");
+  } else if (!scan.header_ok) {
+    warnings.push_back("recover: journal '" + cfg.journal_path +
+                       "' has no valid header — ignoring it");
+  } else if (scan.config_digest != digest) {
+    warnings.push_back(
+        "recover: journal '" + cfg.journal_path +
+        "' was written by a different configuration — ignoring it");
+  } else if (scan.base == st.ordinal) {
+    use_journal = true;
+  } else if (have_snap && scan.base == snap_jb) {
+    // Crash landed between the snapshot rename and the journal rotation:
+    // the first snap_jr records are already folded into the snapshot.
+    use_journal = true;
+    skip = snap_jr;
+  } else {
+    warnings.push_back(
+        "recover: journal base " + std::to_string(scan.base) +
+        " matches neither snapshot ordinal " + std::to_string(st.ordinal) +
+        " nor its fold point — ignoring the journal");
+  }
+  if (use_journal && scan.torn)
+    warnings.push_back(
+        "recover: journal '" + cfg.journal_path +
+        "' has a torn tail — truncated to the last valid record (" +
+        std::to_string(scan.valid_bytes) + " bytes)");
+  if (use_journal && skip > scan.records.size()) {
+    warnings.push_back(
+        "recover: journal is shorter than the snapshot's fold point — "
+        "ignoring it");
+    use_journal = false;
+  }
+  plan.base = use_journal ? scan.base : st.ordinal;
+  if (!use_journal) return plan;
+  for (std::size_t i = skip; i < scan.records.size(); ++i)
+    plan.replay.push_back(parse_journal_record(scan.records[i]));
+  plan.records = scan.records.size();
+  plan.valid_bytes = scan.valid_bytes;
+  return plan;
+}
+
+/// Replay folds a non-mutating record as written — skipping the solver is
+/// the point of the journal — and sends a mutating one back through the
+/// Decider, since the journal carries no state deltas. The Committer
+/// checks the result against the record either way.
+Decision replay_or_decide(const JournalRecord* expected, const State& st,
+                          const ServeRequest& req, const QueueEntry& entry,
+                          util::Time start, const ServiceConfig& cfg) {
+  if (expected == nullptr || row_of(expected->outcome).mutates)
+    return decide(st, req, entry, start, cfg);
+  return Decision{*expected};
+}
 
 // ---------------------------------------------------------------------------
-// run_service
+// The Committer and its observers.
 
-ServiceResult run_service(const ServiceConfig& cfg_in) {
-  ServiceConfig cfg = cfg_in;
-  // Single-decision service path: existing-CSA admissions solve one
-  // min-budget surface at a time, so stripe them over a service-lifetime
-  // inner pool when the platform has spare hardware threads (verdicts and
-  // journal digests are bit-identical at any inner-jobs value; the digest
-  // does not cover vm_cfg). The other VCPU analyses never submit work to
-  // the pool, so they get none.
-  std::unique_ptr<util::ThreadPool> inner_pool;
-  if (cfg.vm_cfg.analysis != core::VcpuAnalysis::kExistingCsa) {
-    cfg.vm_cfg.inner_jobs = 1;
-  } else if (cfg.vm_cfg.inner_pool == nullptr && cfg.vm_cfg.inner_jobs != 1) {
-    const unsigned w = cfg.vm_cfg.inner_jobs == 0
-                           ? util::ThreadPool::hardware_workers()
-                           : static_cast<unsigned>(cfg.vm_cfg.inner_jobs);
-    if (w > 1) {
-      inner_pool = std::make_unique<util::ThreadPool>(w);
-      cfg.vm_cfg.inner_pool = inner_pool.get();
-      cfg.vm_cfg.inner_jobs = static_cast<int>(w);
-    } else {
-      cfg.vm_cfg.inner_jobs = 1;
-    }
-  }
-  ServiceResult result;
-  const auto trace = generate_trace(cfg.trace, cfg.seed);
-  // One span per decision: at least one per request. Sizing the vector
-  // once keeps its doubling copies out of the run's peak memory.
-  if (cfg.collect_spans) result.spans.reserve(trace.size());
-  const std::string digest = config_digest(cfg);
-  const bool journaling = !cfg.journal_path.empty();
-  const std::string snap_path =
-      journaling ? cfg.journal_path + ".snap" : std::string();
+/// Sees every decision once its journal record is durable (or verified,
+/// during replay) and the State reflects it. Shed, deferred and served
+/// decisions alike.
+class DecisionObserver {
+ public:
+  virtual void on_decision(const State& st, const obs::RequestSpan& span) = 0;
+  /// The run is about to die at a crash point, or stops on an interrupt.
+  virtual void on_abort() {}
+};
 
-  State st;
-  JournalWriter writer;
-  std::vector<JournalRecord> pending;  ///< journal records left to replay
-  std::size_t cursor = 0;
-  bool replaying = false;
-  std::uint64_t journal_base = 0;    ///< base of the on-disk journal
-  std::uint64_t journal_records = 0; ///< records in the on-disk journal
-  std::uint64_t journal_valid_bytes = 0;
-  std::uint64_t snapshot_writes = 0;  ///< crash-injection counter
+bool retry_after(const QueueEntry& a, const QueueEntry& b) {
+  return a.ready_at > b.ready_at ||
+         (a.ready_at == b.ready_at && a.seq > b.seq);
+}
 
-  if (journaling && cfg.recover) {
-    std::uint64_t snap_jb = 0, snap_jr = 0;
-    const bool have_snap = load_snapshot(snap_path, digest, st, snap_jb,
-                                         snap_jr, result.warnings);
-    const JournalScan scan = scan_journal(cfg.journal_path);
-    bool use_journal = false;
-    std::size_t skip = 0;
-    if (!scan.exists) {
-      if (!have_snap)
-        result.warnings.push_back("recover: no journal or snapshot at '" +
-                                  cfg.journal_path + "' — starting fresh");
-    } else if (!scan.header_ok) {
-      result.warnings.push_back("recover: journal '" + cfg.journal_path +
-                                "' has no valid header — ignoring it");
-    } else if (scan.config_digest != digest) {
-      result.warnings.push_back(
-          "recover: journal '" + cfg.journal_path +
-          "' was written by a different configuration — ignoring it");
-    } else if (scan.base == st.ordinal) {
-      use_journal = true;
-    } else if (have_snap && scan.base == snap_jb) {
-      // Crash landed between the snapshot rename and the journal rotation:
-      // the first snap_jr records are already folded into the snapshot.
-      use_journal = true;
-      skip = snap_jr;
-    } else {
-      result.warnings.push_back(
-          "recover: journal base " + std::to_string(scan.base) +
-          " matches neither snapshot ordinal " + std::to_string(st.ordinal) +
-          " nor its fold point — ignoring the journal");
-    }
-    if (use_journal && scan.torn)
-      result.warnings.push_back(
-          "recover: journal '" + cfg.journal_path +
-          "' has a torn tail — truncated to the last valid record (" +
-          std::to_string(scan.valid_bytes) + " bytes)");
-    if (use_journal && skip > scan.records.size()) {
-      result.warnings.push_back(
-          "recover: journal is shorter than the snapshot's fold point — "
-          "ignoring it");
-      use_journal = false;
-    }
-    if (use_journal) {
-      for (std::size_t i = skip; i < scan.records.size(); ++i)
-        pending.push_back(parse_journal_record(scan.records[i]));
-      journal_base = scan.base;
-      journal_records = scan.records.size();
-      journal_valid_bytes = scan.valid_bytes;
-      replaying = !pending.empty();
-      if (!replaying) writer.open_append(cfg.journal_path, scan.valid_bytes);
-    } else {
-      writer.open_fresh(cfg.journal_path, digest, st.ordinal);
-      journal_base = st.ordinal;
-      journal_records = 0;
-    }
-  } else if (journaling) {
-    // Fresh run: a stale snapshot from an earlier run must not be offered
-    // to a later --recover against the new journal.
-    std::remove(snap_path.c_str());
-    writer.open_fresh(cfg.journal_path, digest, 0);
+obs::RequestSpan span_of(const JournalRecord& rec, util::Time queued,
+                         util::Time dequeued, std::int64_t wall_ns) {
+  obs::RequestSpan span;
+  span.seq = rec.seq;
+  span.attempt = rec.attempt;
+  span.kind = to_string(rec.kind);
+  span.outcome = to_string(rec.outcome);
+  span.vm = rec.vm;
+  span.queued_ns = queued.raw_ns();
+  span.dequeued_ns = dequeued.raw_ns();
+  span.solved_ns = dequeued.raw_ns() + rec.cost_ns;
+  span.cost_ns = rec.cost_ns;
+  span.latency_ns = rec.latency_ns;
+  span.wall_ns = wall_ns;
+  return span;
+}
+
+class Committer {
+ public:
+  Committer(const ServiceConfig& cfg, std::string digest, JournalPlan plan,
+            std::vector<DecisionObserver*> observers)
+      : cfg_(cfg),
+        digest_(std::move(digest)),
+        plan_(std::move(plan)),
+        observers_(std::move(observers)) {
+    if (cfg_.journal_path.empty()) return;
+    if (plan_.valid_bytes == 0)
+      writer_.open_fresh(cfg_.journal_path, digest_, plan_.base);
+    else if (plan_.replay.empty())
+      writer_.open_append(cfg_.journal_path, plan_.valid_bytes);
   }
 
-  // -- telemetry --------------------------------------------------------
-  //
-  // The metrics timeline is sampled every `sample_every` decisions and
-  // framed like the journal. On --recover the replay regenerates the same
-  // sample stream; samples that survive on disk are byte-verified instead
-  // of rewritten, and appends resume past them — so a crash + --recover
-  // run reproduces the uninterrupted timeline bit for bit.
-
-  const bool timeline_on = !cfg.timeline_path.empty() && cfg.sample_every > 0;
-  JournalWriter tl_writer;
-  SpanRing ring(cfg.span_ring);
-  std::vector<std::string> tl_raw;        ///< surviving samples to verify
-  std::vector<std::uint64_t> tl_end;      ///< file offset after sample i
-  const std::string tl_header =
-      timeline_on ? timeline_header_payload(digest, cfg.sample_every)
-                  : std::string();
-  if (timeline_on) {
-    bool fresh = true;
-    if (cfg.recover) {
-      TimelineScan tls = scan_timeline(cfg.timeline_path);
-      for (const auto& w : tls.warnings)
-        result.warnings.push_back("recover: timeline '" + cfg.timeline_path +
-                                  "': " + w);
-      if (tls.exists && tls.header_ok && tls.config_digest == digest &&
-          tls.every == cfg.sample_every) {
-        if (tls.torn) {
-          result.warnings.push_back(
-              "recover: timeline '" + cfg.timeline_path +
-              "' has a torn tail — truncated to the last valid sample (" +
-              std::to_string(tls.valid_bytes) + " bytes)");
-          // Physically drop the torn bytes now: an uninterrupted run never
-          // has them, and the replay may not append anything past them.
-          tl_writer.open_append(cfg.timeline_path, tls.valid_bytes);
-        }
-        std::uint64_t off = 12 + tl_header.size();
-        tl_raw = std::move(tls.raw);
-        for (const auto& r : tl_raw) {
-          off += 12 + r.size();
-          tl_end.push_back(off);
-        }
-        fresh = false;
-      } else if (tls.exists) {
-        result.warnings.push_back(
-            "recover: timeline '" + cfg.timeline_path +
-            "' does not match this configuration — starting a fresh "
-            "timeline (earlier samples cannot be reproduced)");
-      }
-    }
-    if (fresh) tl_writer.open_with_header(cfg.timeline_path, tl_header);
+  /// The journal record the attempt must reproduce while replaying (it
+  /// must be the same attempt), or null once live.
+  const JournalRecord* replaying(const QueueEntry& entry,
+                                 RequestKind kind) const {
+    if (cursor_ == plan_.replay.size()) return nullptr;
+    const JournalRecord& exp = plan_.replay[cursor_];
+    VC2M_CHECK_MSG(exp.seq == entry.seq && exp.attempt == entry.attempt &&
+                       exp.kind == kind,
+                   "journal replay diverged: journal record "
+                       << cursor_ << " is seq=" << exp.seq
+                       << ", the request stream produced seq=" << entry.seq);
+    return &exp;
   }
 
-  auto dump_ring = [&]() {
-    if (journaling && cfg.span_ring > 0)
-      write_span_dump(cfg.journal_path + ".spans", ring);
-  };
-
-  /// Everything a sample or a stats snapshot shows, read off the live
-  /// state. Virtual-time quantities only — deterministic by construction.
-  auto build_sample = [&](std::int64_t vt_ns) {
-    MetricsSample ms;
-    ms.served = decisions_of(st.stats);
-    ms.vt_ns = vt_ns;
-    ms.queue_depth = st.queue.size();
-    ms.retry_depth = st.retry.size();
-    ms.est_ns_per_task = st.est_ns_per_task;
-    ms.arrivals = st.stats.arrivals;
-    ms.admitted = st.stats.admitted;
-    ms.rejected = st.stats.rejected;
-    ms.probe_rejected = st.stats.probe_rejected;
-    ms.deferred = st.stats.deferred;
-    ms.timed_out = st.stats.timed_out;
-    ms.shed = st.stats.shed;
-    ms.downgrades = st.stats.downgrades;
-    ms.backpressure = st.stats.backpressure;
-    ms.commits = st.commits;
-    ms.dbf_evals = st.stats.dbf_evals;
-    ms.budget_evals = st.stats.budget_evals;
-    ms.admission_tests = st.stats.admission_tests;
-    ms.lat_admitted = st.lat_admitted;
-    ms.lat_rejected = st.lat_rejected;
-    ms.lat_deferred = st.lat_deferred;
-    ms.lat_shed = st.lat_shed;
-    return ms;
-  };
-
-  auto take_sample = [&](std::int64_t vt_ns) {
-    const std::uint64_t d = decisions_of(st.stats);
-    MetricsSample ms = build_sample(vt_ns);
-    ms.index = d / cfg.sample_every - 1;
-    const std::string payload = serialize(ms);
-    // Recovery resumes from a snapshot, so the first regenerated sample can
-    // land mid-file: match by sample index, not file position. Samples
-    // before the resume point are trusted as-is — the scan already proved
-    // them checksummed, index-sequential, and written under this config
-    // digest, and every counter is cumulative so none of them feeds the
-    // regenerated tail.
-    const auto idx = static_cast<std::size_t>(ms.index);
-    if (idx < tl_raw.size()) {
-      if (payload == tl_raw[idx]) return;  // already durable; nothing to write
-      result.warnings.push_back(
-          "recover: timeline sample " + std::to_string(ms.index) +
-          " diverges from the recorded run — rewriting from that sample");
-      const std::uint64_t keep =
-          idx == 0 ? 12 + tl_header.size() : tl_end[idx - 1];
-      tl_writer.open_append(cfg.timeline_path, keep);
-      tl_raw.resize(idx);
-      tl_end.resize(idx);
-      tl_writer.append(payload);
-      return;
+  /// Apply `d` — an attempt of `req` queued at `queued` and taken up at
+  /// `dequeued` — to the state, journal it, notify the observers, then
+  /// count the commit toward the snapshot cadence.
+  void commit(State& st, Decision d, const ServeRequest& req,
+              util::Time queued, util::Time dequeued, std::int64_t wall_ns) {
+    JournalRecord& rec = d.rec;
+    const OutcomeRow& row = row_of(rec.outcome);
+    const util::Time solved = dequeued + util::Time::ns(rec.cost_ns);
+    const std::int64_t waited = (solved - req.at).raw_ns();
+    ++(st.stats.*row.counter);
+    (st.*row.latency).add(static_cast<double>(waited) / 1000.0);
+    rec.latency_ns = row.terminal ? waited : 0;
+    if (!row.terminal) {
+      st.retry.push_back({rec.seq, rec.attempt + 1,
+                          solved + cfg_.backoff *
+                                       (std::int64_t{1} << rec.attempt)});
+      std::push_heap(st.retry.begin(), st.retry.end(), retry_after);
     }
-    if (!tl_writer.is_open())
-      tl_writer.open_append(cfg.timeline_path,
-                            tl_end.empty() ? 12 + tl_header.size()
-                                           : tl_end.back());
-    tl_writer.append(payload);
-  };
-
-  // -- helpers bound to the local state --------------------------------
-
-  auto update_est = [&](std::int64_t cost_ns, std::uint64_t tasks) {
-    const std::int64_t per =
-        cost_ns / std::max<std::int64_t>(1, static_cast<std::int64_t>(tasks));
-    st.est_ns_per_task =
-        std::max<std::int64_t>(1, (3 * st.est_ns_per_task + per) / 4);
-  };
-
-  auto bump_outcome = [&](Outcome o) {
-    switch (o) {
-      case Outcome::kAdmitted: ++st.stats.admitted; break;
-      case Outcome::kRejected: ++st.stats.rejected; break;
-      case Outcome::kProbeRejected: ++st.stats.probe_rejected; break;
-      case Outcome::kTimedOut: ++st.stats.timed_out; break;
-      case Outcome::kShed: ++st.stats.shed; break;
-      case Outcome::kRemoved: ++st.stats.removed; break;
-      case Outcome::kNotPresent: ++st.stats.not_present; break;
-      case Outcome::kResized: ++st.stats.resized; break;
-      case Outcome::kResizeRejected: ++st.stats.resize_rejected; break;
-      case Outcome::kDeferred: break;  // non-terminal, counted separately
+    if (row.downgraded) ++st.stats.downgrades;
+    if (row.solved) {
+      const std::int64_t per =
+          rec.cost_ns /
+          std::max<std::int64_t>(1, static_cast<std::int64_t>(rec.tasks));
+      st.est_ns_per_task =
+          std::max<std::int64_t>(1, (3 * st.est_ns_per_task + per) / 4);
     }
-  };
+    if (d.adm) st.adm = std::move(*d.adm);
+    st.stats.decision_events += rec.events;
+    st.stats.decision_dropped += d.dropped;
+    st.stats.dbf_evals += rec.dbf_evals;
+    st.stats.budget_evals += rec.budget_evals;
+    st.stats.admission_tests += rec.admission_tests;
 
-  auto write_snapshot_and_rotate = [&]() {
-    ++snapshot_writes;
+    const bool appended = journal(rec);
+    const obs::RequestSpan span = span_of(rec, queued, dequeued, wall_ns);
+    for (DecisionObserver* o : observers_) o->on_decision(st, span);
+    if (appended && cfg_.crash.point == CrashPoint::kAfterAppend &&
+        rec.seq == cfg_.crash.at)
+      crash();
+    if (!row.mutates) return;
+    ++st.commits;
+    // The writer is open exactly when the run journals live.
+    if (writer_.is_open() && cfg_.snapshot_every &&
+        st.commits % cfg_.snapshot_every == 0)
+      snapshot_and_rotate(st);
+  }
+
+  void notify_abort() {
+    for (DecisionObserver* o : observers_) o->on_abort();
+  }
+
+ private:
+  /// Verify (replay) or append (live) the record; true once appended.
+  /// Replay turns live when its cursor reaches the end of the journal.
+  bool journal(const JournalRecord& rec) {
+    if (cfg_.journal_path.empty()) return false;
+    if (cursor_ < plan_.replay.size()) {
+      const JournalRecord& exp = plan_.replay[cursor_];
+      VC2M_CHECK_MSG(exp.seq == rec.seq && exp.attempt == rec.attempt &&
+                         exp.kind == rec.kind && exp.outcome == rec.outcome &&
+                         exp.cost_ns == rec.cost_ns,
+                     "journal replay diverged at record "
+                         << cursor_ << ": journal says seq=" << exp.seq
+                         << " outcome=" << to_string(exp.outcome)
+                         << ", recomputation says seq=" << rec.seq
+                         << " outcome=" << to_string(rec.outcome));
+      if (++cursor_ == plan_.replay.size())
+        writer_.open_append(cfg_.journal_path, plan_.valid_bytes);
+      return false;
+    }
+    // Dies before any observer sees this decision: its record never
+    // becomes durable, and the span ring must match the journal tail.
+    if (cfg_.crash.point == CrashPoint::kBeforeAppend &&
+        rec.seq == cfg_.crash.at)
+      crash();
+    writer_.append(serialize(rec));
+    ++plan_.records;
+    return true;
+  }
+
+  void snapshot_and_rotate(State& st) {
+    ++snapshot_writes_;
     ++st.ordinal;
+    const std::string snap_path = cfg_.journal_path + ".snap";
     const std::string body =
-        snapshot_text(st, digest, journal_base, journal_records);
+        snapshot_text(st, digest_, plan_.base, plan_.records);
     const std::string text =
         body + "fnv=" + scenario::text_digest(body) + "\n";
     const std::string tmp = snap_path + ".tmp";
-    if (cfg.crash.point == CrashPoint::kMidSnapshot &&
-        snapshot_writes == cfg.crash.at) {
+    if (cfg_.crash.point == CrashPoint::kMidSnapshot &&
+        snapshot_writes_ == cfg_.crash.at) {
       write_file_durable(tmp, text.substr(0, text.size() / 2));
-      dump_ring();
-      std::_Exit(137);
+      crash();
     }
     write_file_durable(tmp, text);
     if (std::rename(tmp.c_str(), snap_path.c_str()) != 0)
       throw util::Error("cannot rename snapshot '" + tmp + "' to '" +
                         snap_path + "': " + std::strerror(errno));
-    writer.open_fresh(cfg.journal_path, digest, st.ordinal);
-    journal_base = st.ordinal;
-    journal_records = 0;
-  };
+    writer_.open_fresh(cfg_.journal_path, digest_, st.ordinal);
+    plan_.base = st.ordinal;
+    plan_.records = 0;
+  }
 
-  /// The per-outcome-class latency histogram a terminal outcome feeds.
-  auto hist_for = [&](Outcome o) -> util::LogHistogram& {
-    switch (o) {
-      case Outcome::kAdmitted:
-      case Outcome::kRemoved:
-      case Outcome::kResized:
-        return st.lat_admitted;
-      case Outcome::kShed:
-        return st.lat_shed;
-      case Outcome::kDeferred:
-        return st.lat_deferred;
-      default:
-        return st.lat_rejected;
+  [[noreturn]] void crash() {
+    notify_abort();
+    std::_Exit(137);
+  }
+
+  const ServiceConfig& cfg_;
+  const std::string digest_;
+  JournalPlan plan_;
+  std::vector<DecisionObserver*> observers_;
+  JournalWriter writer_;
+  std::size_t cursor_ = 0;               ///< next record replay checks
+  std::uint64_t snapshot_writes_ = 0;    ///< crash-injection counter
+};
+
+/// Everything a sample or a stats snapshot shows, read off the state at
+/// virtual time `vt_ns`. Virtual-time quantities only — deterministic by
+/// construction.
+MetricsSample sample_of(const State& st, std::int64_t vt_ns) {
+  MetricsSample ms;
+  ms.served = decisions_of(st.stats);
+  ms.vt_ns = vt_ns;
+  ms.queue_depth = st.queue.size();
+  ms.retry_depth = st.retry.size();
+  ms.est_ns_per_task = st.est_ns_per_task;
+  ms.arrivals = st.stats.arrivals;
+  ms.admitted = st.stats.admitted;
+  ms.rejected = st.stats.rejected;
+  ms.probe_rejected = st.stats.probe_rejected;
+  ms.deferred = st.stats.deferred;
+  ms.timed_out = st.stats.timed_out;
+  ms.shed = st.stats.shed;
+  ms.downgrades = st.stats.downgrades;
+  ms.backpressure = st.stats.backpressure;
+  ms.commits = st.commits;
+  ms.dbf_evals = st.stats.dbf_evals;
+  ms.budget_evals = st.stats.budget_evals;
+  ms.admission_tests = st.stats.admission_tests;
+  ms.lat_admitted = st.lat_admitted;
+  ms.lat_rejected = st.lat_rejected;
+  ms.lat_deferred = st.lat_deferred;
+  ms.lat_shed = st.lat_shed;
+  return ms;
+}
+
+/// The post-mortem span ring, dumped to <journal>.spans when the run
+/// crashes or is interrupted, and every span when collect_spans is set.
+class SpanRecorder final : public DecisionObserver {
+ public:
+  SpanRecorder(const ServiceConfig& cfg, std::vector<obs::RequestSpan>* all)
+      : ring_(cfg.span_ring), all_(all) {
+    if (!cfg.journal_path.empty() && cfg.span_ring > 0)
+      dump_path_ = cfg.journal_path + ".spans";
+  }
+  void on_decision(const State&, const obs::RequestSpan& span) override {
+    ring_.push(span);
+    if (all_) all_->push_back(span);
+  }
+  void on_abort() override {
+    if (!dump_path_.empty()) write_span_dump(dump_path_, ring_);
+  }
+
+ private:
+  SpanRing ring_;
+  std::vector<obs::RequestSpan>* all_;
+  std::string dump_path_;
+};
+
+/// The metrics timeline: a sample every `sample_every` decisions. It is a
+/// function of the decision stream, so --recover regenerates it: samples
+/// 0..k0-1, k0 = restored decisions / sample_every, describe decisions
+/// the snapshot already folds and are kept; replay and the live run
+/// rewrite every later one.
+class TimelineSampler final : public DecisionObserver {
+ public:
+  TimelineSampler(const ServiceConfig& cfg, const std::string& digest,
+                  std::uint64_t restored, std::vector<std::string>& warnings)
+      : every_(cfg.sample_every) {
+    const std::string& path = cfg.timeline_path;
+    if (path.empty() || every_ == 0) return;
+    const std::string header = timeline_header_payload(digest, every_);
+    if (!cfg.recover) {
+      writer_.open_with_header(path, header);
+      return;
     }
-  };
-
-  /// The single choke point every decision passes through: verify (replay)
-  /// or append (live) the record — flipping to live mode when the replay
-  /// cursor reaches the end of the journal — then run the telemetry tail:
-  /// fold the record's allocator-effort deltas, push the request span
-  /// (only once the record is durable, so the ring always mirrors the
-  /// journal tail), take a timeline sample on cadence, and render stats
-  /// snapshots on cadence or SIGUSR1. Callers bump the outcome counters
-  /// before calling, so decisions_of already counts this record.
-  auto commit_record = [&](const JournalRecord& rec, util::Time queued,
-                           util::Time dequeued, std::int64_t wall_ns) {
-    st.stats.dbf_evals += rec.dbf_evals;
-    st.stats.budget_evals += rec.budget_evals;
-    st.stats.admission_tests += rec.admission_tests;
-
-    bool appended = false;
-    if (journaling) {
-      if (replaying) {
-        const JournalRecord& exp = pending[cursor];
-        VC2M_CHECK_MSG(exp.seq == rec.seq && exp.attempt == rec.attempt &&
-                           exp.kind == rec.kind &&
-                           exp.outcome == rec.outcome &&
-                           exp.cost_ns == rec.cost_ns,
-                       "journal replay diverged at record "
-                           << cursor << ": journal says seq=" << exp.seq
-                           << " outcome=" << to_string(exp.outcome)
-                           << ", recomputation says seq=" << rec.seq
-                           << " outcome=" << to_string(rec.outcome));
-        ++cursor;
-        if (cursor == pending.size()) {
-          writer.open_append(cfg.journal_path, journal_valid_bytes);
-          replaying = false;
-        }
-      } else {
-        if (cfg.crash.point == CrashPoint::kBeforeAppend &&
-            rec.seq == cfg.crash.at) {
-          // The current span is deliberately not in the dump: its record
-          // never became durable, and the ring must match the journal tail.
-          dump_ring();
-          std::_Exit(137);
-        }
-        writer.append(serialize(rec));
-        ++journal_records;
-        appended = true;
-      }
-    }
-
-    obs::RequestSpan span;
-    span.seq = rec.seq;
-    span.attempt = rec.attempt;
-    span.kind = to_string(rec.kind);
-    span.outcome = to_string(rec.outcome);
-    span.vm = rec.vm;
-    span.queued_ns = queued.raw_ns();
-    span.dequeued_ns = dequeued.raw_ns();
-    span.solved_ns = dequeued.raw_ns() + rec.cost_ns;
-    span.cost_ns = rec.cost_ns;
-    span.latency_ns = rec.latency_ns;
-    span.wall_ns = wall_ns;
-    ring.push(span);
-    if (cfg.collect_spans) result.spans.push_back(span);
-
-    if (appended && cfg.crash.point == CrashPoint::kAfterAppend &&
-        rec.seq == cfg.crash.at) {
-      dump_ring();
-      std::_Exit(137);
-    }
-
-    const std::uint64_t d = decisions_of(st.stats);
-    if (timeline_on && d % cfg.sample_every == 0) take_sample(span.solved_ns);
-    const bool poked =
-        cfg.stats_signal != nullptr &&
-        cfg.stats_signal->exchange(false, std::memory_order_relaxed);
-    if (poked || (cfg.stats_every && d % cfg.stats_every == 0))
-      (cfg.stats_out ? *cfg.stats_out : std::cerr)
-          << render_stats_snapshot(build_sample(span.solved_ns))
-          << std::flush;
-  };
-
-  auto push_retry = [&](QueueEntry e) {
-    st.retry.push_back(e);
-    std::push_heap(st.retry.begin(), st.retry.end(), retry_after);
-  };
-
-  auto enqueue = [&](QueueEntry e, bool is_retry) {
-    if (is_retry) ++st.stats.retries;
-    else ++st.stats.arrivals;
-    if (st.queue.size() >= cfg.queue_cap) {
-      const std::size_t v = shed_victim(cfg.shed, st.queue, e, trace);
-      const QueueEntry victim = v == st.queue.size() ? e : st.queue[v];
-      JournalRecord rec;
-      rec.seq = victim.seq;
-      rec.attempt = victim.attempt;
-      rec.kind = trace[victim.seq].kind;
-      rec.outcome = Outcome::kShed;
-      rec.vm = trace[victim.seq].vm;
-      rec.latency_ns = (e.ready_at - trace[victim.seq].at).raw_ns();
-      st.lat_shed.add(static_cast<double>(rec.latency_ns) / 1000.0);
-      bump_outcome(Outcome::kShed);
-      // Shed spans never reach the server: queued at the victim's ready
-      // time, cut at the moment the overflowing arrival displaced it.
-      commit_record(rec, victim.ready_at, e.ready_at, /*wall_ns=*/0);
-      if (v != st.queue.size()) {
-        st.queue.erase(st.queue.begin() + static_cast<std::ptrdiff_t>(v));
-        st.queue.push_back(e);
-      }
+    const std::uint64_t k0 = restored / every_;
+    const TimelineScan tls = scan_timeline(path);
+    const bool ours = tls.header_ok && tls.config_digest == digest &&
+                      tls.every == every_;
+    if (ours && tls.raw.size() >= k0) {
+      // Frames are a 12-byte length+checksum prefix and the payload.
+      std::uint64_t keep = 12 + header.size();
+      for (std::uint64_t i = 0; i < k0; ++i) keep += 12 + tls.raw[i].size();
+      writer_.open_append(path, keep);
+    } else if (k0 == 0) {
+      if (tls.exists)
+        warnings.push_back("recover: timeline '" + path +
+                           "' does not match this configuration — starting "
+                           "a fresh timeline");
+      writer_.open_with_header(path, header);
     } else {
-      st.queue.push_back(e);
-    }
-    if (st.queue.size() * 4 >= cfg.queue_cap * 3) ++st.stats.backpressure;
-    st.stats.queue_max_depth =
-        std::max<std::uint64_t>(st.stats.queue_max_depth, st.queue.size());
-  };
-
-  auto serve = [&](const QueueEntry& entry) {
-    const auto wall_start = std::chrono::steady_clock::now();
-    const ServeRequest& req = trace[entry.seq];
-    const util::Time ts = util::max(st.busy_until, entry.ready_at);
-    JournalRecord rec;
-    rec.seq = entry.seq;
-    rec.attempt = entry.attempt;
-    rec.kind = req.kind;
-    rec.vm = req.vm;
-
-    const JournalRecord* peek =
-        replaying && cursor < pending.size() ? &pending[cursor] : nullptr;
-    if (peek)
-      VC2M_CHECK_MSG(peek->seq == entry.seq && peek->attempt == entry.attempt &&
-                         peek->kind == req.kind,
-                     "journal replay diverged: journal record "
-                         << cursor << " is seq=" << peek->seq
-                         << ", the request stream produced seq=" << entry.seq);
-    // During replay, decisions that did not change the admitted state are
-    // folded straight from the journal — the whole point of the journal is
-    // that recovery skips re-running the solver for them. State-mutating
-    // decisions are recomputed (the journal carries no state deltas) and
-    // verified against the record.
-    if (peek && !mutating(peek->outcome)) {
-      rec.outcome = peek->outcome;
-      rec.cost_ns = peek->cost_ns;
-      rec.tasks = peek->tasks;
-      rec.events = peek->events;
-      rec.dbf_evals = peek->dbf_evals;
-      rec.budget_evals = peek->budget_evals;
-      rec.admission_tests = peek->admission_tests;
-      st.stats.decision_events += rec.events;
-      if (rec.outcome == Outcome::kRejected ||
-          rec.outcome == Outcome::kResizeRejected)
-        update_est(rec.cost_ns, rec.tasks);
-      if (rec.outcome == Outcome::kProbeRejected ||
-          rec.outcome == Outcome::kDeferred ||
-          rec.outcome == Outcome::kTimedOut)
-        ++st.stats.downgrades;  // these outcomes only exist past a downgrade
-    } else {
-      util::AllocCounterScope counters;
-      obs::DecisionLog local;
-      {
-        obs::DecisionLogScope scope(local);
-        if (req.kind == RequestKind::kRemove) {
-          if (!vm_present(st.adm, req.vm)) {
-            rec.outcome = Outcome::kNotPresent;
-            rec.cost_ns = 2'000;
-          } else {
-            const std::size_t before = st.adm.vcpus.size();
-            st.adm = core::remove_vm(st.adm, req.vm);
-            rec.outcome = Outcome::kRemoved;
-            rec.cost_ns =
-                8'000 + 2'000 * static_cast<std::int64_t>(
-                                    before - st.adm.vcpus.size());
-          }
-        } else if (req.kind == RequestKind::kResize &&
-                   !vm_present(st.adm, req.vm)) {
-          rec.outcome = Outcome::kNotPresent;
-          rec.cost_ns = 2'000;
-        } else {
-          const model::Taskset tasks =
-              materialize_taskset(req, cfg.platform.grid);
-          rec.tasks = tasks.size();
-          bool downgrade = false;
-          if (cfg.deadline > util::Time::zero()) {
-            const util::Time projected =
-                (ts - entry.ready_at) +
-                util::Time::ns(st.est_ns_per_task *
-                               static_cast<std::int64_t>(tasks.size()));
-            downgrade = projected > cfg.deadline;
-          }
-          if (downgrade) {
-            ++st.stats.downgrades;
-            rec.cost_ns =
-                4'000 +
-                200 * static_cast<std::int64_t>(st.adm.vcpus.size()) +
-                100 * static_cast<std::int64_t>(tasks.size());
-            const double demand = model::total_reference_utilization(tasks);
-            if (demand > headroom_upper_bound(st.adm, cfg.platform))
-              rec.outcome = Outcome::kProbeRejected;
-            else if (entry.attempt < cfg.max_retries)
-              rec.outcome = Outcome::kDeferred;
-            else
-              rec.outcome = Outcome::kTimedOut;
-          } else {
-            util::Rng rng(mix_seed(cfg.seed, entry.seq, entry.attempt));
-            core::VmAllocConfig vmc = cfg.vm_cfg;
-            vmc.request_id = static_cast<std::int64_t>(entry.seq);
-            core::AdmitResult r =
-                req.kind == RequestKind::kAdmit
-                    ? core::admit_vm(st.adm, tasks, req.vm, cfg.platform,
-                                     vmc, rng)
-                    : core::resize_vm(st.adm, tasks, req.vm, cfg.platform,
-                                      vmc, rng);
-            if (r.admitted) {
-              st.adm = std::move(r.state);
-              rec.outcome = req.kind == RequestKind::kAdmit
-                                ? Outcome::kAdmitted
-                                : Outcome::kResized;
-            } else {
-              rec.outcome = req.kind == RequestKind::kAdmit
-                                ? Outcome::kRejected
-                                : Outcome::kResizeRejected;
-            }
-            rec.cost_ns = solve_cost(counters.counters());
-            update_est(rec.cost_ns, rec.tasks);
-          }
-        }
-      }
-      rec.events = local.events().size();
-      st.stats.decision_events += rec.events;
-      st.stats.decision_dropped += local.dropped();
-      const util::AllocCounters ac = counters.counters();
-      rec.dbf_evals = ac.dbf_evaluations;
-      rec.budget_evals = ac.budget_evaluations;
-      rec.admission_tests = ac.admission_tests;
-    }
-
-    st.busy_until = ts + util::Time::ns(rec.cost_ns);
-    if (rec.outcome == Outcome::kDeferred) {
-      ++st.stats.deferred;
-      // A deferral's wait so far (arrival → defer decision) is observable
-      // latency too; rec.latency_ns stays 0 because the attempt is not
-      // terminal.
-      st.lat_deferred.add(
-          static_cast<double>((st.busy_until - req.at).raw_ns()) / 1000.0);
-      push_retry({entry.seq, entry.attempt + 1,
-                  st.busy_until + cfg.backoff * (std::int64_t{1}
-                                                 << entry.attempt)});
-    } else {
-      rec.latency_ns = (st.busy_until - req.at).raw_ns();
-      hist_for(rec.outcome).add(static_cast<double>(rec.latency_ns) / 1000.0);
-      bump_outcome(rec.outcome);
-    }
-    const std::int64_t wall_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - wall_start)
-            .count();
-    commit_record(rec, entry.ready_at, ts, wall_ns);
-    if (mutating(rec.outcome)) {
-      ++st.commits;
-      if (!replaying && journaling && cfg.snapshot_every &&
-          st.commits % cfg.snapshot_every == 0)
-        write_snapshot_and_rotate();
-    }
-  };
-
-  // -- the event loop --------------------------------------------------
-
-  std::uint64_t served = 0;
-  bool interrupted = false;
-  while (true) {
-    if ((cfg.cancel && cfg.cancel->load(std::memory_order_relaxed)) ||
-        (cfg.stop_after && served >= cfg.stop_after)) {
-      interrupted = true;
-      break;
-    }
-    const util::Time ta = st.trace_next < trace.size()
-                              ? trace[st.trace_next].at
-                              : util::Time::max();
-    const util::Time tr =
-        st.retry.empty() ? util::Time::max() : st.retry.front().ready_at;
-    const util::Time tnext = util::min(ta, tr);
-    auto enqueue_next = [&]() {
-      if (ta <= tr) {  // arrival wins ties
-        const ServeRequest& r = trace[st.trace_next];
-        ++st.trace_next;
-        enqueue({r.seq, 0, r.at}, /*is_retry=*/false);
-      } else {
-        std::pop_heap(st.retry.begin(), st.retry.end(), retry_after);
-        const QueueEntry e = st.retry.back();
-        st.retry.pop_back();
-        enqueue(e, /*is_retry=*/true);
-      }
-    };
-    if (!st.queue.empty()) {
-      const util::Time ts = util::max(st.busy_until, st.queue.front().ready_at);
-      if (tnext != util::Time::max() && tnext <= ts) {
-        enqueue_next();
-      } else {
-        const QueueEntry entry = st.queue.front();
-        st.queue.erase(st.queue.begin());
-        serve(entry);
-        ++served;
-      }
-    } else {
-      if (tnext == util::Time::max()) break;
-      enqueue_next();
+      warnings.push_back(
+          "recover: timeline '" + path + "' cannot be reproduced: the " +
+          "snapshot resumes at sample " + std::to_string(k0) +
+          " but the file holds " + std::to_string(ours ? tls.raw.size() : 0) +
+          " matching samples — leaving it untouched, no samples this run");
     }
   }
-  if (interrupted) dump_ring();
-  writer.close();
-  tl_writer.close();
+  void on_decision(const State& st, const obs::RequestSpan& span) override {
+    if (!writer_.is_open()) return;
+    const std::uint64_t d = decisions_of(st.stats);
+    if (d % every_ != 0) return;
+    MetricsSample ms = sample_of(st, span.solved_ns);
+    ms.index = d / every_ - 1;
+    writer_.append(serialize(ms));
+  }
 
-  // -- report ----------------------------------------------------------
+ private:
+  std::uint64_t every_;
+  JournalWriter writer_;
+};
 
+/// --stats-every cadence and SIGUSR1 stats snapshots.
+class StatsRenderer final : public DecisionObserver {
+ public:
+  explicit StatsRenderer(const ServiceConfig& cfg) : cfg_(cfg) {}
+  void on_decision(const State& st, const obs::RequestSpan& span) override {
+    const bool poked =
+        cfg_.stats_signal != nullptr &&
+        cfg_.stats_signal->exchange(false, std::memory_order_relaxed);
+    if (poked ||
+        (cfg_.stats_every && decisions_of(st.stats) % cfg_.stats_every == 0))
+      (cfg_.stats_out ? *cfg_.stats_out : std::cerr)
+          << render_stats_snapshot(sample_of(st, span.solved_ns))
+          << std::flush;
+  }
+
+ private:
+  const ServiceConfig& cfg_;
+};
+
+// ---------------------------------------------------------------------------
+// Composition.
+
+/// Single-decision service path: existing-CSA admissions solve one
+/// min-budget surface at a time, so stripe them over a service-lifetime
+/// inner pool when the platform has spare hardware threads (verdicts and
+/// journal digests are bit-identical at any inner-jobs value; the digest
+/// does not cover vm_cfg). The other VCPU analyses never submit work to
+/// the pool, so they get none.
+std::unique_ptr<util::ThreadPool> attach_inner_pool(core::VmAllocConfig& vm) {
+  if (vm.analysis != core::VcpuAnalysis::kExistingCsa) vm.inner_jobs = 1;
+  if (vm.inner_pool != nullptr || vm.inner_jobs == 1) return nullptr;
+  const unsigned w = vm.inner_jobs == 0
+                         ? util::ThreadPool::hardware_workers()
+                         : static_cast<unsigned>(vm.inner_jobs);
+  if (w <= 1) {
+    vm.inner_jobs = 1;
+    return nullptr;
+  }
+  auto pool = std::make_unique<util::ThreadPool>(w);
+  vm.inner_pool = pool.get();
+  vm.inner_jobs = static_cast<int>(w);
+  return pool;
+}
+
+ServeReport report_of(const ServiceConfig& cfg, std::uint64_t requests,
+                      const State& st, bool interrupted) {
   ServeReport rep;
   rep.git_rev = obs::build_git_rev();
   rep.trace =
@@ -1093,26 +951,17 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
   rep.max_retries = cfg.max_retries;
   rep.backoff_us = cfg.backoff.raw_ns() / 1000;
   rep.snapshot_every = cfg.snapshot_every;
-  rep.requests = trace.size();
+  rep.requests = requests;
   const Stats& s = st.stats;
+  for (const OutcomeRow& row : kOutcomes) rep.*row.total = s.*row.counter;
   rep.arrivals = s.arrivals;
-  rep.admitted = s.admitted;
-  rep.rejected = s.rejected;
-  rep.probe_rejected = s.probe_rejected;
-  rep.removed = s.removed;
-  rep.resized = s.resized;
-  rep.resize_rejected = s.resize_rejected;
-  rep.not_present = s.not_present;
-  rep.deferred = s.deferred;
   rep.retries = s.retries;
-  rep.shed = s.shed;
-  rep.timed_out = s.timed_out;
   rep.downgrades = s.downgrades;
   rep.commits = st.commits;
   // Snapshot count is derived from the commit count, not from how many
   // writes this process performed: a recovered run restores mid-stream and
   // must still report what the uninterrupted run would have.
-  rep.snapshots = journaling && cfg.snapshot_every
+  rep.snapshots = !cfg.journal_path.empty() && cfg.snapshot_every
                       ? st.commits / cfg.snapshot_every
                       : 0;
   rep.queue_max_depth = s.queue_max_depth;
@@ -1138,7 +987,107 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
   sr.mapping = st.adm.mapping;
   rep.digest = scenario::solve_digest(sr);
   rep.interrupted = interrupted;
-  result.report = std::move(rep);
+  return rep;
+}
+
+}  // namespace
+
+ServiceResult run_service(const ServiceConfig& cfg_in) {
+  ServiceConfig cfg = cfg_in;
+  const auto inner_pool = attach_inner_pool(cfg.vm_cfg);
+  ServiceResult result;
+  const auto trace = generate_trace(cfg.trace, cfg.seed);
+  // One span per decision: at least one per request. Sizing the vector
+  // once keeps its doubling copies out of the run's peak memory.
+  if (cfg.collect_spans) result.spans.reserve(trace.size());
+  const std::string digest = config_digest(cfg);
+
+  State st;
+  JournalPlan plan;
+  if (!cfg.journal_path.empty())
+    plan = recover(cfg, digest, st, result.warnings);
+  SpanRecorder spans(cfg, cfg.collect_spans ? &result.spans : nullptr);
+  TimelineSampler timeline(cfg, digest, decisions_of(st.stats),
+                           result.warnings);
+  StatsRenderer stats(cfg);
+  Committer committer(cfg, digest, std::move(plan),
+                      {&spans, &timeline, &stats});
+
+  auto enqueue = [&](QueueEntry e, bool is_retry) {
+    ++(is_retry ? st.stats.retries : st.stats.arrivals);
+    if (st.queue.size() >= cfg.queue_cap) {
+      const std::size_t v = shed_victim(cfg.shed, st.queue, e, trace);
+      const QueueEntry victim = v == st.queue.size() ? e : st.queue[v];
+      const ServeRequest& req = trace[victim.seq];
+      Decision d{request_record(req, victim)};
+      d.rec.outcome = Outcome::kShed;
+      // Shed spans never reach the server: queued at the victim's ready
+      // time, cut at the moment the overflowing arrival displaced it.
+      committer.commit(st, std::move(d), req, victim.ready_at, e.ready_at,
+                       /*wall_ns=*/0);
+      if (v != st.queue.size()) {
+        st.queue.erase(st.queue.begin() + static_cast<std::ptrdiff_t>(v));
+        st.queue.push_back(e);
+      }
+    } else {
+      st.queue.push_back(e);
+    }
+    if (st.queue.size() * 4 >= cfg.queue_cap * 3) ++st.stats.backpressure;
+    st.stats.queue_max_depth =
+        std::max<std::uint64_t>(st.stats.queue_max_depth, st.queue.size());
+  };
+
+  auto serve = [&](const QueueEntry& entry) {
+    const auto wall_start = std::chrono::steady_clock::now();
+    const ServeRequest& req = trace[entry.seq];
+    const util::Time ts = util::max(st.busy_until, entry.ready_at);
+    Decision d = replay_or_decide(committer.replaying(entry, req.kind), st,
+                                  req, entry, ts, cfg);
+    st.busy_until = ts + util::Time::ns(d.rec.cost_ns);
+    const std::int64_t wall_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - wall_start)
+            .count();
+    committer.commit(st, std::move(d), req, entry.ready_at, ts, wall_ns);
+  };
+
+  // The event loop: serve the queue head unless an arrival or a retry
+  // lands first (arrivals win ties with retries).
+  std::uint64_t served = 0;
+  bool interrupted = false;
+  while (true) {
+    if ((cfg.cancel && cfg.cancel->load(std::memory_order_relaxed)) ||
+        (cfg.stop_after && served >= cfg.stop_after)) {
+      interrupted = true;
+      break;
+    }
+    const util::Time never = util::Time::max();
+    const util::Time ta =
+        st.trace_next < trace.size() ? trace[st.trace_next].at : never;
+    const util::Time tr =
+        st.retry.empty() ? never : st.retry.front().ready_at;
+    const util::Time tnext = util::min(ta, tr);
+    if (!st.queue.empty() &&
+        (tnext == never ||
+         tnext > util::max(st.busy_until, st.queue.front().ready_at))) {
+      const QueueEntry entry = st.queue.front();
+      st.queue.erase(st.queue.begin());
+      serve(entry);
+      ++served;
+    } else if (tnext == never) {
+      break;
+    } else if (ta <= tr) {
+      const ServeRequest& r = trace[st.trace_next++];
+      enqueue({r.seq, 0, r.at}, /*is_retry=*/false);
+    } else {
+      std::pop_heap(st.retry.begin(), st.retry.end(), retry_after);
+      const QueueEntry e = st.retry.back();
+      st.retry.pop_back();
+      enqueue(e, /*is_retry=*/true);
+    }
+  }
+  if (interrupted) committer.notify_abort();
+  result.report = report_of(cfg, trace.size(), st, interrupted);
   result.interrupted = interrupted;
   return result;
 }

@@ -4,51 +4,43 @@
 // through a single-server virtual-time queue: requests arrive at their
 // trace timestamps, wait in a bounded FIFO, and are processed one at a
 // time; the virtual cost of each decision is a deterministic function of
-// how hard the allocator worked (AllocCounters deltas), so end-to-end
-// latencies, queue depths, and every counter in the report are exact
-// replayable quantities — a run is a pure function of (trace, seed,
-// config), byte-identical on every machine and after every recovery.
+// how hard the allocator worked (AllocCounters deltas), so a run is a pure
+// function of (trace, seed, config), byte-identical on every machine and
+// after every recovery.
 //
-// Three robustness mechanisms interlock:
+// run_service composes three stages over one State (docs/service.md):
 //
-//  - Transactions. admit/resize go through the purely functional
-//    core::admit_vm / core::resize_vm: a rejected request leaves the
-//    running system untouched by construction, and the per-request
-//    decision log records why either way.
+//  - Recovery (--recover) loads the snapshot and scans the journal; replay
+//    folds non-mutating records as written and recomputes mutating ones
+//    through the Decider. Torn journal tails are truncated back to the
+//    last valid record with a warning, never a crash.
+//  - The Decider, `decide`, is pure: (state, request, start time, config)
+//    → Decision. Under deadline pressure it downgrades the full solver
+//    (the transactional core::admit_vm / resize_vm) to a sound headroom
+//    probe that rejects, defers, or times the request out.
+//  - The Committer applies a Decision to the State, appends its record to
+//    the fsync'd write-ahead journal (service/journal.h), fires the crash
+//    points, notifies the observers (span ring, metrics timeline, live
+//    stats) once the record is durable, and every `snapshot_every`
+//    commits writes <journal>.snap and rotates the journal.
 //
-//  - Crash safety. With --journal, every terminal decision is appended to
-//    a checksummed write-ahead journal (service/journal.h) and fsync'd
-//    before the service proceeds; every `snapshot_every` commits the full
-//    service state is written to <journal>.snap (atomic tmp+rename) and
-//    the journal rotates. Recovery (--recover) loads the snapshot, replays
-//    the journal — recomputing only the state-mutating decisions and
-//    folding the rest from the records — and continues live, reproducing
-//    the uninterrupted run bit for bit. Torn or truncated journal tails
-//    are truncated back to the last valid record with a warning, never a
-//    crash.
-//
-//  - Overload shedding. A per-request deadline budget downgrades the full
-//    solver to a cheap, sound headroom probe when the EWMA cost estimate
-//    no longer fits (probe rejections are real rejections; probe passes
-//    defer the request with exponential backoff until the retry budget
-//    runs out). When the bounded queue overflows, a shed policy picks a
-//    victim deterministically: reject-newest drops the incoming request,
-//    reject-largest the heaviest queued admit/resize, criticality-aware
-//    the heaviest best-effort entry (removes are never shed — they free
-//    capacity).
+// A full queue sheds a victim chosen by the ShedPolicy.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "core/admission.h"
 #include "core/vm_alloc.h"
 #include "model/platform.h"
 #include "obs/request_span.h"
 #include "service/report.h"
 #include "service/trace_gen.h"
+#include "util/log_histogram.h"
 #include "util/time.h"
 
 namespace vc2m::service {
@@ -66,7 +58,9 @@ const char* to_string(ShedPolicy p);
 bool shed_policy_from_string(const std::string& s, ShedPolicy& out);
 
 /// Terminal and intermediate fates of one request attempt. Serialized by
-/// name into journal records; values are append-only.
+/// name into journal records; values are append-only. Each outcome's
+/// facts (name, counter, latency class, whether it mutates the state or
+/// ends the request) live in one table in service.cpp.
 enum class Outcome : std::uint8_t {
   kAdmitted,        ///< full solve placed the VM (commit)
   kRejected,        ///< full solve found no feasible placement
@@ -81,7 +75,6 @@ enum class Outcome : std::uint8_t {
 };
 
 const char* to_string(Outcome o);
-bool outcome_from_string(const std::string& s, Outcome& out);
 
 /// One write-ahead journal record: the fate of one request attempt, with
 /// enough folded state (cost, task count, decision-event count, allocator
@@ -114,7 +107,7 @@ JournalRecord parse_journal_record(const std::string& payload);
 enum class CrashPoint : std::uint8_t {
   kNone,
   kBeforeAppend,  ///< decision made, journal record not yet written
-  kAfterAppend,   ///< record durable, nothing after it ran
+  kAfterAppend,   ///< record durable and observed, nothing after it ran
   kMidSnapshot,   ///< snapshot tmp file half-written, no rename
 };
 
@@ -124,6 +117,10 @@ struct CrashSpec {
   /// triggers the kill. kMidSnapshot: the 1-based snapshot write to kill.
   std::uint64_t at = 0;
 };
+
+/// Names of the crash points, indexed by CrashPoint ("none" never parses).
+inline constexpr const char* kCrashPointNames[] = {
+    "none", "before-append", "after-append", "mid-snapshot"};
 
 /// Parse "before-append:SEQ" | "after-append:SEQ" | "mid-snapshot:K".
 CrashSpec parse_crash_spec(const std::string& spec);
@@ -208,5 +205,60 @@ std::size_t shed_victim(ShedPolicy policy,
 /// The canonical config digest stored in journal headers and snapshots:
 /// recovery refuses to mix artifacts from a differently-configured run.
 std::string config_digest(const ServiceConfig& cfg);
+
+// ---------------------------------------------------------------------------
+// The pipeline's shared state and its pure Decider (exposed for the unit
+// tests; run_service is their only other user).
+
+/// Cumulative counters. The snapshot restores them whole, so anything
+/// derived from them (the timeline's decision count) restores too.
+struct Stats {
+  std::uint64_t arrivals = 0, admitted = 0, rejected = 0, probe_rejected = 0,
+                removed = 0, resized = 0, resize_rejected = 0, not_present = 0,
+                deferred = 0, retries = 0, shed = 0, timed_out = 0,
+                downgrades = 0, queue_max_depth = 0, backpressure = 0,
+                decision_events = 0, decision_dropped = 0,
+                // Cumulative allocator effort, folded from the journal's
+                // per-record deltas on replay so the metrics timeline is
+                // replay-stable even for decisions whose solver run is
+                // skipped.
+                dbf_evals = 0, budget_evals = 0, admission_tests = 0;
+};
+
+struct State {
+  core::AdmissionState adm;
+  std::vector<QueueEntry> queue;  ///< bounded FIFO
+  std::vector<QueueEntry> retry;  ///< min-heap by (ready_at, seq)
+  std::uint64_t trace_next = 0;
+  util::Time busy_until = util::Time::zero();
+  std::int64_t est_ns_per_task = 200'000;  ///< EWMA full-solve cost estimate
+  std::uint64_t commits = 0;
+  std::uint64_t ordinal = 0;  ///< snapshots successfully written
+  Stats stats;
+  /// Per-outcome-class latency histograms (µs): admitted ∪ removed ∪
+  /// resized, the rejection family, deferrals (arrival → defer decision),
+  /// and sheds. The serve report and the timeline sample all four.
+  util::LogHistogram lat_admitted, lat_rejected, lat_deferred, lat_shed;
+};
+
+/// What the Decider concluded about one attempt. `rec` carries the
+/// outcome, cost, task count, decision-event count and effort deltas (its
+/// latency is the Committer's to fill); `adm` is the new admitted state
+/// when the outcome mutates it.
+struct Decision {
+  JournalRecord rec;
+  std::uint64_t dropped = 0;  ///< decision-log events dropped
+  std::optional<core::AdmissionState> adm{};
+};
+
+/// The solver seed of one attempt.
+std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t seq,
+                       unsigned attempt);
+
+/// Decide `entry` (a try of `req`) starting at virtual time `start`. Pure:
+/// reads `st`, writes no file and no telemetry.
+Decision decide(const State& st, const ServeRequest& req,
+                const QueueEntry& entry, util::Time start,
+                const ServiceConfig& cfg);
 
 }  // namespace vc2m::service

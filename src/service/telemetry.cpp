@@ -127,35 +127,32 @@ TimelineScan scan_timeline(const std::string& path) {
     return out;
   }
 
-  // A checksum-valid frame whose payload is not a well-formed sample ends
-  // the valid prefix exactly like a torn tail would.
+  // A checksum-valid frame whose payload is not a well-formed sample, or
+  // breaks the index sequence, ends the valid prefix exactly like a torn
+  // tail would.
   std::uint64_t off = 12 + frames.payloads.front().size();
   for (std::size_t i = 1; i < frames.payloads.size(); ++i) {
+    std::string why;
     try {
       MetricsSample s = parse_metrics_sample(frames.payloads[i]);
-      if (s.index != out.samples.size()) {
-        std::ostringstream w;
-        w << "timeline sample " << i - 1 << " has index " << s.index
-          << " (expected " << out.samples.size()
-          << ") — truncating to the last consistent sample";
-        out.warnings.push_back(w.str());
-        out.valid_bytes = off;
-        out.torn = true;
-        return out;
+      if (s.index == out.samples.size()) {
+        out.samples.push_back(std::move(s));
+        out.raw.push_back(frames.payloads[i]);
+        off += 12 + frames.payloads[i].size();
+        continue;
       }
-      out.samples.push_back(std::move(s));
-      out.raw.push_back(frames.payloads[i]);
+      why = "has index " + std::to_string(s.index) + " (expected " +
+            std::to_string(out.samples.size()) +
+            ") — truncating to the last consistent sample";
     } catch (const util::Error& e) {
-      std::ostringstream w;
-      w << "timeline sample " << i - 1
-        << " is malformed — truncating to the last valid sample ("
-        << e.what() << ")";
-      out.warnings.push_back(w.str());
-      out.valid_bytes = off;
-      out.torn = true;
-      return out;
+      why = "is malformed — truncating to the last valid sample (" +
+            std::string(e.what()) + ")";
     }
-    off += 12 + frames.payloads[i].size();
+    out.warnings.push_back("timeline sample " + std::to_string(i - 1) + " " +
+                           why);
+    out.valid_bytes = off;
+    out.torn = true;
+    return out;
   }
   return out;
 }

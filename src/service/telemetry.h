@@ -6,11 +6,11 @@
 // config digest, and the sampling cadence, then one frame per sample. A
 // sample is taken every `every` *decisions* — journal-record events in
 // virtual time — so the file is a pure function of (trace, seed, config,
-// every): bit-identical at any --jobs/--inner-jobs and reproduced exactly
-// by a crash + --recover run. Reopen is torn-tail tolerant like the
-// journal: a partial trailing frame (or a frame that fails the strict
-// sample parse) truncates back to the last good sample with a warning,
-// never a crash.
+// every): bit-identical at any --jobs/--inner-jobs, and a crash +
+// --recover run regenerates it exactly. The scan is torn-tail tolerant
+// like the journal's: a partial trailing frame (or a frame that fails the
+// strict sample parse) ends the valid prefix with a warning, never a
+// crash.
 //
 // The span ring is the post-mortem half: a bounded buffer of the last K
 // request spans, dumped as "vc2m-span-dump/1" text next to the journal

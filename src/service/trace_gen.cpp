@@ -1,10 +1,14 @@
 #include "service/trace_gen.h"
 
+#include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <iterator>
+#include <utility>
 
 #include "util/error.h"
+#include "util/names.h"
 #include "util/parse.h"
+#include "util/record.h"
 #include "workload/generator.h"
 
 namespace vc2m::service {
@@ -13,16 +17,22 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
-double parse_num(const std::string& key, const std::string& s) {
-  if (s.empty()) throw util::Error("trace spec: empty value for '" + key + "'");
-  if (const auto v = util::try_double(s)) return *v;
-  throw util::Error("trace spec: bad value '" + s + "' for '" + key + "'");
-}
+constexpr const char* kTracePatternNames[] = {"poisson", "flash", "diurnal"};
 
-std::uint64_t parse_count(const std::string& key, const std::string& s) {
-  if (const auto v = util::try_u64(s)) return *v;
-  throw util::Error("trace spec: '" + key +
-                    "' must be a non-negative integer, got '" + s + "'");
+/// The keys that are a plain number (range checks follow the parse).
+constexpr std::pair<const char*, double TraceConfig::*> kPlainKeys[] = {
+    {"remove-frac", &TraceConfig::remove_frac},
+    {"resize-frac", &TraceConfig::resize_frac},
+    {"low-crit-frac", &TraceConfig::low_crit_frac},
+    {"flash-at", &TraceConfig::flash_at},
+    {"flash-len", &TraceConfig::flash_len},
+    {"flash-x", &TraceConfig::flash_x},
+    {"cycles", &TraceConfig::diurnal_cycles},
+    {"amp", &TraceConfig::diurnal_amp}};
+
+/// The error prefix for a bad value of `key`.
+std::string about(const std::string& key) {
+  return "trace spec: '" + key + "'";
 }
 
 void parse_range(const std::string& key, const std::string& s, double& lo,
@@ -31,8 +41,8 @@ void parse_range(const std::string& key, const std::string& s, double& lo,
   if (dots == std::string::npos)
     throw util::Error("trace spec: '" + key + "' wants LO..HI, got '" + s +
                       "'");
-  lo = parse_num(key, s.substr(0, dots));
-  hi = parse_num(key, s.substr(dots + 2));
+  lo = util::parse_double(s.substr(0, dots), about(key));
+  hi = util::parse_double(s.substr(dots + 2), about(key));
   if (lo <= 0 || hi < lo)
     throw util::Error("trace spec: '" + key + "' wants 0 < LO <= HI, got '" +
                       s + "'");
@@ -41,21 +51,11 @@ void parse_range(const std::string& key, const std::string& s, double& lo,
 }  // namespace
 
 const char* to_string(RequestKind k) {
-  switch (k) {
-    case RequestKind::kAdmit: return "admit";
-    case RequestKind::kRemove: return "remove";
-    case RequestKind::kResize: return "resize";
-  }
-  return "?";
+  return util::enum_name(kRequestKindNames, k);
 }
 
 const char* to_string(TracePattern p) {
-  switch (p) {
-    case TracePattern::kPoisson: return "poisson";
-    case TracePattern::kFlash: return "flash";
-    case TracePattern::kDiurnal: return "diurnal";
-  }
-  return "?";
+  return util::enum_name(kTracePatternNames, p);
 }
 
 TraceConfig parse_trace_spec(const std::string& spec) {
@@ -63,52 +63,40 @@ TraceConfig parse_trace_spec(const std::string& spec) {
   cfg.spec = spec;
   const auto colon = spec.find(':');
   const std::string pattern = spec.substr(0, colon);
-  if (pattern == "poisson") cfg.pattern = TracePattern::kPoisson;
-  else if (pattern == "flash") cfg.pattern = TracePattern::kFlash;
-  else if (pattern == "diurnal") cfg.pattern = TracePattern::kDiurnal;
-  else
+  if (!util::enum_from_name(kTracePatternNames, pattern, cfg.pattern))
     throw util::Error("trace spec: unknown pattern '" + pattern +
                       "' (poisson|flash|diurnal)");
   if (colon == std::string::npos) return cfg;
 
-  std::istringstream is(spec.substr(colon + 1));
-  std::string item;
-  while (std::getline(is, item, ',')) {
+  // Every item must be key=value: an empty one (a trailing or doubled
+  // comma) is an error, not a skip.
+  for (const std::string_view item :
+       util::split(std::string_view(spec).substr(colon + 1), ',')) {
     const auto eq = item.find('=');
-    if (eq == std::string::npos || eq == 0)
-      throw util::Error("trace spec: want key=value, got '" + item + "'");
-    const std::string key = item.substr(0, eq);
-    const std::string val = item.substr(eq + 1);
+    if (eq == std::string_view::npos || eq == 0)
+      throw util::Error("trace spec: want key=value, got '" +
+                        std::string(item) + "'");
+    const std::string key(item.substr(0, eq));
+    const std::string val(item.substr(eq + 1));
     if (key == "requests") {
-      cfg.requests = parse_count(key, val);
+      cfg.requests = util::parse_u64(val, about(key));
       if (cfg.requests == 0)
         throw util::Error("trace spec: requests must be >= 1");
     } else if (key == "interarrival-us") {
-      const double us = parse_num(key, val);
+      const double us = util::parse_double(val, about(key));
       if (us <= 0)
         throw util::Error("trace spec: interarrival-us must be > 0");
       cfg.mean_interarrival = util::Time::ns(
           static_cast<std::int64_t>(us * 1000.0 + 0.5));
     } else if (key == "util") {
       parse_range(key, val, cfg.util_lo, cfg.util_hi);
-    } else if (key == "remove-frac") {
-      cfg.remove_frac = parse_num(key, val);
-    } else if (key == "resize-frac") {
-      cfg.resize_frac = parse_num(key, val);
-    } else if (key == "low-crit-frac") {
-      cfg.low_crit_frac = parse_num(key, val);
-    } else if (key == "flash-at") {
-      cfg.flash_at = parse_num(key, val);
-    } else if (key == "flash-len") {
-      cfg.flash_len = parse_num(key, val);
-    } else if (key == "flash-x") {
-      cfg.flash_x = parse_num(key, val);
-    } else if (key == "cycles") {
-      cfg.diurnal_cycles = parse_num(key, val);
-    } else if (key == "amp") {
-      cfg.diurnal_amp = parse_num(key, val);
     } else {
-      throw util::Error("trace spec: unknown key '" + key + "'");
+      const auto plain = std::find_if(
+          std::begin(kPlainKeys), std::end(kPlainKeys),
+          [&](const auto& k) { return key == k.first; });
+      if (plain == std::end(kPlainKeys))
+        throw util::Error("trace spec: unknown key '" + key + "'");
+      cfg.*plain->second = util::parse_double(val, about(key));
     }
   }
   if (cfg.remove_frac < 0 || cfg.resize_frac < 0 ||

@@ -27,6 +27,10 @@ namespace vc2m::service {
 
 enum class RequestKind : std::uint8_t { kAdmit, kRemove, kResize };
 
+/// Stable names (journal records, spans), indexed by RequestKind.
+inline constexpr const char* kRequestKindNames[] = {"admit", "remove",
+                                                    "resize"};
+
 const char* to_string(RequestKind k);
 
 struct ServeRequest {

@@ -3,7 +3,6 @@
 #include "sim/faults.h"
 
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "hw/cat.h"
@@ -13,6 +12,7 @@
 #include "sim/simulation.h"
 #include "util/error.h"
 #include "util/parse.h"
+#include "util/record.h"
 
 namespace vc2m::sim {
 
@@ -65,8 +65,6 @@ void FaultSpec::validate() const {
 
 FaultSpec parse_fault_spec(const std::string& spec) {
   FaultSpec out;
-  std::stringstream ss(spec);
-  std::string item;
   const auto parse_double = [](const std::string& key,
                                const std::string& value) {
     if (const auto v = util::try_double(value)) return *v;
@@ -76,13 +74,15 @@ FaultSpec parse_fault_spec(const std::string& spec) {
     return util::Time::ns(static_cast<std::int64_t>(
         parse_double(key, value) * 1e6 + 0.5));
   };
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
+  // Every item must be key=value: an empty one (a trailing or doubled
+  // comma) is an error, not a skip.
+  for (const std::string_view item : util::split(spec, ',')) {
     const auto eq = item.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 == item.size())
-      throw util::Error("fault spec: expected key=value, got: " + item);
-    const std::string key = item.substr(0, eq);
-    const std::string value = item.substr(eq + 1);
+    if (eq == std::string_view::npos || eq == 0 || eq + 1 == item.size())
+      throw util::Error("fault spec: expected key=value, got: '" +
+                        std::string(item) + "'");
+    const std::string key(item.substr(0, eq));
+    const std::string value(item.substr(eq + 1));
     if (key == "overrun-factor") {
       out.overrun_factor = parse_double(key, value);
     } else if (key == "overrun-prob") {

@@ -75,6 +75,10 @@ TEST(FaultSpecParse, RejectsMalformedSpecs) {
   bad("jitter-ms=-1");               // negative time
   bad("revoke-ways=-1");             // negative count
   bad("seed=1.5");                   // non-integer seed
+  bad("");                           // empty items, anywhere
+  bad("overrun-factor=1.2,");
+  bad(",overrun-factor=1.2");
+  bad("overrun-factor=1.2,,seed=3");
 }
 
 // ------------------------------------------------ enforcement policies ----

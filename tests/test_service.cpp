@@ -1,7 +1,8 @@
 // Admission-control service suite: trace generation, the write-ahead
 // journal, crash-free recovery equivalence (stop_after + --recover must
 // reproduce the uninterrupted run's report byte for byte), snapshot
-// rotation, the overload ladder, shed policies, and the strict
+// rotation, the overload ladder, shed policies, the pure Decider (no
+// files), enum-name round trips, and the strict
 // vc2m-serve-report/1 round trip. scripts/check.sh additionally crash-kills
 // the real binary at every injected crash point and diffs the recovered
 // report (this suite covers the in-process equivalents).
@@ -9,13 +10,17 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
+#include "core/admission.h"
 #include "service/journal.h"
 #include "service/report.h"
 #include "service/service.h"
 #include "service/trace_gen.h"
 #include "util/error.h"
+#include "util/instrument.h"
+#include "util/rng.h"
 
 namespace vc2m::service {
 namespace {
@@ -81,6 +86,12 @@ TEST(TraceGen, PatternsAndSpecErrors) {
   EXPECT_THROW(parse_trace_spec("poisson:requests=x"), util::Error);
   EXPECT_THROW(parse_trace_spec("poisson:util=0.5"), util::Error);
   EXPECT_THROW(parse_trace_spec("poisson:requests=0"), util::Error);
+  // Every item must be key=value: an empty item anywhere is an error.
+  EXPECT_NO_THROW(parse_trace_spec("poisson:requests=5,util=0.1..0.2"));
+  for (const char* spec :
+       {"poisson:requests=5,", "poisson:requests=5,,util=0.1..0.2",
+        "poisson:,requests=5", "poisson:", "poisson:,"})
+    EXPECT_THROW(parse_trace_spec(spec), util::Error) << spec;
 }
 
 // ---------------------------------------------------------------------------
@@ -179,23 +190,32 @@ TEST(JournalRecord, SerializeParseRoundTrip) {
   JournalRecord r;
   r.seq = 41;
   r.attempt = 2;
-  r.kind = RequestKind::kResize;
-  r.outcome = Outcome::kResizeRejected;
   r.vm = -3;
   r.tasks = 9;
   r.events = 17;
   r.cost_ns = 123456;
   r.latency_ns = 7890;
-  const JournalRecord p = parse_journal_record(serialize(r));
-  EXPECT_EQ(p.seq, r.seq);
-  EXPECT_EQ(p.attempt, r.attempt);
-  EXPECT_EQ(p.kind, r.kind);
-  EXPECT_EQ(p.outcome, r.outcome);
-  EXPECT_EQ(p.vm, r.vm);
-  EXPECT_EQ(p.tasks, r.tasks);
-  EXPECT_EQ(p.events, r.events);
-  EXPECT_EQ(p.cost_ns, r.cost_ns);
-  EXPECT_EQ(p.latency_ns, r.latency_ns);
+  // Every request kind and every outcome round-trips through its name.
+  for (std::size_t k = 0; k < std::size(kRequestKindNames); ++k)
+    for (std::uint8_t o = 0; o <= static_cast<std::uint8_t>(
+                                      Outcome::kResizeRejected);
+         ++o) {
+      r.kind = static_cast<RequestKind>(k);
+      r.outcome = static_cast<Outcome>(o);
+      const std::string text = serialize(r);
+      EXPECT_EQ(text.find('?'), std::string::npos) << text;
+      const JournalRecord p = parse_journal_record(text);
+      EXPECT_EQ(p.seq, r.seq);
+      EXPECT_EQ(p.attempt, r.attempt);
+      EXPECT_EQ(p.kind, r.kind);
+      EXPECT_EQ(p.outcome, r.outcome);
+      EXPECT_EQ(p.vm, r.vm);
+      EXPECT_EQ(p.tasks, r.tasks);
+      EXPECT_EQ(p.events, r.events);
+      EXPECT_EQ(p.cost_ns, r.cost_ns);
+      EXPECT_EQ(p.latency_ns, r.latency_ns);
+      EXPECT_EQ(serialize(p), text);
+    }
 }
 
 TEST(JournalRecord, ParseRejectsMalformedPayloads) {
@@ -222,6 +242,11 @@ TEST(CrashSpec, ParseAndErrors) {
   EXPECT_THROW(parse_crash_spec("before-append"), util::Error);
   EXPECT_THROW(parse_crash_spec("sideways:3"), util::Error);
   EXPECT_THROW(parse_crash_spec("mid-snapshot:x"), util::Error);
+  // Every crash point parses back from its name; "none" is not a point.
+  for (std::size_t i = 1; i < std::size(kCrashPointNames); ++i)
+    EXPECT_EQ(parse_crash_spec(std::string(kCrashPointNames[i]) + ":1").point,
+              static_cast<CrashPoint>(i));
+  EXPECT_THROW(parse_crash_spec("none:1"), util::Error);
 }
 
 TEST(CrashSpec, CountIsAStrictUnsignedInteger) {
@@ -278,6 +303,100 @@ TEST(ShedPolicy, Names) {
   EXPECT_EQ(p, ShedPolicy::kRejectLargest);
   EXPECT_FALSE(shed_policy_from_string("reject-oldest", p));
   EXPECT_STREQ(to_string(ShedPolicy::kCriticality), "criticality");
+  // Every policy round-trips through its name.
+  for (const ShedPolicy want :
+       {ShedPolicy::kRejectNewest, ShedPolicy::kRejectLargest,
+        ShedPolicy::kCriticality}) {
+    ShedPolicy got = ShedPolicy::kRejectNewest;
+    ASSERT_TRUE(shed_policy_from_string(to_string(want), got))
+        << to_string(want);
+    EXPECT_EQ(got, want);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The Decider, without files: a pure function of (state, request, start
+// time, config).
+
+ServeRequest request(RequestKind kind, int vm, double util) {
+  ServeRequest req;
+  req.seq = 5;
+  req.kind = kind;
+  req.vm = vm;
+  req.util = util;
+  req.taskset_seed = 1234;
+  return req;
+}
+
+TEST(Decider, AbsentVmIsNotPresentAtFixedCost) {
+  const State empty;
+  const ServiceConfig cfg = small_config();
+  for (const RequestKind kind : {RequestKind::kRemove, RequestKind::kResize}) {
+    const ServeRequest req = request(kind, 99, 0.3);
+    const Decision d = decide(empty, req, {req.seq, 0, util::Time::zero()},
+                              util::Time::zero(), cfg);
+    EXPECT_EQ(d.rec.outcome, Outcome::kNotPresent) << to_string(kind);
+    EXPECT_EQ(d.rec.cost_ns, 2'000);
+    EXPECT_EQ(d.rec.seq, req.seq);
+    EXPECT_EQ(d.rec.vm, 99);
+    EXPECT_FALSE(d.adm.has_value());
+    EXPECT_EQ(d.rec.dbf_evals + d.rec.budget_evals + d.rec.admission_tests,
+              0u);
+  }
+}
+
+TEST(Decider, DeadlineLadderProbesDefersAndTimesOut) {
+  // An estimate far past any deadline forces the downgrade to the probe.
+  State st;
+  st.est_ns_per_task = 1'000'000'000;
+  ServiceConfig cfg = small_config();
+  cfg.deadline = util::Time::us(100);
+  cfg.max_retries = 2;
+  auto decide_at = [&](double util, unsigned attempt) {
+    const ServeRequest req = request(RequestKind::kAdmit, 1, util);
+    return decide(st, req, {req.seq, attempt, util::Time::zero()},
+                  util::Time::zero(), cfg);
+  };
+  // Demand above the headroom of an empty 4-core platform A: a real
+  // rejection, whatever the attempt.
+  const Decision over = decide_at(5.0, 0);
+  EXPECT_EQ(over.rec.outcome, Outcome::kProbeRejected);
+  EXPECT_FALSE(over.adm.has_value());
+  // Demand that fits: deferred below the retry budget, timed out at it.
+  const Decision first = decide_at(0.3, 0);
+  EXPECT_EQ(first.rec.outcome, Outcome::kDeferred);
+  EXPECT_EQ(decide_at(0.3, 1).rec.outcome, Outcome::kDeferred);
+  EXPECT_EQ(decide_at(0.3, 2).rec.outcome, Outcome::kTimedOut);
+  // The probe costs its fixed model, not a solve: no allocator effort.
+  EXPECT_EQ(first.rec.cost_ns,
+            4'000 + 100 * static_cast<std::int64_t>(first.rec.tasks));
+  EXPECT_EQ(first.rec.dbf_evals + first.rec.budget_evals, 0u);
+}
+
+TEST(Decider, AdmitMatchesDirectAdmitVm) {
+  const State empty;
+  const ServiceConfig cfg = small_config();
+  const ServeRequest req = request(RequestKind::kAdmit, 1, 0.4);
+  const QueueEntry entry{req.seq, 1, util::Time::zero()};
+  const Decision d = decide(empty, req, entry, util::Time::zero(), cfg);
+
+  util::AllocCounterScope counters;
+  util::Rng rng(mix_seed(cfg.seed, entry.seq, entry.attempt));
+  core::VmAllocConfig vmc = cfg.vm_cfg;
+  vmc.request_id = static_cast<std::int64_t>(entry.seq);
+  const core::AdmitResult r =
+      core::admit_vm(empty.adm, materialize_taskset(req, cfg.platform.grid),
+                     req.vm, cfg.platform, vmc, rng);
+  ASSERT_TRUE(r.admitted) << "an empty platform A takes a 0.4 VM";
+  EXPECT_EQ(d.rec.outcome, Outcome::kAdmitted);
+  ASSERT_TRUE(d.adm.has_value());
+  EXPECT_EQ(d.adm->vcpus.size(), r.state.vcpus.size());
+  EXPECT_EQ(d.adm->mapping.cores_used, r.state.mapping.cores_used);
+  const util::AllocCounters& ac = counters.counters();
+  EXPECT_EQ(d.rec.dbf_evals, ac.dbf_evaluations);
+  EXPECT_EQ(d.rec.budget_evals, ac.budget_evaluations);
+  EXPECT_EQ(d.rec.admission_tests, ac.admission_tests);
+  EXPECT_GT(d.rec.admission_tests, 0u);
 }
 
 // ---------------------------------------------------------------------------

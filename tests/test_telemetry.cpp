@@ -1,7 +1,8 @@
 // Runtime-telemetry suite (docs/telemetry.md): the metrics-timeline
 // artifact (exact sample round trip, tolerant scanning under truncation
 // and byte corruption, bit-identity across --inner-jobs and across
-// crash + --recover), the span ring and its post-mortem dump (including
+// crash + --recover, no index gap when recovery cannot regenerate it),
+// the span ring and its post-mortem dump (including
 // fork-based real crashes at the injected kill sites, checking the dump's
 // tail against the journal's tail), request-span export/check round
 // trips, the request-id echo through core::admit_vm, stats-snapshot
@@ -419,11 +420,11 @@ TEST(Timeline, RecoverReproducesUninterruptedTimeline) {
   EXPECT_FALSE(rec.interrupted);
   EXPECT_EQ(read_file(tl), want);
 
-  // Recovering a finished run re-verifies every sample in place.
+  // Recovering a finished run regenerates the samples past the snapshot
+  // and leaves the file byte-identical, without a warning.
   const auto again = run_service(cfg);
   EXPECT_EQ(read_file(tl), want);
-  for (const auto& w : again.warnings)
-    EXPECT_EQ(w.find("diverges"), std::string::npos) << w;
+  for (const auto& w : again.warnings) ADD_FAILURE() << w;
 
   remove_run_files(base_wal);
   remove_run_files(wal);
@@ -446,8 +447,8 @@ TEST(Timeline, DivergentSampleIsRewrittenFromThatPoint) {
   const std::string want = read_file(tl);
 
   // Rewrite the file with one mid-stream sample altered but still
-  // checksummed and parseable: recovery must detect the divergence and
-  // rewrite from that sample, reproducing the pristine bytes.
+  // checksummed and parseable. Without a snapshot nothing is folded, so
+  // recovery regenerates every sample and reproduces the pristine bytes.
   TimelineScan tls = scan_timeline(tl);
   ASSERT_GT(tls.samples.size(), 3u);
   const std::size_t victim = tls.samples.size() / 2;
@@ -462,12 +463,8 @@ TEST(Timeline, DivergentSampleIsRewrittenFromThatPoint) {
   ASSERT_NE(read_file(tl), want);
 
   cfg.recover = true;
-  const auto rec = run_service(cfg);
+  run_service(cfg);
   EXPECT_EQ(read_file(tl), want);
-  bool warned = false;
-  for (const auto& w2 : rec.warnings)
-    warned = warned || w2.find("diverges") != std::string::npos;
-  EXPECT_TRUE(warned);
 
   // A timeline from a different configuration is restarted, not merged.
   auto foreign = cfg;
@@ -481,6 +478,57 @@ TEST(Timeline, DivergentSampleIsRewrittenFromThatPoint) {
   EXPECT_TRUE(restarted);
   EXPECT_EQ(scan_timeline(tl).config_digest, config_digest(foreign));
 
+  remove_run_files(wal);
+  std::remove(tl.c_str());
+}
+
+TEST(Timeline, RecoverNeverWritesAnIndexGap) {
+  // The snapshot of a cut run folds k0 samples' worth of decisions. When
+  // the surviving timeline is missing, foreign, or shorter than k0
+  // samples, the first sample recovery could write would carry index k0:
+  // it must warn, leave the file as it is, and write no samples.
+  const std::string wal = testing::TempDir() + "/vc2m_tl_gap.wal";
+  const std::string tl = testing::TempDir() + "/vc2m_tl_gap.bin";
+  for (const std::string damage : {"missing", "foreign", "short"}) {
+    SCOPED_TRACE(damage);
+    remove_run_files(wal);
+    std::remove(tl.c_str());
+    auto cfg = small_config();
+    cfg.journal_path = wal;
+    cfg.snapshot_every = 10;
+    cfg.timeline_path = tl;
+    cfg.sample_every = 25;
+    cfg.stop_after = 200;
+    ASSERT_TRUE(run_service(cfg).interrupted);
+    if (damage == "missing") {
+      std::remove(tl.c_str());
+    } else if (damage == "foreign") {
+      write_file(tl, "not a timeline");
+    } else {
+      const TimelineScan tls = scan_timeline(tl);
+      ASSERT_GE(tls.raw.size(), 2u);
+      JournalWriter w;
+      w.open_with_header(tl, timeline_header_payload(tls.config_digest,
+                                                     tls.every));
+      w.append(tls.raw[0]);
+    }
+    const bool existed = std::ifstream(tl).good();
+    const std::string before = read_file(tl);
+
+    cfg.stop_after = 0;
+    cfg.recover = true;
+    const auto rec = run_service(cfg);
+    EXPECT_FALSE(rec.interrupted);
+    bool warned = false;
+    for (const auto& w : rec.warnings)
+      warned = warned || w.find("cannot be reproduced") != std::string::npos;
+    EXPECT_TRUE(warned);
+    EXPECT_EQ(std::ifstream(tl).good(), existed);
+    EXPECT_EQ(read_file(tl), before);
+    if (existed) {
+      EXPECT_TRUE(scan_timeline(tl).warnings.empty());
+    }
+  }
   remove_run_files(wal);
   std::remove(tl.c_str());
 }

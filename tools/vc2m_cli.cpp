@@ -859,7 +859,11 @@ int cmd_serve(const Args& a) {
   // One admission decision at a time: use intra-decision parallelism
   // (0 = hardware threads; decisions and digests are bit-identical).
   cfg.vm_cfg.inner_jobs = inner_jobs;
-  cfg.trace = service::parse_trace_spec(a.trace);
+  try {
+    cfg.trace = service::parse_trace_spec(a.trace);
+  } catch (const util::Error& e) {
+    bad_value("--trace", a.trace, e.what());
+  }
   cfg.seed = a.seed;
   if (a.deadline_us < 0) throw util::Error("--deadline-us must be >= 0");
   cfg.deadline = util::Time::us(a.deadline_us);
