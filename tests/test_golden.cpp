@@ -22,6 +22,7 @@
 // that line or consciously re-baseline it.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -257,6 +258,24 @@ TEST_P(GoldenSweepGridTest, SweepAndCountersBitIdenticalAtAnyInnerJobs) {
   EXPECT_EQ(run.effort.arena_bytes, ref.effort.arena_bytes);
   EXPECT_EQ(run.effort.soa_rebuilds, ref.effort.soa_rebuilds);
   EXPECT_EQ(run.effort.inner_tasks, ref.effort.inner_tasks);
+}
+
+TEST(GoldenEquivalence, SweepHypervisorEffortCountersPinned) {
+  // The hypervisor-level search's effort on the golden sweep, as committed
+  // values: packings explored, grants and migrations made, per-core tests
+  // run and served from the CoreLoad caches, and the k-means work of both
+  // levels. A faster search must explore exactly the same candidates.
+  if (capture_mode()) GTEST_SKIP() << "capture handled by GoldenEquivalence";
+  const util::AllocCounters& c = reference_sweep().effort;
+  EXPECT_EQ(c.candidate_packings, 550u);
+  EXPECT_EQ(c.partition_grants, 26488u);
+  EXPECT_EQ(c.vcpu_migrations, 2065u);
+  EXPECT_EQ(c.admission_tests, 81670u);
+  EXPECT_EQ(c.admission_passed, 39876u);
+  EXPECT_EQ(c.load_cache_hits, 120009u);
+  EXPECT_EQ(c.kmeans_runs, 75u);
+  EXPECT_EQ(c.kmeans_iterations, 160u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(c.kmeans_final_shift), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
