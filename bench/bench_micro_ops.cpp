@@ -21,6 +21,7 @@
 #include "analysis/schedulability.h"
 #include "analysis/theorems.h"
 #include "core/admission.h"
+#include "core/hv_alloc.h"
 #include "core/kmeans.h"
 #include "core/solutions.h"
 #include "core/vm_alloc.h"
@@ -174,6 +175,34 @@ void BM_KMeansSlowdownVectors(benchmark::State& state) {
     benchmark::DoNotOptimize(core::kmeans(points, 4, rng));
 }
 BENCHMARK(BM_KMeansSlowdownVectors);
+
+void BM_AllocateHeuristic(benchmark::State& state) {
+  // One hypervisor-level search (§4.3: k-means over the VCPUs' slowdown
+  // vectors, then Phases 1–3) on Platform A, for the overhead-free VCPUs
+  // of a taskset at reference utilization range(0)/10. Heavier sets try
+  // more core counts, permutations and balance rounds before a verdict.
+  const auto platform = model::PlatformSpec::A();
+  const double util = static_cast<double>(state.range(0)) / 10.0;
+  util::Rng vm_rng(9);
+  const auto vcpus = core::allocate_vms_heuristic(
+      make_taskset(util, 21), core::VmAllocConfig{}, vm_rng);
+  if (vcpus.empty()) {
+    state.SkipWithError("no VCPUs");
+    return;
+  }
+  const core::HvAllocConfig cfg;
+  std::uint64_t seed = 0;
+  bool schedulable = false;
+  for (auto _ : state) {
+    util::Rng rng(++seed);
+    const auto res = core::allocate_heuristic(vcpus, platform, cfg, rng);
+    schedulable = res.schedulable;
+    benchmark::DoNotOptimize(res);
+  }
+  state.SetLabel(std::to_string(vcpus.size()) + " VCPUs, " +
+                 (schedulable ? "schedulable" : "unschedulable"));
+}
+BENCHMARK(BM_AllocateHeuristic)->Arg(10)->Arg(15)->Arg(20);
 
 void BM_GenerateTaskset(benchmark::State& state) {
   // One serve-sized taskset (reference utilization 0.25) on Platform A: the

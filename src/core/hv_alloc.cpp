@@ -30,24 +30,39 @@ unsigned HvAllocResult::total_bw() const {
 
 namespace {
 
-/// Working state of one candidate mapping: a CoreLoad per core (the
-/// incremental membership/Σ Θ/Π accounts) plus its partition counts.
+/// The working state of the candidate search: a CoreLoad per core in use
+/// (the incremental membership/Σ Θ/Π accounts) plus each core's partitions.
+/// allocate_heuristic builds one per call and resets it for every
+/// candidate, so the search allocates nothing per candidate: CoreLoad::clear
+/// keeps each core's buffers, and `loads` only grows with the core count.
 struct CoreState {
-  std::vector<CoreLoad> cores;
-  std::vector<unsigned> cache;
-  std::vector<unsigned> bw;
+  std::vector<CoreLoad> loads;       ///< the first size() are in use
+  std::vector<model::GridPoint> at;  ///< per core in use: its (c, b)
+  // Scratch reused by every candidate.
+  std::vector<double> ref_load;
+  std::vector<std::size_t> unsched;
+
+  std::size_t size() const { return at.size(); }
+
+  /// m empty cores at (C_min, B_min).
+  void reset(std::span<const model::Vcpu> vcpus,
+             const model::ResourceGrid& grid, std::size_t m) {
+    for (auto& load : loads) load.clear();
+    while (loads.size() < m) loads.emplace_back(vcpus, grid);
+    at.assign(m, grid.point(grid.c_min, grid.b_min));
+  }
 };
 
 double util_of(CoreState& st, std::size_t core) {
-  return st.cores[core].utilization(st.cache[core], st.bw[core]);
+  return st.loads[core].utilization(st.at[core]);
 }
 
 bool sched_of(CoreState& st, std::size_t core) {
-  return st.cores[core].schedulable(st.cache[core], st.bw[core]);
+  return st.loads[core].schedulable(st.at[core]);
 }
 
 bool all_schedulable(CoreState& st) {
-  for (std::size_t i = 0; i < st.cores.size(); ++i)
+  for (std::size_t i = 0; i < st.size(); ++i)
     if (!sched_of(st, i)) return false;
   return true;
 }
@@ -60,8 +75,8 @@ void log_grant_exhausted(obs::DecisionLog& log, CoreState& st,
                          const model::ResourceGrid& grid) {
   bool could_c = false, could_b = false;
   for (const std::size_t i : unsched) {
-    could_c = could_c || (pool_c > 0 && st.cache[i] < grid.c_max);
-    could_b = could_b || (pool_b > 0 && st.bw[i] < grid.b_max);
+    could_c = could_c || (pool_c > 0 && st.at[i].c < grid.c_max);
+    could_b = could_b || (pool_b > 0 && st.at[i].b < grid.b_max);
   }
   double min_excess = std::numeric_limits<double>::infinity();
   std::size_t closest = unsched.front();
@@ -87,30 +102,20 @@ void log_grant_exhausted(obs::DecisionLog& log, CoreState& st,
 }
 
 /// Phase 1: pack clusters (in permutation order) worst-fit decreasing by
-/// reference utilization onto m cores.
-CoreState phase1_pack(std::span<const model::Vcpu> vcpus,
-                      const std::vector<std::vector<std::size_t>>& clusters,
-                      const std::vector<std::size_t>& perm, unsigned m,
-                      const model::ResourceGrid& grid) {
-  CoreState st;
-  st.cores.assign(m, CoreLoad(vcpus, grid));
-  st.cache.assign(m, grid.c_min);
-  st.bw.assign(m, grid.b_min);
-
-  std::vector<double> ref_load(m, 0);
-  for (const std::size_t ci : perm) {
-    std::vector<std::size_t> order = clusters[ci];
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return vcpus[a].reference_utilization() >
-             vcpus[b].reference_utilization();
-    });
-    for (const std::size_t v : order) {
-      const std::size_t least = packing::worst_fit_bin(ref_load);
-      st.cores[least].add(v);
-      ref_load[least] += vcpus[v].reference_utilization();
+/// reference utilization onto m cores. Each cluster's members are already
+/// sorted by decreasing reference utilization `ref_util`.
+void phase1_pack(CoreState& st, std::span<const model::Vcpu> vcpus,
+                 const Clusters& clusters, std::span<const std::size_t> perm,
+                 std::span<const double> ref_util, unsigned m,
+                 const model::ResourceGrid& grid) {
+  st.reset(vcpus, grid, m);
+  st.ref_load.assign(m, 0);
+  for (const std::size_t ci : perm)
+    for (const std::size_t v : clusters[ci]) {
+      const std::size_t least = packing::worst_fit_bin(st.ref_load);
+      st.loads[least].add(v);
+      st.ref_load[least] += ref_util[v];
     }
-  }
-  return st;
 }
 
 /// Phase 2: grow per-core cache/BW from (C_min, B_min), always granting the
@@ -120,17 +125,13 @@ CoreState phase1_pack(std::span<const model::Vcpu> vcpus,
 bool phase2_resources(CoreState& st, const model::PlatformSpec& platform,
                       HvAllocConfig::Phase2Policy policy) {
   const auto& grid = platform.grid;
-  const unsigned m = static_cast<unsigned>(st.cores.size());
-  for (std::size_t i = 0; i < m; ++i) {
-    st.cache[i] = grid.c_min;
-    st.bw[i] = grid.b_min;
-  }
+  const unsigned m = static_cast<unsigned>(st.size());
+  st.at.assign(m, grid.point(grid.c_min, grid.b_min));
   unsigned pool_c = platform.total_cache() - m * grid.c_min;
   unsigned pool_b = platform.total_bw() - m * grid.b_min;
 
   std::size_t rr_cursor = 0;  // round-robin state for the ablation policy
-  std::vector<std::size_t> unsched;  // reused across grant iterations
-  unsched.reserve(m);
+  auto& unsched = st.unsched;
   while (true) {
     unsched.clear();
     for (std::size_t i = 0; i < m; ++i)
@@ -146,12 +147,12 @@ bool phase2_resources(CoreState& st, const model::PlatformSpec& platform,
         const std::size_t i = unsched[(rr_cursor / 2) % unsched.size()];
         const bool want_cache = rr_cursor % 2 == 0;
         ++rr_cursor;
-        if (want_cache && pool_c > 0 && st.cache[i] < grid.c_max) {
-          ++st.cache[i];
+        if (want_cache && pool_c > 0 && st.at[i].c < grid.c_max) {
+          st.at[i] = grid.more_cache(st.at[i]);
           --pool_c;
           granted = true;
-        } else if (!want_cache && pool_b > 0 && st.bw[i] < grid.b_max) {
-          ++st.bw[i];
+        } else if (!want_cache && pool_b > 0 && st.at[i].b < grid.b_max) {
+          st.at[i] = grid.more_bw(st.at[i]);
           --pool_b;
           granted = true;
         }
@@ -162,8 +163,8 @@ bool phase2_resources(CoreState& st, const model::PlatformSpec& platform,
             e.kind = obs::DecisionKind::kPartitionGrant;
             e.accepted = true;
             e.core = static_cast<std::int32_t>(i);
-            e.cache = static_cast<std::int32_t>(st.cache[i]);
-            e.bw = static_cast<std::int32_t>(st.bw[i]);
+            e.cache = static_cast<std::int32_t>(st.at[i].c);
+            e.bw = static_cast<std::int32_t>(st.at[i].b);
             e.value = util_of(st, i);
             log->emit(e);
           }
@@ -183,19 +184,19 @@ bool phase2_resources(CoreState& st, const model::PlatformSpec& platform,
     std::size_t best_core = m;
     bool best_is_cache = false;
     for (const std::size_t i : unsched) {
-      const double u_now = util_of(st, i);
-      if (pool_c > 0 && st.cache[i] < grid.c_max) {
+      const model::GridPoint now = st.at[i];
+      const double u_now = st.loads[i].utilization(now);
+      if (pool_c > 0 && now.c < grid.c_max) {
         const double gain =
-            u_now - st.cores[i].utilization(st.cache[i] + 1, st.bw[i]);
+            u_now - st.loads[i].utilization(grid.more_cache(now));
         if (gain > best_gain) {
           best_gain = gain;
           best_core = i;
           best_is_cache = true;
         }
       }
-      if (pool_b > 0 && st.bw[i] < grid.b_max) {
-        const double gain =
-            u_now - st.cores[i].utilization(st.cache[i], st.bw[i] + 1);
+      if (pool_b > 0 && now.b < grid.b_max) {
+        const double gain = u_now - st.loads[i].utilization(grid.more_bw(now));
         if (gain > best_gain) {
           best_gain = gain;
           best_core = i;
@@ -209,11 +210,12 @@ bool phase2_resources(CoreState& st, const model::PlatformSpec& platform,
       return false;
     }
     if (auto* ctr = util::alloc_counters()) ++ctr->partition_grants;
+    auto& granted = st.at[best_core];
     if (best_is_cache) {
-      ++st.cache[best_core];
+      granted = grid.more_cache(granted);
       --pool_c;
     } else {
-      ++st.bw[best_core];
+      granted = grid.more_bw(granted);
       --pool_b;
     }
     if (auto* log = obs::decision_log()) {
@@ -221,8 +223,8 @@ bool phase2_resources(CoreState& st, const model::PlatformSpec& platform,
       e.kind = obs::DecisionKind::kPartitionGrant;
       e.accepted = true;
       e.core = static_cast<std::int32_t>(best_core);
-      e.cache = static_cast<std::int32_t>(st.cache[best_core]);
-      e.bw = static_cast<std::int32_t>(st.bw[best_core]);
+      e.cache = static_cast<std::int32_t>(granted.c);
+      e.bw = static_cast<std::int32_t>(granted.b);
       e.value = best_gain;  // utilization reduction bought by this grant
       log->emit(e);
     }
@@ -235,12 +237,12 @@ bool phase2_resources(CoreState& st, const model::PlatformSpec& platform,
 /// the smallest VCPU on the overloaded core. Returns true iff any VCPU
 /// moved.
 bool phase3_balance(std::span<const model::Vcpu> vcpus, CoreState& st) {
-  const std::size_t m = st.cores.size();
+  const std::size_t m = st.size();
   bool moved_any = false;
 
   for (std::size_t i = 0; i < m; ++i) {
     unsigned guard = 0;
-    while (!sched_of(st, i) && !st.cores[i].empty() && guard++ < 64) {
+    while (!sched_of(st, i) && !st.loads[i].empty() && guard++ < 64) {
       // Least-utilized currently-schedulable destination (≠ i).
       std::size_t dest = m;
       double dest_util = std::numeric_limits<double>::infinity();
@@ -266,16 +268,14 @@ bool phase3_balance(std::span<const model::Vcpu> vcpus, CoreState& st) {
       }
 
       // Largest VCPU the destination absorbs while staying schedulable.
-      const auto& src = st.cores[i].members();
+      const CoreLoad& src = st.loads[i];
       std::size_t pick_pos = src.size();
       double pick_util = -1;
       std::size_t fallback_pos = 0;
       double fallback_util = std::numeric_limits<double>::infinity();
       for (std::size_t p = 0; p < src.size(); ++p) {
-        const double uv =
-            vcpus[src[p]].utilization(st.cache[i], st.bw[i]);
-        const double uv_dest =
-            vcpus[src[p]].utilization(st.cache[dest], st.bw[dest]);
+        const double uv = src.member_utilization(p, st.at[i]);
+        const double uv_dest = src.member_utilization(p, st.at[dest]);
         if (dest_util + uv_dest <= 1.0 && uv > pick_util) {
           pick_util = uv;
           pick_pos = p;
@@ -286,8 +286,8 @@ bool phase3_balance(std::span<const model::Vcpu> vcpus, CoreState& st) {
         }
       }
       const std::size_t pos = pick_pos < src.size() ? pick_pos : fallback_pos;
-      const std::size_t moved = st.cores[i].remove_at(pos);
-      st.cores[dest].add(moved);
+      const std::size_t moved = st.loads[i].remove_at(pos);
+      st.loads[dest].add(moved);
       moved_any = true;
       if (auto* ctr = util::alloc_counters()) ++ctr->vcpu_migrations;
       if (auto* log = obs::decision_log()) {
@@ -296,7 +296,7 @@ bool phase3_balance(std::span<const model::Vcpu> vcpus, CoreState& st) {
         e.accepted = true;
         e.entity = static_cast<std::int32_t>(moved);
         e.core = static_cast<std::int32_t>(dest);
-        e.value = vcpus[moved].utilization(st.cache[dest], st.bw[dest]);
+        e.value = vcpus[moved].utilization(st.at[dest].c, st.at[dest].b);
         log->emit(e);
       }
     }
@@ -304,14 +304,16 @@ bool phase3_balance(std::span<const model::Vcpu> vcpus, CoreState& st) {
   return moved_any;
 }
 
-HvAllocResult to_result(CoreState&& st, bool schedulable) {
+HvAllocResult to_result(const CoreState& st, bool schedulable) {
   HvAllocResult res;
   res.schedulable = schedulable;
-  res.cores_used = static_cast<unsigned>(st.cores.size());
-  res.vcpus_on_core.reserve(st.cores.size());
-  for (const auto& core : st.cores) res.vcpus_on_core.push_back(core.members());
-  res.cache = std::move(st.cache);
-  res.bw = std::move(st.bw);
+  res.cores_used = static_cast<unsigned>(st.size());
+  res.vcpus_on_core.reserve(st.size());
+  for (std::size_t i = 0; i < st.size(); ++i) {
+    res.vcpus_on_core.push_back(st.loads[i].members());
+    res.cache.push_back(st.at[i].c);
+    res.bw.push_back(st.at[i].b);
+  }
   return res;
 }
 
@@ -387,26 +389,37 @@ HvAllocResult allocate_heuristic(std::span<const model::Vcpu> vcpus,
   }
 
   // Cluster VCPUs by slowdown vector once; reused for every core count.
+  // Each cluster is sorted by decreasing reference utilization here, once,
+  // in the order Phase 1 packs it.
   const std::size_t k =
       cfg.cluster_vcpus ? std::min(cfg.clusters, vcpus.size()) : 1;
   FeatureMatrix points(vcpus.front().budget.grid().size());
   points.reserve_rows(vcpus.size());
   for (const auto& v : vcpus) points.add_slowdown(v.budget);
+  std::vector<double> ref_util;
+  ref_util.reserve(vcpus.size());
+  for (const auto& v : vcpus) ref_util.push_back(v.reference_utilization());
   const auto clusters = [&] {
     VC2M_PROFILE_PHASE("cluster");
-    return cluster_members(kmeans(points, k, rng), k);
+    Clusters c = cluster_members(kmeans(points, k, rng), k);
+    c.sort_each([&](std::size_t a, std::size_t b) {
+      return ref_util[a] > ref_util[b];
+    });
+    return c;
   }();
 
+  CoreState st;  // reset for every candidate below
   for (unsigned m = 1; m <= platform.cores; ++m) {
     if (m * grid.c_min > platform.total_cache() ||
         m * grid.b_min > platform.total_bw())
       break;  // larger m cannot satisfy the per-core minimums either
     for (unsigned perm_iter = 0; perm_iter < cfg.max_permutations;
          ++perm_iter) {
-      CoreState st = [&] {
+      {
         VC2M_PROFILE_PHASE("phase1_pack");
-        return phase1_pack(vcpus, clusters, rng.permutation(k), m, grid);
-      }();
+        phase1_pack(st, vcpus, clusters, rng.permutation(k), ref_util, m,
+                    grid);
+      }
       if (auto* ctr = util::alloc_counters()) ++ctr->candidate_packings;
       if (auto* log = obs::decision_log()) {
         obs::DecisionEvent e;
@@ -423,7 +436,7 @@ HvAllocResult allocate_heuristic(std::span<const model::Vcpu> vcpus,
           VC2M_PROFILE_PHASE("phase2_resources");
           feasible = phase2_resources(st, platform, cfg.phase2);
         }
-        if (feasible) return to_result(std::move(st), true);
+        if (feasible) return to_result(st, true);
         if (!cfg.load_balance) break;  // ablation: no Phase 3
         bool improved;
         {
@@ -494,14 +507,13 @@ HvAllocResult allocate_even_partition(std::span<const model::Vcpu> vcpus,
   }
 
   CoreState st;
-  st.cores.reserve(bins->size());
-  for (const auto& bin : *bins) st.cores.emplace_back(vcpus, grid, bin);
-  st.cache.assign(st.cores.size(), c_even);
-  st.bw.assign(st.cores.size(), b_even);
+  st.loads.reserve(bins->size());
+  for (const auto& bin : *bins) st.loads.emplace_back(vcpus, grid, bin);
+  st.at.assign(st.loads.size(), grid.point(c_even, b_even));
   const bool ok = all_schedulable(st);
   if (!ok) {
     if (auto* log = obs::decision_log()) {
-      for (std::size_t i = 0; i < st.cores.size(); ++i) {
+      for (std::size_t i = 0; i < st.size(); ++i) {
         if (sched_of(st, i)) continue;
         obs::DecisionEvent e;
         e.kind = obs::DecisionKind::kHvAttempt;
@@ -513,7 +525,7 @@ HvAllocResult allocate_even_partition(std::span<const model::Vcpu> vcpus,
         e.margin = std::max(0.0, e.value - 1.0);
         // The VM of the core's heaviest VCPU: the most likely culprit.
         double u_max = -1;
-        for (const std::size_t v : st.cores[i].members()) {
+        for (const std::size_t v : st.loads[i].members()) {
           const double uv = vcpus[v].utilization(c_even, b_even);
           if (uv > u_max) {
             u_max = uv;
@@ -525,7 +537,7 @@ HvAllocResult allocate_even_partition(std::span<const model::Vcpu> vcpus,
       }
     }
   }
-  return to_result(std::move(st), ok);
+  return to_result(st, ok);
 }
 
 }  // namespace vc2m::core

@@ -13,6 +13,7 @@
 // computes, so results do not depend on the blocking.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -46,7 +47,8 @@ class FeatureMatrix {
 struct KMeansResult {
   /// assignment[i] = cluster of point i, in [0, k).
   std::vector<std::size_t> assignment;
-  std::vector<std::vector<double>> centroids;
+  /// k centroids of the points' dimension, row-major.
+  std::vector<double> centroids;
   unsigned iterations = 0;
 };
 
@@ -61,9 +63,29 @@ KMeansResult kmeans(const FeatureMatrix& points, std::size_t k,
 KMeansResult kmeans(const std::vector<std::vector<double>>& points,
                     std::size_t k, util::Rng& rng, unsigned max_iters = 50);
 
-/// Invert an assignment into per-cluster member lists (clusters may be
-/// empty only if kmeans() was given degenerate duplicate points).
-std::vector<std::vector<std::size_t>> cluster_members(
-    const KMeansResult& result, std::size_t k);
+/// Cluster membership as one flat index array: cluster c's points are
+/// members[offsets[c] .. offsets[c + 1]).
+struct Clusters {
+  std::vector<std::size_t> members;
+  std::vector<std::size_t> offsets;  ///< size() + 1 entries
+
+  std::size_t size() const { return offsets.size() - 1; }
+  std::span<const std::size_t> operator[](std::size_t c) const {
+    return {members.data() + offsets[c], offsets[c + 1] - offsets[c]};
+  }
+  /// std::sort each cluster's members by `less`.
+  template <typename Less>
+  void sort_each(Less&& less) {
+    for (std::size_t c = 0; c < size(); ++c)
+      std::sort(members.begin() + static_cast<std::ptrdiff_t>(offsets[c]),
+                members.begin() + static_cast<std::ptrdiff_t>(offsets[c + 1]),
+                less);
+  }
+};
+
+/// Invert an assignment into per-cluster members, each cluster in
+/// increasing point order (clusters may be empty only if kmeans() was
+/// given degenerate duplicate points).
+Clusters cluster_members(const KMeansResult& result, std::size_t k);
 
 }  // namespace vc2m::core

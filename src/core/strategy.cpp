@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "analysis/schedulability.h"
@@ -278,8 +279,13 @@ SolveResult solve(const Strategy& strategy, const model::Taskset& tasks,
                   util::Rng& rng) {
   VC2M_CHECK(!tasks.empty());
   VC2M_PROFILE_PHASE("solve");
-  model::Taskset inflated = tasks;
-  analysis::inflate_tasks(inflated, cfg.task_inflation);
+  // Copy the taskset (WCET tables included) only to inflate it.
+  std::optional<model::Taskset> inflated;
+  if (!cfg.task_inflation.is_zero()) {
+    inflated.emplace(tasks);
+    analysis::inflate_tasks(*inflated, cfg.task_inflation);
+  }
+  const model::Taskset& charged = inflated ? *inflated : tasks;
 
   const auto t0 = std::chrono::steady_clock::now();
   SolveResult res;
@@ -303,10 +309,10 @@ SolveResult solve(const Strategy& strategy, const model::Taskset& tasks,
       obs::DecisionEvent e;
       e.kind = obs::DecisionKind::kSolveBegin;
       e.accepted = true;
-      e.value = static_cast<double>(inflated.size());
+      e.value = static_cast<double>(charged.size());
       log->emit(e);
     }
-    auto vcpus = strategy.vm->allocate(inflated, platform, cfg, ctx, rng);
+    auto vcpus = strategy.vm->allocate(charged, platform, cfg, ctx, rng);
     if (auto* log = obs::decision_log()) {
       obs::DecisionEvent e;
       e.kind = obs::DecisionKind::kVmOutcome;

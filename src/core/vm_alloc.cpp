@@ -168,7 +168,7 @@ std::vector<model::Vcpu> allocate_vm_heuristic(
   FeatureMatrix points(tasks[vm_task_idx.front()].wcet.grid().size());
   points.reserve_rows(n);
   for (const std::size_t i : vm_task_idx) points.add_slowdown(tasks[i].wcet);
-  const auto clusters = [&] {
+  auto clusters = [&] {
     VC2M_PROFILE_PHASE("cluster");
     return cluster_members(kmeans(points, k, rng), k);
   }();
@@ -194,13 +194,12 @@ std::vector<model::Vcpu> allocate_vm_heuristic(
   std::vector<std::vector<std::size_t>> vcpu_tasks(m);  // global indices
   std::vector<double> loads(m, 0);
   std::vector<std::size_t> bin_cluster(m, k);  // k = "no cluster yet"
+  clusters.sort_each([&](std::size_t a, std::size_t b) {
+    return tasks[vm_task_idx[a]].reference_utilization() >
+           tasks[vm_task_idx[b]].reference_utilization();
+  });
   for (const std::size_t c : cluster_order) {
-    std::vector<std::size_t> order = clusters[c];
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      return tasks[vm_task_idx[a]].reference_utilization() >
-             tasks[vm_task_idx[b]].reference_utilization();
-    });
-    for (const std::size_t local : order) {
+    for (const std::size_t local : clusters[c]) {
       const std::size_t best =
           packing::worst_fit_bin(loads, [&](std::size_t bi) {
             return (bin_cluster[bi] == c || bin_cluster[bi] == k)

@@ -13,6 +13,14 @@
 
 namespace vc2m::model {
 
+/// A grid point (c, b) together with its row-major flat index, for callers
+/// that probe one point of several surfaces: the index is computed once.
+struct GridPoint {
+  unsigned c = 0;
+  unsigned b = 0;
+  std::size_t flat = 0;
+};
+
 struct ResourceGrid {
   unsigned c_min = 1;  ///< minimum cache partitions per core (C_min)
   unsigned c_max = 1;  ///< total cache partitions (C)
@@ -34,6 +42,17 @@ struct ResourceGrid {
     VC2M_CHECK_MSG(contains(c, b),
                    "(" << c << "," << b << ") outside resource grid");
     return static_cast<std::size_t>(c - c_min) * bw_levels() + (b - b_min);
+  }
+
+  /// (c, b) with its checked flat index.
+  GridPoint point(unsigned c, unsigned b) const { return {c, b, index(c, b)}; }
+  /// The neighbours of p with one more cache / bandwidth partition. The
+  /// caller has checked p.c < c_max / p.b < b_max.
+  constexpr GridPoint more_cache(GridPoint p) const {
+    return {p.c + 1, p.b, p.flat + bw_levels()};
+  }
+  constexpr GridPoint more_bw(GridPoint p) const {
+    return {p.c, p.b + 1, p.flat + 1};
   }
 
   void validate() const {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <vector>
 
 #include "analysis/schedulability.h"
 #include "analysis/theorems.h"
@@ -46,7 +48,7 @@ TEST(KMeans, KEqualsOnePutsEverythingTogether) {
   Rng rng(2);
   const auto res = kmeans(pts, 1, rng);
   for (const auto a : res.assignment) EXPECT_EQ(a, 0u);
-  EXPECT_NEAR(res.centroids[0][0], 3.0, 1e-12);
+  EXPECT_NEAR(res.centroids[0], 3.0, 1e-12);
 }
 
 TEST(KMeans, KEqualsNSeparatesDistinctPoints) {
@@ -64,7 +66,9 @@ TEST(KMeans, EveryClusterNonEmptyEvenWithDuplicatePoints) {
   Rng rng(4);
   const auto res = kmeans(pts, 3, rng);
   const auto members = cluster_members(res, 3);
-  for (const auto& m : members) EXPECT_FALSE(m.empty());
+  ASSERT_EQ(members.size(), 3u);
+  for (std::size_t c = 0; c < members.size(); ++c)
+    EXPECT_FALSE(members[c].empty());
 }
 
 TEST(KMeans, InvalidKThrows) {
@@ -81,9 +85,17 @@ TEST(KMeans, ClusterMembersPartitionTheInput) {
     pts.push_back({rng.uniform(0, 1), rng.uniform(0, 1)});
   const auto res = kmeans(pts, 5, rng);
   const auto members = cluster_members(res, 5);
-  std::size_t total = 0;
-  for (const auto& m : members) total += m.size();
-  EXPECT_EQ(total, pts.size());
+  ASSERT_EQ(members.size(), 5u);
+  std::vector<std::size_t> seen;
+  for (std::size_t c = 0; c < members.size(); ++c)
+    for (const std::size_t i : members[c]) {
+      EXPECT_EQ(res.assignment[i], c);
+      seen.push_back(i);
+    }
+  std::sort(seen.begin(), seen.end());
+  std::vector<std::size_t> all(pts.size());
+  std::iota(all.begin(), all.end(), 0);
+  EXPECT_EQ(seen, all);
 }
 
 // -------------------------------------------------- best-fit packing ----
