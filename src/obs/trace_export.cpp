@@ -5,11 +5,14 @@
 #include <cstdio>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "util/error.h"
 #include "util/file.h"
+#include "util/parse.h"
 #include "util/record.h"
 
 namespace vc2m::obs {
@@ -365,6 +368,47 @@ std::vector<sim::TraceEvent> read_trace_csv(std::istream& is) {
   return out;
 }
 
+namespace {
+
+/// The numbers of one vc2mEvents record; `kind` is not yet range-checked.
+struct EventRecord {
+  std::int64_t t = 0;
+  int kind = 0, core = 0, vcpu = 0, task = 0;
+  std::int64_t job = 0;
+};
+
+/// One vc2mEvents line exactly as write_chrome_trace prints it,
+/// {"t":T,"k":K,"c":C,"v":V,"x":X,"j":J} with an optional trailing comma,
+/// each number in util/parse.h's strict grammar; nullopt otherwise.
+std::optional<EventRecord> parse_event_record(std::string_view line) {
+  if (!line.empty() && line.back() == ',') line.remove_suffix(1);
+  if (line.size() < 2 || line.front() != '{' || line.back() != '}')
+    return std::nullopt;
+  line = line.substr(1, line.size() - 2);
+  // The token after `key`, consumed with the comma that ends it.
+  const auto field = [&line](std::string_view key,
+                             bool last) -> std::optional<std::string_view> {
+    if (!line.starts_with(key)) return std::nullopt;
+    line.remove_prefix(key.size());
+    const std::size_t end = last ? line.size() : line.find(',');
+    if (end == std::string_view::npos) return std::nullopt;
+    const std::string_view token = line.substr(0, end);
+    line.remove_prefix(last ? end : end + 1);
+    return token;
+  };
+  const auto t = field("\"t\":", false), k = field("\"k\":", false),
+             c = field("\"c\":", false), v = field("\"v\":", false),
+             x = field("\"x\":", false), j = field("\"j\":", true);
+  if (!t || !k || !c || !v || !x || !j) return std::nullopt;
+  const auto rt = util::try_i64(*t), rj = util::try_i64(*j);
+  const auto rk = util::try_int<int>(*k), rc = util::try_int<int>(*c),
+             rv = util::try_int<int>(*v), rx = util::try_int<int>(*x);
+  if (!rt || !rk || !rc || !rv || !rx || !rj) return std::nullopt;
+  return EventRecord{*rt, *rk, *rc, *rv, *rx, *rj};
+}
+
+}  // namespace
+
 std::vector<sim::TraceEvent> read_chrome_trace(std::istream& is) {
   std::vector<sim::TraceEvent> out;
   std::string line;
@@ -375,19 +419,13 @@ std::vector<sim::TraceEvent> read_chrome_trace(std::istream& is) {
       continue;
     }
     if (line.rfind("]", 0) == 0) break;
-    std::int64_t t = 0, j = -1;
-    int k = 0, core = -1, vcpu = -1, task = -1;
-    const int matched = std::sscanf(
-        line.c_str(),
-        "{\"t\":%" SCNd64 ",\"k\":%d,\"c\":%d,\"v\":%d,\"x\":%d,\"j\":%" SCNd64
-        "}",
-        &t, &k, &core, &vcpu, &task, &j);
-    VC2M_CHECK_MSG(matched == 6, "malformed vc2mEvents record: " << line);
+    const auto r = parse_event_record(line);
+    VC2M_CHECK_MSG(r, "malformed vc2mEvents record: " << line);
     VC2M_CHECK_MSG(
-        k >= 0 && k < static_cast<int>(sim::TraceKind::kCount_),
-        "vc2mEvents record with unknown kind " << k);
-    out.push_back({util::Time::ns(t), static_cast<sim::TraceKind>(k), core,
-                   vcpu, task, j});
+        r->kind >= 0 && r->kind < static_cast<int>(sim::TraceKind::kCount_),
+        "vc2mEvents record with unknown kind " << r->kind);
+    out.push_back({util::Time::ns(r->t), static_cast<sim::TraceKind>(r->kind),
+                   r->core, r->vcpu, r->task, r->job});
   }
   VC2M_CHECK_MSG(found, "no vc2mEvents array (not a vc2m-written trace?)");
   return out;

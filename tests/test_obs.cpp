@@ -206,6 +206,78 @@ TEST(TraceExport, CsvRejectsGarbage) {
   EXPECT_THROW(read_chrome_trace(js), util::Error);
 }
 
+/// read_chrome_trace over a document whose vc2mEvents array holds `record`.
+std::vector<TraceEvent> read_one_record(const std::string& record) {
+  std::stringstream ss("{\n\"vc2mEvents\": [\n" + record +
+                       "\n],\n\"traceEvents\": []\n}\n");
+  return read_chrome_trace(ss);
+}
+
+TEST(TraceExport, ChromeJsonRecordsParseStrictly) {
+  // Extreme values in every field, then single-byte mutations of that
+  // record. Each mutation was accepted by a scanf-based reader (a sign or
+  // a space before a number, a digit that overflows the field, bytes after
+  // the record) or breaks the record's layout.
+  const std::string base =
+      "{\"t\":9223372036854775807,\"k\":1,\"c\":2147483647,"
+      "\"v\":-1,\"x\":0,\"j\":-9223372036854775808}";
+  const auto events = read_one_record(base);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].when.raw_ns(), INT64_MAX);
+  EXPECT_EQ(events[0].kind, static_cast<TraceKind>(1));
+  EXPECT_EQ(events[0].core, INT32_MAX);
+  EXPECT_EQ(events[0].vcpu, -1);
+  EXPECT_EQ(events[0].task, 0);
+  EXPECT_EQ(events[0].job, INT64_MIN);
+  EXPECT_EQ(read_one_record(base + ",").size(), 1u);  // not the last record
+
+  const auto mutate = [&](std::size_t at, std::size_t drop,
+                          const std::string& insert) {
+    return base.substr(0, at) + insert + base.substr(at + drop);
+  };
+  const std::size_t t = base.find("9223"), k = base.find(":1,") + 1,
+                    c = base.find("2147"), v = base.find("-1"),
+                    x = base.find(":0,") + 1, j = base.find("-9223");
+  const std::string malformed[] = {
+      mutate(k, 0, "+"),                    // "k":+1
+      mutate(x, 0, " "),                    // "x": 0
+      mutate(k + 1, 0, " "),                // "k":1 ,
+      mutate(t + 19, 0, "0"),               // t overflows int64
+      mutate(c + 10, 0, "0"),               // c overflows int32
+      mutate(j + 20, 0, "0"),               // j underflows int64
+      mutate(x, 0, "-"),                    // "x":-0
+      mutate(c, 0, "0x"),                   // hex
+      mutate(base.size(), 0, "x"),          // trailing byte
+      mutate(base.size(), 0, ",,"),         // two commas
+      mutate(base.size() - 1, 1, ""),       // no closing brace
+      mutate(0, 1, ""),                     // no opening brace
+      mutate(base.find("\"c\""), 1, ""),    // key unquoted
+      mutate(base.find(",\"v\""), 1, ";"),  // separator
+      mutate(j, 0, "1"),                    // "j":1-9223...
+  };
+  for (const auto& record : malformed) {
+    try {
+      read_one_record(record);
+      ADD_FAILURE() << "accepted: " << record;
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("malformed vc2mEvents record"),
+                std::string::npos)
+          << record << ": " << e.what();
+    }
+  }
+
+  // A mutation that stays in the grammar is a different, valid record.
+  EXPECT_EQ(read_one_record(mutate(v, 1, "")).at(0).vcpu, 1);
+  try {
+    read_one_record(mutate(k, 0, "9"));  // "k":91 is no TraceKind
+    ADD_FAILURE() << "accepted kind 91";
+  } catch (const util::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown kind 91"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(TraceKindStrings, RoundTrip) {
   for (int k = 0; k < static_cast<int>(TraceKind::kCount_); ++k) {
     const auto kind = static_cast<TraceKind>(k);
