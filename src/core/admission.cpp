@@ -20,19 +20,20 @@ namespace {
 std::optional<std::pair<unsigned, unsigned>> fit_with_grants(
     CoreLoad& cl, unsigned c, unsigned b, unsigned free_c, unsigned free_b,
     const model::ResourceGrid& grid) {
-  while (!cl.schedulable(c, b)) {
+  model::GridPoint at = grid.point(c, b);
+  while (!cl.schedulable(at)) {
     double best_gain = 0;
     bool grant_cache = false;
-    const double u_now = cl.utilization(c, b);
-    if (free_c > 0 && c < grid.c_max) {
-      const double gain = u_now - cl.utilization(c + 1, b);
+    const double u_now = cl.utilization(at);
+    if (free_c > 0 && at.c < grid.c_max) {
+      const double gain = u_now - cl.utilization(grid.more_cache(at));
       if (gain > best_gain) {
         best_gain = gain;
         grant_cache = true;
       }
     }
-    if (free_b > 0 && b < grid.b_max) {
-      const double gain = u_now - cl.utilization(c, b + 1);
+    if (free_b > 0 && at.b < grid.b_max) {
+      const double gain = u_now - cl.utilization(grid.more_bw(at));
       if (gain > best_gain) {
         best_gain = gain;
         grant_cache = false;
@@ -40,14 +41,14 @@ std::optional<std::pair<unsigned, unsigned>> fit_with_grants(
     }
     if (best_gain <= 1e-15) return std::nullopt;  // no grant helps
     if (grant_cache) {
-      ++c;
+      at = grid.more_cache(at);
       --free_c;
     } else {
-      ++b;
+      at = grid.more_bw(at);
       --free_b;
     }
   }
-  return std::make_pair(c, b);
+  return std::make_pair(at.c, at.b);
 }
 
 /// `mapping` with `vm_id`'s VCPUs taken off their cores and empty trailing
@@ -133,6 +134,8 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
   unsigned free_c = platform.total_cache() - mapping.total_cache();
   unsigned free_b = platform.total_bw() - mapping.total_bw();
 
+  // One probe core, cleared for every candidate placement.
+  CoreLoad probe(placed, new_vcpus, grid);
   for (std::size_t j = 0; j < new_vcpus.size(); ++j) {
     const std::size_t vi = placed.size() + j;
     const auto entity = static_cast<std::int32_t>(live + j);
@@ -147,10 +150,10 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
     unsigned best_cost = ~0u;
     double best_util = 2.0;
     for (unsigned k = 0; k < mapping.cores_used; ++k) {
-      CoreLoad with_new(placed, new_vcpus, grid);
-      for (const std::size_t v : mapping.vcpus_on_core[k]) with_new.add(v);
-      with_new.add(vi);
-      const auto fit = fit_with_grants(with_new, mapping.cache[k],
+      probe.clear();
+      for (const std::size_t v : mapping.vcpus_on_core[k]) probe.add(v);
+      probe.add(vi);
+      const auto fit = fit_with_grants(probe, mapping.cache[k],
                                        mapping.bw[k], free_c, free_b, grid);
       if (auto* log = obs::decision_log()) {
         obs::DecisionEvent e;
@@ -162,7 +165,7 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
           e.accepted = true;
           e.cache = static_cast<std::int32_t>(fit->first);
           e.bw = static_cast<std::int32_t>(fit->second);
-          const double u = with_new.utilization(fit->first, fit->second);
+          const double u = probe.utilization(fit->first, fit->second);
           e.value = u;
           e.margin = 1.0 - u;
         } else {
@@ -172,7 +175,7 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
           e.cache = static_cast<std::int32_t>(mapping.cache[k]);
           e.bw = static_cast<std::int32_t>(mapping.bw[k]);
           const double u =
-              with_new.utilization(mapping.cache[k], mapping.bw[k]);
+              probe.utilization(mapping.cache[k], mapping.bw[k]);
           e.value = u;
           e.margin = std::max(0.0, u - 1.0);
         }
@@ -181,7 +184,7 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
       if (!fit) continue;
       const unsigned cost =
           (fit->first - mapping.cache[k]) + (fit->second - mapping.bw[k]);
-      const double u = with_new.utilization(fit->first, fit->second);
+      const double u = probe.utilization(fit->first, fit->second);
       if (cost < best_cost || (cost == best_cost && u < best_util)) {
         best_core = k;
         best_alloc = *fit;
@@ -192,10 +195,10 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
     }
     if (mapping.cores_used < platform.cores && free_c >= grid.c_min &&
         free_b >= grid.b_min) {
-      CoreLoad alone(placed, new_vcpus, grid);
-      alone.add(vi);
+      probe.clear();
+      probe.add(vi);
       const auto fit =
-          fit_with_grants(alone, grid.c_min, grid.b_min, free_c - grid.c_min,
+          fit_with_grants(probe, grid.c_min, grid.b_min, free_c - grid.c_min,
                           free_b - grid.b_min, grid);
       if (auto* log = obs::decision_log()) {
         obs::DecisionEvent e;
@@ -207,14 +210,14 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
           e.accepted = true;
           e.cache = static_cast<std::int32_t>(fit->first);
           e.bw = static_cast<std::int32_t>(fit->second);
-          const double u = alone.utilization(fit->first, fit->second);
+          const double u = probe.utilization(fit->first, fit->second);
           e.value = u;
           e.margin = 1.0 - u;
         } else {
           e.constraint = obs::DecisionConstraint::kNoBeneficialGrant;
           e.cache = static_cast<std::int32_t>(grid.c_min);
           e.bw = static_cast<std::int32_t>(grid.b_min);
-          const double u = alone.utilization(grid.c_min, grid.b_min);
+          const double u = probe.utilization(grid.c_min, grid.b_min);
           e.value = u;
           e.margin = std::max(0.0, u - 1.0);
         }
@@ -222,7 +225,7 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
       }
       if (fit) {
         const unsigned cost = fit->first + fit->second;
-        const double u = alone.utilization(fit->first, fit->second);
+        const double u = probe.utilization(fit->first, fit->second);
         if (cost < best_cost || (cost == best_cost && u < best_util)) {
           best_core = mapping.cores_used;
           best_alloc = *fit;
