@@ -38,7 +38,9 @@
 # byte-identical to the unsharded report, the report must be schema-valid
 # (scripts/scenarios_validate.py), and two fuzz loops — corrupted taskset
 # CSVs and corrupted/truncated scenario files — must exit with a clean
-# util::Error, never an ASan report/crash. The address pass additionally
+# util::Error, never an ASan report/crash; a third fuzz loop overwrites the
+# id cells of a simulator trace with negative, huge and out-of-range
+# integers, and `vc2m check` must report them (exit 0 or 1), never crash. The address pass additionally
 # re-runs the golden-equivalence suite explicitly (allocation engine
 # bit-identical to the pre-registry seed, with strictly fewer dbf
 # evaluations) and the bench_micro_ops --smoke memoization-counter check.
@@ -149,6 +151,54 @@ taskset_fuzz() {
     fi
   done
   echo "--- taskset fuzz passed ---"
+}
+
+trace_check_fuzz() {
+  # $1 = build dir with a tools/vc2m binary. A simulator trace whose id
+  # cells (core, vcpu, task, job) are overwritten with negative, huge and
+  # out-of-range integers must make `vc2m check` exit 0 or 1 (a reported
+  # violation or a clean reader error), never crash or trip ASan.
+  local vc2m="$1/tools/vc2m"
+  local work; work="$(mktemp -d)"
+  trap 'rm -rf "$work"' RETURN
+  "$vc2m" generate --util 1.2 --vms 2 --seed 5 > "$work/tasks.csv"
+  "$vc2m" simulate --file "$work/tasks.csv" --trace "$work/trace.csv" \
+    > /dev/null
+  "$vc2m" check --trace "$work/trace.csv" > /dev/null \
+    || { echo "the unmodified trace fails vc2m check"; return 1; }
+
+  echo "--- fuzz: out-of-range trace ids must be reported, not crash ---"
+  local rows; rows="$(wc -l < "$work/trace.csv")"
+  local rejected=0
+  RANDOM=20260817
+  for i in $(seq 1 32); do
+    awk -F, -v OFS=, -v seed="$RANDOM" -v rows="$rows" '
+      BEGIN {
+        srand(seed)
+        rate = 4 / rows
+        n = split("-1 -2 -2147483648 2147483647 2000000000 65535 65536 7", ids, " ")
+        m = split("-1 -9223372036854775808 9223372036854775807 " \
+                  "1152921504606846976 70 4096", jobs, " ")
+      }
+      NR > 1 && rand() < rate {
+        col = 3 + int(rand() * 4)
+        $col = col == 6 ? jobs[1 + int(rand() * m)] : ids[1 + int(rand() * n)]
+      }
+      { print }' "$work/trace.csv" > "$work/fuzzed.csv"
+    local rc=0
+    ASAN_OPTIONS=abort_on_error=1 "$vc2m" check --trace "$work/fuzzed.csv" \
+      > "$work/fuzz-out.txt" 2> "$work/fuzz-err.txt" || rc=$?
+    if [ "$rc" -gt 1 ] || grep -q Sanitizer "$work/fuzz-err.txt"; then
+      echo "trace-check fuzz iteration $i failed (rc=$rc):"
+      cat "$work/fuzz-err.txt"
+      return 1
+    fi
+    grep -q "references invalid" "$work/fuzz-out.txt" && rejected=$((rejected + 1))
+  done
+  # The loop is only worth something if the checker saw the bad ids.
+  [ "$rejected" -gt 0 ] \
+    || { echo "no fuzzed trace reached the id checks"; return 1; }
+  echo "--- trace-check fuzz passed ($rejected of 32 rejected by the checker) ---"
 }
 
 serve_smoke() {
@@ -535,6 +585,8 @@ for san in "${sanitizers[@]}"; do
     telemetry_smoke "$dir"
     echo "=== ${san}: taskset fuzz ==="
     taskset_fuzz "$dir"
+    echo "=== ${san}: trace-check fuzz ==="
+    trace_check_fuzz "$dir"
     echo "=== ${san}: golden equivalence (engine vs seed digests) ==="
     "$dir/tests/test_golden"
     echo "=== ${san}: memoization smoke (bench_micro_ops --smoke) ==="

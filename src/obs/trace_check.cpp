@@ -1,8 +1,9 @@
 #include "obs/trace_check.h"
 
+#include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
+#include <tuple>
 
 namespace vc2m::obs {
 
@@ -25,10 +26,59 @@ struct VcpuState {
 
 struct JobState {
   util::Time release;
+  bool released = false;
   bool completed = false;
   bool missed = false;
   bool killed = false;            // enforcement killed it; terminal state
 };
+
+struct TaskState {
+  // Indexed by job sequence number. The simulator numbers each task's jobs
+  // densely from 0, so releases append; an id more than kJobSlack past the
+  // end goes to the sparse fallback instead, so the table grows with the
+  // number of events, never with an id's value.
+  std::vector<JobState> jobs;
+  bool suspended = false;         // shed by degradation
+};
+
+// Core, VCPU and task ids index dense tables; ids outside [0, kMaxId) are
+// reported as violations and the event is skipped. Job ids only need to be
+// non-negative.
+constexpr std::int64_t kMaxId = std::int64_t{1} << 16;
+constexpr std::size_t kJobSlack = 64;
+
+// The id fields each kind refers to.
+enum Ref : unsigned { kCore = 1, kVcpu = 2, kTask = 4, kJob = 8 };
+
+unsigned refs_of(const sim::TraceEvent& ev) {
+  switch (ev.kind) {
+    case sim::TraceKind::kVcpuSchedule:
+    case sim::TraceKind::kVcpuDeschedule:
+      return kCore | kVcpu;
+    case sim::TraceKind::kCoreThrottle:
+    case sim::TraceKind::kCoreUnthrottle:
+    case sim::TraceKind::kPartitionRevoke:
+    case sim::TraceKind::kPartitionRestore:
+    case sim::TraceKind::kCosProgram:
+      return kCore;
+    case sim::TraceKind::kVcpuRelease:  // names its core only if it has one
+      return ev.core < 0 ? kVcpu : kCore | kVcpu;
+    case sim::TraceKind::kVcpuBudgetOverrun:
+      return kVcpu;
+    case sim::TraceKind::kTaskDispatch:
+      return kCore | kVcpu | kTask;
+    case sim::TraceKind::kJobRelease:
+    case sim::TraceKind::kJobComplete:
+    case sim::TraceKind::kDeadlineMiss:
+    case sim::TraceKind::kJobKilled:
+      return kTask | kJob;
+    case sim::TraceKind::kTaskSuspend:
+    case sim::TraceKind::kTaskResume:
+      return kTask;
+    default:
+      return 0;
+  }
+}
 
 class Checker {
  public:
@@ -37,6 +87,7 @@ class Checker {
   TraceCheckResult run(std::span<const sim::TraceEvent> events) {
     for (const auto& ev : events) {
       ++res_.events;
+      if (!ids_valid(ev)) continue;
       switch (ev.kind) {
         case sim::TraceKind::kVcpuSchedule: handle_schedule(ev); break;
         case sim::TraceKind::kVcpuDeschedule: handle_deschedule(ev); break;
@@ -72,15 +123,46 @@ class Checker {
   }
 
  private:
-  CoreState& core(std::int32_t c) {
-    if (static_cast<std::size_t>(c) >= cores_.size())
-      cores_.resize(static_cast<std::size_t>(c) + 1);
-    return cores_[static_cast<std::size_t>(c)];
+  /// Report every id field of `ev` outside its table's domain.
+  bool ids_valid(const sim::TraceEvent& ev) {
+    const unsigned refs = refs_of(ev);
+    bool ok = true;
+    const auto check = [&](Ref ref, const char* field, std::int64_t id,
+                           bool valid) {
+      if (!(refs & ref) || valid) return;
+      violation(ev.when, sim::to_string(ev.kind), " references invalid ",
+                field, " ", id);
+      ok = false;
+    };
+    const auto indexable = [](std::int64_t id) {
+      return id >= 0 && id < kMaxId;
+    };
+    check(kCore, "core", ev.core, indexable(ev.core));
+    check(kVcpu, "vcpu", ev.vcpu, indexable(ev.vcpu));
+    check(kTask, "task", ev.task, indexable(ev.task));
+    check(kJob, "job", ev.job, ev.job >= 0);
+    return ok;
   }
-  VcpuState& vcpu(std::int32_t v) {
-    if (static_cast<std::size_t>(v) >= vcpus_.size())
-      vcpus_.resize(static_cast<std::size_t>(v) + 1);
-    return vcpus_[static_cast<std::size_t>(v)];
+
+  // Entity lookups; ids_valid has bounded the id.
+  template <typename T>
+  static T& at(std::vector<T>& table, std::int64_t id) {
+    const auto i = static_cast<std::size_t>(id);
+    if (i >= table.size()) table.resize(i + 1);
+    return table[i];
+  }
+  CoreState& core(std::int32_t c) { return at(cores_, c); }
+  VcpuState& vcpu(std::int32_t v) { return at(vcpus_, v); }
+  TaskState& task(std::int32_t t) { return at(tasks_, t); }
+
+  /// The released job (task, job), or null.
+  JobState* find_job(std::int32_t t, std::int64_t j) {
+    TaskState& ts = task(t);
+    const auto i = static_cast<std::size_t>(j);
+    if (i < ts.jobs.size() && ts.jobs[i].released) return &ts.jobs[i];
+    if (sparse_jobs_.empty()) return nullptr;
+    const auto it = sparse_jobs_.find({t, j});
+    return it == sparse_jobs_.end() ? nullptr : &it->second;
   }
 
   template <typename... Parts>
@@ -187,78 +269,94 @@ class Checker {
     if (c.running != ev.vcpu)
       violation(ev.when, "task ", ev.task, " dispatched on vcpu ", ev.vcpu,
                 " which is not running on core ", ev.core);
-    if (suspended_.count(ev.task))
+    if (task(ev.task).suspended)
       violation(ev.when, "task ", ev.task,
                 " dispatched while suspended by degradation");
   }
 
   void handle_job_release(const sim::TraceEvent& ev) {
     ++res_.releases;
-    const auto key = std::make_pair(ev.task, ev.job);
-    if (!jobs_.emplace(key, JobState{ev.when}).second)
+    if (find_job(ev.task, ev.job)) {
       violation(ev.when, "task ", ev.task, " job ", ev.job,
                 " released twice");
+      return;
+    }
+    std::vector<JobState>& jobs = task(ev.task).jobs;
+    const auto i = static_cast<std::size_t>(ev.job);
+    JobState* job;
+    if (i < jobs.size() + kJobSlack) {
+      if (i >= jobs.size()) jobs.resize(i + 1);
+      job = &jobs[i];
+    } else {
+      job = &sparse_jobs_[{ev.task, ev.job}];
+    }
+    job->release = ev.when;
+    job->released = true;
   }
 
   void handle_job_complete(const sim::TraceEvent& ev) {
     ++res_.completions;
-    const auto it = jobs_.find({ev.task, ev.job});
-    if (it == jobs_.end()) {
+    JobState* job = find_job(ev.task, ev.job);
+    if (!job) {
       violation(ev.when, "task ", ev.task, " job ", ev.job,
                 " completed but was never released");
       return;
     }
-    if (it->second.completed)
+    if (job->completed)
       violation(ev.when, "task ", ev.task, " job ", ev.job,
                 " completed twice");
     // Invariant 6: a killed job must never execute (and thus complete)
     // afterwards — the kill removed it from its task's pending queue.
-    if (it->second.killed)
+    if (job->killed)
       violation(ev.when, "task ", ev.task, " job ", ev.job,
                 " completed after being killed");
-    it->second.completed = true;
+    job->completed = true;
   }
 
   void handle_miss(const sim::TraceEvent& ev) {
     ++res_.misses;
-    const auto it = jobs_.find({ev.task, ev.job});
-    if (it == jobs_.end()) {
+    JobState* job = find_job(ev.task, ev.job);
+    if (!job) {
       violation(ev.when, "task ", ev.task, " job ", ev.job,
                 " missed its deadline but was never released");
       return;
     }
-    if (it->second.completed)
+    if (job->completed)
       violation(ev.when, "task ", ev.task, " job ", ev.job,
                 " missed its deadline after completing");
-    if (it->second.killed)
+    if (job->killed)
       violation(ev.when, "task ", ev.task, " job ", ev.job,
                 " missed its deadline after being killed");
-    it->second.missed = true;
+    job->missed = true;
   }
 
   void handle_job_kill(const sim::TraceEvent& ev) {
-    const auto it = jobs_.find({ev.task, ev.job});
-    if (it == jobs_.end()) {
+    JobState* job = find_job(ev.task, ev.job);
+    if (!job) {
       violation(ev.when, "task ", ev.task, " job ", ev.job,
                 " killed but was never released");
       return;
     }
-    if (it->second.completed)
+    if (job->completed)
       violation(ev.when, "task ", ev.task, " job ", ev.job,
                 " killed after completing");
-    if (it->second.killed)
+    if (job->killed)
       violation(ev.when, "task ", ev.task, " job ", ev.job, " killed twice");
-    it->second.killed = true;
+    job->killed = true;
   }
 
   void handle_suspend(const sim::TraceEvent& ev) {
-    if (!suspended_.insert(ev.task).second)
+    bool& suspended = task(ev.task).suspended;
+    if (suspended)
       violation(ev.when, "task ", ev.task, " suspended twice");
+    suspended = true;
   }
 
   void handle_resume(const sim::TraceEvent& ev) {
-    if (suspended_.erase(ev.task) == 0)
+    bool& suspended = task(ev.task).suspended;
+    if (!suspended)
       violation(ev.when, "task ", ev.task, " resumed but not suspended");
+    suspended = false;
   }
 
   void handle_revoke(const sim::TraceEvent& ev) {
@@ -293,24 +391,35 @@ class Checker {
   void finish() {
     if (cfg_.task_periods.empty() || cfg_.horizon.is_zero()) return;
     // Invariant 5: a release whose implicit deadline lies inside the
-    // horizon must have been completed or declared missed.
-    for (const auto& [key, job] : jobs_) {
-      if (job.completed || job.missed || job.killed) continue;
-      const auto task = static_cast<std::size_t>(key.first);
-      if (task >= cfg_.task_periods.size()) continue;
-      if (job.release + cfg_.task_periods[task] <= cfg_.horizon)
-        violation(job.release, "task ", key.first, " job ", key.second,
-                  " released but neither completed nor missed by the "
-                  "horizon");
-    }
+    // horizon must have been completed or declared missed. Reported in
+    // ascending (task, job) order.
+    std::vector<std::tuple<std::int32_t, std::int64_t, util::Time>> open;
+    const auto note = [&](std::int32_t t, std::int64_t j, const JobState& job) {
+      if (!job.released || job.completed || job.missed || job.killed) return;
+      const auto ti = static_cast<std::size_t>(t);
+      if (ti < cfg_.task_periods.size() &&
+          job.release + cfg_.task_periods[ti] <= cfg_.horizon)
+        open.emplace_back(t, j, job.release);
+    };
+    for (std::size_t t = 0; t < tasks_.size(); ++t)
+      for (std::size_t j = 0; j < tasks_[t].jobs.size(); ++j)
+        note(static_cast<std::int32_t>(t), static_cast<std::int64_t>(j),
+             tasks_[t].jobs[j]);
+    for (const auto& [key, job] : sparse_jobs_)
+      note(key.first, key.second, job);
+    std::sort(open.begin(), open.end());
+    for (const auto& [t, j, release] : open)
+      violation(release, "task ", t, " job ", j,
+                " released but neither completed nor missed by the horizon");
   }
 
   const TraceCheckConfig& cfg_;
   TraceCheckResult res_;
   std::vector<CoreState> cores_;
   std::vector<VcpuState> vcpus_;
-  std::map<std::pair<std::int32_t, std::int64_t>, JobState> jobs_;
-  std::set<std::int32_t> suspended_;
+  std::vector<TaskState> tasks_;
+  // Jobs whose id lies beyond their task table's reach (kJobSlack).
+  std::map<std::pair<std::int32_t, std::int64_t>, JobState> sparse_jobs_;
 };
 
 }  // namespace

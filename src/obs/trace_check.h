@@ -2,6 +2,11 @@
 // properties the vC2M design guarantees by construction.
 //
 // Checked on any trace (no configuration needed):
+//   0. every core, VCPU and task id an event refers to lies in [0, 65536)
+//      and every job id is non-negative; an event that breaks this is
+//      reported and otherwise skipped, so no id can crash the checker.
+//      Job ids far past a task's last one go to a sparse fallback, so
+//      memory grows with the number of events, not with id values;
 //   1. at most one VCPU occupies a core at a time, and schedule/deschedule
 //      events pair up (no deschedule of an idle core, no double schedule);
 //   2. nothing executes on a throttled core — no VCPU is scheduled onto it,

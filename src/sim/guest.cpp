@@ -71,10 +71,11 @@ void Simulation::release_job(std::size_t task_index, util::Time nominal,
       if (observer_) observer_->on_fault_injected(FaultKind::kWcetOverrun);
     }
 
-    const std::int64_t seq = job.seq;
-    queue_.schedule(job.deadline, [this, task_index, seq] {
-      job_deadline_check(task_index, seq);
-    });
+    // Two captured words keep the closure inside std::function's inline
+    // buffer, so arming the check allocates nothing; the check finds its
+    // job by deadline instead of by sequence number.
+    queue_.schedule(job.deadline,
+                    [this, task_index] { job_deadline_check(task_index); });
   }
   if (schedule_next) {
     // Next arrival: the minimum inter-arrival plus, for sporadic tasks, a
@@ -91,16 +92,18 @@ void Simulation::release_job(std::size_t task_index, util::Time nominal,
   if (create) interrupt_core(vcpus_[t.spec.vcpu].spec.core);
 }
 
-void Simulation::job_deadline_check(std::size_t task_index,
-                                    std::int64_t seq) {
+void Simulation::job_deadline_check(std::size_t task_index) {
   TaskRt& t = tasks_[task_index];
   // Bring execution accounting up to date: a job completing exactly at its
   // deadline must not be flagged (its segment-end event fires at the same
   // timestamp, possibly after this one).
   account_core(vcpus_[t.spec.vcpu].spec.core);
 
+  // A task's jobs have distinct deadlines (their nominal releases are at
+  // least a period apart), so the pending job due now is the one this
+  // check was armed for.
   for (auto& job : t.pending) {
-    if (job.seq != seq) continue;
+    if (job.deadline != queue_.now()) continue;
     if (job.remaining.is_zero() || job.missed) return;
     job.missed = true;
     ++t.stats.deadline_misses;
@@ -108,7 +111,7 @@ void Simulation::job_deadline_check(std::size_t task_index,
                    static_cast<std::int32_t>(
                        vcpus_[t.spec.vcpu].spec.core),
                    static_cast<std::int32_t>(t.spec.vcpu),
-                   static_cast<std::int32_t>(task_index), seq});
+                   static_cast<std::int32_t>(task_index), job.seq});
     // Degrade policy: a miss of a task that must not miss sheds the
     // low-criticality load on its core (trigger_degrade no-ops under every
     // other policy).

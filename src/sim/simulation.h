@@ -317,7 +317,7 @@ class Simulation {
   void task_release(std::size_t task_index);
   void release_job(std::size_t task_index, util::Time nominal,
                    bool schedule_next);
-  void job_deadline_check(std::size_t task_index, std::int64_t seq);
+  void job_deadline_check(std::size_t task_index);
   void complete_job(std::size_t task_index);
   std::size_t pick_task(const VcpuRt& v) const;
   /// Has a job the scheduler may run now (pending, not suspended by

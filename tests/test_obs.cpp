@@ -555,6 +555,89 @@ TEST(TraceCheck, ViolationReportingIsCapped) {
   EXPECT_EQ(res.violations.size(), 3u);
 }
 
+TEST(TraceCheck, OutOfDomainIdsAreViolationsNotCrashes) {
+  // Every id an event indexes by must be a valid table index; otherwise the
+  // event is reported and skipped.
+  const std::vector<std::pair<TraceEvent, std::string>> cases = {
+      {{Time::zero(), TraceKind::kVcpuSchedule, -1, 0},
+       "vcpu-schedule references invalid core -1"},
+      {{Time::zero(), TraceKind::kVcpuRelease, 0, -1},
+       "vcpu-release references invalid vcpu -1"},
+      {{Time::zero(), TraceKind::kVcpuSchedule, 2'000'000'000, 0},
+       "vcpu-schedule references invalid core 2000000000"},
+      {{Time::zero(), TraceKind::kCoreThrottle, 65'536},
+       "core-throttle references invalid core 65536"},
+      {{Time::zero(), TraceKind::kVcpuBudgetOverrun, 0, -7},
+       "vcpu-budget-overrun references invalid vcpu -7"},
+      {{Time::zero(), TraceKind::kTaskDispatch, 0, 0, -1},
+       "task-dispatch references invalid task -1"},
+      {{Time::zero(), TraceKind::kJobRelease, 0, 0, 70'000, 0},
+       "job-release references invalid task 70000"},
+      {{Time::zero(), TraceKind::kJobComplete, 0, 0, 0, -1},
+       "job-complete references invalid job -1"},
+      {{Time::zero(), TraceKind::kTaskSuspend, 0, 0, -2},
+       "task-suspend references invalid task -2"},
+  };
+  for (const auto& [ev, what] : cases) {
+    const auto res = check_trace(std::vector<TraceEvent>{ev});
+    ASSERT_EQ(res.total_violations, 1u) << what;
+    EXPECT_EQ(res.violations[0].what, what);
+  }
+  // Two bad fields, two violations; a VCPU release without a core is fine.
+  const auto both = check_trace(std::vector<TraceEvent>{
+      {Time::zero(), TraceKind::kVcpuDeschedule, -1, -1}});
+  EXPECT_EQ(both.total_violations, 2u);
+  EXPECT_TRUE(check_trace(std::vector<TraceEvent>{
+                              {Time::zero(), TraceKind::kVcpuRelease, -1, 0}})
+                  .ok());
+  // Fields a kind does not index by are not checked (a refill-delay fault
+  // carries no core, a revocation's job field is a way count).
+  EXPECT_TRUE(check_trace(std::vector<TraceEvent>{
+                              {Time::zero(), TraceKind::kFaultRefillDelay, -1,
+                               -1, -1, 300}})
+                  .ok());
+}
+
+TEST(TraceCheck, SparseJobIdsGoThroughTheFallback) {
+  // Job ids far past a task's table land in the fallback; lookups see both
+  // stores, and unmatched releases come out in ascending (task, job) order.
+  TraceCheckConfig cfg;
+  cfg.task_periods = {Time::ms(10), Time::ms(10)};
+  cfg.horizon = Time::ms(100);
+  const std::int64_t huge = std::int64_t{1} << 60;
+  std::vector<TraceEvent> events = {
+      {Time::zero(), TraceKind::kJobRelease, 0, 0, 1, 0},
+      {Time::zero(), TraceKind::kJobRelease, 0, 0, 0, huge},
+      {Time::zero(), TraceKind::kJobRelease, 0, 0, 0, 0},
+      {Time::zero(), TraceKind::kJobRelease, 0, 0, 0, 100},  // fallback
+      {Time::zero(), TraceKind::kJobRelease, 0, 0, 0, 3},
+      {Time::ms(1), TraceKind::kJobComplete, 0, 0, 0, 0},
+      {Time::ms(2), TraceKind::kJobComplete, 0, 0, 0, huge - 1},
+  };
+  // Fill the dense table up to within reach of job 100, then release 100
+  // again: the fallback's copy must still be found.
+  for (std::int64_t j = 4; j < 60; ++j)
+    events.push_back({Time::ms(3), TraceKind::kJobRelease, 0, 0, 0, j});
+  for (std::int64_t j = 4; j < 60; ++j)
+    events.push_back({Time::ms(4), TraceKind::kJobComplete, 0, 0, 0, j});
+  events.push_back({Time::ms(5), TraceKind::kJobRelease, 0, 0, 0, 100});
+  events.push_back({Time::ms(6), TraceKind::kJobComplete, 0, 0, 0, 100});
+  const auto res = check_trace(events, cfg);
+  std::vector<std::string> what;
+  for (const auto& v : res.violations) what.push_back(v.what);
+  EXPECT_EQ(what, (std::vector<std::string>{
+                      "task 0 job 1152921504606846975 completed but was "
+                      "never released",
+                      "task 0 job 100 released twice",
+                      "task 0 job 3 released but neither completed nor "
+                      "missed by the horizon",
+                      "task 0 job 1152921504606846976 released but neither "
+                      "completed nor missed by the horizon",
+                      "task 1 job 0 released but neither completed nor "
+                      "missed by the horizon",
+                  }));
+}
+
 // --------------------------------------------- end to end with the sim ----
 
 sim::SimConfig two_server_config() {
