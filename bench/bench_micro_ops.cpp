@@ -56,9 +56,10 @@ void BM_DbfEvaluation(benchmark::State& state) {
 BENCHMARK(BM_DbfEvaluation);
 
 void BM_DbfDemandAtSoA(benchmark::State& state) {
-  // The branchless SoA demand sweep over a merged checkpoint set — the
-  // inner loop of the fast min-budget kernel. Compare per-point cost with
-  // BM_DbfEvaluation (one AoS dbf() call per point).
+  // The division-free SoA demand sweep over a merged checkpoint set (each
+  // task's last passed multiple steps forward by its period) — the inner
+  // loop of the fast min-budget kernel. Compare per-point cost with
+  // BM_DbfEvaluation (one AoS dbf() call per point, one division per task).
   std::vector<analysis::PTask> tasks;
   for (int i = 1; i <= 8; ++i)
     tasks.push_back({Time::ms(100 * (1 << (i % 4))), Time::ms(i)});

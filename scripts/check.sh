@@ -224,6 +224,18 @@ serve_smoke() {
   echo "--- serve report is schema-valid ---"
   python3 scripts/scenarios_validate.py --serve-report "$work/base.json"
 
+  echo "--- serve --profile: phase tree printed, artifacts unchanged ---"
+  "$vc2m" serve "${args[@]}" --journal "$work/prof.wal" \
+    --json "$work/prof.json" --profile > "$work/prof.txt"
+  for phase in cluster vcpu_analysis; do
+    grep -Eq "^ *${phase} +[1-9][0-9]* " "$work/prof.txt" \
+      || { echo "serve --profile printed no '${phase}' row:"
+           cat "$work/prof.txt"; return 1; }
+  done
+  cmp "$work/prof.json" "$work/base.json" \
+    && cmp "$work/prof.wal" "$work/base.wal" \
+    || { echo "serve --profile changed the report or the journal"; return 1; }
+
   echo "--- serve: crash-kill + --recover at every crash point ---"
   # std::_Exit(137) at the kill site: distinguishable both from a clean
   # exit and from an ASan abort (134).
@@ -521,9 +533,11 @@ EOF
 perf_gate() {
   # Plain (non-sanitized, RelWithDebInfo) build: sanitizer overhead would
   # drown the wall time the gate compares. Runs the committed Fig-4
-  # configuration (50 tasksets/point, step 0.05, seed 42, --jobs 1) and
-  # holds wall time, phase times, and effort counters to within
-  # --max-regress of the checked-in baseline report.
+  # configuration (50 tasksets/point, step 0.05, seed 42, --jobs 1),
+  # requires its deterministic effort counters to equal those of the
+  # committed current report exactly, and holds wall time, phase times, and
+  # effort counters to within --max-regress of the checked-in baseline
+  # report.
   local dir=build-perf
   echo "=== perf: configure (${dir}/) ==="
   cmake -B "$dir" -S . >/dev/null
@@ -534,6 +548,26 @@ perf_gate() {
   echo "=== perf: Fig-4 runtime sweep ==="
   "$dir/bench/bench_fig4_runtime" --jobs 1 --csv-dir "$work" \
     --json "$work/BENCH_fig4_current.json" > /dev/null
+  echo "=== perf: deterministic counters vs bench_results/BENCH_fig4_current.json ==="
+  # Effort counters do not depend on the host or the clock: any change in
+  # them is a change in what the allocator does, so they must match the
+  # committed report exactly.
+  python3 - bench_results/BENCH_fig4_current.json \
+      "$work/BENCH_fig4_current.json" <<'EOF'
+import json, sys
+want = json.load(open(sys.argv[1]))["counters"]
+got = json.load(open(sys.argv[2]))["counters"]
+exact = ["dbf_evaluations", "budget_evaluations", "budget_cache_hits",
+         "admission_tests", "admission_passed",
+         "kmeans_runs", "kmeans_iterations", "kmeans_final_shift",
+         "load_cache_hits", "partition_grants", "candidate_packings",
+         "vcpu_migrations", "soa_rebuilds", "arena_bytes"]
+moved = [f"{k}: committed {want.get(k)}, fresh {got.get(k)}"
+         for k in exact if k not in want or want.get(k) != got.get(k)]
+if moved:
+    print("deterministic counters moved:\n  " + "\n  ".join(moved))
+    sys.exit(1)
+EOF
   echo "=== perf: perfdiff vs bench_results/BENCH_fig4_baseline.json ==="
   # --min-abs-sec 0.01: sub-10ms bookkeeping phases (fork_streams,
   # assemble) jitter past any sane relative threshold; the phases this

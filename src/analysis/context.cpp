@@ -17,10 +17,10 @@ namespace {
 
 /// Hash of a query's wcet tuple (the group fixes everything else).
 std::uint64_t wcet_hash(std::span<const PTask> tasks) {
-  std::uint64_t h = util::kFnvOffsetBasis;
+  util::WordHash h;
   for (const auto& t : tasks)
-    h = util::fnv1a_word(h, static_cast<std::uint64_t>(t.wcet.raw_ns()));
-  return h;
+    h.add(static_cast<std::uint64_t>(t.wcet.raw_ns()));
+  return h.value();
 }
 
 std::optional<util::Time> decode(std::int64_t v) {

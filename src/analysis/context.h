@@ -171,10 +171,10 @@ class AnalysisContext {
     BudgetTable budgets;
   };
 
-  /// FNV-1a over a group key [Π, p_0, p_1, ...].
+  /// util::word_hash over a group key [Π, p_0, p_1, ...].
   struct KeyHash {
     std::size_t operator()(const std::vector<std::int64_t>& key) const {
-      return static_cast<std::size_t>(util::fnv1a_words(key));
+      return static_cast<std::size_t>(util::word_hash(key));
     }
   };
 

@@ -10,8 +10,8 @@
 //    allocation-per-call); tests pin the fast path against them.
 //  - `TaskArrays` is the structure-of-arrays view the hot path uses:
 //    contiguous period/wcet/utilization columns validated once at assign()
-//    time, so the demand-sum inner loops are branchless (no per-element
-//    VC2M_CHECK) and cache-dense. AnalysisContext builds and caches these
+//    time, so the demand-sum inner loops run without per-element checks
+//    and stay cache-dense. AnalysisContext builds and caches these
 //    (docs/performance.md).
 #pragma once
 
@@ -78,6 +78,12 @@ struct TaskArrays {
 /// e_i. The wcet column is passed separately so one cached period column
 /// serves many wcet surfaces (grid cells). Counts one dbf evaluation per
 /// point — each out[k] is exactly one dbf(t).
+///
+/// Precondition: `points` is strictly ascending and positive, and every
+/// period is positive; anything else throws util::Error. No division: the
+/// kernel walks the points keeping each task's last passed multiple and
+/// steps it forward by p_i, so any strictly ascending point set works,
+/// multiples skipped or not (docs/analysis.md).
 void demand_at(std::span<const std::int64_t> periods,
                std::span<const std::int64_t> wcets,
                std::span<const util::Time> points,

@@ -10,9 +10,11 @@
 // every decision event and every resulting state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -208,6 +210,195 @@ TEST(KMeansPinTest, DuplicatePointsOddCountFiveClusters) {
     pts.push_back(pool[id]);
   expect_pin(run_pinned(pts, 5, 4242), {2, 0, "7f2c16c2b9d4e014"},
              "duplicates k=5");
+}
+
+// ------------------------------------------------------- k-means oracle --
+
+/// The k-means algorithm as it was before the seeding distances were
+/// reused: kmeans++ seeding that keeps only each point's nearest distance,
+/// then Lloyd iterations that compute every point-to-centroid distance in
+/// every iteration, iteration 0 included. Plain scalar loops throughout;
+/// the engine must match it bit for bit.
+struct ReferenceKMeans {
+  std::vector<std::size_t> assignment;
+  std::vector<double> centroids;
+  unsigned iterations = 0;
+  double final_shift = 0;
+  std::size_t ties = 0;  ///< assignments with an exact distance tie
+};
+
+double ref_distance(const std::vector<double>& a, const double* b) {
+  double s = 0;
+  for (std::size_t d = 0; d < a.size(); ++d) {
+    const double diff = a[d] - b[d];
+    s += diff * diff;
+  }
+  return s;
+}
+
+ReferenceKMeans reference_kmeans(const std::vector<std::vector<double>>& pts,
+                                 std::size_t k, Rng& rng,
+                                 unsigned max_iters = 50) {
+  const std::size_t n = pts.size(), dim = pts[0].size();
+  ReferenceKMeans r;
+  auto& cent = r.centroids;
+  cent.assign(k * dim, 0);
+  const auto pick = [&](std::size_t c, std::size_t i) {
+    std::copy(pts[i].begin(), pts[i].end(), cent.begin() + c * dim);
+  };
+  pick(0, rng.index(n));
+  std::vector<double> nearest(n, std::numeric_limits<double>::infinity());
+  for (std::size_t chosen = 1; chosen < k; ++chosen) {
+    double total = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      nearest[i] = std::min(nearest[i],
+                            ref_distance(pts[i], &cent[(chosen - 1) * dim]));
+      total += nearest[i];
+    }
+    std::size_t next = n - 1;
+    if (total <= 0) {
+      next = rng.index(n);
+    } else {
+      double u = rng.uniform01() * total;
+      for (std::size_t i = 0; i < n; ++i) {
+        u -= nearest[i];
+        if (u <= 0) {
+          next = i;
+          break;
+        }
+      }
+    }
+    pick(chosen, next);
+  }
+
+  auto& assign = r.assignment;
+  assign.assign(n, 0);
+  std::vector<double> sums(k * dim);
+  std::vector<std::size_t> counts(k);
+  std::vector<bool> stale(k);
+  for (unsigned iter = 0; iter < max_iters; ++iter) {
+    r.iterations = iter + 1;
+    bool changed = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::size_t best = 0;
+      double best_d = std::numeric_limits<double>::infinity();
+      for (std::size_t c = 0; c < k; ++c) {
+        const double d = ref_distance(pts[i], &cent[c * dim]);
+        if (d == best_d) ++r.ties;
+        if (d < best_d) {
+          best_d = d;
+          best = c;
+        }
+      }
+      if (assign[i] != best) changed = true;
+      assign[i] = best;
+    }
+    if (!changed && iter > 0) break;
+
+    std::fill(sums.begin(), sums.end(), 0.0);
+    std::fill(counts.begin(), counts.end(), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      ++counts[assign[i]];
+      for (std::size_t d = 0; d < dim; ++d)
+        sums[assign[i] * dim + d] += pts[i][d];
+    }
+    std::fill(stale.begin(), stale.end(), false);
+    for (std::size_t c = 0; c < k; ++c) {
+      if (counts[c] == 0) {
+        std::size_t worst = 0;
+        double worst_d = -1;
+        for (std::size_t i = 0; i < n; ++i) {
+          if (counts[assign[i]] <= 1) continue;
+          const double d = ref_distance(pts[i], &cent[assign[i] * dim]);
+          if (d > worst_d) {
+            worst_d = d;
+            worst = i;
+          }
+        }
+        if (assign[worst] < c) stale[assign[worst]] = true;
+        --counts[assign[worst]];
+        for (std::size_t d = 0; d < dim; ++d) {
+          sums[assign[worst] * dim + d] -= pts[worst][d];
+          sums[c * dim + d] = pts[worst][d];
+        }
+        assign[worst] = c;
+        counts[c] = 1;
+      }
+      for (std::size_t d = 0; d < dim; ++d)
+        cent[c * dim + d] =
+            sums[c * dim + d] / static_cast<double>(counts[c]);
+    }
+    r.final_shift = 0;
+    for (std::size_t c = 0; c < k; ++c) {
+      if (!stale[c]) continue;
+      double shift = 0;
+      for (std::size_t d = 0; d < dim; ++d) {
+        const double diff =
+            cent[c * dim + d] -
+            sums[c * dim + d] / static_cast<double>(counts[c]);
+        shift += diff * diff;
+      }
+      r.final_shift += shift;
+    }
+  }
+  return r;
+}
+
+TEST(KMeansOracle, MatchesFullDistanceReferenceOnRandomMatrices) {
+  // 2 400 random matrices: n in 1..24, every k in 1..min(n, 6) in turn,
+  // dimensions from 1 (all ties on a line) to a Platform-A-sized 380.
+  // Coordinates are either small integers, so exact distance ties and
+  // duplicate rows are common, or arbitrary doubles; some rows are
+  // copies of earlier ones.
+  Rng gen(20261017);
+  constexpr std::size_t kDims[] = {1, 2, 3, 5, 8, 17, 380};
+  // Cases reaching an exact tie, and a repair that leaves a stale centroid.
+  std::size_t cases = 0, ties = 0, repairs = 0;
+  for (int t = 0; t < 2400; ++t) {
+    const std::size_t n = 1 + gen.index(24);
+    const std::size_t k =
+        1 + static_cast<std::size_t>(t) % std::min<std::size_t>(n, 6);
+    const std::size_t dim = kDims[gen.index(std::size(kDims))];
+    const bool integral = gen.bernoulli(0.5);
+    std::vector<std::vector<double>> pts(n, std::vector<double>(dim));
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0 && gen.bernoulli(0.25)) {
+        pts[i] = pts[gen.index(i)];
+        continue;
+      }
+      for (double& v : pts[i])
+        v = integral ? static_cast<double>(gen.index(4))
+                     : gen.uniform(-3.0, 3.0);
+    }
+    const std::uint64_t seed = gen();
+    const unsigned max_iters = gen.bernoulli(0.1) ? 1 + gen.index(3) : 50;
+
+    Rng ref_rng(seed);
+    const auto want = reference_kmeans(pts, k, ref_rng, max_iters);
+    util::AllocCounterScope scope;
+    Rng rng(seed);
+    const auto got = kmeans(pts, k, rng, max_iters);
+    const std::string label = "case " + std::to_string(t) + " n=" +
+                              std::to_string(n) + " k=" + std::to_string(k) +
+                              " dim=" + std::to_string(dim);
+    ASSERT_EQ(got.assignment, want.assignment) << label;
+    ASSERT_EQ(got.iterations, want.iterations) << label;
+    ASSERT_EQ(got.centroids.size(), want.centroids.size()) << label;
+    for (std::size_t j = 0; j < got.centroids.size(); ++j)
+      ASSERT_EQ(bits_of(got.centroids[j]), bits_of(want.centroids[j]))
+          << label << " centroid value " << j;
+    ASSERT_EQ(bits_of(scope.counters().kmeans_final_shift),
+              bits_of(want.final_shift))
+        << label;
+    ASSERT_EQ(rng(), ref_rng()) << label << " (RNG position)";
+    ++cases;
+    if (want.final_shift != 0) ++repairs;
+    if (want.ties > 0) ++ties;
+  }
+  EXPECT_EQ(cases, 2400u);
+  // The corpus must reach the paths it exists for.
+  EXPECT_GE(repairs, 5u);
+  EXPECT_GE(ties, 200u);
 }
 
 // ------------------------------------------------------ grid kernel oracles --

@@ -114,7 +114,7 @@
 //       solution: the fraction that stays schedulable under faults
 //       (critical tasks free of misses and kills).
 //
-//   --profile (simulate, experiment) enables the hierarchical phase
+//   --profile (simulate, experiment, serve) enables the hierarchical phase
 //   profiler and prints the merged allocator phase tree (counts, total and
 //   self wall seconds) after the run; experiment also prints per-worker
 //   thread-pool telemetry (tasks executed, steals, idle time, peak queue
@@ -264,7 +264,7 @@ struct Args {
                "                  [--timeline FILE] [--sample-every N] "
                "[--stats-every N]\n"
                "                  [--span-ring K] [--span-trace out.json]\n"
-               "                  [--inner-jobs N]\n"
+               "                  [--inner-jobs N] [--profile]\n"
                "       vc2m timeline FILE... [--diff BASE] [--csv]\n"
                "       vc2m scenario run PATH... [--jobs N] [--shard i/m] "
                "[--resume]\n"
@@ -891,6 +891,7 @@ int cmd_serve(const Args& a) {
   cfg.cancel = &g_interrupted;
   cfg.stats_signal = &g_stats_requested;
 
+  if (a.profile) util::PhaseProfiler::set_enabled(true);
   const auto res = service::run_service(cfg);
   for (const auto& w : res.warnings) std::cerr << "warning: " << w << "\n";
   const auto& r = res.report;
@@ -951,6 +952,7 @@ int cmd_serve(const Args& a) {
     for (const auto& n : notes) std::cerr << "note: " << n << "\n";
     std::cout << "wrote " << a.json_out << "\n";
   }
+  if (a.profile) print_profile();
   if (res.interrupted) {
     std::cerr << "interrupted: served " << (r.arrivals + r.retries)
               << " of " << r.requests << " request(s); report marked "
