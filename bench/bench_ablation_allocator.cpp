@@ -13,7 +13,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "core/solutions.h"
+#include "core/strategy.h"
 #include "model/platform.h"
 #include "util/table.h"
 #include "workload/generator.h"
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
       const auto tasks = workload::generate_taskset(gen, gen_rng);
       for (std::size_t v = 0; v < vars.size(); ++v) {
         util::Rng solve_rng = master.fork();
-        ok[v] += core::solve(core::Solution::kHeuristicOverheadFree, tasks,
+        ok[v] += core::solve("ovf", tasks,
                              platform, vars[v].cfg, solve_rng)
                      .schedulable;
       }

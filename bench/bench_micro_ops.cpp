@@ -23,7 +23,7 @@
 #include "core/admission.h"
 #include "core/hv_alloc.h"
 #include "core/kmeans.h"
-#include "core/solutions.h"
+#include "core/strategy.h"
 #include "core/vm_alloc.h"
 #include "model/platform.h"
 #include "obs/bench_report.h"
@@ -258,21 +258,16 @@ void BM_AdmitVmFullPlatform(benchmark::State& state) {
 BENCHMARK(BM_AdmitVmFullPlatform);
 
 void BM_SolveEndToEnd(benchmark::State& state) {
-  const auto solution = static_cast<core::Solution>(state.range(0));
+  const auto& strategy = core::StrategyRegistry::instance().require(
+      core::default_solution_keys()[static_cast<std::size_t>(state.range(0))]);
   const auto tasks = make_taskset(1.0, 13);
   const auto platform = model::PlatformSpec::A();
   util::Rng rng(5);
   for (auto _ : state)
-    benchmark::DoNotOptimize(core::solve(solution, tasks, platform, {}, rng));
-  state.SetLabel(core::to_string(solution));
+    benchmark::DoNotOptimize(core::solve(strategy, tasks, platform, {}, rng));
+  state.SetLabel(strategy.display);
 }
-BENCHMARK(BM_SolveEndToEnd)
-    ->Arg(static_cast<int>(core::Solution::kHeuristicFlattening))
-    ->Arg(static_cast<int>(core::Solution::kHeuristicOverheadFree))
-    ->Arg(static_cast<int>(core::Solution::kHeuristicExistingCsa))
-    ->Arg(static_cast<int>(core::Solution::kEvenPartitionOverheadFree))
-    ->Arg(static_cast<int>(core::Solution::kBaselineExistingCsa))
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SolveEndToEnd)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 /// --smoke: one existing-CSA solve; fail (exit 1) unless the memoization
 /// counters show the shared-context machinery at work. With --json PATH,

@@ -16,7 +16,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/solutions.h"
+#include "core/strategy.h"
 #include "model/platform.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -68,10 +68,11 @@ int main() {
 
   util::Table table(
       {"solution", "schedulable", "cores", "cache used", "bw used"});
-  for (const auto solution : core::all_solutions()) {
+  for (const auto& key : core::default_solution_keys()) {
     util::Rng rng(7);  // same seed: identical clustering randomness
-    const auto res = core::solve(solution, tasks, platform, {}, rng);
-    table.add_row(core::to_string(solution), res.schedulable ? "yes" : "no",
+    const auto& strategy = core::StrategyRegistry::instance().require(key);
+    const auto res = core::solve(strategy, tasks, platform, {}, rng);
+    table.add_row(strategy.display, res.schedulable ? "yes" : "no",
                   res.schedulable ? static_cast<int>(res.mapping.cores_used)
                                   : 0,
                   res.schedulable ? static_cast<int>(res.mapping.total_cache())
@@ -83,8 +84,7 @@ int main() {
 
   // Show the winning allocation in detail.
   util::Rng rng(7);
-  const auto best = core::solve(core::Solution::kHeuristicFlattening, tasks,
-                                platform, {}, rng);
+  const auto best = core::solve("flat", tasks, platform, {}, rng);
   if (best.schedulable) {
     std::cout << "\nHeuristic (flattening) allocation detail:\n";
     for (unsigned k = 0; k < best.mapping.cores_used; ++k) {

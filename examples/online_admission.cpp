@@ -13,7 +13,7 @@
 
 #include "analysis/schedulability.h"
 #include "core/admission.h"
-#include "core/solutions.h"
+#include "core/strategy.h"
 #include "model/platform.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -57,8 +57,7 @@ int main() {
   // Boot VM 0 with the offline allocator.
   const auto base_tasks = make_vm(0.7, 0, 1, platform);
   util::Rng rng(2);
-  const auto booted = core::solve(core::Solution::kHeuristicOverheadFree,
-                                  base_tasks, platform, {}, rng);
+  const auto booted = core::solve("ovf", base_tasks, platform, {}, rng);
   core::AdmissionState state{booted.vcpus, booted.mapping};
   std::printf("boot VM 0 (util 0.70): %s\n",
               booted.schedulable ? "placed" : "FAILED");

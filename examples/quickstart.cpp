@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
-#include "core/solutions.h"
+#include "core/strategy.h"
 #include "hw/cat.h"
 #include "model/platform.h"
 #include "util/rng.h"
@@ -64,8 +64,7 @@ int main() {
 
   // Solve: Theorem-1 flattening + the heuristic multi-resource allocator.
   util::Rng rng(2026);
-  const auto result = core::solve(core::Solution::kHeuristicFlattening, tasks,
-                                  platform, {}, rng);
+  const auto result = core::solve("flat", tasks, platform, {}, rng);
   if (!result.schedulable) {
     std::cout << "\nNot schedulable on this platform.\n";
     return 1;

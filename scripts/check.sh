@@ -9,51 +9,55 @@
 #
 # Each sanitizer gets its own build tree (build-asan/, build-ubsan/,
 # build-tsan/) so the regular build/ stays untouched. address and
-# undefined build and run everything; thread builds only the parallel test
-# binaries and runs the thread-pool/experiment/fault-validator/scenario-
-# matrix suites plus the admission-service suite, the PARSEC surface
-# table's concurrent-generator test and the min-budget memo pins (whose
-# inner-jobs case stripes a batch over a shared pool; the rest of the
-# test suite is
-# single-threaded, and TSan's ~10x slowdown buys nothing there).
-# The scenario-matrix suite matters for TSan specifically: it drives
-# run_matrix with checkpointing at --jobs 2+, where worker-thread slot
-# writes and the checkpoint snapshot must stay serialized; the service
-# and telemetry suites ride along because `vc2m serve` shares the
-# signal-flag / cancellation plumbing with the matrix runner and the
-# stats-signal latch is read from the decision loop. The address pass also runs
-# the serve smoke: crash-kill the service at every injected crash point
-# and require --recover to reproduce the uninterrupted report byte for
-# byte, fuzz torn/corrupted journals (recovery must warn, never crash),
-# schema-validate the vc2m-serve-report/1 artifact, and sweep the strict
-# numeric-flag matrix. The address pass also runs the telemetry smoke:
-# telemetry must not perturb the report or the journal, the metrics
-# timeline must be schema-valid, bit-identical across --inner-jobs and
-# across crash + --recover, `vc2m timeline --diff` must pass a
-# self-compare, SIGUSR1 must render a stats snapshot mid-run, and a
-# corrupted-timeline fuzz loop must exit cleanly, never crash. The address pass also runs the scenario smoke: the curated
-# corpus under scenarios/ (all four enforcement policies under fault plans,
-# the infeasible-by-constraint pins, the stress scenarios) must pass through
-# `vc2m scenario run`, a 2-way-sharded run merged back together must be
-# byte-identical to the unsharded report, the report must be schema-valid
-# (scripts/scenarios_validate.py), and two fuzz loops — corrupted taskset
-# CSVs and corrupted/truncated scenario files — must exit with a clean
-# util::Error, never an ASan report/crash; a third fuzz loop overwrites the
-# id cells of a simulator trace with negative, huge and out-of-range
-# integers, and `vc2m check` must report them (exit 0 or 1), never crash. The address pass additionally
-# re-runs the golden-equivalence suite explicitly (allocation engine
-# bit-identical to the pre-registry seed, with strictly fewer dbf
-# evaluations) and the bench_micro_ops --smoke memoization-counter check.
-# Finally the address pass runs the perf smoke: bench_micro_ops --smoke
-# --json must emit a schema-valid BENCH_*.json, `vc2m perfdiff` must pass a
-# self-compare and must flag a synthetic 3x phase-time regression — and
-# test_explain (golden digests bit-identical with decision recording on).
-# The former fault-policy and feasible/infeasible explain smokes live in
-# the scenario corpus now (fault-policy-*.json, infeasible-*.json).
+# undefined build and run everything. thread builds only the binaries of
+# the multi-threaded suites (thread pool, experiment, fault validator,
+# scenario matrix with checkpointing at --jobs 2+, the service and
+# telemetry suites that share the signal and cancellation plumbing, the
+# concurrent surface-table generator and the inner-jobs memo pins); the
+# rest is single-threaded and TSan's ~10x slowdown buys nothing there.
+#
+# The address pass also drives the real binaries; each function below
+# says what it checks: scenario_smoke (corpus, shard/merge byte-identity,
+# `vc2m validate`, scenario-file fuzz), serve_smoke (crash-kill at every
+# crash point + --recover byte-identity, journal fuzz, `vc2m validate`,
+# the strict-flag matrix), telemetry_smoke (timeline byte-identity and
+# validation, SIGUSR1, timeline fuzz), taskset_fuzz, trace_check_fuzz and
+# perf_smoke (bench report + perfdiff gate), plus the golden-equivalence
+# suite, the bench_micro_ops --smoke memoization check and test_explain.
+# Each negative row (a byte-flipped serve report, a truncated timeline, a
+# scenario report out of order) must make `vc2m validate` exit 1.
 # Exits non-zero on the first failure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+
+# Overwrite one random byte of file $1 (of $2 bytes) with a random
+# non-zero byte.
+flip_random_byte() {
+  local off=$((RANDOM % $2)) byte=$((RANDOM % 255 + 1))
+  printf "$(printf '\\%03o' "$byte")" |
+    dd of="$1" bs=1 seek="$off" count=1 conv=notrunc status=none
+}
+
+# Each argument after the first two is a vc2m word list that must exit 2
+# with nothing on stdout and $2 on stderr. $1 = the vc2m binary.
+expect_exit_2() {
+  local vc2m="$1" want="$2" row rc out err
+  shift 2
+  out="$(mktemp)" err="$(mktemp)"
+  for row in "$@"; do
+    rc=0
+    # shellcheck disable=SC2086  # the row is split into words on purpose
+    "$vc2m" $row > "$out" 2> "$err" || rc=$?
+    if [ "$rc" -ne 2 ] || [ -s "$out" ] || ! grep -q "$want" "$err"; then
+      echo "'$row': expected rc 2 + '$want' and no output, got rc $rc:"
+      cat "$out" "$err"
+      rm -f "$out" "$err"
+      return 1
+    fi
+  done
+  rm -f "$out" "$err"
+}
 
 sanitizers=("$@")
 [ $# -eq 0 ] && sanitizers=(address undefined thread perf)
@@ -61,14 +65,14 @@ sanitizers=("$@")
 scenario_smoke() {
   # $1 = build dir with a tools/vc2m binary. Runs the curated corpus (which
   # carries the former fault-policy and explain verdict smokes as pinned
-  # scenarios), checks shard/merge byte-identity, and schema-validates both
-  # the corpus and the merged report from the outside.
+  # scenarios), checks shard/merge byte-identity, and validates both the
+  # corpus and the merged report with `vc2m validate`.
   local vc2m="$1/tools/vc2m"
   local work; work="$(mktemp -d)"
   trap 'rm -rf "$work"' RETURN
 
-  echo "--- scenario corpus is schema-valid ---"
-  python3 scripts/scenarios_validate.py scenarios/
+  echo "--- scenario corpus passes vc2m validate ---"
+  "$vc2m" validate scenarios/
 
   echo "--- scenario corpus passes (full matrix run) ---"
   "$vc2m" scenario run scenarios/ --jobs "$(nproc)" \
@@ -85,8 +89,16 @@ scenario_smoke() {
   cmp "$work/merged.json" "$work/full.json" \
     || { echo "merged shard report differs from the unsharded run"; return 1; }
 
-  echo "--- scenario report is schema-valid ---"
-  python3 scripts/scenarios_validate.py --report "$work/full.json"
+  echo "--- merged scenario report passes vc2m validate ---"
+  "$vc2m" validate "$work/merged.json"
+  # Renaming the first record past the others breaks the name order.
+  sed '0,/"name": "/s//"name": "zzz-/' "$work/merged.json" \
+    > "$work/unsorted.json"
+  local rc=0
+  "$vc2m" validate "$work/unsorted.json" > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 1 ] \
+    || { echo "out-of-order scenario report: validate rc $rc, want 1"
+         return 1; }
 
   echo "--- fuzz: corrupted scenario files must fail cleanly ---"
   local seed_file=scenarios/cache-thrash-storm.json
@@ -95,12 +107,10 @@ scenario_smoke() {
   for i in $(seq 1 24); do
     cp "$seed_file" "$work/fuzzed.json"
     for _ in 1 2 3; do
-      local off=$((RANDOM % ssize)) byte=$((RANDOM % 255 + 1))
-      printf "$(printf '\\%03o' "$byte")" |
-        dd of="$work/fuzzed.json" bs=1 seek="$off" count=1 conv=notrunc status=none
+      flip_random_byte "$work/fuzzed.json" "$ssize"
     done
     local rc=0
-    ASAN_OPTIONS=abort_on_error=1 "$vc2m" scenario validate "$work/fuzzed.json" \
+    ASAN_OPTIONS=abort_on_error=1 "$vc2m" validate "$work/fuzzed.json" \
       > /dev/null 2> "$work/fuzz-err.txt" || rc=$?
     if [ "$rc" -ge 128 ]; then
       echo "scenario fuzz iteration $i crashed (rc=$rc):"
@@ -112,7 +122,7 @@ scenario_smoke() {
   for n in 0 1 17 60 120 200; do
     head -c "$n" "$seed_file" > "$work/truncated.json"
     local rc=0
-    ASAN_OPTIONS=abort_on_error=1 "$vc2m" scenario validate "$work/truncated.json" \
+    ASAN_OPTIONS=abort_on_error=1 "$vc2m" validate "$work/truncated.json" \
       > /dev/null 2>&1 || rc=$?
     if [ "$rc" -ge 128 ] || [ "$rc" -eq 0 ]; then
       echo "truncated scenario (${n} bytes) rc=$rc (want clean nonzero exit)"
@@ -137,9 +147,7 @@ taskset_fuzz() {
   for i in $(seq 1 32); do
     cp "$work/tasks.csv" "$work/fuzzed.csv"
     for _ in 1 2 3; do
-      local off=$((RANDOM % size)) byte=$((RANDOM % 255 + 1))
-      printf "$(printf '\\%03o' "$byte")" |
-        dd of="$work/fuzzed.csv" bs=1 seek="$off" count=1 conv=notrunc status=none
+      flip_random_byte "$work/fuzzed.csv" "$size"
     done
     local rc=0
     ASAN_OPTIONS=abort_on_error=1 "$vc2m" solve --file "$work/fuzzed.csv" \
@@ -208,7 +216,8 @@ serve_smoke() {
   # (the recovered report must be byte-identical to the baseline), a
   # torn/corrupted-journal fuzz loop (recovery must warn and finish, never
   # crash), and the strict-flag matrix (malformed numeric flag values must
-  # exit 2 with a 'bad value' message, not feed garbage to the service).
+  # exit 2 with a 'bad value' message, not feed garbage to the service;
+  # a flag the subcommand does not read must exit 2 too).
   local vc2m="$1/tools/vc2m"
   local work; work="$(mktemp -d)"
   trap 'rm -rf "$work"' RETURN
@@ -221,8 +230,18 @@ serve_smoke() {
   "$vc2m" serve "${args[@]}" --journal "$work/base.wal" \
     --json "$work/base.json" > /dev/null
 
-  echo "--- serve report is schema-valid ---"
-  python3 scripts/scenarios_validate.py --serve-report "$work/base.json"
+  echo "--- serve report passes vc2m validate ---"
+  "$vc2m" validate "$work/base.json"
+  # One flipped byte: the lowercase platform older CLIs wrote.
+  sed 's/"platform": "A"/"platform": "a"/' "$work/base.json" \
+    > "$work/flipped.json"
+  cmp -s "$work/flipped.json" "$work/base.json" \
+    && { echo "byte flip did not apply"; return 1; }
+  local rc=0
+  "$vc2m" validate "$work/flipped.json" > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 1 ] \
+    || { echo "byte-flipped serve report: validate rc $rc, want 1"
+         return 1; }
 
   echo "--- serve --profile: phase tree printed, artifacts unchanged ---"
   "$vc2m" serve "${args[@]}" --journal "$work/prof.wal" \
@@ -270,9 +289,7 @@ serve_smoke() {
     if [ $((i % 2)) -eq 0 ]; then
       truncate -s $((RANDOM % jsize)) "$work/fuzz.wal"
     else
-      local off=$((RANDOM % jsize)) byte=$((RANDOM % 255 + 1))
-      printf "$(printf '\\%03o' "$byte")" |
-        dd of="$work/fuzz.wal" bs=1 seek="$off" count=1 conv=notrunc status=none
+      flip_random_byte "$work/fuzz.wal" "$jsize"
     fi
     local rc=0
     ASAN_OPTIONS=abort_on_error=1 "$vc2m" serve "${args[@]}" \
@@ -302,25 +319,31 @@ serve_smoke() {
     || { echo "timeline differs between --inner-jobs 1 and 3"; return 1; }
 
   echo "--- strict flags: malformed values must exit 2 with no output ---"
-  local bad rc flag value
   # --inner-jobs must be >= 0; a seed of 2^53 or more would not survive
   # the report's JSON number; a trace spec may not hold an empty item.
-  for bad in "--seed 12x" "--util nan" "--vms 1e3" "--jobs 2.5" \
-             "--snapshot-every -1" "--deadline-us 5ms" "--backoff-us abc" \
-             "--max-retries two" "--queue-cap 0x10" "--inner-jobs -1" \
-             "--seed 9007199254740992" "--vms +5" \
-             "--trace poisson:requests=5,"; do
-    flag="${bad% *}" value="${bad#* }"
-    rc=0
-    "$vc2m" serve --trace "$trace" "$flag" "$value" \
-      > "$work/flag-out.txt" 2> "$work/flag-err.txt" || rc=$?
-    if [ "$rc" -ne 2 ] || [ -s "$work/flag-out.txt" ] \
-        || ! grep -q "bad value" "$work/flag-err.txt"; then
-      echo "flag '$flag $value': expected rc 2 + 'bad value' and no output," \
-           "got rc $rc:"
-      cat "$work/flag-out.txt" "$work/flag-err.txt"
-      return 1
-    fi
+  expect_exit_2 "$vc2m" "bad value" \
+    "serve --trace $trace --seed 12x" "generate --util nan" \
+    "generate --vms 1e3" "experiment --jobs 2.5" \
+    "serve --trace $trace --snapshot-every -1" \
+    "serve --trace $trace --deadline-us 5ms" \
+    "serve --trace $trace --backoff-us abc" \
+    "serve --trace $trace --max-retries two" \
+    "serve --trace $trace --queue-cap 0x10" \
+    "serve --trace $trace --inner-jobs -1" \
+    "serve --trace $trace --seed 9007199254740992" \
+    "generate --vms +5" "serve --trace poisson:requests=5,"
+
+  echo "--- strict flags: a flag the subcommand does not read exits 2 ---"
+  expect_exit_2 "$vc2m" "does not apply" \
+    "experiment --tasksets 1 --json $work/exp.json" \
+    "profiles --journal $work/x.wal --crash-at bogus" \
+    "solutions --jobs 3 --trace $work/x" \
+    "perfdiff $work/base.json $work/base.json --jobs 3" \
+    "generate --util 0.5 --journal $work/x.wal" \
+    "scenario show scenarios/cache-thrash-storm.json --jobs 2" \
+    "validate $work/base.json --json $work/v.json"
+  for f in exp.json x.wal x v.json; do
+    [ ! -e "$work/$f" ] || { echo "a refused command wrote $f"; return 1; }
   done
   echo "--- serve smoke passed ---"
 }
@@ -328,9 +351,9 @@ serve_smoke() {
 telemetry_smoke() {
   # $1 = build dir with a tools/vc2m binary. Exercises the runtime
   # telemetry (docs/telemetry.md) from the outside: instrumentation must
-  # not perturb the deterministic artifacts, the timeline must be
-  # schema-valid and bit-identical across --inner-jobs and across a real
-  # crash + --recover, the `vc2m timeline` reader must survive corrupted
+  # not perturb the deterministic artifacts, the timeline must pass
+  # `vc2m validate` and be bit-identical across --inner-jobs and across a
+  # real crash + --recover, the `vc2m timeline` reader must survive corrupted
   # input, and SIGUSR1 must render a stats snapshot mid-run.
   local vc2m="$1/tools/vc2m"
   local work; work="$(mktemp -d)"
@@ -354,8 +377,13 @@ telemetry_smoke() {
   cmp "$work/telem.wal" "$work/plain.wal" \
     || { echo "telemetry perturbed the journal"; return 1; }
 
-  echo "--- timeline is schema-valid ---"
-  python3 scripts/scenarios_validate.py --timeline "$work/t.bin"
+  echo "--- timeline passes vc2m validate ---"
+  "$vc2m" validate "$work/t.bin"
+  head -c -5 "$work/t.bin" > "$work/t_torn.bin"
+  local rc=0
+  "$vc2m" validate "$work/t_torn.bin" > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq 1 ] \
+    || { echo "truncated timeline: validate rc $rc, want 1"; return 1; }
 
   echo "--- vc2m timeline: summary, csv, and self-diff ---"
   "$vc2m" timeline "$work/t.bin" > /dev/null
@@ -455,9 +483,7 @@ telemetry_smoke() {
     if [ $((i % 2)) -eq 0 ]; then
       truncate -s $((RANDOM % tsize)) "$work/fuzz.bin"
     else
-      local off=$((RANDOM % tsize)) byte=$((RANDOM % 255 + 1))
-      printf "$(printf '\\%03o' "$byte")" |
-        dd of="$work/fuzz.bin" bs=1 seek="$off" count=1 conv=notrunc status=none
+      flip_random_byte "$work/fuzz.bin" "$tsize"
     fi
     rc=0
     ASAN_OPTIONS=abort_on_error=1 "$vc2m" timeline "$work/fuzz.bin" \
@@ -496,18 +522,12 @@ perf_smoke() {
   "$1/bench/bench_micro_ops" --smoke --json "$work/BENCH_smoke.json" \
     > /dev/null
 
-  echo "--- bench report is schema-valid JSON ---"
-  python3 - "$work/BENCH_smoke.json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-required = ["schema", "name", "git_rev", "config", "counters", "phases",
-            "histograms", "pool"]
-missing = [k for k in required if k not in r]
-assert not missing, f"missing top-level keys: {missing}"
-assert r["schema"].startswith("vc2m-bench-report/"), r["schema"]
-assert r["phases"], "empty phase profile"
-assert "solve_seconds" in r["histograms"], "missing solve_seconds histogram"
-EOF
+  echo "--- bench report passes vc2m validate ---"
+  "$1/tools/vc2m" validate "$work/BENCH_smoke.json"
+  grep -q '^  {"name": ' "$work/BENCH_smoke.json" \
+    || { echo "empty phase profile"; return 1; }
+  grep -q '"solve_seconds": {' "$work/BENCH_smoke.json" \
+    || { echo "missing solve_seconds histogram"; return 1; }
 
   echo "--- perfdiff: self-compare must pass ---"
   "$1/tools/vc2m" perfdiff "$work/BENCH_smoke.json" "$work/BENCH_smoke.json" \

@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/solutions.h"
+#include "core/strategy.h"
 #include "model/platform.h"
 #include "util/log_histogram.h"
 #include "util/table.h"

@@ -132,7 +132,7 @@ class StrategyRegistry {
 };
 
 /// Run one strategy on one taskset — the engine entry point; the
-/// Solution-enum and registry-key overloads are thin wrappers over this.
+/// registry-key overload is a thin wrapper over this.
 /// Tasks must share the platform's resource grid; Theorem-2-based
 /// strategies additionally require harmonic periods (guaranteed by the
 /// §5.1 generator).

@@ -7,9 +7,12 @@
 // these parts) while B_min = 1.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 
 #include "model/resource_grid.h"
+#include "util/names.h"
 
 namespace vc2m::model {
 
@@ -33,5 +36,20 @@ struct PlatformSpec {
   /// Platform C: 4 cores, 12 cache/BW partitions (Xeon D-1518).
   static PlatformSpec C() { return {"Platform C", 4, make_grid(12)}; }
 };
+
+/// The platforms by the names the CLI, scenarios and reports spell them.
+struct PlatformRow {
+  const char* name;
+  PlatformSpec (*make)();
+};
+inline constexpr PlatformRow kPlatforms[] = {
+    {"A", &PlatformSpec::A}, {"B", &PlatformSpec::B}, {"C", &PlatformSpec::C}};
+
+/// The platform named `name` ("A", "B" or "C"), or nullopt.
+inline std::optional<PlatformSpec> platform_from_name(std::string_view name) {
+  const PlatformRow* row = util::find_row(kPlatforms, name);
+  if (!row) return std::nullopt;
+  return row->make();
+}
 
 }  // namespace vc2m::model

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -41,16 +40,20 @@ using Kind = JsonValue::Kind;
 
 const std::string kWhat = "bench report JSON";
 
-PhaseStats parse_phase(const JsonValue& v) {
+PhaseStats parse_phase(const JsonValue& v, std::vector<std::string>* notes) {
   VC2M_CHECK_MSG(v.kind == Kind::kObject,
                  "bench report JSON: phase entries must be objects");
   PhaseStats p;
   p.name = v.get_string("name", kWhat);
+  json::note_unknown_fields(
+      v, {"name", "count", "total_sec", "self_sec", "children"},
+      kWhat + ": phase '" + p.name + "'", notes);
   p.count = v.get_count("count", kWhat);
   p.total_sec = v.get_number("total_sec", kWhat);
   p.self_sec = v.get_number("self_sec", kWhat);
   if (const JsonValue* kids = v.find("children", Kind::kArray, kWhat))
-    for (const auto& c : kids->array) p.children.push_back(parse_phase(c));
+    for (const auto& c : kids->array)
+      p.children.push_back(parse_phase(c, notes));
   return p;
 }
 
@@ -109,9 +112,13 @@ void HistogramSummary::write_json(std::ostream& os) const {
 }
 
 HistogramSummary HistogramSummary::read_json(const json::Value& v,
-                                             const std::string& what) {
+                                             const std::string& what,
+                                             std::vector<std::string>* notes) {
   VC2M_CHECK_MSG(v.kind == json::Value::Kind::kObject,
                  what << ": histogram entries must be objects");
+  json::note_unknown_fields(
+      v, {"count", "mean", "min", "max", "p50", "p90", "p95", "p99"}, what,
+      notes);
   HistogramSummary h;
   h.count = v.get_count("count", what);
   h.mean = v.get_number("mean", what);
@@ -221,18 +228,24 @@ void write_bench_report_file(const std::string& path, const BenchReport& r) {
   util::close_output_file(f, path, "bench report");
 }
 
-BenchReport read_bench_report(std::istream& is) {
+BenchReport read_bench_report(std::istream& is,
+                              std::vector<std::string>* notes) {
   const JsonValue root = json::parse_object(is, "bench report");
+  json::note_unknown_fields(root,
+                            {"schema", "name", "git_rev", "config", "counters",
+                             "phases", "histograms", "pool"},
+                            kWhat, notes);
 
   BenchReport r;
   r.schema = root.get_string("schema", kWhat);
-  VC2M_CHECK_MSG(r.schema.rfind("vc2m-bench-report/", 0) == 0,
+  VC2M_CHECK_MSG(r.schema == kBenchReportSchema,
                  "not a vc2m bench report (schema '" << r.schema << "')");
   r.name = root.get_string("name", kWhat);
   r.git_rev = root.get_string("git_rev", kWhat);
 
   r.config = root.get_string_map("config", kWhat);
   if (const JsonValue* ctr = root.find("counters", Kind::kObject, kWhat)) {
+    json::check_sorted_keys(*ctr, "counters", kWhat);
     for (const auto& [k, v] : ctr->object) {
       VC2M_CHECK_MSG(v.kind == Kind::kNumber,
                      "bench report JSON: counter values must be numbers");
@@ -241,15 +254,22 @@ BenchReport read_bench_report(std::istream& is) {
   }
   if (const JsonValue* ph = root.find("phases", Kind::kArray, kWhat))
     for (const auto& p : ph->array)
-      r.phases.children.push_back(parse_phase(p));
-  if (const JsonValue* hs = root.find("histograms", Kind::kObject, kWhat))
+      r.phases.children.push_back(parse_phase(p, notes));
+  if (const JsonValue* hs = root.find("histograms", Kind::kObject, kWhat)) {
+    json::check_sorted_keys(*hs, "histograms", kWhat);
     for (const auto& [k, v] : hs->object)
-      r.histograms[k] = HistogramSummary::read_json(v, kWhat);
+      r.histograms[k] = HistogramSummary::read_json(
+          v, kWhat + ": histogram '" + k + "'", notes);
+  }
   if (const JsonValue* pool = root.find("pool", Kind::kObject, kWhat)) {
+    json::note_unknown_fields(*pool, {"workers"}, kWhat + ": pool", notes);
     if (const JsonValue* ws = pool->find("workers", Kind::kArray, kWhat)) {
       for (const auto& w : ws->array) {
         VC2M_CHECK_MSG(w.kind == Kind::kObject,
                        "bench report JSON: pool workers must be objects");
+        json::note_unknown_fields(
+            w, {"executed", "steals", "idle_sec", "max_queue"},
+            kWhat + ": pool worker", notes);
         PoolSummary::Worker out;
         out.executed = w.get_count("executed", kWhat);
         out.steals = w.get_count("steals", kWhat);
@@ -260,12 +280,6 @@ BenchReport read_bench_report(std::istream& is) {
     }
   }
   return r;
-}
-
-BenchReport read_bench_report_file(const std::string& path) {
-  std::ifstream f(path);
-  VC2M_CHECK_MSG(f.good(), "cannot open " << path);
-  return read_bench_report(f);
 }
 
 PerfDiffResult diff_reports(const BenchReport& base, const BenchReport& current,

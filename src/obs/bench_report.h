@@ -51,8 +51,10 @@ struct HistogramSummary {
 
   /// The JSON object form shared by the bench and serve reports.
   void write_json(std::ostream& os) const;
+  /// Unknown members are reported through `notes` (when given).
   static HistogramSummary read_json(const json::Value& v,
-                                    const std::string& what);
+                                    const std::string& what,
+                                    std::vector<std::string>* notes = nullptr);
 };
 
 /// Thread-pool telemetry as report data (idle time in seconds).
@@ -69,10 +71,12 @@ struct PoolSummary {
   static PoolSummary of(const util::PoolTelemetry& t);
 };
 
+inline constexpr const char* kBenchReportSchema = "vc2m-bench-report/1";
+
 /// One bench run, ready to serialise. `phases` is the merged profile root
 /// (synthetic unnamed node; see obs/profiler.h).
 struct BenchReport {
-  std::string schema = "vc2m-bench-report/1";
+  std::string schema = kBenchReportSchema;
   std::string name;
   std::string git_rev;
   std::map<std::string, std::string> config;
@@ -93,10 +97,11 @@ void set_counters(BenchReport& r, const util::AllocCounters& c);
 void write_bench_report(std::ostream& os, const BenchReport& r);
 void write_bench_report_file(const std::string& path, const BenchReport& r);
 
-/// Throws util::Error on malformed JSON or a schema the reader does not
-/// understand.
-BenchReport read_bench_report(std::istream& is);
-BenchReport read_bench_report_file(const std::string& path);
+/// Throws util::Error on malformed JSON, a schema the reader does not
+/// understand, or counters/histograms/config keys out of ascending order.
+/// Unknown fields at any level are reported through `notes` (when given).
+BenchReport read_bench_report(std::istream& is,
+                              std::vector<std::string>* notes = nullptr);
 
 struct PerfDiffOptions {
   double max_regress = 0.10;    ///< allowed fractional growth (0.10 = +10%)

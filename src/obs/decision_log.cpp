@@ -1,23 +1,23 @@
 #include "obs/decision_log.h"
 
-#include <array>
 #include <cstdio>
-#include <string_view>
+
+#include "util/names.h"
 
 namespace vc2m::obs {
 namespace {
 
 // Index-aligned with the enums; append-only, like the enums themselves.
-constexpr std::array<std::string_view, 16> kKindNames = {
-    "solve_begin",    "vm_outcome",        "budget_search",
-    "budget_point",   "bin_pack",          "vcpu_screen",
-    "capacity_screen","packing_candidate", "partition_grant",
-    "grant_exhausted","migration",         "hv_attempt",
-    "admit_placement","admit_verdict",     "exact_partition",
+constexpr const char* kKindNames[] = {
+    "solve_begin",     "vm_outcome",        "budget_search",
+    "budget_point",    "bin_pack",          "vcpu_screen",
+    "capacity_screen", "packing_candidate", "partition_grant",
+    "grant_exhausted", "migration",         "hv_attempt",
+    "admit_placement", "admit_verdict",     "exact_partition",
     "verdict",
 };
 
-constexpr std::array<std::string_view, 11> kConstraintNames = {
+constexpr const char* kConstraintNames[] = {
     "none",
     "no_feasible_budget",
     "task_overflows_vcpu",
@@ -40,34 +40,20 @@ std::string fmt(const char* format, double v) {
 }  // namespace
 
 const char* to_string(DecisionKind k) {
-  auto i = static_cast<std::size_t>(k);
-  return i < kKindNames.size() ? kKindNames[i].data() : "unknown";
+  return util::enum_name(kKindNames, k);
 }
 
 const char* to_string(DecisionConstraint c) {
-  auto i = static_cast<std::size_t>(c);
-  return i < kConstraintNames.size() ? kConstraintNames[i].data() : "unknown";
+  return util::enum_name(kConstraintNames, c);
 }
 
 bool decision_kind_from_string(const std::string& s, DecisionKind& out) {
-  for (std::size_t i = 0; i < kKindNames.size(); ++i) {
-    if (kKindNames[i] == s) {
-      out = static_cast<DecisionKind>(i);
-      return true;
-    }
-  }
-  return false;
+  return util::enum_from_name(kKindNames, s, out);
 }
 
 bool decision_constraint_from_string(const std::string& s,
                                      DecisionConstraint& out) {
-  for (std::size_t i = 0; i < kConstraintNames.size(); ++i) {
-    if (kConstraintNames[i] == s) {
-      out = static_cast<DecisionConstraint>(i);
-      return true;
-    }
-  }
-  return false;
+  return util::enum_from_name(kConstraintNames, s, out);
 }
 
 std::string describe(const DecisionEvent& e) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <fstream>
 #include <limits>
 #include <ostream>
 #include <set>
@@ -198,9 +197,14 @@ void write_event(std::ostream& os, const DecisionEvent& e) {
 using Kind = json::Value::Kind;
 const std::string kWhat = "explain report JSON";
 
-DecisionEvent parse_event(const json::Value& v) {
+DecisionEvent parse_event(const json::Value& v,
+                          std::vector<std::string>* notes) {
   VC2M_CHECK_MSG(v.kind == Kind::kObject,
                  "explain report JSON: events must be objects");
+  json::note_unknown_fields(v,
+                            {"kind", "accepted", "constraint", "vm", "entity",
+                             "core", "cache", "bw", "value", "margin"},
+                            kWhat + ": event", notes);
   DecisionEvent e;
   const std::string kind = v.get_string("kind", kWhat);
   VC2M_CHECK_MSG(decision_kind_from_string(kind, e.kind),
@@ -339,12 +343,18 @@ void write_explain_report_file(const std::string& path,
   util::close_output_file(f, path, "explain report");
 }
 
-ExplainReport read_explain_report(std::istream& is) {
+ExplainReport read_explain_report(std::istream& is,
+                                  std::vector<std::string>* notes) {
   const json::Value root = json::parse_object(is, "explain report");
+  json::note_unknown_fields(
+      root,
+      {"schema", "strategy", "git_rev", "config", "schedulable", "cores_used",
+       "headroom", "rejections", "events_dropped", "events"},
+      kWhat, notes);
 
   ExplainReport r;
   r.schema = root.get_string("schema", kWhat);
-  VC2M_CHECK_MSG(r.schema.rfind("vc2m-explain-report/", 0) == 0,
+  VC2M_CHECK_MSG(r.schema == kExplainReportSchema,
                  "not a vc2m explain report (schema '" << r.schema << "')");
   r.strategy = root.get_string("strategy", kWhat);
   r.git_rev = root.get_string("git_rev", kWhat);
@@ -353,12 +363,19 @@ ExplainReport read_explain_report(std::istream& is) {
   r.cores_used = root.get_int<unsigned>("cores_used", kWhat);
 
   const json::Value& h = root.get_object("headroom", kWhat);
+  json::note_unknown_fields(h, {"spare_cache", "spare_bw", "cores"},
+                            kWhat + ": headroom", notes);
   r.headroom.spare_cache = h.get_int<unsigned>("spare_cache", kWhat);
   r.headroom.spare_bw = h.get_int<unsigned>("spare_bw", kWhat);
   if (const json::Value* cores = h.find("cores", Kind::kArray, kWhat)) {
     for (const auto& v : cores->array) {
       VC2M_CHECK_MSG(v.kind == Kind::kObject,
                      "explain report JSON: headroom cores must be objects");
+      json::note_unknown_fields(
+          v,
+          {"core", "cache", "bw", "vcpus", "utilization", "slack",
+           "reclaimable_cache", "reclaimable_bw"},
+          kWhat + ": headroom core", notes);
       CoreHeadroom c;
       c.core = v.get_int<unsigned>("core", kWhat);
       c.cache = v.get_int<unsigned>("cache", kWhat);
@@ -376,6 +393,8 @@ ExplainReport read_explain_report(std::istream& is) {
     for (const auto& v : rejs->array) {
       VC2M_CHECK_MSG(v.kind == Kind::kObject,
                      "explain report JSON: rejections must be objects");
+      json::note_unknown_fields(v, {"vm", "constraint", "margin", "detail"},
+                                kWhat + ": rejection", notes);
       VmRejection rej;
       rej.vm = v.get_int<int>("vm", kWhat);
       const std::string c = v.get_string("constraint", kWhat);
@@ -389,14 +408,9 @@ ExplainReport read_explain_report(std::istream& is) {
 
   r.events_dropped = root.get_count("events_dropped", kWhat);
   if (const json::Value* evs = root.find("events", Kind::kArray, kWhat))
-    for (const auto& v : evs->array) r.events.push_back(parse_event(v));
+    for (const auto& v : evs->array)
+      r.events.push_back(parse_event(v, notes));
   return r;
-}
-
-ExplainReport read_explain_report_file(const std::string& path) {
-  std::ifstream f(path);
-  VC2M_CHECK_MSG(f.good(), "cannot open " << path);
-  return read_explain_report(f);
 }
 
 void render_explain(std::ostream& os, const ExplainReport& r,

@@ -65,8 +65,10 @@ struct VmRejection {
   std::string detail;   ///< one human-readable sentence
 };
 
+inline constexpr const char* kExplainReportSchema = "vc2m-explain-report/1";
+
 struct ExplainReport {
-  std::string schema = "vc2m-explain-report/1";
+  std::string schema = kExplainReportSchema;
   std::string strategy;  ///< registry key
   std::string git_rev;
   std::map<std::string, std::string> config;
@@ -101,9 +103,11 @@ void write_explain_report_file(const std::string& path,
                                const ExplainReport& r);
 
 /// Throws util::Error on malformed JSON, duplicate keys, non-finite
-/// numbers, unknown enum names, or a schema this reader does not speak.
-ExplainReport read_explain_report(std::istream& is);
-ExplainReport read_explain_report_file(const std::string& path);
+/// numbers, unknown enum names, config keys out of ascending order, or a
+/// schema this reader does not speak. Unknown fields at any level are
+/// reported through `notes` (when given).
+ExplainReport read_explain_report(std::istream& is,
+                                  std::vector<std::string>* notes = nullptr);
 
 /// Human rendering for `vc2m explain`: verdict, rejection chains, headroom
 /// table. `show_events` appends one describe() line per recorded event.

@@ -74,7 +74,7 @@ struct Value {
                             Int hi = std::numeric_limits<Int>::max()) const {
     static_assert(sizeof(Int) <= 4, "read wider integers with as_count()");
     if (kind != Kind::kNumber || number != std::floor(number) || number < lo ||
-        number > hi)
+        number > hi || (number == 0 && std::signbit(number)))
       return std::nullopt;
     return static_cast<Int>(number);
   }
@@ -107,7 +107,8 @@ struct Value {
   }
   std::uint64_t get_count(const std::string& key,
                           const std::string& what) const;
-  /// The optional member `key`, an object of strings, as a map.
+  /// The optional member `key`, an object of strings in ascending key
+  /// order, as a map.
   std::map<std::string, std::string> get_string_map(
       const std::string& key, const std::string& what) const;
   template <std::integral Int>
@@ -135,6 +136,12 @@ void note_unknown_fields(const Value& obj,
                          std::initializer_list<const char*> known,
                          const std::string& what,
                          std::vector<std::string>* notes);
+
+/// The members of `obj` (the value of field `key`) must be in strictly
+/// ascending key order. Writers emit std::map members sorted; a reader
+/// that accepted any order would re-serialize to other bytes.
+void check_sorted_keys(const Value& obj, const std::string& key,
+                       const std::string& what);
 
 /// Read all of `is` and parse it as one document whose top level must be
 /// an object.

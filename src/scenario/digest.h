@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/strategy.h"
@@ -25,6 +26,12 @@ std::string mapping_digest(const core::HvAllocResult& m);
 
 /// "sched=S|<mapping_digest>|vhash=<hex16 vcpu_hash>".
 std::string solve_digest(const core::SolveResult& res);
+
+/// True when `d` starts the way every solve_digest does ("sched="); the
+/// report and scenario readers refuse a digest field that does not.
+inline bool is_solve_digest(std::string_view d) {
+  return d.starts_with("sched=");
+}
 
 /// FNV-1a over raw bytes as 16 lowercase hex chars. Used as the scenario
 /// content hash stored in checkpoint/report records, so --resume detects a

@@ -1,13 +1,14 @@
 #include "scenario/report.h"
 
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "obs/json.h"
+#include "scenario/digest.h"
 #include "util/error.h"
 #include "util/file.h"
+#include "util/parse.h"
 
 namespace vc2m::scenario {
 
@@ -62,24 +63,44 @@ std::vector<std::string> get_string_array(const Value& obj,
   return out;
 }
 
-ScenarioRecord parse_record(const Value& v, const std::string& what) {
+ScenarioRecord parse_record(const Value& v, const std::string& what,
+                            std::vector<std::string>* notes) {
   VC2M_CHECK_MSG(v.kind == Kind::kObject,
                  what << ": 'scenarios' entries must be objects");
   ScenarioRecord r;
   r.name = v.get_string("name", what);
+  const std::string where = what + ": record '" + r.name + "'";
+  r.simulated = v.get_bool("simulated", what);
+  obs::json::note_unknown_fields(
+      v,
+      {"name", "file", "scenario_hash", "verdict", "digest", "passed",
+       "failures", "rejection_constraints", "simulated", "metrics"},
+      where, notes);
+  if (!r.simulated && v.find("metrics") && notes)
+    notes->push_back(where + ": 'metrics' on a record that was not "
+                             "simulated — ignored");
   r.file = v.get_string("file", what);
   r.scenario_hash = v.get_string("scenario_hash", what);
+  VC2M_CHECK_MSG(util::try_hex16(r.scenario_hash),
+                 where << ": scenario_hash must be 16 lowercase hex digits");
   const std::string verdict = v.get_string("verdict", what);
   VC2M_CHECK_MSG(verdict == "schedulable" || verdict == "unschedulable",
                  what << ": bad verdict '" << verdict << "'");
   r.schedulable = verdict == "schedulable";
   r.digest = v.get_string("digest", what);
+  VC2M_CHECK_MSG(is_solve_digest(r.digest),
+                 where << ": digest is not a solve digest (sched=...)");
   r.passed = v.get_bool("passed", what);
   r.failures = get_string_array(v, "failures", what);
   r.rejection_constraints = get_string_array(v, "rejection_constraints", what);
-  r.simulated = v.get_bool("simulated", what);
   if (r.simulated) {
     const Value& m = v.get_object("metrics", what);
+    obs::json::note_unknown_fields(
+        m,
+        {"jobs_released", "jobs_completed", "deadline_misses",
+         "faults_injected", "jobs_killed", "jobs_deferred", "trace_events",
+         "trace_violations"},
+        where + " metrics", notes);
     r.jobs_released = m.get_count("jobs_released", what);
     r.jobs_completed = m.get_count("jobs_completed", what);
     r.deadline_misses = m.get_count("deadline_misses", what);
@@ -143,6 +164,8 @@ ScenarioReport read_scenario_report(std::istream& is, const std::string& what,
   r.git_rev = root.get_string("git_rev", what);
   r.corpus = root.get_string("corpus", what);
   const Value& shard = root.get_object("shard", what);
+  obs::json::note_unknown_fields(shard, {"index", "count"}, what + ": shard",
+                                 notes);
   r.shard_index = shard.get_int<int>("index", what, 0);
   r.shard_count = shard.get_int<int>("count", what, 1);
   VC2M_CHECK_MSG(r.shard_count >= 1 && r.shard_index < r.shard_count,
@@ -151,9 +174,11 @@ ScenarioReport read_scenario_report(std::istream& is, const std::string& what,
   if (const Value* intr = root.find("interrupted", Kind::kBool, what))
     r.interrupted = intr->boolean;
   for (const Value& v : root.get_array("scenarios", what).array) {
-    ScenarioRecord rec = parse_record(v, what);
-    VC2M_CHECK_MSG(r.find(rec.name) == nullptr,
-                   what << ": duplicate scenario '" << rec.name << "'");
+    ScenarioRecord rec = parse_record(v, what, notes);
+    VC2M_CHECK_MSG(r.records.empty() || r.records.back().name < rec.name,
+                   what << ": scenario '" << rec.name
+                        << (r.find(rec.name) ? "' appears twice"
+                                             : "' is out of name order"));
     r.records.push_back(std::move(rec));
   }
   VC2M_CHECK_MSG(root.get_count("total", what) == r.records.size(),
@@ -163,14 +188,6 @@ ScenarioReport read_scenario_report(std::istream& is, const std::string& what,
   VC2M_CHECK_MSG(root.get_count("failed", what) == r.failed(),
                  what << ": 'failed' disagrees with the records");
   return r;
-}
-
-ScenarioReport read_scenario_report_file(const std::string& path,
-                                         std::vector<std::string>* notes) {
-  std::ifstream f(path);
-  if (!f.good())
-    throw util::Error("cannot open scenario report '" + path + "'");
-  return read_scenario_report(f, path, notes);
 }
 
 ScenarioReport merge_scenario_reports(const std::vector<ScenarioReport>& in) {

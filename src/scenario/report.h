@@ -74,16 +74,15 @@ void write_scenario_report(std::ostream& os, const ScenarioReport& r);
 void write_scenario_report_file(const std::string& path,
                                 const ScenarioReport& r);
 
-/// Strict reader (throws util::Error on malformed JSON, duplicate records,
-/// or a schema it does not speak). Unknown top-level fields — a newer
-/// writer's additions — are surfaced through `notes` (when given) instead
-/// of being rejected.
+/// Strict reader (throws util::Error on malformed JSON, a schema it does
+/// not speak, records out of name order or duplicated, a scenario_hash that
+/// is not 16 lowercase hex digits, a digest that is not a solve digest, or
+/// totals that disagree with the records). Unknown fields at any level — a
+/// newer writer's additions, or metrics on a record that was not simulated
+/// — are surfaced through `notes` (when given) instead of being rejected.
 ScenarioReport read_scenario_report(std::istream& is,
                                     const std::string& what = "scenario report",
                                     std::vector<std::string>* notes = nullptr);
-ScenarioReport read_scenario_report_file(const std::string& path,
-                                         std::vector<std::string>* notes =
-                                             nullptr);
 
 /// Merge shard reports into one: union of records re-sorted by name, shard
 /// reset to 0/1. Throws util::Error when inputs disagree on corpus or

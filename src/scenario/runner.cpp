@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <set>
 #include <sstream>
 #include <system_error>
 
@@ -25,12 +24,6 @@
 namespace vc2m::scenario {
 
 namespace {
-
-model::PlatformSpec platform_of(const std::string& name) {
-  if (name == "B") return model::PlatformSpec::B();
-  if (name == "C") return model::PlatformSpec::C();
-  return model::PlatformSpec::A();
-}
 
 model::Taskset make_taskset(const Scenario& sc,
                             const model::PlatformSpec& platform) {
@@ -94,7 +87,10 @@ ScenarioRecord run_scenario(const Scenario& sc) {
                : std::filesystem::path(sc.source).filename().string();
   r.scenario_hash = sc.content_hash;
 
-  const auto platform = platform_of(sc.platform);
+  const auto named = model::platform_from_name(sc.platform);
+  VC2M_CHECK_MSG(named, "scenario '" << sc.name << "': unknown platform '"
+                                     << sc.platform << "'");
+  const model::PlatformSpec& platform = *named;
   const auto tasks = make_taskset(sc, platform);
   const auto& strat = core::StrategyRegistry::instance().require(sc.solution);
 
@@ -168,16 +164,7 @@ MatrixResult run_matrix(
 
   // Load every scenario up front: a corpus with one broken file fails
   // before any work runs, and duplicate names are caught across shards.
-  std::vector<Scenario> all;
-  all.reserve(cfg.files.size());
-  std::set<std::string> names;
-  for (const auto& file : cfg.files) {
-    Scenario sc = load_scenario_file(file);
-    VC2M_CHECK_MSG(names.insert(sc.name).second,
-                   "duplicate scenario name '" << sc.name << "' (in "
-                                               << file << ")");
-    all.push_back(std::move(sc));
-  }
+  const std::vector<Scenario> all = load_corpus(cfg.files);
 
   const auto mine = shard_indices(all.size(), cfg.shard_index,
                                   cfg.shard_count);

@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <set>
 #include <sstream>
 
 #include "core/strategy.h"
+#include "model/platform.h"
 #include "obs/decision_log.h"
 #include "obs/json.h"
 #include "scenario/digest.h"
 #include "sim/enforcement.h"
 #include "sim/faults.h"
 #include "util/error.h"
+#include "util/file.h"
 
 namespace vc2m::scenario {
 
@@ -137,11 +138,7 @@ WorkloadSpec parse_workload(const Value& v, const std::string& source,
   if (!(w.util > 0))
     fail_at(source, "'workload' key 'util' must be positive", v.offset);
   const std::string dist = r.string_or("dist", "uniform");
-  if (dist == "uniform") w.dist = workload::UtilDist::kUniform;
-  else if (dist == "light") w.dist = workload::UtilDist::kBimodalLight;
-  else if (dist == "medium") w.dist = workload::UtilDist::kBimodalMedium;
-  else if (dist == "heavy") w.dist = workload::UtilDist::kBimodalHeavy;
-  else
+  if (!workload::util_dist_from_string(dist, w.dist))
     fail_at(source, "'workload' key 'dist' must be one of "
                     "uniform|light|medium|heavy, got '" + dist + "'",
             v.find("dist")->offset);
@@ -169,6 +166,10 @@ Expectation parse_expect(const Value& v, const std::string& source) {
                     "unschedulable, got '" + verdict + "'",
             v.find("verdict")->offset);
   e.digest = r.string_or("digest", "");
+  if (!e.digest.empty() && !is_solve_digest(e.digest))
+    fail_at(source, "'expect' key 'digest' must be a solve digest "
+                    "(sched=...), got '" + e.digest + "'",
+            v.find("digest")->offset);
   if (const Value* m = r.claim("trace_clean", Kind::kBool))
     e.trace_clean = m->boolean;
   if (r.has("min_faults_injected"))
@@ -221,7 +222,7 @@ Scenario load_scenario(const std::string& text, const std::string& source) {
   sc.description = r.string_or("description", "");
 
   sc.platform = r.string_or("platform", "A");
-  if (sc.platform != "A" && sc.platform != "B" && sc.platform != "C")
+  if (!model::platform_from_name(sc.platform))
     fail_at(source, "'platform' must be A, B, or C, got '" + sc.platform +
                         "'", root.find("platform")->offset);
 
@@ -288,12 +289,23 @@ Scenario load_scenario(const std::string& text, const std::string& source) {
 }
 
 Scenario load_scenario_file(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.good())
-    throw util::Error("cannot open scenario file '" + path + "'");
   std::ostringstream buf;
-  buf << f.rdbuf();
+  buf << util::open_input_file(path, "scenario file").rdbuf();
   return load_scenario(buf.str(), path);
+}
+
+std::vector<Scenario> load_corpus(const std::vector<std::string>& files) {
+  std::vector<Scenario> all;
+  all.reserve(files.size());
+  std::set<std::string> names;
+  for (const auto& file : files) {
+    Scenario sc = load_scenario_file(file);
+    VC2M_CHECK_MSG(names.insert(sc.name).second,
+                   "duplicate scenario name '" << sc.name << "' (in "
+                                               << file << ")");
+    all.push_back(std::move(sc));
+  }
+  return all;
 }
 
 std::vector<std::string> discover_scenario_files(const std::string& path) {

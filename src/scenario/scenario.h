@@ -54,7 +54,7 @@ inline constexpr const char* kScenarioSchema = "vc2m-scenario/1";
 // Domain caps for integer fields. Bounds are checked on the raw parsed
 // number *before* narrowing to int, so an absurd value (e.g. 2^32 + 1)
 // cannot wrap into range and be silently accepted as a different one.
-// scripts/scenarios_validate.py enforces the same caps from the outside.
+// `vc2m validate` checks scenario files through this same loader.
 inline constexpr int kMaxVms = 1024;
 inline constexpr int kMaxHyperperiods = 1000000;
 
@@ -110,6 +110,10 @@ Scenario load_scenario(const std::string& text, const std::string& source);
 
 /// Read, parse, and validate a scenario file. Throws util::Error.
 Scenario load_scenario_file(const std::string& path);
+
+/// Load every file in `files` (in order) and refuse a scenario name used
+/// twice across them. Throws util::Error naming the offending file.
+std::vector<Scenario> load_corpus(const std::vector<std::string>& files);
 
 /// Scenario files in `path`: the sorted `*.json` entries when it is a
 /// directory, or just `path` when it is a file. Throws util::Error when the

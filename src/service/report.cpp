@@ -1,10 +1,12 @@
 #include "service/report.h"
 
-#include <fstream>
 #include <ostream>
 #include <sstream>
 
+#include "model/platform.h"
 #include "obs/json.h"
+#include "scenario/digest.h"
+#include "service/service.h"
 #include "util/error.h"
 #include "util/file.h"
 
@@ -66,6 +68,14 @@ void write_serve_report_file(const std::string& path, const ServeReport& r) {
 ServeReport read_serve_report(std::istream& is, const std::string& what,
                               std::vector<std::string>* notes) {
   const Value root = obs::json::parse_object(is, what);
+  // Every object is read against its key list; a key outside it is a note.
+  const auto object = [&](const Value& parent, const char* key,
+                          std::initializer_list<const char*> known)
+      -> const Value& {
+    const Value& v = parent.get_object(key, what);
+    obs::json::note_unknown_fields(v, known, what + ": " + key, notes);
+    return v;
+  };
   obs::json::note_unknown_fields(
       root,
       {"schema", "git_rev", "trace", "platform", "seed", "config", "totals",
@@ -77,18 +87,33 @@ ServeReport read_serve_report(std::istream& is, const std::string& what,
                  what << ": unsupported schema '" << r.schema << "'");
   r.git_rev = root.get_string("git_rev", what);
   r.trace = root.get_string("trace", what);
+  VC2M_CHECK_MSG(!r.trace.empty(), what << ": empty trace spec");
   r.platform = root.get_string("platform", what);
+  VC2M_CHECK_MSG(model::platform_from_name(r.platform),
+                 what << ": unknown platform '" << r.platform << "'");
   r.seed = root.get_count("seed", what);
-  const Value& cfg = root.get_object("config", what);
+  const Value& cfg = object(root, "config",
+                            {"deadline_us", "shed_policy", "queue_cap",
+                             "max_retries", "backoff_us", "snapshot_every"});
   r.deadline_us = static_cast<std::int64_t>(cfg.get_count("deadline_us", what));
   r.shed_policy = cfg.get_string("shed_policy", what);
+  ShedPolicy shed;
+  VC2M_CHECK_MSG(shed_policy_from_string(r.shed_policy, shed),
+                 what << ": unknown shed policy '" << r.shed_policy << "'");
   r.queue_cap = cfg.get_count("queue_cap", what);
+  VC2M_CHECK_MSG(r.queue_cap >= 1, what << ": config.queue_cap must be >= 1");
   r.max_retries = cfg.get_count("max_retries", what);
   r.backoff_us = static_cast<std::int64_t>(cfg.get_count("backoff_us", what));
   r.snapshot_every = cfg.get_count("snapshot_every", what);
-  const Value& t = root.get_object("totals", what);
+  const Value& t = object(
+      root, "totals",
+      {"requests", "arrivals", "admitted", "rejected", "probe_rejected",
+       "removed", "resized", "resize_rejected", "not_present", "deferred",
+       "retries", "shed", "timed_out", "downgrades", "commits", "snapshots"});
   r.requests = t.get_count("requests", what);
   r.arrivals = t.get_count("arrivals", what);
+  VC2M_CHECK_MSG(r.arrivals <= r.requests,
+                 what << ": arrivals exceed the trace length");
   r.admitted = t.get_count("admitted", what);
   r.rejected = t.get_count("rejected", what);
   r.probe_rejected = t.get_count("probe_rejected", what);
@@ -103,25 +128,32 @@ ServeReport read_serve_report(std::istream& is, const std::string& what,
   r.downgrades = t.get_count("downgrades", what);
   r.commits = t.get_count("commits", what);
   r.snapshots = t.get_count("snapshots", what);
-  const Value& q = root.get_object("queue", what);
+  const Value& q = object(root, "queue", {"max_depth", "backpressure"});
   r.queue_max_depth = q.get_count("max_depth", what);
+  VC2M_CHECK_MSG(r.queue_max_depth <= r.queue_cap,
+                 what << ": queue max_depth exceeds the configured cap");
   r.backpressure = q.get_count("backpressure", what);
-  const Value& d = root.get_object("decisions", what);
+  const Value& d = object(root, "decisions", {"events", "dropped"});
   r.decision_events = d.get_count("events", what);
   r.decision_dropped = d.get_count("dropped", what);
-  const Value& lat = root.get_object("latency_us", what);
+  const Value& lat = object(root, "latency_us",
+                            {"admitted", "rejected", "deferred", "shed"});
   const auto summary = [&](const char* key) {
-    return obs::HistogramSummary::read_json(lat.get_object(key, what), what);
+    return obs::HistogramSummary::read_json(
+        lat.get_object(key, what), what + ": latency_us." + key, notes);
   };
   r.latency_admitted_us = summary("admitted");
   r.latency_rejected_us = summary("rejected");
   r.latency_deferred_us = summary("deferred");
   r.latency_shed_us = summary("shed");
-  const Value& s = root.get_object("state", what);
+  const Value& s = object(root, "state",
+                          {"vms", "vcpus", "cores_used", "digest"});
   r.vms = s.get_count("vms", what);
   r.vcpus = s.get_count("vcpus", what);
   r.cores_used = s.get_count("cores_used", what);
   r.digest = s.get_string("digest", what);
+  VC2M_CHECK_MSG(scenario::is_solve_digest(r.digest),
+                 what << ": state.digest is not a solve digest (sched=...)");
   if (const Value* flag = root.find("interrupted")) {
     VC2M_CHECK_MSG(flag->kind == Kind::kBool && flag->boolean,
                    what << ": 'interrupted' may only be present as true");
@@ -136,13 +168,6 @@ ServeReport read_serve_report(std::istream& is, const std::string& what,
                      terminal + r.deferred == r.arrivals + r.retries,
                  what << ": outcome totals do not cover the enqueued attempts");
   return r;
-}
-
-ServeReport read_serve_report_file(const std::string& path,
-                                   std::vector<std::string>* notes) {
-  std::ifstream f(path);
-  if (!f.good()) throw util::Error("cannot open serve report '" + path + "'");
-  return read_serve_report(f, path, notes);
 }
 
 }  // namespace vc2m::service

@@ -84,15 +84,16 @@ struct ServeReport {
 void write_serve_report(std::ostream& os, const ServeReport& r);
 void write_serve_report_file(const std::string& path, const ServeReport& r);
 
-/// Strict reader (throws util::Error on malformed JSON, a bad schema, or
-/// missing/ill-typed fields). Unknown top-level fields — a newer writer's
-/// additions — are surfaced through `notes` (when given) instead of being
-/// rejected, so old readers keep working across forward-compatible schema
-/// growth.
+/// Strict reader (throws util::Error on malformed JSON, a bad schema,
+/// missing/ill-typed fields, or values no run writes: an unknown platform
+/// or shed policy, an empty trace, queue_cap 0, more arrivals than
+/// requests, a queue deeper than its cap, a state digest that is not a
+/// solve digest, totals that do not cover the enqueued attempts). Unknown
+/// fields at any level — a newer writer's additions — are surfaced through
+/// `notes` (when given) instead of being rejected, so old readers keep
+/// working across forward-compatible schema growth.
 ServeReport read_serve_report(std::istream& is,
                               const std::string& what = "serve report",
                               std::vector<std::string>* notes = nullptr);
-ServeReport read_serve_report_file(const std::string& path,
-                                   std::vector<std::string>* notes = nullptr);
 
 }  // namespace vc2m::service

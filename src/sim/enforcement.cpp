@@ -8,26 +8,27 @@
 
 #include "sim/simulation.h"
 #include "util/error.h"
+#include "util/names.h"
 
 namespace vc2m::sim {
 
+namespace {
+
+/// Indexed by EnforcementPolicy.
+constexpr const char* kPolicyNames[] = {"strict", "kill", "throttle",
+                                        "degrade"};
+
+}  // namespace
+
 std::string to_string(EnforcementPolicy p) {
-  switch (p) {
-    case EnforcementPolicy::kStrict: return "strict";
-    case EnforcementPolicy::kKill: return "kill";
-    case EnforcementPolicy::kThrottle: return "throttle";
-    case EnforcementPolicy::kDegrade: return "degrade";
-  }
-  return "?";
+  return util::enum_name(kPolicyNames, p);
 }
 
 std::optional<EnforcementPolicy> enforcement_policy_from_string(
     const std::string& name) {
-  for (const auto p :
-       {EnforcementPolicy::kStrict, EnforcementPolicy::kKill,
-        EnforcementPolicy::kThrottle, EnforcementPolicy::kDegrade})
-    if (to_string(p) == name) return p;
-  return std::nullopt;
+  EnforcementPolicy p;
+  if (!util::enum_from_name(kPolicyNames, name, p)) return std::nullopt;
+  return p;
 }
 
 void Simulation::enforce_job_budget(std::size_t core_index) {

@@ -26,7 +26,7 @@
 #include <functional>
 #include <string>
 
-#include "core/solutions.h"
+#include "core/strategy.h"
 #include "model/platform.h"
 #include "model/task.h"
 #include "sim/enforcement.h"

@@ -1,43 +1,36 @@
 #include "sim/trace.h"
 
+#include <iterator>
+
+#include "util/names.h"
+
 namespace vc2m::sim {
 
+namespace {
+
+/// Indexed by TraceKind; the export formats spell kinds this way.
+constexpr const char* kTraceKindNames[] = {
+    "job-release",        "job-complete",          "deadline-miss",
+    "vcpu-release",       "vcpu-budget-exhausted", "vcpu-schedule",
+    "vcpu-deschedule",    "task-dispatch",         "core-throttle",
+    "core-unthrottle",    "bw-refill",             "hypercall",
+    "fault-wcet-overrun", "fault-release-jitter",  "partition-revoke",
+    "partition-restore",  "cos-program",           "fault-refill-delay",
+    "job-killed",         "job-deferred",          "task-suspend",
+    "task-resume",        "vcpu-budget-overrun"};
+static_assert(std::size(kTraceKindNames) ==
+              static_cast<std::size_t>(TraceKind::kCount_));
+
+}  // namespace
+
 std::string to_string(TraceKind k) {
-  switch (k) {
-    case TraceKind::kJobRelease: return "job-release";
-    case TraceKind::kJobComplete: return "job-complete";
-    case TraceKind::kDeadlineMiss: return "deadline-miss";
-    case TraceKind::kVcpuRelease: return "vcpu-release";
-    case TraceKind::kVcpuBudgetExhausted: return "vcpu-budget-exhausted";
-    case TraceKind::kVcpuSchedule: return "vcpu-schedule";
-    case TraceKind::kVcpuDeschedule: return "vcpu-deschedule";
-    case TraceKind::kTaskDispatch: return "task-dispatch";
-    case TraceKind::kCoreThrottle: return "core-throttle";
-    case TraceKind::kCoreUnthrottle: return "core-unthrottle";
-    case TraceKind::kBwRefill: return "bw-refill";
-    case TraceKind::kHypercall: return "hypercall";
-    case TraceKind::kFaultWcetOverrun: return "fault-wcet-overrun";
-    case TraceKind::kFaultReleaseJitter: return "fault-release-jitter";
-    case TraceKind::kPartitionRevoke: return "partition-revoke";
-    case TraceKind::kPartitionRestore: return "partition-restore";
-    case TraceKind::kCosProgram: return "cos-program";
-    case TraceKind::kFaultRefillDelay: return "fault-refill-delay";
-    case TraceKind::kJobKilled: return "job-killed";
-    case TraceKind::kJobDeferred: return "job-deferred";
-    case TraceKind::kTaskSuspend: return "task-suspend";
-    case TraceKind::kTaskResume: return "task-resume";
-    case TraceKind::kVcpuBudgetOverrun: return "vcpu-budget-overrun";
-    case TraceKind::kCount_: break;
-  }
-  return "?";
+  return util::enum_name(kTraceKindNames, k);
 }
 
 std::optional<TraceKind> trace_kind_from_string(const std::string& name) {
-  for (std::size_t k = 0; k < static_cast<std::size_t>(TraceKind::kCount_);
-       ++k)
-    if (to_string(static_cast<TraceKind>(k)) == name)
-      return static_cast<TraceKind>(k);
-  return std::nullopt;
+  TraceKind k;
+  if (!util::enum_from_name(kTraceKindNames, name, k)) return std::nullopt;
+  return k;
 }
 
 std::vector<TraceEvent> Trace::events_of(TraceKind k) const {

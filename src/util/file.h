@@ -1,5 +1,5 @@
-// Output-file helpers shared by every artifact writer (traces, bench /
-// explain / scenario reports, taskset CSVs).
+// File helpers shared by every artifact writer (traces, bench / explain /
+// scenario reports, taskset CSVs) and the report readers' callers.
 //
 // A bare `std::ofstream(path)` fails silently in two ways the CLI must not:
 // the constructor only sets failbit (a caller that forgets to test it
@@ -33,6 +33,15 @@ inline std::ofstream open_output_file(const std::string& path,
     throw Error("cannot open " + what + " '" + path + "'" +
                 (err ? std::string(": ") + std::strerror(err) : ""));
   }
+  return f;
+}
+
+/// Open `path` for reading or throw util::Error naming the artifact and the
+/// path, e.g. "cannot open serve report 'r.json'".
+inline std::ifstream open_input_file(const std::string& path,
+                                     const std::string& what) {
+  std::ifstream f(path, std::ios::binary);
+  if (!f.good()) throw Error("cannot open " + what + " '" + path + "'");
   return f;
 }
 

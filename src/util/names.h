@@ -23,16 +23,21 @@ constexpr const char* enum_name(const Row (&table)[N], E e) {
   return i < N ? row_name(table[i]) : "?";
 }
 
+/// The row named `s`, or nullptr.
+template <class Row, std::size_t N>
+constexpr const Row* find_row(const Row (&table)[N], std::string_view s) {
+  for (const Row& row : table)
+    if (s == row_name(row)) return &row;
+  return nullptr;
+}
+
 /// The enumerator named `s`: true and `out` set, or false and `out`
 /// untouched.
 template <class E, class Row, std::size_t N>
 bool enum_from_name(const Row (&table)[N], std::string_view s, E& out) {
-  for (std::size_t i = 0; i < N; ++i)
-    if (s == row_name(table[i])) {
-      out = static_cast<E>(i);
-      return true;
-    }
-  return false;
+  const Row* row = find_row(table, s);
+  if (row) out = static_cast<E>(row - table);
+  return row != nullptr;
 }
 
 }  // namespace vc2m::util

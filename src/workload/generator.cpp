@@ -3,17 +3,31 @@
 #include <cmath>
 
 #include "util/error.h"
+#include "util/names.h"
 
 namespace vc2m::workload {
 
+namespace {
+
+/// Indexed by UtilDist: the parsed name and the display name.
+struct UtilDistRow {
+  const char* name;
+  const char* display;
+};
+constexpr UtilDistRow kUtilDists[] = {{"uniform", "uniform"},
+                                      {"light", "bimodal-light"},
+                                      {"medium", "bimodal-medium"},
+                                      {"heavy", "bimodal-heavy"}};
+
+}  // namespace
+
 std::string to_string(UtilDist d) {
-  switch (d) {
-    case UtilDist::kUniform: return "uniform";
-    case UtilDist::kBimodalLight: return "bimodal-light";
-    case UtilDist::kBimodalMedium: return "bimodal-medium";
-    case UtilDist::kBimodalHeavy: return "bimodal-heavy";
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(d);
+  return i < std::size(kUtilDists) ? kUtilDists[i].display : "?";
+}
+
+bool util_dist_from_string(std::string_view s, UtilDist& out) {
+  return util::enum_from_name(kUtilDists, s, out);
 }
 
 double draw_utilization(UtilDist dist, util::Rng& rng) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/resource_grid.h"
@@ -25,7 +26,12 @@ namespace vc2m::workload {
 /// where q = 8/9 (light), 6/9 (medium), 4/9 (heavy).
 enum class UtilDist { kUniform, kBimodalLight, kBimodalMedium, kBimodalHeavy };
 
+/// Display name, e.g. "bimodal-light".
 std::string to_string(UtilDist d);
+
+/// Parse the short name the CLI and scenarios use ("uniform", "light",
+/// "medium", "heavy"): true and `out` set, or false.
+bool util_dist_from_string(std::string_view s, UtilDist& out);
 
 /// Draw one task utilization from `dist`.
 double draw_utilization(UtilDist dist, util::Rng& rng);

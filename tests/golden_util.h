@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/solutions.h"
+#include "core/strategy.h"
 #include "model/platform.h"
 #include "scenario/digest.h"
 #include "util/record.h"
@@ -80,10 +80,10 @@ inline std::vector<std::string> solve_lines() {
     const Scenario& sc = scenarios()[i];
     const auto tasks = scenario_taskset(sc);
     const auto platform = platform_of(sc.platform);
-    for (std::size_t si = 0; si < core::all_solutions().size(); ++si) {
+    for (std::size_t si = 0; si < core::default_solution_keys().size(); ++si) {
       util::Rng rng(sc.seed * 1000 + si);
-      const auto res =
-          core::solve(core::all_solutions()[si], tasks, platform, {}, rng);
+      const auto res = core::solve(core::default_solution_keys()[si], tasks,
+                                   platform, {}, rng);
       std::ostringstream os;
       os << "solve|" << i << "|" << si << "|" << scenario::solve_digest(res);
       lines.push_back(os.str());

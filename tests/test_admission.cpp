@@ -5,7 +5,7 @@
 
 #include "analysis/schedulability.h"
 #include "core/admission.h"
-#include "core/solutions.h"
+#include "core/strategy.h"
 #include "model/platform.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -32,7 +32,7 @@ AdmissionState boot_system(double util, std::uint64_t seed) {
   const auto tasks = vm_taskset(util, 0, seed);
   Rng rng(seed + 1);
   const auto res =
-      solve(Solution::kHeuristicOverheadFree, tasks, platform, {}, rng);
+      solve("ovf", tasks, platform, {}, rng);
   AdmissionState state;
   state.vcpus = res.vcpus;
   state.mapping = res.mapping;

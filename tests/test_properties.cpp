@@ -8,7 +8,7 @@
 #include "analysis/prm.h"
 #include "analysis/regulated.h"
 #include "analysis/schedulability.h"
-#include "core/solutions.h"
+#include "core/strategy.h"
 #include "model/platform.h"
 #include "sim/deploy.h"
 #include "sim/simulation.h"
@@ -120,7 +120,7 @@ TEST_P(AllocatorStressTest, InvariantsHoldForRandomWorkloads) {
   gen.num_vms = 1 + static_cast<int>(rng.index(3));
   const auto tasks = workload::generate_taskset(gen, rng);
 
-  for (const auto solution : core::all_solutions()) {
+  for (const auto& solution : core::default_solution_keys()) {
     Rng solve_rng = rng.fork();
     const auto res = core::solve(solution, tasks, platform, {}, solve_rng);
     if (!res.schedulable) continue;
@@ -129,8 +129,8 @@ TEST_P(AllocatorStressTest, InvariantsHoldForRandomWorkloads) {
     std::set<std::size_t> seen_tasks;
     for (const auto& v : res.vcpus)
       for (const auto t : v.tasks)
-        EXPECT_TRUE(seen_tasks.insert(t).second) << core::to_string(solution);
-    EXPECT_EQ(seen_tasks.size(), tasks.size()) << core::to_string(solution);
+        EXPECT_TRUE(seen_tasks.insert(t).second) << solution;
+    EXPECT_EQ(seen_tasks.size(), tasks.size()) << solution;
 
     // Every VCPU on exactly one core; resource pools respected; every
     // core schedulable under its allocation.
@@ -149,7 +149,7 @@ TEST_P(AllocatorStressTest, InvariantsHoldForRandomWorkloads) {
                                              res.mapping.vcpus_on_core[k],
                                              res.mapping.cache[k],
                                              res.mapping.bw[k]))
-          << core::to_string(solution) << " core " << k;
+          << solution << " core " << k;
     }
     EXPECT_EQ(seen_vcpus.size(), res.vcpus.size());
   }
@@ -237,8 +237,8 @@ TEST_P(AnalysisVsExecutionTest, CertifiedImpliesNoMisses) {
   gen.target_ref_utilization = rng.uniform(0.5, 1.6);
   const auto tasks = workload::generate_taskset(gen, rng);
 
-  const auto solution =
-      core::all_solutions()[GetParam() % core::all_solutions().size()];
+  const auto& keys = core::default_solution_keys();
+  const auto& solution = keys[GetParam() % keys.size()];
   Rng solve_rng = rng.fork();
   const auto res = core::solve(solution, tasks, platform, {}, solve_rng);
   if (!res.schedulable) GTEST_SKIP();
@@ -247,7 +247,7 @@ TEST_P(AnalysisVsExecutionTest, CertifiedImpliesNoMisses) {
       sim::deploy(tasks, res.vcpus, res.mapping, platform, {}));
   s.run(model::hyperperiod(tasks) * 3);
   EXPECT_EQ(s.stats().deadline_misses, 0u)
-      << core::to_string(solution) << " seed " << seed;
+      << solution << " seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, AnalysisVsExecutionTest,

@@ -259,6 +259,12 @@ TEST(ScenarioLoader, SemanticCrossFieldRulesFailAtLoadTime) {
     "expect": {"verdict": "schedulable"}})")
                 .find("'dist' must be one of"),
             std::string::npos);
+  // A pinned digest must be a solve digest.
+  EXPECT_NE(error_of(R"({"schema": "vc2m-scenario/1", "name": "x",
+    "workload": {"util": 0.5},
+    "expect": {"verdict": "schedulable", "digest": "cores=1"}})")
+                .find("must be a solve digest"),
+            std::string::npos);
   // A fault spec is validated through the real sim/faults parser.
   EXPECT_NE(error_of(R"({"schema": "vc2m-scenario/1", "name": "x",
     "faults": "overrun-factor=0.5", "workload": {"util": 0.5},
@@ -414,7 +420,8 @@ TEST(ScenarioMatrix, ResumeWithACorruptCheckpointColdStartsWithAWarning) {
   EXPECT_NE(result.warnings.front().find("cold start"), std::string::npos)
       << result.warnings.front();
   // The cold run rewrote the checkpoint; it must be readable again.
-  const auto rewritten = scenario::read_scenario_report_file(ckpt);
+  auto ckpt_file = util::open_input_file(ckpt, "checkpoint");
+  const auto rewritten = scenario::read_scenario_report(ckpt_file);
   EXPECT_EQ(rewritten.records.size(), result.report.records.size());
   std::remove(ckpt.c_str());
 }
@@ -502,6 +509,62 @@ TEST(ScenarioReport, UnknownFieldInAValidReportIsSurfacedNotRejected) {
   // Without a notes sink the field is silently skipped, still no throw.
   std::istringstream in2(text);
   EXPECT_NO_THROW((void)scenario::read_scenario_report(in2));
+
+  // Unknown keys are notes at every level, and so are metrics on a record
+  // that was not simulated.
+  const std::string plain = serialized(report);
+  for (const auto& [anchor, insert] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"shard\": {", "\"from_the_future\": 1, "},
+           {"  {\"name\": ", "\"from_the_future\": 1, "},
+           {"\"metrics\": {", "\"from_the_future\": 1, "},
+           {"\"simulated\": false", ", \"metrics\": {}"}}) {
+    std::string nested = plain;
+    const std::size_t pos = nested.find(anchor);
+    ASSERT_NE(pos, std::string::npos) << anchor;
+    nested.insert(anchor.find('{') != std::string::npos
+                      ? nested.find('{', pos) + 1
+                      : pos + anchor.size(),
+                  insert);
+    std::vector<std::string> nested_notes;
+    std::istringstream in3(nested);
+    ASSERT_NO_THROW((void)scenario::read_scenario_report(
+        in3, "scenario report", &nested_notes))
+        << anchor;
+    EXPECT_EQ(nested_notes.size(), 1u) << anchor;
+  }
+}
+
+TEST(ScenarioReport, RecordHashDigestAndOrderAreChecked) {
+  scenario::ScenarioReport report;
+  report.corpus = "c";
+  for (const char* name : {"a", "b"}) {
+    scenario::ScenarioRecord rec;
+    rec.name = name;
+    rec.scenario_hash = "0123456789abcdef";
+    rec.digest = "sched=1";
+    report.records.push_back(rec);
+  }
+  std::istringstream ok(serialized(report));
+  EXPECT_NO_THROW((void)scenario::read_scenario_report(ok));
+  const std::pair<const char*, void (*)(scenario::ScenarioReport&)> bad[] = {
+      {"short hash",
+       [](scenario::ScenarioReport& r) { r.records[0].scenario_hash.pop_back(); }},
+      {"uppercase hash",
+       [](scenario::ScenarioReport& r) {
+         r.records[0].scenario_hash = "0123456789ABCDEF";
+       }},
+      {"digest", [](scenario::ScenarioReport& r) { r.records[1].digest = "x"; }},
+      {"order",
+       [](scenario::ScenarioReport& r) { std::swap(r.records[0], r.records[1]); }},
+  };
+  for (const auto& [what, mutate] : bad) {
+    auto r = report;
+    mutate(r);
+    std::istringstream in(serialized(r));
+    EXPECT_THROW((void)scenario::read_scenario_report(in), util::Error)
+        << what;
+  }
 }
 
 TEST(ScenarioReport, CountsAtOrAbove2To53AreRejectedByName) {
@@ -509,6 +572,8 @@ TEST(ScenarioReport, CountsAtOrAbove2To53AreRejectedByName) {
   r.corpus = "c";
   scenario::ScenarioRecord rec;
   rec.name = "a";
+  rec.scenario_hash = "0123456789abcdef";
+  rec.digest = "sched=1";
   rec.simulated = true;
   rec.trace_events = (std::uint64_t{1} << 53) - 1;
   r.records.push_back(rec);

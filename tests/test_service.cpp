@@ -584,6 +584,41 @@ TEST(ServeReport, RoundTripAndStrictness) {
   EXPECT_THROW(read_serve_report(garbage), util::Error);
   std::istringstream not_json("not json");
   EXPECT_THROW(read_serve_report(not_json), util::Error);
+
+  // Values no run writes are refused, each by name.
+  const std::pair<const char*, void (*)(ServeReport&)> bad[] = {
+      {"platform", [](ServeReport& r) { r.platform = "D"; }},
+      {"empty trace", [](ServeReport& r) { r.trace.clear(); }},
+      {"shed policy", [](ServeReport& r) { r.shed_policy = "drop-all"; }},
+      {"queue_cap", [](ServeReport& r) { r.queue_cap = 0; }},
+      {"arrivals exceed",
+       [](ServeReport& r) { r.arrivals = r.requests + 1; }},
+      {"max_depth", [](ServeReport& r) { r.queue_max_depth = r.queue_cap + 1; }},
+      {"solve digest", [](ServeReport& r) { r.digest = "cores=1"; }},
+  };
+  for (const auto& [what, mutate] : bad) {
+    ServeReport r = res.report;
+    r.interrupted = true;  // keeps the accounting identity out of the way
+    mutate(r);
+    std::istringstream in(report_text(r));
+    try {
+      read_serve_report(in);
+      ADD_FAILURE() << what << " was accepted";
+    } catch (const util::Error& e) {
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ServeReport, LowercasePlatformFromAnOlderCliIsRejected) {
+  // Older CLIs accepted `--platform a` and wrote it through to the report.
+  auto cfg = small_config();
+  cfg.platform_name = "a";
+  const std::string text = report_text(run_service(cfg).report);
+  ASSERT_NE(text.find("\"platform\": \"a\""), std::string::npos);
+  std::istringstream is(text);
+  EXPECT_THROW(read_serve_report(is), util::Error);
 }
 
 TEST(ServeReport, SeedBelow2To53RoundTripsExactly) {
