@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -57,9 +58,10 @@ BENCHMARK(BM_DbfEvaluation);
 
 void BM_DbfDemandAtSoA(benchmark::State& state) {
   // The division-free SoA demand sweep over a merged checkpoint set (each
-  // task's last passed multiple steps forward by its period) — the inner
-  // loop of the fast min-budget kernel. Compare per-point cost with
-  // BM_DbfEvaluation (one AoS dbf() call per point, one division per task).
+  // task's last passed multiple steps forward by its period), for point
+  // sets that are not a memoized group's stream. Compare per-point cost
+  // with BM_DbfEvaluation (one AoS dbf() call per point, one division per
+  // task).
   std::vector<analysis::PTask> tasks;
   for (int i = 1; i <= 8; ++i)
     tasks.push_back({Time::ms(100 * (1 << (i % 4))), Time::ms(i)});
@@ -112,10 +114,11 @@ void BM_PrmMinBudget(benchmark::State& state) {
 BENCHMARK(BM_PrmMinBudget)->Arg(2)->Arg(8)->Arg(24);
 
 void BM_PrmMinBudgetOnCurve(benchmark::State& state) {
-  // The engine's equivalent of BM_PrmMinBudget: checkpoints and demand
-  // precomputed once (as the group memo + Θ-independent demand sweep make
-  // them per cell), leaving one walk over the curve that inverts sbf at
-  // the checkpoints the running budget does not yet cover.
+  // The engine's equivalent of BM_PrmMinBudget: checkpoints, their split
+  // by Π and demand precomputed once (as the group memo + Θ-independent
+  // demand make them per cell), leaving one division-free walk over the
+  // curve that inverts sbf at the checkpoints the running budget does not
+  // yet cover.
   std::vector<analysis::PTask> tasks;
   for (int i = 1; i <= static_cast<int>(state.range(0)); ++i)
     tasks.push_back({Time::ms(100 * (1 << (i % 4))), Time::ms(3 * i)});
@@ -127,7 +130,12 @@ void BM_PrmMinBudgetOnCurve(benchmark::State& state) {
   analysis::merge_checkpoints(soa.period, horizon, points);
   std::vector<Time> demand(points.size());
   analysis::demand_at(soa.period, soa.wcet, points, demand);
-  const analysis::DemandCurve curve{points, demand};
+  std::vector<std::int64_t> quot, rem;
+  for (const Time t : points) {
+    quot.push_back(t / pi);
+    rem.push_back((t % pi).raw_ns());
+  }
+  const analysis::DemandCurve curve{points, demand, quot, rem};
   for (auto _ : state)
     benchmark::DoNotOptimize(
         analysis::min_budget_on_curve(curve, soa.total_util, pi));
@@ -137,9 +145,10 @@ BENCHMARK(BM_PrmMinBudgetOnCurve)->Arg(2)->Arg(8)->Arg(24);
 void BM_VcpuExistingCsaSurface(benchmark::State& state) {
   // One existing-CSA VCPU's 380-cell budget surface on Platform A through a
   // cold AnalysisContext, as vm_alloc builds it: group resolution, one
-  // checkpoint stream, a demand sweep and an exact budget per distinct
-  // cell, and the memo bookkeeping. The VCPU serves the n lightest tasks
-  // of a heavy taskset (harmonic periods, as the sweeps generate).
+  // checkpoint stream with its job counts, a demand row and an exact
+  // budget per distinct cell, and the memo bookkeeping. The VCPU serves the
+  // n lightest tasks of a heavy taskset (harmonic periods, as the sweeps
+  // generate).
   auto tasks = make_taskset(4.0, 17);
   std::sort(tasks.begin(), tasks.end(),
             [](const model::Task& a, const model::Task& b) {

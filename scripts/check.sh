@@ -94,7 +94,7 @@ scenario_smoke() {
   # Renaming the first record past the others breaks the name order.
   sed '0,/"name": "/s//"name": "zzz-/' "$work/merged.json" \
     > "$work/unsorted.json"
-  local rc=0
+  rc=0
   "$vc2m" validate "$work/unsorted.json" > /dev/null 2>&1 || rc=$?
   [ "$rc" -eq 1 ] \
     || { echo "out-of-order scenario report: validate rc $rc, want 1"
@@ -237,7 +237,7 @@ serve_smoke() {
     > "$work/flipped.json"
   cmp -s "$work/flipped.json" "$work/base.json" \
     && { echo "byte flip did not apply"; return 1; }
-  local rc=0
+  rc=0
   "$vc2m" validate "$work/flipped.json" > /dev/null 2>&1 || rc=$?
   [ "$rc" -eq 1 ] \
     || { echo "byte-flipped serve report: validate rc $rc, want 1"
@@ -380,7 +380,7 @@ telemetry_smoke() {
   echo "--- timeline passes vc2m validate ---"
   "$vc2m" validate "$work/t.bin"
   head -c -5 "$work/t.bin" > "$work/t_torn.bin"
-  local rc=0
+  rc=0
   "$vc2m" validate "$work/t_torn.bin" > /dev/null 2>&1 || rc=$?
   [ "$rc" -eq 1 ] \
     || { echo "truncated timeline: validate rc $rc, want 1"; return 1; }
@@ -534,6 +534,25 @@ perf_smoke() {
     > /dev/null \
     || { echo "perfdiff self-compare reported a regression"; return 1; }
 
+  echo "--- perfdiff: unlike reports are refused unless --force ---"
+  python3 - "$work/BENCH_smoke.json" "$work/BENCH_jobs1.json" \
+      "$work/BENCH_jobs4.json" <<'EOF'
+import json, sys
+r = json.load(open(sys.argv[1]))
+for path, jobs in ((sys.argv[2], "1"), (sys.argv[3], "4")):
+    r["config"] = dict(sorted({**r["config"], "jobs": jobs}.items()))
+    json.dump(r, open(path, "w"))
+EOF
+  rc=0
+  "$1/tools/vc2m" perfdiff "$work/BENCH_jobs1.json" "$work/BENCH_jobs4.json" \
+    > "$work/unlike.out" 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] && grep -q "jobs: '1' vs '4'" "$work/unlike.out" \
+    || { echo "perfdiff compared reports of unlike configs (exit $rc)"; \
+         return 1; }
+  "$1/tools/vc2m" perfdiff "$work/BENCH_jobs1.json" "$work/BENCH_jobs4.json" \
+    --force > /dev/null 2>&1 \
+    || { echo "perfdiff --force refused unlike reports"; return 1; }
+
   echo "--- perfdiff: synthetic 3x phase regression must fail ---"
   python3 - "$work/BENCH_smoke.json" "$work/BENCH_regressed.json" <<'EOF'
 import json, sys
@@ -623,10 +642,11 @@ for san in "${sanitizers[@]}"; do
   echo "=== ${san}: ctest ==="
   (cd "$dir" && ctest ${ctest_args[@]+"${ctest_args[@]}"})
   if [ "$san" = thread ]; then
-    # The intra-solve min-budget striping (--inner-jobs) shares checkpoint
-    # cache references and per-stripe arenas across the inner pool; the
-    # golden grid drives sweeps at jobs x inner-jobs combinations under
-    # TSan to prove the batch latch + serial reduction are race-free.
+    # The intra-solve min-budget striping (--inner-jobs) shares a group's
+    # stream, job counts and memo keys, read-only, and per-stripe arenas
+    # across the inner pool; the golden grid drives sweeps at jobs x
+    # inner-jobs combinations under TSan to prove the surface pass's latch
+    # + serial reduction are race-free.
     echo "=== ${san}: inner-parallel min-budget sweeps (golden grid) ==="
     "$dir/tests/test_golden" --gtest_filter='*JobsByInner*'
   fi

@@ -4,6 +4,7 @@
 #include <bit>
 #include <condition_variable>
 #include <exception>
+#include <memory>
 #include <mutex>
 
 #include "analysis/prm.h"
@@ -15,24 +16,42 @@ namespace vc2m::analysis {
 
 namespace {
 
-/// Hash of a query's wcet tuple (the group fixes everything else).
-std::uint64_t wcet_hash(std::span<const PTask> tasks) {
-  util::WordHash h;
-  for (const auto& t : tasks)
-    h.add(static_cast<std::uint64_t>(t.wcet.raw_ns()));
-  return h.value();
-}
-
 std::optional<util::Time> decode(std::int64_t v) {
   if (v < 0) return std::nullopt;
   return util::Time::ns(v);
 }
 
+/// total_utilization() of the tasks (periods[i], wcets[i]): the same
+/// expression as Time::ratio, summed in task order, so bit-identical.
+double utilization(std::span<const std::int64_t> periods,
+                   const std::int64_t* wcets) {
+  double u = 0;
+  for (std::size_t i = 0; i < periods.size(); ++i)
+    u += static_cast<double>(wcets[i]) / static_cast<double>(periods[i]);
+  return u;
+}
+
+/// Demand at each checkpoint from the job counts: out[k] = Σ_i
+/// counts[k·n + i]·wcets[i], which is dbf(t_k). Counts one dbf evaluation
+/// per point, as the reference does.
+void demand_from_counts(std::span<const std::uint32_t> counts,
+                        const std::int64_t* wcets, std::size_t n,
+                        std::span<util::Time> out) {
+  if (auto* ctr = util::alloc_counters()) ctr->dbf_evaluations += out.size();
+  const std::uint32_t* row = counts.data();
+  for (std::size_t k = 0; k < out.size(); ++k, row += n) {
+    std::int64_t d = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      d += static_cast<std::int64_t>(row[i]) * wcets[i];
+    out[k] = util::Time::ns(d);
+  }
+}
+
 }  // namespace
 
 void AnalysisContext::emit_budget_search(
-    std::span<const PTask> tasks, util::Time period,
-    const std::optional<util::Time>& theta) {
+    util::Time period, const std::optional<util::Time>& theta,
+    double total_util) {
   auto* log = obs::decision_log();
   if (!log) return;
   obs::DecisionEvent e;
@@ -42,18 +61,27 @@ void AnalysisContext::emit_budget_search(
     e.value = theta->ratio(period);
     e.margin = 1.0 - e.value;
   } else {
-    double u = 0;
-    for (const auto& t : tasks) u += t.wcet.ratio(t.period);
     e.constraint = obs::DecisionConstraint::kNoFeasibleBudget;
-    e.value = u;
-    e.margin = std::max(0.0, u - 1.0);
+    e.value = total_util;
+    e.margin = std::max(0.0, total_util - 1.0);
   }
   log->emit(e);
 }
 
 // ---------------------------------------------------------- BudgetTable --
 
-std::uint32_t AnalysisContext::BudgetTable::find(std::span<const PTask> tasks,
+void AnalysisContext::BudgetTable::reserve(std::size_t more) {
+  const std::size_t entries = values_.size() + more;
+  if (entries > values_.capacity()) {
+    const std::size_t cap = std::max(entries, 2 * values_.capacity());
+    wcets_.reserve(cap * width_);
+    values_.reserve(cap);
+    hashes_.reserve(cap);
+  }
+  if (2 * entries > slots_.size()) rehash(std::bit_ceil(2 * entries));
+}
+
+std::uint32_t AnalysisContext::BudgetTable::find(const std::int64_t* key,
                                                  std::uint64_t hash) const {
   if (slots_.empty()) return kAbsent;
   const std::size_t mask = slots_.size() - 1;
@@ -62,18 +90,17 @@ std::uint32_t AnalysisContext::BudgetTable::find(std::span<const PTask> tasks,
     if (ref == 0) return kAbsent;
     const std::uint32_t e = ref - 1;
     if (hashes_[e] != hash) continue;
-    const std::int64_t* w = wcets_.data() + e * width_;
-    std::size_t i = 0;
-    while (i < width_ && w[i] == tasks[i].wcet.raw_ns()) ++i;
-    if (i == width_) return e;
+    if (std::equal(key, key + width_, wcets_.data() + e * width_)) return e;
   }
 }
 
-std::uint32_t AnalysisContext::BudgetTable::insert(
-    std::span<const PTask> tasks, std::uint64_t hash, std::int64_t value) {
-  if (2 * (values_.size() + 1) > slots_.size()) grow();
+std::uint32_t AnalysisContext::BudgetTable::insert(const std::int64_t* key,
+                                                   std::uint64_t hash,
+                                                   std::int64_t value) {
+  if (2 * (values_.size() + 1) > slots_.size())
+    rehash(slots_.empty() ? 16 : 2 * slots_.size());
   const auto e = static_cast<std::uint32_t>(values_.size());
-  for (const auto& t : tasks) wcets_.push_back(t.wcet.raw_ns());
+  wcets_.insert(wcets_.end(), key, key + width_);
   values_.push_back(value);
   hashes_.push_back(hash);
   const std::size_t mask = slots_.size() - 1;
@@ -96,12 +123,11 @@ void AnalysisContext::BudgetTable::pop_back() {
   hashes_.pop_back();
 }
 
-void AnalysisContext::BudgetTable::grow() {
-  const std::size_t cap = slots_.empty() ? 16 : 2 * slots_.size();
-  slots_.assign(cap, 0);
-  shift_ = 64 - std::countr_zero(cap);
+void AnalysisContext::BudgetTable::rehash(std::size_t slots) {
+  slots_.assign(slots, 0);
+  shift_ = 64 - std::countr_zero(slots);
   // Re-insert in entry order, so the table is as if built in that order.
-  const std::size_t mask = cap - 1;
+  const std::size_t mask = slots - 1;
   for (std::uint32_t e = 0; e < values_.size(); ++e) {
     std::size_t s = slot_of(hashes_[e]);
     while (slots_[s] != 0) s = (s + 1) & mask;
@@ -111,7 +137,8 @@ void AnalysisContext::BudgetTable::grow() {
 
 // -------------------------------------------------------------- groups ----
 
-AnalysisContext::Group& AnalysisContext::group_for(std::span<const PTask> tasks,
+template <class Task>
+AnalysisContext::Group& AnalysisContext::group_for(std::span<const Task> tasks,
                                                    util::Time period) {
   key_.clear();
   key_.push_back(period.raw_ns());
@@ -121,32 +148,52 @@ AnalysisContext::Group& AnalysisContext::group_for(std::span<const PTask> tasks,
   return groups_.emplace(key_, Group(key_)).first->second;
 }
 
-void AnalysisContext::ensure_points(Group& g, std::span<const PTask> tasks) {
+void AnalysisContext::ensure_points(Group& g) {
   if (g.has_points) return;
   VC2M_PROFILE_PHASE("checkpoints");
   if (auto* ctr = util::alloc_counters()) ++ctr->soa_rebuilds;
-  const util::Time horizon = util::lcm(hyperperiod(tasks), g.period);
-  merge_checkpoints(g.periods, horizon, g.points);
+  util::Time hyper = util::Time::ns(1);
+  for (const std::int64_t p : g.periods)
+    hyper = util::lcm(hyper, util::Time::ns(p));
+  // The merge checks the periods and yields strictly ascending positive
+  // points, so the counts below, and every demand row computed from them,
+  // need no further checks. Each count is at most the merge's pre-dedup
+  // size, which the merge caps.
+  static_assert(kDbfCheckpointCap <= UINT32_MAX);
+  merge_checkpoints(g.periods, util::lcm(hyper, g.period), g.points);
+  const std::size_t n = g.periods.size(), points = g.points.size();
+  const std::int64_t pi = g.period.raw_ns();
+  g.counts.resize(points * n);
+  g.split.resize(2 * points);
+  for (std::size_t k = 0; k < points; ++k) {
+    const std::int64_t t = g.points[k].raw_ns();
+    for (std::size_t i = 0; i < n; ++i)
+      g.counts[k * n + i] = static_cast<std::uint32_t>(t / g.periods[i]);
+    g.split[k] = t / pi;
+    g.split[points + k] = t % pi;
+  }
   g.has_points = true;
 }
 
-std::optional<util::Time> AnalysisContext::compute_min_budget(
-    std::span<const PTask> tasks, const Group& g, double total_util,
-    util::Arena& scratch) {
+std::int64_t AnalysisContext::compute_min_budget(const Group& g,
+                                                 const std::int64_t* wcets,
+                                                 double total_util,
+                                                 util::Arena& scratch) {
   // Mirrors min_budget_edf's early-outs exactly; when neither fires the
   // caller has built the group's stream (over-utilized groups never build
   // one, matching the reference path's order of operations).
-  if (tasks.empty()) return util::Time::zero();
-  if (total_util > 1.0 + 1e-12) return std::nullopt;
+  if (g.periods.empty()) return 0;
+  if (total_util > 1.0 + 1e-12) return kNoBudget;
 
   util::Arena::Scope mark(scratch);
-  auto wcets = scratch.alloc_array<std::int64_t>(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    wcets[i] = tasks[i].wcet.raw_ns();
-  auto demand = scratch.alloc_array<util::Time>(g.points.size());
-  demand_at(g.periods, wcets, g.points, demand);
-  return min_budget_on_curve(DemandCurve{g.points, demand}, total_util,
-                             g.period);
+  const std::size_t points = g.points.size();
+  auto demand = scratch.alloc_array<util::Time>(points);
+  demand_from_counts(g.counts, wcets, g.periods.size(), demand);
+  const std::span<const std::int64_t> quot(g.split.data(), points),
+      rem(g.split.data() + points, points);
+  const auto theta = min_budget_on_curve(
+      DemandCurve{g.points, demand, quot, rem}, total_util, g.period);
+  return theta ? theta->raw_ns() : kNoBudget;
 }
 
 // ------------------------------------------------------------- queries ----
@@ -154,8 +201,12 @@ std::optional<util::Time> AnalysisContext::compute_min_budget(
 std::optional<util::Time> AnalysisContext::min_budget(
     std::span<const PTask> tasks, util::Time period) {
   Group& g = group_for(tasks, period);
-  const std::uint64_t hash = wcet_hash(tasks);
-  if (const auto e = g.budgets.find(tasks, hash);
+  util::Arena::Scope mark(arena_);
+  auto tuple = arena_.alloc_array<std::int64_t>(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    tuple[i] = tasks[i].wcet.raw_ns();
+  const std::uint64_t hash = util::word_hash(tuple);
+  if (const auto e = g.budgets.find(tuple.data(), hash);
       e != BudgetTable::kAbsent) {
     if (auto* ctr = util::alloc_counters()) ++ctr->budget_cache_hits;
     return decode(g.budgets.value(e));
@@ -164,86 +215,96 @@ std::optional<util::Time> AnalysisContext::min_budget(
   if (auto* ctr = util::alloc_counters()) ++ctr->budget_evaluations;
   VC2M_PROFILE_PHASE("min_budget");
   const double u = total_utilization(tasks);
-  if (!tasks.empty() && u <= 1.0 + 1e-12) ensure_points(g, tasks);
-  const auto theta = compute_min_budget(tasks, g, u, arena_);
-  emit_budget_search(tasks, period, theta);
-  g.budgets.insert(tasks, hash, theta ? theta->raw_ns() : kNoBudget);
-  return theta;
+  if (!tasks.empty() && u <= 1.0 + 1e-12) ensure_points(g);
+  const std::int64_t v = compute_min_budget(g, tuple.data(), u, arena_);
+  emit_budget_search(period, decode(v), u);
+  g.budgets.insert(tuple.data(), hash, v);
+  return decode(v);
 }
 
-std::vector<AnalysisContext::BatchResult> AnalysisContext::min_budget_batch(
-    std::span<const std::span<const PTask>> queries, util::Time period) {
-  std::vector<BatchResult> out(queries.size());
-  if (queries.empty()) return out;
+void AnalysisContext::min_budget_surface(std::span<const SurfaceTask> tasks,
+                                         util::Time period,
+                                         std::span<SurfaceCell> out) {
+  const std::size_t cells = out.size();
+  for (const auto& t : tasks)
+    VC2M_CHECK_MSG(t.wcets.size() == cells,
+                   "surface column has " << t.wcets.size() << " cells, not "
+                                         << cells);
+  if (cells == 0) return;
+  VC2M_CHECK(cells < UINT32_MAX);
   VC2M_PROFILE_PHASE("min_budget_surface");
+  Group& g = group_for(tasks, period);
+  const std::size_t n = tasks.size();
 
-  // One distinct, unmemoized query. Its memo entry holds pending(job)
-  // until the batch commits, so later duplicates alias it.
+  // One distinct, unmemoized cell. Its memo entry holds pending(job) until
+  // the pass commits, so later duplicates alias it.
   struct Job {
-    std::size_t first;    ///< first query index asking this key
-    Group* group;
+    std::uint32_t cell;   ///< first cell asking this key
     std::uint32_t entry;  ///< its BudgetTable entry
-    double util = 0;
-    std::optional<util::Time> theta;
+    double util;
+    std::int64_t value;   ///< the computed memo value
   };
-  std::vector<Job> jobs;
-  jobs.reserve(queries.size());
-  constexpr std::size_t kNoJob = SIZE_MAX;
-  std::vector<std::size_t> job_of(queries.size(), kNoJob);
+  util::Arena::Scope mark(arena_);
+  auto jobs = arena_.alloc_array<Job>(cells);
+  auto job_of = arena_.alloc_array<std::uint32_t>(cells);
+  std::uint32_t njobs = 0;
+  constexpr std::uint32_t kNoJob = UINT32_MAX;
 
   // Serial pass 1 — memo and duplicate resolution, with counter semantics
-  // identical to a serial min_budget() loop over the queries: fresh key →
-  // budget_evaluations, repeated or memoized key → budget_cache_hits. The
-  // group is resolved once per run of equal periods.
+  // identical to a serial min_budget() loop over the cells: fresh key →
+  // budget_evaluations, repeated or memoized key → budget_cache_hits.
   auto* ctr = util::alloc_counters();
-  Group* g = nullptr;
-  for (std::size_t q = 0; q < queries.size(); ++q) {
-    const auto tasks = queries[q];
-    if (g == nullptr ||
-        !std::equal(g->periods.begin(), g->periods.end(), tasks.begin(),
-                    tasks.end(), [](std::int64_t p, const PTask& t) {
-                      return p == t.period.raw_ns();
-                    }))
-      g = &group_for(tasks, period);
-    const std::uint64_t hash = wcet_hash(tasks);
-    if (const auto e = g->budgets.find(tasks, hash);
+  auto tuple = arena_.alloc_array<std::int64_t>(n);
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    for (std::size_t i = 0; i < n; ++i)
+      tuple[i] = tasks[i].wcets[cell].raw_ns();
+    const std::uint64_t hash = util::word_hash(tuple);
+    job_of[cell] = kNoJob;
+    if (const auto e = g.budgets.find(tuple.data(), hash);
         e != BudgetTable::kAbsent) {
       if (ctr) ++ctr->budget_cache_hits;
-      const std::int64_t v = g->budgets.value(e);
+      const std::int64_t v = g.budgets.value(e);
       if (v <= pending(0))
-        job_of[q] = static_cast<std::size_t>(pending(0) - v);
+        job_of[cell] = static_cast<std::uint32_t>(pending(0) - v);
       else
-        out[q] = BatchResult{decode(v), false};
+        out[cell] = SurfaceCell{decode(v), false};
       continue;
     }
     if (ctr) ++ctr->budget_evaluations;
-    job_of[q] = jobs.size();
+    // Room for every cell still to come, so the table grows at most once
+    // per surface, and not at all when every cell hits.
+    if (njobs == 0) g.budgets.reserve(cells - cell);
+    job_of[cell] = njobs;
     const std::uint32_t entry =
-        g->budgets.insert(tasks, hash, pending(jobs.size()));
-    jobs.push_back(Job{q, g, entry, total_utilization(tasks), std::nullopt});
+        g.budgets.insert(tuple.data(), hash, pending(njobs));
+    std::construct_at(&jobs[njobs++],
+                      Job{static_cast<std::uint32_t>(cell), entry,
+                          utilization(g.periods, tuple.data()), kNoBudget});
   }
+  const auto work = jobs.first(njobs);
 
-  if (!jobs.empty()) {
-    if (ctr) ctr->inner_tasks += jobs.size();
+  if (!work.empty()) {
+    if (ctr) ctr->inner_tasks += work.size();
     try {
-      // Serial pass 2 — checkpoint streams. Builds (and any lcm-overflow /
-      // checkpoint-cap failure they raise) happen here in deterministic
-      // batch order, never on a worker. Over-utilized groups skip the
-      // build, like the reference path.
-      for (auto& job : jobs)
-        if (!queries[job.first].empty() && job.util <= 1.0 + 1e-12)
-          ensure_points(*job.group, queries[job.first]);
+      // Serial pass 2 — the group's stream and counts. The build (and any
+      // lcm-overflow / checkpoint-cap failure it raises) happens here,
+      // never on a worker, and only if some job has U ≤ 1, like the
+      // reference path.
+      if (n > 0 && std::any_of(work.begin(), work.end(), [](const Job& j) {
+            return j.util <= 1.0 + 1e-12;
+          }))
+        ensure_points(g);
 
       const std::size_t stripes =
           (inner_pool_ != nullptr && inner_jobs_ > 1)
               ? std::min<std::size_t>(static_cast<std::size_t>(inner_jobs_),
-                                      jobs.size())
+                                      work.size())
               : 1;
       if (stripes <= 1) {
         // Serial compute: counters land directly in the context scope, in
         // job order — the baseline the striped path reproduces.
-        for (auto& job : jobs)
-          job.theta = compute_min_budget(queries[job.first], *job.group,
+        for (auto& job : work)
+          job.value = compute_min_budget(g, g.budgets.key(job.entry),
                                          job.util, arena_);
       } else {
         // Striped compute: job j runs on stripe j % stripes. Each stripe
@@ -252,14 +313,14 @@ std::vector<AnalysisContext::BatchResult> AnalysisContext::min_budget_batch(
         // merges implicitly); the slots are merged below on the calling
         // thread. Every counter a job touches is a uint64 add, so the
         // totals are bit-identical to the serial path regardless of stripe
-        // count. Workers only read the groups: streams were built above
-        // and memo values are written after the join.
+        // count. Workers only read the group: its stream, counts and memo
+        // keys are complete, and memo values are written after the join.
         //
-        // The batch waits on its own latch, not ThreadPool::wait(): pool
+        // The pass waits on its own latch, not ThreadPool::wait(): pool
         // tasks must not call wait(), and the pool may be shared by
-        // batches of concurrently running solves.
+        // surface passes of concurrently running solves.
         std::vector<util::Arena> stripe_arenas(stripes);
-        std::vector<util::AllocCounters> job_counters(jobs.size());
+        std::vector<util::AllocCounters> job_counters(work.size());
         std::mutex mu;
         std::condition_variable cv;
         std::size_t remaining = stripes;
@@ -267,11 +328,11 @@ std::vector<AnalysisContext::BatchResult> AnalysisContext::min_budget_batch(
         for (std::size_t s = 0; s < stripes; ++s) {
           inner_pool_->submit([&, s] {
             try {
-              for (std::size_t j = s; j < jobs.size(); j += stripes) {
+              for (std::size_t j = s; j < work.size(); j += stripes) {
                 util::AllocCounterScope scope;
-                jobs[j].theta =
-                    compute_min_budget(queries[jobs[j].first], *jobs[j].group,
-                                       jobs[j].util, stripe_arenas[s]);
+                work[j].value =
+                    compute_min_budget(g, g.budgets.key(work[j].entry),
+                                       work[j].util, stripe_arenas[s]);
                 job_counters[j] = scope.counters();
               }
             } catch (...) {
@@ -296,21 +357,17 @@ std::vector<AnalysisContext::BatchResult> AnalysisContext::min_budget_batch(
           for (const auto& c : job_counters) ctr->merge(c);
       }
     } catch (...) {
-      // Newest first, so each pop removes its table's newest entry.
-      for (auto it = jobs.rbegin(); it != jobs.rend(); ++it)
-        it->group->budgets.pop_back();
+      // Newest first, so each pop removes the table's newest entry.
+      for (std::size_t j = work.size(); j-- > 0;) g.budgets.pop_back();
       throw;
     }
-    for (const auto& job : jobs)
-      job.group->budgets.value(job.entry) =
-          job.theta ? job.theta->raw_ns() : kNoBudget;
+    for (const auto& job : work) g.budgets.value(job.entry) = job.value;
   }
 
-  for (std::size_t q = 0; q < queries.size(); ++q)
-    if (job_of[q] != kNoJob)
-      out[q] = BatchResult{jobs[job_of[q]].theta,
-                           q == jobs[job_of[q]].first};
-  return out;
+  for (std::size_t cell = 0; cell < cells; ++cell)
+    if (job_of[cell] != kNoJob)
+      out[cell] = SurfaceCell{decode(work[job_of[cell]].value),
+                              cell == work[job_of[cell]].cell};
 }
 
 }  // namespace vc2m::analysis

@@ -9,14 +9,17 @@ namespace vc2m::analysis {
 
 namespace {
 
-/// sbf of (Π, Θ) at t in raw ns, unchecked: with gap = Π − Θ and
-/// k = ⌊(t − gap)/Π⌋ whole periods before the last ramp,
+/// sbf of (Π, Θ) at t = qΠ + r (0 ≤ r < Π) in raw ns, unchecked: with
+/// gap = Π − Θ and k = ⌊(t − gap)/Π⌋ whole periods before the last ramp,
 ///   sbf(t) = kΘ + min(max(0, t − 2·gap − kΠ), Θ)   for t > gap.
-/// Every intermediate stays within [−Π, t], so no input overflows.
-std::int64_t supply(std::int64_t pi, std::int64_t theta, std::int64_t t) {
+/// t − gap = (q − 1)Π + r + Θ with 0 ≤ r + Θ < 2Π, so k = q − 1, plus one
+/// when r ≥ gap: no division. Every intermediate stays within [−Π, t], so
+/// no input overflows.
+std::int64_t supply(std::int64_t pi, std::int64_t theta, std::int64_t t,
+                    std::int64_t q, std::int64_t r) {
   const std::int64_t gap = pi - theta;
   if (t <= gap) return 0;
-  const std::int64_t k = (t - gap) / pi;
+  const std::int64_t k = r < gap ? q - 1 : q;
   const std::int64_t partial =
       std::max<std::int64_t>(0, t - gap - gap - pi * k);
   // The partial chunk can never exceed one budget.
@@ -27,7 +30,8 @@ std::int64_t supply(std::int64_t pi, std::int64_t theta, std::int64_t t) {
 
 util::Time Prm::sbf(util::Time t) const {
   VC2M_CHECK(budget >= util::Time::zero() && budget <= period);
-  return util::Time::ns(supply(period.raw_ns(), budget.raw_ns(), t.raw_ns()));
+  const std::int64_t pi = period.raw_ns(), ts = t.raw_ns();
+  return util::Time::ns(supply(pi, budget.raw_ns(), ts, ts / pi, ts % pi));
 }
 
 double Prm::lsbf(util::Time t) const {
@@ -93,11 +97,9 @@ I ceil_div(I a, I b) {
 ///   sbf ≥ d  ⇔  (j+2)Θ ≥ d + base  and  (j+1)Θ ≥ d,
 /// where base = (j+2)Π − t and the piece is base ≤ 2Θ < base + Π. The
 /// pieces are visited in increasing Θ; sbf is monotone in Θ, so the first
-/// piece holding a solution holds the least one.
+/// piece holding a solution holds the least one. q = ⌊t/Π⌋, r = t mod Π.
 template <class I>
-I invert_sbf(I pi, I t, I d) {
-  const I q = t / pi;
-  const I r = t - q * pi;
+I invert_sbf(I pi, I d, I q, I r) {
   for (I j = q >= 2 ? q - 2 : 0; j <= q; ++j) {
     const I base = (j - q + 2) * pi - r;  // (j+2)Π − t, free of overflow
     const I lo = std::max<I>(0, ceil_div<I>(base, 2));
@@ -111,6 +113,17 @@ I invert_sbf(I pi, I t, I d) {
   return pi;
 }
 
+/// min_budget_for_point with t = qΠ + r already split, unchecked.
+std::int64_t point_budget(std::int64_t pi, std::int64_t t, std::int64_t d,
+                          std::int64_t q, std::int64_t r) {
+  if (d == 0) return 0;
+  // Intermediates stay within t + 3Π; use 128 bits only near the int64 edge.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  if (pi <= kMax / 4 && t <= kMax - 3 * pi)
+    return invert_sbf<std::int64_t>(pi, d, q, r);
+  return static_cast<std::int64_t>(invert_sbf<__int128>(pi, d, q, r));
+}
+
 }  // namespace
 
 util::Time min_budget_for_point(util::Time period, util::Time t,
@@ -118,14 +131,9 @@ util::Time min_budget_for_point(util::Time period, util::Time t,
   const std::int64_t pi = period.raw_ns();
   VC2M_CHECK(pi > 0);
   VC2M_CHECK(demand >= util::Time::zero() && demand <= t);
-  if (demand == util::Time::zero()) return util::Time::zero();
-  // Intermediates stay within t + 3Π; use 128 bits only near the int64 edge.
-  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  if (pi <= kMax / 4 && t.raw_ns() <= kMax - 3 * pi)
-    return util::Time::ns(invert_sbf<std::int64_t>(pi, t.raw_ns(),
-                                                   demand.raw_ns()));
-  return util::Time::ns(static_cast<std::int64_t>(invert_sbf<__int128>(
-      pi, t.raw_ns(), demand.raw_ns())));
+  const std::int64_t ts = t.raw_ns();
+  return util::Time::ns(
+      point_budget(pi, ts, demand.raw_ns(), ts / pi, ts % pi));
 }
 
 std::optional<util::Time> min_budget_on_curve(const DemandCurve& curve,
@@ -163,13 +171,14 @@ std::optional<util::Time> min_budget_on_curve(const DemandCurve& curve,
   // One walk: raise Θ to each checkpoint's own minimum where it falls
   // short. Supply is monotone in Θ, so checkpoints already passed stay
   // covered. Demand above t fails even on a dedicated core.
+  VC2M_CHECK(curve.quot.size() == curve.points.size() &&
+             curve.rem.size() == curve.points.size());
   for (std::size_t k = 0; k < curve.points.size(); ++k) {
     const std::int64_t t = curve.points[k].raw_ns();
     const std::int64_t d = curve.demand[k].raw_ns();
     if (d > t) return std::nullopt;
-    if (supply(pi, theta, t) < d)
-      theta = min_budget_for_point(period, curve.points[k], curve.demand[k])
-                  .raw_ns();
+    const std::int64_t q = curve.quot[k], r = curve.rem[k];
+    if (supply(pi, theta, t, q, r) < d) theta = point_budget(pi, t, d, q, r);
   }
   return util::Time::ns(theta);
 }

@@ -9,6 +9,7 @@
 // Θ = 5.5 at Π = 10, a bandwidth 5.5× the task's utilization.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 
@@ -66,6 +67,11 @@ std::optional<util::Time> min_budget_edf(std::span<const PTask> tasks,
 struct DemandCurve {
   std::span<const util::Time> points;  ///< sorted dbf checkpoints
   std::span<const util::Time> demand;  ///< dbf at each point
+  /// Each point split by the Π the curve is searched at, t_k = q_kΠ + r_k
+  /// with 0 ≤ r_k < Π, so the walk divides nothing (AnalysisContext keeps
+  /// them per group).
+  std::span<const std::int64_t> quot;  ///< q_k = ⌊t_k/Π⌋
+  std::span<const std::int64_t> rem;   ///< r_k = t_k mod Π
 };
 
 /// The least Θ in [0, Π] with sbf_(Π,Θ)(t) ≥ demand. Requires Π > 0 and
@@ -77,8 +83,8 @@ util::Time min_budget_for_point(util::Time period, util::Time t,
 /// std::nullopt exactly when min_budget_edf returns it), computed without
 /// a search. `total_util` must be total_utilization() of the same tasks
 /// (the bit-identical ordered sum); `curve` must cover the checkpoints of
-/// lcm(hyperperiod, period). An empty curve with total_util 0 is the
-/// empty taskset.
+/// lcm(hyperperiod, period), and its quot/rem must split its points by
+/// `period`. An empty curve with total_util 0 is the empty taskset.
 std::optional<util::Time> min_budget_on_curve(const DemandCurve& curve,
                                               double total_util,
                                               util::Time period);

@@ -144,8 +144,8 @@ ExperimentResult run_schedulability_experiment(
   // One shared intra-solve pool for the whole sweep (when inner parallelism
   // is requested without a caller-supplied pool): solve() would otherwise
   // spin up and tear down a transient pool per work item. Outer workers
-  // block on their batch's latch while the inner pool's threads run the
-  // stripes, so the two pools must be distinct — and are.
+  // block on their surface pass's latch while the inner pool's threads run
+  // the stripes, so the two pools must be distinct — and are.
   SolveConfig solve_cfg = cfg.solve;
   std::unique_ptr<util::ThreadPool> shared_inner;
   if (solve_cfg.inner_jobs != 1 && solve_cfg.inner_pool == nullptr) {

@@ -41,13 +41,14 @@ struct SolveConfig {
   /// paper's schedulability study abstracts measured overheads away.
   util::Time task_inflation = util::Time::zero();
   util::Time vcpu_inflation = util::Time::zero();
-  /// Intra-solve parallelism for the min-budget surface batches: stripe
-  /// count for AnalysisContext::min_budget_batch (1 = serial, 0 = hardware
+  /// Intra-solve parallelism for the min-budget surfaces: stripe count for
+  /// AnalysisContext::min_budget_surface (1 = serial, 0 = hardware
   /// concurrency). Allocations AND effort counters are bit-identical at any
   /// value (docs/performance.md).
   int inner_jobs = 1;
-  /// Pool the batches stripe over; borrowed, not owned. Must not be the
-  /// pool whose worker invokes solve() (the batch blocks on its stripes).
+  /// Pool the surfaces stripe over; borrowed, not owned. Must not be the
+  /// pool whose worker invokes solve() (a surface pass blocks on its
+  /// stripes).
   /// When null and inner_jobs != 1, solve() spins up a transient pool.
   util::ThreadPool* inner_pool = nullptr;
 };

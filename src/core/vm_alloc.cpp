@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <optional>
 
@@ -41,63 +42,57 @@ model::Vcpu vcpu_existing_csa(const model::Taskset& tasks,
   v.tasks.assign(idx.begin(), idx.end());
   v.budget = model::WcetFn(grid);
 
-  const auto emit_point = [&](unsigned c, unsigned b,
-                              std::span<const analysis::PTask> ptasks,
-                              const std::optional<util::Time>& theta) {
-    auto* log = obs::decision_log();
-    if (!log) return;
-    obs::DecisionEvent e;
-    e.kind = obs::DecisionKind::kBudgetPoint;
-    e.vm = v.vm;
-    e.cache = static_cast<std::int32_t>(c);
-    e.bw = static_cast<std::int32_t>(b);
-    if (theta) {
-      e.accepted = true;
-      e.value = theta->ratio(pi);   // budget fraction Θ/Π
-      e.margin = 1.0 - e.value;     // headroom to a fully-loaded VCPU
-    } else {
-      // Θ ≥ u·Π is a lower bound on any feasible budget, so the cell is
-      // short by at least u − 1 budget fractions.
-      double u = 0;
-      for (const auto& t : ptasks) u += t.wcet.ratio(t.period);
-      e.constraint = obs::DecisionConstraint::kNoFeasibleBudget;
-      e.value = u;
-      e.margin = std::max(0.0, u - 1.0);
-    }
-    log->emit(e);
-  };
-
-  // Materialize every grid cell's task view in the context arena and
-  // answer the whole budget surface in one batch (one group memo, optional
-  // inner-parallel striping). Decision events are replayed serially in
-  // cell order: [kBudgetSearch iff that cell computed a fresh budget] then
-  // kBudgetPoint, per cell.
-  const std::size_t nc = grid.c_max - grid.c_min + 1u;
-  const std::size_t nb = grid.b_max - grid.b_min + 1u;
-  const std::size_t cells = nc * nb;
+  // Answer the whole budget surface in one pass over the tasks' wcet
+  // columns (one group memo, optional inner-parallel striping). Decision
+  // events are replayed serially in cell order: [kBudgetSearch iff that
+  // cell computed a fresh budget] then kBudgetPoint, per cell.
+  const std::size_t cells = grid.size();
   util::Arena::Scope mark(ctx.arena());
-  auto cell_tasks =
-      ctx.arena().alloc_array<analysis::PTask>(cells * idx.size());
-  auto queries =
-      ctx.arena().alloc_array<std::span<const analysis::PTask>>(cells);
+  auto columns =
+      ctx.arena().alloc_array<analysis::AnalysisContext::SurfaceTask>(
+          idx.size());
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    const auto& wcet = tasks[idx[k]].wcet;
+    VC2M_CHECK_MSG(wcet.grid() == grid && wcet.flat().size() == cells,
+                   "tasks on one VCPU must share a resource grid");
+    std::construct_at(&columns[k], analysis::AnalysisContext::SurfaceTask{
+                                       tasks[idx[k]].period, wcet.flat()});
+  }
+  auto res = ctx.arena().alloc_array<analysis::AnalysisContext::SurfaceCell>(
+      cells);
+  std::uninitialized_value_construct(res.begin(), res.end());
+  ctx.min_budget_surface(columns, pi, res);
+
+  auto* log = obs::decision_log();
+  auto& budget = v.budget.flat();
   std::size_t cell = 0;
   for (unsigned c = grid.c_min; c <= grid.c_max; ++c)
     for (unsigned b = grid.b_min; b <= grid.b_max; ++b, ++cell) {
-      analysis::PTask* dst = cell_tasks.data() + cell * idx.size();
-      for (std::size_t k = 0; k < idx.size(); ++k)
-        dst[k] = {tasks[idx[k]].period, tasks[idx[k]].wcet.at(c, b)};
-      queries[cell] = {dst, idx.size()};
-    }
-  const auto res = ctx.min_budget_batch(queries, pi);
-  cell = 0;
-  for (unsigned c = grid.c_min; c <= grid.c_max; ++c)
-    for (unsigned b = grid.b_min; b <= grid.b_max; ++b, ++cell) {
       const auto& r = res[cell];
-      v.budget.set(c, b, r.theta ? *r.theta : pi * 2);
+      budget[cell] = r.theta ? *r.theta : pi * 2;
+      if (!log) continue;
+      // Θ ≥ u·Π is a lower bound on any feasible budget, so a cell with no
+      // budget is short by at least u − 1 budget fractions.
+      double u = 0;
+      if (!r.theta)
+        for (const auto& t : columns) u += t.wcets[cell].ratio(t.period);
       if (r.searched)
-        analysis::AnalysisContext::emit_budget_search(queries[cell], pi,
-                                                      r.theta);
-      emit_point(c, b, queries[cell], r.theta);
+        analysis::AnalysisContext::emit_budget_search(pi, r.theta, u);
+      obs::DecisionEvent e;
+      e.kind = obs::DecisionKind::kBudgetPoint;
+      e.vm = v.vm;
+      e.cache = static_cast<std::int32_t>(c);
+      e.bw = static_cast<std::int32_t>(b);
+      if (r.theta) {
+        e.accepted = true;
+        e.value = r.theta->ratio(pi);  // budget fraction Θ/Π
+        e.margin = 1.0 - e.value;      // headroom to a fully-loaded VCPU
+      } else {
+        e.constraint = obs::DecisionConstraint::kNoFeasibleBudget;
+        e.value = u;
+        e.margin = std::max(0.0, u - 1.0);
+      }
+      log->emit(e);
     }
   return v;
 }

@@ -12,10 +12,11 @@
 //     Heuristic (existing CSA) comparison solution.
 //
 // The existing-CSA paths take an analysis::AnalysisContext: a VCPU's whole
-// 380-cell budget surface is one min_budget_batch, which memoizes budgets
-// per (Π, periods) group, shares one checkpoint stream across the cells and
-// computes each fresh budget exactly, without a search. The context-free
-// overloads run with a private context.
+// 380-cell budget surface is one min_budget_surface pass over the tasks'
+// wcet columns, which memoizes budgets per (Π, periods) group, shares one
+// checkpoint stream and job-count matrix across the cells and computes each
+// fresh budget exactly, without a search. The context-free overloads run
+// with a private context.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +48,7 @@ struct VmAllocConfig {
   std::size_t clusters = 4;
   VcpuAnalysis analysis = VcpuAnalysis::kRegulated;
   /// Intra-decision parallelism for paths that build their own context
-  /// (admission): stripes for the min-budget surface batches (1 = serial,
+  /// (admission): stripes for the min-budget surface passes (1 = serial,
   /// 0 = hardware) over `inner_pool` (borrowed; results are bit-identical
   /// at any setting, see docs/performance.md). Ignored when the caller
   /// supplies an AnalysisContext — configure that context instead.

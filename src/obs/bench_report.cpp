@@ -282,6 +282,17 @@ BenchReport read_bench_report(std::istream& is,
   return r;
 }
 
+std::vector<std::string> unlike_config(const BenchReport& base,
+                                       const BenchReport& current) {
+  std::vector<std::string> out;
+  for (const auto& [key, value] : base.config) {
+    const auto it = current.config.find(key);
+    if (it != current.config.end() && it->second != value)
+      out.push_back(key + ": '" + value + "' vs '" + it->second + "'");
+  }
+  return out;
+}
+
 PerfDiffResult diff_reports(const BenchReport& base, const BenchReport& current,
                             const PerfDiffOptions& opt) {
   PerfDiffResult d;

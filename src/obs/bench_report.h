@@ -127,6 +127,14 @@ struct PerfDiffResult {
   }
 };
 
+/// The config keys present in both reports with different values, one
+/// "key: 'base' vs 'current'" line each, in key order. Reports that differ
+/// in a shared key (say `jobs`) measured different work, so perfdiff
+/// refuses to compare them. A key on one side only is not a difference: a
+/// report written before the key existed says nothing about it.
+std::vector<std::string> unlike_config(const BenchReport& base,
+                                       const BenchReport& current);
+
 /// Compare `current` against `base`. A quantity regresses when it grows by
 /// more than max_regress relative AND more than the absolute floor — small
 /// absolute jitter on a near-zero phase must not fail a gate. Counters

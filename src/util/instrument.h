@@ -44,11 +44,11 @@ struct AllocCounters {
   // rounded allocation *requests* (a pure function of the work, unlike
   // high-water marks), soa_rebuilds counts checkpoint streams built (one
   // per (Π, periods) group that needs one), inner_tasks counts min-budget
-  // cells processed by the batch engine whether they ran serially or
-  // striped over the pool.
+  // cells computed by surface passes whether they ran serially or striped
+  // over the pool.
   std::uint64_t arena_bytes = 0;    ///< bytes served by scratch arenas
   std::uint64_t soa_rebuilds = 0;   ///< checkpoint stream builds
-  std::uint64_t inner_tasks = 0;    ///< batched min-budget cells computed
+  std::uint64_t inner_tasks = 0;    ///< surface min-budget cells computed
 
   // Per-phase wall time (seconds).
   double vm_alloc_seconds = 0;

@@ -1,0 +1,123 @@
+// Heap allocations of the existing-CSA surface path.
+//
+// This binary, and only this one, replaces the global operator new with a
+// counting one, so a test can read how many heap allocations a call made.
+// The count is per thread; the counted calls run no inner pool, so all of
+// their allocations happen on the calling thread.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "analysis/context.h"
+#include "core/vm_alloc.h"
+#include "model/platform.h"
+#include "model/task.h"
+#include "util/rng.h"
+#include "workload/generator.h"
+
+namespace {
+
+thread_local std::uint64_t t_allocations = 0;
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++t_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+
+namespace vc2m::core {
+namespace {
+
+/// Heap allocations made by fn() on this thread.
+template <class Fn>
+std::uint64_t allocations_of(Fn&& fn) {
+  const std::uint64_t before = t_allocations;
+  fn();
+  return t_allocations - before;
+}
+
+/// A generated taskset on `grid`: its four lightest tasks form the VCPU,
+/// as in bench_micro_ops' BM_VcpuExistingCsaSurface.
+struct Vcpu {
+  model::Taskset tasks;
+  std::vector<std::size_t> idx{0, 1, 2, 3};
+};
+
+Vcpu make_vcpu(const model::ResourceGrid& grid, std::uint64_t seed) {
+  workload::GeneratorConfig cfg;
+  cfg.grid = grid;
+  cfg.target_ref_utilization = 4.0;
+  util::Rng rng(seed);
+  Vcpu v{workload::generate_taskset(cfg, rng)};
+  std::sort(v.tasks.begin(), v.tasks.end(),
+            [](const model::Task& a, const model::Task& b) {
+              return a.reference_utilization() < b.reference_utilization();
+            });
+  return v;
+}
+
+TEST(HeapAllocations, CountingOperatorNewIsLinkedIn) {
+  EXPECT_EQ(allocations_of([] { ::operator delete(::operator new(8)); }), 1u);
+}
+
+TEST(HeapAllocations, WarmExistingCsaSurfaceAllocatesTheSameOnAnyGrid) {
+  // A warm call: the context has answered this VCPU once, so its group,
+  // checkpoint stream, job counts, memo and arena chunks exist, and every
+  // cell is a memo hit. What is left is the returned Vcpu: its task list
+  // and its budget surface. Platform A has 380 cells, Platform C 132.
+  constexpr std::uint64_t kWarmBound = 2;
+  std::vector<std::uint64_t> counts;
+  for (const auto& platform :
+       {model::PlatformSpec::A(), model::PlatformSpec::C()}) {
+    SCOPED_TRACE(platform.name);
+    const Vcpu v = make_vcpu(platform.grid, 17);
+    analysis::AnalysisContext ctx;
+    const auto cold = vcpu_existing_csa(v.tasks, v.idx, ctx);
+    const std::uint64_t evals = ctx.counters().budget_evaluations;
+    ASSERT_GT(evals, 0u);
+    model::Vcpu warm;
+    counts.push_back(
+        allocations_of([&] { warm = vcpu_existing_csa(v.tasks, v.idx, ctx); }));
+    EXPECT_EQ(ctx.counters().budget_evaluations, evals);  // all hits
+    EXPECT_EQ(warm.budget.flat(), cold.budget.flat());
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+  EXPECT_LE(counts[0], kWarmBound);
+}
+
+TEST(HeapAllocations, FreshCellsOfAKnownGroupAllocateABoundedNumber) {
+  // The same group with other wcets: every distinct cell is a fresh
+  // budget. The stream and job counts are reused; the memo reserves room
+  // for the surface once, so it reallocates its four arrays (wcet tuples,
+  // values, hashes, slots) at most once each, whatever the cell count.
+  constexpr std::uint64_t kFreshBound = 2 + 4;
+  for (const auto& platform :
+       {model::PlatformSpec::A(), model::PlatformSpec::C()}) {
+    SCOPED_TRACE(platform.name);
+    const Vcpu v = make_vcpu(platform.grid, 17);
+    Vcpu scaled = v;
+    for (auto& t : scaled.tasks)
+      for (auto& e : t.wcet.flat()) e = util::Time::ns(e.raw_ns() * 3 / 4);
+    analysis::AnalysisContext ctx;
+    vcpu_existing_csa(v.tasks, v.idx, ctx);
+    const std::uint64_t rebuilds = ctx.counters().soa_rebuilds;
+    const std::uint64_t evals = ctx.counters().budget_evaluations;
+    const std::uint64_t n = allocations_of(
+        [&] { vcpu_existing_csa(scaled.tasks, scaled.idx, ctx); });
+    EXPECT_EQ(ctx.counters().soa_rebuilds, rebuilds);
+    EXPECT_GT(ctx.counters().budget_evaluations, evals + 50);
+    EXPECT_LE(n, kFreshBound);
+  }
+}
+
+}  // namespace
+}  // namespace vc2m::core

@@ -6,6 +6,8 @@
 #include <limits>
 #include <optional>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "analysis/context.h"
@@ -308,6 +310,43 @@ TEST(Prm, FullBandwidthTasksetNeedsFullProcessor) {
   EXPECT_EQ(*theta, Time::ms(10));
 }
 
+TEST(Prm, SbfMatchesShinLeeDefinition) {
+  // sbf finds its whole periods without dividing by Π for the split
+  // t = qΠ + r it is given; hold it to the definition with the division,
+  // evaluated in 128 bits: k = ⌊(t − (Π−Θ))/Π⌋ + 1 and
+  // sbf = (k−1)Θ + max(0, t − 2(Π−Θ) − (k−1)Π) for t > Π−Θ, else 0.
+  const auto reference = [](std::int64_t pi, std::int64_t theta,
+                            std::int64_t t) {
+    const __int128 gap = pi - theta;
+    if (t <= gap) return std::int64_t{0};
+    const __int128 k = (t - gap) / pi + 1;
+    const __int128 ramp = t - 2 * gap - (k - 1) * pi;
+    return static_cast<std::int64_t>((k - 1) * theta + (ramp > 0 ? ramp : 0));
+  };
+  for (std::int64_t pi = 1; pi <= 24; ++pi)
+    for (std::int64_t b = 0; b <= pi; ++b)
+      for (std::int64_t t = 0; t <= 6 * pi; ++t)
+        ASSERT_EQ((Prm{Time::ns(pi), Time::ns(b)}.sbf(Time::ns(t))),
+                  Time::ns(reference(pi, b, t)))
+            << "Π " << pi << " Θ " << b << " t " << t;
+  util::Rng rng(2024);
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (int i = 0; i < 20000; ++i) {
+    const std::int64_t pi =
+        rng.uniform_int(1, i % 2 ? std::int64_t{1'000'000'000} : kMax);
+    const std::int64_t b = rng.uniform_int(0, pi);
+    // t around the blackout's end, a ramp's ends, or anywhere.
+    const std::int64_t gap = pi - b;
+    std::int64_t t = rng.uniform_int(0, kMax);
+    if (i % 3 == 0 && gap <= kMax / 2 - 2)
+      t = 2 * gap + rng.uniform_int(-2, 2);
+    if (t < 0) t = 0;
+    ASSERT_EQ((Prm{Time::ns(pi), Time::ns(b)}.sbf(Time::ns(t))),
+              Time::ns(reference(pi, b, t)))
+        << "Π " << pi << " Θ " << b << " t " << t;
+  }
+}
+
 TEST(Prm, SbfIsMonotoneInBudget) {
   // The exact minimum budget rests on this: raising Θ never lowers the
   // supply at any t. Exhaustive on small periods, sampled on large ones.
@@ -393,6 +432,17 @@ TEST(Prm, MinBudgetForPointRejectsDemandAboveSupplyRange) {
                util::Error);
 }
 
+/// The curve's points split by Π, as DemandCurve's quot/rem.
+std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>> split_by(
+    const std::vector<Time>& points, Time pi) {
+  std::vector<std::int64_t> quot, rem;
+  for (const Time t : points) {
+    quot.push_back(t / pi);
+    rem.push_back((t % pi).raw_ns());
+  }
+  return {quot, rem};
+}
+
 /// min_budget_on_curve over a freshly built curve for `ts`.
 std::optional<Time> budget_on_curve(const std::vector<PTask>& ts, Time pi) {
   if (ts.empty()) return min_budget_on_curve(DemandCurve{}, 0.0, pi);
@@ -403,7 +453,9 @@ std::optional<Time> budget_on_curve(const std::vector<PTask>& ts, Time pi) {
     merge_checkpoints(soa.period, util::lcm(soa.hyperperiod(), pi), points);
   std::vector<Time> demand(points.size());
   demand_at(soa.period, soa.wcet, points, demand);
-  return min_budget_on_curve(DemandCurve{points, demand}, soa.total_util, pi);
+  const auto [quot, rem] = split_by(points, pi);
+  return min_budget_on_curve(DemandCurve{points, demand, quot, rem},
+                             soa.total_util, pi);
 }
 
 /// A random taskset for the curve oracle. Periods come from a harmonic
@@ -554,7 +606,8 @@ TEST(Prm, MinBudgetOnCurveMatchesBisectionOnArbitraryCurves) {
     }
     const double u = i % 7 == 0 ? 1.0 + rng.uniform(0.0, 2e-12)
                                 : rng.uniform(0.0, 1.0);
-    const DemandCurve curve{points, demand};
+    const auto [quot, rem] = split_by(points, pi);
+    const DemandCurve curve{points, demand, quot, rem};
     const auto want = bisect_curve_budget(curve, u, pi);
     ASSERT_EQ(min_budget_on_curve(curve, u, pi), want)
         << "case " << i << " Π " << pi << " U " << u;
@@ -681,9 +734,9 @@ TEST(RegulatedSupply, OverloadRejected) {
 // Pins of the min-budget memo: the returned minima and the exact
 // budget_evaluations / budget_cache_hits / soa_rebuilds / inner_tasks of
 // every call pattern the engine uses. A query that misses the memo counts
-// one evaluation; a memo hit or a repeat inside one batch counts one hit;
+// one evaluation; a memo hit or a repeat inside one surface counts one hit;
 // each (Π, periods) group that builds a checkpoint stream counts one
-// rebuild; each distinct fresh query of a batch counts one inner task.
+// rebuild; each distinct fresh cell of a surface counts one inner task.
 
 using Query = std::vector<PTask>;
 const Time kPi = Time::ms(10);
@@ -706,18 +759,34 @@ void expect_effort(const AnalysisContext& ctx, Effort want) {
   EXPECT_EQ(got.inner, want.inner) << "inner_tasks";
 }
 
-std::vector<AnalysisContext::BatchResult> run_batch(
-    AnalysisContext& ctx, const std::vector<Query>& qs) {
-  std::vector<std::span<const PTask>> spans(qs.begin(), qs.end());
-  return ctx.min_budget_batch(spans, kPi);
+using Cells = std::vector<AnalysisContext::SurfaceCell>;
+
+/// Answer `qs` as one surface at Π = `pi`: cell q is query q. All queries
+/// have the same periods (one group).
+Cells run_surface(AnalysisContext& ctx, const std::vector<Query>& qs,
+                  Time pi = kPi) {
+  const std::size_t n = qs.empty() ? 0 : qs.front().size();
+  std::vector<std::vector<Time>> columns(n);
+  for (const auto& q : qs) {
+    EXPECT_EQ(q.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(q[i].period, qs.front()[i].period) << "mixed groups";
+      columns[i].push_back(q[i].wcet);
+    }
+  }
+  std::vector<AnalysisContext::SurfaceTask> tasks;
+  for (std::size_t i = 0; i < n; ++i)
+    tasks.push_back({qs.front()[i].period, columns[i]});
+  Cells out(qs.size());
+  ctx.min_budget_surface(tasks, pi, out);
+  return out;
 }
 
-void expect_reference_minima(
-    const std::vector<Query>& qs,
-    const std::vector<AnalysisContext::BatchResult>& res) {
+void expect_reference_minima(const std::vector<Query>& qs, const Cells& res,
+                             Time pi = kPi) {
   ASSERT_EQ(res.size(), qs.size());
   for (std::size_t q = 0; q < qs.size(); ++q)
-    EXPECT_EQ(res[q].theta, min_budget_edf(qs[q], kPi)) << "query " << q;
+    EXPECT_EQ(res[q].theta, min_budget_edf(qs[q], pi)) << "query " << q;
 }
 
 // Three wcet surfaces over periods {10, 20} ms, two over {15, 30} ms.
@@ -731,7 +800,7 @@ const Query kOver{{Time::ms(10), Time::ms(8)}, {Time::ms(20), Time::ms(8)}};
 TEST(AnalysisContextMemo, BatchCoalescesDuplicateQueries) {
   AnalysisContext ctx;
   const std::vector<Query> qs{kA, kB, kA, kC, kB};
-  const auto res = run_batch(ctx, qs);
+  const auto res = run_surface(ctx, qs);
   expect_reference_minima(qs, res);
   const std::vector<bool> searched{true, true, false, true, false};
   for (std::size_t q = 0; q < qs.size(); ++q)
@@ -739,7 +808,7 @@ TEST(AnalysisContextMemo, BatchCoalescesDuplicateQueries) {
   expect_effort(ctx, {3, 2, 1, 3});
 
   // A second pass is all memo hits and computes nothing.
-  const auto again = run_batch(ctx, qs);
+  const auto again = run_surface(ctx, qs);
   expect_reference_minima(qs, again);
   for (const auto& r : again) EXPECT_FALSE(r.searched);
   expect_effort(ctx, {3, 7, 1, 3});
@@ -818,7 +887,7 @@ TEST(AnalysisContextMemo, BatchHitsEntriesMemoizedByMinBudget) {
   expect_effort(ctx, {1, 0, 1, 0});
 
   const std::vector<Query> qs{kB, kA, kC};
-  const auto res = run_batch(ctx, qs);
+  const auto res = run_surface(ctx, qs);
   expect_reference_minima(qs, res);
   EXPECT_TRUE(res[0].searched);
   EXPECT_FALSE(res[1].searched);
@@ -826,29 +895,36 @@ TEST(AnalysisContextMemo, BatchHitsEntriesMemoizedByMinBudget) {
   // Same periods as kA: the stream min_budget() built is reused.
   expect_effort(ctx, {3, 1, 1, 2});
 
-  // And min_budget() hits what the batch memoized.
+  // And min_budget() hits what the surface memoized.
   EXPECT_EQ(ctx.min_budget(kC, kPi), min_budget_edf(kC, kPi));
   expect_effort(ctx, {3, 2, 1, 2});
 }
 
 TEST(AnalysisContextMemo, BatchWithMixedPeriodsBuildsOneStreamPerGroup) {
+  // A surface holds one group; queries of two groups take one surface per
+  // group, and each group builds its own stream.
   AnalysisContext ctx;
-  const std::vector<Query> qs{kA, kD, kB, kE, kA, kD};
-  const auto res = run_batch(ctx, qs);
-  expect_reference_minima(qs, res);
+  const std::vector<Query> ab{kA, kB, kA}, de{kD, kE, kD};
+  expect_reference_minima(ab, run_surface(ctx, ab));
+  expect_reference_minima(de, run_surface(ctx, de));
   expect_effort(ctx, {4, 2, 2, 4});
 
   // The same wcets under other periods are other keys.
   const Query a_as_d{{Time::ms(15), Time::ms(1)}, {Time::ms(30), Time::ms(3)}};
-  const std::vector<Query> more{a_as_d, kC};
-  expect_reference_minima(more, run_batch(ctx, more));
+  expect_reference_minima({a_as_d}, run_surface(ctx, {a_as_d}));
+  expect_reference_minima({kC}, run_surface(ctx, {kC}));
   expect_effort(ctx, {6, 2, 2, 6});
+
+  // The same periods under another Π are another group.
+  const Time pi2 = Time::ms(5);
+  expect_reference_minima({kA}, run_surface(ctx, {kA}, pi2), pi2);
+  expect_effort(ctx, {7, 2, 3, 7});
 }
 
 TEST(AnalysisContextMemo, OverUtilizedGroupBuildsNoCheckpoints) {
   AnalysisContext ctx;
   const std::vector<Query> qs{kOver, kOver};
-  const auto res = run_batch(ctx, qs);
+  const auto res = run_surface(ctx, qs);
   EXPECT_FALSE(res[0].theta.has_value());
   EXPECT_FALSE(res[1].theta.has_value());
   expect_effort(ctx, {1, 1, 0, 1});
@@ -861,34 +937,46 @@ TEST(AnalysisContextMemo, OverUtilizedGroupBuildsNoCheckpoints) {
   // A feasible query on the same periods is the first to build the stream.
   EXPECT_EQ(ctx.min_budget(kA, kPi), min_budget_edf(kA, kPi));
   expect_effort(ctx, {4, 1, 1, 1});
+
+  // A surface of no tasks: every cell is the empty taskset, Θ = 0.
+  Cells empty(3);
+  ctx.min_budget_surface({}, kPi, empty);
+  for (const auto& c : empty) EXPECT_EQ(c.theta, Time::zero());
+  EXPECT_FALSE(empty[0].searched);  // min_budget({}) memoized it above
+  expect_effort(ctx, {4, 4, 1, 1});
 }
 
 TEST(AnalysisContextMemo, InnerJobsOnSharedPoolMatchSerialExactly) {
   // 60 queries over two period groups with repeats: distinct wcets come
-  // from a small deterministic lattice, so some keys recur.
-  std::vector<Query> qs;
+  // from a small deterministic lattice, so some keys recur. One surface
+  // per group, in query order.
+  std::vector<Query> g1, g2;
   for (int i = 0; i < 60; ++i) {
     const int a = (i * 7) % 9, b = (i * 5) % 11;
     if (i % 3 == 2)
-      qs.push_back({{Time::ms(15), Time::us(300 + 250 * a)},
+      g2.push_back({{Time::ms(15), Time::us(300 + 250 * a)},
                     {Time::ms(30), Time::us(500 + 400 * b)}});
     else
-      qs.push_back({{Time::ms(10), Time::us(200 + 300 * a)},
+      g1.push_back({{Time::ms(10), Time::us(200 + 300 * a)},
                     {Time::ms(20), Time::us(400 + 500 * b)}});
   }
-  qs.push_back(kOver);
+  g1.push_back(kOver);
 
-  std::vector<AnalysisContext::BatchResult> want;
+  const auto run = [&](AnalysisContext& ctx) {
+    return std::pair{run_surface(ctx, g1), run_surface(ctx, g2)};
+  };
+  Cells want1, want2;
   Effort want_effort{};
   std::uint64_t want_dbf = 0;
   {
     AnalysisContext serial;
-    want = run_batch(serial, qs);
+    std::tie(want1, want2) = run(serial);
     want_effort = effort_of(serial);
     want_dbf = serial.counters().dbf_evaluations;
   }
-  expect_reference_minima(qs, want);
-  EXPECT_EQ(want_effort.evals + want_effort.hits, qs.size());
+  expect_reference_minima(g1, want1);
+  expect_reference_minima(g2, want2);
+  EXPECT_EQ(want_effort.evals + want_effort.hits, g1.size() + g2.size());
   EXPECT_EQ(want_effort.inner, want_effort.evals);
   EXPECT_EQ(want_effort.rebuilds, 2u);
 
@@ -897,11 +985,14 @@ TEST(AnalysisContextMemo, InnerJobsOnSharedPoolMatchSerialExactly) {
     SCOPED_TRACE("inner jobs " + std::to_string(jobs));
     AnalysisContext ctx;
     ctx.set_inner_parallelism(&pool, jobs);
-    const auto got = run_batch(ctx, qs);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t q = 0; q < qs.size(); ++q) {
-      EXPECT_EQ(got[q].theta, want[q].theta) << "query " << q;
-      EXPECT_EQ(got[q].searched, want[q].searched) << "query " << q;
+    const auto [got1, got2] = run(ctx);
+    for (const auto& [got, want] : {std::pair{&got1, &want1},
+                                    std::pair{&got2, &want2}}) {
+      ASSERT_EQ(got->size(), want->size());
+      for (std::size_t q = 0; q < got->size(); ++q) {
+        EXPECT_EQ((*got)[q].theta, (*want)[q].theta) << "query " << q;
+        EXPECT_EQ((*got)[q].searched, (*want)[q].searched) << "query " << q;
+      }
     }
     expect_effort(ctx, want_effort);
     EXPECT_EQ(ctx.counters().dbf_evaluations, want_dbf);
@@ -909,25 +1000,173 @@ TEST(AnalysisContextMemo, InnerJobsOnSharedPoolMatchSerialExactly) {
 }
 
 TEST(AnalysisContextMemo, FailedBatchLeavesNoMemoEntries) {
-  // The third group pairs a 1 ns period with Π = 10 ms: 10⁷ checkpoints,
-  // over kDbfCheckpointCap, so the batch throws after the first group has
-  // built its stream.
-  const Query cap{{Time::ns(1), Time::zero()}, {Time::ms(10), Time::ms(1)}};
+  // The cap group pairs a 1 ns period with Π = 10 ms: 10⁷ checkpoints,
+  // over kDbfCheckpointCap, so a surface of it throws once one of its
+  // cells needs the stream. Its over-utilized cell needs none and is
+  // computed first; the rollback must drop it all the same.
+  const Query kCapOver{{Time::ns(1), Time::zero()},
+                       {Time::ms(10), Time::ms(11)}};
+  const Query kCap{{Time::ns(1), Time::zero()}, {Time::ms(10), Time::ms(1)}};
   AnalysisContext ctx;
-  EXPECT_THROW(run_batch(ctx, {kA, kB, cap}), util::Error);
-  expect_effort(ctx, {3, 0, 2, 3});
+  expect_reference_minima({kA, kB}, run_surface(ctx, {kA, kB}));
+  expect_effort(ctx, {2, 0, 1, 2});
+  EXPECT_THROW(run_surface(ctx, {kCapOver, kCap, kCapOver}), util::Error);
+  expect_effort(ctx, {4, 1, 2, 4});
 
-  // Nothing of the failed batch was memoized: its first query is fresh.
-  const auto res = run_batch(ctx, {kA});
-  EXPECT_TRUE(res[0].searched);
-  EXPECT_EQ(res[0].theta, min_budget_edf(kA, kPi));
-  expect_effort(ctx, {4, 0, 2, 4});
+  // Nothing of the failed surface was memoized: its first cell is fresh.
+  // It needs no stream, so it now succeeds.
+  EXPECT_FALSE(ctx.min_budget(kCapOver, kPi).has_value());
+  expect_effort(ctx, {5, 1, 2, 4});
+  const auto res = run_surface(ctx, {kCapOver});
+  EXPECT_FALSE(res[0].searched);
+  EXPECT_FALSE(res[0].theta.has_value());
+  expect_effort(ctx, {5, 2, 2, 4});
+
+  // The successful surface before it stays memoized.
   EXPECT_EQ(ctx.min_budget(kB, kPi), min_budget_edf(kB, kPi));
-  expect_effort(ctx, {5, 0, 2, 4});
+  expect_effort(ctx, {5, 3, 2, 4});
 
   // The failing query fails again, and again counts as an evaluation.
-  EXPECT_THROW(ctx.min_budget(cap, kPi), util::Error);
-  expect_effort(ctx, {6, 0, 3, 4});
+  EXPECT_THROW(ctx.min_budget(kCap, kPi), util::Error);
+  expect_effort(ctx, {6, 3, 3, 4});
+}
+
+TEST(AnalysisContextMemo, SurfaceMatchesReferenceAndSerialLoopEverywhere) {
+  // Random sequences of surfaces, as vm_alloc issues them: each surface is
+  // one group's cells, some groups recur (hits from an earlier VCPU of the
+  // same group), wcets come from a small lattice (duplicates within a
+  // surface), some groups are over-utilized in every cell (no stream), and
+  // some surfaces hit the checkpoint cap and throw. Every cell must equal
+  // min_budget_edf, and every counter the counters of a serial
+  // ctx.min_budget() loop over the same cells, at inner jobs 1, 2 and 4.
+  struct Surface {
+    Time pi;
+    std::vector<Query> cells;
+    bool throws = false;
+  };
+  util::Rng rng(4242);
+  constexpr std::int64_t kMenu[] = {2, 3, 4, 5, 6, 8, 10, 12, 15, 20};
+  std::vector<Surface> seq;
+  std::vector<std::pair<Time, std::vector<Time>>> groups;  // (Π, periods)
+  for (int s = 0; s < 240; ++s) {
+    Surface sf;
+    std::vector<Time> periods;
+    if (!groups.empty() && rng.bernoulli(0.4)) {
+      std::tie(sf.pi, periods) = groups[rng.index(groups.size())];
+    } else {
+      const auto n = static_cast<std::size_t>(rng.uniform_int(1, 6));
+      const bool harmonic = rng.bernoulli(0.5);
+      const std::int64_t base = rng.uniform_int(1, 5);
+      for (std::size_t i = 0; i < n; ++i)
+        periods.push_back(Time::ms(harmonic ? base << rng.uniform_int(0, 3)
+                                            : kMenu[rng.index(10)]));
+      sf.pi = *std::min_element(periods.begin(), periods.end());
+      if (rng.bernoulli(0.3)) sf.pi = Time::ms(rng.uniform_int(1, 25));
+      groups.emplace_back(sf.pi, periods);
+    }
+    // Load level: light, near 1, or over-utilized in every cell.
+    const int level = static_cast<int>(rng.uniform_int(0, 5));
+    const double target = level == 5 ? 1.5 : level >= 3 ? 0.95 : 0.5;
+    const auto lattice = rng.uniform_int(2, 6);
+    const auto cells = static_cast<std::size_t>(rng.uniform_int(1, 40));
+    for (std::size_t c = 0; c < cells; ++c) {
+      Query q;
+      for (const Time p : periods) {
+        const double share =
+            target / static_cast<double>(periods.size()) *
+            (0.6 + 0.4 * static_cast<double>(rng.uniform_int(0, lattice)) /
+                       static_cast<double>(lattice));
+        q.push_back({p, Time::ns(static_cast<std::int64_t>(
+                            share * static_cast<double>(p.raw_ns())))});
+      }
+      sf.cells.push_back(std::move(q));
+    }
+    seq.push_back(std::move(sf));
+    if (rng.bernoulli(0.05)) {
+      // A cap group: a 1 ns task beside the VCPU's tasks.
+      Surface cap;
+      cap.pi = Time::ms(10);
+      cap.throws = true;
+      for (int c = 0; c < 3; ++c)
+        cap.cells.push_back({{Time::ns(1), Time::zero()},
+                             {Time::ms(10), Time::ms(1 + c)}});
+      seq.push_back(std::move(cap));
+    }
+  }
+
+  // min_budget_edf of every cell, computed once.
+  std::vector<std::vector<std::optional<Time>>> ref(seq.size());
+  for (std::size_t s = 0; s < seq.size(); ++s)
+    if (!seq[s].throws)
+      for (const auto& q : seq[s].cells)
+        ref[s].push_back(min_budget_edf(q, seq[s].pi));
+
+  // The serial loop, in a context of its own (contexts nest their counter
+  // scopes, so two must not be alive at once). It never sees the throwing
+  // surfaces: their cells must leave no memo entry behind.
+  std::vector<std::vector<bool>> fresh(seq.size());
+  std::vector<Effort> serial_effort(seq.size());
+  std::vector<std::uint64_t> serial_dbf(seq.size());
+  std::size_t over_cells = 0, dup_cells = 0, thrown = 0;
+  {
+    AnalysisContext serial;
+    for (std::size_t s = 0; s < seq.size(); ++s) {
+      for (std::size_t c = 0; c < seq[s].cells.size() && !seq[s].throws;
+           ++c) {
+        const std::uint64_t evals = serial.counters().budget_evaluations;
+        const auto theta = serial.min_budget(seq[s].cells[c], seq[s].pi);
+        ASSERT_EQ(theta, ref[s][c]) << "surface " << s << " cell " << c;
+        fresh[s].push_back(serial.counters().budget_evaluations > evals);
+        over_cells += !theta;
+        dup_cells += !fresh[s].back();
+      }
+      thrown += seq[s].throws;
+      serial_effort[s] = effort_of(serial);
+      serial_dbf[s] = serial.counters().dbf_evaluations;
+    }
+  }
+
+  util::ThreadPool pool(4);
+  for (const int jobs : {1, 2, 4}) {
+    SCOPED_TRACE("inner jobs " + std::to_string(jobs));
+    AnalysisContext ctx;
+    ctx.set_inner_parallelism(&pool, jobs);
+    // What the throwing surfaces counted before their rollback.
+    Effort failed{0, 0, 0, 0};
+    std::uint64_t inner = 0;
+    for (std::size_t s = 0; s < seq.size(); ++s) {
+      const auto& sf = seq[s];
+      if (sf.throws) {
+        const Effort before = effort_of(ctx);
+        EXPECT_THROW(run_surface(ctx, sf.cells, sf.pi), util::Error);
+        const Effort after = effort_of(ctx);
+        EXPECT_EQ(after.evals - before.evals, sf.cells.size());
+        EXPECT_EQ(after.rebuilds - before.rebuilds, 1u);
+        failed.evals += after.evals - before.evals;
+        failed.rebuilds += after.rebuilds - before.rebuilds;
+        failed.inner += after.inner - before.inner;
+      } else {
+        const auto got = run_surface(ctx, sf.cells, sf.pi);
+        for (std::size_t c = 0; c < sf.cells.size(); ++c) {
+          ASSERT_EQ(got[c].theta, ref[s][c])
+              << "surface " << s << " cell " << c;
+          ASSERT_EQ(got[c].searched, fresh[s][c])
+              << "surface " << s << " cell " << c;
+          inner += fresh[s][c];
+        }
+      }
+      const Effort e = effort_of(ctx), r = serial_effort[s];
+      ASSERT_EQ(e.evals, r.evals + failed.evals) << "surface " << s;
+      ASSERT_EQ(e.hits, r.hits) << "surface " << s;
+      ASSERT_EQ(e.rebuilds, r.rebuilds + failed.rebuilds) << "surface " << s;
+      ASSERT_EQ(e.inner, inner + failed.inner) << "surface " << s;
+      ASSERT_EQ(ctx.counters().dbf_evaluations, serial_dbf[s])
+          << "surface " << s;
+    }
+  }
+  EXPECT_GT(thrown, 3u);
+  EXPECT_GT(over_cells, 500u);
+  EXPECT_GT(dup_cells, 1000u);
 }
 
 // ------------------------------------------------------------ theorems ----

@@ -1202,6 +1202,29 @@ TEST(PerfDiff, OneSidedKeysBecomeNotes) {
   EXPECT_TRUE(fresh);
 }
 
+TEST(PerfDiff, UnlikeConfigsNameEveryDifferingSharedKey) {
+  auto base = sample_report();
+  base.config = {{"jobs", "1"}, {"platform", "Platform A"}, {"seed", "42"}};
+  EXPECT_TRUE(unlike_config(base, base).empty());
+
+  // A key on one side only (a report older than the key) is not a
+  // difference; the shared keys must all match.
+  auto older = base;
+  older.config.erase("seed");
+  auto newer = base;
+  newer.config["inner_jobs"] = "1";
+  EXPECT_TRUE(unlike_config(older, newer).empty());
+
+  auto cur = newer;
+  cur.config["jobs"] = "4";
+  cur.config["seed"] = "90127";
+  EXPECT_EQ(unlike_config(base, cur),
+            (std::vector<std::string>{"jobs: '1' vs '4'",
+                                      "seed: '42' vs '90127'"}));
+  EXPECT_EQ(unlike_config(older, cur),
+            (std::vector<std::string>{"jobs: '1' vs '4'"}));
+}
+
 // ------------------------------------------------- pool counter tracks ----
 
 TEST(TraceExport, CounterTracksRenderAsTelemetryProcess) {

@@ -104,7 +104,7 @@ struct Args {
   double util_lo = 0.1;
   double util_hi = 2.0;
   int jobs = 0;  ///< sweep worker threads; 0 = hardware concurrency
-  /// Intra-solve stripes for the min-budget surface batches; 1 = serial,
+  /// Intra-solve stripes for the min-budget surface passes; 1 = serial,
   /// 0 = hardware. Bit-identical results at any value. Unset: 1 for
   /// experiment, 0 for the single-decision explain and serve.
   std::optional<int> inner_jobs;
@@ -118,6 +118,7 @@ struct Args {
   std::string pool_trace;        ///< experiment: counter-track trace file
   std::string max_regress;       ///< perfdiff threshold, "10%" or "0.1"
   std::string min_abs_sec;       ///< perfdiff noise floor for time deltas
+  bool force = false;            ///< perfdiff: compare unlike reports too
   // explain
   std::string json_out;          ///< write the explain report here
   bool events = false;           ///< render every recorded decision event
@@ -168,6 +169,7 @@ struct Args {
                "       vc2m check --trace out.json|out.csv\n"
                "       vc2m perfdiff base.json current.json "
                "[--max-regress 10%|0.1] [--min-abs-sec S]\n"
+               "                     [--force]\n"
                "       vc2m serve --trace SPEC [--platform P] [--seed S]\n"
                "                  [--journal FILE] [--recover] "
                "[--snapshot-every N]\n"
@@ -254,6 +256,7 @@ constexpr Flag kFlags[] = {
     {"--pool-trace", &Args::pool_trace},
     {"--max-regress", &Args::max_regress},
     {"--min-abs-sec", &Args::min_abs_sec},
+    {"--force", &Args::force},
     {"--json", &Args::json_out},
     {"--events", &Args::events},
     {"--shard", &Args::shard},
@@ -703,6 +706,17 @@ int cmd_perfdiff(const Args& a) {
   auto current_file = util::open_input_file(a.positional[1], "bench report");
   const auto base = obs::read_bench_report(base_file);
   const auto current = obs::read_bench_report(current_file);
+  // Reports of different configurations measured different work: a
+  // "regression" between them would be a comparison of unlike things.
+  if (const auto unlike = obs::unlike_config(base, current); !unlike.empty()) {
+    std::cerr << "perfdiff: the reports' configs differ:\n";
+    for (const auto& line : unlike) std::cerr << "  " << line << "\n";
+    if (!a.force) {
+      std::cerr << "refusing to compare unlike reports (--force compares "
+                   "them anyway)\n";
+      return 2;
+    }
+  }
   obs::PerfDiffOptions opt;
   if (!a.max_regress.empty()) opt.max_regress = regress_of(a.max_regress);
   if (!a.min_abs_sec.empty()) {
@@ -1296,7 +1310,7 @@ constexpr Command kCommands[] = {
      cmd_scenario_run},
     {"scenario show", "", cmd_scenario_show},
     {"scenario merge", "--json", cmd_scenario_merge},
-    {"perfdiff", "--max-regress --min-abs-sec", cmd_perfdiff},
+    {"perfdiff", "--max-regress --min-abs-sec --force", cmd_perfdiff},
     {"validate", "", cmd_validate},
 };
 
