@@ -53,7 +53,8 @@ std::vector<Variant> variants() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt =
+      bench::Options::parse(argc, argv, "--tasksets --step --seed --csv-dir");
   const auto platform = model::PlatformSpec::A();
   const auto vars = variants();
 

@@ -56,40 +56,18 @@ void BM_DbfEvaluation(benchmark::State& state) {
 }
 BENCHMARK(BM_DbfEvaluation);
 
-void BM_DbfDemandAtSoA(benchmark::State& state) {
-  // The division-free SoA demand sweep over a merged checkpoint set (each
-  // task's last passed multiple steps forward by its period), for point
-  // sets that are not a memoized group's stream. Compare per-point cost
-  // with BM_DbfEvaluation (one AoS dbf() call per point, one division per
-  // task).
-  std::vector<analysis::PTask> tasks;
-  for (int i = 1; i <= 8; ++i)
-    tasks.push_back({Time::ms(100 * (1 << (i % 4))), Time::ms(i)});
-  analysis::TaskArrays soa;
-  soa.assign(tasks);
-  std::vector<Time> points;
-  analysis::merge_checkpoints(soa.period, soa.hyperperiod(), points);
-  std::vector<Time> demand(points.size());
-  for (auto _ : state) {
-    analysis::demand_at(soa.period, soa.wcet, points, demand);
-    benchmark::DoNotOptimize(demand.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(points.size()));
-}
-BENCHMARK(BM_DbfDemandAtSoA);
-
 void BM_MergeCheckpoints(benchmark::State& state) {
   // Building the sorted + deduplicated checkpoint stream once per
   // (periods, Π) — amortized over every grid cell by the group memo.
   std::vector<analysis::PTask> tasks;
   for (int i = 1; i <= static_cast<int>(state.range(0)); ++i)
     tasks.push_back({Time::ms(100 * (1 << (i % 4))), Time::ms(3 * i)});
-  analysis::TaskArrays soa;
-  soa.assign(tasks);
+  std::vector<std::int64_t> periods;
+  for (const auto& t : tasks) periods.push_back(t.period.raw_ns());
+  const Time horizon = analysis::hyperperiod(tasks);
   std::vector<Time> points;
   for (auto _ : state) {
-    analysis::merge_checkpoints(soa.period, soa.hyperperiod(), points);
+    analysis::merge_checkpoints(periods, horizon, points);
     benchmark::DoNotOptimize(points.data());
   }
 }
@@ -122,23 +100,21 @@ void BM_PrmMinBudgetOnCurve(benchmark::State& state) {
   std::vector<analysis::PTask> tasks;
   for (int i = 1; i <= static_cast<int>(state.range(0)); ++i)
     tasks.push_back({Time::ms(100 * (1 << (i % 4))), Time::ms(3 * i)});
-  analysis::TaskArrays soa;
-  soa.assign(tasks);
   const Time pi = Time::ms(100);
-  const Time horizon = util::lcm(soa.hyperperiod(), pi);
-  std::vector<Time> points;
-  analysis::merge_checkpoints(soa.period, horizon, points);
-  std::vector<Time> demand(points.size());
-  analysis::demand_at(soa.period, soa.wcet, points, demand);
+  const auto points = analysis::dbf_checkpoints(
+      tasks, util::lcm(analysis::hyperperiod(tasks), pi));
+  std::vector<Time> demand;
+  for (const Time t : points) demand.push_back(analysis::dbf(tasks, t));
   std::vector<std::int64_t> quot, rem;
   for (const Time t : points) {
     quot.push_back(t / pi);
     rem.push_back((t % pi).raw_ns());
   }
   const analysis::DemandCurve curve{points, demand, quot, rem};
+  const double total_util = analysis::total_utilization(tasks);
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        analysis::min_budget_on_curve(curve, soa.total_util, pi));
+        analysis::min_budget_on_curve(curve, total_util, pi));
 }
 BENCHMARK(BM_PrmMinBudgetOnCurve)->Arg(2)->Arg(8)->Arg(24);
 

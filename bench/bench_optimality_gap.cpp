@@ -16,7 +16,8 @@
 
 int main(int argc, char** argv) {
   using namespace vc2m;
-  const auto opt = bench::Options::parse(argc, argv);
+  const auto opt =
+      bench::Options::parse(argc, argv, "--tasksets --seed --csv-dir");
   const auto platform = model::PlatformSpec::C();  // tightest platform
 
   util::Table table({"util", "heuristic", "exact", "gap tasksets",

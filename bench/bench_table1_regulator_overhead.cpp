@@ -21,7 +21,7 @@
 int main(int argc, char** argv) {
   using namespace vc2m;
   using util::Time;
-  (void)bench::Options::parse(argc, argv);
+  (void)bench::Options::parse(argc, argv, "");
 
   // Eight cores, each running a streaming task that overruns its bandwidth
   // budget every regulation period — maximal regulator activity.

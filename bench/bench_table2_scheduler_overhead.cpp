@@ -62,7 +62,7 @@ sim::HostProbe run_with_vcpus(unsigned num_vcpus) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)bench::Options::parse(argc, argv);
+  (void)bench::Options::parse(argc, argv, "");
 
   std::cout << "Table 2: scheduler's overhead (µs), 4 cores\n"
                "(p99 is the noise-robust tail; raw maxima include host "

@@ -93,7 +93,7 @@ Time victim_wcet(const sim::WorkloadModel& victim, bool isolated) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  (void)bench::Options::parse(argc, argv);
+  (void)bench::Options::parse(argc, argv, "");
 
   const char* names[] = {"swaptions",     "bodytrack", "freqmine",
                          "streamcluster", "ferret",    "canneal"};

@@ -22,7 +22,8 @@
 # crash point + --recover byte-identity, journal fuzz, `vc2m validate`,
 # the strict-flag matrix), telemetry_smoke (timeline byte-identity and
 # validation, SIGUSR1, timeline fuzz), taskset_fuzz, trace_check_fuzz and
-# perf_smoke (bench report + perfdiff gate), plus the golden-equivalence
+# perf_smoke (preset and bench flags, a preset's CSVs and report, bench
+# report + perfdiff gate), plus the golden-equivalence
 # suite, the bench_micro_ops --smoke memoization check and test_explain.
 # Each negative row (a byte-flipped serve report, a truncated timeline, a
 # scenario report out of order) must make `vc2m validate` exit 1.
@@ -331,18 +332,24 @@ serve_smoke() {
     "serve --trace $trace --queue-cap 0x10" \
     "serve --trace $trace --inner-jobs -1" \
     "serve --trace $trace --seed 9007199254740992" \
-    "generate --vms +5" "serve --trace poisson:requests=5,"
+    "generate --vms +5" "serve --trace poisson:requests=5," \
+    "experiment --preset nope"
 
   echo "--- strict flags: a flag the subcommand does not read exits 2 ---"
+  # experiment reads --json (a bench report); a preset fixes the sweep
+  # flags; --csv-dir needs a preset and --fault-horizon needs --faults.
   expect_exit_2 "$vc2m" "does not apply" \
-    "experiment --tasksets 1 --json $work/exp.json" \
+    "experiment --tasksets 1 --journal $work/exp.wal" \
+    "experiment --preset fig4 --platform B --csv-dir $work/csv" \
+    "experiment --tasksets 1 --csv-dir $work/csv" \
+    "experiment --tasksets 1 --fault-horizon 2" \
     "profiles --journal $work/x.wal --crash-at bogus" \
     "solutions --jobs 3 --trace $work/x" \
     "perfdiff $work/base.json $work/base.json --jobs 3" \
     "generate --util 0.5 --journal $work/x.wal" \
     "scenario show scenarios/cache-thrash-storm.json --jobs 2" \
     "validate $work/base.json --json $work/v.json"
-  for f in exp.json x.wal x v.json; do
+  for f in exp.wal x.wal x v.json csv; do
     [ ! -e "$work/$f" ] || { echo "a refused command wrote $f"; return 1; }
   done
   echo "--- serve smoke passed ---"
@@ -498,39 +505,45 @@ telemetry_smoke() {
 }
 
 perf_smoke() {
-  # $1 = build dir with bench/bench_micro_ops, bench/bench_fig4_runtime and
-  # tools/vc2m binaries.
+  # $1 = build dir with bench/bench_micro_ops,
+  # bench/bench_table1_regulator_overhead and tools/vc2m binaries.
+  local vc2m="$1/tools/vc2m"
   local work; work="$(mktemp -d)"
   trap 'rm -rf "$work"' RETURN
 
-  echo "--- bench flags: out-of-range counts exit 2 before any sweep ---"
+  echo "--- preset flags: out-of-range counts exit 2 before any sweep ---"
   # Both once narrowed silently: 2^32 + 1 tasksets ran one per point and
   # 2^32 jobs became 0 (hardware concurrency).
-  local bad rc
-  for bad in "--tasksets 4294967297" "--jobs 4294967296"; do
-    rc=0
-    "$1/bench/bench_fig4_runtime" ${bad} --csv-dir "$work/csv" \
-      > "$work/flag-out.txt" 2> "$work/flag-err.txt" || rc=$?
-    if [ "$rc" -ne 2 ] || [ -s "$work/flag-out.txt" ] || [ -e "$work/csv" ] \
-        || ! grep -q "bad value" "$work/flag-err.txt"; then
-      echo "bench flag '$bad': expected rc 2 before any sweep, got rc $rc:"
-      cat "$work/flag-err.txt"
-      return 1
-    fi
+  expect_exit_2 "$vc2m" "bad value" \
+    "experiment --preset fig4 --tasksets 4294967297 --csv-dir $work/csv" \
+    "experiment --preset fig4 --jobs 4294967296 --csv-dir $work/csv"
+  [ ! -e "$work/csv" ] || { echo "a refused preset made its CSV dir"; return 1; }
+
+  echo "--- a bench refuses a flag it does not read ---"
+  expect_exit_2 "$1/bench/bench_table1_regulator_overhead" "does not apply" \
+    "--json $work/t1.json"
+  [ ! -e "$work/t1.json" ] || { echo "a refused bench wrote t1.json"; return 1; }
+
+  echo "--- --preset fig2 writes its CSVs and a valid bench report ---"
+  "$vc2m" experiment --preset fig2 --tasksets 2 --step 0.5 \
+    --csv-dir "$work/fig2" --json "$work/BENCH_fig2.json" > /dev/null 2>&1
+  for f in fig2a_platform_A fig2b_platform_B fig2c_platform_C; do
+    [ -s "$work/fig2/$f.csv" ] || { echo "--preset fig2 wrote no $f.csv"; return 1; }
   done
+  "$vc2m" validate "$work/BENCH_fig2.json"
 
   "$1/bench/bench_micro_ops" --smoke --json "$work/BENCH_smoke.json" \
     > /dev/null
 
   echo "--- bench report passes vc2m validate ---"
-  "$1/tools/vc2m" validate "$work/BENCH_smoke.json"
+  "$vc2m" validate "$work/BENCH_smoke.json"
   grep -q '^  {"name": ' "$work/BENCH_smoke.json" \
     || { echo "empty phase profile"; return 1; }
   grep -q '"solve_seconds": {' "$work/BENCH_smoke.json" \
     || { echo "missing solve_seconds histogram"; return 1; }
 
   echo "--- perfdiff: self-compare must pass ---"
-  "$1/tools/vc2m" perfdiff "$work/BENCH_smoke.json" "$work/BENCH_smoke.json" \
+  "$vc2m" perfdiff "$work/BENCH_smoke.json" "$work/BENCH_smoke.json" \
     > /dev/null \
     || { echo "perfdiff self-compare reported a regression"; return 1; }
 
@@ -544,12 +557,12 @@ for path, jobs in ((sys.argv[2], "1"), (sys.argv[3], "4")):
     json.dump(r, open(path, "w"))
 EOF
   rc=0
-  "$1/tools/vc2m" perfdiff "$work/BENCH_jobs1.json" "$work/BENCH_jobs4.json" \
+  "$vc2m" perfdiff "$work/BENCH_jobs1.json" "$work/BENCH_jobs4.json" \
     > "$work/unlike.out" 2>&1 || rc=$?
   [ "$rc" -eq 2 ] && grep -q "jobs: '1' vs '4'" "$work/unlike.out" \
     || { echo "perfdiff compared reports of unlike configs (exit $rc)"; \
          return 1; }
-  "$1/tools/vc2m" perfdiff "$work/BENCH_jobs1.json" "$work/BENCH_jobs4.json" \
+  "$vc2m" perfdiff "$work/BENCH_jobs1.json" "$work/BENCH_jobs4.json" \
     --force > /dev/null 2>&1 \
     || { echo "perfdiff --force refused unlike reports"; return 1; }
 
@@ -561,7 +574,7 @@ for p in r["phases"]:
     p["total_sec"] *= 3
 json.dump(r, open(sys.argv[2], "w"))
 EOF
-  if "$1/tools/vc2m" perfdiff "$work/BENCH_smoke.json" \
+  if "$vc2m" perfdiff "$work/BENCH_smoke.json" \
       "$work/BENCH_regressed.json" > /dev/null; then
     echo "perfdiff failed to flag a 3x phase-time regression"
     return 1
@@ -581,11 +594,11 @@ perf_gate() {
   echo "=== perf: configure (${dir}/) ==="
   cmake -B "$dir" -S . >/dev/null
   echo "=== perf: build ==="
-  cmake --build "$dir" -j "$(nproc)" --target bench_fig4_runtime vc2m
+  cmake --build "$dir" -j "$(nproc)" --target vc2m
   local work; work="$(mktemp -d)"
   trap 'rm -rf "$work"' RETURN
   echo "=== perf: Fig-4 runtime sweep ==="
-  "$dir/bench/bench_fig4_runtime" --jobs 1 --csv-dir "$work" \
+  "$dir/tools/vc2m" experiment --preset fig4 --jobs 1 --csv-dir "$work" \
     --json "$work/BENCH_fig4_current.json" > /dev/null
   echo "=== perf: deterministic counters vs bench_results/BENCH_fig4_current.json ==="
   # Effort counters do not depend on the host or the clock: any change in

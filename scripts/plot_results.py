@@ -4,9 +4,9 @@
 Usage:
     python3 scripts/plot_results.py [bench_results_dir] [output_dir]
 
-Reads the CSV series written by bench_fig2_platforms,
-bench_fig3_distributions, and bench_fig4_runtime (default directory
-./bench_results) and writes PNGs mirroring the paper's Figures 2-4.
+Reads the CSV series written by `vc2m experiment --preset fig2`, `fig3`
+and `fig4` (default directory ./bench_results) and writes PNGs mirroring
+the paper's Figures 2-4.
 Requires matplotlib; degrades to a clear error message without it.
 """
 

@@ -5,14 +5,12 @@
 // of a resource model. `PTask` is that plain view: a (period, wcet) pair
 // obtained by evaluating a cache/BW-aware task at one grid point.
 //
-// Two call styles coexist:
-//  - The span-of-PTask functions are the reference kernels (readable,
-//    allocation-per-call); tests pin the fast path against them.
-//  - `TaskArrays` is the structure-of-arrays view the hot path uses:
-//    contiguous period/wcet/utilization columns validated once at assign()
-//    time, so the demand-sum inner loops run without per-element checks
-//    and stay cache-dense. AnalysisContext builds and caches these
-//    (docs/performance.md).
+// The span-of-PTask functions are the reference kernels (readable,
+// allocation-per-call); merge_checkpoints builds the same checkpoint stream
+// from a bare period column, which is how AnalysisContext caches one stream
+// per (periods, Π) group. The engine's demand comes from that group's job
+// counts (analysis/context.h, docs/performance.md); tests pin it against
+// dbf().
 #pragma once
 
 #include <cstdint>
@@ -55,39 +53,6 @@ inline constexpr std::int64_t kDbfCheckpointCap = std::int64_t{1} << 22;
 /// kDbfCheckpointCap.
 std::vector<util::Time> dbf_checkpoints(std::span<const PTask> tasks,
                                         util::Time horizon);
-
-/// Structure-of-arrays view of a PTask span: contiguous raw-ns period and
-/// wcet columns plus the in-task-order utilization sum (bit-identical to
-/// total_utilization(), which matters because schedulability compares it
-/// against bandwidth with an epsilon). Periods are validated positive once
-/// here, so the kernels below run check-free inner loops.
-struct TaskArrays {
-  std::vector<std::int64_t> period;  ///< p_i in raw ns
-  std::vector<std::int64_t> wcet;    ///< e_i in raw ns
-  double total_util = 0;             ///< Σ e_i/p_i, summed in task order
-
-  void assign(std::span<const PTask> tasks);
-  std::size_t size() const { return period.size(); }
-  bool empty() const { return period.empty(); }
-
-  /// Hyperperiod of the period column (checked util::lcm).
-  util::Time hyperperiod() const;
-};
-
-/// Demand at each checkpoint over SoA columns: out[k] = Σ_i ⌊points[k]/p_i⌋
-/// e_i. The wcet column is passed separately so one cached period column
-/// serves many wcet surfaces (grid cells). Counts one dbf evaluation per
-/// point — each out[k] is exactly one dbf(t).
-///
-/// Precondition: `points` is strictly ascending and positive, and every
-/// period is positive; anything else throws util::Error. No division: the
-/// kernel walks the points keeping each task's last passed multiple and
-/// steps it forward by p_i, so any strictly ascending point set works,
-/// multiples skipped or not (docs/analysis.md).
-void demand_at(std::span<const std::int64_t> periods,
-               std::span<const std::int64_t> wcets,
-               std::span<const util::Time> points,
-               std::span<util::Time> out);
 
 /// dbf_checkpoints over a period column: a k-way merge of the per-task
 /// arithmetic streams (p, 2p, 3p, …) into `out`, already sorted and

@@ -50,7 +50,7 @@ double ExperimentResult::breakdown_utilization(std::size_t solution_index,
   return breakdown;
 }
 
-util::Table ExperimentResult::to_table(bool runtimes) const {
+util::Table ExperimentResult::to_table() const {
   VC2M_CHECK_MSG(!points.empty(),
                  "to_table on an empty experiment (no utilization points — "
                  "was the sweep run?)");
@@ -61,9 +61,6 @@ util::Table ExperimentResult::to_table(bool runtimes) const {
   if (cfg.validate)
     for (const auto& s : cfg.solutions)
       header.push_back(registry.require(s).display + " +f");
-  if (runtimes)
-    for (const auto& s : cfg.solutions)
-      header.push_back("sec " + registry.require(s).display);
   util::Table table(std::move(header));
   for (const auto& pt : points) {
     VC2M_CHECK_MSG(pt.per_solution.size() == cfg.solutions.size(),
@@ -83,9 +80,6 @@ util::Table ExperimentResult::to_table(bool runtimes) const {
     if (cfg.validate)
       for (const auto& sp : pt.per_solution)
         row.push_back(fmt(sp.validated_fraction(), 3));
-    if (runtimes)
-      for (const auto& sp : pt.per_solution)
-        row.push_back(fmt(sp.avg_seconds(), 4));
     table.add_row_vec(std::move(row));
   }
   return table;

@@ -1,7 +1,7 @@
-// The §5 schedulability experiment runner shared by the Fig. 2/3/4 benches
-// and the examples: sweep taskset reference utilization, generate workloads
-// per §5.1, run each solution on identical tasksets, and record schedulable
-// fractions and analysis running times.
+// The §5 schedulability experiment runner behind `vc2m experiment` (and
+// its Fig. 2/3/4 presets) and the examples: sweep taskset reference
+// utilization, generate workloads per §5.1, run each solution on identical
+// tasksets, and record schedulable fractions and analysis running times.
 //
 // The sweep is embarrassingly parallel: every RNG stream is pre-forked
 // serially from the master seed, then the (point, taskset, solution) work
@@ -115,11 +115,10 @@ struct ExperimentResult {
                                double threshold = 0.999) const;
 
   /// Render as a table: one row per utilization, one fraction column per
-  /// solution, one validated-fraction ("+f") column per solution when a
-  /// validator was configured, plus optional average-seconds columns for
-  /// Fig. 4. Requires a non-empty sweep whose points all match
-  /// cfg.solutions.
-  util::Table to_table(bool runtimes = false) const;
+  /// solution, plus one validated-fraction ("+f") column per solution when
+  /// a validator was configured. Requires a non-empty sweep whose points
+  /// all match cfg.solutions.
+  util::Table to_table() const;
 };
 
 /// Run the sweep over cfg.jobs worker threads (0 = hardware concurrency).

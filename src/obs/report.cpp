@@ -92,27 +92,31 @@ void write_report(std::ostream& os, const sim::SimConfig& cfg,
   }
 
   if (alloc) {
-    util::Table t({"allocator metric", "value"});
-    t.add_row("k-means runs", alloc->kmeans_runs);
-    t.add_row("k-means iterations", alloc->kmeans_iterations);
-    t.add_row("k-means final shift", fmt(alloc->kmeans_final_shift, 6));
-    t.add_row("candidate packings", alloc->candidate_packings);
-    t.add_row("admission tests", alloc->admission_tests);
-    t.add_row("admission passed", alloc->admission_passed);
-    t.add_row("dbf evaluations", alloc->dbf_evaluations);
-    t.add_row("min-budget searches", alloc->budget_evaluations);
-    t.add_row("budget memo hits", alloc->budget_cache_hits);
-    t.add_row("core-load memo hits", alloc->load_cache_hits);
-    t.add_row("arena bytes", alloc->arena_bytes);
-    t.add_row("checkpoint set builds", alloc->soa_rebuilds);
-    t.add_row("batched budget queries", alloc->inner_tasks);
-    t.add_row("partition grants", alloc->partition_grants);
-    t.add_row("vcpu migrations", alloc->vcpu_migrations);
-    t.add_row("VM-level alloc seconds", fmt(alloc->vm_alloc_seconds, 6));
-    t.add_row("HV-level alloc seconds", fmt(alloc->hv_alloc_seconds, 6));
-    t.print(os, "Allocator effort");
+    write_alloc_effort(os, *alloc);
     os << '\n';
   }
+}
+
+void write_alloc_effort(std::ostream& os, const util::AllocCounters& c) {
+  util::Table t({"allocator metric", "value"});
+  t.add_row("k-means runs", c.kmeans_runs);
+  t.add_row("k-means iterations", c.kmeans_iterations);
+  t.add_row("k-means final shift", fmt(c.kmeans_final_shift, 6));
+  t.add_row("candidate packings", c.candidate_packings);
+  t.add_row("admission tests", c.admission_tests);
+  t.add_row("admission passed", c.admission_passed);
+  t.add_row("dbf evaluations", c.dbf_evaluations);
+  t.add_row("min-budget searches", c.budget_evaluations);
+  t.add_row("budget memo hits", c.budget_cache_hits);
+  t.add_row("core-load memo hits", c.load_cache_hits);
+  t.add_row("arena bytes", c.arena_bytes);
+  t.add_row("checkpoint set builds", c.soa_rebuilds);
+  t.add_row("batched budget queries", c.inner_tasks);
+  t.add_row("partition grants", c.partition_grants);
+  t.add_row("vcpu migrations", c.vcpu_migrations);
+  t.add_row("VM-level alloc seconds", fmt(c.vm_alloc_seconds, 6));
+  t.add_row("HV-level alloc seconds", fmt(c.hv_alloc_seconds, 6));
+  t.print(os, "Allocator effort");
 }
 
 void write_metrics_dump(std::ostream& os, const MetricsRegistry& registry) {

@@ -4,8 +4,8 @@
 // utilization / throttle / idle fractions, per-task response-time ratios
 // (max and registry-histogram quantiles), per-VCPU server behaviour, and —
 // when an allocator produced the deployment — the allocator effort
-// counters. write_metrics_dump() is the raw alternative: every metric in
-// the registry, name-sorted, one per line.
+// counters (write_alloc_effort). write_metrics_dump() is the raw
+// alternative: every metric in the registry, name-sorted, one per line.
 #pragma once
 
 #include <iosfwd>
@@ -23,6 +23,11 @@ void write_report(std::ostream& os, const sim::SimConfig& cfg,
                   const sim::SimStats& stats, const MetricsRegistry& registry,
                   util::Time duration,
                   const util::AllocCounters* alloc = nullptr);
+
+/// The "Allocator effort" table: every allocator counter, one per row.
+/// write_report ends with it; `vc2m experiment --preset fig4` prints it for
+/// the whole sweep.
+void write_alloc_effort(std::ostream& os, const util::AllocCounters& c);
 
 /// Raw dump: one `name value` line per metric, deterministic order.
 void write_metrics_dump(std::ostream& os, const MetricsRegistry& registry);

@@ -105,132 +105,34 @@ TEST(Dbf, CheckpointCapRejectsPathologicalPeriodHorizonRatios) {
 }
 
 TEST(Dbf, SoaKernelsMatchReferenceKernels) {
-  // TaskArrays + merge_checkpoints + demand_at must reproduce the
-  // reference span-of-PTask kernels exactly on an awkward period mix
-  // (duplicates, coprime pairs, a task whose period exceeds the horizon).
+  // merge_checkpoints over a bare period column must reproduce
+  // dbf_checkpoints exactly: on an awkward period mix (duplicates, coprime
+  // pairs, a task whose period exceeds the horizon) at several horizons,
+  // and with multiples up to INT64_MAX, where stepping a stream past its
+  // last multiple would overflow.
   const std::vector<PTask> ts{{Time::ms(10), Time::ms(2)},
                               {Time::ms(10), Time::ms(1)},
                               {Time::ms(15), Time::ms(4)},
                               {Time::ms(7), Time::us(1500)},
                               {Time::sec(2), Time::ms(100)}};
-  TaskArrays soa;
-  soa.assign(ts);
-  EXPECT_DOUBLE_EQ(soa.total_util, total_utilization(ts));
-  EXPECT_EQ(soa.hyperperiod(), hyperperiod(ts));
-
-  const Time horizon = Time::ms(420);
-  const auto ref_points = dbf_checkpoints(ts, horizon);
+  std::vector<std::int64_t> periods;
+  for (const auto& tk : ts) periods.push_back(tk.period.raw_ns());
   std::vector<Time> points;
-  merge_checkpoints(soa.period, horizon, points);
-  EXPECT_EQ(points, ref_points);
-
-  std::vector<Time> demand(points.size());
-  demand_at(soa.period, soa.wcet, points, demand);
-  for (std::size_t k = 0; k < points.size(); ++k)
-    EXPECT_EQ(demand[k], dbf(ts, points[k])) << "at " << points[k];
-}
-
-TEST(Dbf, DemandAtMatchesDbfOnMergedStreamsAndSubsets) {
-  // demand_at against per-point dbf() on random harmonic and non-harmonic
-  // period sets of 1..12 tasks (odd counts run the single-task tail), over
-  // the merged checkpoint stream and over strictly increasing subsets of
-  // it that skip multiples and add points that are no task's multiple.
-  util::Rng rng(1917);
-  constexpr std::int64_t kMenu[] = {2, 3, 4, 5, 6, 7, 8, 10, 12, 15, 20, 30};
-  std::size_t non_multiples = 0, skips = 0;
-  for (int c = 0; c < 600; ++c) {
-    const bool harmonic = rng.bernoulli(0.5);
-    const std::int64_t unit = rng.bernoulli(0.5) ? 1 : 1'000'000;
-    const std::int64_t base = rng.uniform_int(1, 7);
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 12));
-    std::vector<PTask> ts;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::int64_t m = harmonic ? base << rng.uniform_int(0, 4)
-                                      : kMenu[rng.index(std::size(kMenu))];
-      ts.push_back(
-          {Time::ns(m * unit), Time::ns(rng.uniform_int(0, m * unit))});
-    }
-    TaskArrays soa;
-    soa.assign(ts);
-    std::vector<Time> merged;
-    merge_checkpoints(soa.period, Time::ns(rng.uniform_int(1, 400) * unit),
-                      merged);
-
-    std::vector<Time> subset;
-    for (const Time t : merged) {
-      const Time before = t - Time::ns(rng.uniform_int(1, unit));
-      if (rng.bernoulli(0.3) && before > Time::zero() &&
-          (subset.empty() || before > subset.back()))
-        subset.push_back(before);
-      if (rng.bernoulli(0.5)) subset.push_back(t);
-    }
-    for (std::size_t k = 0; k < subset.size(); ++k) {
-      const std::int64_t t = subset[k].raw_ns();
-      const std::int64_t prev = k == 0 ? 0 : subset[k - 1].raw_ns();
-      bool multiple = false;
-      for (const std::int64_t p : soa.period) {
-        multiple = multiple || t % p == 0;
-        if (t / p - prev / p >= 2) ++skips;
-      }
-      if (!multiple) ++non_multiples;
-    }
-
-    for (const auto* points : {&merged, &subset}) {
-      std::vector<Time> demand(points->size());
-      util::AllocCounterScope scope;
-      demand_at(soa.period, soa.wcet, *points, demand);
-      EXPECT_EQ(scope.counters().dbf_evaluations, points->size());
-      for (std::size_t k = 0; k < points->size(); ++k)
-        ASSERT_EQ(demand[k], dbf(ts, (*points)[k]))
-            << "case " << c << " at " << (*points)[k];
-    }
+  for (const Time horizon : {Time::ms(1), Time::ms(7), Time::ms(420),
+                             Time::sec(2), hyperperiod(ts)}) {
+    merge_checkpoints(periods, horizon, points);
+    EXPECT_EQ(points, dbf_checkpoints(ts, horizon)) << "horizon " << horizon;
   }
-  EXPECT_GT(non_multiples, 1000u);
-  EXPECT_GT(skips, 1000u);
-}
 
-TEST(Dbf, DemandAtNearInt64Max) {
-  // Multiples up to INT64_MAX: after the last multiple a task can reach,
-  // last + p would overflow; the stepping test t − last ≥ p must not.
   constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
-  const std::vector<PTask> ts{{Time::ns(kMax / 3 + 1), Time::ns(1)},
-                              {Time::ns(kMax / 2), Time::ns(2)},
-                              {Time::ns(kMax), Time::ns(5)}};
-  TaskArrays soa;
-  soa.assign(ts);
-  std::vector<Time> merged;
-  merge_checkpoints(soa.period, Time::ns(kMax), merged);
-  ASSERT_EQ(merged.size(), 5u);
-  std::vector<Time> sparse{Time::ns(1), Time::ns(kMax - 1), Time::ns(kMax)};
-  for (const auto* points : {&merged, &sparse}) {
-    std::vector<Time> demand(points->size());
-    demand_at(soa.period, soa.wcet, *points, demand);
-    for (std::size_t k = 0; k < points->size(); ++k)
-      EXPECT_EQ(demand[k], dbf(ts, (*points)[k])) << "at " << (*points)[k];
-  }
-  std::vector<Time> demand(1);
-  demand_at(soa.period, soa.wcet, std::vector<Time>{Time::ns(kMax)}, demand);
-  EXPECT_EQ(demand[0], Time::ns(2 * 1 + 2 * 2 + 5));
-}
-
-TEST(Dbf, DemandAtRejectsUnsortedOrNonPositiveInput) {
-  const std::vector<std::int64_t> wcets{2, 3};
-  std::vector<Time> out(4);
-  const auto call = [&](std::vector<Time> points,
-                        std::vector<std::int64_t> periods = {10, 15}) {
-    demand_at(periods, wcets, points, out);
-  };
-  EXPECT_THROW(call({Time::ns(10), Time::ns(5)}), util::Error);
-  EXPECT_THROW(call({Time::ns(10), Time::ns(10)}), util::Error);
-  EXPECT_THROW(call({Time::zero(), Time::ns(10)}), util::Error);
-  EXPECT_THROW(call({Time::ns(-5), Time::ns(10)}), util::Error);
-  EXPECT_THROW(call({Time::ns(10)}, {10, 0}), util::Error);
-  EXPECT_THROW(call({Time::ns(10)}, {-10, 15}), util::Error);
-  EXPECT_NO_THROW(call({}));
-  call({Time::ns(1), Time::ns(10), Time::ns(31)});
-  EXPECT_EQ(out[0], Time::zero());
-  EXPECT_EQ(out[1], Time::ns(2));
-  EXPECT_EQ(out[2], Time::ns(3 * 2 + 2 * 3));
+  const std::vector<PTask> huge{{Time::ns(kMax / 3 + 1), Time::ns(1)},
+                                {Time::ns(kMax / 2), Time::ns(2)},
+                                {Time::ns(kMax), Time::ns(5)}};
+  const std::vector<std::int64_t> huge_periods{kMax / 3 + 1, kMax / 2, kMax};
+  merge_checkpoints(huge_periods, Time::ns(kMax), points);
+  ASSERT_EQ(points.size(), 5u);
+  EXPECT_EQ(points, dbf_checkpoints(huge, Time::ns(kMax)));
+  EXPECT_EQ(dbf(huge, Time::ns(kMax)), Time::ns(2 * 1 + 2 * 2 + 5));
 }
 
 // ----------------------------------------------------------------- PRM ----
@@ -446,16 +348,15 @@ std::pair<std::vector<std::int64_t>, std::vector<std::int64_t>> split_by(
 /// min_budget_on_curve over a freshly built curve for `ts`.
 std::optional<Time> budget_on_curve(const std::vector<PTask>& ts, Time pi) {
   if (ts.empty()) return min_budget_on_curve(DemandCurve{}, 0.0, pi);
-  TaskArrays soa;
-  soa.assign(ts);
+  const double total_util = total_utilization(ts);
   std::vector<Time> points;
-  if (soa.total_util <= 1.0 + 1e-12)
-    merge_checkpoints(soa.period, util::lcm(soa.hyperperiod(), pi), points);
-  std::vector<Time> demand(points.size());
-  demand_at(soa.period, soa.wcet, points, demand);
+  if (total_util <= 1.0 + 1e-12)
+    points = dbf_checkpoints(ts, util::lcm(hyperperiod(ts), pi));
+  std::vector<Time> demand;
+  for (const Time t : points) demand.push_back(dbf(ts, t));
   const auto [quot, rem] = split_by(points, pi);
   return min_budget_on_curve(DemandCurve{points, demand, quot, rem},
-                             soa.total_util, pi);
+                             total_util, pi);
 }
 
 /// A random taskset for the curve oracle. Periods come from a harmonic

@@ -276,7 +276,7 @@ TEST(Experiment, TableHasHeaderAndAllRows) {
   cfg.seed = 3;
   const auto result = run_schedulability_experiment(cfg);
   std::ostringstream os;
-  result.to_table(/*runtimes=*/true).print(os);
+  result.to_table().print(os);
   EXPECT_NE(os.str().find("0.50"), std::string::npos);
   EXPECT_NE(os.str().find("Baseline (existing CSA)"), std::string::npos);
 }

@@ -12,8 +12,10 @@
 //                        plan and enforcement policy (docs/robustness.md)
 //   check                re-import an exported trace and check the
 //                        scheduling invariants (docs/observability.md)
-//   experiment           the §5 schedulability sweep (Fig. 2/3) over the
-//                        work-stealing pool, bit-identical at any --jobs
+//   experiment           the §5 schedulability sweep over the work-stealing
+//                        pool, bit-identical at any --jobs; --preset runs a
+//                        paper figure (Fig. 2, 3, 4, VM count) and writes its
+//                        CSVs, --json a bench report
 //   perfdiff             compare two BENCH_*.json reports; nonzero exit on
 //                        a regression past --max-regress (docs/profiling.md)
 //   serve                the crash-safe online admission service over a
@@ -43,6 +45,7 @@
 #include <filesystem>
 #include <iostream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -73,6 +76,7 @@
 #include "model/platform.h"
 #include "util/error.h"
 #include "util/file.h"
+#include "util/instrument.h"
 #include "util/names.h"
 #include "util/parse.h"
 #include "util/phase_profiler.h"
@@ -113,14 +117,16 @@ struct Args {
   std::string policy = "strict"; ///< enforcement policy name
   int fault_horizon = 1;         ///< hyperperiods per fault validation run
   std::string solutions;         ///< comma-separated sweep keys, empty = all
+  std::string preset;            ///< experiment: a kPresets row name
+  std::string csv_dir = "bench_results";  ///< where a preset writes its CSVs
   // profiling / perf reports
   bool profile = false;          ///< render the phase tree after the run
   std::string pool_trace;        ///< experiment: counter-track trace file
   std::string max_regress;       ///< perfdiff threshold, "10%" or "0.1"
   std::string min_abs_sec;       ///< perfdiff noise floor for time deltas
   bool force = false;            ///< perfdiff: compare unlike reports too
-  // explain
-  std::string json_out;          ///< write the explain report here
+  // explain, serve, scenario, experiment
+  std::string json_out;          ///< write the command's JSON report here
   bool events = false;           ///< render every recorded decision event
   // scenario matrix runner
   std::string shard;             ///< "i/m" slice of the sorted corpus
@@ -149,56 +155,59 @@ struct Args {
   std::vector<std::string> flags;       ///< every flag given, in order
 };
 
+/// Every command's flags, on the lines that start with its name (checked
+/// against kCommands by commands_list_known_flags below).
+constexpr std::string_view kUsage =
+    "usage: vc2m profiles\n"
+    "       vc2m solutions\n"
+    "       vc2m generate --util U [--dist D] [--vms N] [--seed S]"
+    " [--platform P]\n"
+    "       vc2m solve --file tasks.csv [--platform P] [--solution S] "
+    "[--seed S]\n"
+    "       vc2m simulate --file tasks.csv [--platform P] [--solution S] "
+    "[--seed S]\n"
+    "                     [--trace out.json|out.csv] [--report] "
+    "[--profile]\n"
+    "                     [--faults SPEC] "
+    "[--policy strict|kill|throttle|degrade]\n"
+    "       vc2m explain tasks.csv|--file tasks.csv [--platform P] "
+    "[--solution S]\n"
+    "                    [--seed S] [--json out.json] [--events] "
+    "[--inner-jobs N]\n"
+    "       vc2m check --trace out.json|out.csv\n"
+    "       vc2m perfdiff base.json current.json "
+    "[--max-regress 10%|0.1] [--min-abs-sec S]\n"
+    "                     [--force]\n"
+    "       vc2m serve --trace SPEC [--platform P] [--seed S]\n"
+    "                  [--journal FILE] [--recover] [--snapshot-every N]\n"
+    "                  [--deadline-us D] [--shed-policy "
+    "reject-newest|reject-largest|criticality]\n"
+    "                  [--queue-cap N] [--max-retries N] [--backoff-us B]\n"
+    "                  [--crash-at POINT:N] [--json report.json]\n"
+    "                  [--timeline FILE] [--sample-every N] "
+    "[--stats-every N]\n"
+    "                  [--span-ring K] [--span-trace out.json]\n"
+    "                  [--inner-jobs N] [--profile]\n"
+    "       vc2m timeline FILE... [--diff BASE] [--csv]\n"
+    "       vc2m scenario run PATH... [--jobs N] [--shard i/m] [--resume]\n"
+    "                         [--json report.json] [--checkpoint ckpt.json]\n"
+    "       vc2m scenario show FILE\n"
+    "       vc2m scenario merge shard.json... --json merged.json\n"
+    "       vc2m validate PATH...\n"
+    "       vc2m experiment [--platform P] [--dist D] [--vms N] [--seed S]\n"
+    "                       [--tasksets N] [--step S] [--util-lo U] "
+    "[--util-hi U]\n"
+    "                       [--jobs N] [--inner-jobs N] "
+    "[--solutions NAME[,NAME...]]\n"
+    "                       [--faults SPEC [--policy P] "
+    "[--fault-horizon H]]\n"
+    "                       [--profile] [--pool-trace out.json] "
+    "[--json report.json]\n"
+    "                       [--preset fig2|fig3|fig4|vm-count "
+    "[--csv-dir DIR]]\n";
+
 [[noreturn]] void usage(int code) {
-  std::cerr << "usage: vc2m profiles\n"
-               "       vc2m solutions\n"
-               "       vc2m generate --util U [--dist D] [--vms N] [--seed S]"
-               " [--platform P]\n"
-               "       vc2m solve --file tasks.csv [--platform P] "
-               "[--solution S] [--seed S]\n"
-               "       vc2m simulate --file tasks.csv [--platform P] "
-               "[--solution S] [--seed S]\n"
-               "                     [--trace out.json|out.csv] [--report] "
-               "[--profile]\n"
-               "                     [--faults SPEC] "
-               "[--policy strict|kill|throttle|degrade]\n"
-               "       vc2m explain tasks.csv [--platform P] [--solution S] "
-               "[--seed S]\n"
-               "                    [--json out.json] [--events] "
-               "[--inner-jobs N]\n"
-               "       vc2m check --trace out.json|out.csv\n"
-               "       vc2m perfdiff base.json current.json "
-               "[--max-regress 10%|0.1] [--min-abs-sec S]\n"
-               "                     [--force]\n"
-               "       vc2m serve --trace SPEC [--platform P] [--seed S]\n"
-               "                  [--journal FILE] [--recover] "
-               "[--snapshot-every N]\n"
-               "                  [--deadline-us D] [--shed-policy "
-               "reject-newest|reject-largest|criticality]\n"
-               "                  [--queue-cap N] [--max-retries N] "
-               "[--backoff-us B]\n"
-               "                  [--crash-at POINT:N] [--json report.json]\n"
-               "                  [--timeline FILE] [--sample-every N] "
-               "[--stats-every N]\n"
-               "                  [--span-ring K] [--span-trace out.json]\n"
-               "                  [--inner-jobs N] [--profile]\n"
-               "       vc2m timeline FILE... [--diff BASE] [--csv]\n"
-               "       vc2m scenario run PATH... [--jobs N] [--shard i/m] "
-               "[--resume]\n"
-               "                         [--json report.json] "
-               "[--checkpoint ckpt.json]\n"
-               "       vc2m scenario show FILE\n"
-               "       vc2m scenario merge shard.json... --json merged.json\n"
-               "       vc2m validate PATH...\n"
-               "       vc2m experiment [--platform P] [--dist D] [--vms N] "
-               "[--seed S]\n"
-               "                       [--tasksets N] [--step S] "
-               "[--util-lo U] [--util-hi U]\n"
-               "                       [--jobs N] [--inner-jobs N] "
-               "[--solutions NAME[,NAME...]]\n"
-               "                       [--faults SPEC] "
-               "[--policy P] [--fault-horizon H]\n"
-               "                       [--profile] [--pool-trace out.json]\n";
+  std::cerr << kUsage;
   std::exit(code);
 }
 
@@ -252,6 +261,8 @@ constexpr Flag kFlags[] = {
     {"--policy", &Args::policy},
     {"--fault-horizon", &Args::fault_horizon},
     {"--solutions", &Args::solutions},
+    {"--preset", &Args::preset},
+    {"--csv-dir", &Args::csv_dir},
     {"--profile", &Args::profile},
     {"--pool-trace", &Args::pool_trace},
     {"--max-regress", &Args::max_regress},
@@ -617,72 +628,246 @@ int cmd_simulate(const Args& a) {
   return st.deadline_misses == 0 ? 0 : 1;
 }
 
+[[noreturn]] void does_not_apply(const std::string& command,
+                                 const std::string& flag,
+                                 const std::string& why = "") {
+  std::cerr << "vc2m " << command << ": " << flag << " does not apply"
+            << (why.empty() ? "" : " " + why) << "\n";
+  std::exit(2);
+}
+
+/// One sweep of an experiment: the arguments a preset fixes, and the CSV
+/// its table goes to under --csv-dir ("" for none).
+struct Sweep {
+  const char* platform;
+  const char* dist;
+  int vms;
+  double util_lo;
+  double step_factor;     ///< times --step
+  const char* solutions;  ///< "" = the five paper solutions
+  const char* csv;
+};
+
+/// The table a preset writes to each sweep's CSV: the sweep's fractions
+/// (Figs. 2 and 3), its mean seconds per solve (Fig. 4, followed by the
+/// allocator effort), or the VM-count table of every sweep so far.
+enum class PresetTable { kFractions, kRuntimes, kVmCount };
+
+/// A paper figure as fixed `vc2m experiment` arguments. Its --json report
+/// carries `report` as its name and the last sweep's arguments plus
+/// `extra_key` as its config.
+struct Preset {
+  const char* name;
+  std::span<const Sweep> sweeps;
+  PresetTable table;
+  const char* report;
+  const char* extra_key;  ///< "" = none
+  const char* extra_value;
+};
+
+constexpr Sweep kFig2[] = {
+    {"A", "uniform", 1, 0.1, 1, "", "fig2a_platform_A.csv"},
+    {"B", "uniform", 1, 0.1, 1, "", "fig2b_platform_B.csv"},
+    {"C", "uniform", 1, 0.1, 1, "", "fig2c_platform_C.csv"}};
+constexpr Sweep kFig3[] = {
+    {"A", "light", 1, 0.1, 1, "", "fig3a_bimodal_light.csv"},
+    {"A", "medium", 1, 0.1, 1, "", "fig3b_bimodal_medium.csv"},
+    {"A", "heavy", 1, 0.1, 1, "", "fig3c_bimodal_heavy.csv"}};
+constexpr Sweep kFig4[] = {
+    {"A", "uniform", 1, 0.1, 1, "", "fig4_running_time.csv"}};
+// The VM-count extension: Fig. 2(a) from 0.8 at twice the step, with the
+// tasks split over 1, 2 and 4 VMs. Its table spans the three sweeps, so
+// the last one writes it.
+constexpr Sweep kVmCount[] = {
+    {"A", "uniform", 1, 0.8, 2, "flat,ovf,baseline", ""},
+    {"A", "uniform", 2, 0.8, 2, "flat,ovf,baseline", ""},
+    {"A", "uniform", 4, 0.8, 2, "flat,ovf,baseline", "vm_count.csv"}};
+constexpr Preset kPresets[] = {
+    {"fig2", kFig2, PresetTable::kFractions, "fig2_platforms", "platform",
+     "A,B,C"},
+    {"fig3", kFig3, PresetTable::kFractions, "fig3_distributions",
+     "distributions", "bimodal-light,bimodal-medium,bimodal-heavy"},
+    {"fig4", kFig4, PresetTable::kRuntimes, "fig4_runtime", "", ""},
+    {"vm-count", kVmCount, PresetTable::kVmCount, "vm_count", "num_vms",
+     "1,2,4"}};
+
+/// Fig. 4's table: mean seconds per solve of the five paper solutions, to
+/// six digits, under the header scripts/plot_results.py labels lines with.
+util::Table runtime_table(const core::ExperimentResult& r) {
+  util::Table table({"util", "Heur(flat)", "Heur(ovf-free)", "Heur(existing)",
+                     "Evenly-part", "Baseline"});
+  table.set_precision(6);
+  for (const auto& pt : r.points) {
+    const auto& s = pt.per_solution;
+    table.add_row(pt.target_util, s[0].avg_seconds(), s[1].avg_seconds(),
+                  s[2].avg_seconds(), s[3].avg_seconds(), s[4].avg_seconds());
+  }
+  return table;
+}
+
+/// The VM-count table: the flat and ovf fractions of its three sweeps
+/// (1, 2 and 4 VMs) side by side, one row per utilization.
+util::Table vm_count_table(const std::vector<core::ExperimentResult>& r) {
+  util::Table table({"util", "flat 1VM", "flat 2VM", "flat 4VM", "ovf 1VM",
+                     "ovf 2VM", "ovf 4VM"});
+  for (std::size_t pi = 0; pi < r[0].points.size(); ++pi) {
+    const auto f = [&](std::size_t sweep, std::size_t solution) {
+      return r[sweep].points[pi].per_solution[solution].fraction();
+    };
+    table.add_row(r[0].points[pi].target_util, f(0, 0), f(1, 0), f(2, 0),
+                  f(0, 1), f(1, 1), f(2, 1));
+  }
+  return table;
+}
+
+/// The vc2m-bench-report/1 of an experiment (--json): the last sweep's
+/// arguments as config, effort counters and per-solve seconds over every
+/// sweep, the merged phase profile and the last sweep's pool telemetry.
+obs::BenchReport experiment_report(
+    const char* name, const std::vector<core::ExperimentResult>& results,
+    const util::AllocCounters& counters) {
+  const auto& cfg = results.back().cfg;
+  obs::BenchReport r;
+  r.name = name;
+  r.git_rev = obs::build_git_rev();
+  r.config["platform"] = cfg.platform.name;
+  r.config["tasksets"] = std::to_string(cfg.tasksets_per_point);
+  r.config["util_lo"] = std::to_string(cfg.util_lo);
+  r.config["util_hi"] = std::to_string(cfg.util_hi);
+  r.config["step"] = std::to_string(cfg.util_step);
+  r.config["seed"] = std::to_string(cfg.seed);
+  r.config["jobs"] = std::to_string(cfg.jobs);
+  r.config["inner_jobs"] = std::to_string(cfg.solve.inner_jobs);
+  std::string solutions;
+  for (const auto& s : cfg.solutions)
+    solutions += (solutions.empty() ? "" : ",") + s;
+  r.config["solutions"] = solutions;
+  obs::set_counters(r, counters);
+  r.phases = obs::merged_profile();
+  util::LogHistogram solve_seconds = results.front().solve_seconds;
+  for (std::size_t i = 1; i < results.size(); ++i)
+    solve_seconds.merge(results[i].solve_seconds);
+  r.histograms["solve_seconds"] = obs::HistogramSummary::of(solve_seconds);
+  r.pool = obs::PoolSummary::of(results.back().pool);
+  return r;
+}
+
 int cmd_experiment(const Args& a) {
+  const auto given = [&](std::string_view flag) {
+    return std::ranges::find(a.flags, flag) != a.flags.end();
+  };
+  const Preset* preset = nullptr;
+  if (given("--preset")) {
+    preset = util::find_row(kPresets, a.preset);
+    if (!preset) bad_value("--preset", a.preset, "fig2|fig3|fig4|vm-count");
+    for (const char* flag : {"--platform", "--dist", "--vms", "--util-lo",
+                             "--util-hi", "--solutions", "--faults"})
+      if (given(flag)) does_not_apply("experiment", flag, "with --preset");
+  } else if (given("--csv-dir")) {
+    does_not_apply("experiment", "--csv-dir", "without --preset");
+  }
+  if (a.faults.empty())
+    for (const char* flag : {"--policy", "--fault-horizon"})
+      if (given(flag)) does_not_apply("experiment", flag, "without --faults");
+  const int tasksets = preset && !given("--tasksets") ? 50 : a.tasksets;
+  const double step = preset && !given("--step") ? 0.05 : a.step;
+  if (tasksets < 1)
+    bad_value("--tasksets", std::to_string(tasksets), "must be >= 1");
+  if (!(step > 0)) bad_value("--step", std::to_string(step), "must be > 0");
   if (a.jobs < 0)
     throw util::Error("--jobs must be >= 0 (0 = hardware concurrency)");
   if (a.inner_jobs.value_or(1) < 0)
     throw util::Error("--inner-jobs must be >= 0 (0 = hardware concurrency)");
   if (!a.pool_trace.empty())
     util::ensure_output_path_writable(a.pool_trace, "pool trace");
-  if (a.profile) util::PhaseProfiler::set_enabled(true);
-  core::ExperimentConfig cfg;
-  cfg.platform = platform_of(a.platform);
-  cfg.dist = dist_of(a.dist);
-  cfg.util_lo = a.util_lo;
-  cfg.util_hi = a.util_hi;
-  cfg.util_step = a.step;
-  cfg.tasksets_per_point = a.tasksets;
-  cfg.num_vms = a.vms;
-  cfg.seed = a.seed;
-  cfg.jobs = a.jobs;
-  cfg.solve.inner_jobs = a.inner_jobs.value_or(1);
-  if (!a.solutions.empty()) cfg.solutions = solutions_of(a.solutions);
+  if (!a.json_out.empty())
+    util::ensure_output_path_writable(a.json_out, "bench report");
+  if (a.profile || !a.json_out.empty())
+    util::PhaseProfiler::set_enabled(true);
+  if (preset) std::filesystem::create_directories(a.csv_dir);
+  const Sweep from_flags{a.platform.c_str(), a.dist.c_str(), a.vms,
+                         a.util_lo, 1, a.solutions.c_str(), ""};
+  const auto sweeps =
+      preset ? preset->sweeps : std::span<const Sweep>(&from_flags, 1);
+  const auto table = preset ? preset->table : PresetTable::kFractions;
   if (!a.faults.empty()) {
     if (a.fault_horizon <= 0)
       throw util::Error("--fault-horizon must be >= 1");
-    cfg.validate = sim::make_fault_validator(
-        cfg.platform, sim::parse_fault_spec(a.faults),
-        enforcement_of(a.policy), a.fault_horizon);
     std::cout << "Fault validation: " << a.faults << ", policy " << a.policy
               << ", " << a.fault_horizon
               << " hyperperiod(s) — '+f' columns show the fraction still "
                  "schedulable under faults\n";
   }
 
-  std::cout << "Schedulability sweep on " << cfg.platform.name << ", dist "
-            << to_string(cfg.dist) << ", util " << cfg.util_lo << ".."
-            << cfg.util_hi << " step " << cfg.util_step << ", "
-            << cfg.tasksets_per_point << " tasksets/point, seed " << cfg.seed
-            << ", jobs "
-            << (cfg.jobs == 0
-                    ? util::ThreadPool::hardware_workers()
-                    : static_cast<unsigned>(cfg.jobs))
-            << "\n";
-  const auto result = core::run_schedulability_experiment(
-      cfg, [](int done, int total) {
-        std::cerr << "\r" << done << "/" << total
-                  << (done == total ? "\n" : "") << std::flush;
-      });
+  util::AllocCounterScope effort;  // summed over every sweep
+  std::vector<core::ExperimentResult> results;
+  for (const Sweep& sweep : sweeps) {
+    core::ExperimentConfig cfg;
+    cfg.platform = platform_of(sweep.platform);
+    cfg.dist = dist_of(sweep.dist);
+    cfg.util_lo = sweep.util_lo;
+    cfg.util_hi = a.util_hi;
+    cfg.util_step = step * sweep.step_factor;
+    cfg.tasksets_per_point = tasksets;
+    cfg.num_vms = sweep.vms;
+    cfg.seed = a.seed;
+    cfg.jobs = a.jobs;
+    cfg.solve.inner_jobs = a.inner_jobs.value_or(1);
+    if (*sweep.solutions) cfg.solutions = solutions_of(sweep.solutions);
+    if (!a.faults.empty())
+      cfg.validate = sim::make_fault_validator(
+          cfg.platform, sim::parse_fault_spec(a.faults),
+          enforcement_of(a.policy), a.fault_horizon);
 
-  result.to_table().print(std::cout, "fraction of schedulable tasksets");
-  util::Table summary({"solution", "breakdown util"});
-  summary.set_precision(2);
-  for (std::size_t si = 0; si < cfg.solutions.size(); ++si)
-    summary.add_row(strategy_of(cfg.solutions[si]).display,
-                    result.breakdown_utilization(si));
-  std::cout << '\n';
-  summary.print(std::cout);
+    std::cout << (results.empty() ? "" : "\n") << "Schedulability sweep on "
+              << cfg.platform.name
+              << ", dist " << to_string(cfg.dist) << ", " << cfg.num_vms
+              << " VM(s), util " << cfg.util_lo << ".." << cfg.util_hi
+              << " step " << cfg.util_step << ", " << cfg.tasksets_per_point
+              << " tasksets/point, seed " << cfg.seed << ", jobs "
+              << (cfg.jobs == 0 ? util::ThreadPool::hardware_workers()
+                                : static_cast<unsigned>(cfg.jobs))
+              << "\n";
+    const auto& result =
+        results.emplace_back(core::run_schedulability_experiment(
+            cfg, [](int done, int total) {
+              std::cerr << "\r" << done << "/" << total
+                        << (done == total ? "\n" : "") << std::flush;
+            }));
 
-  if (a.profile) {
-    print_profile();
-    print_pool(result.pool);
+    result.to_table().print(std::cout, "fraction of schedulable tasksets");
+    util::Table summary({"solution", "breakdown util"});
+    summary.set_precision(2);
+    for (std::size_t si = 0; si < cfg.solutions.size(); ++si)
+      summary.add_row(strategy_of(cfg.solutions[si]).display,
+                      result.breakdown_utilization(si));
+    std::cout << '\n';
+    summary.print(std::cout);
+    if (a.profile) print_pool(result.pool);
+    if (*sweep.csv) {
+      const auto t = table == PresetTable::kRuntimes ? runtime_table(result)
+                     : table == PresetTable::kVmCount ? vm_count_table(results)
+                                                      : result.to_table();
+      if (table != PresetTable::kFractions) {
+        std::cout << '\n';
+        t.print(std::cout, sweep.csv);
+      }
+      t.write_csv(a.csv_dir + "/" + sweep.csv);
+    }
   }
+  if (table == PresetTable::kRuntimes) {
+    std::cout << '\n';
+    obs::write_alloc_effort(std::cout, effort.counters());
+  }
+  if (preset) std::cout << "\nCSV series written to " << a.csv_dir << "/\n";
+
+  if (a.profile) print_profile();
   if (!a.pool_trace.empty()) {
     obs::TraceMeta meta;
     obs::CounterTrack executed{"pool/executed", {}};
     obs::CounterTrack steals{"pool/steals", {}};
     obs::CounterTrack pending{"pool/pending", {}};
-    for (const auto& s : result.pool_samples) {
+    for (const auto& s : results.back().pool_samples) {
       executed.samples.emplace_back(s.at, static_cast<double>(s.executed));
       steals.samples.emplace_back(s.at, static_cast<double>(s.steals));
       pending.samples.emplace_back(s.at, static_cast<double>(s.pending));
@@ -690,8 +875,16 @@ int cmd_experiment(const Args& a) {
     meta.counters = {std::move(executed), std::move(steals),
                      std::move(pending)};
     obs::write_trace_file(a.pool_trace, {}, meta);
-    std::cout << "Wrote " << result.pool_samples.size()
+    std::cout << "Wrote " << results.back().pool_samples.size()
               << " pool telemetry samples to " << a.pool_trace << "\n";
+  }
+  if (!a.json_out.empty()) {
+    auto report = experiment_report(preset ? preset->report : "experiment",
+                                    results, effort.counters());
+    if (preset && *preset->extra_key)
+      report.config[preset->extra_key] = preset->extra_value;
+    obs::write_bench_report_file(a.json_out, report);
+    std::cout << "Wrote bench report " << a.json_out << "\n";
   }
   return 0;
 }
@@ -1297,7 +1490,7 @@ constexpr Command kCommands[] = {
     {"experiment",
      "--platform --dist --vms --seed --tasksets --step --util-lo --util-hi "
      "--jobs --inner-jobs --solutions --faults --policy --fault-horizon "
-     "--profile --pool-trace",
+     "--profile --pool-trace --json --preset --csv-dir",
      cmd_experiment},
     {"serve",
      "--trace --platform --seed --journal --recover --snapshot-every "
@@ -1314,15 +1507,32 @@ constexpr Command kCommands[] = {
     {"validate", "", cmd_validate},
 };
 
-/// Every flag a command lists is in kFlags, and every flag in kFlags is
-/// listed by some command.
+/// Where `word` occurs in `text` followed by ' ', ']' or a newline (so
+/// "--util" is not found in "--util-lo"); npos if nowhere.
+constexpr std::size_t find_word(std::string_view text, std::string_view word) {
+  for (auto at = text.find(word); at != std::string_view::npos;
+       at = text.find(word, at + 1))
+    if (at + word.size() < text.size() &&
+        std::string_view(" ]\n").find(text[at + word.size()]) !=
+            std::string_view::npos)
+      return at;
+  return std::string_view::npos;
+}
+
+/// Every flag a command lists is in kFlags and on the command's usage
+/// lines (from "vc2m <command>" to the next "vc2m "), and every flag in
+/// kFlags is listed by some command.
 consteval bool commands_list_known_flags() {
   bool listed[std::size(kFlags)] = {};
   for (const Command& c : kCommands) {
+    const auto at = find_word(kUsage, std::string("vc2m ") + c.name);
+    if (at == std::string_view::npos) return false;
+    const auto lines = kUsage.substr(at, kUsage.find("vc2m ", at + 1) - at);
     for (std::string_view rest = c.flags; !rest.empty();) {
       const std::string_view name = rest.substr(0, rest.find(' '));
       const Flag* flag = util::find_row(kFlags, name);
-      if (!flag) return false;
+      if (!flag || find_word(lines, name) == std::string_view::npos)
+        return false;
       listed[flag - kFlags] = true;
       rest.remove_prefix(std::min(rest.size(), name.size() + 1));
     }
@@ -1330,7 +1540,7 @@ consteval bool commands_list_known_flags() {
   return std::ranges::all_of(listed, [](bool b) { return b; });
 }
 static_assert(commands_list_known_flags(),
-              "kCommands and kFlags disagree on a flag name");
+              "kCommands, kFlags and kUsage disagree on a flag name");
 
 /// The command `a` names, with every flag given checked against it.
 const Command& command_of(const Args& a) {
@@ -1346,10 +1556,8 @@ const Command& command_of(const Args& a) {
   }
   const std::string known = " " + std::string(cmd->flags) + " ";
   for (const auto& flag : a.flags)
-    if (known.find(" " + flag + " ") == std::string::npos) {
-      std::cerr << "vc2m " << name << ": " << flag << " does not apply\n";
-      std::exit(2);
-    }
+    if (known.find(" " + flag + " ") == std::string::npos)
+      does_not_apply(name, flag);
   return *cmd;
 }
 
