@@ -19,6 +19,7 @@
 #include "service/service.h"
 #include "service/trace_gen.h"
 #include "util/error.h"
+#include "util/hash.h"
 #include "util/instrument.h"
 #include "util/rng.h"
 
@@ -526,6 +527,41 @@ TEST(Service, RecoverToleratesTornTailAndForeignJournal) {
         ignored || w.find("different configuration") != std::string::npos;
   EXPECT_TRUE(ignored);
 
+  std::remove(wal.c_str());
+  std::remove((wal + ".snap").c_str());
+}
+
+TEST(Service, RecoverDiscardsASnapshotWithADoctoredVcpuIndex) {
+  const std::string wal = testing::TempDir() + "/vc2m_service_doctored.wal";
+  auto cfg = small_config(
+      "poisson:requests=200,interarrival-us=300,util=0.1..0.4,"
+      "remove-frac=0.3");
+  cfg.journal_path = wal;
+  cfg.snapshot_every = 10;
+  const auto base = run_service(cfg);
+  const std::string snap = read_file(wal + ".snap");
+  ASSERT_FALSE(snap.empty());
+
+  // Point the last member of the first `c` line past the VCPU list and
+  // re-sign the body, as a doctored (not a torn) file would be.
+  std::string body = snap.substr(0, snap.rfind("\nfnv=") + 1);
+  const auto vcpus = parse_snapshot(body).state.adm.vcpus.size();
+  const auto c_line = body.find("\nc ");
+  ASSERT_NE(c_line, std::string::npos);
+  const auto end = body.find('\n', c_line + 1);
+  const auto last = body.rfind(' ', end);
+  body.replace(last + 1, end - last - 1, std::to_string(vcpus));
+  std::ofstream(wal + ".snap", std::ios::binary | std::ios::trunc)
+      << body << "fnv=" << util::hex16(util::fnv1a(body)) << "\n";
+
+  cfg.recover = true;
+  const auto rec = run_service(cfg);
+  bool warned = false;
+  for (const auto& w : rec.warnings)
+    warned = warned || (w.find("snapshot") != std::string::npos &&
+                        w.find("VCPU index") != std::string::npos);
+  EXPECT_TRUE(warned);
+  EXPECT_EQ(report_text(rec.report), report_text(base.report));
   std::remove(wal.c_str());
   std::remove((wal + ".snap").c_str());
 }
