@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "util/record.h"
+
 namespace vc2m::obs {
 
 /// One request attempt's span. `kind` and `outcome` are the service's
@@ -43,8 +45,24 @@ struct RequestSpan {
   std::int64_t wall_ns = 0;      ///< informational wall clock; not checked
 };
 
-/// Pipe-separated text form, one span per payload — the format of the
-/// ring-buffer dump written next to the journal on crash/interrupt.
+/// A span's text form, `key=value` joined by '|' — the payload of the
+/// ring-buffer dump written next to the journal on crash/interrupt, and of
+/// a span trace's `vc2mSpans` array.
+template <util::RecordOf<RequestSpan> R, class V>
+void fields(R& s, V&& v) {
+  v("seq", s.seq);
+  v("attempt", s.attempt);
+  v("kind", s.kind);
+  v("outcome", s.outcome);
+  v("vm", s.vm);
+  v("queued_ns", s.queued_ns);
+  v("dequeued_ns", s.dequeued_ns);
+  v("solved_ns", s.solved_ns);
+  v("cost_ns", s.cost_ns);
+  v("latency_ns", s.latency_ns);
+  v("wall_ns", s.wall_ns);
+}
+
 std::string serialize(const RequestSpan& s);
 /// Strict parse; throws util::Error on any malformed field.
 RequestSpan parse_request_span(const std::string& payload);

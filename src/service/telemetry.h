@@ -26,11 +26,53 @@
 
 #include "obs/request_span.h"
 #include "util/log_histogram.h"
+#include "util/record.h"
 
 namespace vc2m::service {
 
 inline constexpr const char* kTimelineSchema = "vc2m-metrics-timeline/1";
 inline constexpr const char* kSpanDumpSchema = "vc2m-span-dump/1";
+
+/// The service's cumulative counters. The snapshot restores them whole,
+/// so anything derived from them (the timeline's decision count) restores
+/// too.
+struct Stats {
+  std::uint64_t arrivals = 0, admitted = 0, rejected = 0, probe_rejected = 0,
+                removed = 0, resized = 0, resize_rejected = 0, not_present = 0,
+                deferred = 0, retries = 0, shed = 0, timed_out = 0,
+                downgrades = 0, queue_max_depth = 0, backpressure = 0,
+                decision_events = 0, decision_dropped = 0,
+                // Cumulative allocator effort, folded from the journal's
+                // per-record deltas on replay so the metrics timeline is
+                // replay-stable even for decisions whose solver run is
+                // skipped.
+                dbf_evals = 0, budget_evals = 0, admission_tests = 0;
+};
+
+/// The snapshot's `stats=` line, in this order.
+template <util::RecordOf<Stats> R, class V>
+void fields(R& s, V&& v) {
+  v("arrivals", s.arrivals);
+  v("admitted", s.admitted);
+  v("rejected", s.rejected);
+  v("probe_rejected", s.probe_rejected);
+  v("removed", s.removed);
+  v("resized", s.resized);
+  v("resize_rejected", s.resize_rejected);
+  v("not_present", s.not_present);
+  v("deferred", s.deferred);
+  v("retries", s.retries);
+  v("shed", s.shed);
+  v("timed_out", s.timed_out);
+  v("downgrades", s.downgrades);
+  v("queue_max_depth", s.queue_max_depth);
+  v("backpressure", s.backpressure);
+  v("decision_events", s.decision_events);
+  v("decision_dropped", s.decision_dropped);
+  v("dbf_evals", s.dbf_evals);
+  v("budget_evals", s.budget_evals);
+  v("admission_tests", s.admission_tests);
+}
 
 /// One timeline sample: the service's externally observable state after
 /// `served` decisions. Every counter is cumulative — including the
@@ -44,19 +86,9 @@ struct MetricsSample {
   std::uint64_t queue_depth = 0;
   std::uint64_t retry_depth = 0;
   std::int64_t est_ns_per_task = 0;  ///< EWMA solver-cost estimate
-  std::uint64_t arrivals = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t probe_rejected = 0;
-  std::uint64_t deferred = 0;
-  std::uint64_t timed_out = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t downgrades = 0;
-  std::uint64_t backpressure = 0;
+  /// The service's counters; a sample carries those sample_counters lists.
+  Stats stats;
   std::uint64_t commits = 0;
-  std::uint64_t dbf_evals = 0;        ///< cumulative dbf_evaluations
-  std::uint64_t budget_evals = 0;     ///< cumulative budget_evaluations
-  std::uint64_t admission_tests = 0;  ///< cumulative admission_tests
   /// Per-outcome-class latency histograms (µs), cumulative. Classes:
   /// admitted = {admitted, removed, resized}; rejected = {rejected,
   /// probe_rejected, resize_rejected, not_present, timed_out}; deferred =
@@ -64,13 +96,40 @@ struct MetricsSample {
   util::LogHistogram lat_admitted, lat_rejected, lat_deferred, lat_shed;
 };
 
-/// Exact text round-trip of a histogram's internal state:
-/// "<count> <nonpositive> <sum_bits> <min_bits> <max_bits> <npairs>
-/// i:c..." with doubles as 16-hex-digit bit patterns. Shared by the
-/// timeline samples and the service snapshot.
-std::string serialize_histogram(const util::LogHistogram& h);
-/// Strict parse; throws util::Error on any malformed field.
-util::LogHistogram parse_histogram(std::string_view text);
+/// A sample's cumulative counters, in wire order; check_timeline holds
+/// each one non-decreasing.
+template <util::RecordOf<MetricsSample> R, class V>
+void sample_counters(R& s, V&& v) {
+  v("arrivals", s.stats.arrivals);
+  v("admitted", s.stats.admitted);
+  v("rejected", s.stats.rejected);
+  v("probe_rejected", s.stats.probe_rejected);
+  v("deferred", s.stats.deferred);
+  v("timed_out", s.stats.timed_out);
+  v("shed", s.stats.shed);
+  v("downgrades", s.stats.downgrades);
+  v("backpressure", s.stats.backpressure);
+  v("commits", s.commits);
+  v("dbf", s.stats.dbf_evals);
+  v("budget", s.stats.budget_evals);
+  v("adm", s.stats.admission_tests);
+}
+
+/// A timeline sample's payload, `key=value` joined by '|'.
+template <util::RecordOf<MetricsSample> R, class V>
+void fields(R& s, V&& v) {
+  v("sample", s.index);
+  v("served", s.served);
+  v("vt_ns", s.vt_ns);
+  v("queue", s.queue_depth);
+  v("retry", s.retry_depth);
+  v("est", s.est_ns_per_task);
+  sample_counters(s, v);
+  v("lat_admitted", s.lat_admitted);
+  v("lat_rejected", s.lat_rejected);
+  v("lat_deferred", s.lat_deferred);
+  v("lat_shed", s.lat_shed);
+}
 
 std::string serialize(const MetricsSample& s);
 /// Strict parse; throws util::Error on any malformed field.
