@@ -40,7 +40,6 @@ struct TraceMeta {
   unsigned num_cores = 0;            ///< 0: inferred from the events
   std::vector<int> vcpu_core;        ///< per VCPU; -1 = unknown
   std::vector<int> vcpu_vm;          ///< per VCPU; -1 = unknown
-  std::vector<std::string> task_labels;  ///< optional, per task
   /// Optional counter tracks shown as a separate "telemetry" process.
   /// Empty (the default) emits nothing, so existing golden traces are
   /// byte-identical.
