@@ -277,6 +277,35 @@ serve_smoke() {
            return 1; }
   done
 
+  echo "--- serve: a doctored, re-signed snapshot is discarded on --recover ---"
+  # A c-line member index past the VCPU count, with a valid fnv= line: the
+  # checksum passes, the strict reader refuses it, and recovery recomputes.
+  cp "$work/base.wal" "$work/doc.wal"
+  python3 - "$work/base.wal.snap" "$work/doc.wal.snap" <<'EOF'
+import sys
+text = open(sys.argv[1], "rb").read()
+body = text[:text.rindex(b"\nfnv=") + 1]
+lines = body.split(b"\n")
+vcpus = int(next(l for l in lines if l.startswith(b"vcpus="))[6:])
+c = next(i for i, l in enumerate(lines) if l.startswith(b"c "))
+words = lines[c].split(b" ")
+words[-1] = str(vcpus).encode()
+lines[c] = b" ".join(words)
+body = b"\n".join(lines)
+h = 0xcbf29ce484222325
+for byte in body:
+    h = ((h ^ byte) * 0x100000001b3) % 2**64
+open(sys.argv[2], "wb").write(body + b"fnv=%016x\n" % h)
+EOF
+  rc=0
+  ASAN_OPTIONS=abort_on_error=1 "$vc2m" serve "${args[@]}" \
+    --journal "$work/doc.wal" --recover --json "$work/doctored.json" \
+    > /dev/null 2> "$work/doc-err.txt" || rc=$?
+  [ "$rc" -eq 0 ] && grep -q "snapshot .* did not parse" "$work/doc-err.txt" \
+    && cmp "$work/doctored.json" "$work/base.json" \
+    || { echo "doctored snapshot: rc $rc, want 0, a warning and the baseline:"
+         cat "$work/doc-err.txt"; return 1; }
+
   echo "--- fuzz: corrupted/truncated journals must recover cleanly ---"
   # base.wal (+ its snapshot) is a complete run; recovery replays it in
   # full. Any torn tail or flipped byte may cost records — recovery then
@@ -531,6 +560,34 @@ perf_smoke() {
     [ -s "$work/fig2/$f.csv" ] || { echo "--preset fig2 wrote no $f.csv"; return 1; }
   done
   "$vc2m" validate "$work/BENCH_fig2.json"
+
+  echo "--- a multi-sweep preset's pool covers every sweep ---"
+  local p
+  for p in A B C; do
+    "$vc2m" experiment --platform "$p" --tasksets 2 --step 0.5 \
+      --json "$work/BENCH_$p.json" > /dev/null 2>&1
+  done
+  python3 - "$work"/BENCH_{fig2,A,B,C}.json <<'EOF'
+import json, sys
+executed = [sum(w["executed"] for w in json.load(open(f))["pool"]["workers"])
+            for f in sys.argv[1:]]
+if executed[0] != sum(executed[1:]):
+    sys.exit(f"fig2 pool executed {executed[0]}, its three sweeps "
+             f"{executed[1:]}")
+EOF
+
+  echo "--- perfdiff: plain experiments of different sweeps differ in config ---"
+  "$vc2m" experiment --tasksets 2 --step 0.5 --jobs 1 \
+    --json "$work/BENCH_uniform.json" > /dev/null 2>&1
+  "$vc2m" experiment --tasksets 2 --step 0.5 --jobs 1 --dist heavy --vms 4 \
+    --json "$work/BENCH_heavy.json" > /dev/null 2>&1
+  rc=0
+  "$vc2m" perfdiff "$work/BENCH_uniform.json" "$work/BENCH_heavy.json" \
+    > "$work/sweeps.out" 2>&1 || rc=$?
+  [ "$rc" -eq 2 ] && grep -q "dist: 'uniform' vs 'heavy'" "$work/sweeps.out" \
+    && grep -q "vms: '1' vs '4'" "$work/sweeps.out" \
+    || { echo "perfdiff compared unlike sweeps (exit $rc):"
+         cat "$work/sweeps.out"; return 1; }
 
   "$1/bench/bench_micro_ops" --smoke --json "$work/BENCH_smoke.json" \
     > /dev/null
