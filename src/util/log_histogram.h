@@ -15,6 +15,8 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/error.h"
@@ -133,48 +135,17 @@ class LogHistogram {
   const std::vector<std::uint64_t>& bucket_counts() const { return counts_; }
   std::uint64_t nonpositive_count() const { return nonpositive_; }
 
-  /// Full internal state, for durable checkpoints (the admission-service
-  /// snapshot persists its latency histogram and must restore it exactly —
-  /// re-adding bucket midpoints would round-trip through log2/exp2 and
-  /// could land one bucket off). `counts` holds only the non-zero buckets
-  /// as (index, count) pairs.
-  struct Snapshot {
-    Config cfg;
-    std::uint64_t count = 0;
-    std::uint64_t nonpositive = 0;
-    double sum = 0;
-    double min = 0;
-    double max = 0;
-    std::vector<std::pair<std::size_t, std::uint64_t>> counts;
-  };
-
-  Snapshot snapshot() const {
-    Snapshot s;
-    s.cfg = cfg_;
-    s.count = count_;
-    s.nonpositive = nonpositive_;
-    s.sum = sum_;
-    s.min = min_;
-    s.max = max_;
-    for (std::size_t i = 0; i < counts_.size(); ++i)
-      if (counts_[i]) s.counts.emplace_back(i, counts_[i]);
-    return s;
-  }
-
-  static LogHistogram from_snapshot(const Snapshot& s) {
-    LogHistogram h(s.cfg);
-    h.count_ = s.count;
-    h.nonpositive_ = s.nonpositive;
-    h.sum_ = s.sum;
-    h.min_ = s.min;
-    h.max_ = s.max;
-    for (const auto& [i, c] : s.counts) {
-      VC2M_CHECK_MSG(i < h.counts_.size(),
-                     "LogHistogram snapshot bucket index out of range");
-      h.counts_[i] = c;
-    }
-    return h;
-  }
+  /// The exact internal state as text, for durable checkpoints (the
+  /// service snapshot and the metrics timeline restore their latency
+  /// histograms exactly — re-adding bucket midpoints would round-trip
+  /// through log2/exp2 and could land one bucket off):
+  /// "<count> <nonpositive> <sum_bits> <min_bits> <max_bits> <npairs>
+  /// i:c..." with doubles as 16-hex-digit bit patterns and only the
+  /// non-zero buckets, in ascending index order.
+  std::string text() const;
+  /// The strict inverse of text() under the default Config; throws
+  /// util::Error on anything text() does not write.
+  static LogHistogram parse(std::string_view text);
 
  private:
   std::size_t bucket_index(double x) const {
