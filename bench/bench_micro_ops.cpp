@@ -28,6 +28,7 @@
 #include "core/vm_alloc.h"
 #include "model/platform.h"
 #include "obs/bench_report.h"
+#include "obs/json.h"
 #include "util/instrument.h"
 #include "util/log_histogram.h"
 #include "util/phase_profiler.h"
@@ -316,7 +317,7 @@ int run_smoke(const std::string& json_path) {
       return obs::HistogramSummary::of(h);
     }();
     r.histograms["dbf_eval_seconds"] = obs::HistogramSummary::of(dbf_seconds);
-    obs::write_bench_report_file(json_path, r);
+    obs::json::write_file(json_path, r, "bench report");
     std::cout << "bench report: " << json_path << "\n";
   }
   return ok ? 0 : 1;

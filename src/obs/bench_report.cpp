@@ -9,53 +9,10 @@
 
 #include "obs/json.h"
 #include "util/error.h"
-#include "util/file.h"
 
 namespace vc2m::obs {
 
 namespace {
-
-// The JSON primitives live in obs/json.{h,cpp}, shared with the explain
-// report; these aliases keep the writer below readable.
-std::string json_escape(const std::string& s) { return json::escape(s); }
-std::string num(double v) { return json::number(v); }
-
-void write_phase(std::ostream& os, const PhaseStats& p, int indent) {
-  const std::string pad(static_cast<std::size_t>(indent), ' ');
-  os << pad << "{\"name\": \"" << json_escape(p.name)
-     << "\", \"count\": " << p.count << ", \"total_sec\": " << num(p.total_sec)
-     << ", \"self_sec\": " << num(p.self_sec) << ", \"children\": [";
-  for (std::size_t i = 0; i < p.children.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n");
-    write_phase(os, p.children[i], indent + 2);
-  }
-  if (!p.children.empty()) os << "\n" << pad;
-  os << "]}";
-}
-
-// The reader parses through obs::json (strict: duplicate keys and
-// non-finite numbers are rejected with byte offsets).
-using JsonValue = json::Value;
-using Kind = JsonValue::Kind;
-
-const std::string kWhat = "bench report JSON";
-
-PhaseStats parse_phase(const JsonValue& v, std::vector<std::string>* notes) {
-  VC2M_CHECK_MSG(v.kind == Kind::kObject,
-                 "bench report JSON: phase entries must be objects");
-  PhaseStats p;
-  p.name = v.get_string("name", kWhat);
-  json::note_unknown_fields(
-      v, {"name", "count", "total_sec", "self_sec", "children"},
-      kWhat + ": phase '" + p.name + "'", notes);
-  p.count = v.get_count("count", kWhat);
-  p.total_sec = v.get_number("total_sec", kWhat);
-  p.self_sec = v.get_number("self_sec", kWhat);
-  if (const JsonValue* kids = v.find("children", Kind::kArray, kWhat))
-    for (const auto& c : kids->array)
-      p.children.push_back(parse_phase(c, notes));
-  return p;
-}
 
 /// Counters where growth means the run did *better* (more reuse, more
 /// admissions) or that measure solution quality rather than effort — the
@@ -75,61 +32,6 @@ bool counter_exempt(const std::string& name) {
 }
 
 }  // namespace
-
-HistogramSummary HistogramSummary::of(const util::LogHistogram& h) {
-  HistogramSummary out;
-  out.count = h.count();
-  if (h.empty()) return out;
-  out.mean = h.mean();
-  out.min = h.min();
-  out.max = h.max();
-  out.p50 = h.quantile(0.50);
-  out.p90 = h.quantile(0.90);
-  out.p95 = h.quantile(0.95);
-  out.p99 = h.quantile(0.99);
-  return out;
-}
-
-HistogramSummary HistogramSummary::of(const util::SampleStats& s) {
-  HistogramSummary out;
-  out.count = s.count();
-  if (s.empty()) return out;
-  out.mean = s.mean();
-  out.min = s.min();
-  out.max = s.max();
-  out.p50 = s.p(0.50);
-  out.p90 = s.p(0.90);
-  out.p95 = s.p(0.95);
-  out.p99 = s.p(0.99);
-  return out;
-}
-
-void HistogramSummary::write_json(std::ostream& os) const {
-  os << "{\"count\": " << count << ", \"mean\": " << num(mean)
-     << ", \"min\": " << num(min) << ", \"max\": " << num(max)
-     << ", \"p50\": " << num(p50) << ", \"p90\": " << num(p90)
-     << ", \"p95\": " << num(p95) << ", \"p99\": " << num(p99) << "}";
-}
-
-HistogramSummary HistogramSummary::read_json(const json::Value& v,
-                                             const std::string& what,
-                                             std::vector<std::string>* notes) {
-  VC2M_CHECK_MSG(v.kind == json::Value::Kind::kObject,
-                 what << ": histogram entries must be objects");
-  json::note_unknown_fields(
-      v, {"count", "mean", "min", "max", "p50", "p90", "p95", "p99"}, what,
-      notes);
-  HistogramSummary h;
-  h.count = v.get_count("count", what);
-  h.mean = v.get_number("mean", what);
-  h.min = v.get_number("min", what);
-  h.max = v.get_number("max", what);
-  h.p50 = v.get_number("p50", what);
-  h.p90 = v.get_number("p90", what);
-  h.p95 = v.get_number("p95", what);
-  h.p99 = v.get_number("p99", what);
-  return h;
-}
 
 PoolSummary PoolSummary::of(const util::PoolTelemetry& t) {
   PoolSummary out;
@@ -172,113 +74,14 @@ void set_counters(BenchReport& r, const util::AllocCounters& c) {
 }
 
 void write_bench_report(std::ostream& os, const BenchReport& r) {
-  os << "{\n";
-  os << "\"schema\": \"" << json_escape(r.schema) << "\",\n";
-  os << "\"name\": \"" << json_escape(r.name) << "\",\n";
-  os << "\"git_rev\": \"" << json_escape(r.git_rev) << "\",\n";
-
-  os << "\"config\": {";
-  bool first = true;
-  for (const auto& [k, v] : r.config) {
-    os << (first ? "\n" : ",\n") << "  \"" << json_escape(k) << "\": \""
-       << json_escape(v) << "\"";
-    first = false;
-  }
-  os << (first ? "" : "\n") << "},\n";
-
-  os << "\"counters\": {";
-  first = true;
-  for (const auto& [k, v] : r.counters) {
-    os << (first ? "\n" : ",\n") << "  \"" << json_escape(k)
-       << "\": " << num(v);
-    first = false;
-  }
-  os << (first ? "" : "\n") << "},\n";
-
-  os << "\"phases\": [";
-  for (std::size_t i = 0; i < r.phases.children.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n");
-    write_phase(os, r.phases.children[i], 2);
-  }
-  os << (r.phases.children.empty() ? "" : "\n") << "],\n";
-
-  os << "\"histograms\": {";
-  first = true;
-  for (const auto& [k, h] : r.histograms) {
-    os << (first ? "\n" : ",\n") << "  \"" << json_escape(k) << "\": ";
-    h.write_json(os);
-    first = false;
-  }
-  os << (first ? "" : "\n") << "},\n";
-
-  os << "\"pool\": {\"workers\": [";
-  for (std::size_t i = 0; i < r.pool.workers.size(); ++i) {
-    const auto& w = r.pool.workers[i];
-    os << (i == 0 ? "\n" : ",\n") << "  {\"executed\": " << w.executed
-       << ", \"steals\": " << w.steals << ", \"idle_sec\": " << num(w.idle_sec)
-       << ", \"max_queue\": " << w.max_queue << "}";
-  }
-  os << (r.pool.workers.empty() ? "" : "\n") << "]}\n";
-  os << "}\n";
-}
-
-void write_bench_report_file(const std::string& path, const BenchReport& r) {
-  auto f = util::open_output_file(path, "bench report");
-  write_bench_report(f, r);
-  util::close_output_file(f, path, "bench report");
+  json::write(os, r);
 }
 
 BenchReport read_bench_report(std::istream& is,
                               std::vector<std::string>* notes) {
-  const JsonValue root = json::parse_object(is, "bench report");
-  json::note_unknown_fields(root,
-                            {"schema", "name", "git_rev", "config", "counters",
-                             "phases", "histograms", "pool"},
-                            kWhat, notes);
-
-  BenchReport r;
-  r.schema = root.get_string("schema", kWhat);
+  BenchReport r = json::read<BenchReport>(is, "bench report", notes);
   VC2M_CHECK_MSG(r.schema == kBenchReportSchema,
                  "not a vc2m bench report (schema '" << r.schema << "')");
-  r.name = root.get_string("name", kWhat);
-  r.git_rev = root.get_string("git_rev", kWhat);
-
-  r.config = root.get_string_map("config", kWhat);
-  if (const JsonValue* ctr = root.find("counters", Kind::kObject, kWhat)) {
-    json::check_sorted_keys(*ctr, "counters", kWhat);
-    for (const auto& [k, v] : ctr->object) {
-      VC2M_CHECK_MSG(v.kind == Kind::kNumber,
-                     "bench report JSON: counter values must be numbers");
-      r.counters[k] = v.number;
-    }
-  }
-  if (const JsonValue* ph = root.find("phases", Kind::kArray, kWhat))
-    for (const auto& p : ph->array)
-      r.phases.children.push_back(parse_phase(p, notes));
-  if (const JsonValue* hs = root.find("histograms", Kind::kObject, kWhat)) {
-    json::check_sorted_keys(*hs, "histograms", kWhat);
-    for (const auto& [k, v] : hs->object)
-      r.histograms[k] = HistogramSummary::read_json(
-          v, kWhat + ": histogram '" + k + "'", notes);
-  }
-  if (const JsonValue* pool = root.find("pool", Kind::kObject, kWhat)) {
-    json::note_unknown_fields(*pool, {"workers"}, kWhat + ": pool", notes);
-    if (const JsonValue* ws = pool->find("workers", Kind::kArray, kWhat)) {
-      for (const auto& w : ws->array) {
-        VC2M_CHECK_MSG(w.kind == Kind::kObject,
-                       "bench report JSON: pool workers must be objects");
-        json::note_unknown_fields(
-            w, {"executed", "steals", "idle_sec", "max_queue"},
-            kWhat + ": pool worker", notes);
-        PoolSummary::Worker out;
-        out.executed = w.get_count("executed", kWhat);
-        out.steals = w.get_count("steals", kWhat);
-        out.idle_sec = w.get_number("idle_sec", kWhat);
-        out.max_queue = w.get_count("max_queue", kWhat);
-        r.pool.workers.push_back(out);
-      }
-    }
-  }
   return r;
 }
 

@@ -9,11 +9,11 @@
 // two reports per-phase and per-counter and exits nonzero on regression —
 // the gate scripts/check.sh runs on every bench smoke.
 //
-// The reader is a small recursive-descent JSON parser (obs/json.h, no
-// third-party dependency); it accepts exactly the documents the writer
-// produces plus ordinary whitespace variations, and rejects duplicate
-// object keys and non-finite numbers with a byte-offset error instead of
-// silently accepting a corrupted report.
+// The report's members are declared once, in `fields` below, and written
+// and read through obs/json.h: the reader accepts exactly the documents
+// the writer produces plus ordinary whitespace variations, and rejects
+// duplicate object keys and non-finite numbers with a byte-offset error
+// instead of silently accepting a corrupted report.
 #pragma once
 
 #include <cstdint>
@@ -25,14 +25,11 @@
 #include "obs/profiler.h"
 #include "util/instrument.h"
 #include "util/log_histogram.h"
+#include "util/record.h"
 #include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace vc2m::obs {
-
-namespace json {
-struct Value;
-}
 
 /// Fixed-quantile summary of a latency distribution — enough for the diff
 /// gate without shipping raw buckets.
@@ -46,16 +43,28 @@ struct HistogramSummary {
   double p95 = 0;
   double p99 = 0;
 
-  static HistogramSummary of(const util::LogHistogram& h);
-  static HistogramSummary of(const util::SampleStats& s);
-
-  /// The JSON object form shared by the bench and serve reports.
-  void write_json(std::ostream& os) const;
-  /// Unknown members are reported through `notes` (when given).
-  static HistogramSummary read_json(const json::Value& v,
-                                    const std::string& what,
-                                    std::vector<std::string>* notes = nullptr);
+  /// The summary of a util::LogHistogram or util::SampleStats.
+  template <class H>
+  static HistogramSummary of(const H& h) {
+    if (h.empty()) return {h.count()};
+    return {h.count(), h.mean(),   h.min(),    h.max(),
+            h.p(0.50), h.p(0.90), h.p(0.95), h.p(0.99)};
+  }
 };
+
+/// The JSON members of a histogram summary, shared by the bench and serve
+/// reports (obs/json.h).
+template <util::RecordOf<HistogramSummary> R, class V>
+void fields(R& h, V&& v) {
+  v("count", h.count);
+  v("mean", h.mean);
+  v("min", h.min);
+  v("max", h.max);
+  v("p50", h.p50);
+  v("p90", h.p90);
+  v("p95", h.p95);
+  v("p99", h.p99);
+}
 
 /// Thread-pool telemetry as report data (idle time in seconds).
 struct PoolSummary {
@@ -86,6 +95,42 @@ struct BenchReport {
   PoolSummary pool;
 };
 
+// The bench report's JSON members (obs/json.h), in wire order.
+
+template <util::RecordOf<PhaseStats> R, class V>
+void fields(R& p, V&& v) {
+  v("name", p.name);
+  v("count", p.count);
+  v("total_sec", p.total_sec);
+  v("self_sec", p.self_sec);
+  v("children", p.children);
+}
+
+template <util::RecordOf<PoolSummary::Worker> R, class V>
+void fields(R& w, V&& v) {
+  v("executed", w.executed);
+  v("steals", w.steals);
+  v("idle_sec", w.idle_sec);
+  v("max_queue", w.max_queue);
+}
+
+template <util::RecordOf<PoolSummary> R, class V>
+void fields(R& p, V&& v) {
+  v("workers", p.workers);
+}
+
+template <util::RecordOf<BenchReport> R, class V>
+void fields(R& r, V&& v) {
+  v("schema", r.schema);
+  v("name", r.name);
+  v("git_rev", r.git_rev);
+  v("config", r.config);
+  v("counters", r.counters);
+  v("phases", r.phases.children);
+  v("histograms", r.histograms);
+  v("pool", r.pool);
+}
+
 /// The git revision baked in at configure time ("unknown" outside a
 /// checkout).
 std::string build_git_rev();
@@ -95,11 +140,11 @@ std::string build_git_rev();
 void set_counters(BenchReport& r, const util::AllocCounters& c);
 
 void write_bench_report(std::ostream& os, const BenchReport& r);
-void write_bench_report_file(const std::string& path, const BenchReport& r);
 
-/// Throws util::Error on malformed JSON, a schema the reader does not
-/// understand, or counters/histograms/config keys out of ascending order.
-/// Unknown fields at any level are reported through `notes` (when given).
+/// Throws util::Error on malformed JSON, a missing member, a schema the
+/// reader does not understand, or counters/histograms/config keys out of
+/// ascending order. Unknown fields at any level are reported through
+/// `notes` (when given).
 BenchReport read_bench_report(std::istream& is,
                               std::vector<std::string>* notes = nullptr);
 

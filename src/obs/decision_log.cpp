@@ -7,30 +7,6 @@
 namespace vc2m::obs {
 namespace {
 
-// Index-aligned with the enums; append-only, like the enums themselves.
-constexpr const char* kKindNames[] = {
-    "solve_begin",     "vm_outcome",        "budget_search",
-    "budget_point",    "bin_pack",          "vcpu_screen",
-    "capacity_screen", "packing_candidate", "partition_grant",
-    "grant_exhausted", "migration",         "hv_attempt",
-    "admit_placement", "admit_verdict",     "exact_partition",
-    "verdict",
-};
-
-constexpr const char* kConstraintNames[] = {
-    "none",
-    "no_feasible_budget",
-    "task_overflows_vcpu",
-    "vcpu_exceeds_core",
-    "utilization_exceeds_cores",
-    "core_over_utilized",
-    "cache_pool_exhausted",
-    "bw_pool_exhausted",
-    "no_beneficial_grant",
-    "core_limit",
-    "no_feasible_partition",
-};
-
 std::string fmt(const char* format, double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, format, v);
@@ -40,20 +16,20 @@ std::string fmt(const char* format, double v) {
 }  // namespace
 
 const char* to_string(DecisionKind k) {
-  return util::enum_name(kKindNames, k);
+  return util::enum_name(kDecisionKindNames, k);
 }
 
 const char* to_string(DecisionConstraint c) {
-  return util::enum_name(kConstraintNames, c);
+  return util::enum_name(kDecisionConstraintNames, c);
 }
 
 bool decision_kind_from_string(const std::string& s, DecisionKind& out) {
-  return util::enum_from_name(kKindNames, s, out);
+  return util::enum_from_name(kDecisionKindNames, s, out);
 }
 
 bool decision_constraint_from_string(const std::string& s,
                                      DecisionConstraint& out) {
-  return util::enum_from_name(kConstraintNames, s, out);
+  return util::enum_from_name(kDecisionConstraintNames, s, out);
 }
 
 std::string describe(const DecisionEvent& e) {

@@ -36,7 +36,8 @@
 namespace vc2m::obs {
 
 /// What kind of step a DecisionEvent records. Values are append-only: the
-/// vc2m-explain-report/1 schema serializes them by name (decision_log.cpp).
+/// vc2m-explain-report/1 schema serializes them by name
+/// (kDecisionKindNames).
 enum class DecisionKind : std::uint8_t {
   kSolveBegin,      ///< one solve() starts: value = task count
   kVmOutcome,       ///< VM-level phase done: value = VCPU count (0 = failed)
@@ -69,6 +70,30 @@ enum class DecisionConstraint : std::uint8_t {
   kNoBeneficialGrant,      ///< no remaining grant reduces utilization
   kCoreLimit,              ///< no more physical cores to open
   kNoFeasiblePartition,    ///< exact search: no resource split fits
+};
+
+/// The enums' stable names, index-aligned with them and append-only like
+/// them: the vc2m-explain-report/1 schema spells them.
+inline constexpr const char* kDecisionKindNames[] = {
+    "solve_begin",     "vm_outcome",        "budget_search",
+    "budget_point",    "bin_pack",          "vcpu_screen",
+    "capacity_screen", "packing_candidate", "partition_grant",
+    "grant_exhausted", "migration",         "hv_attempt",
+    "admit_placement", "admit_verdict",     "exact_partition",
+    "verdict",
+};
+inline constexpr const char* kDecisionConstraintNames[] = {
+    "none",
+    "no_feasible_budget",
+    "task_overflows_vcpu",
+    "vcpu_exceeds_core",
+    "utilization_exceeds_cores",
+    "core_over_utilized",
+    "cache_pool_exhausted",
+    "bw_pool_exhausted",
+    "no_beneficial_grant",
+    "core_limit",
+    "no_feasible_partition",
 };
 
 /// One recorded decision. Field use depends on `kind` (see the emit sites

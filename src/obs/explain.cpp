@@ -12,7 +12,6 @@
 #include "obs/bench_report.h"
 #include "obs/json.h"
 #include "util/error.h"
-#include "util/file.h"
 
 namespace vc2m::obs {
 
@@ -181,49 +180,6 @@ HeadroomReport build_headroom(const core::SolveResult& result,
   return h;
 }
 
-// ---------------------------------------------------------------------------
-// JSON (schema "vc2m-explain-report/1", written in the bench-report style).
-
-void write_event(std::ostream& os, const DecisionEvent& e) {
-  os << "{\"kind\": \"" << to_string(e.kind) << "\", \"accepted\": "
-     << (e.accepted ? "true" : "false") << ", \"constraint\": \""
-     << to_string(e.constraint) << "\", \"vm\": " << e.vm
-     << ", \"entity\": " << e.entity << ", \"core\": " << e.core
-     << ", \"cache\": " << e.cache << ", \"bw\": " << e.bw
-     << ", \"value\": " << json::number(e.value)
-     << ", \"margin\": " << json::number(e.margin) << "}";
-}
-
-using Kind = json::Value::Kind;
-const std::string kWhat = "explain report JSON";
-
-DecisionEvent parse_event(const json::Value& v,
-                          std::vector<std::string>* notes) {
-  VC2M_CHECK_MSG(v.kind == Kind::kObject,
-                 "explain report JSON: events must be objects");
-  json::note_unknown_fields(v,
-                            {"kind", "accepted", "constraint", "vm", "entity",
-                             "core", "cache", "bw", "value", "margin"},
-                            kWhat + ": event", notes);
-  DecisionEvent e;
-  const std::string kind = v.get_string("kind", kWhat);
-  VC2M_CHECK_MSG(decision_kind_from_string(kind, e.kind),
-                 "explain report JSON: unknown event kind '" << kind << "'");
-  e.accepted = v.get_bool("accepted", kWhat);
-  const std::string constraint = v.get_string("constraint", kWhat);
-  VC2M_CHECK_MSG(decision_constraint_from_string(constraint, e.constraint),
-                 "explain report JSON: unknown constraint '" << constraint
-                                                             << "'");
-  e.vm = v.get_int<std::int32_t>("vm", kWhat);
-  e.entity = v.get_int<std::int32_t>("entity", kWhat);
-  e.core = v.get_int<std::int32_t>("core", kWhat);
-  e.cache = v.get_int<std::int32_t>("cache", kWhat);
-  e.bw = v.get_int<std::int32_t>("bw", kWhat);
-  e.value = v.get_number("value", kWhat);
-  e.margin = v.get_number("margin", kWhat);
-  return e;
-}
-
 }  // namespace
 
 ExplainReport build_explain_report(const DecisionLog& log,
@@ -285,131 +241,14 @@ ExplainReport explain_solve(const core::Strategy& strategy,
 }
 
 void write_explain_report(std::ostream& os, const ExplainReport& r) {
-  os << "{\n";
-  os << "\"schema\": \"" << json::escape(r.schema) << "\",\n";
-  os << "\"strategy\": \"" << json::escape(r.strategy) << "\",\n";
-  os << "\"git_rev\": \"" << json::escape(r.git_rev) << "\",\n";
-
-  os << "\"config\": {";
-  bool first = true;
-  for (const auto& [k, v] : r.config) {
-    os << (first ? "\n" : ",\n") << "  \"" << json::escape(k) << "\": \""
-       << json::escape(v) << "\"";
-    first = false;
-  }
-  os << (first ? "" : "\n") << "},\n";
-
-  os << "\"schedulable\": " << (r.schedulable ? "true" : "false") << ",\n";
-  os << "\"cores_used\": " << r.cores_used << ",\n";
-
-  os << "\"headroom\": {\"spare_cache\": " << r.headroom.spare_cache
-     << ", \"spare_bw\": " << r.headroom.spare_bw << ", \"cores\": [";
-  for (std::size_t i = 0; i < r.headroom.cores.size(); ++i) {
-    const auto& c = r.headroom.cores[i];
-    os << (i == 0 ? "\n" : ",\n") << "  {\"core\": " << c.core
-       << ", \"cache\": " << c.cache << ", \"bw\": " << c.bw
-       << ", \"vcpus\": " << c.vcpus
-       << ", \"utilization\": " << json::number(c.utilization)
-       << ", \"slack\": " << json::number(c.slack)
-       << ", \"reclaimable_cache\": " << c.reclaimable_cache
-       << ", \"reclaimable_bw\": " << c.reclaimable_bw << "}";
-  }
-  os << (r.headroom.cores.empty() ? "" : "\n") << "]},\n";
-
-  os << "\"rejections\": [";
-  for (std::size_t i = 0; i < r.rejections.size(); ++i) {
-    const auto& rej = r.rejections[i];
-    os << (i == 0 ? "\n" : ",\n") << "  {\"vm\": " << rej.vm
-       << ", \"constraint\": \"" << to_string(rej.constraint)
-       << "\", \"margin\": " << json::number(rej.margin) << ", \"detail\": \""
-       << json::escape(rej.detail) << "\"}";
-  }
-  os << (r.rejections.empty() ? "" : "\n") << "],\n";
-
-  os << "\"events_dropped\": " << r.events_dropped << ",\n";
-  os << "\"events\": [";
-  for (std::size_t i = 0; i < r.events.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "  ";
-    write_event(os, r.events[i]);
-  }
-  os << (r.events.empty() ? "" : "\n") << "]\n";
-  os << "}\n";
-}
-
-void write_explain_report_file(const std::string& path,
-                               const ExplainReport& r) {
-  auto f = util::open_output_file(path, "explain report");
-  write_explain_report(f, r);
-  util::close_output_file(f, path, "explain report");
+  json::write(os, r);
 }
 
 ExplainReport read_explain_report(std::istream& is,
                                   std::vector<std::string>* notes) {
-  const json::Value root = json::parse_object(is, "explain report");
-  json::note_unknown_fields(
-      root,
-      {"schema", "strategy", "git_rev", "config", "schedulable", "cores_used",
-       "headroom", "rejections", "events_dropped", "events"},
-      kWhat, notes);
-
-  ExplainReport r;
-  r.schema = root.get_string("schema", kWhat);
+  ExplainReport r = json::read<ExplainReport>(is, "explain report", notes);
   VC2M_CHECK_MSG(r.schema == kExplainReportSchema,
                  "not a vc2m explain report (schema '" << r.schema << "')");
-  r.strategy = root.get_string("strategy", kWhat);
-  r.git_rev = root.get_string("git_rev", kWhat);
-  r.config = root.get_string_map("config", kWhat);
-  r.schedulable = root.get_bool("schedulable", kWhat);
-  r.cores_used = root.get_int<unsigned>("cores_used", kWhat);
-
-  const json::Value& h = root.get_object("headroom", kWhat);
-  json::note_unknown_fields(h, {"spare_cache", "spare_bw", "cores"},
-                            kWhat + ": headroom", notes);
-  r.headroom.spare_cache = h.get_int<unsigned>("spare_cache", kWhat);
-  r.headroom.spare_bw = h.get_int<unsigned>("spare_bw", kWhat);
-  if (const json::Value* cores = h.find("cores", Kind::kArray, kWhat)) {
-    for (const auto& v : cores->array) {
-      VC2M_CHECK_MSG(v.kind == Kind::kObject,
-                     "explain report JSON: headroom cores must be objects");
-      json::note_unknown_fields(
-          v,
-          {"core", "cache", "bw", "vcpus", "utilization", "slack",
-           "reclaimable_cache", "reclaimable_bw"},
-          kWhat + ": headroom core", notes);
-      CoreHeadroom c;
-      c.core = v.get_int<unsigned>("core", kWhat);
-      c.cache = v.get_int<unsigned>("cache", kWhat);
-      c.bw = v.get_int<unsigned>("bw", kWhat);
-      c.vcpus = v.get_count("vcpus", kWhat);
-      c.utilization = v.get_number("utilization", kWhat);
-      c.slack = v.get_number("slack", kWhat);
-      c.reclaimable_cache = v.get_int<unsigned>("reclaimable_cache", kWhat);
-      c.reclaimable_bw = v.get_int<unsigned>("reclaimable_bw", kWhat);
-      r.headroom.cores.push_back(c);
-    }
-  }
-
-  if (const json::Value* rejs = root.find("rejections", Kind::kArray, kWhat)) {
-    for (const auto& v : rejs->array) {
-      VC2M_CHECK_MSG(v.kind == Kind::kObject,
-                     "explain report JSON: rejections must be objects");
-      json::note_unknown_fields(v, {"vm", "constraint", "margin", "detail"},
-                                kWhat + ": rejection", notes);
-      VmRejection rej;
-      rej.vm = v.get_int<int>("vm", kWhat);
-      const std::string c = v.get_string("constraint", kWhat);
-      VC2M_CHECK_MSG(decision_constraint_from_string(c, rej.constraint),
-                     "explain report JSON: unknown constraint '" << c << "'");
-      rej.margin = v.get_number("margin", kWhat);
-      rej.detail = v.get_string("detail", kWhat);
-      r.rejections.push_back(std::move(rej));
-    }
-  }
-
-  r.events_dropped = root.get_count("events_dropped", kWhat);
-  if (const json::Value* evs = root.find("events", Kind::kArray, kWhat))
-    for (const auto& v : evs->array)
-      r.events.push_back(parse_event(v, notes));
   return r;
 }
 

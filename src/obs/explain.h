@@ -16,8 +16,9 @@
 //    counterfactual data an online admission service serves;
 //  - the raw event stream (bounded; events_dropped counts truncation).
 //
-// The report serializes as versioned JSON ("vc2m-explain-report/1") through
-// the same strict obs/json layer as the bench reports, reads back for
+// The report serializes as versioned JSON ("vc2m-explain-report/1"), its
+// members declared once in the `fields` functions below and written and
+// read through obs/json.h like the bench reports; it reads back for
 // round-trip validation, and renders as text for `vc2m explain`.
 //
 // Recording never perturbs the solve: explain_solve's result is
@@ -33,6 +34,7 @@
 
 #include "core/strategy.h"
 #include "obs/decision_log.h"
+#include "util/record.h"
 
 namespace vc2m::obs {
 
@@ -80,6 +82,63 @@ struct ExplainReport {
   std::uint64_t events_dropped = 0;
 };
 
+// The explain report's JSON members (obs/json.h), in wire order.
+
+template <util::RecordOf<CoreHeadroom> R, class V>
+void fields(R& c, V&& v) {
+  v("core", c.core);
+  v("cache", c.cache);
+  v("bw", c.bw);
+  v("vcpus", c.vcpus);
+  v("utilization", c.utilization);
+  v("slack", c.slack);
+  v("reclaimable_cache", c.reclaimable_cache);
+  v("reclaimable_bw", c.reclaimable_bw);
+}
+
+template <util::RecordOf<HeadroomReport> R, class V>
+void fields(R& h, V&& v) {
+  v("spare_cache", h.spare_cache);
+  v("spare_bw", h.spare_bw);
+  v("cores", h.cores);
+}
+
+template <util::RecordOf<VmRejection> R, class V>
+void fields(R& r, V&& v) {
+  v("vm", r.vm);
+  v("constraint", util::Named{r.constraint, kDecisionConstraintNames});
+  v("margin", r.margin);
+  v("detail", r.detail);
+}
+
+template <util::RecordOf<DecisionEvent> R, class V>
+void fields(R& e, V&& v) {
+  v("kind", util::Named{e.kind, kDecisionKindNames});
+  v("accepted", e.accepted);
+  v("constraint", util::Named{e.constraint, kDecisionConstraintNames});
+  v("vm", e.vm);
+  v("entity", e.entity);
+  v("core", e.core);
+  v("cache", e.cache);
+  v("bw", e.bw);
+  v("value", e.value);
+  v("margin", e.margin);
+}
+
+template <util::RecordOf<ExplainReport> R, class V>
+void fields(R& r, V&& v) {
+  v("schema", r.schema);
+  v("strategy", r.strategy);
+  v("git_rev", r.git_rev);
+  v("config", r.config);
+  v("schedulable", r.schedulable);
+  v("cores_used", r.cores_used);
+  v("headroom", r.headroom);
+  v("rejections", r.rejections);
+  v("events_dropped", r.events_dropped);
+  v("events", r.events);
+}
+
 /// Solve with decision recording and build the report. `out_result`, when
 /// non-null, receives the solve result (bit-identical to an unrecorded
 /// core::solve with the same inputs and RNG state).
@@ -99,12 +158,10 @@ ExplainReport build_explain_report(const DecisionLog& log,
                                    const model::PlatformSpec& platform);
 
 void write_explain_report(std::ostream& os, const ExplainReport& r);
-void write_explain_report_file(const std::string& path,
-                               const ExplainReport& r);
 
 /// Throws util::Error on malformed JSON, duplicate keys, non-finite
-/// numbers, unknown enum names, config keys out of ascending order, or a
-/// schema this reader does not speak. Unknown fields at any level are
+/// numbers, a missing member, unknown enum names, config keys out of
+/// ascending order, or a schema this reader does not speak. Unknown fields at any level are
 /// reported through `notes` (when given).
 ExplainReport read_explain_report(std::istream& is,
                                   std::vector<std::string>* notes = nullptr);

@@ -246,17 +246,6 @@ const char* kind_name(Value::Kind k) {
   return "value";
 }
 
-void note_unknown_fields(const Value& obj,
-                         std::initializer_list<const char*> known,
-                         const std::string& what,
-                         std::vector<std::string>* notes) {
-  if (!notes) return;
-  for (const auto& [k, v] : obj.object)
-    if (std::find(known.begin(), known.end(), k) == known.end())
-      notes->push_back(what + ": unknown field '" + k +
-                       "' (written by a newer vc2m?) — ignored");
-}
-
 void check_sorted_keys(const Value& obj, const std::string& key,
                        const std::string& what) {
   for (std::size_t i = 1; i < obj.object.size(); ++i)
@@ -274,49 +263,39 @@ std::optional<std::uint64_t> Value::as_count() const {
   return static_cast<std::uint64_t>(number);
 }
 
-const Value* Value::find(const std::string& key, Kind want,
-                         const std::string& what) const {
-  const Value* v = find(key);
-  VC2M_CHECK_MSG(!v || v->kind == want, what << ": field '" << key
-                                             << "' must be of type "
-                                             << kind_name(want));
-  return v;
+std::string Reader::where(const std::string& path) const {
+  return path.empty() ? what_ : what_ + ": " + path;
 }
 
-const Value& Value::get(const std::string& key, Kind want,
-                        const std::string& what) const {
-  const Value* v = find(key);
-  VC2M_CHECK_MSG(v && v->kind == want, what << ": missing " << kind_name(want)
-                                            << " field '" << key << "'");
+std::string Reader::join(const std::string& path, const std::string& key) {
+  if (path.empty()) return key;
+  return key.starts_with('[') ? path + key : path + "." + key;
+}
+
+void Reader::fail(const std::string& path, const std::string& msg) const {
+  throw util::Error(where(path) + ": " + msg);
+}
+
+std::uint64_t Reader::count(const Value& m, const std::string& path,
+                            const std::string& key) const {
+  const auto v = m.as_count();
+  if (!v)
+    fail(path, "field '" + key +
+                   "' must be a non-negative integer below 2^53");
   return *v;
 }
 
-std::uint64_t Value::get_count(const std::string& key,
-                               const std::string& what) const {
-  const auto v = get(key, Kind::kNumber, what).as_count();
-  VC2M_CHECK_MSG(v, what << ": field '" << key
-                         << "' must be a non-negative integer below 2^53");
-  return *v;
-}
-
-std::map<std::string, std::string> Value::get_string_map(
-    const std::string& key, const std::string& what) const {
-  std::map<std::string, std::string> out;
-  if (const Value* m = find(key, Kind::kObject, what)) {
-    check_sorted_keys(*m, key, what);
-    for (const auto& [k, v] : m->object) {
-      VC2M_CHECK_MSG(v.kind == Kind::kString,
-                     what << ": field '" << key << "' must hold strings");
-      out[k] = v.str;
-    }
-  }
-  return out;
-}
-
-void Value::out_of_range(const std::string& key, const std::string& what,
-                         std::int64_t lo, std::int64_t hi) {
-  throw util::Error(what + ": field '" + key + "' must be an integer in [" +
-                    std::to_string(lo) + ", " + std::to_string(hi) + "]");
+void Reader::note_undeclared(const Value& obj, const std::string& path,
+                             const std::vector<std::string>& declared,
+                             std::size_t first_note) const {
+  if (!notes_) return;
+  std::vector<std::string> notes;
+  for (const auto& [k, v] : obj.object)
+    if (std::find(declared.begin(), declared.end(), k) == declared.end())
+      notes.push_back(where(path) + ": unknown field '" + k +
+                      "' (written by a newer vc2m?) — ignored");
+  notes_->insert(notes_->begin() + static_cast<std::ptrdiff_t>(first_note),
+                 notes.begin(), notes.end());
 }
 
 std::string escape(const std::string& s) {

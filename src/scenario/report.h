@@ -1,6 +1,7 @@
 // The versioned scenario-report artifact ("vc2m-scenario-report/1"):
-// the machine-readable outcome of a matrix run, written through the same
-// strict obs/json layer as the bench and explain reports.
+// the machine-readable outcome of a matrix run, declared once in the
+// `fields` functions below and written and read through obs/json.h like
+// the bench and explain reports.
 //
 // Every field is deterministic — verdicts, digests, simulator event counts
 // — and records are sorted by scenario name, so a report is bit-identical
@@ -17,6 +18,8 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "obs/json.h"
 
 namespace vc2m::scenario {
 
@@ -70,16 +73,65 @@ struct ScenarioReport {
   const ScenarioRecord* find(const std::string& name) const;
 };
 
-void write_scenario_report(std::ostream& os, const ScenarioReport& r);
-void write_scenario_report_file(const std::string& path,
-                                const ScenarioReport& r);
+/// A record's verdict, by ScenarioRecord::schedulable.
+inline constexpr const char* kVerdictNames[] = {"unschedulable",
+                                                "schedulable"};
 
-/// Strict reader (throws util::Error on malformed JSON, a schema it does
-/// not speak, records out of name order or duplicated, a scenario_hash that
-/// is not 16 lowercase hex digits, a digest that is not a solve digest, or
-/// totals that disagree with the records). Unknown fields at any level — a
-/// newer writer's additions, or metrics on a record that was not simulated
-/// — are surfaced through `notes` (when given) instead of being rejected.
+// The report's JSON members (obs/json.h), in wire order. `metrics` is
+// declared only for a simulated record, so on any other it is an unknown
+// member.
+
+template <util::RecordOf<ScenarioRecord> R, class V>
+void fields(R& r, V&& v) {
+  v("name", r.name);
+  v("file", r.file);
+  v("scenario_hash", r.scenario_hash);
+  v("verdict", util::Named{r.schedulable, kVerdictNames});
+  v("digest", r.digest);
+  v("passed", r.passed);
+  v("failures", r.failures);
+  v("rejection_constraints", r.rejection_constraints);
+  v("simulated", r.simulated);
+  if (!r.simulated) return;
+  v("metrics", obs::json::Group{[&](auto&& m) {
+    m("jobs_released", r.jobs_released);
+    m("jobs_completed", r.jobs_completed);
+    m("deadline_misses", r.deadline_misses);
+    m("faults_injected", r.faults_injected);
+    m("jobs_killed", r.jobs_killed);
+    m("jobs_deferred", r.jobs_deferred);
+    m("trace_events", r.trace_events);
+    m("trace_violations", r.trace_violations);
+  }});
+}
+
+template <util::RecordOf<ScenarioReport> R, class V>
+void fields(R& r, V&& v) {
+  v("schema", r.schema);
+  v("git_rev", r.git_rev);
+  v("corpus", r.corpus);
+  v("shard", obs::json::Group{[&](auto&& s) {
+    s("index", r.shard_index);
+    s("count", r.shard_count);
+  }});
+  // Written only when set so complete reports stay byte-identical to
+  // reports from builds that predate interruption support.
+  v("interrupted", obs::json::Flag{r.interrupted});
+  v("total", obs::json::Derived{[&] { return r.records.size(); }});
+  v("passed", obs::json::Derived{[&] { return r.passed(); }});
+  v("failed", obs::json::Derived{[&] { return r.failed(); }});
+  v("scenarios", obs::json::Tall{r.records});
+}
+
+void write_scenario_report(std::ostream& os, const ScenarioReport& r);
+
+/// Strict reader (throws util::Error on malformed JSON, a missing member,
+/// a schema it does not speak, records out of name order or duplicated, a
+/// scenario_hash that is not 16 lowercase hex digits, a digest that is not
+/// a solve digest, or totals that disagree with the records). Unknown
+/// fields at any level — a newer writer's additions, or metrics on a
+/// record that was not simulated — are surfaced through `notes` (when
+/// given) instead of being rejected.
 ScenarioReport read_scenario_report(std::istream& is,
                                     const std::string& what = "scenario report",
                                     std::vector<std::string>* notes = nullptr);

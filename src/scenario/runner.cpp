@@ -241,7 +241,7 @@ MatrixResult run_matrix(
       // mid-write is the one moment resume is for — build the new file
       // beside the old one and rename() it into place atomically.
       const std::string tmp = cfg.checkpoint + ".tmp";
-      write_scenario_report_file(tmp, ck);
+      obs::json::write_file(tmp, ck, "scenario report");
       std::error_code ec;
       std::filesystem::rename(tmp, cfg.checkpoint, ec);
       if (ec)

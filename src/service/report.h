@@ -1,6 +1,7 @@
 // The versioned serve-report artifact ("vc2m-serve-report/1"): the
-// machine-readable outcome of one `vc2m serve` run, written through the
-// same strict obs/json layer as the bench/explain/scenario reports.
+// machine-readable outcome of one `vc2m serve` run, declared once in
+// `fields` below and written and read through obs/json.h like the
+// bench/explain/scenario reports.
 //
 // Every field is deterministic — counters fold in processing order, the
 // latency distribution is a virtual-time LogHistogram, and the final-state
@@ -81,8 +82,66 @@ struct ServeReport {
   bool interrupted = false;
 };
 
+/// The report's JSON members (obs/json.h), in wire order: the flat
+/// ServeReport grouped into its sections.
+template <util::RecordOf<ServeReport> R, class V>
+void fields(R& r, V&& v) {
+  using obs::json::Group;
+  v("schema", r.schema);
+  v("git_rev", r.git_rev);
+  v("trace", r.trace);
+  v("platform", r.platform);
+  v("seed", r.seed);
+  v("config", Group{[&](auto&& g) {
+    g("deadline_us", r.deadline_us);
+    g("shed_policy", r.shed_policy);
+    g("queue_cap", r.queue_cap);
+    g("max_retries", r.max_retries);
+    g("backoff_us", r.backoff_us);
+    g("snapshot_every", r.snapshot_every);
+  }});
+  v("totals", Group{[&](auto&& g) {
+    g("requests", r.requests);
+    g("arrivals", r.arrivals);
+    g("admitted", r.admitted);
+    g("rejected", r.rejected);
+    g("probe_rejected", r.probe_rejected);
+    g("removed", r.removed);
+    g("resized", r.resized);
+    g("resize_rejected", r.resize_rejected);
+    g("not_present", r.not_present);
+    g("deferred", r.deferred);
+    g("retries", r.retries);
+    g("shed", r.shed);
+    g("timed_out", r.timed_out);
+    g("downgrades", r.downgrades);
+    g("commits", r.commits);
+    g("snapshots", r.snapshots);
+  }});
+  v("queue", Group{[&](auto&& g) {
+    g("max_depth", r.queue_max_depth);
+    g("backpressure", r.backpressure);
+  }});
+  v("decisions", Group{[&](auto&& g) {
+    g("events", r.decision_events);
+    g("dropped", r.decision_dropped);
+  }});
+  v("latency_us", Group{[&](auto&& g) {
+    g("admitted", r.latency_admitted_us);
+    g("rejected", r.latency_rejected_us);
+    g("deferred", r.latency_deferred_us);
+    g("shed", r.latency_shed_us);
+  }});
+  v("state", Group{[&](auto&& g) {
+    g("vms", r.vms);
+    g("vcpus", r.vcpus);
+    g("cores_used", r.cores_used);
+    g("digest", r.digest);
+  }});
+  v("interrupted", obs::json::Flag{r.interrupted});
+}
+
 void write_serve_report(std::ostream& os, const ServeReport& r);
-void write_serve_report_file(const std::string& path, const ServeReport& r);
 
 /// Strict reader (throws util::Error on malformed JSON, a bad schema,
 /// missing/ill-typed fields, or values no run writes: an unknown platform

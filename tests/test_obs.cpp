@@ -1083,14 +1083,14 @@ TEST(ExplainReport, UnknownKeysAtEveryLevelAreNotes) {
 TEST(JsonStrings, OnlyWhatEscapeWritesIsRead) {
   const std::string tricky = "tab\there\nline \\ \"q\" /";
   const std::string doc = "{\"s\": \"" + json::escape(tricky) + "\"}";
-  EXPECT_EQ(json::parse(doc, "t").get_string("s", "t"), tricky);
+  EXPECT_EQ(json::parse(doc, "t").find("s")->str, tricky);
   // Every control byte reads back, the ones without a short escape
   // through escape()'s \u00xx.
   std::string controls;
   for (char c = 0; c < 0x20; ++c) controls.push_back(c);
   const std::string cdoc = "{\"s\": \"" + json::escape(controls) + "\"}";
   ASSERT_NE(cdoc.find("\\u001f"), std::string::npos);
-  EXPECT_EQ(json::parse(cdoc, "t").get_string("s", "t"), controls);
+  EXPECT_EQ(json::parse(cdoc, "t").find("s")->str, controls);
   // Raw control bytes, and escapes escape() does not write — `\/`, a
   // printable or short-escaped byte as \u, uppercase hex — are refused.
   for (const char* bad :

@@ -16,6 +16,7 @@
 // comparison. The comparison shares no code with the writers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -26,6 +27,7 @@
 
 #include "obs/bench_report.h"
 #include "obs/explain.h"
+#include "obs/json.h"
 #include "scenario/report.h"
 #include "service/report.h"
 #include "service/service.h"
@@ -211,22 +213,32 @@ std::string bench_text(const obs::BenchReport& r) {
 
 /// `text` must equal tests/golden/reports/<name>.json, and `round_trip`
 /// (read, then write) must reproduce the file.
-void expect_golden(const std::string& name, const std::string& text,
-                   const std::function<std::string(const std::string&)>&
-                       round_trip) {
-  const std::string path =
-      std::string(VC2M_GOLDEN_DIR) + "/reports/" + name + ".json";
-  std::ifstream f(path, std::ios::binary);
+std::string golden_path(const std::string& name) {
+  return std::string(VC2M_GOLDEN_DIR) + "/reports/" + name + ".json";
+}
+
+/// The golden file `name`, or "" when it is missing.
+std::string golden_text(const std::string& name) {
+  std::ifstream f(golden_path(name), std::ios::binary);
   std::ostringstream golden;
   golden << f.rdbuf();
-  if (text != golden.str()) {
+  return golden.str();
+}
+
+using Reread = std::function<std::string(const std::string&)>;
+
+void expect_golden(const std::string& name, const std::string& text,
+                   const Reread& round_trip) {
+  const std::string golden = golden_text(name);
+  if (text != golden) {
     const std::string actual = testing::TempDir() + "/" + name + ".json";
     std::ofstream(actual, std::ios::binary) << text;
-    ADD_FAILURE() << name << ": writer output differs from " << path
+    ADD_FAILURE() << name << ": writer output differs from "
+                  << golden_path(name)
                   << " (missing or changed); it was written to " << actual;
   }
-  if (f.good()) {
-    EXPECT_EQ(round_trip(golden.str()), golden.str()) << name;
+  if (!golden.empty()) {
+    EXPECT_EQ(round_trip(golden), golden) << name;
   }
 }
 
@@ -284,6 +296,87 @@ TEST(ReportGolden, BenchReport) {
   r.name = "empty";
   r.git_rev = "0123abcd";
   expect_golden("bench-empty", bench_text(r), bench_round_trip);
+}
+
+// ---------------------------------------------------------------------------
+// Required members
+
+/// `text` with the first occurrence of `from` replaced by `to`.
+std::string replaced(std::string text, const std::string& from,
+                     const std::string& to) {
+  const auto at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+TEST(ReportStrictness, EveryMemberTheWriterWritesIsRequired) {
+  // Each line of a golden report that starts with a quote starts one
+  // top-level member, which runs to the next such line or the report's
+  // closing brace. The report without it must still parse, and be refused; the
+  // one exception is "interrupted", which is written only when true.
+  const std::pair<const char*, Reread> reports[] = {
+      {"serve", serve_round_trip},
+      {"serve-interrupted", serve_round_trip},
+      {"scenario", scenario_round_trip},
+      {"scenario-interrupted", scenario_round_trip},
+      {"scenario-empty", scenario_round_trip},
+      {"explain", explain_round_trip},
+      {"explain-empty", explain_round_trip},
+      {"bench", bench_round_trip},
+      {"bench-empty", bench_round_trip}};
+  for (const auto& [name, round_trip] : reports) {
+    const std::string text = golden_text(name);
+    ASSERT_FALSE(text.empty()) << name;
+    std::size_t dropped = 0;
+    for (std::size_t at = text.find("\n\""); at != std::string::npos;
+         at = text.find("\n\"", at + 1)) {
+      const std::size_t end =
+          std::min(text.find("\n\"", at + 1), text.rfind("\n}"));
+      std::string without = text;
+      without.erase(at + 1, end - at);
+      // The last member loses its place: drop the comma before it.
+      if (without.compare(at + 1, 2, "}\n") == 0) without.erase(at - 1, 1);
+      const std::string member = text.substr(at + 1, end - at - 1);
+      ASSERT_NO_THROW(obs::json::parse(without, name)) << without;
+      if (member.starts_with("\"interrupted\"")) continue;
+      EXPECT_THROW(round_trip(without), util::Error) << name << ": " << member;
+      ++dropped;
+    }
+    EXPECT_GE(dropped, 7u) << name;
+  }
+  // Nested members the writers always write, whatever the record holds.
+  const std::string explain = golden_text("explain-empty");
+  const std::string bench = golden_text("bench-empty");
+  const std::string scenario = golden_text("scenario");
+  const std::pair<std::string, Reread> nested[] = {
+      {replaced(explain, ", \"cores\": []", ""), explain_round_trip},
+      {replaced(bench, "{\"workers\": []}", "{}"), bench_round_trip},
+      {replaced(scenario, ",\n   \"metrics\": {", ", \"x\": {"),
+       scenario_round_trip},
+      {replaced(golden_text("serve"), "\"shed\": {\"count\": 0, ",
+                "\"shed\": {"),
+       serve_round_trip}};
+  for (const auto& [text, round_trip] : nested)
+    EXPECT_THROW(round_trip(text), util::Error) << text;
+}
+
+TEST(ReportStrictness, InterruptedMayOnlyBePresentAsTrue) {
+  // The writers leave "interrupted" out unless it is true, so a report
+  // holding it as false would read back and rewrite to other bytes.
+  const std::string scenario = golden_text("scenario-interrupted");
+  const std::string serve = golden_text("serve-interrupted");
+  for (const char* bad : {"false", "0", "null", "\"true\""}) {
+    const std::string flag = std::string("\"interrupted\": ") + bad;
+    EXPECT_THROW(scenario_round_trip(
+                     replaced(scenario, "\"interrupted\": true", flag)),
+                 util::Error)
+        << bad;
+    EXPECT_THROW(
+        serve_round_trip(replaced(serve, "\"interrupted\": true", flag)),
+        util::Error)
+        << bad;
+  }
 }
 
 // ---------------------------------------------------------------------------

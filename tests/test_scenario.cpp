@@ -609,7 +609,8 @@ TEST(ScenarioReport, MergeRejectsOverlappingShardsAndForeignCorpora) {
 
 TEST(OutputPaths, WritersThrowForAMissingDirectoryInsteadOfSilentSuccess) {
   const std::string missing = testing::TempDir() + "/vc2m_no_such_dir/x.json";
-  EXPECT_THROW(scenario::write_scenario_report_file(missing, {}),
+  EXPECT_THROW(obs::json::write_file(missing, scenario::ScenarioReport{},
+                                    "scenario report"),
                util::Error);
   EXPECT_THROW(obs::write_trace_file(missing, {}, {}), util::Error);
   EXPECT_THROW(util::ensure_output_path_writable(missing, "probe"),

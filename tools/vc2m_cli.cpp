@@ -484,7 +484,7 @@ int cmd_explain(const Args& a) {
       obs::explain_solve(strat, tasks, platform, scfg, rng);
   obs::render_explain(std::cout, report, a.events);
   if (!a.json_out.empty()) {
-    obs::write_explain_report_file(a.json_out, report);
+    obs::json::write_file(a.json_out, report, "explain report");
     // Round-trip through the strict reader so a report we cannot re-read
     // never lands on disk unnoticed.
     auto back = util::open_input_file(a.json_out, "explain report");
@@ -853,7 +853,7 @@ int cmd_experiment(const Args& a) {
       report.config["policy"] = a.policy;
       report.config["fault_horizon"] = std::to_string(a.fault_horizon);
     }
-    obs::write_bench_report_file(a.json_out, report);
+    obs::json::write_file(a.json_out, report, "bench report");
     std::cout << "Wrote bench report " << a.json_out << "\n";
   }
   return 0;
@@ -1052,7 +1052,7 @@ int cmd_serve(const Args& a) {
     if (!chk.ok()) return 1;
   }
   if (!a.json_out.empty()) {
-    service::write_serve_report_file(a.json_out, r);
+    obs::json::write_file(a.json_out, r, "serve report");
     // Round-trip through the strict reader so a report we cannot re-read
     // never lands on disk unnoticed; fields a newer writer added are
     // surfaced, not fatal.
@@ -1149,7 +1149,7 @@ int cmd_scenario_run(const Args& a) {
   std::cout << "\n";
 
   if (!a.json_out.empty()) {
-    scenario::write_scenario_report_file(a.json_out, result.report);
+    obs::json::write_file(a.json_out, result.report, "scenario report");
     // Round-trip through the strict reader: a report we cannot re-read
     // must never land on disk unnoticed; fields a newer writer added are
     // surfaced, not fatal.
@@ -1213,7 +1213,7 @@ int cmd_scenario_merge(const Args& a) {
   }
   for (const auto& n : notes) std::cerr << "note: " << n << "\n";
   const auto merged = scenario::merge_scenario_reports(shards);
-  scenario::write_scenario_report_file(a.json_out, merged);
+  obs::json::write_file(a.json_out, merged, "scenario report");
   std::cout << "merged " << shards.size() << " shard report(s): "
             << merged.passed() << "/" << merged.records.size()
             << " passed -> " << a.json_out << "\n";
@@ -1379,8 +1379,9 @@ std::string validate_file(const std::string& path,
     return std::string(service::kTimelineSchema) + ", " +
            std::to_string(scan.samples.size()) + " sample(s)";
   }
-  const std::string schema =
-      obs::json::parse(text, path).get_string("schema", path);
+  const obs::json::Value root = obs::json::parse(text, path);
+  const obs::json::Value* member = root.find("schema");
+  const std::string schema = member ? member->str : "";
   if (schema == scenario::kScenarioSchema) {
     scenario_files.push_back(path);
     return schema;
