@@ -20,8 +20,9 @@
 # says what it checks: scenario_smoke (corpus, shard/merge byte-identity,
 # `vc2m validate`, scenario-file fuzz), serve_smoke (crash-kill at every
 # crash point + --recover byte-identity, journal fuzz, `vc2m validate`,
-# the strict-flag matrix), telemetry_smoke (timeline byte-identity and
-# validation, SIGUSR1, timeline fuzz), taskset_fuzz, trace_check_fuzz and
+# the strict-flag matrix, the help path), telemetry_smoke (timeline
+# byte-identity and validation, SIGUSR1, timeline fuzz), taskset_fuzz,
+# trace_check_fuzz and
 # perf_smoke (preset and bench flags, a preset's CSVs and report, bench
 # report + perfdiff gate), plus the golden-equivalence
 # suite, the bench_micro_ops --smoke memoization check and test_explain.
@@ -380,6 +381,18 @@ EOF
     "validate $work/base.json --json $work/v.json"
   for f in exp.wal x.wal x v.json csv; do
     [ ! -e "$work/$f" ] || { echo "a refused command wrote $f"; return 1; }
+  done
+
+  echo "--- help: --help, -h and help print the usage to stdout, exit 0 ---"
+  # The same text a usage error prints to stderr.
+  "$vc2m" > /dev/null 2> "$work/usage.txt" || true
+  local h
+  for h in --help -h help "serve --help"; do
+    # shellcheck disable=SC2086  # the row is split into words on purpose
+    "$vc2m" $h > "$work/help.out" 2> "$work/help.err" \
+      || { echo "vc2m $h: exit $?, want 0"; return 1; }
+    cmp -s "$work/help.out" "$work/usage.txt" && [ ! -s "$work/help.err" ] \
+      || { echo "vc2m $h: stdout is not the usage text"; return 1; }
   done
   echo "--- serve smoke passed ---"
 }

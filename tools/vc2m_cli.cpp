@@ -156,7 +156,8 @@ struct Args {
   std::vector<std::string> flags;       ///< every flag given, in order
 };
 
-/// Prints the usage text, generated from kCommands and kFlags, and exits.
+/// Prints the usage text, generated from kCommands and kFlags, and exits
+/// with `code`: to stdout for a request (code 0), else to stderr.
 [[noreturn]] void usage(int code);
 
 /// Strict numeric flag parsing (util/parse.h): a flag value must be exactly
@@ -246,6 +247,8 @@ Args parse(int argc, char** argv) {
   if (argc < 2) usage(2);
   Args a;
   a.command = argv[1];
+  if (a.command == "help" || a.command == "--help" || a.command == "-h")
+    usage(0);
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto set = [&](auto field) {
@@ -268,7 +271,7 @@ Args parse(int argc, char** argv) {
     } else if (!arg.empty() && arg[0] != '-') {
       a.positional.push_back(arg);
     } else {
-      usage(2);
+      usage(arg == "--help" || arg == "-h" ? 0 : 2);
     }
   }
   return a;
@@ -1521,7 +1524,7 @@ static_assert(commands_list_known_flags(),
             flag->metavar + "]");
     text += line + '\n';
   }
-  std::cerr << text;
+  (code == 0 ? std::cout : std::cerr) << text;
   std::exit(code);
 }
 
