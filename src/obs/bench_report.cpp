@@ -1,11 +1,9 @@
 #include "obs/bench_report.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <iomanip>
 #include <ostream>
-#include <sstream>
 
 #include "obs/json.h"
 #include "util/error.h"

@@ -6,7 +6,6 @@
 #include <limits>
 #include <ostream>
 #include <set>
-#include <sstream>
 
 #include "analysis/schedulability.h"
 #include "obs/bench_report.h"

@@ -161,8 +161,8 @@ void write_explain_report(std::ostream& os, const ExplainReport& r);
 
 /// Throws util::Error on malformed JSON, duplicate keys, non-finite
 /// numbers, a missing member, unknown enum names, config keys out of
-/// ascending order, or a schema this reader does not speak. Unknown fields at any level are
-/// reported through `notes` (when given).
+/// ascending order, or a schema this reader does not speak. Unknown
+/// fields at any level are reported through `notes` (when given).
 ExplainReport read_explain_report(std::istream& is,
                                   std::vector<std::string>* notes = nullptr);
 

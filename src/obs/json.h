@@ -391,8 +391,8 @@ class Reader {
                            f = value.count] {
           if (got != f())
             fail(path, std::string("field '") + key + "' is " +
-                           std::to_string(got) + ", but the rest makes it " +
-                           std::to_string(f()));
+                           std::to_string(got) + ", but the other members " +
+                           "make it " + std::to_string(f()));
         });
       else
         get(*m, path, key, value);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "obs/json.h"
 #include "scenario/digest.h"
@@ -38,9 +37,9 @@ ScenarioReport read_scenario_report(std::istream& is, const std::string& what,
     VC2M_CHECK_MSG(is_solve_digest(rec.digest),
                    where << ": digest is not a solve digest (sched=...)");
     VC2M_CHECK_MSG(i == 0 || r.records[i - 1].name < rec.name,
-                   what << ": scenario '" << rec.name
-                        << (r.find(rec.name) != &rec ? "' appears twice"
-                                                     : "' is out of name order"));
+                   what << ": scenario '" << rec.name << "' "
+                        << (r.find(rec.name) != &rec ? "appears twice"
+                                                     : "is out of name order"));
   }
   return r;
 }
