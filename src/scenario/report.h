@@ -73,7 +73,8 @@ struct ScenarioReport {
   const ScenarioRecord* find(const std::string& name) const;
 };
 
-/// A record's verdict, by ScenarioRecord::schedulable.
+/// Verdict names, indexed by `schedulable`: the report's `verdict` and a
+/// scenario file's `expect.verdict`.
 inline constexpr const char* kVerdictNames[] = {"unschedulable",
                                                 "schedulable"};
 

@@ -44,8 +44,8 @@ void judge(ScenarioRecord& r, const Scenario& sc) {
 
   if (r.schedulable != e.schedulable)
     fail(std::string("verdict: expected ") +
-         (e.schedulable ? "schedulable" : "unschedulable") + ", got " +
-         (r.schedulable ? "schedulable" : "unschedulable"));
+         util::enum_name(kVerdictNames, e.schedulable) + ", got " +
+         util::enum_name(kVerdictNames, r.schedulable));
   if (!e.digest.empty() && r.digest != e.digest)
     fail("digest: expected " + e.digest + ", got " + r.digest);
   for (const std::string& want : e.rejection_constraints) {

@@ -10,6 +10,7 @@
 #include "obs/decision_log.h"
 #include "obs/json.h"
 #include "scenario/digest.h"
+#include "scenario/report.h"
 #include "sim/enforcement.h"
 #include "sim/faults.h"
 #include "util/error.h"
@@ -159,9 +160,7 @@ Expectation parse_expect(const Value& v, const std::string& source) {
   ObjectReader r(v, source, "'expect'");
   Expectation e;
   const std::string verdict = r.require_string("verdict");
-  if (verdict == "schedulable") e.schedulable = true;
-  else if (verdict == "unschedulable") e.schedulable = false;
-  else
+  if (!util::enum_from_name(kVerdictNames, verdict, e.schedulable))
     fail_at(source, "'expect' key 'verdict' must be schedulable or "
                     "unschedulable, got '" + verdict + "'",
             v.find("verdict")->offset);

@@ -1133,8 +1133,7 @@ int cmd_scenario_run(const Args& a) {
   util::Table table({"scenario", "verdict", "run", "result"});
   for (const auto& r : result.report.records)
     table.add_row(r.name,
-                  r.schedulable ? std::string("schedulable")
-                                : std::string("unschedulable"),
+                  util::enum_name(scenario::kVerdictNames, r.schedulable),
                   r.simulated ? std::string("solve+sim")
                               : std::string("solve"),
                   r.passed ? std::string("pass") : std::string("FAIL"));
@@ -1177,7 +1176,7 @@ int cmd_scenario_show(const Args& a) {
   const auto r = scenario::run_scenario(sc);
   std::cout << "scenario: " << r.name << "\n"
             << "verdict:  "
-            << (r.schedulable ? "schedulable" : "unschedulable") << "\n"
+            << util::enum_name(scenario::kVerdictNames, r.schedulable) << "\n"
             << "digest:   " << r.digest << "\n";
   if (r.simulated)
     std::cout << "simulate: " << r.jobs_released << " released, "
@@ -1192,7 +1191,8 @@ int cmd_scenario_show(const Args& a) {
   for (const auto& f : r.failures) std::cout << "  " << f << "\n";
   // Paste-ready pinning block for scenario authors.
   std::cout << "\n\"expect\": {\n  \"verdict\": \""
-            << (r.schedulable ? "schedulable" : "unschedulable") << "\",\n"
+            << util::enum_name(scenario::kVerdictNames, r.schedulable)
+            << "\",\n"
             << "  \"digest\": \"" << r.digest << "\"";
   if (r.simulated)
     std::cout << ",\n  \"trace_clean\": "
