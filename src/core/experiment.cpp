@@ -223,7 +223,7 @@ ExperimentResult run_schedulability_experiment(
               // freed the moment this item is accounted as the rep's last.
               if (cfg.validate && res.schedulable)
                 cell.validated =
-                    cfg.validate(tasksets[ti], res,
+                    cfg.validate(*strategies[si], tasksets[ti], res,
                                  mix_seed(cfg.seed, ti * n_sol + si));
             }
 

@@ -46,14 +46,16 @@ struct ExperimentConfig {
   SolveConfig solve;
 
   /// Optional runtime validation of each *schedulable* allocation — e.g.
-  /// sim::make_fault_validator, which replays the allocation in the
+  /// obs::make_fault_validator, which replays the allocation in the
   /// simulator under a fault plan ("fraction schedulable under X% WCET
   /// overrun"). Called from worker threads (must be thread-safe) with the
-  /// taskset, the solve result, and a per-item seed derived arithmetically
-  /// from `seed` — so validation results are bit-identical for any `jobs`
-  /// count. Unschedulable allocations are never validated.
-  using ValidateFn = std::function<bool(
-      const model::Taskset&, const SolveResult&, std::uint64_t)>;
+  /// strategy that solved it, the taskset, the solve result, and a per-item
+  /// seed derived arithmetically from `seed` — so validation results are
+  /// bit-identical for any `jobs` count. Unschedulable allocations are
+  /// never validated.
+  using ValidateFn =
+      std::function<bool(const Strategy&, const model::Taskset&,
+                         const SolveResult&, std::uint64_t)>;
   ValidateFn validate;
 };
 

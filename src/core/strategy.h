@@ -78,7 +78,7 @@ class VmPolicy {
                                             util::Rng& rng) const = 0;
   /// True when this policy's VCPUs release in lockstep with their task
   /// (Theorem-1 flattening): deployment then synchronizes VCPU release
-  /// offsets with task releases (`vc2m simulate` sets release_sync).
+  /// offsets with task releases (obs::audit sets release_sync from it).
   virtual bool release_sync() const { return false; }
 };
 

@@ -23,15 +23,6 @@ const char* to_string(DecisionConstraint c) {
   return util::enum_name(kDecisionConstraintNames, c);
 }
 
-bool decision_kind_from_string(const std::string& s, DecisionKind& out) {
-  return util::enum_from_name(kDecisionKindNames, s, out);
-}
-
-bool decision_constraint_from_string(const std::string& s,
-                                     DecisionConstraint& out) {
-  return util::enum_from_name(kDecisionConstraintNames, s, out);
-}
-
 std::string describe(const DecisionEvent& e) {
   std::string s = to_string(e.kind);
   if (e.vm >= 0) s += " vm " + std::to_string(e.vm);

@@ -206,12 +206,6 @@ class DecisionLogScope {
 const char* to_string(DecisionKind k);
 const char* to_string(DecisionConstraint c);
 
-/// Parse the stable names back (read side of the explain report). Returns
-/// false on an unknown name.
-bool decision_kind_from_string(const std::string& s, DecisionKind& out);
-bool decision_constraint_from_string(const std::string& s,
-                                     DecisionConstraint& out);
-
 /// One human-readable line for an event, e.g.
 /// "budget point vm 1 (c=4,b=2): rejected — no_feasible_budget, short by
 ///  0.18 budget".

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/audit.h"
 #include "obs/json.h"
 
 namespace vc2m::scenario {
@@ -40,15 +41,7 @@ struct ScenarioRecord {
   /// Constraint names from the per-VM rejection chain (unschedulable only).
   std::vector<std::string> rejection_constraints;
   bool simulated = false;
-  // Simulator metrics (all zero when !simulated).
-  std::uint64_t jobs_released = 0;
-  std::uint64_t jobs_completed = 0;
-  std::uint64_t deadline_misses = 0;
-  std::uint64_t faults_injected = 0;
-  std::uint64_t jobs_killed = 0;
-  std::uint64_t jobs_deferred = 0;
-  std::uint64_t trace_events = 0;
-  std::uint64_t trace_violations = 0;
+  obs::AuditRecord metrics;  ///< all zero when !simulated
 };
 
 struct ScenarioReport {
@@ -94,16 +87,7 @@ void fields(R& r, V&& v) {
   v("rejection_constraints", r.rejection_constraints);
   v("simulated", r.simulated);
   if (!r.simulated) return;
-  v("metrics", obs::json::Group{[&](auto&& m) {
-    m("jobs_released", r.jobs_released);
-    m("jobs_completed", r.jobs_completed);
-    m("deadline_misses", r.deadline_misses);
-    m("faults_injected", r.faults_injected);
-    m("jobs_killed", r.jobs_killed);
-    m("jobs_deferred", r.jobs_deferred);
-    m("trace_events", r.trace_events);
-    m("trace_violations", r.trace_violations);
-  }});
+  v("metrics", r.metrics);
 }
 
 template <util::RecordOf<ScenarioReport> R, class V>

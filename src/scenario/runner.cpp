@@ -9,13 +9,11 @@
 
 #include "core/strategy.h"
 #include "model/platform.h"
+#include "obs/audit.h"
 #include "obs/bench_report.h"
 #include "obs/explain.h"
-#include "obs/trace_check.h"
 #include "scenario/digest.h"
-#include "sim/deploy.h"
 #include "sim/faults.h"
-#include "sim/simulation.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -55,22 +53,23 @@ void judge(ScenarioRecord& r, const Scenario& sc) {
       fail("rejection chain lacks constraint '" + want + "'");
   }
   if (r.simulated) {
-    if (e.trace_clean && *e.trace_clean != (r.trace_violations == 0)) {
+    const obs::AuditRecord& m = r.metrics;
+    if (e.trace_clean && *e.trace_clean != (m.trace_violations == 0)) {
       std::ostringstream os;
       os << "trace_clean: expected " << (*e.trace_clean ? "true" : "false")
-         << ", checker found " << r.trace_violations << " violation(s)";
+         << ", checker found " << m.trace_violations << " violation(s)";
       fail(os.str());
     }
-    if (e.min_faults_injected && r.faults_injected < *e.min_faults_injected) {
+    if (e.min_faults_injected && m.faults_injected < *e.min_faults_injected) {
       std::ostringstream os;
       os << "faults_injected: expected >= " << *e.min_faults_injected
-         << ", got " << r.faults_injected;
+         << ", got " << m.faults_injected;
       fail(os.str());
     }
-    if (e.max_deadline_misses && r.deadline_misses > *e.max_deadline_misses) {
+    if (e.max_deadline_misses && m.deadline_misses > *e.max_deadline_misses) {
       std::ostringstream os;
       os << "deadline_misses: expected <= " << *e.max_deadline_misses
-         << ", got " << r.deadline_misses;
+         << ", got " << m.deadline_misses;
       fail(os.str());
     }
   }
@@ -111,34 +110,15 @@ ScenarioRecord run_scenario(const Scenario& sc) {
   }
 
   if (res.schedulable && sc.simulate) {
-    sim::DeployConfig dc;
-    dc.release_sync = strat.vm->release_sync();
-    dc.capture_trace = true;
-    auto sim_cfg = sim::deploy(tasks, res.vcpus, res.mapping, platform, dc);
+    obs::AuditConfig ac;
     const auto policy = sim::enforcement_policy_from_string(sc.policy);
     VC2M_CHECK_MSG(policy.has_value(), "scenario '" << sc.name
                                                     << "': bad policy");
-    sim_cfg.enforcement.policy = *policy;
-    if (!sc.faults.empty()) sim_cfg.faults = sim::parse_fault_spec(sc.faults);
-
-    sim::Simulation s(sim_cfg);
-    const auto horizon =
-        model::hyperperiod(tasks) * sc.simulate->hyperperiods;
-    s.run(horizon);
-    const auto st = s.stats();
-    const auto check = obs::check_trace(
-        s.trace().events(),
-        obs::TraceCheckConfig::from_sim(sim_cfg, horizon));
-
+    ac.enforcement.policy = *policy;
+    if (!sc.faults.empty()) ac.faults = sim::parse_fault_spec(sc.faults);
+    ac.hyperperiods = sc.simulate->hyperperiods;
     r.simulated = true;
-    r.jobs_released = st.jobs_released;
-    r.jobs_completed = st.jobs_completed;
-    r.deadline_misses = st.deadline_misses;
-    r.faults_injected = st.faults_injected;
-    r.jobs_killed = st.jobs_killed;
-    r.jobs_deferred = st.jobs_deferred;
-    r.trace_events = s.trace().events().size();
-    r.trace_violations = check.total_violations;
+    r.metrics = obs::audit(strat, tasks, platform, res, ac).record;
   }
 
   judge(r, sc);

@@ -15,6 +15,7 @@
 #include "sim/faults.h"
 #include "util/error.h"
 #include "util/file.h"
+#include "util/names.h"
 
 namespace vc2m::scenario {
 
@@ -181,7 +182,7 @@ Expectation parse_expect(const Value& v, const std::string& source) {
         fail_at(source, "'expect' key 'rejection_constraints' must hold "
                         "strings", item.offset);
       obs::DecisionConstraint c;
-      if (!obs::decision_constraint_from_string(item.str, c) ||
+      if (!util::enum_from_name(obs::kDecisionConstraintNames, item.str, c) ||
           c == obs::DecisionConstraint::kNone)
         fail_at(source, "'expect' names unknown rejection constraint '" +
                             item.str + "'", item.offset);

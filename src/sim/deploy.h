@@ -4,8 +4,8 @@
 // surfaces, core mappings) to the runtime world (SimConfig): each VCPU's
 // budget is evaluated at its core's allocated (c, b), each task becomes an
 // execution model on its VCPU, the regulator is configured with the
-// per-core bandwidth budgets, and — for flattening solutions — release
-// synchronization is enabled.
+// per-core bandwidth budgets, and — when the caller asks, as obs::audit
+// does for flattening solutions — release synchronization is enabled.
 //
 // Two execution models are supported:
 //   - kCpuOnly: a task's job requirement is exactly e(c,b) of the core it

@@ -7,8 +7,6 @@
 
 #include "hw/cat.h"
 #include "hw/msr.h"
-#include "model/task.h"
-#include "sim/deploy.h"
 #include "sim/simulation.h"
 #include "util/error.h"
 #include "util/parse.h"
@@ -235,35 +233,6 @@ void Simulation::restore_revocation() {
   revoke_active_ = false;
   revoked_core_ = kNone;
   schedule_next_revocation();
-}
-
-std::function<bool(const model::Taskset&, const core::SolveResult&,
-                   std::uint64_t)>
-make_fault_validator(const model::PlatformSpec& platform, FaultSpec spec,
-                     EnforcementConfig enforcement, int hyperperiods) {
-  spec.validate();
-  VC2M_CHECK_MSG(hyperperiods >= 1, "fault validator needs >= 1 hyperperiod");
-  return [platform, spec, enforcement, hyperperiods](
-             const model::Taskset& tasks, const core::SolveResult& solved,
-             std::uint64_t stream_seed) {
-    if (!solved.schedulable) return false;
-    DeployConfig dc;
-    dc.exec = ExecModel::kCpuOnly;
-    SimConfig sc =
-        deploy(tasks, solved.vcpus, solved.mapping, platform, dc);
-    sc.faults = spec;
-    sc.faults.seed = stream_seed;  // the per-item experiment stream
-    sc.enforcement = enforcement;
-    Simulation sim(std::move(sc));
-    sim.run(model::hyperperiod(tasks) * hyperperiods);
-    const SimStats st = sim.stats();
-    for (std::size_t i = 0; i < st.per_task.size(); ++i) {
-      if (st.task_criticality[i] < 1) continue;  // sheddable by design
-      if (st.per_task[i].deadline_misses > 0 || st.per_task[i].killed > 0)
-        return false;
-    }
-    return true;
-  };
 }
 
 }  // namespace vc2m::sim

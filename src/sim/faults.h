@@ -23,12 +23,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
-#include "core/strategy.h"
-#include "model/platform.h"
-#include "model/task.h"
 #include "sim/enforcement.h"
 #include "util/time.h"
 
@@ -90,15 +86,5 @@ struct FaultSpec {
 /// refill-prob, low-crit-frac, seed. Throws util::Error on unknown keys or
 /// malformed values.
 FaultSpec parse_fault_spec(const std::string& spec);
-
-/// Build an ExperimentConfig::validate functor: deploy each schedulable
-/// allocation (kCpuOnly), simulate `hyperperiods` hyperperiods under
-/// `spec` + `enforcement` (the per-item stream seed replaces spec.seed),
-/// and pass iff no criticality >= 1 task misses a deadline or has a job
-/// killed. Thread-safe: each call builds its own Simulation.
-std::function<bool(const model::Taskset&, const core::SolveResult&,
-                   std::uint64_t)>
-make_fault_validator(const model::PlatformSpec& platform, FaultSpec spec,
-                     EnforcementConfig enforcement, int hyperperiods = 1);
 
 }  // namespace vc2m::sim

@@ -203,7 +203,6 @@ class Simulation {
   const Trace& trace() const { return trace_; }
   SimStats stats() const;
   const SimConfig& config() const { return cfg_; }
-  const BwRegulator& regulator() const { return *regulator_; }
 
   /// Host-overhead probe for the Table 1/2 benches (owned by the caller,
   /// must outlive the simulation).

@@ -33,12 +33,4 @@ std::optional<TraceKind> trace_kind_from_string(const std::string& name) {
   return k;
 }
 
-std::vector<TraceEvent> Trace::events_of(TraceKind k) const {
-  std::vector<TraceEvent> out;
-  out.reserve(count(k));
-  for (const auto& ev : events_)
-    if (ev.kind == k) out.push_back(ev);
-  return out;
-}
-
 }  // namespace vc2m::sim

@@ -74,12 +74,7 @@ class Trace {
     return counts_[static_cast<std::size_t>(k)];
   }
 
-  bool capturing() const { return capture_; }
   const std::vector<TraceEvent>& events() const { return events_; }
-
-  /// Events of one kind, in recorded (time) order (requires capture).
-  /// The per-kind counter gives the exact size, so the copy allocates once.
-  std::vector<TraceEvent> events_of(TraceKind k) const;
 
  private:
   bool capture_;

@@ -6,9 +6,9 @@
 #include "analysis/schedulability.h"
 #include "core/admission.h"
 #include "core/strategy.h"
+#include "generated.h"
 #include "model/platform.h"
 #include "util/rng.h"
-#include "workload/generator.h"
 
 namespace vc2m::core {
 namespace {
@@ -18,11 +18,7 @@ using model::Taskset;
 using util::Rng;
 
 Taskset vm_taskset(double util, int vm_id, std::uint64_t seed) {
-  workload::GeneratorConfig cfg;
-  cfg.grid = PlatformSpec::A().grid;
-  cfg.target_ref_utilization = util;
-  Rng rng(seed);
-  auto tasks = workload::generate_taskset(cfg, rng);
+  auto tasks = tests::generated(util, seed);
   for (auto& t : tasks) t.vm = vm_id;
   return tasks;
 }

@@ -15,10 +15,9 @@
 
 #include "analysis/context.h"
 #include "core/vm_alloc.h"
+#include "generated.h"
 #include "model/platform.h"
 #include "model/task.h"
-#include "util/rng.h"
-#include "workload/generator.h"
 
 namespace {
 
@@ -53,11 +52,7 @@ struct Vcpu {
 };
 
 Vcpu make_vcpu(const model::ResourceGrid& grid, std::uint64_t seed) {
-  workload::GeneratorConfig cfg;
-  cfg.grid = grid;
-  cfg.target_ref_utilization = 4.0;
-  util::Rng rng(seed);
-  Vcpu v{workload::generate_taskset(cfg, rng)};
+  Vcpu v{tests::generated(4.0, seed, 1, grid)};
   std::sort(v.tasks.begin(), v.tasks.end(),
             [](const model::Task& a, const model::Task& b) {
               return a.reference_utilization() < b.reference_utilization();

@@ -10,9 +10,9 @@
 #include "core/hv_alloc.h"
 #include "core/kmeans.h"
 #include "core/vm_alloc.h"
+#include "generated.h"
 #include "model/platform.h"
 #include "util/rng.h"
-#include "workload/generator.h"
 
 namespace vc2m::core {
 namespace {
@@ -25,6 +25,7 @@ using model::Taskset;
 using model::Vcpu;
 using model::WcetFn;
 using util::Rng;
+using tests::generated;
 using util::Time;
 
 // -------------------------------------------------------------- kmeans ----
@@ -143,15 +144,6 @@ TEST(BestFit, EveryItemPlacedExactlyOnce) {
 
 // ----------------------------------------------------------- vm_alloc ----
 
-Taskset generated_taskset(double util, int vms = 1, std::uint64_t seed = 42) {
-  workload::GeneratorConfig cfg;
-  cfg.grid = PlatformSpec::A().grid;
-  cfg.target_ref_utilization = util;
-  cfg.num_vms = vms;
-  Rng rng(seed);
-  return workload::generate_taskset(cfg, rng);
-}
-
 VmAllocConfig vm_cfg(VcpuAnalysis a, unsigned max_vcpus = 4) {
   VmAllocConfig cfg;
   cfg.analysis = a;
@@ -160,7 +152,7 @@ VmAllocConfig vm_cfg(VcpuAnalysis a, unsigned max_vcpus = 4) {
 }
 
 TEST(VmAlloc, FlatteningMakesOneVcpuPerTask) {
-  const auto ts = generated_taskset(1.0);
+  const auto ts = generated(1.0, 42);
   Rng rng(1);
   const auto vcpus =
       allocate_vms_heuristic(ts, vm_cfg(VcpuAnalysis::kFlattening), rng);
@@ -169,7 +161,7 @@ TEST(VmAlloc, FlatteningMakesOneVcpuPerTask) {
 }
 
 TEST(VmAlloc, RegulatedUsesAtMostMaxVcpus) {
-  const auto ts = generated_taskset(1.5);
+  const auto ts = generated(1.5, 42);
   Rng rng(2);
   const auto vcpus =
       allocate_vms_heuristic(ts, vm_cfg(VcpuAnalysis::kRegulated, 4), rng);
@@ -178,7 +170,7 @@ TEST(VmAlloc, RegulatedUsesAtMostMaxVcpus) {
 }
 
 TEST(VmAlloc, EveryTaskAssignedExactlyOnce) {
-  const auto ts = generated_taskset(1.8);
+  const auto ts = generated(1.8, 42);
   Rng rng(3);
   for (const auto analysis :
        {VcpuAnalysis::kFlattening, VcpuAnalysis::kRegulated,
@@ -194,7 +186,7 @@ TEST(VmAlloc, EveryTaskAssignedExactlyOnce) {
 TEST(VmAlloc, RegulatedVcpuBandwidthMatchesTaskUtilization) {
   // Zero abstraction overhead: total VCPU reference bandwidth equals total
   // task reference utilization (up to nanosecond round-up).
-  const auto ts = generated_taskset(1.2);
+  const auto ts = generated(1.2, 42);
   Rng rng(4);
   const auto vcpus =
       allocate_vms_heuristic(ts, vm_cfg(VcpuAnalysis::kRegulated), rng);
@@ -203,7 +195,7 @@ TEST(VmAlloc, RegulatedVcpuBandwidthMatchesTaskUtilization) {
 }
 
 TEST(VmAlloc, ExistingCsaCarriesAbstractionOverhead) {
-  const auto ts = generated_taskset(1.0);
+  const auto ts = generated(1.0, 42);
   Rng rng(5);
   const auto vcpus =
       allocate_vms_heuristic(ts, vm_cfg(VcpuAnalysis::kExistingCsa), rng);
@@ -214,7 +206,7 @@ TEST(VmAlloc, ExistingCsaCarriesAbstractionOverhead) {
 }
 
 TEST(VmAlloc, VmBoundariesRespected) {
-  const auto ts = generated_taskset(1.5, /*vms=*/3);
+  const auto ts = generated(1.5, 42, /*vms=*/3);
   Rng rng(6);
   const auto vcpus =
       allocate_vms_heuristic(ts, vm_cfg(VcpuAnalysis::kRegulated), rng);
@@ -223,7 +215,7 @@ TEST(VmAlloc, VmBoundariesRespected) {
 }
 
 TEST(VmAlloc, LoadsAreBalancedAcrossVcpus) {
-  const auto ts = generated_taskset(1.6);
+  const auto ts = generated(1.6, 42);
   Rng rng(7);
   const auto vcpus =
       allocate_vms_heuristic(ts, vm_cfg(VcpuAnalysis::kRegulated, 4), rng);
@@ -266,7 +258,7 @@ TEST(VmAlloc, NonHarmonicTasksetsSplitIntoHarmonicChains) {
 }
 
 TEST(VmAlloc, ExistingCsaMaxWcetVcpuHasConstantBudget) {
-  const auto ts = generated_taskset(0.5);
+  const auto ts = generated(0.5, 42);
   std::vector<std::size_t> idx(ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) idx[i] = i;
   const auto v = vcpu_existing_csa_max_wcet(ts, idx);
@@ -309,7 +301,7 @@ void expect_valid_mapping(const HvAllocResult& res,
 
 TEST(HvAlloc, EasyWorkloadIsSchedulableWithValidMapping) {
   const auto platform = PlatformSpec::A();
-  const auto ts = generated_taskset(1.0);
+  const auto ts = generated(1.0, 42);
   const auto vcpus = regulated_vcpus(ts, platform.cores, 10);
   Rng rng(11);
   const auto res = allocate_heuristic(vcpus, platform, {}, rng);
@@ -319,7 +311,7 @@ TEST(HvAlloc, EasyWorkloadIsSchedulableWithValidMapping) {
 TEST(HvAlloc, ImpossibleWorkloadReportsFailure) {
   const auto platform = PlatformSpec::A();
   // Reference utilization above the core count can never fit.
-  const auto ts = generated_taskset(4.5);
+  const auto ts = generated(4.5, 42);
   const auto vcpus = regulated_vcpus(ts, platform.cores, 12);
   Rng rng(13);
   const auto res = allocate_heuristic(vcpus, platform, {}, rng);
@@ -328,7 +320,7 @@ TEST(HvAlloc, ImpossibleWorkloadReportsFailure) {
 
 TEST(HvAlloc, SingleLightVcpuFitsOneCore) {
   const auto platform = PlatformSpec::A();
-  const auto ts = generated_taskset(0.2);
+  const auto ts = generated(0.2, 42);
   const auto vcpus = regulated_vcpus(ts, platform.cores, 14);
   Rng rng(15);
   const auto res = allocate_heuristic(vcpus, platform, {}, rng);
@@ -338,7 +330,7 @@ TEST(HvAlloc, SingleLightVcpuFitsOneCore) {
 
 TEST(HvAlloc, EvenPartitionProducesValidMappingWhenSchedulable) {
   const auto platform = PlatformSpec::A();
-  const auto ts = generated_taskset(0.8);
+  const auto ts = generated(0.8, 42);
   const auto vcpus = regulated_vcpus(ts, platform.cores, 16);
   const auto res = allocate_even_partition(vcpus, platform);
   if (!res.schedulable) return;  // even split may legitimately fail
@@ -357,7 +349,7 @@ TEST(HvAlloc, HeuristicDominatesEvenPartition) {
   const auto platform = PlatformSpec::A();
   int heuristic_wins = 0, even_wins = 0;
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    const auto ts = generated_taskset(1.3, 1, 100 + seed);
+    const auto ts = generated(1.3, 100 + seed);
     const auto vcpus = regulated_vcpus(ts, platform.cores, 200 + seed);
     Rng rng(300 + seed);
     const bool h = allocate_heuristic(vcpus, platform, {}, rng).schedulable;
@@ -372,7 +364,7 @@ TEST(HvAlloc, PlatformCExtraCoreConstraint) {
   // Platform C has only 12 partitions: at most 6 cores could receive the
   // 2-partition cache minimum, and the allocator must respect the pool.
   const auto platform = PlatformSpec::C();
-  const auto ts = generated_taskset(1.0);
+  const auto ts = generated(1.0, 42);
   const auto vcpus = regulated_vcpus(ts, platform.cores, 17);
   Rng rng(18);
   const auto res = allocate_heuristic(vcpus, platform, {}, rng);
@@ -381,7 +373,7 @@ TEST(HvAlloc, PlatformCExtraCoreConstraint) {
 
 TEST(HvAlloc, DeterministicGivenSeed) {
   const auto platform = PlatformSpec::A();
-  const auto ts = generated_taskset(1.2);
+  const auto ts = generated(1.2, 42);
   const auto vcpus = regulated_vcpus(ts, platform.cores, 19);
   Rng rng1(20), rng2(20);
   const auto r1 = allocate_heuristic(vcpus, platform, {}, rng1);

@@ -18,28 +18,20 @@
 
 #include "core/experiment.h"
 #include "core/strategy.h"
+#include "generated.h"
 #include "golden_util.h"
 #include "model/platform.h"
 #include "obs/decision_log.h"
 #include "obs/explain.h"
 #include "util/error.h"
+#include "util/names.h"
 #include "util/rng.h"
-#include "workload/generator.h"
 
 namespace {
 
 using namespace vc2m;
 using namespace vc2m::golden;
-
-model::Taskset generated(double util, int vms, std::uint64_t seed,
-                         const model::PlatformSpec& platform) {
-  workload::GeneratorConfig gen;
-  gen.grid = platform.grid;
-  gen.target_ref_utilization = util;
-  gen.num_vms = vms;
-  util::Rng rng(seed);
-  return workload::generate_taskset(gen, rng);
-}
+using tests::generated;
 
 // ------------------------------------------------------------- the log ----
 
@@ -78,7 +70,8 @@ TEST(DecisionLog, NamesRoundTripThroughStrings) {
   for (int k = 0; k <= static_cast<int>(obs::DecisionKind::kVerdict); ++k) {
     const auto kind = static_cast<obs::DecisionKind>(k);
     obs::DecisionKind back{};
-    ASSERT_TRUE(obs::decision_kind_from_string(obs::to_string(kind), back))
+    ASSERT_TRUE(util::enum_from_name(obs::kDecisionKindNames,
+                                     obs::to_string(kind), back))
         << "kind " << k;
     EXPECT_EQ(back, kind);
   }
@@ -87,15 +80,16 @@ TEST(DecisionLog, NamesRoundTripThroughStrings) {
        ++c) {
     const auto constraint = static_cast<obs::DecisionConstraint>(c);
     obs::DecisionConstraint back{};
-    ASSERT_TRUE(
-        obs::decision_constraint_from_string(obs::to_string(constraint), back))
+    ASSERT_TRUE(util::enum_from_name(obs::kDecisionConstraintNames,
+                                     obs::to_string(constraint), back))
         << "constraint " << c;
     EXPECT_EQ(back, constraint);
   }
   obs::DecisionKind k{};
-  EXPECT_FALSE(obs::decision_kind_from_string("not_a_kind", k));
+  EXPECT_FALSE(util::enum_from_name(obs::kDecisionKindNames, "not_a_kind", k));
   obs::DecisionConstraint c{};
-  EXPECT_FALSE(obs::decision_constraint_from_string("not_a_constraint", c));
+  EXPECT_FALSE(util::enum_from_name(obs::kDecisionConstraintNames,
+                                    "not_a_constraint", c));
 }
 
 // ------------------------------------------- verdicts are never perturbed ----
@@ -141,7 +135,7 @@ TEST(DecisionRecording, ExperimentEventStreamBitIdenticalAcrossJobs) {
 
 TEST(Explain, InfeasibleProfileNamesBindingConstraintPerVm) {
   const auto platform = model::PlatformSpec::A();
-  const auto tasks = generated(3.5, 3, 9, platform);
+  const auto tasks = generated(3.5, 9, 3, platform.grid);
   const auto& strat = core::StrategyRegistry::instance().require("ovf");
   util::Rng rng(42);
   core::SolveResult result;
@@ -163,7 +157,7 @@ TEST(Explain, InfeasibleProfileNamesBindingConstraintPerVm) {
 
 TEST(Explain, FeasibleProfileReportsConsistentHeadroom) {
   const auto platform = model::PlatformSpec::A();
-  const auto tasks = generated(0.8, 2, 7, platform);
+  const auto tasks = generated(0.8, 7, 2, platform.grid);
   const auto& strat = core::StrategyRegistry::instance().require("ovf");
   util::Rng rng(42);
   core::SolveResult result;
@@ -188,7 +182,7 @@ TEST(Explain, FeasibleProfileReportsConsistentHeadroom) {
 
 TEST(Explain, SolveResultBitIdenticalWithAndWithoutRecording) {
   const auto platform = model::PlatformSpec::A();
-  const auto tasks = generated(1.0, 2, 11, platform);
+  const auto tasks = generated(1.0, 11, 2, platform.grid);
   const auto& strat = core::StrategyRegistry::instance().require("flat");
 
   util::Rng bare_rng(5);
@@ -203,7 +197,7 @@ TEST(Explain, SolveResultBitIdenticalWithAndWithoutRecording) {
 
 TEST(Explain, JsonRoundTripIsByteIdentical) {
   const auto platform = model::PlatformSpec::C();
-  const auto tasks = generated(2.5, 2, 3, platform);
+  const auto tasks = generated(2.5, 3, 2, platform.grid);
   const auto& strat = core::StrategyRegistry::instance().require("even");
   util::Rng rng(1);
   const auto report = obs::explain_solve(strat, tasks, platform, {}, rng);

@@ -41,6 +41,7 @@
 #include "core/exact.h"
 #include "core/experiment.h"
 #include "core/strategy.h"
+#include "generated.h"
 #include "golden_util.h"
 #include "model/platform.h"
 #include "util/hash.h"
@@ -60,11 +61,7 @@ std::vector<std::string> admission_lines() {
   std::vector<std::string> lines;
   const auto platform = model::PlatformSpec::A();
   for (int rep = 0; rep < 3; ++rep) {
-    workload::GeneratorConfig gen;
-    gen.grid = platform.grid;
-    gen.target_ref_utilization = 0.8;
-    util::Rng gen_rng(7100 + rep);
-    auto base = workload::generate_taskset(gen, gen_rng);
+    auto base = tests::generated(0.8, 7100 + rep);
 
     util::Rng rng(7200 + rep);
     const auto res = core::solve("ovf", base, platform, {}, rng);
@@ -77,9 +74,7 @@ std::vector<std::string> admission_lines() {
     }
     core::AdmissionState state{res.vcpus, res.mapping};
 
-    gen.target_ref_utilization = 0.5;
-    util::Rng gen2(7300 + rep);
-    auto extra = workload::generate_taskset(gen, gen2);
+    auto extra = tests::generated(0.5, 7300 + rep);
     for (auto& t : extra) t.vm = 101;
 
     core::VmAllocConfig vm_cfg;
@@ -102,11 +97,8 @@ std::vector<std::string> exact_lines() {
   std::vector<std::string> lines;
   const auto platform = model::PlatformSpec::C();
   for (int rep = 0; rep < 3; ++rep) {
-    workload::GeneratorConfig gen;
-    gen.grid = platform.grid;
-    gen.target_ref_utilization = 0.6 + 0.2 * rep;
-    util::Rng gen_rng(8100 + rep);
-    const auto tasks = workload::generate_taskset(gen, gen_rng);
+    const auto tasks =
+        tests::generated(0.6 + 0.2 * rep, 8100 + rep, 1, platform.grid);
 
     util::Rng rng(8200 + rep);
     const auto res = core::solve("ovf", tasks, platform, {}, rng);

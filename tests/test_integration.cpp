@@ -3,10 +3,13 @@
 // mapping the analysis certifies must produce zero deadline misses.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "core/strategy.h"
+#include "generated.h"
 #include "model/platform.h"
+#include "obs/audit.h"
 #include "obs/trace_check.h"
 #include "sim/deploy.h"
 #include "sim/profiling.h"
@@ -18,35 +21,36 @@
 namespace vc2m {
 namespace {
 
+using tests::generated;
 using tests::SolutionIndex;
 using util::Rng;
 using util::Time;
 
-model::Taskset generated(double util, std::uint64_t seed, int vms = 1) {
-  workload::GeneratorConfig cfg;
-  cfg.grid = model::PlatformSpec::A().grid;
-  cfg.target_ref_utilization = util;
-  cfg.num_vms = vms;
-  Rng rng(seed);
-  return workload::generate_taskset(cfg, rng);
+/// No scheduling invariant (single occupancy, no execution while
+/// throttled, budget compliance, release / completion matching) is broken.
+void expect_clean(const obs::TraceCheckResult& res) {
+  EXPECT_TRUE(res.ok()) << (res.violations.empty() ? res.summary()
+                                                   : res.violations[0].what);
 }
 
-Time sim_horizon(const model::Taskset& tasks) {
-  // Two hyperperiods (harmonic => the largest period) of steady state.
-  return model::hyperperiod(tasks) * 2;
-}
-
-/// Every captured trace must satisfy the scheduling invariants (single
-/// occupancy, no execution while throttled, budget compliance, release /
-/// completion matching).
-void expect_trace_invariants(const sim::Simulation& simulation,
-                             Time horizon) {
-  const auto res = obs::check_trace(
-      simulation.trace().events(),
-      obs::TraceCheckConfig::from_sim(simulation.config(), horizon));
-  EXPECT_TRUE(res.ok()) << (res.violations.empty()
-                                ? res.summary()
-                                : res.violations[0].what);
+/// `res`, an allocation `strat` certified, audits clean: no deadline miss,
+/// jobs done, a clean trace. Theorem 1 certifies Flat only with task and
+/// VCPU releases in lockstep, so its audit issues one release-sync
+/// hypercall per task and every other solution's none.
+void expect_audits_clean(const core::Strategy& strat,
+                         const model::Taskset& tasks,
+                         const model::PlatformSpec& platform,
+                         const core::SolveResult& res, int hyperperiods) {
+  obs::AuditConfig cfg;
+  cfg.hyperperiods = hyperperiods;
+  const auto a = obs::audit(strat, tasks, platform, res, cfg);
+  EXPECT_EQ(a.stats.deadline_misses, 0u) << strat.key;
+  EXPECT_GT(a.stats.jobs_completed, 0u);
+  expect_clean(a.check);
+  EXPECT_EQ(static_cast<std::size_t>(std::ranges::count(
+                a.events, sim::TraceKind::kHypercall, &sim::TraceEvent::kind)),
+            strat.key == "flat" ? tasks.size() : 0u)
+      << strat.key;
 }
 
 // ---------------- certified mappings execute without misses ----------------
@@ -56,23 +60,21 @@ class CertifiedExecutionTest
 
 TEST_P(CertifiedExecutionTest, NoDeadlineMissesUnderCpuOnlyExecution) {
   const auto [index, seed] = GetParam();
-  const std::string& solution = index.key();
+  const auto& strat = core::StrategyRegistry::instance().require(index.key());
   const auto platform = model::PlatformSpec::A();
-  const auto tasks = generated(0.9, 100 + static_cast<std::uint64_t>(seed));
-  Rng rng(200 + static_cast<std::uint64_t>(seed));
-  const auto res = core::solve(solution, tasks, platform, {}, rng);
-  if (!res.schedulable) GTEST_SKIP() << "not certified for this seed";
-
-  sim::DeployConfig dc;
-  dc.exec = sim::ExecModel::kCpuOnly;
-  dc.capture_trace = true;
-  sim::Simulation simulation(
-      sim::deploy(tasks, res.vcpus, res.mapping, platform, dc));
-  simulation.run(sim_horizon(tasks));
-  const auto stats = simulation.stats();
-  EXPECT_EQ(stats.deadline_misses, 0u) << solution;
-  EXPECT_GT(stats.jobs_completed, 0u);
-  expect_trace_invariants(simulation, sim_horizon(tasks));
+  // The instance's taskset is generated at the highest reference
+  // utilization of 0.9, 0.8, ..., 0.1 at which the solution certifies it
+  // (the pessimistic Existing and Baseline analyses reject some at 0.9).
+  for (int tenths = 9; tenths >= 1; --tenths) {
+    const auto tasks =
+        generated(tenths / 10.0, 100 + static_cast<std::uint64_t>(seed));
+    Rng rng(200 + static_cast<std::uint64_t>(seed));
+    const auto res = core::solve(strat, tasks, platform, {}, rng);
+    if (!res.schedulable) continue;
+    expect_audits_clean(strat, tasks, platform, res, 2);
+    return;
+  }
+  FAIL() << strat.key << " certifies no utilization for seed " << seed;
 }
 
 constexpr const char* kInstanceNames[] = {"Flat", "OvfFree", "Existing",
@@ -90,19 +92,48 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(CertifiedExecution, MultiVmWorkloadRunsClean) {
+  const auto& strat = core::StrategyRegistry::instance().require("ovf");
   const auto platform = model::PlatformSpec::B();
   const auto tasks = generated(1.2, 7, /*vms=*/3);
   Rng rng(8);
-  const auto res = core::solve("ovf", tasks, platform, {}, rng);
+  const auto res = core::solve(strat, tasks, platform, {}, rng);
   ASSERT_TRUE(res.schedulable);
-  sim::DeployConfig dc;
-  dc.capture_trace = true;
-  sim::Simulation simulation(
-      sim::deploy(tasks, res.vcpus, res.mapping, platform, dc));
-  simulation.run(sim_horizon(tasks));
-  EXPECT_EQ(simulation.stats().deadline_misses, 0u);
-  expect_trace_invariants(simulation, sim_horizon(tasks));
+  expect_audits_clean(strat, tasks, platform, res, 2);
 }
+
+// --------------------------------------- analysis vs execution coherence ----
+
+class AnalysisVsExecutionTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(AnalysisVsExecutionTest, CertifiedImpliesNoMisses) {
+  const auto platform = model::PlatformSpec::A();
+  const auto& keys = core::default_solution_keys();
+  const auto& strat = core::StrategyRegistry::instance().require(
+      keys[GetParam() % keys.size()]);
+  // The instance's input comes from the first seed of 11000 + p,
+  // 11100 + p, 11200 + p, ... whose taskset the solution certifies (the
+  // Existing analysis rejects the first draws of some instances).
+  const auto p = static_cast<std::uint64_t>(GetParam());
+  for (std::uint64_t seed = 11'000 + p; seed < 12'000; seed += 100) {
+    Rng rng(seed);
+    workload::GeneratorConfig gen;
+    gen.grid = platform.grid;
+    gen.target_ref_utilization = rng.uniform(0.5, 1.6);
+    const auto tasks = workload::generate_taskset(gen, rng);
+    Rng solve_rng = rng.fork();
+    const auto res = core::solve(strat, tasks, platform, {}, solve_rng);
+    if (!res.schedulable) continue;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_audits_clean(strat, tasks, platform, res, 3);
+    return;
+  }
+  FAIL() << strat.key << " certifies none of the instance's seeds";
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, AnalysisVsExecutionTest,
+                         ::testing::Range(0, 15));
+
+// ---------------------------------- DES mechanics on raw deployments ----
 
 TEST(CertifiedExecution, FlatteningWithReleaseSyncAndTaskOffsets) {
   // Theorem 1 end to end: tasks with non-zero first releases; the
@@ -121,13 +152,15 @@ TEST(CertifiedExecution, FlatteningWithReleaseSyncAndTaskOffsets) {
   Rng offsets(11);
   for (auto& t : cfg.tasks)
     t.offset = Time::ms(offsets.uniform_int(0, 50));
-  sim::Simulation simulation(std::move(cfg));
-  simulation.run(sim_horizon(tasks) + Time::ms(100));
-  const auto stats = simulation.stats();
-  EXPECT_EQ(stats.deadline_misses, 0u);
+  sim::Simulation simulation(cfg);
+  // Two hyperperiods (harmonic => the largest period) past the offsets.
+  const Time horizon = model::hyperperiod(tasks) * 2 + Time::ms(100);
+  simulation.run(horizon);
+  EXPECT_EQ(simulation.stats().deadline_misses, 0u);
   EXPECT_GE(simulation.trace().count(sim::TraceKind::kHypercall),
             tasks.size());
-  expect_trace_invariants(simulation, sim_horizon(tasks) + Time::ms(100));
+  expect_clean(obs::check_trace(simulation.trace().events(),
+                                obs::TraceCheckConfig::from_sim(cfg, horizon)));
 }
 
 TEST(CertifiedExecution, DeployRejectsUnschedulableMapping) {
@@ -190,7 +223,9 @@ TEST(PhysicalExecution, ProfiledSurfacesCertifyAndRunClean) {
   const auto stats = simulation.stats();
   EXPECT_EQ(stats.deadline_misses, 0u);
   EXPECT_GT(stats.jobs_completed, 10u);
-  expect_trace_invariants(simulation, Time::sec(2));
+  expect_clean(obs::check_trace(
+      simulation.trace().events(),
+      obs::TraceCheckConfig::from_sim(simulation.config(), Time::sec(2))));
 }
 
 }  // namespace

@@ -26,12 +26,12 @@
 #include "core/admission.h"
 #include "core/core_load.h"
 #include "core/kmeans.h"
+#include "generated.h"
 #include "model/platform.h"
 #include "obs/decision_log.h"
 #include "util/hash.h"
 #include "util/instrument.h"
 #include "util/rng.h"
-#include "workload/generator.h"
 #include "workload/parsec.h"
 
 namespace vc2m::core {
@@ -72,14 +72,6 @@ const std::vector<PlatformSpec>& platforms() {
   return kAll;
 }
 
-Taskset tasks_on(const ResourceGrid& grid, double util, std::uint64_t seed) {
-  workload::GeneratorConfig gen;
-  gen.grid = grid;
-  gen.target_ref_utilization = util;
-  Rng rng(seed);
-  return workload::generate_taskset(gen, rng);
-}
-
 // ---------------------------------------------------------- k-means pins --
 
 /// Platform-A slowdown features: the twelve PARSEC surfaces, then the
@@ -89,7 +81,7 @@ std::vector<std::vector<double>> feature_pool() {
   std::vector<std::vector<double>> pool;
   for (const auto& p : workload::parsec_suite())
     pool.push_back(p.surface(grid).flat());
-  for (const auto& t : tasks_on(grid, 4.0, 5))
+  for (const auto& t : tests::generated(4.0, 5, 1, grid))
     pool.push_back(t.slowdown().flat());
   return pool;
 }
@@ -468,7 +460,8 @@ TEST(GridKernelOracle, RegulatedVcpuMatchesAtLoop) {
   for (const auto& platform : platforms()) {
     const auto& g = platform.grid;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      const auto ts = tasks_on(g, 0.5 + 0.4 * static_cast<double>(seed), seed);
+      const auto ts =
+          tests::generated(0.5 + 0.4 * static_cast<double>(seed), seed, 1, g);
       std::vector<std::size_t> all(ts.size());
       std::iota(all.begin(), all.end(), 0);
       // Every prefix exercises a different period mix and denominator.
@@ -480,7 +473,7 @@ TEST(GridKernelOracle, RegulatedVcpuMatchesAtLoop) {
     }
     // Generated period menus are powers of two apart; periods 3x and 6x
     // apart make a denominator (6) that is not a power of two.
-    auto mixed = tasks_on(g, 2.0, 99);
+    auto mixed = tests::generated(2.0, 99, 1, g);
     ASSERT_GE(mixed.size(), 3u);
     mixed.resize(3);
     mixed[0].period = Time::ms(100);
@@ -526,7 +519,7 @@ bool schedulable_reference(const std::vector<Vcpu>& vcpus,
 std::vector<Vcpu> vcpus_on(const ResourceGrid& g, std::uint64_t seed) {
   std::vector<Vcpu> out;
   for (std::uint64_t s = 0; s < 4; ++s) {
-    const auto ts = tasks_on(g, 0.8, seed * 10 + s);
+    const auto ts = tests::generated(0.8, seed * 10 + s, 1, g);
     for (std::size_t i = 0; i < ts.size(); ++i)
       out.push_back(analysis::regulated_vcpu(ts, std::vector<std::size_t>{i}));
   }
@@ -817,8 +810,9 @@ TEST(AdmissionPinTest, ChurnDecisionsEventsAndStates) {
     } else {
       const bool resize = r < 0.4 && !live.empty();
       const int id = resize ? live[rng.index(live.size())] : next_vm++;
-      auto tasks = tasks_on(platform.grid, 0.1 + 0.3 * rng.uniform01(),
-                            5000 + static_cast<std::uint64_t>(step));
+      auto tasks = tests::generated(0.1 + 0.3 * rng.uniform01(),
+                                    5000 + static_cast<std::uint64_t>(step),
+                                    1, platform.grid);
       for (auto& t : tasks) t.vm = id;
       VmAllocConfig vm;
       vm.request_id = step;

@@ -10,7 +10,6 @@
 #include "analysis/schedulability.h"
 #include "core/strategy.h"
 #include "model/platform.h"
-#include "sim/deploy.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -223,35 +222,6 @@ TEST_P(SimulatorStressTest, AccountingInvariantsUnderRandomMixes) {
 
 INSTANTIATE_TEST_SUITE_P(Random, SimulatorStressTest,
                          ::testing::Range(0, 20));
-
-// --------------------------------------- analysis vs execution coherence ----
-
-class AnalysisVsExecutionTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(AnalysisVsExecutionTest, CertifiedImpliesNoMisses) {
-  const std::uint64_t seed = 11'000 + static_cast<std::uint64_t>(GetParam());
-  Rng rng(seed);
-  const auto platform = model::PlatformSpec::A();
-  workload::GeneratorConfig gen;
-  gen.grid = platform.grid;
-  gen.target_ref_utilization = rng.uniform(0.5, 1.6);
-  const auto tasks = workload::generate_taskset(gen, rng);
-
-  const auto& keys = core::default_solution_keys();
-  const auto& solution = keys[GetParam() % keys.size()];
-  Rng solve_rng = rng.fork();
-  const auto res = core::solve(solution, tasks, platform, {}, solve_rng);
-  if (!res.schedulable) GTEST_SKIP();
-
-  sim::Simulation s(
-      sim::deploy(tasks, res.vcpus, res.mapping, platform, {}));
-  s.run(model::hyperperiod(tasks) * 3);
-  EXPECT_EQ(s.stats().deadline_misses, 0u)
-      << solution << " seed " << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Random, AnalysisVsExecutionTest,
-                         ::testing::Range(0, 15));
 
 }  // namespace
 }  // namespace vc2m

@@ -100,14 +100,7 @@ scenario::ScenarioReport scenario_report() {
   sim.digest = "sched=1|cores=2|vhash=89abcdef01234567";
   sim.passed = true;
   sim.simulated = true;
-  sim.jobs_released = 120;
-  sim.jobs_completed = 118;
-  sim.deadline_misses = 2;
-  sim.faults_injected = 31;
-  sim.jobs_killed = 4;
-  sim.jobs_deferred = 5;
-  sim.trace_events = 900;
-  sim.trace_violations = 0;
+  sim.metrics = {120, 118, 2, 31, 4, 5, 900, 0};
   scenario::ScenarioRecord solve_only;
   solve_only.name = "infeasible-bw";
   solve_only.file = "infeasible-bw.json";

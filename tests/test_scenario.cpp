@@ -484,11 +484,18 @@ TEST(ScenarioReport, RoundTripsThroughTheStrictReader) {
 TEST(ScenarioReport, ReaderRejectsForeignSchemaAndUnknownKeys) {
   std::istringstream wrong(R"({"schema": "vc2m-bench-report/1"})");
   EXPECT_THROW((void)scenario::read_scenario_report(wrong), util::Error);
+  // A well-formed empty report plus one key the format does not have: the
+  // reader keeps the report and names the key in a note.
   std::istringstream extra(
       R"({"schema": "vc2m-scenario-report/1", "git_rev": "x", "corpus": "c",
-          "shard_index": 0, "shard_count": 1, "total": 0, "passed": 0,
-          "failed": 0, "surprise": 1, "records": []})");
-  EXPECT_THROW((void)scenario::read_scenario_report(extra), util::Error);
+          "shard": {"index": 0, "count": 1}, "total": 0, "passed": 0,
+          "failed": 0, "surprise": 1, "scenarios": []})");
+  std::vector<std::string> notes;
+  EXPECT_EQ(
+      scenario::read_scenario_report(extra, "scenario report", &notes).corpus,
+      "c");
+  ASSERT_EQ(notes.size(), 1u);
+  EXPECT_NE(notes[0].find("'surprise'"), std::string::npos) << notes[0];
 }
 
 TEST(ScenarioReport, UnknownFieldInAValidReportIsSurfacedNotRejected) {
@@ -575,14 +582,14 @@ TEST(ScenarioReport, CountsAtOrAbove2To53AreRejectedByName) {
   rec.scenario_hash = "0123456789abcdef";
   rec.digest = "sched=1";
   rec.simulated = true;
-  rec.trace_events = (std::uint64_t{1} << 53) - 1;
+  rec.metrics.trace_events = (std::uint64_t{1} << 53) - 1;
   r.records.push_back(rec);
   std::istringstream ok(serialized(r));
-  EXPECT_EQ(scenario::read_scenario_report(ok).records[0].trace_events,
-            rec.trace_events);
+  EXPECT_EQ(scenario::read_scenario_report(ok).records[0].metrics.trace_events,
+            rec.metrics.trace_events);
   for (const std::uint64_t n : {std::uint64_t{1} << 53,
                                 (std::uint64_t{1} << 53) + 1}) {
-    r.records[0].trace_events = n;
+    r.records[0].metrics.trace_events = n;
     std::istringstream in(serialized(r));
     try {
       (void)scenario::read_scenario_report(in);

@@ -9,14 +9,14 @@
 #include <vector>
 
 #include "core/strategy.h"
-#include "sim/deploy.h"
+#include "generated.h"
+#include "obs/audit.h"
 #include "sim/event_queue.h"
 #include "sim/profiling.h"
 #include "sim/simulation.h"
 #include "util/error.h"
 #include "util/hash.h"
 #include "util/rng.h"
-#include "workload/generator.h"
 #include "workload/parsec.h"
 
 // Every global operator new in this binary is counted, so a test can pin a
@@ -300,6 +300,14 @@ TEST(EventQueue, InterleavedOperationsMatchReferenceModel) {
 
 // ------------------------------------------------------- basic running ----
 
+/// The captured events of one kind, in recorded (time) order.
+std::vector<TraceEvent> events_of(const Trace& trace, TraceKind kind) {
+  std::vector<TraceEvent> out;
+  for (const auto& ev : trace.events())
+    if (ev.kind == kind) out.push_back(ev);
+  return out;
+}
+
 SimTaskSpec cpu_task(Time period, Time work, std::size_t vcpu = 0,
                      Time offset = Time::zero()) {
   SimTaskSpec t;
@@ -470,7 +478,7 @@ TEST(Simulation, HypervisorEdfPreemptsOnEarlierDeadline) {
   sim.run(Time::ms(400));
   const auto s = sim.stats();
   EXPECT_EQ(s.deadline_misses, 0u);
-  const auto scheds = sim.trace().events_of(TraceKind::kVcpuSchedule);
+  const auto scheds = events_of(sim.trace(), TraceKind::kVcpuSchedule);
   ASSERT_GE(scheds.size(), 2u);
   EXPECT_EQ(scheds[0].vcpu, 0);  // earlier deadline first
   EXPECT_EQ(scheds[1].vcpu, 1);
@@ -491,7 +499,7 @@ TEST(Simulation, TieBreakBySmallerPeriodThenIndex) {
                cpu_task(Time::ms(20), Time::ms(1), 2)};
   Simulation sim(cfg);
   sim.run(Time::ms(20));
-  const auto scheds = sim.trace().events_of(TraceKind::kVcpuSchedule);
+  const auto scheds = events_of(sim.trace(), TraceKind::kVcpuSchedule);
   ASSERT_GE(scheds.size(), 3u);
   EXPECT_EQ(scheds[0].vcpu, 0);
   EXPECT_EQ(scheds[1].vcpu, 1);
@@ -760,7 +768,7 @@ TEST(VcpuUpdate, BudgetIncreaseStopsMisses) {
   sim.run(Time::ms(600));
 
   std::uint64_t misses_before = 0, misses_after = 0;
-  for (const auto& ev : sim.trace().events_of(TraceKind::kDeadlineMiss))
+  for (const auto& ev : events_of(sim.trace(), TraceKind::kDeadlineMiss))
     (ev.when <= Time::ms(250) ? misses_before : misses_after) += 1;
   EXPECT_GT(misses_before, 10u);
   // A backlog drains shortly after the update; steady state is clean.
@@ -779,7 +787,7 @@ TEST(VcpuUpdate, TakesEffectAtNextReleaseNotMidPeriod) {
   sim.run(Time::ms(100));
   // Releases: 0, 10, 20 (old 10ms period until then), then 40, 60, 80, 100
   // under the new 20ms period.
-  const auto releases = sim.trace().events_of(TraceKind::kVcpuRelease);
+  const auto releases = events_of(sim.trace(), TraceKind::kVcpuRelease);
   ASSERT_GE(releases.size(), 6u);
   EXPECT_EQ(releases[1].when, Time::ms(10));
   EXPECT_EQ(releases[2].when, Time::ms(20));
@@ -1223,10 +1231,9 @@ TEST(Trace, EventsOfFiltersOneKindInTimeOrder) {
   ASSERT_GT(trace.events().size(), 100u);
   for (int k = 0; k < static_cast<int>(TraceKind::kCount_); ++k) {
     const auto kind = static_cast<TraceKind>(k);
-    const auto evs = trace.events_of(kind);
-    // The per-kind counter sizes the filtered copy exactly.
+    const auto evs = events_of(trace, kind);
+    // The per-kind counter counts every captured event of its kind.
     EXPECT_EQ(evs.size(), trace.count(kind)) << to_string(kind);
-    for (const auto& ev : evs) EXPECT_EQ(ev.kind, kind);
     // Recorded order is time order (the DES never goes backwards).
     for (std::size_t i = 0; i + 1 < evs.size(); ++i)
       EXPECT_LE(evs[i].when, evs[i + 1].when) << to_string(kind);
@@ -1257,9 +1264,10 @@ class Digest {
 };
 
 /// "<label> <events> <digest>" for one finished run.
-std::string golden_line(const std::string& label, const Simulation& sim) {
+std::string golden_line(const std::string& label, const SimStats& s,
+                        const std::vector<TraceEvent>& events) {
   Digest d;
-  for (const auto& ev : sim.trace().events()) {
+  for (const auto& ev : events) {
     d.add_time(ev.when);
     d.add(static_cast<std::uint64_t>(ev.kind));
     d.add_signed(ev.core);
@@ -1267,7 +1275,6 @@ std::string golden_line(const std::string& label, const Simulation& sim) {
     d.add_signed(ev.task);
     d.add_signed(ev.job);
   }
-  const SimStats s = sim.stats();
   for (const std::uint64_t v :
        {s.jobs_released, s.jobs_completed, s.deadline_misses,
         s.vcpu_context_switches, s.task_dispatches, s.throttles, s.refills,
@@ -1294,8 +1301,11 @@ std::string golden_line(const std::string& label, const Simulation& sim) {
     d.add_time(v.budget_consumed);
   }
   for (const int c : s.task_criticality) d.add_signed(c);
-  return label + " " + std::to_string(sim.trace().events().size()) + " " +
-         d.hex() + "\n";
+  return label + " " + std::to_string(events.size()) + " " + d.hex() + "\n";
+}
+
+std::string golden_line(const std::string& label, const Simulation& sim) {
+  return golden_line(label, sim.stats(), sim.trace().events());
 }
 
 std::string run_golden(const std::string& label, SimConfig cfg,
@@ -1307,9 +1317,9 @@ std::string run_golden(const std::string& label, SimConfig cfg,
 }
 
 TEST(GoldenTrace, CertifiedAllocationsOfAllFiveSolutions) {
-  // Each paper solution's allocation of three generated tasksets, deployed
-  // as `vc2m simulate` does (CPU-only model, release sync for flattening,
-  // the default hypercall latency) and run for one hyperperiod.
+  // Each paper solution's allocation of three generated tasksets, audited
+  // (obs::audit: CPU-only model, release sync for flattening, the default
+  // hypercall latency) for one hyperperiod.
   struct Taskset {
     double util;
     int vms;
@@ -1319,12 +1329,7 @@ TEST(GoldenTrace, CertifiedAllocationsOfAllFiveSolutions) {
   std::string got;
   for (const auto& [ref_util, vms, seed] :
        {Taskset{0.3, 1, 1}, Taskset{0.3, 1, 6}, Taskset{0.6, 2, 6}}) {
-    workload::GeneratorConfig gen;
-    gen.grid = platform.grid;
-    gen.target_ref_utilization = ref_util;
-    gen.num_vms = vms;
-    util::Rng gen_rng(seed);
-    const model::Taskset tasks = workload::generate_taskset(gen, gen_rng);
+    const model::Taskset tasks = tests::generated(ref_util, seed, vms);
     for (const auto& key : core::default_solution_keys()) {
       const auto& strat = core::StrategyRegistry::instance().require(key);
       util::Rng rng(seed * 100);
@@ -1336,11 +1341,9 @@ TEST(GoldenTrace, CertifiedAllocationsOfAllFiveSolutions) {
         got += label + " unschedulable\n";
         continue;
       }
-      DeployConfig dc;
-      dc.release_sync = strat.vm->release_sync();
-      got += run_golden(label,
-                        deploy(tasks, res.vcpus, res.mapping, platform, dc),
-                        model::hyperperiod(tasks));
+      const auto a = obs::audit(strat, tasks, platform, res);
+      EXPECT_TRUE(a.check.ok()) << label << ": " << a.check.summary();
+      got += golden_line(label, a.stats, a.events);
     }
   }
   EXPECT_EQ(got,

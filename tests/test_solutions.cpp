@@ -5,31 +5,23 @@
 
 #include "core/experiment.h"
 #include "core/strategy.h"
+#include "generated.h"
 #include "model/platform.h"
 #include "solution_index.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "workload/generator.h"
 
 namespace vc2m::core {
 namespace {
 
 using model::PlatformSpec;
 using model::Taskset;
+using tests::generated;
 using tests::SolutionIndex;
 using util::Rng;
 
 const std::string& display(const std::string& key) {
   return StrategyRegistry::instance().require(key).display;
-}
-
-Taskset generated(double util, std::uint64_t seed = 1, int vms = 1) {
-  workload::GeneratorConfig cfg;
-  cfg.grid = PlatformSpec::A().grid;
-  cfg.target_ref_utilization = util;
-  cfg.num_vms = vms;
-  Rng rng(seed);
-  return workload::generate_taskset(cfg, rng);
 }
 
 TEST(Solutions, NamesMatchThePaperLegend) {

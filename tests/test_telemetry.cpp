@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/admission.h"
+#include "generated.h"
 #include "model/platform.h"
 #include "obs/request_span.h"
 #include "service/journal.h"
@@ -31,7 +32,6 @@
 #include "util/error.h"
 #include "util/log_histogram.h"
 #include "util/rng.h"
-#include "workload/generator.h"
 
 namespace vc2m::service {
 namespace {
@@ -804,11 +804,7 @@ TEST(Spans, CheckerFlagsStructuralViolations) {
 
 TEST(Spans, RequestIdEchoesThroughAdmission) {
   const auto platform = model::PlatformSpec::A();
-  workload::GeneratorConfig gen;
-  gen.grid = platform.grid;
-  gen.target_ref_utilization = 0.3;
-  util::Rng grng(11);
-  auto tasks = workload::generate_taskset(gen, grng);
+  auto tasks = tests::generated(0.3, 11);
   for (auto& t : tasks) t.vm = 1;
 
   core::VmAllocConfig vm;

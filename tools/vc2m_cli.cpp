@@ -59,6 +59,7 @@
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "hw/cat.h"
+#include "obs/audit.h"
 #include "obs/bench_report.h"
 #include "obs/explain.h"
 #include "obs/profiler.h"
@@ -69,10 +70,8 @@
 #include "obs/trace_export.h"
 #include "service/service.h"
 #include "service/telemetry.h"
-#include "sim/deploy.h"
 #include "sim/enforcement.h"
 #include "sim/faults.h"
-#include "sim/simulation.h"
 #include "model/platform.h"
 #include "util/error.h"
 #include "util/file.h"
@@ -516,44 +515,35 @@ int cmd_simulate(const Args& a) {
     return 1;
   }
 
-  sim::DeployConfig dc;
-  dc.release_sync = strat.vm->release_sync();
-  dc.capture_trace = !a.trace.empty() || a.report;
-  auto sim_cfg = sim::deploy(tasks, res.vcpus, res.mapping, platform, dc);
-  sim_cfg.enforcement = enforcement_of(a.policy);
-  const bool faulty = !a.faults.empty();
-  if (faulty) sim_cfg.faults = sim::parse_fault_spec(a.faults);
-  sim::Simulation s(sim_cfg);
-
   obs::MetricsRegistry registry;
   obs::MetricsRecorder recorder(registry);
-  if (a.report) s.set_observer(&recorder);
-
-  const auto horizon = model::hyperperiod(tasks) * 3;
-  s.run(horizon);
-  const auto st = s.stats();
+  obs::AuditConfig ac;
+  ac.enforcement = enforcement_of(a.policy);
+  const bool faulty = !a.faults.empty();
+  if (faulty) ac.faults = sim::parse_fault_spec(a.faults);
+  ac.hyperperiods = 3;
+  if (a.report) ac.observer = &recorder;
+  const auto au = obs::audit(strat, tasks, platform, res, ac);
+  const auto& st = au.stats;
 
   if (!a.trace.empty()) {
-    obs::write_trace_file(a.trace, s.trace().events(),
-                          obs::TraceMeta::from_config(sim_cfg));
-    std::cout << "Wrote " << s.trace().events().size() << " trace events to "
+    obs::write_trace_file(a.trace, au.events,
+                          obs::TraceMeta::from_config(au.config));
+    std::cout << "Wrote " << au.events.size() << " trace events to "
               << a.trace << "\n";
   }
 
   if (a.report) {
-    recorder.finalize(st, horizon);
+    recorder.finalize(st, au.horizon);
     obs::record_alloc_counters(registry, res.counters);
-    obs::write_report(std::cout, sim_cfg, st, registry, horizon,
+    obs::write_report(std::cout, au.config, st, registry, au.horizon,
                       &res.counters);
-    const auto check = obs::check_trace(
-        s.trace().events(),
-        obs::TraceCheckConfig::from_sim(sim_cfg, horizon));
-    std::cout << "Trace invariants: " << check.summary() << "\n";
-    for (const auto& v : check.violations)
+    std::cout << "Trace invariants: " << au.check.summary() << "\n";
+    for (const auto& v : au.check.violations)
       std::cout << "  at " << v.when.to_ms() << " ms: " << v.what << "\n";
-    if (!check.ok()) return 1;
+    if (!au.check.ok()) return 1;
   } else {
-    std::cout << "Simulated " << horizon.to_ms() << " ms on "
+    std::cout << "Simulated " << au.horizon.to_ms() << " ms on "
               << res.mapping.cores_used << " core(s)\n";
     util::Table table({"metric", "value"});
     table.add_row("jobs released", static_cast<int>(st.jobs_released));
@@ -779,7 +769,7 @@ int cmd_experiment(const Args& a) {
     cfg.solve.inner_jobs = a.inner_jobs.value_or(1);
     if (*sweep.solutions) cfg.solutions = solutions_of(sweep.solutions);
     if (!a.faults.empty())
-      cfg.validate = sim::make_fault_validator(
+      cfg.validate = obs::make_fault_validator(
           cfg.platform, sim::parse_fault_spec(a.faults),
           enforcement_of(a.policy), a.fault_horizon);
 
@@ -1178,11 +1168,12 @@ int cmd_scenario_show(const Args& a) {
             << "verdict:  "
             << util::enum_name(scenario::kVerdictNames, r.schedulable) << "\n"
             << "digest:   " << r.digest << "\n";
+  const obs::AuditRecord& m = r.metrics;
   if (r.simulated)
-    std::cout << "simulate: " << r.jobs_released << " released, "
-              << r.deadline_misses << " misses, " << r.faults_injected
-              << " faults, " << r.trace_violations
-              << " trace violation(s) over " << r.trace_events
+    std::cout << "simulate: " << m.jobs_released << " released, "
+              << m.deadline_misses << " misses, " << m.faults_injected
+              << " faults, " << m.trace_violations
+              << " trace violation(s) over " << m.trace_events
               << " events\n";
   for (const auto& c : r.rejection_constraints)
     std::cout << "rejected: " << c << "\n";
@@ -1196,7 +1187,7 @@ int cmd_scenario_show(const Args& a) {
             << "  \"digest\": \"" << r.digest << "\"";
   if (r.simulated)
     std::cout << ",\n  \"trace_clean\": "
-              << (r.trace_violations == 0 ? "true" : "false");
+              << (m.trace_violations == 0 ? "true" : "false");
   std::cout << "\n}\n";
   return 0;
 }
