@@ -599,6 +599,48 @@ TEST(Service, InnerJobsLeaveReportAndTimelineByteIdentical) {
   }
 }
 
+TEST(Service, RejectionHeavyDecisionStreamsArePinned) {
+  // Each journal record carries its decision's outcome, decision-event
+  // count, virtual cost and allocator effort, so the journal's hash pins
+  // the whole decision stream. The saturated prefix rejects most admits
+  // at the first VCPU; the churn prefix commits, removes and resizes.
+  struct Pin {
+    const char* spec;
+    std::uint64_t journal_hash;
+    const char* solve_digest;
+  };
+  const Pin pins[] = {
+      {"poisson:requests=3000,interarrival-us=300,util=0.1..0.4,"
+       "remove-frac=0.35,resize-frac=0.1",
+       0xb631bc05a3a1adfeull,
+       "sched=1|cores=3|cache=4,7,9|bw=1,7,12|map=0,3,7,10,11,20,21,25,28,44;"
+       "1,4,8,9,16,18,23,24,26,29,30,32,36,42,48;2,5,6,12,13,14,15,17,19,22,"
+       "27,31,33,34,35,37,38,39,40,41,43,45,46,47,49|vhash=07d050c321481f72"},
+      {"poisson:requests=3000,interarrival-us=300,util=0.05..0.2,"
+       "remove-frac=0.45,resize-frac=0.15",
+       0x9f1b3cea0680b813ull,
+       "sched=1|cores=3|cache=6,6,8|bw=1,14,5|map=0,8,11,13,16,21,22,25,29,38,"
+       "45,46;1,3,4,6,9,15,19,20,23,24,26,28,31,34,35,37,40,42,47;2,5,7,10,12,"
+       "14,17,18,27,30,32,33,36,39,41,43,44,48|vhash=e73f6ba2dd897e79"},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.spec);
+    const std::string wal = testing::TempDir() + "/vc2m_pinned_stream.wal";
+    std::remove(wal.c_str());
+    std::remove((wal + ".snap").c_str());
+    ServiceConfig cfg = small_config(pin.spec);
+    cfg.platform = model::PlatformSpec::A();
+    cfg.journal_path = wal;
+    cfg.snapshot_every = 0;  // one journal holds every record
+    const auto res = run_service(cfg);
+    ASSERT_FALSE(res.interrupted);
+    EXPECT_EQ(util::fnv1a(read_file(wal)), pin.journal_hash)
+        << std::hex << util::fnv1a(read_file(wal));
+    EXPECT_EQ(res.report.digest, pin.solve_digest);
+    std::remove(wal.c_str());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Serve report artifact.
 
