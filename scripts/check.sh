@@ -248,7 +248,8 @@ serve_smoke() {
   echo "--- serve --profile: phase tree printed, artifacts unchanged ---"
   "$vc2m" serve "${args[@]}" --journal "$work/prof.wal" \
     --json "$work/prof.json" --profile > "$work/prof.txt"
-  for phase in cluster vcpu_analysis; do
+  for phase in serve decide materialize vm_level cluster vcpu_analysis place \
+               surface commit journal snapshot; do
     grep -Eq "^ *${phase} +[1-9][0-9]* " "$work/prof.txt" \
       || { echo "serve --profile printed no '${phase}' row:"
            cat "$work/prof.txt"; return 1; }

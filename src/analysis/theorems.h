@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -33,11 +34,55 @@ std::vector<model::Vcpu> flatten(const model::Taskset& tasks);
 model::Vcpu regulated_vcpu(const model::Taskset& tasks,
                            std::span<const std::size_t> task_indices);
 
-/// Partition `task_indices` into harmonic chains: within each returned
-/// group every pair of periods is harmonic (one divides the other), so
-/// each group satisfies Theorem 2's precondition. Greedy first-fit over
-/// tasks sorted by period; a fully harmonic input yields a single group.
-std::vector<std::vector<std::size_t>> harmonic_groups(
-    const model::Taskset& tasks, std::span<const std::size_t> task_indices);
+/// Theorem 2's budget of one set of harmonic tasks, one grid cell at a
+/// time: Θ(c,b) = Π · Σ e_i(c,b)/p_i, exact over the common denominator of
+/// the period ratios and rounded up to the nanosecond. regulated_vcpu
+/// fills every cell with at(); a caller that needs only some cells asks
+/// for those. reset() reuses the buffers, so a kept RegulatedBudget
+/// allocates nothing once it has seen its widest task set.
+class RegulatedBudget {
+ public:
+  /// Bind to the tasks at `task_indices` (they must outlive the binding).
+  /// Throws util::Error if they are not harmonic or do not share a grid.
+  void reset(const model::Taskset& tasks,
+             std::span<const std::size_t> task_indices);
+
+  util::Time period() const { return pi_; }  ///< Π = min p_i
+  const model::ResourceGrid& grid() const { return grid_; }
+
+  /// Θ at the flat grid index `cell`.
+  util::Time at(std::size_t cell) const {
+    __int128 num = den_ - 1;
+    for (std::size_t k = 0; k < wcets_.size(); ++k)
+      num += static_cast<__int128>(wcets_[k][cell].raw_ns()) * weights_[k];
+    return util::Time::ns(static_cast<std::int64_t>(
+        pow2_ && num >= 0 ? num >> shift_ : num / den_));
+  }
+  /// Θ in every cell, out.size() == grid().size().
+  void fill(std::span<util::Time> out) const;
+
+ private:
+  util::Time pi_;
+  model::ResourceGrid grid_;
+  std::int64_t den_ = 1;  ///< lcm of the period ratios q_i = p_i / Π
+  /// Harmonic period menus make den_ a power of two: then a shift gives
+  /// the same quotient as the 128-bit division for every non-negative
+  /// dividend.
+  bool pow2_ = true;
+  int shift_ = 0;
+  std::vector<const util::Time*> wcets_;  ///< each task's flat wcet table
+  std::vector<std::int64_t> weights_;     ///< den_ / q_i
+};
+
+/// Partition `task_indices` into harmonic chains, written to groups[0,
+/// returned count): within each group every pair of periods is harmonic
+/// (one divides the other), so each group satisfies Theorem 2's
+/// precondition. Greedy first-fit over tasks sorted by period; a fully
+/// harmonic input yields a single group. Reuses the storage of `groups`
+/// and of the sort scratch `order`.
+std::size_t harmonic_groups(const model::Taskset& tasks,
+                            std::span<const std::size_t> task_indices,
+                            std::vector<std::vector<std::size_t>>& groups,
+                            std::vector<std::size_t>& order);
 
 }  // namespace vc2m::analysis

@@ -1,6 +1,7 @@
 #include "core/admission.h"
 
 #include <algorithm>
+#include <numeric>
 #include <optional>
 #include <span>
 
@@ -8,6 +9,7 @@
 #include "core/core_load.h"
 #include "obs/decision_log.h"
 #include "util/error.h"
+#include "util/phase_profiler.h"
 
 namespace vc2m::core {
 namespace {
@@ -51,12 +53,12 @@ std::optional<std::pair<unsigned, unsigned>> fit_with_grants(
   return std::make_pair(at.c, at.b);
 }
 
-/// `mapping` with `vm_id`'s VCPUs taken off their cores and empty trailing
-/// cores trimmed (interior cores keep their partitions — shrinking them
+/// Takes `vm_id`'s VCPUs off their cores in `mapping` and trims empty
+/// trailing cores (interior cores keep their partitions — shrinking them
 /// would perturb running VMs' cache contents). Indices still refer into
 /// `vcpus`.
-HvAllocResult mapping_without(std::span<const model::Vcpu> vcpus,
-                              HvAllocResult mapping, int vm_id) {
+void take_off(std::span<const model::Vcpu> vcpus, HvAllocResult& mapping,
+              int vm_id) {
   for (auto& core : mapping.vcpus_on_core)
     std::erase_if(core, [&](std::size_t v) { return vcpus[v].vm == vm_id; });
   while (!mapping.vcpus_on_core.empty() &&
@@ -66,19 +68,20 @@ HvAllocResult mapping_without(std::span<const model::Vcpu> vcpus,
     mapping.bw.pop_back();
     --mapping.cores_used;
   }
-  return mapping;
 }
 
 /// The committed state: `placed` without VM `dropped`'s VCPUs, then
-/// `added`, with `mapping` (which indexes `placed ++ added`) remapped onto
-/// the compacted vector. The only place a decision copies VCPUs.
+/// `added`, with a copy of `mapping` (which indexes `placed ++ added`)
+/// remapped onto the compacted vector; `remap` is scratch. The only place
+/// a decision copies VCPUs.
 AdmissionState compact(std::span<const model::Vcpu> placed,
                        std::optional<int> dropped,
                        std::span<const model::Vcpu> added,
-                       HvAllocResult mapping) {
+                       const HvAllocResult& mapping,
+                       std::vector<std::size_t>& remap) {
   AdmissionState next;
   const std::size_t total = placed.size() + added.size();
-  std::vector<std::size_t> remap(total, total);
+  remap.assign(total, total);
   next.vcpus.reserve(total);
   for (std::size_t i = 0; i < placed.size(); ++i) {
     if (placed[i].vm == dropped) continue;
@@ -89,24 +92,25 @@ AdmissionState compact(std::span<const model::Vcpu> placed,
     remap[placed.size() + j] = next.vcpus.size();
     next.vcpus.push_back(added[j]);
   }
-  for (auto& core : mapping.vcpus_on_core)
+  next.mapping = mapping;
+  for (auto& core : next.mapping.vcpus_on_core)
     for (auto& v : core) v = remap[v];
-  mapping.schedulable = true;
-  next.mapping = std::move(mapping);
+  next.mapping.schedulable = true;
   return next;
 }
 
 /// admit_vm over a running system given as `placed` (only the VCPUs
-/// `mapping` lists are live; a resize leaves the `dropped` VM's VCPUs in
+/// ws.mapping lists are live; a resize leaves the `dropped` VM's VCPUs in
 /// `placed` but off every core) without copying it. New VCPU j has index
-/// placed.size() + j in the probes and in `mapping`; decision events name
-/// it by its index in the committed state. Nothing is copied unless the
-/// VM is admitted.
+/// placed.size() + j in the probes and in the mapping; decision events
+/// name it by its index in the committed state. Nothing is copied unless
+/// the VM is admitted.
 AdmitResult place_vm(std::span<const model::Vcpu> placed,
-                     std::optional<int> dropped, HvAllocResult mapping,
+                     std::optional<int> dropped,
                      const model::Taskset& vm_tasks, int vm_id,
                      const model::PlatformSpec& platform,
-                     const VmAllocConfig& vm_cfg, util::Rng& rng) {
+                     const VmAllocConfig& vm_cfg, util::Rng& rng,
+                     AdmissionWorkspace& ws) {
   VC2M_CHECK(!vm_tasks.empty());
   for (const auto& t : vm_tasks)
     VC2M_CHECK_MSG(t.vm == vm_id, "task does not belong to the admitted VM");
@@ -120,25 +124,38 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
   ctx.set_inner_parallelism(vm_cfg.inner_pool, vm_cfg.inner_jobs);
   ctx.set_request_id(vm_cfg.request_id);
 
-  // Parameterize the new VM's VCPUs.
-  std::vector<std::size_t> idx(vm_tasks.size());
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
-  auto new_vcpus = allocate_vm_heuristic(vm_tasks, idx, vm_cfg, ctx, rng);
+  // Shape the new VM's VCPUs; their surfaces wait for the first probe.
+  std::span<model::Vcpu> new_vcpus;
+  {
+    VC2M_PROFILE_PHASE("vm_level");
+    auto& idx = ws.task_idx;
+    idx.resize(vm_tasks.size());
+    std::iota(idx.begin(), idx.end(), std::size_t{0});
+    new_vcpus = shape_vm_vcpus(vm_tasks, idx, vm_cfg, ctx, rng, ws.vm);
+  }
+  VC2M_PROFILE_PHASE("place");
   std::sort(new_vcpus.begin(), new_vcpus.end(),
             [](const model::Vcpu& a, const model::Vcpu& b) {
               return a.reference_utilization() > b.reference_utilization();
             });
   for (auto& vcpu : new_vcpus) vcpu.vm = vm_id;
 
+  HvAllocResult& mapping = ws.mapping;
   const auto& grid = platform.grid;
   unsigned free_c = platform.total_cache() - mapping.total_cache();
   unsigned free_b = platform.total_bw() - mapping.total_bw();
 
   // One probe core, cleared for every candidate placement.
-  CoreLoad probe(placed, new_vcpus, grid);
+  CoreLoad& probe = ws.probe;
+  probe.reset(placed, new_vcpus, grid);
   for (std::size_t j = 0; j < new_vcpus.size(); ++j) {
     const std::size_t vi = placed.size() + j;
     const auto entity = static_cast<std::int32_t>(live + j);
+    {
+      // Every probe below adds VCPU j; those before it are filled.
+      VC2M_PROFILE_PHASE("surface");
+      fill_vcpu_surface(vm_tasks, vm_cfg.analysis, new_vcpus[j], ws.vm);
+    }
 
     // Candidate placements compete on pool consumption (partitions newly
     // drawn from the free pools), ties broken toward lower utilization —
@@ -282,7 +299,7 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
     log->emit(e);
   }
   result.admitted = true;
-  result.state = compact(placed, dropped, new_vcpus, std::move(mapping));
+  result.state = compact(placed, dropped, new_vcpus, mapping, ws.remap);
   return result;
 }
 
@@ -297,28 +314,50 @@ AdmitResult admit_vm(const AdmissionState& current,
                      const model::Taskset& vm_tasks, int vm_id,
                      const model::PlatformSpec& platform,
                      const VmAllocConfig& vm_cfg, util::Rng& rng) {
+  AdmissionWorkspace ws;
+  return admit_vm(current, vm_tasks, vm_id, platform, vm_cfg, rng, ws);
+}
+
+AdmitResult admit_vm(const AdmissionState& current,
+                     const model::Taskset& vm_tasks, int vm_id,
+                     const model::PlatformSpec& platform,
+                     const VmAllocConfig& vm_cfg, util::Rng& rng,
+                     AdmissionWorkspace& ws) {
   VC2M_CHECK_MSG(!vm_present(current, vm_id), "VM id already present");
-  return place_vm(current.vcpus, std::nullopt, current.mapping, vm_tasks,
-                  vm_id, platform, vm_cfg, rng);
+  ws.mapping = current.mapping;
+  return place_vm(current.vcpus, std::nullopt, vm_tasks, vm_id, platform,
+                  vm_cfg, rng, ws);
 }
 
 AdmissionState remove_vm(const AdmissionState& current, int vm_id) {
   VC2M_CHECK_MSG(vm_present(current, vm_id), "VM id not present");
-  return compact(current.vcpus, vm_id, {},
-                 mapping_without(current.vcpus, current.mapping, vm_id));
+  HvAllocResult mapping = current.mapping;
+  take_off(current.vcpus, mapping, vm_id);
+  std::vector<std::size_t> remap;
+  return compact(current.vcpus, vm_id, {}, mapping, remap);
 }
 
 AdmitResult resize_vm(const AdmissionState& current,
                       const model::Taskset& new_tasks, int vm_id,
                       const model::PlatformSpec& platform,
                       const VmAllocConfig& vm_cfg, util::Rng& rng) {
+  AdmissionWorkspace ws;
+  return resize_vm(current, new_tasks, vm_id, platform, vm_cfg, rng, ws);
+}
+
+AdmitResult resize_vm(const AdmissionState& current,
+                      const model::Taskset& new_tasks, int vm_id,
+                      const model::PlatformSpec& platform,
+                      const VmAllocConfig& vm_cfg, util::Rng& rng,
+                      AdmissionWorkspace& ws) {
   VC2M_CHECK_MSG(vm_present(current, vm_id), "resize: VM id not present");
   // The old VM comes off its cores in the probe mapping only; `current` is
   // never touched, so a rejection rolls back by returning nothing, and the
   // committed state is built (old VM dropped) only on success.
-  return place_vm(current.vcpus, vm_id,
-                  mapping_without(current.vcpus, current.mapping, vm_id),
-                  new_tasks, vm_id, platform, vm_cfg, rng);
+  ws.mapping = current.mapping;
+  take_off(current.vcpus, ws.mapping, vm_id);
+  return place_vm(current.vcpus, vm_id, new_tasks, vm_id, platform, vm_cfg,
+                  rng, ws);
 }
 
 }  // namespace vc2m::core

@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/core_load.h"
 #include "core/hv_alloc.h"
 #include "core/vm_alloc.h"
 #include "model/platform.h"
@@ -39,15 +40,41 @@ struct AdmitResult {
   std::int64_t request_id = -1;
 };
 
+/// The scratch of admission decisions: the VM-level heuristic's tables
+/// and VCPU shells, the probe core and the probed copy of the placement
+/// mapping. A caller that decides again and again (the admission service)
+/// keeps one and passes it to every admit_vm/resize_vm, which then
+/// allocate nothing on a rejection once the buffers have grown. The
+/// contents are scratch between decisions; one workspace serves one
+/// thread.
+struct AdmissionWorkspace {
+  VmAllocWorkspace vm;
+  CoreLoad probe;
+  HvAllocResult mapping;
+  std::vector<std::size_t> task_idx;
+  std::vector<std::size_t> remap;  ///< probe index → committed index
+};
+
 /// Try to admit a VM (the tasks must all carry `vm_id`) into `current`.
 /// New VCPUs are parameterized per `vm_cfg.analysis`, packed best-fit onto
 /// the least-loaded feasible cores, with greedy partition grants from the
 /// free pools when a core needs more resources; a new core is opened only
 /// when no existing core fits. On failure the running system is untouched.
+///
+/// VCPUs are placed in decreasing reference utilization, and a flattened
+/// or regulated VCPU's budget surface is computed only when placement
+/// first probes it: a rejection at the first VCPU computes one surface.
+/// Existing-CSA surfaces are computed for every VCPU up front.
 AdmitResult admit_vm(const AdmissionState& current,
                      const model::Taskset& vm_tasks, int vm_id,
                      const model::PlatformSpec& platform,
                      const VmAllocConfig& vm_cfg, util::Rng& rng);
+/// The same decision in `ws`'s buffers.
+AdmitResult admit_vm(const AdmissionState& current,
+                     const model::Taskset& vm_tasks, int vm_id,
+                     const model::PlatformSpec& platform,
+                     const VmAllocConfig& vm_cfg, util::Rng& rng,
+                     AdmissionWorkspace& ws);
 
 /// Remove every VCPU belonging to `vm_id`. Cores keep their partition
 /// allocations (still valid supersets); empty trailing cores are trimmed.
@@ -62,5 +89,11 @@ AdmitResult resize_vm(const AdmissionState& current,
                       const model::Taskset& new_tasks, int vm_id,
                       const model::PlatformSpec& platform,
                       const VmAllocConfig& vm_cfg, util::Rng& rng);
+/// The same decision in `ws`'s buffers.
+AdmitResult resize_vm(const AdmissionState& current,
+                      const model::Taskset& new_tasks, int vm_id,
+                      const model::PlatformSpec& platform,
+                      const VmAllocConfig& vm_cfg, util::Rng& rng,
+                      AdmissionWorkspace& ws);
 
 }  // namespace vc2m::core

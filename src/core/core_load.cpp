@@ -14,17 +14,30 @@ CoreLoad::CoreLoad(std::span<const model::Vcpu> vcpus,
 
 CoreLoad::CoreLoad(std::span<const model::Vcpu> placed,
                    std::span<const model::Vcpu> pending,
-                   const model::ResourceGrid& grid)
-    : placed_(placed),
-      pending_(pending),
-      grid_(grid),
-      demand_(grid.size(), 0),
-      demand_stamp_(grid.size(), 0),
-      demand_seen_(grid.size(), 0),
-      sched_(grid.size(), 0),
-      sched_stamp_(grid.size(), 0),
-      util_(grid.size(), 0),
-      util_stamp_(grid.size(), 0) {}
+                   const model::ResourceGrid& grid) {
+  reset(placed, pending, grid);
+}
+
+void CoreLoad::reset(std::span<const model::Vcpu> placed,
+                     std::span<const model::Vcpu> pending,
+                     const model::ResourceGrid& grid) {
+  placed_ = placed;
+  pending_ = pending;
+  grid_ = grid;
+  // Stamps only ever fall behind the epochs, which clear() advances past
+  // every stamp, so the per-point tables need no refill.
+  const std::size_t n = grid.size();
+  if (util_.size() != n) {
+    demand_.assign(n, 0);
+    demand_stamp_.assign(n, 0);
+    demand_seen_.assign(n, 0);
+    sched_.assign(n, 0);
+    sched_stamp_.assign(n, 0);
+    util_.assign(n, 0);
+    util_stamp_.assign(n, 0);
+  }
+  clear();
+}
 
 CoreLoad::CoreLoad(std::span<const model::Vcpu> vcpus,
                    const model::ResourceGrid& grid,

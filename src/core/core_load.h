@@ -53,6 +53,9 @@ namespace vc2m::core {
 
 class CoreLoad {
  public:
+  /// An empty core over no VCPUs and no grid: reset() it before use.
+  CoreLoad() = default;
+
   /// An empty core over `vcpus` (indices passed to add() refer into it).
   /// The span must outlive the CoreLoad and must not be reallocated.
   CoreLoad(std::span<const model::Vcpu> vcpus,
@@ -87,6 +90,14 @@ class CoreLoad {
   /// constructed CoreLoad over the same VCPUs and grid (exact mode again,
   /// nothing cached). Keeps the buffers; O(1) in the grid size.
   void clear();
+
+  /// Re-target at `placed ++ pending` on `grid`: afterwards every probe
+  /// answers as on CoreLoad(placed, pending, grid). Keeps the buffers, so
+  /// a caller that probes one system after another (admission) sizes them
+  /// once; O(1) in the grid size unless the grid's size changed.
+  void reset(std::span<const model::Vcpu> placed,
+             std::span<const model::Vcpu> pending,
+             const model::ResourceGrid& grid);
 
   /// Σ_j Θ_j(c,b)/Π_j over the members — bit-identical to
   /// analysis::core_utilization over members() at (c, b).

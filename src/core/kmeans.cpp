@@ -288,6 +288,14 @@ void FeatureMatrix::add_row(std::span<const double> point) {
 
 KMeansResult kmeans(const FeatureMatrix& points, std::size_t k,
                     util::Rng& rng, unsigned max_iters) {
+  KMeansWorkspace ws;
+  kmeans(points, k, rng, ws, max_iters);
+  return std::move(ws.result);
+}
+
+const KMeansResult& kmeans(const FeatureMatrix& points, std::size_t k,
+                           util::Rng& rng, KMeansWorkspace& ws,
+                           unsigned max_iters) {
   const std::size_t n = points.rows(), dim = points.dim();
   VC2M_CHECK_MSG(k >= 1 && k <= n,
                  "k=" << k << " incompatible with " << n << " points");
@@ -295,15 +303,21 @@ KMeansResult kmeans(const FeatureMatrix& points, std::size_t k,
 
   // Centroids and the update step's sums/counts: one buffer each, reused
   // by every iteration.
-  std::vector<double> cent(k * dim);
-  std::vector<double> sums(k * dim);
-  std::vector<std::size_t> counts(k);
-  std::vector<std::uint8_t> stale(k);
+  KMeansResult& res = ws.result;
+  auto& cent = res.centroids;
+  auto& sums = ws.sums;
+  auto& counts = ws.counts;
+  auto& stale = ws.stale;
+  cent.assign(k * dim, 0.0);
+  sums.assign(k * dim, 0.0);
+  counts.assign(k, 0);
+  stale.assign(k, 0);
   // Point-to-pick distances, shared by the seeding and iteration 0.
-  std::vector<double> dist(n * k);
+  auto& dist = ws.dist;
+  dist.assign(n * k, 0.0);
   seed_centroids(points, k, rng, cent, dist);
 
-  KMeansResult res;
+  res.iterations = 0;
   res.assignment.assign(n, 0);
   auto& assign = res.assignment;
 
@@ -371,7 +385,6 @@ KMeansResult kmeans(const FeatureMatrix& points, std::size_t k,
     ctr->kmeans_iterations += res.iterations;
     ctr->kmeans_final_shift += last_shift;
   }
-  res.centroids = std::move(cent);
   return res;
 }
 
@@ -387,17 +400,26 @@ KMeansResult kmeans(const std::vector<std::vector<double>>& points,
 
 Clusters cluster_members(const KMeansResult& result, std::size_t k) {
   Clusters out;
-  out.offsets.assign(k + 1, 0);
+  cluster_members(result, k, out);
+  return out;
+}
+
+void cluster_members(const KMeansResult& result, std::size_t k,
+                     Clusters& out) {
+  // Counted one slot to the right, offsets[c + 1] starts as cluster c's
+  // first position; placing each member advances it, so it ends as
+  // cluster c's end, which is the offsets[c + 1] to return. The extra
+  // last slot goes.
+  out.offsets.assign(k + 2, 0);
   for (const std::size_t a : result.assignment) {
     VC2M_CHECK(a < k);
-    ++out.offsets[a + 1];
+    ++out.offsets[a + 2];
   }
-  for (std::size_t c = 0; c < k; ++c) out.offsets[c + 1] += out.offsets[c];
+  for (std::size_t c = 1; c <= k; ++c) out.offsets[c + 1] += out.offsets[c];
   out.members.resize(result.assignment.size());
-  std::vector<std::size_t> next(out.offsets.begin(), out.offsets.end() - 1);
   for (std::size_t i = 0; i < result.assignment.size(); ++i)
-    out.members[next[result.assignment[i]]++] = i;
-  return out;
+    out.members[out.offsets[result.assignment[i] + 1]++] = i;
+  out.offsets.pop_back();
 }
 
 }  // namespace vc2m::core

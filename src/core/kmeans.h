@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -33,6 +34,11 @@ class FeatureMatrix {
   const double* row(std::size_t i) const { return values_.data() + i * dim_; }
 
   void reserve_rows(std::size_t n) { values_.reserve(n * dim_); }
+  /// Drops every row and sets the dimension, keeping the storage.
+  void clear(std::size_t dim) {
+    dim_ = dim;
+    values_.clear();
+  }
   /// Appends one point of dim() coordinates.
   void add_row(std::span<const double> point);
   /// Appends f's slowdown vector e(c,b)/e(C,B): the values of
@@ -52,11 +58,26 @@ struct KMeansResult {
   unsigned iterations = 0;
 };
 
+/// The tables kmeans() sizes per run, and its result: a caller that
+/// clusters again and again keeps one and allocates nothing once the
+/// buffers have grown to its largest run.
+struct KMeansWorkspace {
+  std::vector<double> sums;  ///< k × dim update-step sums
+  std::vector<std::size_t> counts;
+  std::vector<std::uint8_t> stale;
+  std::vector<double> dist;  ///< n × k point-to-pick distances
+  KMeansResult result;
+};
+
 /// Lloyd's algorithm with kmeans++ seeding. Requires 1 <= k <= rows() and
 /// dim() > 0. Empty clusters are repaired by stealing the point farthest
 /// from its current centroid.
 KMeansResult kmeans(const FeatureMatrix& points, std::size_t k,
                     util::Rng& rng, unsigned max_iters = 50);
+/// The same run in `ws`'s buffers; returns ws.result.
+const KMeansResult& kmeans(const FeatureMatrix& points, std::size_t k,
+                           util::Rng& rng, KMeansWorkspace& ws,
+                           unsigned max_iters = 50);
 
 /// Convenience overload: copies `points` (all of equal, non-zero
 /// dimension) into a FeatureMatrix.
@@ -87,5 +108,7 @@ struct Clusters {
 /// increasing point order (clusters may be empty only if kmeans() was
 /// given degenerate duplicate points).
 Clusters cluster_members(const KMeansResult& result, std::size_t k);
+/// The same into `out`, reusing its storage.
+void cluster_members(const KMeansResult& result, std::size_t k, Clusters& out);
 
 }  // namespace vc2m::core

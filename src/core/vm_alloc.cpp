@@ -141,18 +141,52 @@ std::vector<std::vector<std::size_t>> tasks_by_vm(
   return out;
 }
 
-std::vector<model::Vcpu> allocate_vm_heuristic(
-    const model::Taskset& tasks, std::span<const std::size_t> vm_task_idx,
-    const VmAllocConfig& cfg, analysis::AnalysisContext& ctx, util::Rng& rng) {
+namespace {
+
+/// ws.shells[n], created on first use, with room for `tasks` task
+/// indices. Reserving a VM's task count for every regulated shell lets
+/// any of its VCPUs fit any shell, so a shell's task list stops growing
+/// however placement reorders the shells.
+model::Vcpu& shell(VmAllocWorkspace& ws, std::size_t n, std::size_t tasks) {
+  if (ws.shells.size() == n) ws.shells.emplace_back();
+  ws.shells[n].tasks.reserve(tasks);
+  return ws.shells[n];
+}
+
+/// Empties lists[0, n), creating the ones `lists` lacks; lists past n
+/// keep their contents and storage.
+void clear_lists(std::vector<std::vector<std::size_t>>& lists,
+                 std::size_t n) {
+  if (lists.size() < n) lists.resize(n);
+  for (std::size_t i = 0; i < n; ++i) lists[i].clear();
+}
+
+}  // namespace
+
+std::span<model::Vcpu> shape_vm_vcpus(const model::Taskset& tasks,
+                                      std::span<const std::size_t> vm_task_idx,
+                                      const VmAllocConfig& cfg,
+                                      analysis::AnalysisContext& ctx,
+                                      util::Rng& rng, VmAllocWorkspace& ws) {
   VC2M_CHECK(!vm_task_idx.empty());
   VC2M_CHECK(cfg.max_vcpus_per_vm >= 1);
+  // At most one VCPU per task: shell() never reallocates past this.
+  ws.shells.reserve(vm_task_idx.size());
+  std::size_t count = 0;
 
   if (cfg.analysis == VcpuAnalysis::kFlattening) {
-    std::vector<model::Vcpu> vcpus;
-    vcpus.reserve(vm_task_idx.size());
-    for (const std::size_t i : vm_task_idx)
-      vcpus.push_back(analysis::flattened_vcpu(tasks[i], i));
-    return vcpus;
+    // Theorem 1: one VCPU per task, Π = p, Θ(c,b) = e(c,b).
+    for (const std::size_t i : vm_task_idx) {
+      const model::Task& t = tasks[i];
+      model::Vcpu& v = shell(ws, count++, 1);
+      v.period = t.period;
+      v.vm = t.vm;
+      v.tasks.assign(1, i);
+      const auto& grid = t.wcet.grid();
+      v.budget.reset(grid);
+      v.budget.set(grid.c_max, grid.b_max, t.wcet.reference());
+    }
+    return {ws.shells.data(), count};
   }
 
   const std::size_t n = vm_task_idx.size();
@@ -160,13 +194,15 @@ std::vector<model::Vcpu> allocate_vm_heuristic(
   const std::size_t k = std::min({cfg.clusters, m, n});
 
   // Cluster by slowdown vector.
-  FeatureMatrix points(tasks[vm_task_idx.front()].wcet.grid().size());
+  FeatureMatrix& points = ws.features;
+  points.clear(tasks[vm_task_idx.front()].wcet.grid().size());
   points.reserve_rows(n);
   for (const std::size_t i : vm_task_idx) points.add_slowdown(tasks[i].wcet);
-  auto clusters = [&] {
+  auto& clusters = ws.clusters;
+  {
     VC2M_PROFILE_PHASE("cluster");
-    return cluster_members(kmeans(points, k, rng), k);
-  }();
+    cluster_members(kmeans(points, k, rng, ws.kmeans), k, clusters);
+  }
 
   // Pack tasks onto the m VCPUs worst-fit in decreasing reference
   // utilization (so VCPU loads stay similar), iterating clusters in
@@ -174,11 +210,13 @@ std::vector<model::Vcpu> allocate_vm_heuristic(
   // affinity bonus prefers a VCPU already hosting the task's cluster, so
   // tasks with similar slowdown vectors share a VCPU whenever balance
   // permits (§4.2).
-  std::vector<double> cluster_util(k, 0);
+  auto& cluster_util = ws.cluster_util;
+  cluster_util.assign(k, 0);
   for (std::size_t c = 0; c < k; ++c)
     for (const std::size_t local : clusters[c])
       cluster_util[c] += tasks[vm_task_idx[local]].reference_utilization();
-  std::vector<std::size_t> cluster_order(k);
+  auto& cluster_order = ws.cluster_order;
+  cluster_order.resize(k);
   std::iota(cluster_order.begin(), cluster_order.end(), 0);
   std::sort(cluster_order.begin(), cluster_order.end(),
             [&](std::size_t a, std::size_t b) {
@@ -186,9 +224,12 @@ std::vector<model::Vcpu> allocate_vm_heuristic(
             });
 
   constexpr double kAffinityBonus = 0.05;
-  std::vector<std::vector<std::size_t>> vcpu_tasks(m);  // global indices
-  std::vector<double> loads(m, 0);
-  std::vector<std::size_t> bin_cluster(m, k);  // k = "no cluster yet"
+  auto& bins = ws.bins;  // global task indices per VCPU
+  clear_lists(bins, m);
+  auto& loads = ws.loads;
+  loads.assign(m, 0);
+  auto& bin_cluster = ws.bin_cluster;
+  bin_cluster.assign(m, k);  // k = "no cluster yet"
   clusters.sort_each([&](std::size_t a, std::size_t b) {
     return tasks[vm_task_idx[a]].reference_utilization() >
            tasks[vm_task_idx[b]].reference_utilization();
@@ -201,41 +242,62 @@ std::vector<model::Vcpu> allocate_vm_heuristic(
                        ? kAffinityBonus
                        : 0.0;
           });
-      vcpu_tasks[best].push_back(vm_task_idx[local]);
+      bins[best].push_back(vm_task_idx[local]);
       loads[best] += tasks[vm_task_idx[local]].reference_utilization();
       if (bin_cluster[best] == k) bin_cluster[best] = c;
     }
   }
-  std::erase_if(vcpu_tasks,
-                [](const std::vector<std::size_t>& v) { return v.empty(); });
 
-  std::vector<model::Vcpu> vcpus;
-  vcpus.reserve(vcpu_tasks.size());
   VC2M_PROFILE_PHASE("vcpu_analysis");
-  for (const auto& idx : vcpu_tasks) {
+  for (std::size_t b = 0; b < m; ++b) {
+    const auto& idx = bins[b];
+    if (idx.empty()) continue;  // fewer tasks than VCPUs in a cluster mix
     switch (cfg.analysis) {
-      case VcpuAnalysis::kRegulated:
+      case VcpuAnalysis::kRegulated: {
         // Theorem 2 needs harmonic periods; non-harmonic inputs are split
         // into harmonic chains, one well-regulated VCPU each (a fully
         // harmonic bin — the §5.1 workloads — stays a single VCPU).
-        for (const auto& group : analysis::harmonic_groups(tasks, idx))
-          vcpus.push_back(analysis::regulated_vcpu(tasks, group));
+        const std::size_t chains =
+            analysis::harmonic_groups(tasks, idx, ws.groups, ws.order);
+        for (std::size_t g = 0; g < chains; ++g) {
+          const auto& group = ws.groups[g];
+          auto& theta = ws.regulated;
+          theta.reset(tasks, group);
+          model::Vcpu& v = shell(ws, count++, vm_task_idx.size());
+          v.period = theta.period();
+          v.vm = tasks[group.front()].vm;
+          v.tasks.assign(group.begin(), group.end());
+          const auto& grid = theta.grid();
+          v.budget.reset(grid);
+          v.budget.set(grid.c_max, grid.b_max,
+                       theta.at(grid.index(grid.c_max, grid.b_max)));
+        }
         break;
+      }
       case VcpuAnalysis::kExistingCsa:
-        vcpus.push_back(vcpu_existing_csa(tasks, idx, ctx));
+        // The whole VCPU replaces the shell, storage included.
+        shell(ws, count++, 0) = vcpu_existing_csa(tasks, idx, ctx);
         break;
       case VcpuAnalysis::kFlattening:
         VC2M_CHECK_MSG(false, "handled above");
     }
   }
-  return vcpus;
+  return {ws.shells.data(), count};
 }
 
-std::vector<model::Vcpu> allocate_vm_heuristic(
-    const model::Taskset& tasks, std::span<const std::size_t> vm_task_idx,
-    const VmAllocConfig& cfg, util::Rng& rng) {
-  analysis::AnalysisContext ctx;
-  return allocate_vm_heuristic(tasks, vm_task_idx, cfg, ctx, rng);
+void fill_vcpu_surface(const model::Taskset& tasks, VcpuAnalysis analysis,
+                       model::Vcpu& v, VmAllocWorkspace& ws) {
+  switch (analysis) {
+    case VcpuAnalysis::kFlattening:
+      v.budget = tasks[v.tasks.front()].wcet;
+      return;
+    case VcpuAnalysis::kRegulated:
+      ws.regulated.reset(tasks, v.tasks);
+      ws.regulated.fill(v.budget.flat());
+      return;
+    case VcpuAnalysis::kExistingCsa:
+      return;
+  }
 }
 
 std::vector<model::Vcpu> allocate_vms_heuristic(
@@ -243,9 +305,14 @@ std::vector<model::Vcpu> allocate_vms_heuristic(
     analysis::AnalysisContext& ctx, util::Rng& rng) {
   const auto t0 = std::chrono::steady_clock::now();
   VC2M_PROFILE_PHASE("vm_alloc");
+  VmAllocWorkspace ws;
   std::vector<model::Vcpu> all;
   for (const auto& vm_idx : tasks_by_vm(tasks)) {
-    auto vcpus = allocate_vm_heuristic(tasks, vm_idx, cfg, ctx, rng);
+    const auto vcpus = shape_vm_vcpus(tasks, vm_idx, cfg, ctx, rng, ws);
+    {
+      VC2M_PROFILE_PHASE("surface");
+      for (auto& v : vcpus) fill_vcpu_surface(tasks, cfg.analysis, v, ws);
+    }
     all.insert(all.end(), std::make_move_iterator(vcpus.begin()),
                std::make_move_iterator(vcpus.end()));
   }

@@ -11,6 +11,13 @@
 //   - the existing CSA [13] (PRM minimum budget per grid point) for the
 //     Heuristic (existing CSA) comparison solution.
 //
+// The heuristic runs in two steps. shape_vm_vcpus gives each VCPU its
+// tasks, Π and reference budget Θ(C,B); fill_vcpu_surface computes the
+// rest of a Theorem-1/2 surface, one exact formula per cell. The offline
+// solve runs both steps in a row; admission fills a VCPU only when its
+// placement first probes it, so a VM rejected at its first VCPU costs
+// one surface instead of all of them.
+//
 // The existing-CSA paths take an analysis::AnalysisContext: a VCPU's whole
 // 380-cell budget surface is one min_budget_surface pass over the tasks'
 // wcet columns, which memoizes budgets per (Π, periods) group, shares one
@@ -25,6 +32,8 @@
 #include <vector>
 
 #include "analysis/context.h"
+#include "analysis/theorems.h"
+#include "core/kmeans.h"
 #include "core/packing.h"
 #include "model/task.h"
 #include "util/rng.h"
@@ -80,16 +89,50 @@ model::Vcpu vcpu_existing_csa_max_wcet(const model::Taskset& tasks,
 model::Vcpu vcpu_existing_csa_max_wcet(const model::Taskset& tasks,
                                        std::span<const std::size_t> idx);
 
-/// Heuristic tasks→VCPUs mapping for the tasks of one VM (given by indices
-/// into `tasks`). Returns the VCPUs with parameters per `cfg.analysis`.
-std::vector<model::Vcpu> allocate_vm_heuristic(
-    const model::Taskset& tasks, std::span<const std::size_t> vm_task_idx,
-    const VmAllocConfig& cfg, analysis::AnalysisContext& ctx, util::Rng& rng);
-std::vector<model::Vcpu> allocate_vm_heuristic(
-    const model::Taskset& tasks, std::span<const std::size_t> vm_task_idx,
-    const VmAllocConfig& cfg, util::Rng& rng);
+/// The VM-level heuristic's scratch and the VCPU shells it shapes. Every
+/// buffer is reused, so once they have grown to a caller's largest VM,
+/// shaping and filling flattened or regulated VCPUs allocates nothing.
+/// The contents are scratch between calls; one workspace serves one
+/// thread.
+struct VmAllocWorkspace {
+  FeatureMatrix features{0};
+  KMeansWorkspace kmeans;
+  Clusters clusters;
+  std::vector<double> cluster_util;
+  std::vector<std::size_t> cluster_order;
+  std::vector<std::vector<std::size_t>> bins;  ///< task indices per VCPU bin
+  std::vector<double> loads;
+  std::vector<std::size_t> bin_cluster;
+  std::vector<std::vector<std::size_t>> groups;  ///< one bin's harmonic chains
+  std::vector<std::size_t> order;
+  analysis::RegulatedBudget regulated;
+  std::vector<model::Vcpu> shells;
+};
 
-/// Run the heuristic per VM over a whole taskset (tasks carry VM ids).
+/// The heuristic's first step, for the tasks of one VM (given by indices
+/// into `tasks`): clustering, worst-fit packing and Theorem 2's harmonic
+/// split give each VCPU its tasks, Π and VM. Returns the VCPUs, which live
+/// in ws.shells. A flattened or regulated VCPU's budget holds only its
+/// reference cell Θ(C,B), one cell of the exact formula the full surface
+/// uses, so its reference utilization is final; fill_vcpu_surface computes
+/// the other cells. An existing-CSA VCPU gets its whole surface here,
+/// emitting its decision events in cell order.
+std::span<model::Vcpu> shape_vm_vcpus(const model::Taskset& tasks,
+                                      std::span<const std::size_t> vm_task_idx,
+                                      const VmAllocConfig& cfg,
+                                      analysis::AnalysisContext& ctx,
+                                      util::Rng& rng, VmAllocWorkspace& ws);
+
+/// The second step: every cell of the budget surface of `v`, a VCPU
+/// shape_vm_vcpus returned for `tasks` under `analysis` (Theorem 1: its
+/// task's WCETs; Theorem 2: the regulated budget). Existing-CSA surfaces
+/// are already whole, so they are left as they are.
+void fill_vcpu_surface(const model::Taskset& tasks, VcpuAnalysis analysis,
+                       model::Vcpu& v, VmAllocWorkspace& ws);
+
+/// Run the heuristic per VM over a whole taskset (tasks carry VM ids),
+/// both steps, every surface whole. Returns the VCPUs, VM by VM, with
+/// parameters per `cfg.analysis`.
 std::vector<model::Vcpu> allocate_vms_heuristic(
     const model::Taskset& tasks, const VmAllocConfig& cfg,
     analysis::AnalysisContext& ctx, util::Rng& rng);

@@ -84,6 +84,13 @@ class WcetFn {
   const ResourceGrid& grid() const { return grid_; }
   bool empty() const { return values_.empty(); }
 
+  /// As if assigned WcetFn(grid, fill), but keeping the storage.
+  void reset(const ResourceGrid& grid, util::Time fill = util::Time::zero()) {
+    grid.validate();
+    grid_ = grid;
+    values_.assign(grid.size(), fill);
+  }
+
   util::Time at(unsigned c, unsigned b) const {
     return values_[grid_.index(c, b)];
   }

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
-#include <map>
 #include <ostream>
 #include <sstream>
+#include <vector>
 
 #include "obs/json.h"
 #include "util/error.h"
@@ -110,9 +110,10 @@ SpanCheckResult check_request_spans(std::span<const RequestSpan> spans,
       res.violations.push_back({s.seq, s.attempt, what});
   };
 
-  // Per-request attempt sequences, in input order (arbitrary input order
-  // is fine — nesting is checked after sorting by attempt).
-  std::map<std::uint64_t, std::vector<const RequestSpan*>> by_seq;
+  // Every span ordered by (seq, attempt), ties in input order: each
+  // request's attempts in a row, checked pairwise. One pointer per span.
+  std::vector<const RequestSpan*> order;
+  order.reserve(spans.size());
   for (const auto& s : spans) {
     if (s.queued_ns > s.dequeued_ns)
       flag(s, "queued after dequeued");
@@ -121,27 +122,26 @@ SpanCheckResult check_request_spans(std::span<const RequestSpan> spans,
     if (s.cost_ns < 0) flag(s, "negative cost");
     if (s.cost_ns != s.solved_ns - s.dequeued_ns)
       flag(s, "cost does not match solve segment");
-    by_seq[s.seq].push_back(&s);
+    order.push_back(&s);
   }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const RequestSpan* a, const RequestSpan* b) {
+                     return a->seq != b->seq ? a->seq < b->seq
+                                             : a->attempt < b->attempt;
+                   });
 
-  for (auto& [seq, attempts] : by_seq) {
-    std::sort(attempts.begin(), attempts.end(),
-              [](const RequestSpan* a, const RequestSpan* b) {
-                return a->attempt < b->attempt;
-              });
-    for (std::size_t i = 0; i < attempts.size(); ++i) {
-      if (i == 0) continue;
-      const RequestSpan& prev = *attempts[i - 1];
-      const RequestSpan& cur = *attempts[i];
-      if (cur.attempt == prev.attempt) {
-        flag(cur, "duplicate (seq, attempt)");
-        continue;
-      }
-      if (cur.queued_ns < prev.solved_ns)
-        flag(cur, "attempt overlaps the previous attempt");
-      if (prev.outcome != "deferred")
-        flag(cur, "retry of a terminally decided request");
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    const RequestSpan& prev = *order[i - 1];
+    const RequestSpan& cur = *order[i];
+    if (cur.seq != prev.seq) continue;
+    if (cur.attempt == prev.attempt) {
+      flag(cur, "duplicate (seq, attempt)");
+      continue;
     }
+    if (cur.queued_ns < prev.solved_ns)
+      flag(cur, "attempt overlaps the previous attempt");
+    if (prev.outcome != "deferred")
+      flag(cur, "retry of a terminally decided request");
   }
   return res;
 }

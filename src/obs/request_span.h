@@ -34,9 +34,9 @@ namespace vc2m::obs {
 struct RequestSpan {
   std::uint64_t seq = 0;
   unsigned attempt = 0;
+  int vm = 0;
   std::string kind;
   std::string outcome;
-  int vm = 0;
   std::int64_t queued_ns = 0;    ///< arrival (attempt 0) or retry-ready time
   std::int64_t dequeued_ns = 0;  ///< server pickup; == solved_ns when shed
   std::int64_t solved_ns = 0;    ///< decision completion (virtual)

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <iostream>
 #include <iterator>
@@ -22,6 +23,7 @@
 #include "util/instrument.h"
 #include "util/names.h"
 #include "util/parse.h"
+#include "util/phase_profiler.h"
 #include "util/record.h"
 #include "util/thread_pool.h"
 
@@ -157,9 +159,13 @@ std::string config_digest(const ServiceConfig& cfg) {
 // ---------------------------------------------------------------------------
 // Shed policies.
 
-std::size_t shed_victim(ShedPolicy policy, const std::vector<QueueEntry>& queue,
-                        const QueueEntry& incoming,
-                        const std::vector<ServeRequest>& trace) {
+namespace {
+
+/// shed_victim over any `trace` that maps a seq to its ServeRequest.
+template <class Trace>
+std::size_t pick_victim(ShedPolicy policy,
+                        const std::vector<QueueEntry>& queue,
+                        const QueueEntry& incoming, Trace& trace) {
   if (policy == ShedPolicy::kRejectNewest) return queue.size();
   // Lexicographic-max victim key. Removes free capacity, so they get
   // weight -1 (and count as critical under the criticality policy): a
@@ -185,6 +191,61 @@ std::size_t shed_victim(ShedPolicy policy, const std::vector<QueueEntry>& queue,
     }
   }
   return best;
+}
+
+/// The part of the request stream the event loop can still reach: every
+/// request from the oldest one a queue or retry entry names through the
+/// next arrival. Requests are generated as the loop first asks for them
+/// and dropped once nothing names them, so a run holds about a queue's
+/// worth of requests instead of the whole trace.
+class TraceWindow {
+ public:
+  TraceWindow(const TraceConfig& cfg, std::uint64_t seed)
+      : gen_(cfg, seed), size_(cfg.requests) {}
+
+  /// Requests in the whole trace.
+  std::uint64_t size() const { return size_; }
+
+  /// Request `seq`, generated if it is past the window. References stay
+  /// valid until drop_below passes `seq`.
+  const ServeRequest& operator[](std::uint64_t seq) {
+    VC2M_CHECK_MSG(seq >= base_ && seq < size_,
+                   "request " << seq << " is outside the trace window");
+    while (base_ + window_.size() <= seq) window_.push_back(gen_.next());
+    return window_[seq - base_];
+  }
+
+  /// Forget every request below `seq`.
+  void drop_below(std::uint64_t seq) {
+    while (base_ < seq && !window_.empty()) {
+      window_.pop_front();
+      ++base_;
+    }
+    for (; base_ < seq; ++base_) gen_.next();  // never generated: skip
+  }
+
+ private:
+  TraceGenerator gen_;
+  std::uint64_t size_;
+  std::uint64_t base_ = 0;  ///< seq of window_.front()
+  std::deque<ServeRequest> window_;
+};
+
+/// The oldest request the loop can still reach: the next arrival or an
+/// attempt waiting in the queue or for its retry.
+std::uint64_t oldest_reachable(const State& st) {
+  std::uint64_t seq = st.trace_next;
+  for (const QueueEntry& e : st.queue) seq = std::min(seq, e.seq);
+  for (const QueueEntry& e : st.retry) seq = std::min(seq, e.seq);
+  return seq;
+}
+
+}  // namespace
+
+std::size_t shed_victim(ShedPolicy policy, const std::vector<QueueEntry>& queue,
+                        const QueueEntry& incoming,
+                        const std::vector<ServeRequest>& trace) {
+  return pick_victim(policy, queue, incoming, trace);
 }
 
 // ---------------------------------------------------------------------------
@@ -242,9 +303,13 @@ JournalRecord request_record(const ServeRequest& req, const QueueEntry& e) {
 void admit_or_resize(Decision& d, const State& st, const ServeRequest& req,
                      const QueueEntry& entry, util::Time start,
                      const ServiceConfig& cfg,
-                     const util::AllocCounterScope& counters) {
+                     const util::AllocCounterScope& counters,
+                     core::AdmissionWorkspace& ws) {
   JournalRecord& rec = d.rec;
-  const model::Taskset tasks = materialize_taskset(req, cfg.platform.grid);
+  const model::Taskset tasks = [&] {
+    VC2M_PROFILE_PHASE("materialize");
+    return materialize_taskset(req, cfg.platform.grid);
+  }();
   rec.tasks = tasks.size();
   const auto n = static_cast<std::int64_t>(tasks.size());
   if (cfg.deadline > util::Time::zero() &&
@@ -267,8 +332,9 @@ void admit_or_resize(Decision& d, const State& st, const ServeRequest& req,
   vmc.request_id = static_cast<std::int64_t>(entry.seq);
   const bool admit = req.kind == RequestKind::kAdmit;
   core::AdmitResult r =
-      admit ? core::admit_vm(st.adm, tasks, req.vm, cfg.platform, vmc, rng)
-            : core::resize_vm(st.adm, tasks, req.vm, cfg.platform, vmc, rng);
+      admit
+          ? core::admit_vm(st.adm, tasks, req.vm, cfg.platform, vmc, rng, ws)
+          : core::resize_vm(st.adm, tasks, req.vm, cfg.platform, vmc, rng, ws);
   if (r.admitted) d.adm = std::move(r.state);
   rec.outcome = admit ? (r.admitted ? Outcome::kAdmitted : Outcome::kRejected)
                       : (r.admitted ? Outcome::kResized
@@ -289,6 +355,14 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t seq,
 Decision decide(const State& st, const ServeRequest& req,
                 const QueueEntry& entry, util::Time start,
                 const ServiceConfig& cfg) {
+  core::AdmissionWorkspace ws;
+  return decide(st, req, entry, start, cfg, ws);
+}
+
+Decision decide(const State& st, const ServeRequest& req,
+                const QueueEntry& entry, util::Time start,
+                const ServiceConfig& cfg, core::AdmissionWorkspace& ws) {
+  VC2M_PROFILE_PHASE("decide");
   Decision d{request_record(req, entry)};
   util::AllocCounterScope counters;
   obs::DecisionLog log;
@@ -304,7 +378,7 @@ Decision decide(const State& st, const ServeRequest& req,
                                           st.adm.vcpus.size() -
                                           d.adm->vcpus.size());
     } else {
-      admit_or_resize(d, st, req, entry, start, cfg, counters);
+      admit_or_resize(d, st, req, entry, start, cfg, counters, ws);
     }
   }
   d.rec.events = log.events().size();
@@ -585,9 +659,10 @@ JournalPlan recover(const ServiceConfig& cfg, const std::string& digest,
 /// checks the result against the record either way.
 Decision replay_or_decide(const JournalRecord* expected, const State& st,
                           const ServeRequest& req, const QueueEntry& entry,
-                          util::Time start, const ServiceConfig& cfg) {
+                          util::Time start, const ServiceConfig& cfg,
+                          core::AdmissionWorkspace& ws) {
   if (expected == nullptr || row_of(expected->outcome).mutates)
-    return decide(st, req, entry, start, cfg);
+    return decide(st, req, entry, start, cfg, ws);
   return Decision{*expected};
 }
 
@@ -660,6 +735,7 @@ class Committer {
   /// count the commit toward the snapshot cadence.
   void commit(State& st, Decision d, const ServeRequest& req,
               util::Time queued, util::Time dequeued, std::int64_t wall_ns) {
+    VC2M_PROFILE_PHASE("commit");
     JournalRecord& rec = d.rec;
     const OutcomeRow& row = row_of(rec.outcome);
     const util::Time solved = dequeued + util::Time::ns(rec.cost_ns);
@@ -711,6 +787,7 @@ class Committer {
   /// Replay turns live when its cursor reaches the end of the journal.
   bool journal(const JournalRecord& rec) {
     if (cfg_.journal_path.empty()) return false;
+    VC2M_PROFILE_PHASE("journal");
     if (cursor_ < plan_.replay.size()) {
       const JournalRecord& exp = plan_.replay[cursor_];
       VC2M_CHECK_MSG(exp.seq == rec.seq && exp.attempt == rec.attempt &&
@@ -736,6 +813,7 @@ class Committer {
   }
 
   void snapshot_and_rotate(State& st) {
+    VC2M_PROFILE_PHASE("snapshot");
     ++snapshot_writes_;
     ++st.ordinal;
     const std::string snap_path = cfg_.journal_path + ".snap";
@@ -970,10 +1048,11 @@ ServeReport report_of(const ServiceConfig& cfg, std::uint64_t requests,
 }  // namespace
 
 ServiceResult run_service(const ServiceConfig& cfg_in) {
+  VC2M_PROFILE_PHASE("serve");
   ServiceConfig cfg = cfg_in;
   const auto inner_pool = attach_inner_pool(cfg.vm_cfg);
   ServiceResult result;
-  const auto trace = generate_trace(cfg.trace, cfg.seed);
+  TraceWindow trace(cfg.trace, cfg.seed);
   // One span per decision: at least one per request. Sizing the vector
   // once keeps its doubling copies out of the run's peak memory.
   if (cfg.collect_spans) result.spans.reserve(trace.size());
@@ -981,8 +1060,12 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
 
   State st;
   JournalPlan plan;
-  if (!cfg.journal_path.empty())
+  if (!cfg.journal_path.empty()) {
+    VC2M_PROFILE_PHASE("recover");
     plan = recover(cfg, digest, st, result.warnings);
+  }
+  // Every decision of the run reuses its buffers.
+  core::AdmissionWorkspace ws;
   SpanRecorder spans(cfg, cfg.collect_spans ? &result.spans : nullptr);
   TimelineSampler timeline(cfg, digest, decisions_of(st.stats),
                            result.warnings);
@@ -993,7 +1076,7 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
   auto enqueue = [&](QueueEntry e, bool is_retry) {
     ++(is_retry ? st.stats.retries : st.stats.arrivals);
     if (st.queue.size() >= cfg.queue_cap) {
-      const std::size_t v = shed_victim(cfg.shed, st.queue, e, trace);
+      const std::size_t v = pick_victim(cfg.shed, st.queue, e, trace);
       const QueueEntry victim = v == st.queue.size() ? e : st.queue[v];
       const ServeRequest& req = trace[victim.seq];
       Decision d{request_record(req, victim)};
@@ -1019,7 +1102,7 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
     const ServeRequest& req = trace[entry.seq];
     const util::Time ts = util::max(st.busy_until, entry.ready_at);
     Decision d = replay_or_decide(committer.replaying(entry, req.kind), st,
-                                  req, entry, ts, cfg);
+                                  req, entry, ts, cfg, ws);
     st.busy_until = ts + util::Time::ns(d.rec.cost_ns);
     const std::int64_t wall_ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -1030,6 +1113,7 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
 
   // The event loop: serve the queue head unless an arrival or a retry
   // lands first (arrivals win ties with retries).
+  trace.drop_below(oldest_reachable(st));  // what a snapshot folded
   std::uint64_t served = 0;
   bool interrupted = false;
   while (true) {
@@ -1054,6 +1138,7 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
     } else if (tnext == never) {
       break;
     } else if (ta <= tr) {
+      trace.drop_below(oldest_reachable(st));
       const ServeRequest& r = trace[st.trace_next++];
       enqueue({r.seq, 0, r.at}, /*is_retry=*/false);
     } else {
@@ -1064,6 +1149,7 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
     }
   }
   if (interrupted) committer.notify_abort();
+  VC2M_PROFILE_PHASE("report");
   result.report = report_of(cfg, trace.size(), st, interrupted);
   result.interrupted = interrupted;
   return result;

@@ -265,5 +265,10 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t seq,
 Decision decide(const State& st, const ServeRequest& req,
                 const QueueEntry& entry, util::Time start,
                 const ServiceConfig& cfg);
+/// The same decision in `ws`'s buffers; run_service keeps one workspace
+/// for all its decisions. The decision does not depend on what `ws` held.
+Decision decide(const State& st, const ServeRequest& req,
+                const QueueEntry& entry, util::Time start,
+                const ServiceConfig& cfg, core::AdmissionWorkspace& ws);
 
 }  // namespace vc2m::service

@@ -112,62 +112,62 @@ TraceConfig parse_trace_spec(const std::string& spec) {
   return cfg;
 }
 
+ServeRequest TraceGenerator::next() {
+  VC2M_CHECK(!done());
+  const std::uint64_t i = next_seq_++;
+  // Rate modulation: >1 means a denser burst (shorter interarrivals).
+  double rate = 1.0;
+  const double pos =
+      static_cast<double>(i) / static_cast<double>(cfg_.requests);
+  if (cfg_.pattern == TracePattern::kFlash && pos >= cfg_.flash_at &&
+      pos < cfg_.flash_at + cfg_.flash_len)
+    rate = cfg_.flash_x;
+  else if (cfg_.pattern == TracePattern::kDiurnal)
+    rate = 1.0 + cfg_.diurnal_amp *
+                     std::sin(2.0 * kPi * cfg_.diurnal_cycles * pos);
+  // Exponential interarrival with mean (mean_interarrival / rate);
+  // 1 - uniform01() keeps the argument strictly positive.
+  const double gap_ns =
+      -static_cast<double>(cfg_.mean_interarrival.raw_ns()) / rate *
+      std::log(1.0 - rng_.uniform01());
+  clock_ns_ += static_cast<std::int64_t>(gap_ns) + 1;
+
+  ServeRequest req;
+  req.seq = i;
+  req.at = util::Time::ns(clock_ns_);
+  const double kind_draw = rng_.uniform01();
+  if (kind_draw < cfg_.remove_frac && !live_.empty()) {
+    req.kind = RequestKind::kRemove;
+    const std::size_t pick = rng_.index(live_.size());
+    req.vm = live_[pick].first;
+    req.criticality = live_[pick].second;
+    live_[pick] = live_.back();
+    live_.pop_back();
+  } else if (kind_draw < cfg_.remove_frac + cfg_.resize_frac &&
+             !live_.empty()) {
+    req.kind = RequestKind::kResize;
+    const std::size_t pick = rng_.index(live_.size());
+    req.vm = live_[pick].first;
+    req.criticality = live_[pick].second;
+    req.util = rng_.uniform(cfg_.util_lo, cfg_.util_hi);
+    req.taskset_seed = rng_();
+  } else {
+    req.kind = RequestKind::kAdmit;
+    req.vm = next_vm_++;
+    req.util = rng_.uniform(cfg_.util_lo, cfg_.util_hi);
+    req.criticality = rng_.bernoulli(cfg_.low_crit_frac) ? 0 : 1;
+    req.taskset_seed = rng_();
+    live_.emplace_back(req.vm, req.criticality);
+  }
+  return req;
+}
+
 std::vector<ServeRequest> generate_trace(const TraceConfig& cfg,
                                          std::uint64_t seed) {
-  util::Rng rng(seed);
+  TraceGenerator gen(cfg, seed);
   std::vector<ServeRequest> out;
   out.reserve(cfg.requests);
-  std::vector<std::pair<int, int>> live;  // (vm, criticality) the generator
-                                          // believes admitted
-  std::int64_t clock_ns = 0;
-  int next_vm = 1;
-  const double n = static_cast<double>(cfg.requests);
-  for (std::uint64_t i = 0; i < cfg.requests; ++i) {
-    // Rate modulation: >1 means a denser burst (shorter interarrivals).
-    double rate = 1.0;
-    const double pos = static_cast<double>(i) / n;
-    if (cfg.pattern == TracePattern::kFlash && pos >= cfg.flash_at &&
-        pos < cfg.flash_at + cfg.flash_len)
-      rate = cfg.flash_x;
-    else if (cfg.pattern == TracePattern::kDiurnal)
-      rate = 1.0 + cfg.diurnal_amp *
-                       std::sin(2.0 * kPi * cfg.diurnal_cycles * pos);
-    // Exponential interarrival with mean (mean_interarrival / rate);
-    // 1 - uniform01() keeps the argument strictly positive.
-    const double gap_ns =
-        -static_cast<double>(cfg.mean_interarrival.raw_ns()) / rate *
-        std::log(1.0 - rng.uniform01());
-    clock_ns += static_cast<std::int64_t>(gap_ns) + 1;
-
-    ServeRequest req;
-    req.seq = i;
-    req.at = util::Time::ns(clock_ns);
-    const double kind_draw = rng.uniform01();
-    if (kind_draw < cfg.remove_frac && !live.empty()) {
-      req.kind = RequestKind::kRemove;
-      const std::size_t pick = rng.index(live.size());
-      req.vm = live[pick].first;
-      req.criticality = live[pick].second;
-      live[pick] = live.back();
-      live.pop_back();
-    } else if (kind_draw < cfg.remove_frac + cfg.resize_frac &&
-               !live.empty()) {
-      req.kind = RequestKind::kResize;
-      const std::size_t pick = rng.index(live.size());
-      req.vm = live[pick].first;
-      req.criticality = live[pick].second;
-      req.util = rng.uniform(cfg.util_lo, cfg.util_hi);
-      req.taskset_seed = rng();
-    } else {
-      req.kind = RequestKind::kAdmit;
-      req.vm = next_vm++;
-      req.util = rng.uniform(cfg.util_lo, cfg.util_hi);
-      req.criticality = rng.bernoulli(cfg.low_crit_frac) ? 0 : 1;
-      req.taskset_seed = rng();
-      live.emplace_back(req.vm, req.criticality);
-    }
-    out.push_back(req);
-  }
+  while (!gen.done()) out.push_back(gen.next());
   return out;
 }
 

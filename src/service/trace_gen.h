@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "model/resource_grid.h"
@@ -75,6 +76,30 @@ struct TraceConfig {
 /// util=LO..HI, remove-frac, resize-frac, low-crit-frac, flash-at,
 /// flash-len, flash-x, cycles, amp. Throws util::Error on anything else.
 TraceConfig parse_trace_spec(const std::string& spec);
+
+/// The request stream one request at a time, in seq order: next() returns
+/// the requests generate_trace returns whole, holding only the VMs the
+/// generator believes live.
+class TraceGenerator {
+ public:
+  TraceGenerator(const TraceConfig& cfg, std::uint64_t seed)
+      : cfg_(cfg), rng_(seed) {}
+
+  /// Requests generated so far: the seq next() returns.
+  std::uint64_t generated() const { return next_seq_; }
+  bool done() const { return next_seq_ == cfg_.requests; }
+  /// The next request; requires !done().
+  ServeRequest next();
+
+ private:
+  TraceConfig cfg_;
+  util::Rng rng_;
+  /// (vm, criticality) of the VMs the generator believes admitted.
+  std::vector<std::pair<int, int>> live_;
+  std::int64_t clock_ns_ = 0;
+  int next_vm_ = 1;
+  std::uint64_t next_seq_ = 0;
+};
 
 /// Generate the full request stream. Deterministic given (cfg, seed); VM
 /// ids are unique and increasing, removes/resizes target VMs the generator

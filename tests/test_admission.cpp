@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "analysis/schedulability.h"
@@ -8,6 +9,9 @@
 #include "core/strategy.h"
 #include "generated.h"
 #include "model/platform.h"
+#include "obs/decision_log.h"
+#include "util/hash.h"
+#include "util/instrument.h"
 #include "util/rng.h"
 
 namespace vc2m::core {
@@ -155,6 +159,143 @@ std::string fingerprint(const AdmissionState& st) {
     os << "]";
   }
   return os.str();
+}
+
+/// What one admission decision produced: verdict, committed state,
+/// decision events and allocator effort.
+struct Decided {
+  bool admitted = false;
+  std::string state;
+  std::vector<obs::DecisionEvent> events;
+  std::uint64_t dbf = 0, budget = 0, tests = 0;
+};
+
+template <class Fn>
+Decided decided(Fn&& decide) {
+  Decided d;
+  obs::DecisionLog log;
+  util::AllocCounterScope counters;
+  {
+    obs::DecisionLogScope scope(log);
+    const AdmitResult r = decide();
+    d.admitted = r.admitted;
+    d.state = fingerprint(r.state);
+  }
+  d.events = log.events();
+  d.dbf = counters.counters().dbf_evaluations;
+  d.budget = counters.counters().budget_evaluations;
+  d.tests = counters.counters().admission_tests;
+  return d;
+}
+
+TEST(AdmissionWorkspaceTest, OneWorkspaceDecidesAsFreshOnes) {
+  // A churn of admits, resizes and removes, each decision taken twice:
+  // through one workspace kept across the whole churn, and through the
+  // overload that builds a fresh one. Verdicts, committed states, events
+  // and effort counters must agree for every VCPU analysis.
+  const auto platform = PlatformSpec::A();
+  for (const auto analysis :
+       {VcpuAnalysis::kFlattening, VcpuAnalysis::kRegulated,
+        VcpuAnalysis::kExistingCsa}) {
+    SCOPED_TRACE(static_cast<int>(analysis));
+    VmAllocConfig vm;
+    vm.analysis = analysis;
+    AdmissionWorkspace ws;
+    AdmissionState state;
+    std::vector<int> live;
+    Rng pick(130);
+    int accepted = 0, rejected = 0;
+    for (int step = 0; step < 24; ++step) {
+      if (!live.empty() && pick.bernoulli(0.25)) {
+        state = remove_vm(state, live.front());
+        live.erase(live.begin());
+        continue;
+      }
+      const bool resize = !live.empty() && pick.bernoulli(0.3);
+      const int id = resize ? live.back() : 100 + step;
+      const auto tasks = vm_taskset(0.2 + 0.5 * pick.uniform01(), id,
+                                    2000 + static_cast<std::uint64_t>(step));
+      const auto take = [&](AdmissionWorkspace* kept) {
+        return decided([&] {
+          Rng rng(3000 + static_cast<std::uint64_t>(step));
+          if (kept)
+            return resize ? resize_vm(state, tasks, id, platform, vm, rng, *kept)
+                          : admit_vm(state, tasks, id, platform, vm, rng, *kept);
+          return resize ? resize_vm(state, tasks, id, platform, vm, rng)
+                        : admit_vm(state, tasks, id, platform, vm, rng);
+        });
+      };
+      const Decided fresh = take(nullptr);
+      const Decided reused = take(&ws);
+      ASSERT_EQ(reused.admitted, fresh.admitted) << "step " << step;
+      EXPECT_EQ(reused.state, fresh.state) << "step " << step;
+      EXPECT_EQ(reused.events, fresh.events) << "step " << step;
+      EXPECT_EQ(reused.dbf, fresh.dbf);
+      EXPECT_EQ(reused.budget, fresh.budget);
+      EXPECT_EQ(reused.tests, fresh.tests);
+      if (!fresh.admitted) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      Rng rng(3000 + static_cast<std::uint64_t>(step));
+      state = resize ? resize_vm(state, tasks, id, platform, vm, rng).state
+                     : admit_vm(state, tasks, id, platform, vm, rng).state;
+      if (!resize) live.push_back(id);
+    }
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
+  }
+}
+
+TEST(AdmissionEvents, ExistingCsaSurfacesAreWholeBeforePlacement) {
+  // Existing-CSA surfaces are computed for every VCPU before placement
+  // probes any of them, one kBudgetPoint per cell in cell order, each
+  // fresh budget preceded by its kBudgetSearch. The event stream's hash
+  // and effort counters are pinned to the values this admission had when
+  // every VCPU analysis computed its surfaces up front.
+  const auto platform = PlatformSpec::A();
+  const auto base = boot_system(0.3, 10);
+  const auto tasks = vm_taskset(0.2, 1, 11);
+  VmAllocConfig vm;
+  vm.analysis = VcpuAnalysis::kExistingCsa;
+  const Decided d = decided([&] {
+    Rng rng(12);
+    return admit_vm(base, tasks, 1, platform, vm, rng);
+  });
+  EXPECT_TRUE(d.admitted);
+
+  std::size_t points = 0, searches = 0, last_budget = 0, first_place = 0;
+  std::uint64_t h = util::kFnvOffsetBasis;
+  for (std::size_t i = 0; i < d.events.size(); ++i) {
+    const obs::DecisionEvent& e = d.events[i];
+    if (e.kind == obs::DecisionKind::kBudgetPoint ||
+        e.kind == obs::DecisionKind::kBudgetSearch) {
+      ++(e.kind == obs::DecisionKind::kBudgetPoint ? points : searches);
+      last_budget = i;
+    } else if (e.kind == obs::DecisionKind::kAdmitPlacement &&
+               first_place == 0) {
+      first_place = i;
+    }
+    for (const std::int64_t w :
+         {std::int64_t{static_cast<int>(e.kind)}, std::int64_t{e.accepted},
+          std::int64_t{static_cast<int>(e.constraint)}, std::int64_t{e.vm},
+          std::int64_t{e.entity}, std::int64_t{e.core}, std::int64_t{e.cache},
+          std::int64_t{e.bw}})
+      h = util::fnv1a_word(h, static_cast<std::uint64_t>(w));
+    h = util::fnv1a_word(h, std::bit_cast<std::uint64_t>(e.value));
+    h = util::fnv1a_word(h, std::bit_cast<std::uint64_t>(e.margin));
+  }
+  ASSERT_GT(first_place, 0u);
+  EXPECT_LT(last_budget, first_place);
+  EXPECT_EQ(points % platform.grid.size(), 0u);
+  EXPECT_EQ(d.events.size(), 1445u);
+  EXPECT_EQ(points, 1140u);  // 3 VCPUs × 380 cells
+  EXPECT_EQ(searches, 295u);
+  EXPECT_EQ(d.budget, 295u);
+  EXPECT_EQ(d.dbf, 295u);
+  EXPECT_EQ(d.tests, 106u);
+  EXPECT_EQ(h, 0x8a5e1f7e09a801c5ull);
 }
 
 TEST(AdmissionProperty, RandomChurnEndingEmptyFreesEverything) {

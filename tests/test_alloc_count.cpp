@@ -1,4 +1,5 @@
-// Heap allocations of the existing-CSA surface path.
+// Heap allocations of the existing-CSA surface path and of admission
+// decisions.
 //
 // This binary, and only this one, replaces the global operator new with a
 // counting one, so a test can read how many heap allocations a call made.
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "analysis/context.h"
+#include "core/admission.h"
 #include "core/vm_alloc.h"
 #include "generated.h"
 #include "model/platform.h"
@@ -112,6 +114,77 @@ TEST(HeapAllocations, FreshCellsOfAKnownGroupAllocateABoundedNumber) {
     EXPECT_GT(ctx.counters().budget_evaluations, evals + 50);
     EXPECT_LE(n, kFreshBound);
   }
+}
+
+/// A generated VM of reference utilization `util` whose tasks carry `vm`.
+model::Taskset vm_tasks(int vm, double util, std::uint64_t seed) {
+  auto tasks = tests::generated(util, seed);
+  for (auto& t : tasks) t.vm = vm;
+  return tasks;
+}
+
+TEST(HeapAllocations, WarmRejectedAdmissionAllocatesNothing) {
+  // Fill Platform A with 0.4-utilization VMs until one is refused, then
+  // decide that VM again and again in one workspace. Once the workspace
+  // has seen the decision, the rejection allocates nothing: the VCPU
+  // shells, k-means tables, probe core and mapping copy are all reused,
+  // and no committed state is built.
+  const auto platform = model::PlatformSpec::A();
+  const VmAllocConfig cfg;  // Theorem 2, as `vc2m serve` runs
+  AdmissionState state;
+  model::Taskset refused;
+  int vm = 1;
+  for (;; ++vm) {
+    auto tasks = vm_tasks(vm, 0.4, 1000 + static_cast<std::uint64_t>(vm));
+    util::Rng rng(static_cast<std::uint64_t>(vm));
+    auto r = admit_vm(state, tasks, vm, platform, cfg, rng);
+    if (!r.admitted) {
+      refused = std::move(tasks);
+      break;
+    }
+    state = std::move(r.state);
+  }
+  ASSERT_EQ(state.mapping.cores_used, platform.cores);
+  AdmissionWorkspace ws;
+  const auto decide = [&](AdmissionWorkspace* kept) {
+    util::Rng rng(5);
+    return kept ? admit_vm(state, refused, vm, platform, cfg, rng, *kept)
+                : admit_vm(state, refused, vm, platform, cfg, rng);
+  };
+  ASSERT_FALSE(decide(&ws).admitted);
+  bool admitted = true;
+  EXPECT_EQ(allocations_of([&] { admitted = decide(&ws).admitted; }), 0u);
+  EXPECT_FALSE(admitted);
+  // Without a kept workspace the decision builds every buffer; before
+  // the workspace existed it made 86 allocations.
+  EXPECT_EQ(allocations_of([&] { admitted = decide(nullptr).admitted; }),
+            70u);
+}
+
+TEST(HeapAllocations, WarmAcceptedAdmissionAllocatesOnlyWhatItCommits) {
+  // A 0.4-utilization VM of 13 tasks admitted into an empty Platform A as
+  // 4 regulated VCPUs on 2 cores. Warm, the decision allocates only what
+  // the committed state holds and the cores it opens: the VCPU vector,
+  // each VCPU's budget surface and task list (8), the mapping's core
+  // list, cache and bandwidth vectors and one member list per core (5),
+  // and the member list of each core the placement opens (2) and its
+  // growth (2). Before the workspace existed it made 96 allocations.
+  const auto platform = model::PlatformSpec::A();
+  const VmAllocConfig cfg;
+  const AdmissionState empty;
+  const auto tasks = vm_tasks(1, 0.4, 1001);
+  AdmissionWorkspace ws;
+  const auto decide = [&] {
+    util::Rng rng(5);
+    return admit_vm(empty, tasks, 1, platform, cfg, rng, ws);
+  };
+  ASSERT_TRUE(decide().admitted);
+  AdmitResult r;
+  EXPECT_EQ(allocations_of([&] { r = decide(); }), 18u);
+  ASSERT_TRUE(r.admitted);
+  EXPECT_EQ(tasks.size(), 13u);
+  EXPECT_EQ(r.state.vcpus.size(), 4u);
+  EXPECT_EQ(r.state.mapping.cores_used, 2u);
 }
 
 }  // namespace

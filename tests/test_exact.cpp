@@ -81,8 +81,9 @@ TEST(Exact, RefusesOversizedInstances) {
   const auto vcpus = small_vcpu_set(0.5, 4, 2);
   ExactConfig cfg;
   cfg.max_vcpus = 1;
-  if (vcpus.size() > 1)
+  if (vcpus.size() > 1) {
     EXPECT_THROW(allocate_exact(vcpus, platform, cfg), util::Error);
+  }
 }
 
 // Whenever the heuristic certifies an instance, the exact search must too

@@ -634,10 +634,15 @@ TEST(GridKernelOracle, CoreLoadReuseMatchesFreshLoad) {
   // reuses one per core. After every clear() a freshly constructed
   // CoreLoad receives the same edits; every probe must get the same answer
   // and count the same admission tests and cache hits from both, so no
-  // cached sum, demand, verdict or mode survives a clear(). The pool
-  // mixes exact-mode VCPUs, prime periods that force the fallback test,
-  // and one VCPU whose budget table lives on a larger grid.
-  for (const auto& platform : platforms()) {
+  // cached sum, demand, verdict or mode survives a clear(). Every other
+  // clear is a reset() to the same VCPUs instead, and one default-
+  // constructed CoreLoad serves every platform, smallest grid first,
+  // re-targeted by reset(), so nothing survives a reset() either and its
+  // tables grow with the grid. The pool mixes exact-mode VCPUs, prime
+  // periods that force the fallback test, and one VCPU whose budget table
+  // lives on a larger grid.
+  CoreLoad reused;
+  for (const auto& platform : {PlatformSpec::C(), PlatformSpec::A()}) {
     const auto& g = platform.grid;
     std::vector<Vcpu> vcpus = vcpus_on(g, 3);
     vcpus.resize(std::min<std::size_t>(vcpus.size(), 10));
@@ -654,11 +659,15 @@ TEST(GridKernelOracle, CoreLoadReuseMatchesFreshLoad) {
     vcpus.push_back(off_grid);
     const std::size_t off_grid_index = vcpus.size() - 1;
 
-    CoreLoad reused(vcpus, g);
+    reused.reset(vcpus, {}, g);
     auto fresh = std::make_unique<CoreLoad>(vcpus, g);
     std::vector<std::size_t> members;
+    int clears = 0;
     const auto clear = [&] {
-      reused.clear();
+      if (++clears % 2 == 0)
+        reused.reset(vcpus, {}, g);
+      else
+        reused.clear();
       fresh = std::make_unique<CoreLoad>(vcpus, g);
       members.clear();
     };

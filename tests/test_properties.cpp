@@ -217,7 +217,9 @@ TEST_P(SimulatorStressTest, AccountingInvariantsUnderRandomMixes) {
     EXPECT_LE(t.deadline_misses, t.released);
     EXPECT_LE(t.completed, t.released);
   }
-  if (!cfg.bw_regulation) EXPECT_EQ(st.throttles, 0u);
+  if (!cfg.bw_regulation) {
+    EXPECT_EQ(st.throttles, 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, SimulatorStressTest,
