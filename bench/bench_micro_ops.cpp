@@ -155,13 +155,34 @@ BENCHMARK(BM_RegulatedVcpu);
 
 void BM_KMeansSlowdownVectors(benchmark::State& state) {
   const auto tasks = make_taskset(2.0, 12);
-  std::vector<std::vector<double>> points;
-  for (const auto& t : tasks) points.push_back(t.slowdown().flat());
+  core::FeatureMatrix points(tasks.front().wcet.grid().size());
+  for (const auto& t : tasks) points.add_slowdown(t.wcet);
   util::Rng rng(3);
   for (auto _ : state)
     benchmark::DoNotOptimize(core::kmeans(points, 4, rng));
 }
 BENCHMARK(BM_KMeansSlowdownVectors);
+
+void BM_KMeansVmShapes(benchmark::State& state) {
+  // The clustering of one `vc2m serve` admission: the 7 tasks of a
+  // 0.25-utilization VM on Platform A, k = 4, in a kept workspace.
+  const auto tasks = make_taskset(0.25, 7);
+  core::FeatureMatrix points(tasks.front().wcet.grid().size());
+  for (const auto& t : tasks) points.add_slowdown(t.wcet);
+  core::KMeansWorkspace ws;
+  util::Rng rng(3);
+  std::size_t evals = 0, runs = 0;
+  for (auto _ : state) {
+    const core::KMeansResult& r = core::kmeans(points, 4, rng, ws);
+    benchmark::DoNotOptimize(r);
+    evals += r.distance_evals;
+    ++runs;
+  }
+  state.counters["distances"] =
+      static_cast<double>(evals) / static_cast<double>(runs);
+  state.SetLabel(std::to_string(tasks.size()) + " tasks");
+}
+BENCHMARK(BM_KMeansVmShapes);
 
 void BM_AllocateHeuristic(benchmark::State& state) {
   // One hypervisor-level search (§4.3: k-means over the VCPUs' slowdown

@@ -1,7 +1,7 @@
 #include "core/kmeans.h"
 
 #include <algorithm>
-#include <cstdint>
+#include <cmath>
 #include <cstring>
 #include <limits>
 #include <utility>
@@ -93,105 +93,8 @@ void divide(double* out, const double* in, std::size_t count,
   if (d < dim) out[d] = pow2 ? in[d] * inv[0] : in[d] / by;
 }
 
-/// col[i] = distance(point i, c) for every point: eight points per pass
-/// while more than four remain, then one pass of four.
-void distance_column(const FeatureMatrix& points, const double* c,
-                     double* col) {
-  const std::size_t n = points.rows(), dim = points.dim();
-  const auto row = [&](std::size_t i) { return points.row(i); };
-  std::size_t i = 0;
-  for (; i + 4 < n; i += 8) distances_block<8>(row, i, n, c, dim, col + i);
-  if (i < n) distances_block<4>(row, i, n, c, dim, col + i);
-}
-
-/// kmeans++: first centroid uniform, then proportional to squared distance
-/// from the nearest chosen centroid. `centroids` (k × dim, row-major)
-/// receives the picks. `dist` is n × k, column-major: column c receives
-/// every point's distance to pick c for c < k − 1, which is each pick but
-/// the last (no draw follows it). Each point's distance to its nearest
-/// pick is kept running in column k − 1, which is free until then, and
-/// lowered against each new column only.
-void seed_centroids(const FeatureMatrix& points, std::size_t k,
-                    util::Rng& rng, std::vector<double>& centroids,
-                    std::vector<double>& dist) {
-  const std::size_t n = points.rows(), dim = points.dim();
-  const auto pick_row = [&](std::size_t c, std::size_t i) {
-    std::copy_n(points.row(i), dim, centroids.begin() + c * dim);
-  };
-  pick_row(0, rng.index(n));
-  double* nearest = dist.data() + (k - 1) * n;
-  std::fill_n(nearest, n, std::numeric_limits<double>::infinity());
-  for (std::size_t chosen = 1; chosen < k; ++chosen) {
-    double* col = dist.data() + (chosen - 1) * n;
-    distance_column(points, centroids.data() + (chosen - 1) * dim, col);
-    double total = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      nearest[i] = std::min(nearest[i], col[i]);
-      total += nearest[i];
-    }
-    std::size_t pick;
-    if (total <= 0) {
-      // All points coincide with existing centroids; any choice works.
-      pick = rng.index(n);
-    } else {
-      double r = rng.uniform01() * total;
-      pick = n - 1;
-      for (std::size_t i = 0; i < n; ++i) {
-        r -= nearest[i];
-        if (r <= 0) {
-          pick = i;
-          break;
-        }
-      }
-    }
-    pick_row(chosen, pick);
-  }
-}
-
-/// Iteration 0's assignment step, the centroids still being the picks:
-/// completes `dist` (from seed_centroids) with the last pick's column and
-/// sets assign[i] to the first index of the smallest of point i's k
-/// distances, as nearest_centroid would. With k = 1 every point stays at 0.
-void assign_seeded(const FeatureMatrix& points,
-                   const std::vector<double>& cent, std::size_t k,
-                   std::vector<double>& dist,
-                   std::vector<std::size_t>& assign) {
-  if (k == 1) return;
-  const std::size_t n = points.rows(), dim = points.dim();
-  distance_column(points, &cent[(k - 1) * dim], dist.data() + (k - 1) * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t best = 0;
-    double best_d = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < k; ++c)
-      if (dist[c * n + i] < best_d) {
-        best_d = dist[c * n + i];
-        best = c;
-      }
-    assign[i] = best;
-  }
-}
-
-/// Index of the centroid nearest to p (lowest index on ties), four
-/// centroids per pass; a short last block repeats its last centroid.
-std::size_t nearest_centroid(const double* p, const std::vector<double>& cent,
-                             std::size_t k, std::size_t dim) {
-  const auto row = [&](std::size_t c) { return &cent[c * dim]; };
-  std::size_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < k; c += 4) {
-    double d[4];
-    distances_block<4>(row, c, k, p, dim, d);
-    for (std::size_t j = 0; j < 4 && c + j < k; ++j)
-      if (d[j] < best_d) {
-        best_d = d[j];
-        best = c + j;
-      }
-  }
-  return best;
-}
-
-/// First index of the smallest of d[0..k) (lowest index on ties), as
-/// nearest_centroid picks within one block.
+/// First index of the smallest of d[0..k) (lowest index on ties), the
+/// centroid a full assignment step picks.
 std::size_t first_min(const double* d, std::size_t k) {
   std::size_t best = 0;
   double best_d = std::numeric_limits<double>::infinity();
@@ -228,34 +131,238 @@ void distance2x4(const double* p0, const double* p1, const double* const c[4],
   out[1][3] = s1b[1];
 }
 
-/// The assignment step: assign[i] = nearest_centroid(point i). With at
-/// most four centroids, two points share each pass (distance2x4; a short
-/// block repeats the last centroid) and an odd last point takes
-/// nearest_centroid; with more, every point takes nearest_centroid.
-/// Returns whether any assignment changed.
-bool assign_nearest(const FeatureMatrix& points,
-                    const std::vector<double>& cent, std::size_t k,
-                    std::vector<std::size_t>& assign) {
+/// distance(a[j], b[j]) for four pairs in one pass: four chains, each
+/// summed in dimension order.
+void pair_distances4(const double* const a[4], const double* const b[4],
+                     std::size_t dim, double out[4]) {
+  Pair s01{0, 0}, s23{0, 0};
+  for (std::size_t d = 0; d < dim; ++d) {
+    const Pair x01 = Pair{a[0][d], a[1][d]} - Pair{b[0][d], b[1][d]};
+    const Pair x23 = Pair{a[2][d], a[3][d]} - Pair{b[2][d], b[3][d]};
+    s01 += x01 * x01;
+    s23 += x23 * x23;
+  }
+  store2(out, s01);
+  store2(out + 2, s23);
+}
+
+/// out[j] = distance(point idx[j], c) for j < m: eight points per pass
+/// while more than four remain, then one pass of four.
+void distance_list(const FeatureMatrix& points, const std::size_t* idx,
+                   std::size_t m, const double* c, double* out) {
+  const std::size_t dim = points.dim();
+  const auto row = [&](std::size_t j) { return points.row(idx[j]); };
+  std::size_t j = 0;
+  for (; j + 4 < m; j += 8) distances_block<8>(row, j, m, c, dim, out + j);
+  if (j < m) distances_block<4>(row, j, m, c, dim, out + j);
+}
+
+// --- Distance bounds --------------------------------------------------------
+//
+// On the square-root scale, for the centroids of the current step:
+// lo[i·k + c] ≤ d(i, c) for every point and centroid, and up[i] ≥
+// d(i, assign[i]). Each bound holds for the real distance and for √ of the
+// computed squared distance alike, so `up[i] < lo[i·k + c]` proves that the
+// computed distance to c is strictly the larger, and skipping it cannot
+// change an argmin or its lowest-index tie-break. Every bound is widened
+// by kSlack times the magnitudes it combines, which covers a dim-term
+// sum's rounding (about 4e-14 relative for 380 cells) and the cancellation
+// in l − δ, plus kTiny for squares that underflow. docs/performance.md
+// ("Pruned k-means") gives the argument.
+
+constexpr double kSlack = 1e-9;
+constexpr double kTiny = 1e-150;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Bounds below and above √sq, sq a computed squared distance.
+double lower_of(double sq) {
+  const double r = std::sqrt(sq);
+  return r - (kSlack * r + kTiny);
+}
+double upper_of(double sq) {
+  const double r = std::sqrt(sq);
+  return r + (kSlack * r + kTiny);
+}
+/// d(x, z) ≥ d(y, z) − d(x, y) ≥ l − δ, given l ≤ d(y, z), δ ≥ d(x, y).
+double lower_minus(double l, double delta) {
+  return l - delta - (kSlack * (l + delta) + kTiny);
+}
+/// d(x, z) ≤ d(x, y) + d(y, z) ≤ u + δ, given u ≥ d(x, y), δ ≥ d(y, z).
+double upper_plus(double u, double delta) {
+  return u + delta + (kSlack * (u + delta) + kTiny);
+}
+
+/// The tables of KMeansWorkspace::bounds.
+struct Bounds {
+  double* lo;       ///< n × k, row-major
+  double* up;       ///< n
+  double* nearest;  ///< n: squared distance to the nearest pick (seeding)
+  double* col;      ///< n: one seeding column's computed distances
+  double* drift;    ///< k: d(centroid before, centroid after) per cluster
+
+  Bounds(std::vector<double>& t, std::size_t n, std::size_t k) {
+    t.resize(n * (k + 3) + k);
+    lo = t.data();
+    up = lo + n * k;
+    nearest = up + n;
+    col = nearest + n;
+    drift = col + n;
+  }
+};
+
+/// kmeans++ seeding fused with iteration 0's assignment step. The first
+/// pick is uniform, each later one drawn in proportion to the squared
+/// distance from the nearest pick so far; `cent` (k × dim) and `picks`
+/// receive them. When it returns, assign[i] is point i's nearest pick, the
+/// first on ties, and `b` holds lo for every pick and up for that one.
+///
+/// Pick q is data point j = picks[q]. With a = assign[i] and u = up[i],
+/// d(i, j) ≥ lo[j·k + a] − u; where that bound exceeds u the distance is
+/// strictly larger than nearest[i] and is skipped. A skipped distance
+/// cannot lower nearest[i], so the totals, the draws and the RNG stream
+/// are those of computing every column. The rest are computed together.
+/// Returns the distances computed.
+std::size_t seed_centroids(const FeatureMatrix& points, std::size_t k,
+                           util::Rng& rng, double* cent, std::size_t* picks,
+                           std::size_t* todo, const Bounds& b,
+                           std::vector<std::size_t>& assign) {
   const std::size_t n = points.rows(), dim = points.dim();
+  const auto pick_row = [&](std::size_t q, std::size_t i) {
+    picks[q] = i;
+    std::copy_n(points.row(i), dim, cent + q * dim);
+  };
+  pick_row(0, rng.index(n));
+  if (k == 1) return 0;
+  std::fill_n(b.nearest, n, kInf);
+  std::size_t evals = 0;
+  for (std::size_t q = 0;; ++q) {
+    const double* pick_lo = b.lo + picks[q] * k;
+    std::size_t m = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == picks[q]) continue;
+      if (q > 0) {
+        const double bound = lower_minus(pick_lo[assign[i]], b.up[i]);
+        if (bound > b.up[i]) {
+          b.lo[i * k + q] = bound;
+          continue;
+        }
+      }
+      todo[m++] = i;
+    }
+    distance_list(points, todo, m, cent + q * dim, b.col);
+    evals += m;
+    // The pick itself is at distance +0.0 from its copy (finite features).
+    todo[m] = picks[q];
+    b.col[m] = 0;
+    for (std::size_t j = 0; j <= m; ++j) {
+      const std::size_t i = todo[j];
+      b.lo[i * k + q] = lower_of(b.col[j]);
+      if (b.col[j] < b.nearest[i]) {
+        b.nearest[i] = b.col[j];
+        b.up[i] = upper_of(b.col[j]);
+        assign[i] = q;
+      }
+    }
+    if (q + 1 == k) return evals;  // no draw follows the last pick
+
+    double total = 0;
+    for (std::size_t i = 0; i < n; ++i) total += b.nearest[i];
+    std::size_t pick;
+    if (total <= 0) {
+      // All points coincide with existing centroids; any choice works.
+      pick = rng.index(n);
+    } else {
+      double r = rng.uniform01() * total;
+      pick = n - 1;
+      for (std::size_t i = 0; i < n; ++i) {
+        r -= b.nearest[i];
+        if (r <= 0) {
+          pick = i;
+          break;
+        }
+      }
+    }
+    pick_row(q + 1, pick);
+  }
+}
+
+/// The assignment step of a later iteration; `prev` holds the centroids
+/// the bounds refer to, `cent` the update step's. Each centroid's drift
+/// moves the bounds: up[i] += drift[assign[i]], lo[i·k + c] −= drift[c].
+/// A point with up[i] < lo[i·k + c] for every other c keeps its centroid;
+/// every other point computes all k distances, two points per pass, and
+/// takes the first nearest. Adds the distances computed to `evals` and
+/// returns whether any assignment changed.
+bool assign_pruned(const FeatureMatrix& points, const double* cent,
+                   const double* prev, std::size_t k, std::size_t* todo,
+                   const Bounds& b, std::vector<std::size_t>& assign,
+                   std::size_t& evals) {
+  if (k == 1) return false;  // every point stays in the one cluster
+  const std::size_t n = points.rows(), dim = points.dim();
+  const auto clamp = [&](std::size_t c) { return std::min(c, k - 1); };
+  for (std::size_t c = 0; c < k; c += 4) {
+    const double* from[4];
+    const double* to[4];
+    for (std::size_t j = 0; j < 4; ++j) {
+      from[j] = prev + clamp(c + j) * dim;
+      to[j] = cent + clamp(c + j) * dim;
+    }
+    double d[4];
+    pair_distances4(from, to, dim, d);
+    for (std::size_t j = 0; j < 4 && c + j < k; ++j)
+      b.drift[c + j] = std::sqrt(d[j]);
+  }
+  evals += k;
+
+  std::size_t m = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t a = assign[i];
+    double* lo = b.lo + i * k;
+    const double up = b.up[i] = upper_plus(b.up[i], b.drift[a]);
+    bool keep = true;
+    for (std::size_t c = 0; c < k; ++c) {
+      lo[c] = lower_minus(lo[c], b.drift[c]);
+      keep &= c == a || up < lo[c];
+    }
+    if (!keep) todo[m++] = i;
+  }
+
+  // The computed points' squared distances go into their lo rows first.
+  std::size_t j = 0;
+  for (; j + 1 < m; j += 2) {
+    double* r0 = b.lo + todo[j] * k;
+    double* r1 = b.lo + todo[j + 1] * k;
+    for (std::size_t c = 0; c < k; c += 4) {
+      const double* cs[4];
+      for (std::size_t t = 0; t < 4; ++t) cs[t] = cent + clamp(c + t) * dim;
+      double d[2][4];
+      distance2x4(points.row(todo[j]), points.row(todo[j + 1]), cs, dim, d);
+      for (std::size_t t = 0; t < 4 && c + t < k; ++t) {
+        r0[c + t] = d[0][t];
+        r1[c + t] = d[1][t];
+      }
+    }
+  }
+  if (j < m) {
+    const auto row = [&](std::size_t c) { return cent + c * dim; };
+    for (std::size_t c = 0; c < k; c += 4)
+      distances_block<4>(row, c, k, points.row(todo[j]), dim,
+                         b.lo + todo[j] * k + c);
+  }
+  evals += m * k;
+
   bool changed = false;
-  const auto set = [&](std::size_t i, std::size_t best) {
+  for (j = 0; j < m; ++j) {
+    const std::size_t i = todo[j];
+    double* lo = b.lo + i * k;
+    const std::size_t best = first_min(lo, k);
+    b.up[i] = upper_of(lo[best]);
+    for (std::size_t c = 0; c < k; ++c) lo[c] = lower_of(lo[c]);
     if (assign[i] != best) {
       assign[i] = best;
       changed = true;
     }
-  };
-  std::size_t i = 0;
-  if (k <= 4) {
-    const double* cs[4];
-    for (std::size_t j = 0; j < 4; ++j) cs[j] = &cent[std::min(j, k - 1) * dim];
-    for (; i + 1 < n; i += 2) {
-      double d[2][4];
-      distance2x4(points.row(i), points.row(i + 1), cs, dim, d);
-      set(i, first_min(d[0], k));
-      set(i + 1, first_min(d[1], k));
-    }
   }
-  for (; i < n; ++i) set(i, nearest_centroid(points.row(i), cent, k, dim));
   return changed;
 }
 
@@ -301,42 +408,44 @@ const KMeansResult& kmeans(const FeatureMatrix& points, std::size_t k,
                  "k=" << k << " incompatible with " << n << " points");
   VC2M_CHECK(dim > 0);
 
-  // Centroids and the update step's sums/counts: one buffer each, reused
-  // by every iteration.
+  // Every table lives in `ws` and is reused by every iteration: the
+  // centroids double-buffered with `next`, the update step's sums and
+  // counts, and the bounds.
   KMeansResult& res = ws.result;
   auto& cent = res.centroids;
+  auto& next = ws.next;
   auto& sums = ws.sums;
-  auto& counts = ws.counts;
-  auto& stale = ws.stale;
-  cent.assign(k * dim, 0.0);
-  sums.assign(k * dim, 0.0);
-  counts.assign(k, 0);
-  stale.assign(k, 0);
-  // Point-to-pick distances, shared by the seeding and iteration 0.
-  auto& dist = ws.dist;
-  dist.assign(n * k, 0.0);
-  seed_centroids(points, k, rng, cent, dist);
+  cent.resize(k * dim);
+  next.resize(k * dim);
+  sums.resize(k * dim);
+  ws.index.resize(2 * k + n);
+  std::size_t* counts = ws.index.data();
+  std::size_t* stale = counts + k;
+  std::size_t* todo = stale + k;
+  const Bounds b(ws.bounds, n, k);
 
   res.iterations = 0;
   res.assignment.assign(n, 0);
   auto& assign = res.assignment;
+  res.distance_evals =
+      seed_centroids(points, k, rng, cent.data(), counts, todo, b, assign);
 
   double last_shift = 0;  // see AllocCounters::kmeans_final_shift
   for (unsigned iter = 0; iter < max_iters; ++iter) {
     res.iterations = iter + 1;
-    if (iter == 0)
-      assign_seeded(points, cent, k, dist, assign);
-    else if (!assign_nearest(points, cent, k, assign))
+    // Iteration 0's assignment is the seeding's.
+    if (iter > 0 && !assign_pruned(points, cent.data(), next.data(), k, todo,
+                                   b, assign, res.distance_evals))
       break;
 
-    // Update step.
+    // Update step, into `next`.
     std::fill(sums.begin(), sums.end(), 0.0);
-    std::fill(counts.begin(), counts.end(), 0);
+    std::fill_n(counts, k, 0);
     for (std::size_t i = 0; i < n; ++i) {
       ++counts[assign[i]];
       accumulate(&sums[assign[i] * dim], points.row(i), dim);
     }
-    std::fill(stale.begin(), stale.end(), 0);
+    std::fill_n(stale, k, 0);
     for (std::size_t c = 0; c < k; ++c) {
       if (counts[c] == 0) {
         // Repair an empty cluster: steal the point farthest from its
@@ -347,8 +456,10 @@ const KMeansResult& kmeans(const FeatureMatrix& points, std::size_t k,
         double worst_d = -1;
         for (std::size_t i = 0; i < n; ++i) {
           if (counts[assign[i]] <= 1) continue;
+          const double* at = (assign[i] < c ? next : cent).data();
           const double d =
-              distance(points.row(i), &cent[assign[i] * dim], dim);
+              distance(points.row(i), at + assign[i] * dim, dim);
+          ++res.distance_evals;
           if (d > worst_d) {
             worst_d = d;
             worst = i;
@@ -360,10 +471,11 @@ const KMeansResult& kmeans(const FeatureMatrix& points, std::size_t k,
         const double* p = points.row(worst);
         for (std::size_t d = 0; d < dim; ++d) from[d] -= p[d];
         assign[worst] = c;
+        b.up[worst] = kInf;  // no bound on its distance to c is known
         counts[c] = 1;
         std::copy_n(p, dim, &sums[c * dim]);
       }
-      divide(&cent[c * dim], &sums[c * dim], counts[c], dim);
+      divide(&next[c * dim], &sums[c * dim], counts[c], dim);
     }
     // Σ_c ‖centroid_c − sums_c/count_c‖². For finite features a centroid
     // computed from its final sums contributes exactly +0.0, which leaves
@@ -374,11 +486,12 @@ const KMeansResult& kmeans(const FeatureMatrix& points, std::size_t k,
       const double count = static_cast<double>(counts[c]);
       double shift = 0;
       for (std::size_t d = 0; d < dim; ++d) {
-        const double diff = cent[c * dim + d] - sums[c * dim + d] / count;
+        const double diff = next[c * dim + d] - sums[c * dim + d] / count;
         shift += diff * diff;
       }
       last_shift += shift;
     }
+    std::swap(cent, next);
   }
   if (auto* ctr = util::alloc_counters()) {
     ++ctr->kmeans_runs;
@@ -386,16 +499,6 @@ const KMeansResult& kmeans(const FeatureMatrix& points, std::size_t k,
     ctr->kmeans_final_shift += last_shift;
   }
   return res;
-}
-
-KMeansResult kmeans(const std::vector<std::vector<double>>& points,
-                    std::size_t k, util::Rng& rng, unsigned max_iters) {
-  VC2M_CHECK_MSG(!points.empty(),
-                 "k=" << k << " incompatible with 0 points");
-  FeatureMatrix m(points.front().size());
-  m.reserve_rows(points.size());
-  for (const auto& p : points) m.add_row(p);
-  return kmeans(m, k, rng, max_iters);
 }
 
 Clusters cluster_members(const KMeansResult& result, std::size_t k) {

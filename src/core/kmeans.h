@@ -10,12 +10,14 @@
 // The points live in one contiguous row-major matrix that the callers fill
 // straight from their WCET/budget tables. Every squared distance is summed
 // in dimension order, one accumulator per pair, however many pairs a pass
-// computes, so results do not depend on the blocking.
+// computes, so results do not depend on the blocking. Triangle-inequality
+// bounds (Elkan, ICML 2003) skip every distance that is provably larger
+// than one already known; what is left is computed exactly, so the result
+// is the one that computing every distance gives, bit for bit.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -56,6 +58,10 @@ struct KMeansResult {
   /// k centroids of the points' dimension, row-major.
   std::vector<double> centroids;
   unsigned iterations = 0;
+  /// Point-to-centroid, pick and drift distances computed (each a
+  /// dim-term sum). Computing every distance in every iteration would
+  /// take k·n per iteration.
+  std::size_t distance_evals = 0;
 };
 
 /// The tables kmeans() sizes per run, and its result: a caller that
@@ -63,26 +69,26 @@ struct KMeansResult {
 /// buffers have grown to its largest run.
 struct KMeansWorkspace {
   std::vector<double> sums;  ///< k × dim update-step sums
-  std::vector<std::size_t> counts;
-  std::vector<std::uint8_t> stale;
-  std::vector<double> dist;  ///< n × k point-to-pick distances
+  /// k × dim: the update step's centroids, swapped with result.centroids.
+  std::vector<double> next;
+  /// k cluster sizes (the k picks while seeding), k stale flags,
+  /// then up to n indices of the points whose distances a pass computes.
+  std::vector<std::size_t> index;
+  /// The distance bounds: n × k lower bounds, then n upper bounds, n
+  /// nearest-pick distances, one n-entry seeding column and k drifts.
+  std::vector<double> bounds;
   KMeansResult result;
 };
 
 /// Lloyd's algorithm with kmeans++ seeding. Requires 1 <= k <= rows() and
 /// dim() > 0. Empty clusters are repaired by stealing the point farthest
-/// from its current centroid.
+/// from its current centroid. Features must be finite.
 KMeansResult kmeans(const FeatureMatrix& points, std::size_t k,
                     util::Rng& rng, unsigned max_iters = 50);
 /// The same run in `ws`'s buffers; returns ws.result.
 const KMeansResult& kmeans(const FeatureMatrix& points, std::size_t k,
                            util::Rng& rng, KMeansWorkspace& ws,
                            unsigned max_iters = 50);
-
-/// Convenience overload: copies `points` (all of equal, non-zero
-/// dimension) into a FeatureMatrix.
-KMeansResult kmeans(const std::vector<std::vector<double>>& points,
-                    std::size_t k, util::Rng& rng, unsigned max_iters = 50);
 
 /// Cluster membership as one flat index array: cluster c's points are
 /// members[offsets[c] .. offsets[c + 1]).

@@ -71,14 +71,20 @@ class WcetFn {
 
   /// e(c,b) = round(reference * s(c,b)); s must have s(C,B) == 1.
   static WcetFn from_slowdown(util::Time reference, const Surface& s) {
-    WcetFn f(s.grid());
+    WcetFn f;
+    f.assign_slowdown(reference, s);
+    return f;
+  }
+  /// As if assigned from_slowdown(reference, s), but keeping the storage.
+  void assign_slowdown(util::Time reference, const Surface& s) {
     const auto& in = s.flat();
-    VC2M_CHECK(in.size() == f.values_.size());
+    s.grid().validate();
+    VC2M_CHECK(in.size() == s.grid().size());
+    grid_ = s.grid();
+    values_.resize(in.size());
     const double ref = static_cast<double>(reference.raw_ns());
     for (std::size_t i = 0; i < in.size(); ++i)
-      f.values_[i] =
-          util::Time::ns(static_cast<std::int64_t>(ref * in[i] + 0.5));
-    return f;
+      values_[i] = util::Time::ns(static_cast<std::int64_t>(ref * in[i] + 0.5));
   }
 
   const ResourceGrid& grid() const { return grid_; }

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <fstream>
 #include <istream>
+#include <mutex>
 #include <ostream>
+#include <set>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.h"
@@ -13,6 +16,15 @@
 #include "util/record.h"
 
 namespace vc2m::obs {
+
+const char* span_label(std::string_view text) {
+  static std::mutex mu;
+  static std::set<std::string, std::less<>> labels;
+  std::lock_guard<std::mutex> lock(mu);
+  auto it = labels.find(text);
+  if (it == labels.end()) it = labels.emplace(text).first;
+  return it->c_str();
+}
 
 std::string serialize(const RequestSpan& s) {
   return util::write_record(s, '|');
@@ -140,7 +152,7 @@ SpanCheckResult check_request_spans(std::span<const RequestSpan> spans,
     }
     if (cur.queued_ns < prev.solved_ns)
       flag(cur, "attempt overlaps the previous attempt");
-    if (prev.outcome != "deferred")
+    if (std::string_view(prev.outcome) != "deferred")
       flag(cur, "retry of a terminally decided request");
   }
   return res;

@@ -22,6 +22,7 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/record.h"
@@ -30,19 +31,41 @@ namespace vc2m::obs {
 
 /// One request attempt's span. `kind` and `outcome` are the service's
 /// stable serialization names (e.g. "admit", "deferred"); obs treats them
-/// as opaque labels so this layer stays independent of the service.
+/// as opaque labels so this layer stays independent of the service. A run
+/// keeps a span per request, so each label is a pointer to text that
+/// lives as long as the program (the service's name tables, or
+/// span_label) rather than a string of its own: 80 bytes per span, not
+/// 128. Compare labels as text, never as pointers.
 struct RequestSpan {
   std::uint64_t seq = 0;
   unsigned attempt = 0;
   int vm = 0;
-  std::string kind;
-  std::string outcome;
+  const char* kind = "";
+  const char* outcome = "";
   std::int64_t queued_ns = 0;    ///< arrival (attempt 0) or retry-ready time
   std::int64_t dequeued_ns = 0;  ///< server pickup; == solved_ns when shed
   std::int64_t solved_ns = 0;    ///< decision completion (virtual)
   std::int64_t cost_ns = 0;      ///< virtual solve cost; solved - dequeued
   std::int64_t latency_ns = 0;   ///< arrival → terminal (0 when deferred)
   std::int64_t wall_ns = 0;      ///< informational wall clock; not checked
+};
+
+/// `text` as a span label: a copy that lives as long as the program, the
+/// same pointer for the same text. Readers intern the labels they parse.
+const char* span_label(std::string_view text);
+
+/// A label field of a span record: its text, read back through span_label.
+/// A label is a C string, so an empty one or one holding a NUL is refused.
+template <class P>
+struct SpanLabel {
+  P& value;
+  void put(std::string& out) const { out += value; }
+  void get(util::FieldReader& in, std::string_view key,
+           std::string_view text) {
+    if (text.empty() || text.find('\0') != std::string_view::npos)
+      in.fail("bad " + std::string(key));
+    value = span_label(text);
+  }
 };
 
 /// A span's text form, `key=value` joined by '|' — the payload of the
@@ -52,8 +75,8 @@ template <util::RecordOf<RequestSpan> R, class V>
 void fields(R& s, V&& v) {
   v("seq", s.seq);
   v("attempt", s.attempt);
-  v("kind", s.kind);
-  v("outcome", s.outcome);
+  v("kind", SpanLabel{s.kind});
+  v("outcome", SpanLabel{s.outcome});
   v("vm", s.vm);
   v("queued_ns", s.queued_ns);
   v("dequeued_ns", s.dequeued_ns);

@@ -304,12 +304,13 @@ void admit_or_resize(Decision& d, const State& st, const ServeRequest& req,
                      const QueueEntry& entry, util::Time start,
                      const ServiceConfig& cfg,
                      const util::AllocCounterScope& counters,
-                     core::AdmissionWorkspace& ws) {
+                     DecideWorkspace& ws) {
   JournalRecord& rec = d.rec;
-  const model::Taskset tasks = [&] {
+  const model::Taskset& tasks = ws.tasks;
+  {
     VC2M_PROFILE_PHASE("materialize");
-    return materialize_taskset(req, cfg.platform.grid);
-  }();
+    materialize_taskset(req, cfg.platform.grid, ws.tasks);
+  }
   rec.tasks = tasks.size();
   const auto n = static_cast<std::int64_t>(tasks.size());
   if (cfg.deadline > util::Time::zero() &&
@@ -332,9 +333,10 @@ void admit_or_resize(Decision& d, const State& st, const ServeRequest& req,
   vmc.request_id = static_cast<std::int64_t>(entry.seq);
   const bool admit = req.kind == RequestKind::kAdmit;
   core::AdmitResult r =
-      admit
-          ? core::admit_vm(st.adm, tasks, req.vm, cfg.platform, vmc, rng, ws)
-          : core::resize_vm(st.adm, tasks, req.vm, cfg.platform, vmc, rng, ws);
+      admit ? core::admit_vm(st.adm, tasks, req.vm, cfg.platform, vmc, rng,
+                             ws.adm)
+            : core::resize_vm(st.adm, tasks, req.vm, cfg.platform, vmc, rng,
+                              ws.adm);
   if (r.admitted) d.adm = std::move(r.state);
   rec.outcome = admit ? (r.admitted ? Outcome::kAdmitted : Outcome::kRejected)
                       : (r.admitted ? Outcome::kResized
@@ -355,17 +357,18 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t seq,
 Decision decide(const State& st, const ServeRequest& req,
                 const QueueEntry& entry, util::Time start,
                 const ServiceConfig& cfg) {
-  core::AdmissionWorkspace ws;
+  DecideWorkspace ws;
   return decide(st, req, entry, start, cfg, ws);
 }
 
 Decision decide(const State& st, const ServeRequest& req,
                 const QueueEntry& entry, util::Time start,
-                const ServiceConfig& cfg, core::AdmissionWorkspace& ws) {
+                const ServiceConfig& cfg, DecideWorkspace& ws) {
   VC2M_PROFILE_PHASE("decide");
   Decision d{request_record(req, entry)};
   util::AllocCounterScope counters;
-  obs::DecisionLog log;
+  obs::DecisionLog& log = ws.log;
+  log.clear();
   {
     obs::DecisionLogScope scope(log);
     if (req.kind != RequestKind::kAdmit && !vm_present(st.adm, req.vm)) {
@@ -660,7 +663,7 @@ JournalPlan recover(const ServiceConfig& cfg, const std::string& digest,
 Decision replay_or_decide(const JournalRecord* expected, const State& st,
                           const ServeRequest& req, const QueueEntry& entry,
                           util::Time start, const ServiceConfig& cfg,
-                          core::AdmissionWorkspace& ws) {
+                          DecideWorkspace& ws) {
   if (expected == nullptr || row_of(expected->outcome).mutates)
     return decide(st, req, entry, start, cfg, ws);
   return Decision{*expected};
@@ -1065,7 +1068,7 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
     plan = recover(cfg, digest, st, result.warnings);
   }
   // Every decision of the run reuses its buffers.
-  core::AdmissionWorkspace ws;
+  DecideWorkspace ws;
   SpanRecorder spans(cfg, cfg.collect_spans ? &result.spans : nullptr);
   TimelineSampler timeline(cfg, digest, decisions_of(st.stats),
                            result.warnings);

@@ -38,6 +38,8 @@
 #include "core/admission.h"
 #include "core/vm_alloc.h"
 #include "model/platform.h"
+#include "model/task.h"
+#include "obs/decision_log.h"
 #include "obs/request_span.h"
 #include "service/report.h"
 #include "service/telemetry.h"
@@ -265,10 +267,17 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t seq,
 Decision decide(const State& st, const ServeRequest& req,
                 const QueueEntry& entry, util::Time start,
                 const ServiceConfig& cfg);
+/// The storage a decision reuses: the admission buffers, the request's
+/// materialized taskset and the decision log.
+struct DecideWorkspace {
+  core::AdmissionWorkspace adm;
+  model::Taskset tasks;
+  obs::DecisionLog log;
+};
 /// The same decision in `ws`'s buffers; run_service keeps one workspace
 /// for all its decisions. The decision does not depend on what `ws` held.
 Decision decide(const State& st, const ServeRequest& req,
                 const QueueEntry& entry, util::Time start,
-                const ServiceConfig& cfg, core::AdmissionWorkspace& ws);
+                const ServiceConfig& cfg, DecideWorkspace& ws);
 
 }  // namespace vc2m::service

@@ -171,8 +171,8 @@ std::vector<ServeRequest> generate_trace(const TraceConfig& cfg,
   return out;
 }
 
-model::Taskset materialize_taskset(const ServeRequest& req,
-                                   const model::ResourceGrid& grid) {
+void materialize_taskset(const ServeRequest& req,
+                         const model::ResourceGrid& grid, model::Taskset& out) {
   VC2M_CHECK_MSG(req.kind != RequestKind::kRemove,
                  "remove requests carry no taskset");
   workload::GeneratorConfig gen;
@@ -180,8 +180,14 @@ model::Taskset materialize_taskset(const ServeRequest& req,
   gen.target_ref_utilization = req.util;
   gen.num_vms = 1;
   util::Rng rng(req.taskset_seed);
-  auto tasks = workload::generate_taskset(gen, rng);
-  for (auto& t : tasks) t.vm = req.vm;
+  workload::generate_taskset(gen, rng, out);
+  for (auto& t : out) t.vm = req.vm;
+}
+
+model::Taskset materialize_taskset(const ServeRequest& req,
+                                   const model::ResourceGrid& grid) {
+  model::Taskset tasks;
+  materialize_taskset(req, grid, tasks);
   return tasks;
 }
 

@@ -109,7 +109,10 @@ std::vector<ServeRequest> generate_trace(const TraceConfig& cfg,
                                          std::uint64_t seed);
 
 /// Materialize the taskset behind an admit/resize request (tasks carry
-/// req.vm). Pure function of (req, grid).
+/// req.vm) into `out`, reusing its storage. Pure function of (req, grid).
+void materialize_taskset(const ServeRequest& req,
+                         const model::ResourceGrid& grid, model::Taskset& out);
+/// The same taskset, returned.
 model::Taskset materialize_taskset(const ServeRequest& req,
                                    const model::ResourceGrid& grid);
 

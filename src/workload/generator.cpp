@@ -43,8 +43,8 @@ double draw_utilization(UtilDist dist, util::Rng& rng) {
   return 0;
 }
 
-std::vector<util::Time> harmonic_period_menu(const GeneratorConfig& cfg,
-                                             util::Rng& rng) {
+HarmonicMenu harmonic_period_menu(const GeneratorConfig& cfg,
+                                  util::Rng& rng) {
   VC2M_CHECK(cfg.harmonic_levels >= 1);
   VC2M_CHECK(cfg.period_lo < cfg.period_hi);
   const std::int64_t scale = std::int64_t{1} << (cfg.harmonic_levels - 1);
@@ -57,25 +57,28 @@ std::vector<util::Time> harmonic_period_menu(const GeneratorConfig& cfg,
   const std::int64_t ms = 1'000'000;
   const std::int64_t base_ms =
       rng.uniform_int(cfg.period_lo.raw_ns() / ms, base_hi / ms);
-  std::vector<util::Time> menu;
-  menu.reserve(cfg.harmonic_levels);
-  for (unsigned k = 0; k < cfg.harmonic_levels; ++k)
-    menu.push_back(util::Time::ns(base_ms * ms * (std::int64_t{1} << k)));
-  return menu;
+  return {util::Time::ns(base_ms * ms), cfg.harmonic_levels};
 }
 
 model::Taskset generate_taskset(const GeneratorConfig& cfg, util::Rng& rng) {
+  model::Taskset ts;
+  generate_taskset(cfg, rng, ts);
+  return ts;
+}
+
+void generate_taskset(const GeneratorConfig& cfg, util::Rng& rng,
+                      model::Taskset& out) {
   cfg.grid.validate();
   VC2M_CHECK(cfg.target_ref_utilization > 0);
   VC2M_CHECK(cfg.num_vms >= 1);
 
   const auto& suite = parsec_suite();
-  const auto menu = harmonic_period_menu(cfg, rng);
+  const HarmonicMenu menu = harmonic_period_menu(cfg, rng);
   const SurfaceTable& table = surface_table(cfg.grid);
   const auto& surfaces = table.surfaces;
   const auto& s_max = table.s_max;
 
-  model::Taskset ts;
+  std::size_t n = 0;
   double total_ref = 0;
   while (total_ref < cfg.target_ref_utilization) {
     const std::size_t k = rng.index(suite.size());
@@ -95,17 +98,18 @@ model::Taskset generate_taskset(const GeneratorConfig& cfg, util::Rng& rng) {
     const auto ref_wcet = util::Time::ns(
         std::max<std::int64_t>(1, static_cast<std::int64_t>(ref_wcet_ns + 0.5)));
 
-    model::Task task;
+    if (n == out.size()) out.emplace_back();
+    model::Task& task = out[n];
     task.period = p;
-    task.wcet = model::WcetFn::from_slowdown(ref_wcet, surfaces[k]);
+    task.wcet.assign_slowdown(ref_wcet, surfaces[k]);
     task.max_wcet = util::Time::ns(static_cast<std::int64_t>(
         static_cast<double>(ref_wcet.raw_ns()) * s_max[k] + 0.5));
-    task.vm = static_cast<int>(ts.size()) % cfg.num_vms;
+    task.vm = static_cast<int>(n) % cfg.num_vms;
     task.label = suite[k].name;
-    ts.push_back(std::move(task));
+    ++n;
     total_ref += ref_util;
   }
-  return ts;
+  out.resize(n);
 }
 
 }  // namespace vc2m::workload

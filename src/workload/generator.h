@@ -10,9 +10,10 @@
 // to land exactly on it).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "model/resource_grid.h"
 #include "model/task.h"
@@ -47,12 +48,28 @@ struct GeneratorConfig {
   unsigned harmonic_levels = 4;
 };
 
-/// Generate one taskset. Deterministic given the RNG state.
+/// Generate one taskset into `out`, replacing its tasks but reusing their
+/// storage (WCET tables, labels) and the vector's. Deterministic given the
+/// RNG state.
+void generate_taskset(const GeneratorConfig& cfg, util::Rng& rng,
+                      model::Taskset& out);
+/// The same taskset, returned.
 model::Taskset generate_taskset(const GeneratorConfig& cfg, util::Rng& rng);
 
-/// The per-taskset harmonic period menu: base ~ U[lo, hi/2^(levels-1)),
-/// menu = {base · 2^k | k < levels}. All entries lie in [lo, hi].
-std::vector<util::Time> harmonic_period_menu(const GeneratorConfig& cfg,
-                                             util::Rng& rng);
+/// The per-taskset harmonic period menu {base · 2^k | k < levels}, held
+/// as its base.
+struct HarmonicMenu {
+  util::Time base;
+  unsigned levels = 0;
+
+  std::size_t size() const { return levels; }
+  util::Time operator[](std::size_t k) const {
+    return base * (std::int64_t{1} << k);
+  }
+};
+
+/// Draw a menu: base ~ U[lo, hi/2^(levels-1)), quantized to 1 ms. All
+/// entries lie in [lo, hi].
+HarmonicMenu harmonic_period_menu(const GeneratorConfig& cfg, util::Rng& rng);
 
 }  // namespace vc2m::workload

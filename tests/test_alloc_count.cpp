@@ -20,6 +20,7 @@
 #include "generated.h"
 #include "model/platform.h"
 #include "model/task.h"
+#include "service/service.h"
 
 namespace {
 
@@ -123,6 +124,30 @@ model::Taskset vm_tasks(int vm, double util, std::uint64_t seed) {
   return tasks;
 }
 
+/// Platform A filled with 0.4-utilization VMs until one is refused: the
+/// state, the refused VM's id and its tasks.
+struct FullPlatform {
+  AdmissionState state;
+  int vm = 1;
+  model::Taskset refused;
+};
+
+FullPlatform fill_platform_a() {
+  const auto platform = model::PlatformSpec::A();
+  const VmAllocConfig cfg;  // Theorem 2, as `vc2m serve` runs
+  FullPlatform f;
+  for (;; ++f.vm) {
+    auto tasks = vm_tasks(f.vm, 0.4, 1000 + static_cast<std::uint64_t>(f.vm));
+    util::Rng rng(static_cast<std::uint64_t>(f.vm));
+    auto r = admit_vm(f.state, tasks, f.vm, platform, cfg, rng);
+    if (!r.admitted) {
+      f.refused = std::move(tasks);
+      return f;
+    }
+    f.state = std::move(r.state);
+  }
+}
+
 TEST(HeapAllocations, WarmRejectedAdmissionAllocatesNothing) {
   // Fill Platform A with 0.4-utilization VMs until one is refused, then
   // decide that VM again and again in one workspace. Once the workspace
@@ -130,20 +155,11 @@ TEST(HeapAllocations, WarmRejectedAdmissionAllocatesNothing) {
   // shells, k-means tables, probe core and mapping copy are all reused,
   // and no committed state is built.
   const auto platform = model::PlatformSpec::A();
-  const VmAllocConfig cfg;  // Theorem 2, as `vc2m serve` runs
-  AdmissionState state;
-  model::Taskset refused;
-  int vm = 1;
-  for (;; ++vm) {
-    auto tasks = vm_tasks(vm, 0.4, 1000 + static_cast<std::uint64_t>(vm));
-    util::Rng rng(static_cast<std::uint64_t>(vm));
-    auto r = admit_vm(state, tasks, vm, platform, cfg, rng);
-    if (!r.admitted) {
-      refused = std::move(tasks);
-      break;
-    }
-    state = std::move(r.state);
-  }
+  const VmAllocConfig cfg;
+  const FullPlatform full = fill_platform_a();
+  const AdmissionState& state = full.state;
+  const model::Taskset& refused = full.refused;
+  const int vm = full.vm;
   ASSERT_EQ(state.mapping.cores_used, platform.cores);
   AdmissionWorkspace ws;
   const auto decide = [&](AdmissionWorkspace* kept) {
@@ -159,6 +175,38 @@ TEST(HeapAllocations, WarmRejectedAdmissionAllocatesNothing) {
   // the workspace existed it made 86 allocations.
   EXPECT_EQ(allocations_of([&] { admitted = decide(nullptr).admitted; }),
             70u);
+}
+
+TEST(HeapAllocations, WarmRejectedServiceDecisionAllocatesNothing) {
+  // The serve Decider on the same full Platform A: an admit request whose
+  // VM is refused, decided again and again with one kept DecideWorkspace.
+  // Warm, it allocates nothing: the materialized taskset (8 tasks, one
+  // WCET table each), the decision log and the admission buffers are all
+  // reused. Before the workspace kept the taskset and the log, the warm
+  // decision made 17 allocations: the tables, the task vector's growth,
+  // the period menu and the log's events. A fresh workspace builds all.
+  service::State st;
+  st.adm = fill_platform_a().state;
+  service::ServiceConfig cfg;
+  service::ServeRequest req;
+  req.seq = 3;
+  req.vm = 1000;
+  req.util = 0.4;
+  req.taskset_seed = 11;
+  const service::QueueEntry entry{req.seq, 0, util::Time::zero()};
+  service::DecideWorkspace ws;
+  const auto outcome = [&](service::DecideWorkspace* kept) {
+    return (kept ? service::decide(st, req, entry, util::Time::zero(), cfg,
+                                   *kept)
+                 : service::decide(st, req, entry, util::Time::zero(), cfg))
+        .rec.outcome;
+  };
+  ASSERT_EQ(outcome(&ws), service::Outcome::kRejected);
+  ASSERT_EQ(ws.tasks.size(), 8u);
+  service::Outcome o = service::Outcome::kAdmitted;
+  EXPECT_EQ(allocations_of([&] { o = outcome(&ws); }), 0u);
+  EXPECT_EQ(o, service::Outcome::kRejected);
+  EXPECT_EQ(allocations_of([&] { o = outcome(nullptr); }), 83u);
 }
 
 TEST(HeapAllocations, WarmAcceptedAdmissionAllocatesOnlyWhatItCommits) {

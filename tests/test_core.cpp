@@ -10,6 +10,7 @@
 #include "core/hv_alloc.h"
 #include "core/kmeans.h"
 #include "core/vm_alloc.h"
+#include "features.h"
 #include "generated.h"
 #include "model/platform.h"
 #include "util/rng.h"
@@ -25,6 +26,7 @@ using model::Taskset;
 using model::Vcpu;
 using model::WcetFn;
 using util::Rng;
+using tests::features;
 using tests::generated;
 using util::Time;
 
@@ -35,7 +37,7 @@ TEST(KMeans, SeparatesObviousClusters) {
   for (int i = 0; i < 10; ++i) pts.push_back({0.0 + i * 0.01, 0.0});
   for (int i = 0; i < 10; ++i) pts.push_back({10.0 + i * 0.01, 10.0});
   Rng rng(1);
-  const auto res = kmeans(pts, 2, rng);
+  const auto res = kmeans(features(pts), 2, rng);
   // All points of one blob share a cluster, and the blobs differ.
   for (int i = 1; i < 10; ++i) {
     EXPECT_EQ(res.assignment[i], res.assignment[0]);
@@ -47,7 +49,7 @@ TEST(KMeans, SeparatesObviousClusters) {
 TEST(KMeans, KEqualsOnePutsEverythingTogether) {
   std::vector<std::vector<double>> pts{{1, 2}, {3, 4}, {5, 6}};
   Rng rng(2);
-  const auto res = kmeans(pts, 1, rng);
+  const auto res = kmeans(features(pts), 1, rng);
   for (const auto a : res.assignment) EXPECT_EQ(a, 0u);
   EXPECT_NEAR(res.centroids[0], 3.0, 1e-12);
 }
@@ -55,7 +57,7 @@ TEST(KMeans, KEqualsOnePutsEverythingTogether) {
 TEST(KMeans, KEqualsNSeparatesDistinctPoints) {
   std::vector<std::vector<double>> pts{{0, 0}, {5, 5}, {9, 0}};
   Rng rng(3);
-  const auto res = kmeans(pts, 3, rng);
+  const auto res = kmeans(features(pts), 3, rng);
   std::set<std::size_t> clusters(res.assignment.begin(),
                                  res.assignment.end());
   EXPECT_EQ(clusters.size(), 3u);
@@ -65,7 +67,7 @@ TEST(KMeans, EveryClusterNonEmptyEvenWithDuplicatePoints) {
   std::vector<std::vector<double>> pts(6, std::vector<double>{1.0, 1.0});
   pts.push_back({2.0, 2.0});
   Rng rng(4);
-  const auto res = kmeans(pts, 3, rng);
+  const auto res = kmeans(features(pts), 3, rng);
   const auto members = cluster_members(res, 3);
   ASSERT_EQ(members.size(), 3u);
   for (std::size_t c = 0; c < members.size(); ++c)
@@ -75,8 +77,8 @@ TEST(KMeans, EveryClusterNonEmptyEvenWithDuplicatePoints) {
 TEST(KMeans, InvalidKThrows) {
   std::vector<std::vector<double>> pts{{1.0}};
   Rng rng(5);
-  EXPECT_THROW(kmeans(pts, 0, rng), util::Error);
-  EXPECT_THROW(kmeans(pts, 2, rng), util::Error);
+  EXPECT_THROW(kmeans(features(pts), 0, rng), util::Error);
+  EXPECT_THROW(kmeans(features(pts), 2, rng), util::Error);
 }
 
 TEST(KMeans, ClusterMembersPartitionTheInput) {
@@ -84,7 +86,7 @@ TEST(KMeans, ClusterMembersPartitionTheInput) {
   std::vector<std::vector<double>> pts;
   for (int i = 0; i < 40; ++i)
     pts.push_back({rng.uniform(0, 1), rng.uniform(0, 1)});
-  const auto res = kmeans(pts, 5, rng);
+  const auto res = kmeans(features(pts), 5, rng);
   const auto members = cluster_members(res, 5);
   ASSERT_EQ(members.size(), 5u);
   std::vector<std::size_t> seen;

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -26,6 +27,7 @@
 #include "core/admission.h"
 #include "core/core_load.h"
 #include "core/kmeans.h"
+#include "features.h"
 #include "generated.h"
 #include "model/platform.h"
 #include "obs/decision_log.h"
@@ -42,6 +44,7 @@ using model::ResourceGrid;
 using model::Taskset;
 using model::Vcpu;
 using model::WcetFn;
+using tests::features;
 using util::Rng;
 using util::Time;
 
@@ -96,7 +99,7 @@ KMeansPin run_pinned(const std::vector<std::vector<double>>& pts,
                      std::size_t k, std::uint64_t seed) {
   util::AllocCounterScope scope;
   Rng rng(seed);
-  const auto res = kmeans(pts, k, rng);
+  const auto res = kmeans(features(pts), k, rng);
   Digest d;
   for (const std::size_t a : res.assignment) d.add(a);
   for (const double v : res.centroids) d.add_double(v);
@@ -204,6 +207,37 @@ TEST(KMeansPinTest, DuplicatePointsOddCountFiveClusters) {
              "duplicates k=5");
 }
 
+TEST(KMeansPinTest, PrunedDistanceEvaluationsOnPlatformA) {
+  // The triangle-inequality bounds skip distances; these counts pin how
+  // many are still computed, so that a change that silently stops pruning
+  // fails here even though every result above stays the same. Computing
+  // every distance costs k·n per iteration (iteration 0 included, the
+  // seeding's columns being reused by it), drift and repairs aside.
+  const auto pool = feature_pool();
+  const std::vector<std::vector<double>> pts(pool.begin() + 12,
+                                             pool.begin() + 72);
+  const FeatureMatrix m = features(pts);
+  const std::size_t want[] = {0, 385, 260, 194, 232};
+  for (std::size_t k = 1; k <= 5; ++k) {
+    Rng rng(100 + k);
+    const auto res = kmeans(m, k, rng);
+    const std::size_t full = k * pts.size() * res.iterations;
+    EXPECT_EQ(res.distance_evals, want[k - 1]) << "k=" << k;
+    if (k > 1) {
+      EXPECT_LT(res.distance_evals, full) << "k=" << k;
+    }
+  }
+  // One serve-sized VM: the tasks of a 0.25-utilization request, k = 4.
+  FeatureMatrix vm(PlatformSpec::A().grid.size());
+  const auto tasks = tests::generated(0.25, 7);
+  for (const auto& t : tasks) vm.add_slowdown(t.wcet);
+  Rng rng(7);
+  const auto res = kmeans(vm, 4, rng);
+  ASSERT_EQ(tasks.size(), 7u);
+  EXPECT_EQ(res.iterations, 2u);
+  EXPECT_EQ(res.distance_evals, 21u);  // 56 without the bounds
+}
+
 // ------------------------------------------------------- k-means oracle --
 
 /// The k-means algorithm as it was before the seeding distances were
@@ -217,6 +251,8 @@ struct ReferenceKMeans {
   unsigned iterations = 0;
   double final_shift = 0;
   std::size_t ties = 0;  ///< assignments with an exact distance tie
+  /// Assignments whose runner-up is one ulp above the nearest distance.
+  std::size_t near_ties = 0;
 };
 
 double ref_distance(const std::vector<double>& a, const double* b) {
@@ -282,6 +318,13 @@ ReferenceKMeans reference_kmeans(const std::vector<std::vector<double>>& pts,
           best = c;
         }
       }
+      const double one_ulp =
+          std::nextafter(best_d, std::numeric_limits<double>::infinity());
+      for (std::size_t c = 0; c < k; ++c)
+        if (ref_distance(pts[i], &cent[c * dim]) == one_ulp) {
+          ++r.near_ties;
+          break;
+        }
       if (assign[i] != best) changed = true;
       assign[i] = best;
     }
@@ -336,6 +379,32 @@ ReferenceKMeans reference_kmeans(const std::vector<std::vector<double>>& pts,
   return r;
 }
 
+/// Runs kmeans() and reference_kmeans() on `pts` and asserts the same
+/// assignment, iterations, centroid bits, final shift and RNG position.
+ReferenceKMeans expect_matches_reference(
+    const std::vector<std::vector<double>>& pts, std::size_t k,
+    std::uint64_t seed, unsigned max_iters, const std::string& label) {
+  Rng ref_rng(seed);
+  auto want = reference_kmeans(pts, k, ref_rng, max_iters);
+  util::AllocCounterScope scope;
+  Rng rng(seed);
+  const auto got = kmeans(features(pts), k, rng, max_iters);
+  EXPECT_EQ(got.assignment, want.assignment) << label;
+  EXPECT_EQ(got.iterations, want.iterations) << label;
+  EXPECT_EQ(got.centroids.size(), want.centroids.size()) << label;
+  for (std::size_t j = 0;
+       j < std::min(got.centroids.size(), want.centroids.size()); ++j)
+    if (bits_of(got.centroids[j]) != bits_of(want.centroids[j])) {
+      ADD_FAILURE() << label << " centroid value " << j;
+      break;
+    }
+  EXPECT_EQ(bits_of(scope.counters().kmeans_final_shift),
+            bits_of(want.final_shift))
+      << label;
+  EXPECT_EQ(rng(), ref_rng()) << label << " (RNG position)";
+  return want;
+}
+
 TEST(KMeansOracle, MatchesFullDistanceReferenceOnRandomMatrices) {
   // 2 400 random matrices: n in 1..24, every k in 1..min(n, 6) in turn,
   // dimensions from 1 (all ties on a line) to a Platform-A-sized 380.
@@ -364,25 +433,11 @@ TEST(KMeansOracle, MatchesFullDistanceReferenceOnRandomMatrices) {
     }
     const std::uint64_t seed = gen();
     const unsigned max_iters = gen.bernoulli(0.1) ? 1 + gen.index(3) : 50;
-
-    Rng ref_rng(seed);
-    const auto want = reference_kmeans(pts, k, ref_rng, max_iters);
-    util::AllocCounterScope scope;
-    Rng rng(seed);
-    const auto got = kmeans(pts, k, rng, max_iters);
-    const std::string label = "case " + std::to_string(t) + " n=" +
-                              std::to_string(n) + " k=" + std::to_string(k) +
-                              " dim=" + std::to_string(dim);
-    ASSERT_EQ(got.assignment, want.assignment) << label;
-    ASSERT_EQ(got.iterations, want.iterations) << label;
-    ASSERT_EQ(got.centroids.size(), want.centroids.size()) << label;
-    for (std::size_t j = 0; j < got.centroids.size(); ++j)
-      ASSERT_EQ(bits_of(got.centroids[j]), bits_of(want.centroids[j]))
-          << label << " centroid value " << j;
-    ASSERT_EQ(bits_of(scope.counters().kmeans_final_shift),
-              bits_of(want.final_shift))
-        << label;
-    ASSERT_EQ(rng(), ref_rng()) << label << " (RNG position)";
+    const auto want = expect_matches_reference(
+        pts, k, seed, max_iters,
+        "case " + std::to_string(t) + " n=" + std::to_string(n) +
+            " k=" + std::to_string(k) + " dim=" + std::to_string(dim));
+    if (HasFailure()) return;
     ++cases;
     if (want.final_shift != 0) ++repairs;
     if (want.ties > 0) ++ties;
@@ -391,6 +446,98 @@ TEST(KMeansOracle, MatchesFullDistanceReferenceOnRandomMatrices) {
   // The corpus must reach the paths it exists for.
   EXPECT_GE(repairs, 5u);
   EXPECT_GE(ties, 200u);
+
+  // Real slowdown rows, the input both allocation levels cluster: the
+  // twelve PARSEC surfaces and the tasks of generated tasksets. A task's
+  // row is its profile's surface plus the rounding of e*·s(c,b) to whole
+  // nanoseconds, at most 0.5/e* per cell, so tasks of one profile are
+  // near-duplicates of each other and of the surface.
+  const auto grid = PlatformSpec::A().grid;
+  std::vector<std::vector<double>> surfaces;
+  for (const auto& p : workload::parsec_suite())
+    surfaces.push_back(p.surface(grid).flat());
+  std::size_t slowdown_cases = 0;
+  for (int t = 0; t < 300; ++t) {
+    std::vector<std::vector<double>> pts;
+    for (const auto& task : tests::generated(0.1 + gen.uniform(0.0, 1.4),
+                                             gen(), 1, grid))
+      pts.push_back(task.slowdown().flat());
+    const std::size_t surfaces_in = gen.index(4);
+    for (std::size_t j = 0; j < surfaces_in; ++j)
+      pts.push_back(surfaces[gen.index(surfaces.size())]);
+    const std::size_t n = pts.size();
+    const std::size_t k =
+        1 + static_cast<std::size_t>(t) % std::min<std::size_t>(n, 6);
+    expect_matches_reference(pts, k, gen(), 50,
+                             "slowdown case " + std::to_string(t) +
+                                 " n=" + std::to_string(n) +
+                                 " k=" + std::to_string(k));
+    if (HasFailure()) return;
+    ++slowdown_cases;
+  }
+  EXPECT_EQ(slowdown_cases, 300u);
+
+  // A point m whose squared distances to two others, a and b, are one
+  // ulp apart: m starts at the midpoint of a and b, steps toward the
+  // farther one an ulp at a time until the two are equal or one ulp apart,
+  // then tries a few nudges of a few ulps in one coordinate that leave
+  // them exactly one ulp apart. With a, b and copies of them as the
+  // centroids, m's assignment turns on that last ulp. Other random points
+  // ride along.
+  const auto one_ulp_apart = [](double x, double y) {
+    const double inf = std::numeric_limits<double>::infinity();
+    return std::nextafter(x, inf) == y || std::nextafter(y, inf) == x;
+  };
+  std::size_t near_tie_cases = 0;
+  for (int t = 0; t < 600; ++t) {
+    const std::size_t dim = kDims[gen.index(std::size(kDims))];
+    std::vector<double> a(dim), b(dim), m(dim);
+    for (std::size_t d = 0; d < dim; ++d) {
+      a[d] = gen.uniform(-3.0, 3.0);
+      b[d] = gen.uniform(-3.0, 3.0);
+      m[d] = (a[d] + b[d]) / 2;
+    }
+    const auto gap_of = [&](const std::vector<double>& p) {
+      return std::pair{ref_distance(p, a.data()), ref_distance(p, b.data())};
+    };
+    const std::size_t j = gen.index(dim);
+    for (int step = 0; step < 4096; ++step) {
+      const auto [da, db] = gap_of(m);
+      if (da == db || one_ulp_apart(da, db)) break;
+      m[j] = std::nextafter(m[j], da > db ? a[j] : b[j]);
+    }
+    for (int trial = 0; trial < 256; ++trial) {
+      if (const auto [da, db] = gap_of(m); one_ulp_apart(da, db)) break;
+      std::vector<double> nudged = m;
+      double& v = nudged[gen.index(dim)];
+      const double toward = gen.bernoulli(0.5) ? 10.0 : -10.0;
+      for (std::size_t ulps = 1 + gen.index(4); ulps > 0; --ulps)
+        v = std::nextafter(v, toward);
+      if (const auto [da, db] = gap_of(nudged); one_ulp_apart(da, db))
+        m = nudged;
+    }
+    std::vector<std::vector<double>> pts{a, b, m};
+    for (std::size_t extra = gen.index(5); extra > 0; --extra) {
+      if (gen.bernoulli(0.5)) {
+        pts.push_back(gen.bernoulli(0.5) ? a : b);
+      } else {
+        std::vector<double> r(dim);
+        for (double& v : r) v = gen.uniform(-3.0, 3.0);
+        pts.push_back(r);
+      }
+    }
+    std::swap(pts[2], pts[gen.index(pts.size())]);
+    const std::size_t n = pts.size();
+    const std::size_t k = 2 + gen.index(std::min<std::size_t>(n, 4) - 1);
+    const auto want = expect_matches_reference(
+        pts, k, gen(), 50,
+        "near-tie case " + std::to_string(t) + " n=" + std::to_string(n) +
+            " k=" + std::to_string(k) + " dim=" + std::to_string(dim));
+    if (HasFailure()) return;
+    if (want.near_ties > 0) ++near_tie_cases;
+  }
+  // The constructed rows must actually decide assignments by one ulp.
+  EXPECT_GE(near_tie_cases, 100u);
 }
 
 // ------------------------------------------------------ grid kernel oracles --

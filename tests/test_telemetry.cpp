@@ -733,8 +733,8 @@ TEST(SpanRing, CrashDumpMatchesJournalTail) {
           scan.records[scan.records.size() - overlap + i]);
       EXPECT_EQ(span.seq, rec.seq);
       EXPECT_EQ(span.attempt, rec.attempt);
-      EXPECT_EQ(span.kind, to_string(rec.kind));
-      EXPECT_EQ(span.outcome, to_string(rec.outcome));
+      EXPECT_STREQ(span.kind, to_string(rec.kind));
+      EXPECT_STREQ(span.outcome, to_string(rec.outcome));
       EXPECT_EQ(span.cost_ns, rec.cost_ns);
       EXPECT_EQ(span.latency_ns, rec.latency_ns);
     }
