@@ -645,8 +645,10 @@ for p in r["phases"]:
     p["total_sec"] *= 3
 json.dump(r, open(sys.argv[2], "w"))
 EOF
+  # The smoke phases are milliseconds long, under perfdiff's default
+  # 10 ms floor; 0.1 ms keeps the synthetic regression above it.
   if "$vc2m" perfdiff "$work/BENCH_smoke.json" \
-      "$work/BENCH_regressed.json" > /dev/null; then
+      "$work/BENCH_regressed.json" --min-abs-sec 0.0001 > /dev/null; then
     echo "perfdiff failed to flag a 3x phase-time regression"
     return 1
   fi
@@ -692,11 +694,12 @@ if moved:
     sys.exit(1)
 EOF
   echo "=== perf: perfdiff vs bench_results/BENCH_fig4_baseline.json ==="
-  # --min-abs-sec 0.01: sub-10ms bookkeeping phases (fork_streams,
-  # assemble) jitter past any sane relative threshold; the phases this
-  # gate exists for (experiment, sweep, min_budget) are seconds-scale.
+  # perfdiff's default 10 ms floor ignores the sub-10ms bookkeeping
+  # phases (fork_streams, assemble), which jitter past any sane relative
+  # threshold; the phases this gate exists for (experiment, sweep,
+  # min_budget) are seconds-scale.
   "$dir/tools/vc2m" perfdiff bench_results/BENCH_fig4_baseline.json \
-    "$work/BENCH_fig4_current.json" --max-regress 10% --min-abs-sec 0.01 \
+    "$work/BENCH_fig4_current.json" --max-regress 10% \
     || { echo "Fig-4 sweep regressed past the committed baseline"; return 1; }
   echo "--- perf gate passed ---"
 }

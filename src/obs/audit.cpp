@@ -2,6 +2,7 @@
 
 #include "sim/deploy.h"
 #include "util/error.h"
+#include "util/phase_profiler.h"
 
 namespace vc2m::obs {
 
@@ -9,23 +10,31 @@ Audit audit(const core::Strategy& strategy, const model::Taskset& tasks,
             const model::PlatformSpec& platform,
             const core::SolveResult& solved, const AuditConfig& cfg) {
   VC2M_CHECK_MSG(cfg.hyperperiods >= 1, "an audit needs >= 1 hyperperiod");
-  sim::DeployConfig dc;
-  dc.exec = sim::ExecModel::kCpuOnly;
-  dc.release_sync = strategy.vm->release_sync();
-  dc.capture_trace = true;
   Audit a;
-  a.config = sim::deploy(tasks, solved.vcpus, solved.mapping, platform, dc);
-  a.config.enforcement = cfg.enforcement;
-  a.config.faults = cfg.faults;
+  {
+    VC2M_PROFILE_PHASE("deploy");
+    sim::DeployConfig dc;
+    dc.exec = sim::ExecModel::kCpuOnly;
+    dc.release_sync = strategy.vm->release_sync();
+    dc.capture_trace = true;
+    a.config = sim::deploy(tasks, solved.vcpus, solved.mapping, platform, dc);
+    a.config.enforcement = cfg.enforcement;
+    a.config.faults = cfg.faults;
+  }
   a.horizon = model::hyperperiod(tasks) * cfg.hyperperiods;
-
-  sim::Simulation s(a.config);
-  s.set_observer(cfg.observer);
-  s.run(a.horizon);
-  a.stats = s.stats();
-  a.events = s.trace().events();
-  a.check = check_trace(a.events,
-                        TraceCheckConfig::from_sim(a.config, a.horizon));
+  {
+    VC2M_PROFILE_PHASE("simulate");
+    sim::Simulation s(a.config);
+    s.set_observer(cfg.observer);
+    s.run(a.horizon);
+    a.stats = s.stats();
+    a.events = s.take_trace_events();
+  }
+  {
+    VC2M_PROFILE_PHASE("check");
+    a.check = check_trace(a.events,
+                          TraceCheckConfig::from_sim(a.config, a.horizon));
+  }
 
   const sim::SimStats& st = a.stats;
   a.record = {st.jobs_released,  st.jobs_completed, st.deadline_misses,

@@ -67,6 +67,8 @@ struct Audit {
 
 /// Deploy `solved`, which `strategy` certified for `tasks` on `platform`,
 /// simulate it for `cfg.hyperperiods` hyperperiods and check its trace.
+/// The three steps are the `deploy`, `simulate` and `check` phases of the
+/// phase profiler (util/phase_profiler.h).
 /// Throws util::Error when `solved` is not schedulable.
 Audit audit(const core::Strategy& strategy, const model::Taskset& tasks,
             const model::PlatformSpec& platform,

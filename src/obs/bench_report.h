@@ -150,7 +150,7 @@ BenchReport read_bench_report(std::istream& is,
 
 struct PerfDiffOptions {
   double max_regress = 0.10;    ///< allowed fractional growth (0.10 = +10%)
-  double min_abs_sec = 1e-4;    ///< ignore time deltas below this (noise)
+  double min_abs_sec = 1e-2;    ///< ignore time deltas below this (noise)
   double min_abs_count = 1.0;   ///< ignore counter deltas below this
 };
 

@@ -9,12 +9,15 @@ namespace vc2m::sim {
 
 namespace {
 
-/// Heap order (std::*_heap keep the greatest on top): the entry that fires
-/// later sinks. (when, seq) is a total order, so the heap's shape never
-/// decides which of two events goes first.
-constexpr auto kLater = [](const auto& a, const auto& b) {
-  return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-};
+/// Heap order: (when, seq) as one 128-bit key, a total order, so the
+/// heap's shape never decides which of two events goes first.
+template <class E>
+bool earlier(const E& a, const E& b) {
+  using Key = unsigned __int128;
+  return ((Key{a.when} << 64) | a.seq) < ((Key{b.when} << 64) | b.seq);
+}
+
+constexpr std::size_t kArity = 4;
 
 }  // namespace
 
@@ -33,8 +36,12 @@ EventQueue::Id EventQueue::schedule(util::Time when, EventFn fn) {
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
-  heap_.push_back({when, next_seq_++, slot, s.generation});
-  std::push_heap(heap_.begin(), heap_.end(), kLater);
+  s.in_lane = when == now_;
+  if (s.in_lane)
+    lane_.push_back({slot, s.generation});
+  else
+    push_heap({static_cast<std::uint64_t>(when.raw_ns()), next_seq_++, slot,
+               s.generation});
   return (Id{s.generation} << 32) | slot;
 }
 
@@ -50,21 +57,37 @@ bool EventQueue::cancel(Id id) {
   if (s.generation != static_cast<std::uint32_t>(id >> 32)) return false;
   s.fn = nullptr;
   retire(s);
+  // A stale lane entry is dropped before the clock next advances.
+  if (s.in_lane) return true;
   ++stale_;
   if (heap_.size() >= 64 && 2 * stale_ > heap_.size()) compact();
   return true;
 }
 
-bool EventQueue::run_one() {
-  if (!settle()) return false;
-  dispatch_top();
-  return true;
-}
+bool EventQueue::run_one() { return dispatch_next(util::Time::max()); }
 
 void EventQueue::run_until(util::Time t) {
   VC2M_CHECK(t >= now_);
-  while (settle() && heap_.front().when <= t) dispatch_top();
+  while (dispatch_next(t)) {
+  }
   now_ = t;
+}
+
+bool EventQueue::dispatch_next(util::Time t) {
+  const bool heap_live = settle();
+  const auto now = static_cast<std::uint64_t>(now_.raw_ns());
+  // The heap's entries due now were scheduled before the lane's.
+  if (heap_live && heap_.front().when == now) {
+    dispatch_top();
+  } else if (settle_lane()) {
+    dispatch_lane();
+  } else if (heap_live &&
+             heap_.front().when <= static_cast<std::uint64_t>(t.raw_ns())) {
+    dispatch_top();
+  } else {
+    return false;
+  }
+  return true;
 }
 
 bool EventQueue::settle() {
@@ -72,27 +95,80 @@ bool EventQueue::settle() {
     const Entry& top = heap_.front();
     if (slots_[top.slot].generation == top.generation) return true;
     free_.push_back(top.slot);
-    pop_top();
+    pop_heap();
     --stale_;
   }
   return false;
 }
 
+bool EventQueue::settle_lane() {
+  while (lane_head_ < lane_.size()) {
+    const LaneEntry e = lane_[lane_head_];
+    if (slots_[e.slot].generation == e.generation) return true;
+    free_.push_back(e.slot);
+    ++lane_head_;
+  }
+  lane_.clear();
+  lane_head_ = 0;
+  return false;
+}
+
 void EventQueue::dispatch_top() {
   const Entry top = heap_.front();
-  pop_top();
-  now_ = top.when;
+  pop_heap();
+  now_ = util::Time::ns(static_cast<std::int64_t>(top.when));
+  fire(top.slot);
+}
+
+void EventQueue::dispatch_lane() {
+  const std::uint32_t slot = lane_[lane_head_++].slot;
+  if (lane_head_ == lane_.size()) {
+    lane_.clear();
+    lane_head_ = 0;
+  }
+  fire(slot);
+}
+
+void EventQueue::fire(std::uint32_t slot) {
   // The slot is free again before the callback runs (which may schedule
   // into it); its Id is already spent, so the callback cannot cancel it.
-  EventFn fn = std::move(slots_[top.slot].fn);
-  retire(slots_[top.slot]);
-  free_.push_back(top.slot);
+  EventFn fn = std::move(slots_[slot].fn);
+  retire(slots_[slot]);
+  free_.push_back(slot);
   fn();
 }
 
-void EventQueue::pop_top() {
-  std::pop_heap(heap_.begin(), heap_.end(), kLater);
+void EventQueue::push_heap(Entry e) {
+  std::size_t i = heap_.size();
+  heap_.push_back(e);
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!earlier(e, heap_[parent])) break;
+    heap_[i] = heap_[parent];
+    i = parent;
+  }
+  heap_[i] = e;
+}
+
+void EventQueue::pop_heap() {
+  const Entry last = heap_.back();
   heap_.pop_back();
+  if (!heap_.empty()) sift_down(0, last);
+}
+
+void EventQueue::sift_down(std::size_t i, Entry e) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < std::min(first + kArity, n); ++c)
+      if (earlier(heap_[c], heap_[best])) best = c;
+    if (!earlier(heap_[best], e)) break;
+    heap_[i] = heap_[best];
+    i = best;
+  }
+  heap_[i] = e;
 }
 
 void EventQueue::retire(Slot& s) {
@@ -106,7 +182,7 @@ void EventQueue::compact() {
     return true;
   });
   stale_ = 0;
-  std::make_heap(heap_.begin(), heap_.end(), kLater);
+  for (std::size_t i = heap_.size(); i-- > 0;) sift_down(i, heap_[i]);
 }
 
 }  // namespace vc2m::sim

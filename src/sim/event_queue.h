@@ -5,16 +5,24 @@
 // cancelable — the scheduler cancels a core's pending segment-end event
 // whenever the core is rescheduled early.
 //
-// Storage: one binary min-heap of {when, seq, slot, generation} entries
-// over a vector of reusable payload slots. An Id names a slot and the
-// slot's generation at scheduling time. Firing or cancelling an event bumps
-// its slot's generation, so a spent Id matches nothing (cancel returns
-// false) until its slot has been reused 2^32 - 1 times, and the heap entry
-// of a cancelled event is recognised as stale and skipped when it reaches
-// the top. A slot goes back on the free list only once no heap entry
-// refers to it, so each slot has at most one entry in the heap. Steady-
-// state dispatch allocates nothing: slots, the free list and the heap keep
-// their storage.
+// Storage: a 4-ary min-heap of {when, seq, slot, generation} entries for
+// events in the future, a FIFO lane of {slot, generation} entries for
+// events scheduled at now(), and a vector of reusable payload slots.
+//
+// The lane keeps the order without a sequence number: a heap entry due at
+// now() was scheduled before the clock reached now(), so it precedes every
+// lane entry, which was scheduled at now(). Dispatch therefore runs the
+// heap's entries due at now() first, then the lane front to back; the lane
+// is empty whenever the clock advances.
+//
+// An Id names a slot and the slot's generation at scheduling time. Firing
+// or cancelling an event bumps its slot's generation, so a spent Id matches
+// nothing (cancel returns false) until its slot has been reused 2^32 - 1
+// times, and the heap or lane entry of a cancelled event is recognised as
+// stale and skipped when it is reached. A slot goes back on the free list
+// only once no entry refers to it, so each slot has at most one entry.
+// Steady-state dispatch allocates nothing: slots, the free list, the heap
+// and the lane keep their storage.
 #pragma once
 
 #include <cstdint>
@@ -54,28 +62,46 @@ class EventQueue {
 
  private:
   struct Entry {
-    util::Time when;
+    std::uint64_t when;  // raw ns; never negative, as when >= now() >= 0
     std::uint64_t seq;
+    std::uint32_t slot;
+    std::uint32_t generation;
+  };
+  struct LaneEntry {
     std::uint32_t slot;
     std::uint32_t generation;
   };
   struct Slot {
     EventFn fn;
     std::uint32_t generation = 1;  // never 0, so no Id equals kInvalidId
+    bool in_lane = false;          // its entry is in the lane, not the heap
   };
 
-  /// Drop cancelled entries off the top; true if a live event remains.
+  /// Drop cancelled entries off the heap top; true if a live one remains.
   bool settle();
-  /// Pop the (live) top entry, advance the clock and run its callback.
+  /// Drop cancelled entries off the lane front; true if a live one remains.
+  bool settle_lane();
+  /// Dispatch the next event if there is one due at or before `t`.
+  bool dispatch_next(util::Time t);
+  /// Pop the (live) heap top, advance the clock and run its callback.
   void dispatch_top();
-  void pop_top();
-  /// Invalidate the slot's Id; the slot is freed once its heap entry goes.
+  /// Pop the (live) lane front and run its callback.
+  void dispatch_lane();
+  /// Free the slot, spend its Id and run its callback.
+  void fire(std::uint32_t slot);
+  void push_heap(Entry e);
+  void pop_heap();
+  /// Place `e` at position `i` or below, restoring the heap order there.
+  void sift_down(std::size_t i, Entry e);
+  /// Invalidate the slot's Id; the slot is freed once its entry goes.
   void retire(Slot& s);
   /// Rebuild the heap without its stale entries (when they outnumber the
   /// live ones), so memory stays proportional to pending events.
   void compact();
 
   std::vector<Entry> heap_;
+  std::vector<LaneEntry> lane_;
+  std::size_t lane_head_ = 0;  // next lane entry to dispatch
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_;
   std::size_t stale_ = 0;  // heap entries of cancelled events

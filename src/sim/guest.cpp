@@ -42,6 +42,13 @@ void Simulation::release_job(std::size_t task_index, util::Time nominal,
   // A task shed by the degrade policy skips its releases entirely (no job,
   // no miss) until it is resumed — that is what "shedding" buys the core.
   const bool create = !t.suspended;
+  // A strictly periodic job's deadline is its task's next release. Armed
+  // apart, the check and the release would get adjacent sequence numbers
+  // at one instant, so nothing could run between them: one event runs both,
+  // in that order. Under release jitter (schedule_next false) the next
+  // release was armed earlier, ahead of the check, and stays its own event.
+  const bool boundary =
+      create && schedule_next && t.spec.arrival_jitter.is_zero();
   if (create) {
     Job job;
     job.seq = t.next_seq++;
@@ -74,10 +81,16 @@ void Simulation::release_job(std::size_t task_index, util::Time nominal,
     // Two captured words keep the closure inside std::function's inline
     // buffer, so arming the check allocates nothing; the check finds its
     // job by deadline instead of by sequence number.
-    queue_.schedule(job.deadline,
-                    [this, task_index] { job_deadline_check(task_index); });
+    if (!boundary)
+      queue_.schedule(job.deadline,
+                      [this, task_index] { job_deadline_check(task_index); });
   }
-  if (schedule_next) {
+  if (boundary) {
+    queue_.schedule(nominal + t.spec.period, [this, task_index] {
+      job_deadline_check(task_index);
+      task_release(task_index);
+    });
+  } else if (schedule_next) {
     // Next arrival: the minimum inter-arrival plus, for sporadic tasks, a
     // seeded random delay (the paper's workloads are strictly periodic).
     util::Time next = nominal + t.spec.period;

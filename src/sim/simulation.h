@@ -201,6 +201,8 @@ class Simulation {
   void run(util::Time duration);
 
   const Trace& trace() const { return trace_; }
+  /// Move the captured trace events out (Trace::take_events).
+  std::vector<TraceEvent> take_trace_events() { return trace_.take_events(); }
   SimStats stats() const;
   const SimConfig& config() const { return cfg_; }
 

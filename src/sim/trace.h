@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/time.h"
@@ -75,6 +76,8 @@ class Trace {
   }
 
   const std::vector<TraceEvent>& events() const { return events_; }
+  /// Hand the captured events over; the counters stay.
+  std::vector<TraceEvent> take_events() { return std::move(events_); }
 
  private:
   bool capture_;

@@ -538,6 +538,60 @@ TEST(KMeansOracle, MatchesFullDistanceReferenceOnRandomMatrices) {
   }
   // The constructed rows must actually decide assignments by one ulp.
   EXPECT_GE(near_tie_cases, 100u);
+
+  // Rows whose computed distances break the triangle inequality by more
+  // than a tight bound slack: a point p, a row x and a row y = 2x + w, so
+  // that d(x, y) ≈ d(x, p) and d(y, p) ≈ 2·d(x, p) — the seeding bound
+  // d(x, y) ≥ d(y, p) − d(x, p) is as tight as it gets. Every row is zero
+  // but for coordinate 0 and 379 equal small coordinates, so each of the
+  // three 380-term sums rounds its small terms the same way 379 times:
+  // d(x, p) and d(x, y) lose up to 2e-14 of their value while d(y, p)
+  // gains, a triangle gap at the 1e-14 scale. Unit-scale cases (scaled by
+  // powers of two, which keep every rounding) need kSlack above 1e-15;
+  // cases near 1e-159, whose squares are subnormal, need the absolute
+  // floor. Copies of the three rows and the row order vary which rows
+  // kmeans++ picks first.
+  struct Gap {
+    bool unit_scale;
+    double x0, small, y0, y_small;
+  };
+  const double unit = std::ldexp(1.0, -52), sub = std::ldexp(1.0, -537);
+  const Gap gaps[] = {
+      {true, 1, std::sqrt(0.3 * unit), 2 - 7e-14, 2 * std::sqrt(0.8 * unit)},
+      {true, 1, std::sqrt(0.4 * unit), 2 - 3e-14, 2 * std::sqrt(0.5 * unit)},
+      {true, 1, std::sqrt(0.4 * unit), 2 - 7e-14, 2 * std::sqrt(0.8 * unit)},
+      {false, 1e3 * sub, 0.7 * sub, (2 - 1e-5) * 1e3 * sub, 1.4 * sub},
+      {false, std::sqrt(1e5) * sub, 0.7 * sub,
+       (2 - 3e-5) * std::sqrt(1e5) * sub, 1.4 * sub},
+      {false, std::sqrt(1e7) * sub, 0.7 * sub,
+       (2 - 1e-6) * std::sqrt(1e7) * sub, 1.4 * sub},
+  };
+  std::size_t gap_cases = 0;
+  for (int t = 0; t < 600; ++t) {
+    const Gap& g = gaps[static_cast<std::size_t>(t) % std::size(gaps)];
+    // Powers of two rescale the unit-scale rows without moving a rounding.
+    const double scale =
+        g.unit_scale
+            ? std::ldexp(1.0, static_cast<int>(gen.uniform_int(-8, 8)))
+            : 1.0;
+    std::vector<double> p(380, 0.0), x(380, g.small * scale),
+        y(380, g.y_small * scale);
+    x[0] = g.x0 * scale;
+    y[0] = g.y0 * scale;
+    std::vector<std::vector<double>> pts{p, x, y};
+    for (std::size_t extra = gen.index(4); extra > 0; --extra)
+      pts.push_back(pts[gen.index(3)]);
+    for (std::size_t i = pts.size(); i > 1; --i)
+      std::swap(pts[i - 1], pts[gen.index(i)]);
+    const std::size_t k = 2 + gen.index(2);
+    expect_matches_reference(pts, k, gen(), 50,
+                             "triangle-gap case " + std::to_string(t) +
+                                 " n=" + std::to_string(pts.size()) +
+                                 " k=" + std::to_string(k));
+    if (HasFailure()) return;
+    ++gap_cases;
+  }
+  EXPECT_EQ(gap_cases, 600u);
 }
 
 // ------------------------------------------------------ grid kernel oracles --

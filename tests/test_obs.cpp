@@ -1171,8 +1171,8 @@ TEST(PerfDiff, ImprovementsExemptCountersAndPoolNeverTrip) {
 }
 
 TEST(PerfDiff, TinyAbsoluteDeltasAreNoise) {
-  // +50% on a 20 µs phase is under the 100 µs absolute floor: not a
-  // regression, however large the relative growth.
+  // +50% on a 20 µs phase is under the absolute floor: not a regression,
+  // however large the relative growth.
   BenchReport base;
   PhaseStats p;
   p.name = "blip";
@@ -1183,6 +1183,24 @@ TEST(PerfDiff, TinyAbsoluteDeltasAreNoise) {
   auto cur = base;
   cur.phases.children[0].total_sec = 3e-5;
   EXPECT_FALSE(diff_reports(base, cur).has_regression());
+}
+
+TEST(PerfDiff, DefaultFloorIgnoresMillisecondPhaseNoise) {
+  // The default floor is 10 ms: a 2 ms phase growing 4x (+6 ms) is noise,
+  // and the same phase growing by more than 10 ms trips the gate.
+  EXPECT_DOUBLE_EQ(PerfDiffOptions{}.min_abs_sec, 0.01);
+  BenchReport base;
+  PhaseStats p;
+  p.name = "fork_streams";
+  p.count = 1;
+  p.total_sec = 2e-3;
+  p.self_sec = 2e-3;
+  base.phases.children.push_back(p);
+  auto cur = base;
+  cur.phases.children[0].total_sec = 8e-3;
+  EXPECT_FALSE(diff_reports(base, cur).has_regression());
+  cur.phases.children[0].total_sec = 12.5e-3;
+  EXPECT_TRUE(diff_reports(base, cur).has_regression());
 }
 
 TEST(PerfDiff, OneSidedKeysBecomeNotes) {

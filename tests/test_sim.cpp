@@ -198,18 +198,115 @@ TEST(EventQueue, ScheduleAtNowFromACallbackRunsAfterQueuedPeers) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
+TEST(EventQueue, SameInstantLaneRunsAfterDuePeersAndBeforeTheNextInstant) {
+  // Events scheduled at now() from a callback run after every event that
+  // was scheduled earlier for this instant, in the order they were
+  // scheduled (also when they schedule at now() in turn), and all of them
+  // before the next instant.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(Time::ms(1), [&] {
+    order.push_back(1);
+    q.schedule(q.now(), [&] {
+      order.push_back(4);
+      q.schedule(q.now(), [&] { order.push_back(6); });
+    });
+  });
+  q.schedule(Time::ms(1), [&] {
+    order.push_back(2);
+    q.schedule(q.now(), [&] { order.push_back(5); });
+  });
+  q.schedule(Time::ms(1) + Time::ns(1), [&] { order.push_back(7); });
+  q.schedule(Time::ms(1), [&] { order.push_back(3); });
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.run_one());
+  EXPECT_EQ(q.now(), Time::ms(1));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+  EXPECT_TRUE(q.run_one());
+  EXPECT_EQ(q.now(), Time::ms(1) + Time::ns(1));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_FALSE(q.run_one());
+
+  // Before the first dispatch, now() is zero: events at zero take the lane
+  // and still run first, FIFO.
+  EventQueue z;
+  order.clear();
+  z.schedule(Time::ms(2), [&] { order.push_back(3); });
+  z.schedule(Time::zero(), [&] { order.push_back(1); });
+  z.schedule(Time::zero(), [&] { order.push_back(2); });
+  z.run_until(Time::ms(5));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, LaneEntriesCancelAndTheirSpentIdsCancelNothing) {
+  EventQueue q;
+  std::vector<int> order;
+  EventQueue::Id dropped = EventQueue::kInvalidId, fired = EventQueue::kInvalidId;
+  q.schedule(Time::ms(1), [&] {
+    dropped = q.schedule(q.now(), [&] { order.push_back(9); });
+    fired = q.schedule(q.now(), [&] {
+      order.push_back(1);
+      // Reuses the slot that `fired` names; the spent Id must not reach it.
+      const auto next = q.schedule(q.now(), [&] { order.push_back(2); });
+      EXPECT_FALSE(q.cancel(fired));
+      EXPECT_FALSE(q.cancel(dropped));
+      EXPECT_NE(next, fired);
+    });
+    EXPECT_TRUE(q.cancel(dropped));
+    EXPECT_FALSE(q.cancel(dropped));
+  });
+  q.run_until(Time::ms(2));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_FALSE(q.cancel(fired));
+
+  // Outside a callback too: an event at now() is a lane entry.
+  const auto at_now = q.schedule(q.now(), [&] { order.push_back(9); });
+  const auto later = q.schedule(q.now() + Time::ms(1),
+                                [&] { order.push_back(3); });
+  EXPECT_TRUE(q.cancel(at_now));
+  const auto reused = q.schedule(q.now(), [&] { order.push_back(4); });
+  EXPECT_FALSE(q.cancel(at_now));
+  q.run_until(q.now() + Time::ms(1));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 4, 3}));
+  EXPECT_FALSE(q.cancel(reused));
+  EXPECT_FALSE(q.cancel(later));
+}
+
+TEST(EventQueue, ScheduleAtTheInstantRunUntilReachedIsDispatched) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(Time::ms(8), [&] { order.push_back(3); });
+  q.run_until(Time::ms(5));
+  ASSERT_EQ(q.now(), Time::ms(5));
+  q.schedule(Time::ms(5), [&] { order.push_back(1); });
+  q.run_until(Time::ms(5));  // the same instant again
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  q.schedule(Time::ms(5), [&] { order.push_back(2); });
+  EXPECT_TRUE(q.run_one());
+  EXPECT_EQ(q.now(), Time::ms(5));
+  EXPECT_TRUE(q.run_one());
+  EXPECT_EQ(q.now(), Time::ms(8));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 TEST(EventQueue, SteadyStateDispatchAllocatesNothing) {
   // Periodic chains re-arming themselves with two-word closures (the
   // simulator's [this, index] shape), each tick cancelling and re-arming a
-  // watchdog: once the queue has grown its storage, nothing allocates.
+  // watchdog and deferring work to the end of its instant (the scheduler's
+  // zero-delay re-arm), half of it cancelled again: once the queue has
+  // grown its storage, nothing allocates.
   struct Chains {
     EventQueue q;
-    std::uint64_t ticks = 0, expired = 0;
+    std::uint64_t ticks = 0, expired = 0, deferred = 0, kept = 0;
     EventQueue::Id watchdog = EventQueue::kInvalidId;
     void tick(std::size_t i) {
       ++ticks;
       q.cancel(watchdog);
       watchdog = q.schedule_after(Time::us(15), [this] { ++expired; });
+      const auto id = q.schedule(q.now(), [this] { ++deferred; });
+      if (i % 2 == 0)
+        q.cancel(id);
+      else
+        ++kept;
       q.schedule_after(Time::us(5 + static_cast<std::int64_t>(i % 7)),
                        [this, i] { tick(i); });
     }
@@ -221,6 +318,8 @@ TEST(EventQueue, SteadyStateDispatchAllocatesNothing) {
   c.q.run_until(Time::ms(20));
   EXPECT_EQ(g_allocations.load() - before, 0u);
   EXPECT_GT(c.ticks, 10'000u);
+  EXPECT_EQ(c.deferred, c.kept);
+  EXPECT_GT(c.kept, 1'000u);
 }
 
 TEST(EventQueue, InterleavedOperationsMatchReferenceModel) {

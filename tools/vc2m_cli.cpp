@@ -876,9 +876,9 @@ int cmd_perfdiff(const Args& a) {
   obs::PerfDiffOptions opt;
   if (!a.max_regress.empty()) opt.max_regress = regress_of(a.max_regress);
   if (!a.min_abs_sec.empty()) {
-    // Raising the floor lets wall-clock gates ignore micro-phases
-    // (sub-millisecond bookkeeping spans) whose run-to-run jitter exceeds
-    // any sane relative threshold.
+    // The floor (10 ms by default) lets wall-clock gates ignore
+    // micro-phases whose run-to-run jitter exceeds any sane relative
+    // threshold.
     opt.min_abs_sec = number_flag<double>("--min-abs-sec", a.min_abs_sec);
     if (opt.min_abs_sec < 0)
       throw util::Error("--min-abs-sec must be >= 0");
