@@ -17,6 +17,7 @@
 #include <iostream>
 #include <string>
 
+#include "analysis/context.h"
 #include "analysis/dbf.h"
 #include "analysis/prm.h"
 #include "analysis/schedulability.h"
@@ -29,6 +30,8 @@
 #include "model/platform.h"
 #include "obs/bench_report.h"
 #include "obs/json.h"
+#include "oracle/dbf.h"
+#include "oracle/prm.h"
 #include "util/instrument.h"
 #include "util/log_histogram.h"
 #include "util/phase_profiler.h"
@@ -138,8 +141,10 @@ void BM_VcpuExistingCsaSurface(benchmark::State& state) {
   }
   std::vector<std::size_t> idx(n);
   for (std::size_t i = 0; i < n; ++i) idx[i] = i;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(core::vcpu_existing_csa(tasks, idx));
+  for (auto _ : state) {
+    analysis::AnalysisContext cold;
+    benchmark::DoNotOptimize(core::vcpu_existing_csa(tasks, idx, cold));
+  }
 }
 BENCHMARK(BM_VcpuExistingCsaSurface)->Arg(2)->Arg(4)->Arg(8);
 

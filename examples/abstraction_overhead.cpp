@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <iostream>
 
-#include "analysis/prm.h"
-#include "analysis/regulated.h"
+#include "analysis/context.h"
+#include "analysis/theorems.h"
 #include "sim/simulation.h"
 
 int main() {
@@ -27,10 +27,18 @@ int main() {
   std::cout << "Task (p=10ms, e=1ms), utilization "
             << e.ratio(p) << "\n\n";
 
-  // 1. Existing compositional analysis (periodic resource model).
-  const auto prm_budget = analysis::min_budget_edf(taskset, p);
-  // 2. Well-regulated VCPU (supply pattern repeats each period).
-  const auto wr_budget = analysis::min_budget_regulated(taskset, p);
+  // 1. Existing compositional analysis (periodic resource model): the
+  //    least budget whose worst-case supply covers the demand.
+  analysis::AnalysisContext ctx;
+  const auto prm_budget = ctx.min_budget(taskset, p);
+  // 2. Well-regulated VCPU (supply pattern repeats each period): Theorem
+  //    2's budget, here on a one-cell resource grid.
+  model::Task task;
+  task.period = p;
+  task.wcet = model::WcetFn(model::ResourceGrid{1, 1, 1, 1}, e);
+  const Time wr_budget =
+      analysis::regulated_vcpu({task}, std::vector<std::size_t>{0})
+          .reference_budget();
 
   std::printf("minimum VCPU budget at Pi = 10ms:\n");
   std::printf("  existing CSA (PRM)        : %5.2f ms  (bandwidth %.3f — "
@@ -38,7 +46,7 @@ int main() {
               prm_budget->to_ms(), prm_budget->ratio(p),
               prm_budget->ratio(p) / e.ratio(p));
   std::printf("  well-regulated VCPU       : %5.2f ms  (bandwidth %.3f)\n",
-              wr_budget->to_ms(), wr_budget->ratio(p));
+              wr_budget.to_ms(), wr_budget.ratio(p));
   std::printf("  flattening + release sync : %5.2f ms  (bandwidth %.3f — "
               "overhead-free, Theorem 1)\n\n",
               e.to_ms(), e.ratio(p));

@@ -16,8 +16,8 @@
 
 #include "hw/cat.h"
 #include "hw/msr.h"
-#include "hw/vcat.h"
 #include "sim/simulation.h"
+#include "vcat.h"
 
 int main() {
   using namespace vc2m;
@@ -28,7 +28,7 @@ int main() {
   // --- hypervisor side: vCAT regions for the two modes -------------------
   hw::MsrFile msr(2);
   hw::Cat cat(msr, kWays, /*num_cos=*/8, /*min_ways=*/2);
-  hw::VCat vcat(cat);
+  hw::VCat vcat(cat, msr.num_cores());
   vcat.assign_region(/*vm=*/0, /*offset=*/0, /*count=*/4);    // vision (cruise)
   vcat.assign_region(/*vm=*/1, /*offset=*/4, /*count=*/16);   // logger
   vcat.guest_write_cbm(0, 0, hw::make_mask(0, 4));

@@ -13,6 +13,7 @@
 #include "hw/cat.h"
 #include "model/platform.h"
 #include "util/rng.h"
+#include "vcat.h"
 #include "workload/parsec.h"
 
 namespace {
@@ -94,7 +95,8 @@ int main() {
   cat.program_disjoint_plan(ways);
 
   std::cout << "\nProgrammed CAT capacity bitmasks (disjoint="
-            << (cat.cores_disjoint() ? "yes" : "no") << "):\n";
+            << (hw::cores_disjoint(cat, msr.num_cores()) ? "yes" : "no")
+            << "):\n";
   for (unsigned k = 0; k < result.mapping.cores_used; ++k)
     std::printf("  core %u: COS %u, CBM 0x%05llx\n", k, cat.cos_of_core(k),
                 static_cast<unsigned long long>(cat.effective_mask(k)));

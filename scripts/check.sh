@@ -2,10 +2,12 @@
 # Build and run the test suite under sanitizers.
 #
 #   scripts/check.sh            # ASan + UBSan (full suite) + TSan (parallel
-#                               # tests) + plain-build perf gate
+#                               # tests) + plain-build perf gate + dead-code
+#                               # probe
 #   scripts/check.sh address    # just one pass
 #   scripts/check.sh thread     # just the TSan pass
 #   scripts/check.sh perf       # just the Fig-4 perfdiff gate
+#   scripts/check.sh deadcode   # just the section-GC dead-code probe
 #
 # Each sanitizer gets its own build tree (build-asan/, build-ubsan/,
 # build-tsan/) so the regular build/ stays untouched. address and
@@ -62,7 +64,7 @@ expect_exit_2() {
 }
 
 sanitizers=("$@")
-[ $# -eq 0 ] && sanitizers=(address undefined thread perf)
+[ $# -eq 0 ] && sanitizers=(address undefined thread perf deadcode)
 
 scenario_smoke() {
   # $1 = build dir with a tools/vc2m binary. Runs the curated corpus (which
@@ -463,6 +465,19 @@ telemetry_smoke() {
     [ -s "$work/c.wal.spans" ] \
       || { echo "$crash left no span-ring dump next to the journal"
            return 1; }
+    "$vc2m" validate "$work/c.wal.spans" > /dev/null \
+      || { echo "$crash: the span dump fails vc2m validate"; return 1; }
+    # A header count off by one and a dump cut mid-line must both fail: a
+    # flipped byte need not, since a flipped digit in a span still parses.
+    awk 'NR == 1 { $2 += 1 } { print }' "$work/c.wal.spans" \
+      > "$work/spans_miscounted"
+    head -c -3 "$work/c.wal.spans" > "$work/spans_cut"
+    for bad in spans_miscounted spans_cut; do
+      rc=0
+      "$vc2m" validate "$work/$bad" > /dev/null 2>&1 || rc=$?
+      [ "$rc" -eq 1 ] \
+        || { echo "$crash: $bad: validate rc $rc, want 1"; return 1; }
+    done
     "$vc2m" serve "${args[@]}" --journal "$work/c.wal" \
       --timeline "$work/c.bin" --sample-every 50 --recover \
       --json "$work/crec.json" > /dev/null 2>&1 \
@@ -704,9 +719,72 @@ EOF
   echo "--- perf gate passed ---"
 }
 
+deadcode_probe() {
+  # The libraries hold only what the product runs. Builds the product
+  # binaries (vc2m, the five table benches, and perfbench_runner from
+  # perfbench/CMakeLists.txt) at -O0 with one section per function and
+  # --gc-sections, in a temporary directory, then lists every strong
+  # function of libvc2m_*.a that no binary keeps. -O0, because inlining
+  # hides callers: at RelWithDebInfo a function whose every call was
+  # inlined also drops out. Tests, examples and bench_micro_ops do not
+  # count as callers; the reference kernels they use live in
+  # tests/oracle/ and examples/vcat.*. Fails on any name outside the
+  # exceptions below, each kept on purpose.
+  local allowed=(
+    vc2m::sim::profile_surface  # for `vc2m audit --exec physical`
+    vc2m::sim::Simulation::schedule_cache_update  # DES mechanics, pinned by
+    vc2m::sim::Simulation::schedule_vcpu_update   # GoldenTrace and vCAT
+  )
+  local benches=(bench_table1_regulator_overhead
+                 bench_table2_scheduler_overhead bench_wcet_isolation
+                 bench_ablation_allocator bench_optimality_gap)
+  local flags=(-DCMAKE_BUILD_TYPE=Debug
+               "-DCMAKE_CXX_FLAGS_DEBUG=-O0 -ffunction-sections -fdata-sections"
+               "-DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections")
+  local work; work="$(mktemp -d)"
+  trap 'rm -rf "$work"' RETURN
+  echo "=== deadcode: build at -O0 with --gc-sections (${work}/) ==="
+  cmake -B "$work/main" -S . "${flags[@]}" > /dev/null
+  cmake --build "$work/main" -j "$(nproc)" --target vc2m "${benches[@]}" \
+    > /dev/null
+  cmake -B "$work/perf" -S perfbench "${flags[@]}" > /dev/null
+  cmake --build "$work/perf" -j "$(nproc)" --target perfbench_runner \
+    > /dev/null
+  local bins=("$work/main/tools/vc2m" "$work/perf/perfbench_runner") b
+  for b in "${benches[@]}"; do bins+=("$work/main/bench/$b"); done
+
+  echo "=== deadcode: library functions no product binary keeps ==="
+  nm --defined-only "$work"/main/src/*/libvc2m_*.a |
+    awk '$2 == "T" { print $3 }' | sort -u > "$work/library.txt"
+  for b in "${bins[@]}"; do nm --defined-only "$b"; done |
+    awk '{ print $NF }' | sort -u > "$work/kept.txt"
+  comm -23 "$work/library.txt" "$work/kept.txt" | c++filt | sort -u \
+    > "$work/unreached.txt"
+  echo "$(c++filt < "$work/library.txt" | sort -u | wc -l) strong" \
+    "functions, $(wc -l < "$work/unreached.txt") unreached:"
+  sed 's/^/  /' "$work/unreached.txt"
+  # A name is the signature up to its parameter list.
+  local unlisted
+  unlisted="$(printf '%s\n' "${allowed[@]}" |
+    awk 'NR == FNR { ok[$0] = 1; next }
+         { name = $0; sub(/\(.*/, "", name); if (!(name in ok)) print }' \
+      - "$work/unreached.txt")"
+  if [ -n "$unlisted" ]; then
+    echo "unreached library functions outside the exceptions:"
+    echo "$unlisted"
+    echo "delete each, move it to its test or example, or give it a caller"
+    return 1
+  fi
+  echo "--- deadcode probe passed ---"
+}
+
 for san in "${sanitizers[@]}"; do
   if [ "$san" = perf ]; then
     perf_gate
+    continue
+  fi
+  if [ "$san" = deadcode ]; then
+    deadcode_probe
     continue
   fi
   case "$san" in

@@ -10,9 +10,9 @@
 // identical (period, taskset) pair.
 //
 // The memo is bit-identity-preserving: a hit returns exactly the value
-// analysis::min_budget_edf produces for the identical key. It is one
-// node-stable map from a (Π, periods) group to that group's state
-// (docs/performance.md, "Layer 1b"):
+// the reference min_budget_edf (tests/oracle/prm.h) produces for the
+// identical key. It is one node-stable map from a (Π, periods) group to
+// that group's state (docs/performance.md, "Layer 1b"):
 //  - the group's dbf checkpoint stream up to lcm(hyperperiod, Π) and its
 //    K × n job-count matrix ⌊t_k/p_i⌋, built lazily and only once a query
 //    with U ≤ 1 needs them, then shared by every wcet surface (grid cell)
@@ -56,7 +56,8 @@ class AnalysisContext {
   AnalysisContext(const AnalysisContext&) = delete;
   AnalysisContext& operator=(const AnalysisContext&) = delete;
 
-  /// Memoized analysis::min_budget_edf, computed by min_budget_on_curve.
+  /// The PRM minimum budget of `tasks` at Π = `period` (nullopt if even a
+  /// dedicated core misses), memoized; computed by min_budget_on_curve.
   std::optional<util::Time> min_budget(std::span<const PTask> tasks,
                                        util::Time period);
 

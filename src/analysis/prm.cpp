@@ -26,63 +26,6 @@ std::int64_t supply(std::int64_t pi, std::int64_t theta, std::int64_t t,
   return theta * k + std::min(partial, theta);
 }
 
-}  // namespace
-
-util::Time Prm::sbf(util::Time t) const {
-  VC2M_CHECK(budget >= util::Time::zero() && budget <= period);
-  const std::int64_t pi = period.raw_ns(), ts = t.raw_ns();
-  return util::Time::ns(supply(pi, budget.raw_ns(), ts, ts / pi, ts % pi));
-}
-
-double Prm::lsbf(util::Time t) const {
-  const util::Time gap2 = (period - budget) * 2;
-  if (t <= gap2) return 0.0;
-  return bandwidth() * static_cast<double>((t - gap2).raw_ns());
-}
-
-bool edf_schedulable_on_prm(std::span<const PTask> tasks, const Prm& prm) {
-  VC2M_CHECK(prm.period > util::Time::zero());
-  VC2M_CHECK(prm.budget >= util::Time::zero() && prm.budget <= prm.period);
-  if (tasks.empty()) return true;
-
-  // Long-run rate condition.
-  if (total_utilization(tasks) > prm.bandwidth() + 1e-12) return false;
-
-  const util::Time horizon = util::lcm(hyperperiod(tasks), prm.period);
-  for (const util::Time t : dbf_checkpoints(tasks, horizon))
-    if (dbf(tasks, t) > prm.sbf(t)) return false;
-  return true;
-}
-
-std::optional<util::Time> min_budget_edf(std::span<const PTask> tasks,
-                                         util::Time period) {
-  VC2M_CHECK(period > util::Time::zero());
-  if (tasks.empty()) return util::Time::zero();
-
-  const double u = total_utilization(tasks);
-  if (u > 1.0 + 1e-12) return std::nullopt;
-
-  // Feasible at Θ = Π iff schedulable on a dedicated core.
-  if (!edf_schedulable_on_prm(tasks, Prm{period, period})) return std::nullopt;
-
-  // Feasibility is monotone in Θ: binary search the least feasible budget
-  // in [U·Π, Π].
-  util::Time lo = util::Time::ns(static_cast<std::int64_t>(
-      u * static_cast<double>(period.raw_ns())));  // U·Π is a lower bound
-  util::Time hi = period;
-  while (lo < hi) {
-    const util::Time mid = util::Time::ns(
-        lo.raw_ns() + (hi.raw_ns() - lo.raw_ns()) / 2);
-    if (edf_schedulable_on_prm(tasks, Prm{period, mid}))
-      hi = mid;
-    else
-      lo = mid + util::Time::ns(1);
-  }
-  return hi;
-}
-
-namespace {
-
 /// ⌈a / b⌉ for b > 0 (C++ division truncates toward zero, which is
 /// already the ceiling for negative a).
 template <class I>
@@ -90,10 +33,10 @@ I ceil_div(I a, I b) {
   return a / b + (a % b > 0 ? 1 : 0);
 }
 
-/// min_budget_for_point's arithmetic in integer type I. With s = t − 2(Π−Θ)
-/// and j = ⌊s/Π⌋, the supply is sbf = jΘ + min(s − jΠ, Θ) for s ≥ 0. As Θ
-/// runs over [0, Π], s runs over [t − 2Π, t], so j takes at most three
-/// values; on piece j both branches are linear in Θ and
+/// The least Θ in [0, Π] with sbf_(Π,Θ)(t) ≥ d, in integer type I. With
+/// s = t − 2(Π−Θ) and j = ⌊s/Π⌋, the supply is sbf = jΘ + min(s − jΠ, Θ)
+/// for s ≥ 0. As Θ runs over [0, Π], s runs over [t − 2Π, t], so j takes
+/// at most three values; on piece j both branches are linear in Θ and
 ///   sbf ≥ d  ⇔  (j+2)Θ ≥ d + base  and  (j+1)Θ ≥ d,
 /// where base = (j+2)Π − t and the piece is base ≤ 2Θ < base + Π. The
 /// pieces are visited in increasing Θ; sbf is monotone in Θ, so the first
@@ -113,7 +56,7 @@ I invert_sbf(I pi, I d, I q, I r) {
   return pi;
 }
 
-/// min_budget_for_point with t = qΠ + r already split, unchecked.
+/// invert_sbf at t = qΠ + r, unchecked: requires Π > 0 and 0 ≤ d ≤ t.
 std::int64_t point_budget(std::int64_t pi, std::int64_t t, std::int64_t d,
                           std::int64_t q, std::int64_t r) {
   if (d == 0) return 0;
@@ -125,16 +68,6 @@ std::int64_t point_budget(std::int64_t pi, std::int64_t t, std::int64_t d,
 }
 
 }  // namespace
-
-util::Time min_budget_for_point(util::Time period, util::Time t,
-                                util::Time demand) {
-  const std::int64_t pi = period.raw_ns();
-  VC2M_CHECK(pi > 0);
-  VC2M_CHECK(demand >= util::Time::zero() && demand <= t);
-  const std::int64_t ts = t.raw_ns();
-  return util::Time::ns(
-      point_budget(pi, ts, demand.raw_ns(), ts / pi, ts % pi));
-}
 
 std::optional<util::Time> min_budget_on_curve(const DemandCurve& curve,
                                               double total_util,
@@ -150,13 +83,13 @@ std::optional<util::Time> min_budget_on_curve(const DemandCurve& curve,
   std::int64_t theta = std::min(
       pi, static_cast<std::int64_t>(total_util * static_cast<double>(pi)));
 
-  // Raise it to the least budget passing the rate test (the same
-  // expression and epsilon as edf_schedulable_on_prm) by bisecting
-  // (⌊U·Π⌋, Π]; Θ = Π passes, since U ≤ 1 + 1e-12. ⌊U·Π⌋ is at most two
-  // short when U·Π is exact to the nanosecond, so the first two probes
-  // step by one.
+  // Raise it to the least budget passing the rate test (the same double
+  // expression Θ/Π = Time::ratio and epsilon as the reference
+  // edf_schedulable_on_prm) by bisecting (⌊U·Π⌋, Π]; Θ = Π passes, since
+  // U ≤ 1 + 1e-12. ⌊U·Π⌋ is at most two short when U·Π is exact to the
+  // nanosecond, so the first two probes step by one.
   const auto rate_ok = [&](std::int64_t b) {
-    return !(total_util > Prm{period, util::Time::ns(b)}.bandwidth() + 1e-12);
+    return !(total_util > util::Time::ns(b).ratio(period) + 1e-12);
   };
   if (!rate_ok(theta)) {
     std::int64_t bad = theta, good = pi;

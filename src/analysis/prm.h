@@ -7,6 +7,11 @@
 // supply — this minimum is what carries the *abstraction overhead* vC2M
 // removes: e.g. a single task (p=10, e=1) with utilization 0.1 needs
 // Θ = 5.5 at Π = 10, a bandwidth 5.5× the task's utilization.
+//
+// The engine's form is min_budget_on_curve below, reached through
+// AnalysisContext::min_budget. The readable reference analysis it must
+// match (the Prm supply bound, the dbf ≤ sbf test and the bisection
+// min_budget_edf) lives in tests/oracle/prm.h.
 #pragma once
 
 #include <cstdint>
@@ -18,43 +23,14 @@
 
 namespace vc2m::analysis {
 
-/// Periodic resource model Γ = (Π, Θ).
-struct Prm {
-  util::Time period;  ///< Π
-  util::Time budget;  ///< Θ
-
-  /// Worst-case supply bound function sbf_Γ(t) (exact form of [13]):
-  ///   sbf(t) = (k−1)Θ + max(0, t − 2(Π−Θ) − (k−1)Π),
-  ///   k = ⌊(t − (Π−Θ))/Π⌋ + 1, for t ≥ Π−Θ; 0 otherwise.
-  util::Time sbf(util::Time t) const;
-
-  /// Linear lower bound lsbf(t) = (Θ/Π)·(t − 2(Π−Θ)), clipped at 0.
-  double lsbf(util::Time t) const;
-
-  double bandwidth() const { return budget.ratio(period); }
-};
-
-/// True iff the taskset is EDF-schedulable on the supply of `prm`:
-/// dbf(t) ≤ sbf(t) at every demand checkpoint up to lcm(hyperperiod, Π),
-/// plus the long-run rate condition U ≤ Θ/Π.
-bool edf_schedulable_on_prm(std::span<const PTask> tasks, const Prm& prm);
-
-/// Minimum integer-nanosecond budget Θ such that the taskset is
-/// EDF-schedulable on (Π = period, Θ); std::nullopt if even Θ = Π fails
-/// (i.e. the taskset exceeds a dedicated core). The reference: a binary
-/// search over [⌊U·Π⌋, Π] that re-derives checkpoints and demand per probe.
-/// It is the readable specification and the tests' oracle; the engine uses
-/// min_budget_on_curve, which returns the same minimum.
-std::optional<util::Time> min_budget_edf(std::span<const PTask> tasks,
-                                         util::Time period);
-
 // ---------------------------------------------------------------------------
 // Exact minimum budget on a precomputed demand curve (the hot path; see
 // docs/performance.md, "Layer 1b").
 //
-// Both conditions of edf_schedulable_on_prm are monotone in Θ: sbf_(Π,Θ)(t)
-// never decreases as Θ grows, and neither does the double Θ/Π of the rate
-// test. min_budget_edf's bisection over [⌊U·Π⌋, Π] therefore returns
+// Both conditions of the reference dbf ≤ sbf test (edf_schedulable_on_prm
+// in tests/oracle/prm.h) are monotone in Θ: sbf_(Π,Θ)(t) never decreases
+// as Θ grows, and neither does the double Θ/Π of the rate test. The
+// reference min_budget_edf's bisection over [⌊U·Π⌋, Π] therefore returns
 // exactly max(⌊U·Π⌋, θ_rate, max_k θ_k), where θ_rate is the least budget
 // passing the rate test and θ_k the least budget whose supply covers the
 // demand at checkpoint t_k. The curve form computes that maximum directly:
@@ -73,11 +49,6 @@ struct DemandCurve {
   std::span<const std::int64_t> quot;  ///< q_k = ⌊t_k/Π⌋
   std::span<const std::int64_t> rem;   ///< r_k = t_k mod Π
 };
-
-/// The least Θ in [0, Π] with sbf_(Π,Θ)(t) ≥ demand. Requires Π > 0 and
-/// 0 ≤ demand ≤ t (Θ = Π supplies exactly t). Exact for every int64 input.
-util::Time min_budget_for_point(util::Time period, util::Time t,
-                                util::Time demand);
 
 /// min_budget_edf on a precomputed curve: the identical minimum (and
 /// std::nullopt exactly when min_budget_edf returns it), computed without

@@ -1,19 +1,10 @@
 #include "analysis/schedulability.h"
 
-#include <ranges>
-
 #include "util/error.h"
 #include "util/instrument.h"
 #include "util/time.h"
 
 namespace vc2m::analysis {
-namespace {
-
-inline auto all_indices(std::size_t n) {
-  return std::views::iota(std::size_t{0}, n);
-}
-
-}  // namespace
 
 double core_utilization(std::span<const model::Vcpu> vcpus,
                         std::span<const std::size_t> on_core, unsigned c,
@@ -23,32 +14,12 @@ double core_utilization(std::span<const model::Vcpu> vcpus,
   return u;
 }
 
-double core_utilization(std::span<const model::Vcpu> vcpus, unsigned c,
-                        unsigned b) {
-  double u = 0;
-  for (const std::size_t j : all_indices(vcpus.size()))
-    u += vcpus[j].utilization(c, b);
-  return u;
-}
-
 bool core_schedulable(std::span<const model::Vcpu> vcpus,
                       std::span<const std::size_t> on_core, unsigned c,
                       unsigned b) {
   const bool ok = utilization_at_most_one(
       [&](std::size_t j) -> const model::Vcpu& { return vcpus[j]; }, on_core,
       c, b);
-  if (auto* ctr = util::alloc_counters()) {
-    ++ctr->admission_tests;
-    ctr->admission_passed += ok ? 1 : 0;
-  }
-  return ok;
-}
-
-bool core_schedulable(std::span<const model::Vcpu> vcpus, unsigned c,
-                      unsigned b) {
-  const bool ok = utilization_at_most_one(
-      [&](std::size_t j) -> const model::Vcpu& { return vcpus[j]; },
-      all_indices(vcpus.size()), c, b);
   if (auto* ctr = util::alloc_counters()) {
     ++ctr->admission_tests;
     ctr->admission_passed += ok ? 1 : 0;

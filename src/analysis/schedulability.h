@@ -28,8 +28,8 @@ inline constexpr std::int64_t kPeriodLcmCap = std::int64_t{1} << 50;
 /// via a common multiple of the periods when it fits under kPeriodLcmCap;
 /// long-double fallback for pathological period sets. Counts nothing. The
 /// accessor lets core::CoreLoad test VCPUs that live in two vectors, and
-/// the index range lets the whole-set overloads pass an iota view instead
-/// of materializing an index vector per test.
+/// the index range lets a whole-set test pass an iota view instead of
+/// materializing an index vector.
 template <typename VcpuAt, typename IndexRange>
 bool utilization_at_most_one(const VcpuAt& vcpu_at, const IndexRange& on_core,
                              unsigned c, unsigned b) {
@@ -63,19 +63,14 @@ bool utilization_at_most_one(const VcpuAt& vcpu_at, const IndexRange& on_core,
   return u <= 1.0L;
 }
 
-/// Σ_j Θ_j(c,b)/Π_j over the given VCPUs.
-double core_utilization(std::span<const model::Vcpu> vcpus, unsigned c,
-                        unsigned b);
-
-/// Like core_utilization but over a subset given by indices into `vcpus`.
+/// Σ_j Θ_j(c,b)/Π_j over the VCPUs at the indices `on_core` of `vcpus`.
 double core_utilization(std::span<const model::Vcpu> vcpus,
                         std::span<const std::size_t> on_core, unsigned c,
                         unsigned b);
 
-/// Exact test Σ_j Θ_j(c,b)/Π_j ≤ 1 (EDF on one core).
-bool core_schedulable(std::span<const model::Vcpu> vcpus, unsigned c,
-                      unsigned b);
-
+/// Exact test Σ_j Θ_j(c,b)/Π_j ≤ 1 (EDF on one core) over the VCPUs at the
+/// indices `on_core`. Counts one admission test. The whole-set forms are
+/// test references (tests/oracle/schedulability.h).
 bool core_schedulable(std::span<const model::Vcpu> vcpus,
                       std::span<const std::size_t> on_core, unsigned c,
                       unsigned b);

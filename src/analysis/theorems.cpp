@@ -8,23 +8,6 @@
 
 namespace vc2m::analysis {
 
-model::Vcpu flattened_vcpu(const model::Task& task, std::size_t task_index) {
-  model::Vcpu v;
-  v.period = task.period;
-  v.budget = task.wcet;  // Θ(c,b) = e(c,b), Theorem 1
-  v.vm = task.vm;
-  v.tasks = {task_index};
-  return v;
-}
-
-std::vector<model::Vcpu> flatten(const model::Taskset& tasks) {
-  std::vector<model::Vcpu> vcpus;
-  vcpus.reserve(tasks.size());
-  for (std::size_t i = 0; i < tasks.size(); ++i)
-    vcpus.push_back(flattened_vcpu(tasks[i], i));
-  return vcpus;
-}
-
 model::Vcpu regulated_vcpu(const model::Taskset& tasks,
                            std::span<const std::size_t> task_indices) {
   RegulatedBudget theta;

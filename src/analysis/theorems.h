@@ -3,7 +3,9 @@
 // Theorem 1 (flattening): a task scheduled alone on a VCPU whose release is
 // synchronized with the task's is schedulable iff the VCPU — viewed as a
 // periodic task (Π = p_i, Θ(c,b) = e_i(c,b)) — is schedulable. The VCPU
-// bandwidth equals the task utilization: zero abstraction overhead.
+// bandwidth equals the task utilization: zero abstraction overhead. The
+// VM-level allocator builds these VCPUs itself (core::shape_vm_vcpus and
+// core::fill_vcpu_surface): Θ(c,b) is the task's WCET table.
 //
 // Theorem 2 (well-regulated VCPUs): a *harmonic* taskset is EDF-schedulable
 // on a well-regulated VCPU (execution pattern repeating each period) with
@@ -19,13 +21,6 @@
 #include "model/task.h"
 
 namespace vc2m::analysis {
-
-/// Theorem 1: the dedicated, release-synchronized VCPU for one task.
-/// `task_index` is recorded in the VCPU's task list.
-model::Vcpu flattened_vcpu(const model::Task& task, std::size_t task_index);
-
-/// One flattened VCPU per task, in task order.
-std::vector<model::Vcpu> flatten(const model::Taskset& tasks);
 
 /// Theorem 2: the well-regulated VCPU serving the (harmonic) tasks at
 /// `task_indices` within `tasks`. Throws util::Error if the selected tasks

@@ -375,9 +375,7 @@ void FeatureMatrix::add_slowdown(const model::WcetFn& f) {
                                        << " cells, features have " << dim_);
   const double ref = static_cast<double>(f.reference().raw_ns());
   VC2M_CHECK_MSG(ref > 0, "reference WCET must be positive");
-  const std::size_t at = values_.size();
-  values_.resize(at + dim_);
-  double* out = values_.data() + at;
+  double* out = add_row();
   // Two cells per division; each lane is the scalar e / ref.
   const Pair r{ref, ref};
   std::size_t d = 0;
@@ -386,11 +384,6 @@ void FeatureMatrix::add_slowdown(const model::WcetFn& f) {
                          static_cast<double>(values[d + 1].raw_ns())} /
                         r);
   if (d < dim_) out[d] = static_cast<double>(values[d].raw_ns()) / ref;
-}
-
-void FeatureMatrix::add_row(std::span<const double> point) {
-  VC2M_CHECK(point.size() == dim_);
-  values_.insert(values_.end(), point.begin(), point.end());
 }
 
 KMeansResult kmeans(const FeatureMatrix& points, std::size_t k,

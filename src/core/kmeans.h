@@ -41,8 +41,12 @@ class FeatureMatrix {
     dim_ = dim;
     values_.clear();
   }
-  /// Appends one point of dim() coordinates.
-  void add_row(std::span<const double> point);
+  /// Appends one point of dim() zeros and returns it, to be filled in
+  /// place.
+  double* add_row() {
+    values_.resize(values_.size() + dim_);
+    return values_.data() + values_.size() - dim_;
+  }
   /// Appends f's slowdown vector e(c,b)/e(C,B): the values of
   /// WcetFn::slowdown(), without the Surface temporary.
   void add_slowdown(const model::WcetFn& f);

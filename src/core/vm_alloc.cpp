@@ -97,12 +97,6 @@ model::Vcpu vcpu_existing_csa(const model::Taskset& tasks,
   return v;
 }
 
-model::Vcpu vcpu_existing_csa(const model::Taskset& tasks,
-                              std::span<const std::size_t> idx) {
-  analysis::AnalysisContext ctx;
-  return vcpu_existing_csa(tasks, idx, ctx);
-}
-
 model::Vcpu vcpu_existing_csa_max_wcet(const model::Taskset& tasks,
                                        std::span<const std::size_t> idx,
                                        analysis::AnalysisContext& ctx) {
@@ -122,12 +116,6 @@ model::Vcpu vcpu_existing_csa_max_wcet(const model::Taskset& tasks,
   v.tasks.assign(idx.begin(), idx.end());
   v.budget = model::WcetFn(grid, theta ? *theta : pi * 2);
   return v;
-}
-
-model::Vcpu vcpu_existing_csa_max_wcet(const model::Taskset& tasks,
-                                       std::span<const std::size_t> idx) {
-  analysis::AnalysisContext ctx;
-  return vcpu_existing_csa_max_wcet(tasks, idx, ctx);
 }
 
 std::vector<std::vector<std::size_t>> tasks_by_vm(

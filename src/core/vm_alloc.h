@@ -77,8 +77,6 @@ struct VmAllocConfig {
 model::Vcpu vcpu_existing_csa(const model::Taskset& tasks,
                               std::span<const std::size_t> idx,
                               analysis::AnalysisContext& ctx);
-model::Vcpu vcpu_existing_csa(const model::Taskset& tasks,
-                              std::span<const std::size_t> idx);
 
 /// Existing-CSA VCPU computed at a single fixed WCET per task (used by the
 /// Baseline, which assumes worst-case bandwidth and no cache): the budget
@@ -86,8 +84,6 @@ model::Vcpu vcpu_existing_csa(const model::Taskset& tasks,
 model::Vcpu vcpu_existing_csa_max_wcet(const model::Taskset& tasks,
                                        std::span<const std::size_t> idx,
                                        analysis::AnalysisContext& ctx);
-model::Vcpu vcpu_existing_csa_max_wcet(const model::Taskset& tasks,
-                                       std::span<const std::size_t> idx);
 
 /// The VM-level heuristic's scratch and the VCPU shells it shapes. Every
 /// buffer is reused, so once they have grown to a caller's largest VM,

@@ -32,8 +32,6 @@ Cat::Cat(MsrFile& msr, unsigned num_ways, unsigned num_cos, unsigned min_ways)
     msr_.write(core, IA32_PQR_ASSOC, 0);
 }
 
-unsigned Cat::num_cores() const { return msr_.num_cores(); }
-
 std::optional<std::string> Cat::validate_cbm(std::uint64_t cbm) const {
   if (cbm == 0) return "empty capacity bitmask";
   if (cbm >> num_ways_) return "mask exceeds cache way count";
@@ -71,29 +69,6 @@ unsigned Cat::cos_of_core(unsigned core) const {
 
 std::uint64_t Cat::effective_mask(unsigned core) const {
   return read_cbm(cos_of_core(core));
-}
-
-unsigned Cat::ways_of_core(unsigned core) const {
-  return static_cast<unsigned>(std::popcount(effective_mask(core)));
-}
-
-bool Cat::cores_disjoint() const {
-  // Cores bound to the same COS form one isolation domain; disjointness is
-  // required across *distinct* classes of service.
-  std::uint64_t seen_cos = 0;  // num_cos_ <= 128, two words would do; CAT
-                               // parts expose at most 16 COS in practice
-  std::uint64_t seen_ways = 0;
-  for (unsigned core = 0; core < msr_.num_cores(); ++core) {
-    const unsigned cos = cos_of_core(core);
-    if (cos < 64) {
-      if (seen_cos & (1ull << cos)) continue;
-      seen_cos |= 1ull << cos;
-    }
-    const std::uint64_t m = effective_mask(core);
-    if (seen_ways & m) return false;
-    seen_ways |= m;
-  }
-  return true;
 }
 
 void Cat::program_disjoint_plan(const std::vector<unsigned>& ways_per_core) {

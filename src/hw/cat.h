@@ -33,7 +33,6 @@ class Cat {
   unsigned num_ways() const { return num_ways_; }
   unsigned num_cos() const { return num_cos_; }
   unsigned min_ways() const { return min_ways_; }
-  unsigned num_cores() const;
 
   /// Program COS `cos` with capacity bitmask `cbm`.
   /// Throws util::Error on a non-contiguous, empty, too-narrow, or
@@ -49,12 +48,6 @@ class Cat {
 
   /// Effective mask a core currently operates under.
   std::uint64_t effective_mask(unsigned core) const;
-
-  /// Number of ways the core's current COS grants it.
-  unsigned ways_of_core(unsigned core) const;
-
-  /// True iff no two distinct *bound* cores share a cache way.
-  bool cores_disjoint() const;
 
   /// Given the allocator's per-core way counts (ways[i] ways for core i,
   /// ways[i] >= min_ways or 0 for an unused core), lay the cores out as

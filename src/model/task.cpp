@@ -8,23 +8,10 @@ double total_reference_utilization(const Taskset& ts) {
   return u;
 }
 
-bool harmonic(const Taskset& ts) {
-  for (std::size_t i = 0; i < ts.size(); ++i)
-    for (std::size_t j = i + 1; j < ts.size(); ++j)
-      if (!util::harmonic_pair(ts[i].period, ts[j].period)) return false;
-  return true;
-}
-
 util::Time hyperperiod(const Taskset& ts) {
   util::Time h = util::Time::ns(1);
   for (const auto& t : ts) h = util::lcm(h, t.period);
   return h;
-}
-
-double total_reference_utilization(const std::vector<Vcpu>& vs) {
-  double u = 0;
-  for (const auto& v : vs) u += v.reference_utilization();
-  return u;
 }
 
 }  // namespace vc2m::model

@@ -47,9 +47,6 @@ using Taskset = std::vector<Task>;
 /// Total reference utilization Σ e*_i/p_i of a taskset.
 double total_reference_utilization(const Taskset& ts);
 
-/// True iff every pair of periods is harmonic (one divides the other).
-bool harmonic(const Taskset& ts);
-
 /// Hyperperiod (LCM of periods); callers must ensure it stays representable
 /// — harmonic tasksets make it equal to the largest period.
 util::Time hyperperiod(const Taskset& ts);
@@ -75,7 +72,5 @@ struct Vcpu {
 
   Surface slowdown() const { return budget.slowdown(); }
 };
-
-double total_reference_utilization(const std::vector<Vcpu>& vs);
 
 }  // namespace vc2m::model

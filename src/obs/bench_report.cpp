@@ -71,10 +71,6 @@ void set_counters(BenchReport& r, const util::AllocCounters& c) {
   r.counters["hv_alloc_seconds"] = c.hv_alloc_seconds;
 }
 
-void write_bench_report(std::ostream& os, const BenchReport& r) {
-  json::write(os, r);
-}
-
 BenchReport read_bench_report(std::istream& is,
                               std::vector<std::string>* notes) {
   BenchReport r = json::read<BenchReport>(is, "bench report", notes);

@@ -139,8 +139,6 @@ std::string build_git_rev();
 /// struct fields).
 void set_counters(BenchReport& r, const util::AllocCounters& c);
 
-void write_bench_report(std::ostream& os, const BenchReport& r);
-
 /// Throws util::Error on malformed JSON, a missing member, a schema the
 /// reader does not understand, or counters/histograms/config keys out of
 /// ascending order. Unknown fields at any level are reported through

@@ -239,10 +239,6 @@ ExplainReport explain_solve(const core::Strategy& strategy,
   return r;
 }
 
-void write_explain_report(std::ostream& os, const ExplainReport& r) {
-  json::write(os, r);
-}
-
 ExplainReport read_explain_report(std::istream& is,
                                   std::vector<std::string>* notes) {
   ExplainReport r = json::read<ExplainReport>(is, "explain report", notes);

@@ -157,8 +157,6 @@ ExplainReport build_explain_report(const DecisionLog& log,
                                    const model::Taskset& tasks,
                                    const model::PlatformSpec& platform);
 
-void write_explain_report(std::ostream& os, const ExplainReport& r);
-
 /// Throws util::Error on malformed JSON, duplicate keys, non-finite
 /// numbers, a missing member, unknown enum names, config keys out of
 /// ascending order, or a schema this reader does not speak. Unknown

@@ -69,34 +69,10 @@ const Counter* MetricsRegistry::find_counter(const std::string& name) const {
   return it == counters_.end() ? nullptr : &it->second;
 }
 
-const Gauge* MetricsRegistry::find_gauge(const std::string& name) const {
-  const auto it = gauges_.find(name);
-  return it == gauges_.end() ? nullptr : &it->second;
-}
-
 const Histogram* MetricsRegistry::find_histogram(
     const std::string& name) const {
   const auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
-}
-
-std::vector<MetricSample> MetricsRegistry::snapshot() const {
-  std::vector<MetricSample> out;
-  out.reserve(size());
-  for (const auto& [name, c] : counters_)
-    out.push_back({name, MetricSample::Kind::kCounter,
-                   static_cast<double>(c.value()), c.value(), 0, 0});
-  for (const auto& [name, g] : gauges_)
-    out.push_back({name, MetricSample::Kind::kGauge, g.value(), 0, 0, 0});
-  for (const auto& [name, h] : histograms_)
-    out.push_back({name, MetricSample::Kind::kHistogram, h.mean(), h.count(),
-                   h.min(), h.max(), h.quantile(0.50), h.quantile(0.95),
-                   h.quantile(0.99)});
-  std::sort(out.begin(), out.end(),
-            [](const MetricSample& a, const MetricSample& b) {
-              return a.name < b.name;
-            });
-  return out;
 }
 
 }  // namespace vc2m::obs

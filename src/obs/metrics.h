@@ -2,10 +2,9 @@
 //
 // The registry is the one sink every measurement in vC2M reports through —
 // simulator statistics, per-job response-time ratios, regulator activity,
-// allocator search effort. Metrics are created on first use, addressed by
-// name, and snapshot in deterministic (lexicographic) order so reports and
-// golden tests are stable. Not thread-safe: the simulator and allocators
-// are single-threaded, and a registry belongs to one run.
+// allocator search effort. Metrics are created on first use and addressed
+// by name. Not thread-safe: the simulator and allocators are
+// single-threaded, and a registry belongs to one run.
 #pragma once
 
 #include <cstddef>
@@ -70,17 +69,6 @@ class Histogram {
   double max_ = 0;
 };
 
-/// A flattened view of one metric for reporting.
-struct MetricSample {
-  enum class Kind { kCounter, kGauge, kHistogram };
-  std::string name;
-  Kind kind;
-  double value = 0;           ///< counter/gauge value; histogram mean
-  std::uint64_t count = 0;    ///< histogram sample count
-  double min = 0, max = 0;    ///< histogram extrema
-  double p50 = 0, p95 = 0, p99 = 0;  ///< histogram quantile estimates
-};
-
 class MetricsRegistry {
  public:
   /// Get-or-create. A name identifies exactly one metric kind; reusing a
@@ -90,12 +78,7 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, std::vector<double> bounds);
 
   const Counter* find_counter(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
-
-  /// All metrics, name-sorted (std::map order), counters first within a
-  /// name collision never occurring by construction.
-  std::vector<MetricSample> snapshot() const;
 
   std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();

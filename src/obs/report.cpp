@@ -119,30 +119,4 @@ void write_alloc_effort(std::ostream& os, const util::AllocCounters& c) {
   t.print(os, "Allocator effort");
 }
 
-void write_metrics_dump(std::ostream& os, const MetricsRegistry& registry) {
-  for (const auto& m : registry.snapshot()) {
-    os << m.name << ' ';
-    switch (m.kind) {
-      case MetricSample::Kind::kCounter:
-        os << static_cast<std::uint64_t>(m.value);
-        break;
-      case MetricSample::Kind::kGauge:
-        os << fmt(m.value, 6);
-        break;
-      case MetricSample::Kind::kHistogram:
-        os << "count=" << m.count << " mean=" << fmt(m.value, 6)
-           << " min=" << fmt(m.min, 6) << " max=" << fmt(m.max, 6);
-        break;
-    }
-    os << '\n';
-    // Histograms get companion quantile lines so a dump diffs without
-    // access to the live registry.
-    if (m.kind == MetricSample::Kind::kHistogram) {
-      os << m.name << ".p50 " << fmt(m.p50, 6) << '\n';
-      os << m.name << ".p95 " << fmt(m.p95, 6) << '\n';
-      os << m.name << ".p99 " << fmt(m.p99, 6) << '\n';
-    }
-  }
-}
-
 }  // namespace vc2m::obs

@@ -4,8 +4,7 @@
 // utilization / throttle / idle fractions, per-task response-time ratios
 // (max and registry-histogram quantiles), per-VCPU server behaviour, and —
 // when an allocator produced the deployment — the allocator effort
-// counters (write_alloc_effort). write_metrics_dump() is the raw
-// alternative: every metric in the registry, name-sorted, one per line.
+// counters (write_alloc_effort).
 #pragma once
 
 #include <iosfwd>
@@ -28,8 +27,5 @@ void write_report(std::ostream& os, const sim::SimConfig& cfg,
 /// write_report ends with it; `vc2m experiment --preset fig4` prints it for
 /// the whole sweep.
 void write_alloc_effort(std::ostream& os, const util::AllocCounters& c);
-
-/// Raw dump: one `name value` line per metric, deterministic order.
-void write_metrics_dump(std::ostream& os, const MetricsRegistry& registry);
 
 }  // namespace vc2m::obs

@@ -16,10 +16,6 @@ const ScenarioRecord* ScenarioReport::find(const std::string& name) const {
   return nullptr;
 }
 
-void write_scenario_report(std::ostream& os, const ScenarioReport& r) {
-  obs::json::write(os, r);
-}
-
 ScenarioReport read_scenario_report(std::istream& is, const std::string& what,
                                     std::vector<std::string>* notes) {
   ScenarioReport r = obs::json::read<ScenarioReport>(is, what, notes);

@@ -108,8 +108,6 @@ void fields(R& r, V&& v) {
   v("scenarios", obs::json::Tall{r.records});
 }
 
-void write_scenario_report(std::ostream& os, const ScenarioReport& r);
-
 /// Strict reader (throws util::Error on malformed JSON, a missing member,
 /// a schema it does not speak, records out of name order or duplicated, a
 /// scenario_hash that is not 16 lowercase hex digits, a digest that is not

@@ -157,41 +157,9 @@ std::string config_digest(const ServiceConfig& cfg) {
 }
 
 // ---------------------------------------------------------------------------
-// Shed policies.
+// The request window.
 
 namespace {
-
-/// shed_victim over any `trace` that maps a seq to its ServeRequest.
-template <class Trace>
-std::size_t pick_victim(ShedPolicy policy,
-                        const std::vector<QueueEntry>& queue,
-                        const QueueEntry& incoming, Trace& trace) {
-  if (policy == ShedPolicy::kRejectNewest) return queue.size();
-  // Lexicographic-max victim key. Removes free capacity, so they get
-  // weight -1 (and count as critical under the criticality policy): a
-  // remove is only ever shed when the whole queue is removes.
-  auto key = [&](const QueueEntry& e) {
-    const ServeRequest& req = trace[e.seq];
-    const bool is_remove = req.kind == RequestKind::kRemove;
-    const double weight = is_remove ? -1.0 : req.util;
-    const int sheddable =
-        (policy == ShedPolicy::kCriticality && !is_remove &&
-         req.criticality == 0)
-            ? 1
-            : 0;
-    return std::tuple<int, double, std::uint64_t>(sheddable, weight, e.seq);
-  };
-  std::size_t best = queue.size();
-  auto best_key = key(incoming);
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    const auto k = key(queue[i]);
-    if (k > best_key) {
-      best_key = k;
-      best = i;
-    }
-  }
-  return best;
-}
 
 /// The part of the request stream the event loop can still reach: every
 /// request from the oldest one a queue or retry entry names through the
@@ -241,12 +209,6 @@ std::uint64_t oldest_reachable(const State& st) {
 }
 
 }  // namespace
-
-std::size_t shed_victim(ShedPolicy policy, const std::vector<QueueEntry>& queue,
-                        const QueueEntry& incoming,
-                        const std::vector<ServeRequest>& trace) {
-  return pick_victim(policy, queue, incoming, trace);
-}
 
 // ---------------------------------------------------------------------------
 // The Decider.
@@ -352,13 +314,6 @@ std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t seq,
   h = (h ^ (seq + 0x9E3779B97F4A7C15ull)) * 0x100000001B3ull;
   h = (h ^ (attempt + 1)) * 0x100000001B3ull;
   return h;
-}
-
-Decision decide(const State& st, const ServeRequest& req,
-                const QueueEntry& entry, util::Time start,
-                const ServiceConfig& cfg) {
-  DecideWorkspace ws;
-  return decide(st, req, entry, start, cfg, ws);
 }
 
 Decision decide(const State& st, const ServeRequest& req,
@@ -1079,7 +1034,7 @@ ServiceResult run_service(const ServiceConfig& cfg_in) {
   auto enqueue = [&](QueueEntry e, bool is_retry) {
     ++(is_retry ? st.stats.retries : st.stats.arrivals);
     if (st.queue.size() >= cfg.queue_cap) {
-      const std::size_t v = pick_victim(cfg.shed, st.queue, e, trace);
+      const std::size_t v = shed_victim(cfg.shed, st.queue, e, trace);
       const QueueEntry victim = v == st.queue.size() ? e : st.queue[v];
       const ServeRequest& req = trace[victim.seq];
       Decision d{request_record(req, victim)};

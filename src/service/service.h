@@ -33,6 +33,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/admission.h"
@@ -199,12 +200,38 @@ struct QueueEntry {
 
 /// Pick the victim when `incoming` would overflow a full queue: an index
 /// into `queue`, or queue.size() to shed the incoming entry itself.
-/// Deterministic lexicographic-max selection; `trace` supplies each
+/// Deterministic lexicographic-max selection; `trace[seq]` supplies each
 /// entry's kind, utilization, and criticality.
+template <class Trace>
 std::size_t shed_victim(ShedPolicy policy,
                         const std::vector<QueueEntry>& queue,
-                        const QueueEntry& incoming,
-                        const std::vector<ServeRequest>& trace);
+                        const QueueEntry& incoming, Trace& trace) {
+  if (policy == ShedPolicy::kRejectNewest) return queue.size();
+  // Lexicographic-max victim key. Removes free capacity, so they get
+  // weight -1 (and count as critical under the criticality policy): a
+  // remove is only ever shed when the whole queue is removes.
+  auto key = [&](const QueueEntry& e) {
+    const ServeRequest& req = trace[e.seq];
+    const bool is_remove = req.kind == RequestKind::kRemove;
+    const double weight = is_remove ? -1.0 : req.util;
+    const int sheddable =
+        (policy == ShedPolicy::kCriticality && !is_remove &&
+         req.criticality == 0)
+            ? 1
+            : 0;
+    return std::tuple<int, double, std::uint64_t>(sheddable, weight, e.seq);
+  };
+  std::size_t best = queue.size();
+  auto best_key = key(incoming);
+  for (std::size_t i = 0; i < queue.size(); ++i) {
+    const auto k = key(queue[i]);
+    if (k > best_key) {
+      best_key = k;
+      best = i;
+    }
+  }
+  return best;
+}
 
 /// The canonical config digest stored in journal headers and snapshots:
 /// recovery refuses to mix artifacts from a differently-configured run.
@@ -262,11 +289,6 @@ struct Decision {
 std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t seq,
                        unsigned attempt);
 
-/// Decide `entry` (a try of `req`) starting at virtual time `start`. Pure:
-/// reads `st`, writes no file and no telemetry.
-Decision decide(const State& st, const ServeRequest& req,
-                const QueueEntry& entry, util::Time start,
-                const ServiceConfig& cfg);
 /// The storage a decision reuses: the admission buffers, the request's
 /// materialized taskset and the decision log.
 struct DecideWorkspace {
@@ -274,8 +296,10 @@ struct DecideWorkspace {
   model::Taskset tasks;
   obs::DecisionLog log;
 };
-/// The same decision in `ws`'s buffers; run_service keeps one workspace
-/// for all its decisions. The decision does not depend on what `ws` held.
+/// Decide `entry` (a try of `req`) starting at virtual time `start`, in
+/// `ws`'s buffers. Pure: reads `st`, writes no file and no telemetry.
+/// run_service keeps one workspace for all its decisions; the decision
+/// does not depend on what `ws` held.
 Decision decide(const State& st, const ServeRequest& req,
                 const QueueEntry& entry, util::Time start,
                 const ServiceConfig& cfg, DecideWorkspace& ws);

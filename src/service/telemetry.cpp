@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "service/journal.h"
@@ -123,18 +124,24 @@ void write_span_dump(const std::string& path, const SpanRing& ring) {
 }
 
 std::vector<obs::RequestSpan> read_span_dump(const std::string& path) {
-  std::ifstream f(path);
+  std::ifstream f(path, std::ios::binary);
   VC2M_CHECK_MSG(f.good(), "cannot open span dump '" << path << "'");
+  const std::string bytes(std::istreambuf_iterator<char>(f), {});
+  VC2M_CHECK_MSG(!bytes.empty() && bytes.back() == '\n',
+                 "span dump '" << path << "' does not end in a newline");
+  std::istringstream text(bytes);
   std::string line;
-  VC2M_CHECK_MSG(std::getline(f, line) &&
-                     line.rfind(std::string(kSpanDumpSchema) + " ", 0) == 0,
+  std::getline(text, line);
+  VC2M_CHECK_MSG(line.rfind(std::string(kSpanDumpSchema) + " ", 0) == 0,
                  "'" << path << "' is not a " << kSpanDumpSchema << " dump");
   const std::uint64_t count = util::parse_u64(
       std::string_view(line).substr(std::strlen(kSpanDumpSchema) + 1),
       "span dump count");
   std::vector<obs::RequestSpan> out;
-  while (std::getline(f, line)) {
-    if (line.empty()) continue;
+  while (std::getline(text, line)) {
+    VC2M_CHECK_MSG(!line.empty(), "span dump '" << path << "': line "
+                                                << out.size() + 2
+                                                << " is blank");
     out.push_back(obs::parse_request_span(line));
   }
   VC2M_CHECK_MSG(out.size() == count,

@@ -201,7 +201,9 @@ class SpanRing {
 /// Durable ring dump: "vc2m-span-dump/1 <count>" then one serialized span
 /// per line. Written with write_file_durable; throws on I/O failure.
 void write_span_dump(const std::string& path, const SpanRing& ring);
-/// Strict re-read; throws util::Error on malformed content.
+/// Strict re-read (`vc2m validate` reads dumps with it); throws
+/// util::Error on a malformed header or span, a blank line, a missing
+/// final newline, or a span count other than the header's.
 std::vector<obs::RequestSpan> read_span_dump(const std::string& path);
 
 /// Deterministic multi-line stats snapshot (the --stats-every / SIGUSR1

@@ -20,10 +20,6 @@ constexpr const char* kPolicyNames[] = {"strict", "kill", "throttle",
 
 }  // namespace
 
-std::string to_string(EnforcementPolicy p) {
-  return util::enum_name(kPolicyNames, p);
-}
-
 std::optional<EnforcementPolicy> enforcement_policy_from_string(
     const std::string& name) {
   EnforcementPolicy p;

@@ -34,9 +34,7 @@ enum class EnforcementPolicy : std::uint8_t {
   kDegrade,
 };
 
-std::string to_string(EnforcementPolicy p);
-
-/// Inverse of to_string ("strict" | "kill" | "throttle" | "degrade");
+/// The policy named "strict" | "kill" | "throttle" | "degrade";
 /// std::nullopt for unknown names.
 std::optional<EnforcementPolicy> enforcement_policy_from_string(
     const std::string& name);

@@ -64,8 +64,6 @@ bool EventQueue::cancel(Id id) {
   return true;
 }
 
-bool EventQueue::run_one() { return dispatch_next(util::Time::max()); }
-
 void EventQueue::run_until(util::Time t) {
   VC2M_CHECK(t >= now_);
   while (dispatch_next(t)) {

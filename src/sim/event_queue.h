@@ -53,10 +53,6 @@ class EventQueue {
 
   util::Time now() const { return now_; }
 
-  /// Pop and dispatch the next event; advances the clock. Returns false if
-  /// no event is pending.
-  bool run_one();
-
   /// Dispatch every event with time <= t; the clock ends at exactly t.
   void run_until(util::Time t);
 

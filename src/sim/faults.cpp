@@ -25,13 +25,6 @@ std::string to_string(FaultKind k) {
   return "?";
 }
 
-bool FaultSpec::any() const {
-  return (overrun_factor > 1.0 && overrun_prob > 0) ||
-         (max_release_jitter > util::Time::zero() && jitter_prob > 0) ||
-         revoke_interval > util::Time::zero() ||
-         (max_refill_delay > util::Time::zero() && refill_delay_prob > 0);
-}
-
 void FaultSpec::validate() const {
   const auto check_prob = [](double p, const char* what) {
     if (!(p >= 0.0 && p <= 1.0))

@@ -73,8 +73,6 @@ struct FaultSpec {
   /// Master seed of the fault plan; every fault stream forks from it.
   std::uint64_t seed = 1;
 
-  /// True when at least one fault class is active.
-  bool any() const;
   /// Throws util::Error on out-of-range parameters.
   void validate() const;
 };

@@ -133,7 +133,7 @@ struct SimConfig {
   bool capture_trace = false;
   /// Seed for sporadic arrival jitter.
   std::uint64_t jitter_seed = 1;
-  /// Fault-injection plan (sim/faults.h); inert when !faults.any().
+  /// Fault-injection plan (sim/faults.h); inert at its defaults.
   FaultSpec faults;
   /// What the scheduler does on WCET/budget overruns (sim/enforcement.h).
   EnforcementConfig enforcement;

@@ -24,8 +24,13 @@ struct AllocCounters {
   /// step had already computed, leaving the centroid off its members' mean.
   double kmeans_final_shift = 0;
 
-  // Schedulability / admission testing.
-  std::uint64_t admission_tests = 0;    ///< core_schedulable() calls
+  // Schedulability / admission testing. The engine counts an admission
+  // test in analysis::core_schedulable (the index-subset form) and
+  // core::CoreLoad::schedulable, and one dbf evaluation per checkpoint of
+  // each demand row analysis::AnalysisContext builds (demand_from_counts,
+  // context.cpp). The test oracle's dbf() and whole-set core_schedulable
+  // (tests/oracle/) count the same way, so tests can compare.
+  std::uint64_t admission_tests = 0;    ///< Σ Θ/Π ≤ 1 core tests
   std::uint64_t admission_passed = 0;
   std::uint64_t dbf_evaluations = 0;    ///< dbf(t) evaluations
 

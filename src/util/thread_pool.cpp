@@ -149,20 +149,4 @@ std::size_t ThreadPool::pending() const {
   return in_flight_;
 }
 
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& body,
-                              std::size_t grain) {
-  if (n == 0) return;
-  if (grain == 0)
-    grain = std::max<std::size_t>(1, n / (std::size_t{workers()} * 8));
-  for (std::size_t lo = 0; lo < n; lo += grain) {
-    const std::size_t hi = std::min(n, lo + grain);
-    // body outlives the tasks (wait() below), so capture by reference.
-    submit([&body, lo, hi] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    });
-  }
-  wait();
-}
-
 }  // namespace vc2m::util

@@ -88,14 +88,6 @@ class ThreadPool {
   /// it, leaving the pool reusable.
   void wait();
 
-  /// Run body(i) for every i in [0, n), spread over the workers in chunks
-  /// of `grain` indices (0 picks a grain that yields several chunks per
-  /// worker). Calls wait(), so it also drains — and propagates errors
-  /// from — any tasks submitted earlier.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t)>& body,
-                    std::size_t grain = 0);
-
   /// max(1, std::thread::hardware_concurrency()).
   static unsigned hardware_workers();
 

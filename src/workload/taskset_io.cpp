@@ -1,16 +1,51 @@
 #include "workload/taskset_io.h"
 
 #include <fstream>
+#include <optional>
 #include <set>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/error.h"
-#include "util/file.h"
+#include "util/parse.h"
 #include "util/record.h"
-#include "workload/csv_field.h"
 #include "workload/parsec.h"
 
 namespace vc2m::workload {
+namespace {
+
+/// Carries "where are we" through a CSV parse; fail() formats
+/// `<source>:<line>: <what>: <line text>`, so a user can fix a hand-edited
+/// file without bisecting it.
+struct ParseContext {
+  std::string source;
+  std::size_t lineno = 0;
+  std::string line;
+
+  [[noreturn]] void fail(const std::string& what) const {
+    throw util::Error(source + ":" + std::to_string(lineno) + ": " + what +
+                      ": '" + line + "'");
+  }
+};
+
+/// Parse one whole field as T: a finite double or an in-range integer, in
+/// the strict grammar of util/parse.h (no whitespace, no '+', no trailing
+/// garbage, no "nan"/"inf", no "-1" wrapped into unsigned).
+template <class T>
+T parse_field(const ParseContext& ctx, std::string_view s,
+              const char* field) {
+  std::optional<T> v;
+  if constexpr (std::is_floating_point_v<T>)
+    v = util::try_double(s);
+  else
+    v = util::try_int<T>(s);
+  if (!v)
+    ctx.fail(std::string("bad ") + field + " field '" + std::string(s) + "'");
+  return *v;
+}
+
+}  // namespace
 
 void write_taskset_csv(std::ostream& os, const model::Taskset& tasks) {
   os << "vm,period_ms,ref_wcet_ms,benchmark\n";
@@ -21,19 +56,13 @@ void write_taskset_csv(std::ostream& os, const model::Taskset& tasks) {
   }
 }
 
-void write_taskset_csv(const std::string& path, const model::Taskset& tasks) {
-  auto f = util::open_output_file(path, "taskset CSV");
-  write_taskset_csv(f, tasks);
-  util::close_output_file(f, path, "taskset CSV");
-}
-
 model::Taskset read_taskset_csv(std::istream& is,
                                 const model::ResourceGrid& grid,
                                 const std::string& source) {
   grid.validate();
   model::Taskset tasks;
   std::set<std::string> seen_rows;
-  detail::ParseContext ctx{source, 0, {}};
+  ParseContext ctx{source, 0, {}};
   std::string line;
   while (std::getline(is, line)) {
     ++ctx.lineno;
@@ -46,7 +75,6 @@ model::Taskset read_taskset_csv(std::istream& is,
       ctx.fail("expected 4 fields (vm,period_ms,ref_wcet_ms,benchmark), got " +
                std::to_string(fields.size()));
 
-    using detail::parse_field;
     const int vm = parse_field<int>(ctx, fields[0], "vm");
     const auto period_ms = parse_field<double>(ctx, fields[1], "period_ms");
     const auto wcet_ms = parse_field<double>(ctx, fields[2], "ref_wcet_ms");

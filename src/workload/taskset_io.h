@@ -17,7 +17,6 @@ namespace vc2m::workload {
 
 /// Write `tasks` as CSV (with header). Tasks must carry PARSEC labels.
 void write_taskset_csv(std::ostream& os, const model::Taskset& tasks);
-void write_taskset_csv(const std::string& path, const model::Taskset& tasks);
 
 /// Parse a CSV taskset; WCET surfaces are rebuilt over `grid`. Throws
 /// util::Error on malformed rows, unknown benchmarks, or empty input — every

@@ -1,9 +1,11 @@
 // k-means inputs written as rows: one core::FeatureMatrix holding them.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "core/kmeans.h"
+#include "util/error.h"
 
 namespace vc2m::tests {
 
@@ -13,7 +15,10 @@ inline core::FeatureMatrix features(
     const std::vector<std::vector<double>>& rows) {
   core::FeatureMatrix m(rows.empty() ? 1 : rows.front().size());
   m.reserve_rows(rows.size());
-  for (const auto& r : rows) m.add_row(r);
+  for (const auto& r : rows) {
+    VC2M_CHECK(r.size() == m.dim());
+    std::copy(r.begin(), r.end(), m.add_row());
+  }
   return m;
 }
 

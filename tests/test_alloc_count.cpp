@@ -195,18 +195,20 @@ TEST(HeapAllocations, WarmRejectedServiceDecisionAllocatesNothing) {
   req.taskset_seed = 11;
   const service::QueueEntry entry{req.seq, 0, util::Time::zero()};
   service::DecideWorkspace ws;
-  const auto outcome = [&](service::DecideWorkspace* kept) {
-    return (kept ? service::decide(st, req, entry, util::Time::zero(), cfg,
-                                   *kept)
-                 : service::decide(st, req, entry, util::Time::zero(), cfg))
+  const auto outcome = [&](service::DecideWorkspace& w) {
+    return service::decide(st, req, entry, util::Time::zero(), cfg, w)
         .rec.outcome;
   };
-  ASSERT_EQ(outcome(&ws), service::Outcome::kRejected);
+  ASSERT_EQ(outcome(ws), service::Outcome::kRejected);
   ASSERT_EQ(ws.tasks.size(), 8u);
   service::Outcome o = service::Outcome::kAdmitted;
-  EXPECT_EQ(allocations_of([&] { o = outcome(&ws); }), 0u);
+  EXPECT_EQ(allocations_of([&] { o = outcome(ws); }), 0u);
   EXPECT_EQ(o, service::Outcome::kRejected);
-  EXPECT_EQ(allocations_of([&] { o = outcome(nullptr); }), 83u);
+  EXPECT_EQ(allocations_of([&] {
+              service::DecideWorkspace fresh;
+              o = outcome(fresh);
+            }),
+            83u);
 }
 
 TEST(HeapAllocations, WarmAcceptedAdmissionAllocatesOnlyWhatItCommits) {

@@ -13,10 +13,13 @@
 #include "analysis/context.h"
 #include "analysis/dbf.h"
 #include "analysis/prm.h"
-#include "analysis/regulated.h"
 #include "analysis/schedulability.h"
 #include "analysis/theorems.h"
 #include "model/task.h"
+#include "oracle/dbf.h"
+#include "oracle/prm.h"
+#include "oracle/regulated.h"
+#include "oracle/schedulability.h"
 #include "util/error.h"
 #include "util/instrument.h"
 #include "util/rng.h"
@@ -275,7 +278,7 @@ TEST(Prm, SbfIsMonotoneInBudget) {
 }
 
 /// The least Θ in [0, Π] with sbf_(Π,Θ)(t) ≥ d, by bisection over
-/// single-point sbf — the brute-force oracle for min_budget_for_point.
+/// single-point sbf — the brute-force oracle for one_point_budget.
 Time bisect_point_budget(std::int64_t pi, std::int64_t t, std::int64_t d) {
   std::int64_t lo = 0, hi = pi;
   while (lo < hi) {
@@ -286,6 +289,17 @@ Time bisect_point_budget(std::int64_t pi, std::int64_t t, std::int64_t d) {
       lo = mid + 1;
   }
   return Time::ns(hi);
+}
+
+/// min_budget_on_curve over the one-point curve {(t, d)} with no rate
+/// term (U = 0): the least Θ whose supply covers d at t.
+std::optional<Time> one_point_budget(std::int64_t pi, std::int64_t t,
+                                     std::int64_t d) {
+  const Time point = Time::ns(t), demand = Time::ns(d);
+  const std::int64_t q = t / pi, r = t % pi;
+  return min_budget_on_curve(
+      DemandCurve{{&point, 1}, {&demand, 1}, {&q, 1}, {&r, 1}}, 0.0,
+      Time::ns(pi));
 }
 
 TEST(Prm, MinBudgetForPointMatchesBisectionOfSbf) {
@@ -321,17 +335,15 @@ TEST(Prm, MinBudgetForPointMatchesBisectionOfSbf) {
       case 3: d = t - rng.uniform_int(0, std::min<std::int64_t>(t, 3)); break;
       default: d = rng.uniform_int(0, t); break;
     }
-    ASSERT_EQ(min_budget_for_point(Time::ns(pi), Time::ns(t), Time::ns(d)),
-              bisect_point_budget(pi, t, d))
+    ASSERT_EQ(one_point_budget(pi, t, d), bisect_point_budget(pi, t, d))
         << "Π " << pi << " t " << t << " d " << d;
   }
 }
 
 TEST(Prm, MinBudgetForPointRejectsDemandAboveSupplyRange) {
-  EXPECT_THROW(min_budget_for_point(Time::ns(10), Time::ns(5), Time::ns(6)),
-               util::Error);
-  EXPECT_THROW(min_budget_for_point(Time::ns(10), Time::ns(5), Time::ns(-1)),
-               util::Error);
+  // Even Θ = Π supplies only t by t: demand above it has no budget.
+  EXPECT_EQ(one_point_budget(10, 5, 6), std::nullopt);
+  EXPECT_EQ(one_point_budget(10, 5, 5), Time::ns(10));
 }
 
 /// The curve's points split by Π, as DemandCurve's quot/rem.
@@ -1072,27 +1084,6 @@ TEST(AnalysisContextMemo, SurfaceMatchesReferenceAndSerialLoopEverywhere) {
 
 // ------------------------------------------------------------ theorems ----
 
-TEST(Theorem1, FlattenedVcpuMirrorsTask) {
-  const auto t = make_task(Time::ms(10), Time::ms(1));
-  const auto v = flattened_vcpu(t, 7);
-  EXPECT_EQ(v.period, t.period);
-  EXPECT_EQ(v.tasks, (std::vector<std::size_t>{7}));
-  for (unsigned c = 2; c <= 4; ++c)
-    for (unsigned b = 1; b <= 3; ++b)
-      EXPECT_EQ(v.budget.at(c, b), t.wcet.at(c, b));
-  // Zero abstraction overhead: bandwidth equals utilization everywhere.
-  EXPECT_DOUBLE_EQ(v.reference_utilization(), t.reference_utilization());
-}
-
-TEST(Theorem1, FlattenWholeTaskset) {
-  const Taskset ts{make_task(Time::ms(10), Time::ms(1)),
-                   make_task(Time::ms(20), Time::ms(2))};
-  const auto vs = flatten(ts);
-  ASSERT_EQ(vs.size(), 2u);
-  EXPECT_EQ(vs[0].tasks[0], 0u);
-  EXPECT_EQ(vs[1].tasks[0], 1u);
-}
-
 TEST(Theorem2, RegulatedVcpuBandwidthEqualsUtilization) {
   const Taskset ts{make_task(Time::ms(10), Time::ms(1)),
                    make_task(Time::ms(20), Time::ms(3)),
@@ -1192,10 +1183,17 @@ TEST(HarmonicGroups, PairwiseCoprimePeriodsAllSeparate) {
 
 // ------------------------------------------------------ schedulability ----
 
+/// The Theorem-1 VCPU of `t`: Π = p, Θ(c,b) = e(c,b).
+model::Vcpu vcpu_of(const Task& t) {
+  model::Vcpu v;
+  v.period = t.period;
+  v.budget = t.wcet;
+  return v;
+}
+
 std::vector<model::Vcpu> two_vcpus(Time ref1, Time ref2) {
-  const Taskset ts{make_task(Time::ms(10), ref1),
-                   make_task(Time::ms(10), ref2)};
-  return flatten(ts);
+  return {vcpu_of(make_task(Time::ms(10), ref1)),
+          vcpu_of(make_task(Time::ms(10), ref2))};
 }
 
 TEST(CoreSched, UtilizationSumsAcrossVcpus) {
@@ -1230,7 +1228,7 @@ TEST(Inflation, AddsConstantEverywhere) {
   EXPECT_EQ(ts[0].wcet.at(4, 3), Time::ms(1) + Time::us(50));
   EXPECT_EQ(ts[0].max_wcet, before_max + Time::us(50));
 
-  auto vs = flatten(ts);
+  std::vector<model::Vcpu> vs{vcpu_of(ts[0])};
   const Time theta_before = vs[0].budget.at(2, 1);
   inflate_vcpus(vs, Time::us(25));
   EXPECT_EQ(vs[0].budget.at(2, 1), theta_before + Time::us(25));

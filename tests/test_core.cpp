@@ -146,6 +146,13 @@ TEST(BestFit, EveryItemPlacedExactlyOnce) {
 
 // ----------------------------------------------------------- vm_alloc ----
 
+/// Σ Θ*_j/Π_j over the VCPUs.
+double reference_bandwidth(const std::vector<Vcpu>& vcpus) {
+  double u = 0;
+  for (const auto& v : vcpus) u += v.reference_utilization();
+  return u;
+}
+
 VmAllocConfig vm_cfg(VcpuAnalysis a, unsigned max_vcpus = 4) {
   VmAllocConfig cfg;
   cfg.analysis = a;
@@ -160,6 +167,34 @@ TEST(VmAlloc, FlatteningMakesOneVcpuPerTask) {
       allocate_vms_heuristic(ts, vm_cfg(VcpuAnalysis::kFlattening), rng);
   ASSERT_EQ(vcpus.size(), ts.size());
   for (const auto& v : vcpus) EXPECT_EQ(v.tasks.size(), 1u);
+}
+
+TEST(Theorem1, FlattenedVcpuMirrorsTask) {
+  const auto ts = generated(0.8, 42, /*vms=*/2);
+  Rng rng(1);
+  const auto vcpus =
+      allocate_vms_heuristic(ts, vm_cfg(VcpuAnalysis::kFlattening), rng);
+  for (const auto& v : vcpus) {
+    ASSERT_EQ(v.tasks.size(), 1u);
+    const Task& t = ts[v.tasks[0]];
+    EXPECT_EQ(v.period, t.period);
+    EXPECT_EQ(v.vm, t.vm);
+    EXPECT_EQ(v.budget.grid(), t.wcet.grid());
+    EXPECT_EQ(v.budget.flat(), t.wcet.flat());
+    // Zero abstraction overhead: bandwidth equals utilization everywhere.
+    EXPECT_DOUBLE_EQ(v.reference_utilization(), t.reference_utilization());
+  }
+}
+
+TEST(Theorem1, FlattenWholeTaskset) {
+  // One VM: one flattened VCPU per task, in task order.
+  const auto ts = generated(1.0, 42);
+  Rng rng(1);
+  const auto vcpus =
+      allocate_vms_heuristic(ts, vm_cfg(VcpuAnalysis::kFlattening), rng);
+  ASSERT_EQ(vcpus.size(), ts.size());
+  for (std::size_t i = 0; i < vcpus.size(); ++i)
+    EXPECT_EQ(vcpus[i].tasks, (std::vector<std::size_t>{i}));
 }
 
 TEST(VmAlloc, RegulatedUsesAtMostMaxVcpus) {
@@ -192,7 +227,7 @@ TEST(VmAlloc, RegulatedVcpuBandwidthMatchesTaskUtilization) {
   Rng rng(4);
   const auto vcpus =
       allocate_vms_heuristic(ts, vm_cfg(VcpuAnalysis::kRegulated), rng);
-  EXPECT_NEAR(model::total_reference_utilization(vcpus),
+  EXPECT_NEAR(reference_bandwidth(vcpus),
               model::total_reference_utilization(ts), 1e-6);
 }
 
@@ -203,7 +238,7 @@ TEST(VmAlloc, ExistingCsaCarriesAbstractionOverhead) {
       allocate_vms_heuristic(ts, vm_cfg(VcpuAnalysis::kExistingCsa), rng);
   // The PRM budgets strictly exceed the utilization share whenever more
   // than zero slack exists.
-  EXPECT_GT(model::total_reference_utilization(vcpus),
+  EXPECT_GT(reference_bandwidth(vcpus),
             model::total_reference_utilization(ts) + 0.01);
 }
 
@@ -263,7 +298,8 @@ TEST(VmAlloc, ExistingCsaMaxWcetVcpuHasConstantBudget) {
   const auto ts = generated(0.5, 42);
   std::vector<std::size_t> idx(ts.size());
   for (std::size_t i = 0; i < ts.size(); ++i) idx[i] = i;
-  const auto v = vcpu_existing_csa_max_wcet(ts, idx);
+  analysis::AnalysisContext ctx;
+  const auto v = vcpu_existing_csa_max_wcet(ts, idx, ctx);
   const auto& g = v.budget.grid();
   const Time ref = v.budget.at(g.c_max, g.b_max);
   EXPECT_EQ(v.budget.at(g.c_min, g.b_min), ref);

@@ -23,6 +23,7 @@
 #include "model/platform.h"
 #include "obs/decision_log.h"
 #include "obs/explain.h"
+#include "obs/json.h"
 #include "util/error.h"
 #include "util/names.h"
 #include "util/rng.h"
@@ -203,11 +204,11 @@ TEST(Explain, JsonRoundTripIsByteIdentical) {
   const auto report = obs::explain_solve(strat, tasks, platform, {}, rng);
 
   std::ostringstream first;
-  obs::write_explain_report(first, report);
+  obs::json::write(first, report);
   std::istringstream in(first.str());
   const auto reread = obs::read_explain_report(in);
   std::ostringstream second;
-  obs::write_explain_report(second, reread);
+  obs::json::write(second, reread);
   EXPECT_EQ(first.str(), second.str());
 
   EXPECT_EQ(reread.schema, report.schema);

@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "analysis/context.h"
-#include "analysis/prm.h"
 #include "core/admission.h"
 #include "core/exact.h"
 #include "core/experiment.h"
@@ -44,6 +43,7 @@
 #include "generated.h"
 #include "golden_util.h"
 #include "model/platform.h"
+#include "oracle/prm.h"
 #include "util/hash.h"
 #include "util/instrument.h"
 #include "util/rng.h"

@@ -5,6 +5,7 @@
 #include "hw/msr.h"
 #include "hw/perf_counter.h"
 #include "util/error.h"
+#include "vcat.h"
 
 namespace vc2m::hw {
 namespace {
@@ -52,7 +53,7 @@ class CatTest : public ::testing::Test {
 TEST_F(CatTest, DefaultStateIsFullMaskCosZero) {
   for (unsigned core = 0; core < 4; ++core) {
     EXPECT_EQ(cat_.cos_of_core(core), 0u);
-    EXPECT_EQ(cat_.ways_of_core(core), 20u);
+    EXPECT_EQ(ways_of_core(cat_, core), 20u);
   }
 }
 
@@ -69,12 +70,12 @@ TEST_F(CatTest, BindAndEffectiveMask) {
   cat_.bind_core(2, 3);
   EXPECT_EQ(cat_.cos_of_core(2), 3u);
   EXPECT_EQ(cat_.effective_mask(2), make_mask(4, 6));
-  EXPECT_EQ(cat_.ways_of_core(2), 6u);
+  EXPECT_EQ(ways_of_core(cat_, 2), 6u);
 }
 
 TEST_F(CatTest, DisjointPlanProgramsDisjointContiguousRegions) {
   cat_.program_disjoint_plan({6, 6, 4, 4});
-  EXPECT_TRUE(cat_.cores_disjoint());
+  EXPECT_TRUE(cores_disjoint(cat_, 4));
   std::uint64_t all = 0;
   for (unsigned core = 0; core < 4; ++core) {
     const std::uint64_t m = cat_.effective_mask(core);
@@ -86,8 +87,8 @@ TEST_F(CatTest, DisjointPlanProgramsDisjointContiguousRegions) {
 
 TEST_F(CatTest, PlanWithUnusedCoreAndNoLeftoverWays) {
   cat_.program_disjoint_plan({10, 0, 10});
-  EXPECT_EQ(cat_.ways_of_core(0), 10u);
-  EXPECT_EQ(cat_.ways_of_core(2), 10u);
+  EXPECT_EQ(ways_of_core(cat_, 0), 10u);
+  EXPECT_EQ(ways_of_core(cat_, 2), 10u);
   // No ways remain for core 1: it stays on the default full-mask COS 0 —
   // the allocator never schedules anything there.
   EXPECT_EQ(cat_.cos_of_core(1), 0u);
@@ -96,12 +97,12 @@ TEST_F(CatTest, PlanWithUnusedCoreAndNoLeftoverWays) {
 TEST_F(CatTest, UnusedCoresParkedOnLeftoverRegion) {
   cat_.program_disjoint_plan({6, 0, 6});
   // Cores 1 and 3 share the 8 leftover ways, disjoint from cores 0 and 2.
-  EXPECT_EQ(cat_.ways_of_core(1), 8u);
+  EXPECT_EQ(ways_of_core(cat_, 1), 8u);
   EXPECT_EQ(cat_.effective_mask(1), cat_.effective_mask(3));
   EXPECT_EQ(cat_.effective_mask(0) & cat_.effective_mask(1), 0u);
   EXPECT_EQ(cat_.effective_mask(2) & cat_.effective_mask(1), 0u);
   // Shared parking is one isolation domain: the plan counts as disjoint.
-  EXPECT_TRUE(cat_.cores_disjoint());
+  EXPECT_TRUE(cores_disjoint(cat_, 4));
 }
 
 TEST_F(CatTest, PlanOverCapacityThrows) {
@@ -112,7 +113,7 @@ TEST_F(CatTest, PlanOverCapacityThrows) {
 TEST_F(CatTest, DefaultStateIsOneSharedDomain) {
   // All cores share COS 0 with the full mask: a single isolation domain,
   // trivially "disjoint" (no *cross-domain* overlap).
-  EXPECT_TRUE(cat_.cores_disjoint());
+  EXPECT_TRUE(cores_disjoint(cat_, 4));
 }
 
 TEST_F(CatTest, OverlappingDistinctCosIsNotDisjoint) {
@@ -121,7 +122,7 @@ TEST_F(CatTest, OverlappingDistinctCosIsNotDisjoint) {
   cat_.bind_core(0, 1);
   cat_.bind_core(1, 2);
   // Cores 2, 3 remain on the full-mask COS 0, which also overlaps.
-  EXPECT_FALSE(cat_.cores_disjoint());
+  EXPECT_FALSE(cores_disjoint(cat_, 4));
 }
 
 // ------------------------------------------------------------------ PMU ----

@@ -117,15 +117,6 @@ TEST(Taskset, TotalReferenceUtilization) {
   EXPECT_DOUBLE_EQ(total_reference_utilization(ts), 0.25);
 }
 
-TEST(Taskset, HarmonicDetection) {
-  Taskset h{make_task(Time::ms(100), Time::ms(1)),
-            make_task(Time::ms(200), Time::ms(1)),
-            make_task(Time::ms(400), Time::ms(1))};
-  EXPECT_TRUE(harmonic(h));
-  h.push_back(make_task(Time::ms(300), Time::ms(1)));
-  EXPECT_FALSE(harmonic(h));
-}
-
 TEST(Taskset, HyperperiodOfHarmonicSetIsMaxPeriod) {
   Taskset h{make_task(Time::ms(100), Time::ms(1)),
             make_task(Time::ms(400), Time::ms(1))};
@@ -140,8 +131,6 @@ TEST(Vcpu, UtilizationFollowsBudgetSurface) {
   v.budget = WcetFn::from_slowdown(Time::ms(20), demo_slowdown());
   EXPECT_DOUBLE_EQ(v.reference_utilization(), 0.2);
   EXPECT_NEAR(v.utilization(2, 1), 0.5, 1e-9);
-  const std::vector<Vcpu> vs{v, v};
-  EXPECT_DOUBLE_EQ(total_reference_utilization(vs), 0.4);
 }
 
 // ------------------------------------------------------------ Platform ----

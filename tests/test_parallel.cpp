@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -27,6 +29,19 @@ using util::ThreadPool;
 
 // ------------------------------------------------------ ThreadPool unit ----
 
+/// A parallel for over [0, n) on the pool: one submitted task per chunk of
+/// `grain` indices, then wait(), which rethrows the first error.
+void parallel_for(ThreadPool& pool, std::size_t n, std::size_t grain,
+                  const std::function<void(std::size_t)>& body) {
+  for (std::size_t lo = 0; lo < n; lo += grain) {
+    const std::size_t hi = std::min(n, lo + grain);
+    pool.submit([&body, lo, hi] {
+      for (std::size_t i = lo; i < hi; ++i) body(i);
+    });
+  }
+  pool.wait();
+}
+
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.workers(), 3u);
@@ -41,7 +56,7 @@ TEST(ThreadPoolTest, WaitWithZeroTasksReturnsImmediately) {
   ThreadPool pool(2);
   pool.wait();  // nothing submitted — must not block
   int calls = 0;
-  pool.parallel_for(0, [&](std::size_t) { ++calls; });
+  parallel_for(pool, 0, 1, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
@@ -94,11 +109,11 @@ TEST(ThreadPoolTest, ExceptionPropagatesToWait) {
 
 TEST(ThreadPoolTest, ExceptionPropagatesFromParallelFor) {
   ThreadPool pool(3);
-  EXPECT_THROW(pool.parallel_for(100,
-                                 [](std::size_t i) {
-                                   if (i == 37)
-                                     throw std::runtime_error("index 37");
-                                 }),
+  EXPECT_THROW(parallel_for(pool, 100, 4,
+                            [](std::size_t i) {
+                              if (i == 37)
+                                throw std::runtime_error("index 37");
+                            }),
                std::runtime_error);
 }
 
@@ -136,12 +151,12 @@ TEST(ThreadPoolStressTest, TenThousandTinyTasks) {
 TEST(ThreadPoolStressTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 10'000;
-  for (const std::size_t grain : {std::size_t{0}, std::size_t{1},
-                                  std::size_t{7}, std::size_t{4096}}) {
+  for (const std::size_t grain : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{4096}, kN}) {
     std::vector<std::atomic<int>> hits(kN);
     for (auto& h : hits) h.store(0);
-    pool.parallel_for(
-        kN, [&hits](std::size_t i) { hits[i].fetch_add(1); }, grain);
+    parallel_for(pool, kN, grain,
+                 [&hits](std::size_t i) { hits[i].fetch_add(1); });
     std::size_t total = 0;
     for (std::size_t i = 0; i < kN; ++i) {
       ASSERT_EQ(hits[i].load(), 1) << "index " << i << " grain " << grain;

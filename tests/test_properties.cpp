@@ -5,11 +5,11 @@
 
 #include <set>
 
-#include "analysis/prm.h"
-#include "analysis/regulated.h"
 #include "analysis/schedulability.h"
 #include "core/strategy.h"
 #include "model/platform.h"
+#include "oracle/prm.h"
+#include "oracle/regulated.h"
 #include "sim/simulation.h"
 #include "util/rng.h"
 #include "workload/generator.h"

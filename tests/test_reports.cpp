@@ -192,13 +192,13 @@ std::string serve_text(const service::ServeReport& r) {
   return text_of(service::write_serve_report, r);
 }
 std::string scenario_text(const scenario::ScenarioReport& r) {
-  return text_of(scenario::write_scenario_report, r);
+  return text_of(obs::json::write<scenario::ScenarioReport>, r);
 }
 std::string explain_text(const obs::ExplainReport& r) {
-  return text_of(obs::write_explain_report, r);
+  return text_of(obs::json::write<obs::ExplainReport>, r);
 }
 std::string bench_text(const obs::BenchReport& r) {
-  return text_of(obs::write_bench_report, r);
+  return text_of(obs::json::write<obs::BenchReport>, r);
 }
 
 // ---------------------------------------------------------------------------

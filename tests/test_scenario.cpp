@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/trace_export.h"
 #include "scenario/digest.h"
 #include "scenario/report.h"
@@ -328,7 +329,7 @@ TEST(ScenarioCorpus, AllPinnedExpectationsHold) {
 
 std::string serialized(const scenario::ScenarioReport& r) {
   std::ostringstream os;
-  scenario::write_scenario_report(os, r);
+  obs::json::write(os, r);
   return os.str();
 }
 

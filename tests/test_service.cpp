@@ -334,8 +334,9 @@ TEST(Decider, AbsentVmIsNotPresentAtFixedCost) {
   const ServiceConfig cfg = small_config();
   for (const RequestKind kind : {RequestKind::kRemove, RequestKind::kResize}) {
     const ServeRequest req = request(kind, 99, 0.3);
+    DecideWorkspace ws;
     const Decision d = decide(empty, req, {req.seq, 0, util::Time::zero()},
-                              util::Time::zero(), cfg);
+                              util::Time::zero(), cfg, ws);
     EXPECT_EQ(d.rec.outcome, Outcome::kNotPresent) << to_string(kind);
     EXPECT_EQ(d.rec.cost_ns, 2'000);
     EXPECT_EQ(d.rec.seq, req.seq);
@@ -353,10 +354,11 @@ TEST(Decider, DeadlineLadderProbesDefersAndTimesOut) {
   ServiceConfig cfg = small_config();
   cfg.deadline = util::Time::us(100);
   cfg.max_retries = 2;
+  DecideWorkspace ws;
   auto decide_at = [&](double util, unsigned attempt) {
     const ServeRequest req = request(RequestKind::kAdmit, 1, util);
     return decide(st, req, {req.seq, attempt, util::Time::zero()},
-                  util::Time::zero(), cfg);
+                  util::Time::zero(), cfg, ws);
   };
   // Demand above the headroom of an empty 4-core platform A: a real
   // rejection, whatever the attempt.
@@ -379,7 +381,8 @@ TEST(Decider, AdmitMatchesDirectAdmitVm) {
   const ServiceConfig cfg = small_config();
   const ServeRequest req = request(RequestKind::kAdmit, 1, 0.4);
   const QueueEntry entry{req.seq, 1, util::Time::zero()};
-  const Decision d = decide(empty, req, entry, util::Time::zero(), cfg);
+  DecideWorkspace ws;
+  const Decision d = decide(empty, req, entry, util::Time::zero(), cfg, ws);
 
   util::AllocCounterScope counters;
   util::Rng rng(mix_seed(cfg.seed, entry.seq, entry.attempt));

@@ -177,7 +177,8 @@ TEST(EventQueue, CallbacksCanCancel) {
   q.schedule(Time::ms(2), [&] { order.push_back(4); });
   q.run_until(Time::ms(5));
   EXPECT_EQ(order, (std::vector<int>{1, 4}));
-  EXPECT_FALSE(q.run_one());
+  q.run_until(Time::sec(1));
+  EXPECT_EQ(order, (std::vector<int>{1, 4}));
 }
 
 TEST(EventQueue, ScheduleAtNowFromACallbackRunsAfterQueuedPeers) {
@@ -190,8 +191,6 @@ TEST(EventQueue, ScheduleAtNowFromACallbackRunsAfterQueuedPeers) {
   q.schedule(Time::ms(1), [&] { order.push_back(2); });
   q.schedule(Time::ms(1), [&] { order.push_back(3); });
   q.schedule(Time::ms(2), [&] { order.push_back(5); });
-  EXPECT_TRUE(q.run_one());
-  EXPECT_EQ(q.now(), Time::ms(1));
   q.run_until(Time::ms(1));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
   q.run_until(Time::ms(2));
@@ -218,13 +217,12 @@ TEST(EventQueue, SameInstantLaneRunsAfterDuePeersAndBeforeTheNextInstant) {
   });
   q.schedule(Time::ms(1) + Time::ns(1), [&] { order.push_back(7); });
   q.schedule(Time::ms(1), [&] { order.push_back(3); });
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(q.run_one());
-  EXPECT_EQ(q.now(), Time::ms(1));
+  q.run_until(Time::ms(1));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
-  EXPECT_TRUE(q.run_one());
-  EXPECT_EQ(q.now(), Time::ms(1) + Time::ns(1));
+  q.run_until(Time::ms(1) + Time::ns(1));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
-  EXPECT_FALSE(q.run_one());
+  q.run_until(Time::sec(1));
+  EXPECT_EQ(order.size(), 7u);
 
   // Before the first dispatch, now() is zero: events at zero take the lane
   // and still run first, FIFO.
@@ -281,10 +279,9 @@ TEST(EventQueue, ScheduleAtTheInstantRunUntilReachedIsDispatched) {
   q.run_until(Time::ms(5));  // the same instant again
   EXPECT_EQ(order, (std::vector<int>{1}));
   q.schedule(Time::ms(5), [&] { order.push_back(2); });
-  EXPECT_TRUE(q.run_one());
-  EXPECT_EQ(q.now(), Time::ms(5));
-  EXPECT_TRUE(q.run_one());
-  EXPECT_EQ(q.now(), Time::ms(8));
+  q.run_until(Time::ms(5));
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  q.run_until(Time::ms(8));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -323,7 +320,7 @@ TEST(EventQueue, SteadyStateDispatchAllocatesNothing) {
 }
 
 TEST(EventQueue, InterleavedOperationsMatchReferenceModel) {
-  // 10^5 random schedule/cancel/run_one/run_until operations, with
+  // 10^5 random schedule/cancel/run_until operations, with
   // callbacks that schedule and cancel in turn. Every dispatch must be the
   // earliest pending event of an ordered reference model (time, then
   // insertion sequence), and every cancel must report exactly whether the
@@ -380,10 +377,14 @@ TEST(EventQueue, InterleavedOperationsMatchReferenceModel) {
         EXPECT_FALSE(q.cancel(EventQueue::kInvalidId));
       }
     } else if (r < (storm ? 0.98 : 0.92)) {
+      // Run to the earliest pending instant: at least its first event
+      // fires, and nothing pending is left due by then.
+      if (ref.empty()) continue;
       const std::size_t before = dispatched;
-      const bool had = !ref.empty();
-      ASSERT_EQ(q.run_one(), had);
-      ASSERT_EQ(dispatched, before + (had ? 1 : 0));
+      const Time next = ref.begin()->first.first;
+      q.run_until(next);
+      ASSERT_GT(dispatched, before);
+      ASSERT_TRUE(ref.empty() || ref.begin()->first.first > next);
     } else {
       const Time t = q.now() + Time::us(rng.uniform_int(0, 150));
       q.run_until(t);
@@ -1504,9 +1505,8 @@ TEST(GoldenTrace, ReleaseSyncInBothModesWithOverheads) {
 
 TEST(GoldenTrace, EveryEnforcementPolicyUnderAFaultPlan) {
   std::string got;
-  for (const auto policy :
-       {EnforcementPolicy::kStrict, EnforcementPolicy::kKill,
-        EnforcementPolicy::kThrottle, EnforcementPolicy::kDegrade}) {
+  for (const std::string name : {"strict", "kill", "throttle", "degrade"}) {
+    const EnforcementPolicy policy = *enforcement_policy_from_string(name);
     SimConfig cfg;
     cfg.num_cores = 2;
     cfg.cache_partitions = 8;
@@ -1545,7 +1545,7 @@ TEST(GoldenTrace, EveryEnforcementPolicyUnderAFaultPlan) {
           TraceKind::kPartitionRevoke, TraceKind::kFaultRefillDelay,
           TraceKind::kCoreThrottle})
       EXPECT_GT(sim.trace().count(kind), 0u)
-          << to_string(policy) << " " << to_string(kind);
+          << name << " " << to_string(kind);
     if (policy == EnforcementPolicy::kKill) {
       EXPECT_GT(sim.trace().count(TraceKind::kJobKilled), 0u);
     } else if (policy == EnforcementPolicy::kThrottle) {
@@ -1553,7 +1553,7 @@ TEST(GoldenTrace, EveryEnforcementPolicyUnderAFaultPlan) {
     } else if (policy == EnforcementPolicy::kDegrade) {
       EXPECT_GT(sim.trace().count(TraceKind::kTaskSuspend), 0u);
     }
-    got += golden_line(to_string(policy), sim);
+    got += golden_line(name, sim);
   }
   EXPECT_EQ(got,
             "strict 2007 071e98ba63d75e65\n"

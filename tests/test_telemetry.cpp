@@ -678,6 +678,43 @@ TEST(SpanRing, EvictsOldestAndDumpsInOrder) {
   std::remove(path.c_str());
 }
 
+/// A two-span dump's text, as write_span_dump writes it.
+std::string two_span_dump() {
+  SpanRing ring(2);
+  for (std::uint64_t i = 0; i < 2; ++i) {
+    obs::RequestSpan s;
+    s.seq = i;
+    s.kind = "admit";
+    s.outcome = "admitted";
+    ring.push(s);
+  }
+  const std::string path = testing::TempDir() + "/vc2m_two_spans.spans";
+  write_span_dump(path, ring);
+  EXPECT_EQ(read_span_dump(path).size(), 2u);
+  const std::string text = read_file(path);
+  std::remove(path.c_str());
+  return text;
+}
+
+TEST(SpanRing, DumpReaderRefusesABlankLine) {
+  const std::string text = two_span_dump();
+  const std::string path = testing::TempDir() + "/vc2m_blank.spans";
+  const auto second = text.find('\n', text.find('\n') + 1) + 1;
+  write_file(path, text.substr(0, second) + "\n" + text.substr(second));
+  EXPECT_THROW(read_span_dump(path), util::Error);
+  write_file(path, text + "\n");
+  EXPECT_THROW(read_span_dump(path), util::Error);
+  std::remove(path.c_str());
+}
+
+TEST(SpanRing, DumpReaderRefusesAMissingFinalNewline) {
+  const std::string text = two_span_dump();
+  const std::string path = testing::TempDir() + "/vc2m_torn.spans";
+  write_file(path, text.substr(0, text.size() - 1));
+  EXPECT_THROW(read_span_dump(path), util::Error);
+  std::remove(path.c_str());
+}
+
 /// Fork-based crash matrix: really kill the process at the injected kill
 /// sites and check that the ring dump next to the journal matches the
 /// journal's surviving tail record for record — the dump never claims a

@@ -2,7 +2,7 @@
 
 #include "hw/cat.h"
 #include "hw/msr.h"
-#include "hw/vcat.h"
+#include "vcat.h"
 #include "util/error.h"
 
 namespace vc2m::hw {
@@ -12,7 +12,7 @@ class VCatTest : public ::testing::Test {
  protected:
   MsrFile msr_{4};
   Cat cat_{msr_, /*num_ways=*/20, /*num_cos=*/8, /*min_ways=*/2};
-  VCat vcat_{cat_};
+  VCat vcat_{cat_, msr_.num_cores()};
 };
 
 TEST_F(VCatTest, RegionAssignmentAndLookup) {

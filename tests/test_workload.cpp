@@ -9,7 +9,6 @@
 #include "util/rng.h"
 #include "workload/generator.h"
 #include "workload/parsec.h"
-#include "workload/profile_io.h"
 #include "workload/taskset_io.h"
 
 namespace vc2m::workload {
@@ -150,7 +149,9 @@ TEST(Generator, TasksetsAreHarmonic) {
   Rng rng(9);
   for (int i = 0; i < 20; ++i) {
     const auto ts = generate_taskset(config_for(1.5), rng);
-    EXPECT_TRUE(model::harmonic(ts));
+    for (const auto& a : ts)
+      for (const auto& b : ts)
+        EXPECT_TRUE(util::harmonic_pair(a.period, b.period));
   }
 }
 
@@ -371,79 +372,6 @@ TEST(TasksetIo, FuzzedMutationsThrowCleanErrorsOnly) {
       // acceptable: strict parser rejected the corruption
     }
   }
-}
-
-TEST(SurfaceIo, ErrorsCarrySourceAndLineNumber) {
-  const model::ResourceGrid grid{2, 3, 1, 2};
-  std::stringstream buf("2,1,4\n2,2,nan\n3,1,3.5\n3,2,2\n");
-  try {
-    read_surface_csv(buf, grid, "surface.csv");
-    FAIL() << "expected util::Error";
-  } catch (const util::Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("surface.csv:2:"), std::string::npos) << what;
-  }
-}
-
-TEST(SurfaceIo, RejectsTheHardenedMalformedMatrix) {
-  const model::ResourceGrid grid{2, 3, 1, 2};
-  auto parse = [&](const std::string& text) {
-    std::stringstream buf(text);
-    return read_surface_csv(buf, grid);
-  };
-  // Too many fields.
-  EXPECT_THROW(parse("2,1,4,9\n2,2,3\n3,1,3.5\n3,2,2\n"), util::Error);
-  // Negative coordinate (stoul would silently wrap it).
-  EXPECT_THROW(parse("-2,1,4\n2,2,3\n3,1,3.5\n3,2,2\n"), util::Error);
-  // Non-finite WCET.
-  EXPECT_THROW(parse("2,1,inf\n2,2,3\n3,1,3.5\n3,2,2\n"), util::Error);
-  // Trailing characters.
-  EXPECT_THROW(parse("2,1,4z\n2,2,3\n3,1,3.5\n3,2,2\n"), util::Error);
-}
-
-TEST(SurfaceIo, RoundTripIsExactToTheMicrosecond) {
-  const model::ResourceGrid grid{2, 5, 1, 4};
-  const auto& p = find_profile("ferret");
-  const auto original =
-      model::WcetFn::from_slowdown(util::Time::ms(10), p.surface(grid));
-  std::stringstream buf;
-  write_surface_csv(buf, original);
-  const auto loaded = read_surface_csv(buf, grid);
-  for (unsigned c = grid.c_min; c <= grid.c_max; ++c)
-    for (unsigned b = grid.b_min; b <= grid.b_max; ++b)
-      EXPECT_NEAR(loaded.at(c, b).to_ms(), original.at(c, b).to_ms(), 1e-3);
-}
-
-TEST(SurfaceIo, RejectsIncompleteAndCorruptSurfaces) {
-  const model::ResourceGrid grid{2, 3, 1, 2};
-  auto parse = [&](const std::string& text) {
-    std::stringstream buf(text);
-    return read_surface_csv(buf, grid);
-  };
-  // Complete, monotone: ok.
-  EXPECT_NO_THROW(parse("2,1,4\n2,2,3\n3,1,3.5\n3,2,2\n"));
-  // Missing point.
-  EXPECT_THROW(parse("2,1,4\n2,2,3\n3,1,3.5\n"), util::Error);
-  // Duplicate point.
-  EXPECT_THROW(parse("2,1,4\n2,1,4\n2,2,3\n3,1,3.5\n3,2,2\n"), util::Error);
-  // Out-of-grid point.
-  EXPECT_THROW(parse("9,1,4\n2,1,4\n2,2,3\n3,1,3.5\n3,2,2\n"), util::Error);
-  // Non-monotone (more cache, larger WCET).
-  EXPECT_THROW(parse("2,1,4\n2,2,3\n3,1,5\n3,2,2\n"), util::Error);
-  // Negative WCET.
-  EXPECT_THROW(parse("2,1,-4\n2,2,3\n3,1,3.5\n3,2,2\n"), util::Error);
-}
-
-TEST(SurfaceIo, ImportedSurfaceDrivesATask) {
-  // The adoption path: a measured surface becomes a schedulable task.
-  const model::ResourceGrid grid{2, 3, 1, 2};
-  std::stringstream buf("2,1,8\n2,2,6\n3,1,7\n3,2,5\n");
-  model::Task t;
-  t.period = util::Time::ms(100);
-  t.wcet = read_surface_csv(buf, grid);
-  t.max_wcet = util::Time::ms(12);
-  EXPECT_DOUBLE_EQ(t.reference_utilization(), 0.05);
-  EXPECT_DOUBLE_EQ(t.utilization(2, 1), 0.08);
 }
 
 TEST(TasksetIo, UnlabeledTaskCannotBeWritten) {

@@ -1358,6 +1358,9 @@ std::string validate_file(const std::string& path,
   std::ostringstream buf;
   buf << util::open_input_file(path, "artifact").rdbuf();
   const std::string text = buf.str();
+  if (text.starts_with(service::kSpanDumpSchema))
+    return std::string(service::kSpanDumpSchema) + ", " +
+           std::to_string(service::read_span_dump(path).size()) + " span(s)";
   const auto first = text.find_first_not_of(" \t\r\n");
   if (first == std::string::npos || text[first] != '{') {
     const auto scan = service::scan_timeline(path);
