@@ -6,7 +6,7 @@
 #                               # probe
 #   scripts/check.sh address    # just one pass
 #   scripts/check.sh thread     # just the TSan pass
-#   scripts/check.sh perf       # just the Fig-4 perfdiff gate
+#   scripts/check.sh perf       # just the same-host Fig-4 perf gate
 #   scripts/check.sh deadcode   # just the section-GC dead-code probe
 #
 # Each sanitizer gets its own build tree (build-asan/, build-ubsan/,
@@ -671,29 +671,62 @@ EOF
 }
 
 perf_gate() {
-  # Plain (non-sanitized, RelWithDebInfo) build: sanitizer overhead would
-  # drown the wall time the gate compares. Runs the committed Fig-4
-  # configuration (50 tasksets/point, step 0.05, seed 42, --jobs 1),
-  # requires its deterministic effort counters to equal those of the
-  # committed current report exactly, and holds wall time, phase times, and
-  # effort counters to within --max-regress of the checked-in baseline
-  # report.
-  local dir=build-perf
-  echo "=== perf: configure (${dir}/) ==="
-  cmake -B "$dir" -S . >/dev/null
-  echo "=== perf: build ==="
-  cmake --build "$dir" -j "$(nproc)" --target vc2m
+  # A same-host gate on the Fig-4 sweep (50 tasksets/point, step 0.05,
+  # seed 42, --jobs 1, plain RelWithDebInfo builds: sanitizer overhead
+  # would drown the wall time it compares). The change under test is the
+  # working tree against HEAD when tracked files are edited, else HEAD
+  # against its parent. The base commit is built from a temporary git
+  # worktree, and the two sides run the sweep n times each, alternating
+  # which goes first.
+  #
+  # A phase fails when its median regresses by more than the largest of
+  # 10% of the base median, its own spread (the sum of the two sides'
+  # interquartile ranges over their n runs, since both medians carry
+  # noise) and 1 ms, below which a whole-sweep phase total is scheduler
+  # jitter. The deterministic effort counters of the change's first run
+  # must equal the committed current report exactly. The stage takes
+  # about 2 minutes on 4 cores with both builds from scratch, about 1
+  # minute with build-perf/ built.
+  local dir=build-perf n=5 base
+  if git diff --quiet HEAD --; then
+    base="$(git rev-parse HEAD~1)"
+  else
+    base="$(git rev-parse HEAD)"
+  fi
   local work; work="$(mktemp -d)"
-  trap 'rm -rf "$work"' RETURN
-  echo "=== perf: Fig-4 runtime sweep ==="
-  "$dir/tools/vc2m" experiment --preset fig4 --jobs 1 --csv-dir "$work" \
-    --json "$work/BENCH_fig4_current.json" > /dev/null
+  # An EXIT trap, not RETURN: under set -e a failing step leaves the
+  # script without returning, and the worktree must go either way.
+  local cleanup="git worktree remove --force '$work/base-src' \
+    >/dev/null 2>&1 || true; rm -rf '$work'"
+  trap "$cleanup" EXIT
+  local start=$SECONDS
+  echo "=== perf: build the change (${dir}/) ==="
+  cmake -B "$dir" -S . >/dev/null
+  cmake --build "$dir" -j "$(nproc)" --target vc2m >/dev/null
+  echo "=== perf: build the base ${base:0:12} (temporary worktree) ==="
+  git worktree add --detach "$work/base-src" "$base" >/dev/null 2>&1
+  cmake -B "$work/base-build" -S "$work/base-src" >/dev/null
+  cmake --build "$work/base-build" -j "$(nproc)" --target vc2m >/dev/null
+  echo "=== perf: Fig-4 sweep, ${n} alternating runs per side ==="
+  local i side bin order
+  mkdir -p "$work/csv"
+  for ((i = 0; i < n; ++i)); do
+    order="base head"
+    [ $((i % 2)) -eq 1 ] && order="head base"
+    for side in $order; do
+      bin="$dir/tools/vc2m"
+      [ "$side" = base ] && bin="$work/base-build/tools/vc2m"
+      # stderr holds the sweep's progress line; show it only on failure.
+      "$bin" experiment --preset fig4 --jobs 1 --csv-dir "$work/csv" \
+        --json "$work/$side$i.json" > /dev/null 2> "$work/err" \
+        || { cat "$work/err" >&2; exit 1; }
+    done
+  done
   echo "=== perf: deterministic counters vs bench_results/BENCH_fig4_current.json ==="
   # Effort counters do not depend on the host or the clock: any change in
   # them is a change in what the allocator does, so they must match the
   # committed report exactly.
-  python3 - bench_results/BENCH_fig4_current.json \
-      "$work/BENCH_fig4_current.json" <<'EOF'
+  python3 - bench_results/BENCH_fig4_current.json "$work/head0.json" <<'EOF'
 import json, sys
 want = json.load(open(sys.argv[1]))["counters"]
 got = json.load(open(sys.argv[2]))["counters"]
@@ -708,15 +741,47 @@ if moved:
     print("deterministic counters moved:\n  " + "\n  ".join(moved))
     sys.exit(1)
 EOF
-  echo "=== perf: perfdiff vs bench_results/BENCH_fig4_baseline.json ==="
-  # perfdiff's default 10 ms floor ignores the sub-10ms bookkeeping
-  # phases (fork_streams, assemble), which jitter past any sane relative
-  # threshold; the phases this gate exists for (experiment, sweep,
-  # min_budget) are seconds-scale.
-  "$dir/tools/vc2m" perfdiff bench_results/BENCH_fig4_baseline.json \
-    "$work/BENCH_fig4_current.json" --max-regress 10% \
-    || { echo "Fig-4 sweep regressed past the committed baseline"; return 1; }
-  echo "--- perf gate passed ---"
+  echo "=== perf: phase medians, change vs base ==="
+  python3 - "$work" "$n" <<'EOF'
+import json, statistics, sys
+work, n = sys.argv[1], int(sys.argv[2])
+
+def phases(path):
+    out = {}
+    def walk(nodes, prefix):
+        for p in nodes:
+            name = prefix + "/" + p["name"]
+            out[name] = p["total_sec"]
+            walk(p.get("children", []), name)
+    walk(json.load(open(path))["phases"], "")
+    return out
+
+def iqr(xs):
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[2] - q[0]
+
+base = [phases(f"{work}/base{i}.json") for i in range(n)]
+head = [phases(f"{work}/head{i}.json") for i in range(n)]
+failed = []
+print(f"{'phase':56} {'base s':>8} {'change s':>8} {'limit s':>8}")
+for name in sorted(set.intersection(*map(set, base + head))):
+    b = [r[name] for r in base]
+    h = [r[name] for r in head]
+    mb, mh = statistics.median(b), statistics.median(h)
+    allowed = max(0.10 * mb, iqr(b) + iqr(h), 0.001)
+    regressed = mh - mb > allowed
+    if regressed:
+        failed.append(name)
+    if mb >= 0.01 or regressed:
+        print(f"{name:56} {mb:8.4f} {mh:8.4f} {mb + allowed:8.4f}"
+              + ("  REGRESS" if regressed else ""))
+if failed:
+    print("regressed past max(10%, spread, 1 ms): " + ", ".join(failed))
+    sys.exit(1)
+EOF
+  eval "$cleanup"
+  trap - EXIT
+  echo "--- perf gate passed ($((SECONDS - start)) s) ---"
 }
 
 deadcode_probe() {

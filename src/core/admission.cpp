@@ -15,34 +15,27 @@ namespace vc2m::core {
 namespace {
 
 /// Minimal (cache, bw) the core behind `cl` needs to absorb its VCPU set,
-/// growing from its current allocation with max-gain grants bounded by the
-/// free pools. Returns the final allocation or nullopt. Probing through the
-/// CoreLoad lets the grant loop and the candidate comparison reuse each
-/// already-summed grid point instead of re-deriving it per probe.
-std::optional<std::pair<unsigned, unsigned>> fit_with_grants(
+/// growing from its current allocation with max-gain grants (GrantStep)
+/// bounded by the free pools. Returns the final allocation with its Σ Θ/Π,
+/// or nullopt. Each step is one CoreLoad::probe, which reuses the grid
+/// points the step before it summed.
+struct Fit {
+  unsigned c = 0, b = 0;
+  double u = 0;  ///< Σ Θ/Π of the core at (c, b)
+};
+std::optional<Fit> fit_with_grants(
     CoreLoad& cl, unsigned c, unsigned b, unsigned free_c, unsigned free_b,
     const model::ResourceGrid& grid) {
   model::GridPoint at = grid.point(c, b);
-  while (!cl.schedulable(at)) {
-    double best_gain = 0;
-    bool grant_cache = false;
-    const double u_now = cl.utilization(at);
-    if (free_c > 0 && at.c < grid.c_max) {
-      const double gain = u_now - cl.utilization(grid.more_cache(at));
-      if (gain > best_gain) {
-        best_gain = gain;
-        grant_cache = true;
-      }
-    }
-    if (free_b > 0 && at.b < grid.b_max) {
-      const double gain = u_now - cl.utilization(grid.more_bw(at));
-      if (gain > best_gain) {
-        best_gain = gain;
-        grant_cache = false;
-      }
-    }
-    if (best_gain <= 1e-15) return std::nullopt;  // no grant helps
-    if (grant_cache) {
+  while (true) {
+    const bool cache_ok = free_c > 0 && at.c < grid.c_max;
+    const bool bw_ok = free_b > 0 && at.b < grid.b_max;
+    const CoreLoad::Probe p = cl.probe(at, cache_ok, bw_ok);
+    if (p.schedulable) return Fit{at.c, at.b, p.u};
+    GrantStep step;
+    step.offer(0, p, cache_ok, bw_ok);
+    if (!step.found()) return std::nullopt;  // no grant helps
+    if (step.cache) {
       at = grid.more_cache(at);
       --free_c;
     } else {
@@ -50,7 +43,6 @@ std::optional<std::pair<unsigned, unsigned>> fit_with_grants(
       --free_b;
     }
   }
-  return std::make_pair(at.c, at.b);
 }
 
 /// Takes `vm_id`'s VCPUs off their cores in `mapping` and trims empty
@@ -180,11 +172,10 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
         e.core = static_cast<std::int32_t>(k);
         if (fit) {
           e.accepted = true;
-          e.cache = static_cast<std::int32_t>(fit->first);
-          e.bw = static_cast<std::int32_t>(fit->second);
-          const double u = probe.utilization(fit->first, fit->second);
-          e.value = u;
-          e.margin = 1.0 - u;
+          e.cache = static_cast<std::int32_t>(fit->c);
+          e.bw = static_cast<std::int32_t>(fit->b);
+          e.value = fit->u;
+          e.margin = 1.0 - fit->u;
         } else {
           // No grant sequence from the current partitions makes the core
           // schedulable with the VCPU added.
@@ -200,11 +191,11 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
       }
       if (!fit) continue;
       const unsigned cost =
-          (fit->first - mapping.cache[k]) + (fit->second - mapping.bw[k]);
-      const double u = probe.utilization(fit->first, fit->second);
+          (fit->c - mapping.cache[k]) + (fit->b - mapping.bw[k]);
+      const double u = fit->u;
       if (cost < best_cost || (cost == best_cost && u < best_util)) {
         best_core = k;
-        best_alloc = *fit;
+        best_alloc = {fit->c, fit->b};
         best_cost = cost;
         best_util = u;
         have_candidate = true;
@@ -225,11 +216,10 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
         e.core = static_cast<std::int32_t>(mapping.cores_used);  // new
         if (fit) {
           e.accepted = true;
-          e.cache = static_cast<std::int32_t>(fit->first);
-          e.bw = static_cast<std::int32_t>(fit->second);
-          const double u = probe.utilization(fit->first, fit->second);
-          e.value = u;
-          e.margin = 1.0 - u;
+          e.cache = static_cast<std::int32_t>(fit->c);
+          e.bw = static_cast<std::int32_t>(fit->b);
+          e.value = fit->u;
+          e.margin = 1.0 - fit->u;
         } else {
           e.constraint = obs::DecisionConstraint::kNoBeneficialGrant;
           e.cache = static_cast<std::int32_t>(grid.c_min);
@@ -241,11 +231,11 @@ AdmitResult place_vm(std::span<const model::Vcpu> placed,
         log->emit(e);
       }
       if (fit) {
-        const unsigned cost = fit->first + fit->second;
-        const double u = probe.utilization(fit->first, fit->second);
+        const unsigned cost = fit->c + fit->b;
+        const double u = fit->u;
         if (cost < best_cost || (cost == best_cost && u < best_util)) {
           best_core = mapping.cores_used;
-          best_alloc = *fit;
+          best_alloc = {fit->c, fit->b};
           have_candidate = true;
         }
       }

@@ -8,6 +8,24 @@
 
 namespace vc2m::core {
 
+UtilColumns::UtilColumns(std::span<const model::Vcpu> vcpus,
+                         const model::ResourceGrid& grid)
+    : vcpus_(vcpus), slot_(grid.size(), 0) {
+  // Room for every point's column up front: pages the search never fills
+  // are never touched, and no fill moves the columns already there.
+  values_.reserve(vcpus.size() * grid.size());
+}
+
+void UtilColumns::add_column(model::GridPoint p) {
+  bool nonneg = true;
+  for (const model::Vcpu& v : vcpus_) {
+    values_.push_back(v.utilization(p.c, p.b));
+    nonneg = nonneg && values_.back() >= 0;
+  }
+  nonneg_.push_back(nonneg ? 1 : 0);
+  slot_[p.flat] = static_cast<std::uint32_t>(nonneg_.size());
+}
+
 CoreLoad::CoreLoad(std::span<const model::Vcpu> vcpus,
                    const model::ResourceGrid& grid)
     : CoreLoad(vcpus, {}, grid) {}
@@ -133,63 +151,179 @@ void CoreLoad::clear() {
   ++demand_epoch_;
 }
 
-double CoreLoad::utilization(model::GridPoint p) {
-  const std::size_t i = p.flat;
-  if (util_stamp_[i] == epoch_) {
-    if (auto* ctr = util::alloc_counters()) ++ctr->load_cache_hits;
-    return util_[i];
-  }
-  // The same in-order sum analysis::core_utilization performs.
+double CoreLoad::sum(model::GridPoint p, const double* col) const {
+  // The same in-order sum analysis::core_utilization performs; a column
+  // holds the same quotients.
   double u = 0;
-  for (const std::size_t j : on_core_) {
-    const model::Vcpu& v = vcpu(j);
-    u += budget(v, p).ratio(v.period);
+  if (col) {
+    for (const std::size_t j : on_core_) u += col[j];
+  } else {
+    for (const std::size_t j : on_core_) {
+      const model::Vcpu& v = vcpu(j);
+      u += budget(v, p).ratio(v.period);
+    }
   }
-  util_[i] = u;
-  util_stamp_[i] = epoch_;
   return u;
 }
 
-bool CoreLoad::schedulable(model::GridPoint p) {
+double CoreLoad::utilization(model::GridPoint p) {
+  if (const double* u = cached(p)) return *u;
+  const double u = sum(p, nullptr);
+  keep(p, u);
+  return u;
+}
+
+bool CoreLoad::verdict(model::GridPoint p, double* u) {
   const std::size_t i = p.flat;
   if (!exact_) {
-    bool ok;
+    if (u) *u = sum(p, nullptr);
     if (sched_stamp_[i] == epoch_) {
-      ok = sched_[i] != 0;
       if (auto* ctr = util::alloc_counters()) ++ctr->load_cache_hits;
-    } else {
-      ok = analysis::utilization_at_most_one(
-          [this](std::size_t j) -> const model::Vcpu& { return vcpu(j); },
-          on_core_, p.c, p.b);
-      sched_[i] = ok ? 1 : 0;
-      sched_stamp_[i] = epoch_;
+      return sched_[i] != 0;
     }
-    if (auto* ctr = util::alloc_counters()) {
-      ++ctr->admission_tests;
-      ctr->admission_passed += ok ? 1 : 0;
-    }
+    const bool ok = analysis::utilization_at_most_one(
+        [this](std::size_t j) -> const model::Vcpu& { return vcpu(j); },
+        on_core_, p.c, p.b);
+    sched_[i] = ok ? 1 : 0;
+    sched_stamp_[i] = epoch_;
     return ok;
   }
-
-  __int128 d = 0;
   if (demand_stamp_[i] == demand_epoch_) {
+    if (u) *u = sum(p, nullptr);
     if (auto* ctr = util::alloc_counters()) ++ctr->load_cache_hits;
-    d = catch_up(p);
+    return catch_up(p) <= static_cast<__int128>(common_multiple_);
+  }
+  __int128 d = 0;
+  if (u) {
+    // One pass for D and Σ Θ/Π, the sum in member order as in sum().
+    double s = 0;
+    for (std::size_t k = 0; k < on_core_.size(); ++k) {
+      const std::size_t j = on_core_[k];
+      const model::Vcpu& v = vcpu(j);
+      const util::Time t = budget(v, p);
+      d += static_cast<__int128>(t.raw_ns()) * weight_[k];
+      s += t.ratio(v.period);
+    }
+    *u = s;
   } else {
     for (std::size_t k = 0; k < on_core_.size(); ++k)
       d += static_cast<__int128>(budget(vcpu(on_core_[k]), p).raw_ns()) *
            weight_[k];
-    demand_[i] = d;
-    demand_stamp_[i] = demand_epoch_;
-    demand_seen_[i] = static_cast<std::uint32_t>(edits_.size());
-    demand_materialized_ = true;
   }
-  const bool ok = d <= static_cast<__int128>(common_multiple_);
+  demand_[i] = d;
+  demand_stamp_[i] = demand_epoch_;
+  demand_seen_[i] = static_cast<std::uint32_t>(edits_.size());
+  demand_materialized_ = true;
+  return d <= static_cast<__int128>(common_multiple_);
+}
+
+namespace {
+
+/// Whether the double sum u of n non-negative quotients Θ_j/Π_j, each
+/// rounded once from int64 operands and added in order, is far enough from
+/// 1 to decide S = Σ_j Θ_j/Π_j ≤ 1 exactly. With unit roundoff ε = 2^-53,
+/// each term carries ≤ 3ε relative error (two conversions, one division)
+/// and the in-order sum ≤ (n−1)ε·Σ more, so |u − S| ≤ (n+2)ε·S up to
+/// O(ε²). The margin below is (2n+8)ε·u, twice that with room to spare, so
+/// u − margin > 1 implies S > 1 and u + margin < 1 implies S < 1.
+bool clear_of_one(double u, std::size_t n) {
+  const double margin = static_cast<double>(n + 4) * 0x1p-52 * u;
+  return u - margin > 1 || u + margin < 1;
+}
+
+void count_test(bool ok) {
   if (auto* ctr = util::alloc_counters()) {
     ++ctr->admission_tests;
     ctr->admission_passed += ok ? 1 : 0;
   }
+}
+
+}  // namespace
+
+bool CoreLoad::schedulable(model::GridPoint p) {
+  const bool ok = verdict(p, nullptr);
+  count_test(ok);
   return ok;
+}
+
+CoreLoad::Probe CoreLoad::probe(model::GridPoint at, bool want_cache,
+                                bool want_bw, UtilColumns* cols) {
+  VC2M_CHECK(!cols ||
+             cols->vcpu_count() == placed_.size() + pending_.size());
+  Probe r;
+  const double* u_at = cached(at);
+  if (cols && exact_) {
+    // u(at) first: when it is clear of 1 by more than its rounding error,
+    // it decides S ≤ 1 exactly and the demand pass is not needed.
+    cols->fill(at);
+    if (u_at) {
+      r.u = *u_at;
+    } else {
+      r.u = sum(at, cols->column(at));
+      keep(at, r.u);
+    }
+    r.schedulable = cols->nonneg(at) && clear_of_one(r.u, on_core_.size())
+                        ? r.u < 1
+                        : verdict(at, nullptr);
+  } else if (u_at) {
+    // The verdict and u(at): one pass when neither is cached.
+    r.u = *u_at;
+    r.schedulable = verdict(at, nullptr);
+  } else {
+    r.schedulable = verdict(at, &r.u);
+    keep(at, r.u);
+  }
+  count_test(r.schedulable);
+  if (r.schedulable) return r;
+
+  // The grant neighbours, in one pass for the sums not cached.
+  model::GridPoint pc, pb;
+  bool need_c = false, need_b = false;
+  if (want_cache) {
+    pc = grid_.more_cache(at);
+    if (const double* u = cached(pc))
+      r.u_cache = *u;
+    else
+      need_c = true;
+  }
+  if (want_bw) {
+    pb = grid_.more_bw(at);
+    if (const double* u = cached(pb))
+      r.u_bw = *u;
+    else
+      need_b = true;
+  }
+  if (!need_c && !need_b) return r;
+  if (!need_c || !need_b) {
+    const model::GridPoint p = need_c ? pc : pb;
+    if (cols) cols->fill(p);
+    const double u = sum(p, cols ? cols->column(p) : nullptr);
+    keep(p, u);
+    (need_c ? r.u_cache : r.u_bw) = u;
+    return r;
+  }
+  double uc = 0, ub = 0;
+  if (cols) {
+    cols->fill(pc);
+    cols->fill(pb);
+    const double* cc = cols->column(pc);
+    const double* cb = cols->column(pb);
+    for (const std::size_t j : on_core_) {
+      uc += cc[j];
+      ub += cb[j];
+    }
+  } else {
+    for (const std::size_t j : on_core_) {
+      const model::Vcpu& v = vcpu(j);
+      uc += budget(v, pc).ratio(v.period);
+      ub += budget(v, pb).ratio(v.period);
+    }
+  }
+  keep(pc, uc);
+  keep(pb, ub);
+  r.u_cache = uc;
+  r.u_bw = ub;
+  return r;
 }
 
 }  // namespace vc2m::core

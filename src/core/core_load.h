@@ -28,6 +28,24 @@
 //    to analysis::core_schedulable until clear() — verdicts stay identical
 //    in every case, only the evaluation count changes.
 //
+//  - probe(at, …) is what a grant loop reads: the verdict at `at`, Σ Θ/Π
+//    at `at` and, on an unschedulable core, Σ Θ/Π at the two grant
+//    neighbours (one more cache / one more BW partition). A point missing
+//    from both caches costs one pass over the members for the verdict and
+//    u(at) together, and one more for the neighbours; every sum is taken
+//    in member order, so each equals utilization() bit for bit. The probe
+//    counts one admission test, as schedulable() does.
+//
+// A search that probes the same VCPUs at the same points again and again
+// (allocate_heuristic over its candidate packings) can hand probe() a
+// UtilColumns: the Θ_v(p)/Π_v of all its VCPUs at each visited point,
+// divided once per search. A cache miss then sums loads instead of
+// dividing; the sums are the same doubles. With columns, probe() sums
+// u(at) first and reads the verdict off it when u is farther from 1 than
+// its rounding error can reach (clear_of_one in core_load.cpp): S ≤ 1 is
+// then decided exactly without the demand pass, which runs only for sums
+// within ~1e-14 of 1.
+//
 // Cache validity is stamped, not flagged: a point's cached value is valid
 // iff its stamp equals the current epoch, so membership edits and clear()
 // invalidate every point with one increment instead of a pass over the
@@ -43,13 +61,50 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "model/resource_grid.h"
 #include "model/task.h"
+#include "util/instrument.h"
 
 namespace vc2m::core {
+
+/// Θ_v(p)/Π_v of every VCPU of one search, one column per grid point the
+/// search reads. A column is filled (one division per VCPU) on its point's
+/// first read and shared by every CoreLoad over the same VCPUs from then
+/// on. Only visited points get a column, and the table is freed with its
+/// owner.
+class UtilColumns {
+ public:
+  UtilColumns(std::span<const model::Vcpu> vcpus,
+              const model::ResourceGrid& grid);
+
+  std::size_t vcpu_count() const { return vcpus_.size(); }
+
+  /// Fills the column at p unless it is filled already.
+  void fill(model::GridPoint p) {
+    if (slot_[p.flat] == 0) add_column(p);
+  }
+  /// The filled column at p: entry v is vcpus[v].utilization(p.c, p.b),
+  /// bit for bit. Valid until the next fill() of another point.
+  const double* column(model::GridPoint p) const {
+    return values_.data() + (slot_[p.flat] - 1) * vcpus_.size();
+  }
+  /// Every entry of the filled column at p is ≥ 0.
+  bool nonneg(model::GridPoint p) const {
+    return nonneg_[slot_[p.flat] - 1] != 0;
+  }
+
+ private:
+  void add_column(model::GridPoint p);
+
+  std::span<const model::Vcpu> vcpus_;
+  std::vector<std::uint32_t> slot_;  ///< per grid point: 1 + column, or 0
+  std::vector<double> values_;       ///< the columns, back to back
+  std::vector<std::uint8_t> nonneg_;  ///< per column
+};
 
 class CoreLoad {
  public:
@@ -116,6 +171,24 @@ class CoreLoad {
   /// The same at p; p.flat must be p's index on this core's grid.
   bool schedulable(model::GridPoint p);
 
+  /// One core at one point, as a grant loop reads it.
+  struct Probe {
+    bool schedulable = false;  ///< the exact verdict at `at`
+    double u = 0;              ///< Σ Θ/Π at `at`
+    /// Σ Θ/Π at more_cache(at) / more_bw(at): summed only when asked for
+    /// and the core is not schedulable at `at`, NaN otherwise.
+    double u_cache = std::numeric_limits<double>::quiet_NaN();
+    double u_bw = std::numeric_limits<double>::quiet_NaN();
+  };
+
+  /// The verdict and u at `at`, plus the neighbours' sums asked for (the
+  /// caller has checked at.c < c_max / at.b < b_max for them) when the
+  /// core is unschedulable there. Every field equals the matching
+  /// schedulable()/utilization() answer bit for bit. Counts one admission
+  /// test. `cols`, if given, must be over the same VCPUs as this core.
+  Probe probe(model::GridPoint at, bool want_cache, bool want_bw,
+              UtilColumns* cols = nullptr);
+
   /// Θ/Π at p of the member at position `pos` (not VCPU index): the same
   /// value as vcpus[members()[pos]].utilization(p.c, p.b).
   double member_utilization(std::size_t pos, model::GridPoint p) const {
@@ -131,6 +204,25 @@ class CoreLoad {
   util::Time budget(const model::Vcpu& v, model::GridPoint p) const {
     return on_grid_ ? v.budget.flat()[p.flat] : v.budget.at(p.c, p.b);
   }
+  /// The verdict at p without counting it as an admission test; counts a
+  /// cache hit when it is served from a materialized demand or a cached
+  /// fallback verdict. With `u` given it also sets *u to Σ Θ/Π at p, in
+  /// the pass that sums D when one runs.
+  bool verdict(model::GridPoint p, double* u);
+  /// Σ Θ/Π at p over the members, in member order, from `col` if given.
+  double sum(model::GridPoint p, const double* col) const;
+  /// Caches u as the sum at p for this membership epoch.
+  void keep(model::GridPoint p, double u) {
+    util_[p.flat] = u;
+    util_stamp_[p.flat] = epoch_;
+  }
+  /// The cached sum at p, counting the hit, or nullptr.
+  const double* cached(model::GridPoint p) const {
+    if (util_stamp_[p.flat] != epoch_) return nullptr;
+    if (auto* ctr = util::alloc_counters()) ++ctr->load_cache_hits;
+    return &util_[p.flat];
+  }
+
   /// One exact-mode membership edit, as it changes a materialized demand:
   /// D ← D·factor for a rescale (vcpu == kRescale), else
   /// D ← D + Θ_vcpu·factor (factor = ±the member's weight).
@@ -180,6 +272,35 @@ class CoreLoad {
   // Cached utilization sums.
   std::vector<double> util_;
   std::vector<std::uint64_t> util_stamp_;
+};
+
+/// The max-gain grant step of the §4.3 heuristic, shared by the HV
+/// allocator's Phase 2 and admission: among the grants offered, in core
+/// index order and cache before BW within a core, the largest utilization
+/// drop wins under a strict `>`. A best drop of at most 1e-15 buys nothing,
+/// so found() is false and the grant loop ends.
+struct GrantStep {
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t core = kNone;
+  bool cache = false;
+  double gain = 0;
+
+  /// Offers core i's grants from its probe; `cache_ok`/`bw_ok` say that
+  /// the pool has that partition and the grid a next level.
+  void offer(std::size_t i, const CoreLoad::Probe& p, bool cache_ok,
+             bool bw_ok) {
+    if (cache_ok && p.u - p.u_cache > gain) {
+      gain = p.u - p.u_cache;
+      core = i;
+      cache = true;
+    }
+    if (bw_ok && p.u - p.u_bw > gain) {
+      gain = p.u - p.u_bw;
+      core = i;
+      cache = false;
+    }
+  }
+  bool found() const { return core != kNone && gain > 1e-15; }
 };
 
 }  // namespace vc2m::core

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <numeric>
+#include <optional>
 
 #include "analysis/schedulability.h"
 #include "core/core_load.h"
@@ -31,13 +32,19 @@ unsigned HvAllocResult::total_bw() const {
 namespace {
 
 /// The working state of the candidate search: a CoreLoad per core in use
-/// (the incremental membership/Σ Θ/Π accounts) plus each core's partitions.
-/// allocate_heuristic builds one per call and resets it for every
+/// (the incremental membership/Σ Θ/Π accounts), each core's partitions and
+/// its grant record — the CoreLoad::Probe at its current point and
+/// membership, which Phases 2 and 3 read instead of probing every core
+/// again. allocate_heuristic builds one per call and resets it for every
 /// candidate, so the search allocates nothing per candidate: CoreLoad::clear
 /// keeps each core's buffers, and `loads` only grows with the core count.
 struct CoreState {
   std::vector<CoreLoad> loads;       ///< the first size() are in use
   std::vector<model::GridPoint> at;  ///< per core in use: its (c, b)
+  std::vector<CoreLoad::Probe> rec;  ///< per core in use: probe at `at`
+  /// The search's utilization columns, once they pay (see
+  /// allocate_heuristic).
+  std::optional<UtilColumns> cols;
   // Scratch reused by every candidate.
   std::vector<double> ref_load;
   std::vector<std::size_t> unsched;
@@ -50,6 +57,18 @@ struct CoreState {
     for (auto& load : loads) load.clear();
     while (loads.size() < m) loads.emplace_back(vcpus, grid);
     at.assign(m, grid.point(grid.c_min, grid.b_min));
+    rec.resize(m);  // Phase 2 probes every core before it reads one
+  }
+
+  /// Re-probes `core` at its point, with the neighbours a grant from pools
+  /// of (pool_c, pool_b) could reach. Pools only shrink while a record is
+  /// kept, so a neighbour left out stays out of reach.
+  void probe(std::size_t core, unsigned pool_c, unsigned pool_b,
+             const model::ResourceGrid& grid) {
+    const model::GridPoint p = at[core];
+    rec[core] = loads[core].probe(p, pool_c > 0 && p.c < grid.c_max,
+                                  pool_b > 0 && p.b < grid.b_max,
+                                  cols ? &*cols : nullptr);
   }
 };
 
@@ -69,7 +88,7 @@ bool all_schedulable(CoreState& st) {
 
 /// Record why a grant loop stopped: which pool (or gain) bound, and how far
 /// the closest unschedulable core still was from Σ Θ/Π ≤ 1.
-void log_grant_exhausted(obs::DecisionLog& log, CoreState& st,
+void log_grant_exhausted(obs::DecisionLog& log, const CoreState& st,
                          const std::vector<std::size_t>& unsched,
                          unsigned pool_c, unsigned pool_b,
                          const model::ResourceGrid& grid) {
@@ -81,7 +100,7 @@ void log_grant_exhausted(obs::DecisionLog& log, CoreState& st,
   double min_excess = std::numeric_limits<double>::infinity();
   std::size_t closest = unsched.front();
   for (const std::size_t i : unsched) {
-    const double excess = util_of(st, i) - 1.0;
+    const double excess = st.rec[i].u - 1.0;
     if (excess < min_excess) {
       min_excess = excess;
       closest = i;
@@ -96,7 +115,7 @@ void log_grant_exhausted(obs::DecisionLog& log, CoreState& st,
   e.core = static_cast<std::int32_t>(closest);
   e.cache = static_cast<std::int32_t>(pool_c);
   e.bw = static_cast<std::int32_t>(pool_b);
-  e.value = util_of(st, closest);
+  e.value = st.rec[closest].u;
   e.margin = std::max(0.0, min_excess);
   log.emit(e);
 }
@@ -118,10 +137,33 @@ void phase1_pack(CoreState& st, std::span<const model::Vcpu> vcpus,
     }
 }
 
+/// Ablation policy: alternating cache/BW partitions to the unschedulable
+/// cores in cyclic order, ignoring the utilization gain. Tries each core
+/// and kind once from `rr_cursor`; false when no grant is possible.
+bool round_robin_step(const CoreState& st,
+                      const std::vector<std::size_t>& unsched,
+                      std::size_t& rr_cursor, unsigned pool_c, unsigned pool_b,
+                      const model::ResourceGrid& grid, GrantStep& step) {
+  for (std::size_t attempt = 0; attempt < 2 * unsched.size(); ++attempt) {
+    const std::size_t i = unsched[(rr_cursor / 2) % unsched.size()];
+    const bool want_cache = rr_cursor % 2 == 0;
+    ++rr_cursor;
+    if (want_cache ? pool_c > 0 && st.at[i].c < grid.c_max
+                   : pool_b > 0 && st.at[i].b < grid.b_max) {
+      step.core = i;
+      step.cache = want_cache;
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Phase 2: grow per-core cache/BW from (C_min, B_min), always granting the
 /// partition with the largest utilization reduction on an unschedulable
-/// core (or cycling grants round-robin under the ablation policy).
-/// Returns true iff the system became schedulable.
+/// core (or cycling grants round-robin under the ablation policy). Every
+/// core is probed once at (C_min, B_min); after that a grant re-probes
+/// only the granted core. Returns true iff the system became schedulable;
+/// either way st.rec then holds every core's probe at its final point.
 bool phase2_resources(CoreState& st, const model::PlatformSpec& platform,
                       HvAllocConfig::Phase2Policy policy) {
   const auto& grid = platform.grid;
@@ -129,126 +171,90 @@ bool phase2_resources(CoreState& st, const model::PlatformSpec& platform,
   st.at.assign(m, grid.point(grid.c_min, grid.b_min));
   unsigned pool_c = platform.total_cache() - m * grid.c_min;
   unsigned pool_b = platform.total_bw() - m * grid.b_min;
+  for (std::size_t i = 0; i < m; ++i) st.probe(i, pool_c, pool_b, grid);
 
+  std::uint64_t grants = 0;
   std::size_t rr_cursor = 0;  // round-robin state for the ablation policy
   auto& unsched = st.unsched;
+  bool feasible = false;
   while (true) {
     unsched.clear();
     for (std::size_t i = 0; i < m; ++i)
-      if (!sched_of(st, i)) unsched.push_back(i);
-    if (unsched.empty()) return true;
+      if (!st.rec[i].schedulable) unsched.push_back(i);
+    if (unsched.empty()) {
+      feasible = true;
+      break;
+    }
 
+    GrantStep step;
+    bool any;
     if (policy == HvAllocConfig::Phase2Policy::kRoundRobin) {
-      // Ablation: grant alternating cache/BW partitions to unschedulable
-      // cores in cyclic order, ignoring the utilization gain.
-      bool granted = false;
-      for (std::size_t attempt = 0;
-           attempt < 2 * unsched.size() && !granted; ++attempt) {
-        const std::size_t i = unsched[(rr_cursor / 2) % unsched.size()];
-        const bool want_cache = rr_cursor % 2 == 0;
-        ++rr_cursor;
-        if (want_cache && pool_c > 0 && st.at[i].c < grid.c_max) {
-          st.at[i] = grid.more_cache(st.at[i]);
-          --pool_c;
-          granted = true;
-        } else if (!want_cache && pool_b > 0 && st.at[i].b < grid.b_max) {
-          st.at[i] = grid.more_bw(st.at[i]);
-          --pool_b;
-          granted = true;
-        }
-        if (granted) {
-          if (auto* ctr = util::alloc_counters()) ++ctr->partition_grants;
-          if (auto* log = obs::decision_log()) {
-            obs::DecisionEvent e;
-            e.kind = obs::DecisionKind::kPartitionGrant;
-            e.accepted = true;
-            e.core = static_cast<std::int32_t>(i);
-            e.cache = static_cast<std::int32_t>(st.at[i].c);
-            e.bw = static_cast<std::int32_t>(st.at[i].b);
-            e.value = util_of(st, i);
-            log->emit(e);
-          }
-        }
-      }
-      if (!granted) {
-        if (auto* log = obs::decision_log())
-          log_grant_exhausted(*log, st, unsched, pool_c, pool_b, grid);
-        return false;  // pools dry or cores saturated
-      }
-      continue;
+      any = round_robin_step(st, unsched, rr_cursor, pool_c, pool_b, grid,
+                             step);
+    } else {
+      // The grant with the highest utilization reduction, over all
+      // unschedulable cores and both resource kinds. A dry pool rules its
+      // kind out on every core at once.
+      for (const std::size_t i : unsched)
+        step.offer(i, st.rec[i], pool_c > 0 && st.at[i].c < grid.c_max,
+                   pool_b > 0 && st.at[i].b < grid.b_max);
+      any = step.found();
     }
-
-    // The grant with the highest utilization reduction, over all
-    // unschedulable cores and both resource kinds.
-    double best_gain = 0;
-    std::size_t best_core = m;
-    bool best_is_cache = false;
-    for (const std::size_t i : unsched) {
-      const model::GridPoint now = st.at[i];
-      const double u_now = st.loads[i].utilization(now);
-      if (pool_c > 0 && now.c < grid.c_max) {
-        const double gain =
-            u_now - st.loads[i].utilization(grid.more_cache(now));
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_core = i;
-          best_is_cache = true;
-        }
-      }
-      if (pool_b > 0 && now.b < grid.b_max) {
-        const double gain = u_now - st.loads[i].utilization(grid.more_bw(now));
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_core = i;
-          best_is_cache = false;
-        }
-      }
-    }
-    if (best_core == m || best_gain <= 1e-15) {  // no impact
+    if (!any) {  // pools dry, cores saturated, or no grant has an impact
       if (auto* log = obs::decision_log())
         log_grant_exhausted(*log, st, unsched, pool_c, pool_b, grid);
-      return false;
+      break;
     }
-    if (auto* ctr = util::alloc_counters()) ++ctr->partition_grants;
-    auto& granted = st.at[best_core];
-    if (best_is_cache) {
+
+    ++grants;
+    auto& granted = st.at[step.core];
+    if (step.cache) {
       granted = grid.more_cache(granted);
       --pool_c;
     } else {
       granted = grid.more_bw(granted);
       --pool_b;
     }
+    st.probe(step.core, pool_c, pool_b, grid);
     if (auto* log = obs::decision_log()) {
       obs::DecisionEvent e;
       e.kind = obs::DecisionKind::kPartitionGrant;
       e.accepted = true;
-      e.core = static_cast<std::int32_t>(best_core);
+      e.core = static_cast<std::int32_t>(step.core);
       e.cache = static_cast<std::int32_t>(granted.c);
       e.bw = static_cast<std::int32_t>(granted.b);
-      e.value = best_gain;  // utilization reduction bought by this grant
+      // Max gain: the utilization reduction bought by this grant;
+      // round-robin: the core's utilization after it.
+      e.value = policy == HvAllocConfig::Phase2Policy::kRoundRobin
+                    ? st.rec[step.core].u
+                    : step.gain;
       log->emit(e);
     }
   }
+  if (auto* ctr = util::alloc_counters()) ctr->partition_grants += grants;
+  return feasible;
 }
 
 /// Phase 3: migrate VCPUs away from unschedulable cores. Destination is the
 /// schedulable core least utilized after the move; the migrated VCPU is the
 /// largest one the destination can absorb while staying schedulable, else
-/// the smallest VCPU on the overloaded core. Returns true iff any VCPU
-/// moved.
-bool phase3_balance(std::span<const model::Vcpu> vcpus, CoreState& st) {
+/// the smallest VCPU on the overloaded core. Reads the grant records Phase
+/// 2 left and re-probes only the two cores a move changes. Returns true
+/// iff any VCPU moved.
+bool phase3_balance(std::span<const model::Vcpu> vcpus, CoreState& st,
+                    const model::ResourceGrid& grid) {
   const std::size_t m = st.size();
   bool moved_any = false;
 
   for (std::size_t i = 0; i < m; ++i) {
     unsigned guard = 0;
-    while (!sched_of(st, i) && !st.loads[i].empty() && guard++ < 64) {
+    while (!st.rec[i].schedulable && !st.loads[i].empty() && guard++ < 64) {
       // Least-utilized currently-schedulable destination (≠ i).
       std::size_t dest = m;
       double dest_util = std::numeric_limits<double>::infinity();
       for (std::size_t j = 0; j < m; ++j) {
-        if (j == i || !sched_of(st, j)) continue;
-        const double u = util_of(st, j);
+        if (j == i || !st.rec[j].schedulable) continue;
+        const double u = st.rec[j].u;
         if (u < dest_util) {
           dest_util = u;
           dest = j;
@@ -260,7 +266,7 @@ bool phase3_balance(std::span<const model::Vcpu> vcpus, CoreState& st) {
           e.kind = obs::DecisionKind::kMigration;
           e.constraint = obs::DecisionConstraint::kCoreOverUtilized;
           e.core = static_cast<std::int32_t>(i);
-          e.value = util_of(st, i);
+          e.value = st.rec[i].u;
           e.margin = std::max(0.0, e.value - 1.0);
           log->emit(e);
         }
@@ -288,6 +294,10 @@ bool phase3_balance(std::span<const model::Vcpu> vcpus, CoreState& st) {
       const std::size_t pos = pick_pos < src.size() ? pick_pos : fallback_pos;
       const std::size_t moved = st.loads[i].remove_at(pos);
       st.loads[dest].add(moved);
+      // Phase 2 starts over from (C_min, B_min) after this phase, so the
+      // records need no grant neighbours.
+      st.probe(i, 0, 0, grid);
+      st.probe(dest, 0, 0, grid);
       moved_any = true;
       if (auto* ctr = util::alloc_counters()) ++ctr->vcpu_migrations;
       if (auto* log = obs::decision_log()) {
@@ -437,11 +447,16 @@ HvAllocResult allocate_heuristic(std::span<const model::Vcpu> vcpus,
           feasible = phase2_resources(st, platform, cfg.phase2);
         }
         if (feasible) return to_result(st, true);
+        // A failed Phase 2 marks a search that will probe the same VCPUs
+        // at the same points again (more rounds, permutations and core
+        // counts), so its columns pay from here; a search that succeeds
+        // at once never divides a column.
+        if (!st.cols) st.cols.emplace(vcpus, grid);
         if (!cfg.load_balance) break;  // ablation: no Phase 3
         bool improved;
         {
           VC2M_PROFILE_PHASE("phase3_balance");
-          improved = phase3_balance(vcpus, st);
+          improved = phase3_balance(vcpus, st, grid);
         }
         if (!improved) break;  // no benefit in balancing
       }

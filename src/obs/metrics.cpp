@@ -39,26 +39,21 @@ double Histogram::quantile(double q) const {
   return max_;
 }
 
-void MetricsRegistry::check_unique(const std::string& name, int self) const {
-  VC2M_CHECK_MSG((self == 0 || counters_.find(name) == counters_.end()) &&
-                     (self == 1 || gauges_.find(name) == gauges_.end()) &&
-                     (self == 2 || histograms_.find(name) == histograms_.end()),
+void MetricsRegistry::check_unique(const std::string& name,
+                                   bool is_counter) const {
+  VC2M_CHECK_MSG(is_counter ? histograms_.find(name) == histograms_.end()
+                            : counters_.find(name) == counters_.end(),
                  "metric '" << name << "' already registered as another kind");
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {
-  check_unique(name, 0);
+  check_unique(name, true);
   return counters_[name];
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  check_unique(name, 1);
-  return gauges_[name];
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       std::vector<double> bounds) {
-  check_unique(name, 2);
+  check_unique(name, false);
   const auto it = histograms_.find(name);
   if (it != histograms_.end()) return it->second;
   return histograms_.emplace(name, Histogram(std::move(bounds))).first->second;

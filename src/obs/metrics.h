@@ -1,4 +1,4 @@
-// Metrics registry: counters, gauges and fixed-bucket histograms.
+// Metrics registry: counters and fixed-bucket histograms.
 //
 // The registry is the one sink every measurement in vC2M reports through —
 // simulator statistics, per-job response-time ratios, regulator activity,
@@ -24,15 +24,6 @@ class Counter {
 
  private:
   std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0;
 };
 
 /// Fixed-bucket histogram: `bounds` are the inclusive upper edges of the
@@ -74,21 +65,20 @@ class MetricsRegistry {
   /// Get-or-create. A name identifies exactly one metric kind; reusing a
   /// name with a different kind throws.
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   Histogram& histogram(const std::string& name, std::vector<double> bounds);
 
   const Counter* find_counter(const std::string& name) const;
   const Histogram* find_histogram(const std::string& name) const;
 
   std::size_t size() const {
-    return counters_.size() + gauges_.size() + histograms_.size();
+    return counters_.size() + histograms_.size();
   }
 
  private:
-  void check_unique(const std::string& name, int self) const;
+  /// Throws if `name` is taken by the other kind.
+  void check_unique(const std::string& name, bool is_counter) const;
 
   std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
 };
 

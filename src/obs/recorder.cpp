@@ -1,7 +1,5 @@
 #include "obs/recorder.h"
 
-#include <algorithm>
-
 #include "sim/faults.h"
 
 namespace vc2m::obs {
@@ -84,19 +82,7 @@ void MetricsRecorder::on_vcpu_budget_overrun(std::size_t vcpu,
   reg_.counter("enforce.vcpu_budget_overruns").inc();
 }
 
-void MetricsRecorder::finalize(const sim::SimStats& stats,
-                               util::Time duration) {
-  for (std::size_t k = 0; k < stats.core_busy_fraction.size(); ++k) {
-    const double busy = stats.core_busy_fraction[k];
-    const double throttled =
-        duration.is_zero() || k >= stats.core_throttled_time.size()
-            ? 0.0
-            : stats.core_throttled_time[k].ratio(duration);
-    reg_.gauge(core_metric(k, "busy_fraction")).set(busy);
-    reg_.gauge(core_metric(k, "throttled_fraction")).set(throttled);
-    reg_.gauge(core_metric(k, "idle_fraction"))
-        .set(std::max(0.0, 1.0 - busy - throttled));
-  }
+void MetricsRecorder::finalize(const sim::SimStats& stats) {
   reg_.counter("sim.jobs_released").inc(stats.jobs_released);
   reg_.counter("sim.jobs_completed").inc(stats.jobs_completed);
   reg_.counter("sim.deadline_misses").inc(stats.deadline_misses);
@@ -108,14 +94,12 @@ void MetricsRecorder::finalize(const sim::SimStats& stats,
   reg_.counter("sim.jobs_deferred").inc(stats.jobs_deferred);
   reg_.counter("sim.task_suspensions").inc(stats.task_suspensions);
   reg_.counter("sim.vcpu_budget_overruns").inc(stats.vcpu_budget_overruns);
-  reg_.gauge("sim.max_tardiness_ms").set(stats.max_tardiness.to_ms());
 }
 
 void record_alloc_counters(MetricsRegistry& registry,
                            const util::AllocCounters& counters) {
   registry.counter("alloc.kmeans_runs").inc(counters.kmeans_runs);
   registry.counter("alloc.kmeans_iterations").inc(counters.kmeans_iterations);
-  registry.gauge("alloc.kmeans_final_shift").set(counters.kmeans_final_shift);
   registry.counter("alloc.admission_tests").inc(counters.admission_tests);
   registry.counter("alloc.admission_passed").inc(counters.admission_passed);
   registry.counter("alloc.dbf_evaluations").inc(counters.dbf_evaluations);
@@ -128,8 +112,6 @@ void record_alloc_counters(MetricsRegistry& registry,
   registry.counter("alloc.candidate_packings").inc(counters.candidate_packings);
   registry.counter("alloc.partition_grants").inc(counters.partition_grants);
   registry.counter("alloc.vcpu_migrations").inc(counters.vcpu_migrations);
-  registry.gauge("alloc.vm_alloc_seconds").set(counters.vm_alloc_seconds);
-  registry.gauge("alloc.hv_alloc_seconds").set(counters.hv_alloc_seconds);
 }
 
 }  // namespace vc2m::obs

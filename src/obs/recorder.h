@@ -17,8 +17,7 @@
 //   vcpu.<j>.budget_overruns     declared (non-strict) VCPU overruns
 //   enforce.*                    global enforcement action counters
 //
-// finalize() folds the end-of-run SimStats in as gauges:
-//   core.<k>.busy_fraction / throttled_fraction / idle_fraction
+// finalize() folds the end-of-run SimStats counters in:
 //   sim.jobs_released / jobs_completed / deadline_misses / ...
 //
 // record_alloc_counters() publishes an allocator run (util::AllocCounters)
@@ -55,9 +54,9 @@ class MetricsRecorder : public sim::SimObserver {
   void on_task_resumed(std::size_t task) override;
   void on_vcpu_budget_overrun(std::size_t vcpu, util::Time overdraw) override;
 
-  /// Fold the run's final statistics into the registry (per-core busy /
-  /// throttled / idle fractions and the global counters).
-  void finalize(const sim::SimStats& stats, util::Time duration);
+  /// Fold the run's final statistics into the registry (the global
+  /// counters).
+  void finalize(const sim::SimStats& stats);
 
   MetricsRegistry& registry() { return reg_; }
 

@@ -25,11 +25,15 @@ struct AllocCounters {
   double kmeans_final_shift = 0;
 
   // Schedulability / admission testing. The engine counts an admission
-  // test in analysis::core_schedulable (the index-subset form) and
-  // core::CoreLoad::schedulable, and one dbf evaluation per checkpoint of
-  // each demand row analysis::AnalysisContext builds (demand_from_counts,
-  // context.cpp). The test oracle's dbf() and whole-set core_schedulable
-  // (tests/oracle/) count the same way, so tests can compare.
+  // test in analysis::core_schedulable (the index-subset form),
+  // core::CoreLoad::schedulable and core::CoreLoad::probe (one per probe,
+  // however its verdict is reached), and one dbf evaluation per checkpoint
+  // of each demand row analysis::AnalysisContext builds
+  // (demand_from_counts, context.cpp). The test oracle's dbf() and
+  // whole-set core_schedulable (tests/oracle/) count the same way, so
+  // tests can compare. A Phase-2 grant costs one probe of the granted core
+  // and a Phase-3 move one probe each of its two cores, so the HV search
+  // counts one test per core state it reaches, not one per core per grant.
   std::uint64_t admission_tests = 0;    ///< Σ Θ/Π ≤ 1 core tests
   std::uint64_t admission_passed = 0;
   std::uint64_t dbf_evaluations = 0;    ///< dbf(t) evaluations
@@ -37,7 +41,9 @@ struct AllocCounters {
   // Memoization (analysis::AnalysisContext and core::CoreLoad).
   std::uint64_t budget_evaluations = 0;  ///< min-budget searches performed
   std::uint64_t budget_cache_hits = 0;   ///< budgets served from the memo
-  std::uint64_t load_cache_hits = 0;     ///< CoreLoad Σ Θ/Π served cached
+  /// CoreLoad answers served from its caches: a Σ Θ/Π sum, a
+  /// materialized demand or a fallback verdict.
+  std::uint64_t load_cache_hits = 0;
 
   // Hypervisor-level search coverage.
   std::uint64_t candidate_packings = 0;  ///< Phase-1 packings explored

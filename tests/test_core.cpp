@@ -1,3 +1,4 @@
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +13,9 @@
 #include "core/vm_alloc.h"
 #include "features.h"
 #include "generated.h"
+#include "mapping_check.h"
 #include "model/platform.h"
+#include "obs/decision_log.h"
 #include "util/rng.h"
 
 namespace vc2m::core {
@@ -27,6 +30,7 @@ using model::Vcpu;
 using model::WcetFn;
 using util::Rng;
 using tests::features;
+using tests::expect_valid_mapping;
 using tests::generated;
 using util::Time;
 
@@ -315,28 +319,6 @@ std::vector<Vcpu> regulated_vcpus(const Taskset& ts, unsigned max_vcpus,
       ts, vm_cfg(VcpuAnalysis::kRegulated, max_vcpus), rng);
 }
 
-void expect_valid_mapping(const HvAllocResult& res,
-                          const std::vector<Vcpu>& vcpus,
-                          const PlatformSpec& platform) {
-  ASSERT_TRUE(res.schedulable);
-  ASSERT_EQ(res.vcpus_on_core.size(), res.cores_used);
-  ASSERT_EQ(res.cache.size(), res.cores_used);
-  ASSERT_EQ(res.bw.size(), res.cores_used);
-  EXPECT_LE(res.cores_used, platform.cores);
-  EXPECT_LE(res.total_cache(), platform.total_cache());
-  EXPECT_LE(res.total_bw(), platform.total_bw());
-  std::set<std::size_t> seen;
-  for (unsigned k = 0; k < res.cores_used; ++k) {
-    EXPECT_GE(res.cache[k], platform.grid.c_min);
-    EXPECT_GE(res.bw[k], platform.grid.b_min);
-    for (const auto v : res.vcpus_on_core[k])
-      EXPECT_TRUE(seen.insert(v).second);
-    EXPECT_TRUE(analysis::core_schedulable(vcpus, res.vcpus_on_core[k],
-                                           res.cache[k], res.bw[k]));
-  }
-  EXPECT_EQ(seen.size(), vcpus.size());
-}
-
 TEST(HvAlloc, EasyWorkloadIsSchedulableWithValidMapping) {
   const auto platform = PlatformSpec::A();
   const auto ts = generated(1.0, 42);
@@ -421,6 +403,178 @@ TEST(HvAlloc, DeterministicGivenSeed) {
   EXPECT_EQ(r1.cache, r2.cache);
   EXPECT_EQ(r1.bw, r2.bw);
   EXPECT_EQ(r1.vcpus_on_core, r2.vcpus_on_core);
+}
+
+// ------------------------------------------ Phase-2 selection rules ----
+// Hand-built VCPUs whose budgets make one rule of the max-gain grant step
+// decide a grant; the decision log shows which grant Phase 2 made.
+
+/// A VCPU of period 1 ms whose budget at (c, b) is theta_us(c, b) µs.
+template <typename Theta>
+Vcpu vcpu_with(const ResourceGrid& g, Theta theta_us) {
+  Vcpu v;
+  v.period = Time::ms(1);
+  v.budget = WcetFn(g);
+  for (unsigned c = g.c_min; c <= g.c_max; ++c)
+    for (unsigned b = g.b_min; b <= g.b_max; ++b)
+      v.budget.set(c, b, Time::us(theta_us(c, b)));
+  return v;
+}
+
+/// allocate_heuristic with the decision log on: the result and the events.
+std::pair<HvAllocResult, std::vector<obs::DecisionEvent>> run_logged(
+    const std::vector<Vcpu>& vcpus, const PlatformSpec& platform) {
+  obs::DecisionLogScope scope;
+  Rng rng(5);
+  auto res = allocate_heuristic(vcpus, platform, {}, rng);
+  return {std::move(res), scope.log().events()};
+}
+
+/// The Phase-2 events (grants and the stop) of the first candidate packing
+/// on m cores.
+std::vector<obs::DecisionEvent> first_phase2(
+    const std::vector<obs::DecisionEvent>& events, unsigned m) {
+  std::vector<obs::DecisionEvent> out;
+  bool in = false;
+  for (const auto& e : events) {
+    if (e.kind == obs::DecisionKind::kPackingCandidate) {
+      if (in) break;
+      in = e.core == static_cast<std::int32_t>(m);
+    } else if (in && (e.kind == obs::DecisionKind::kPartitionGrant ||
+                      e.kind == obs::DecisionKind::kGrantExhausted)) {
+      out.push_back(e);
+      if (e.kind == obs::DecisionKind::kGrantExhausted) break;
+    }
+  }
+  return out;
+}
+
+PlatformSpec small_platform(unsigned cores, unsigned c_max, unsigned b_max) {
+  return {"small", cores, ResourceGrid{1, c_max, 1, b_max}};
+}
+
+TEST(MappingCheck, FlagsAVcpuPlacedTwice) {
+  // Two light VCPUs on two cores with VCPU 1 on both: no VCPU is missing
+  // and every core passes its test, so only the placement count catches
+  // it (a set of seen indices has both VCPUs and passes).
+  static const PlatformSpec platform = small_platform(2, 3, 3);
+  static std::vector<Vcpu> vcpus;
+  static HvAllocResult twice;
+  vcpus.assign(2, vcpu_with(platform.grid,
+                            [](unsigned, unsigned) { return 100; }));
+  twice.schedulable = true;
+  twice.cores_used = 2;
+  twice.vcpus_on_core = {{0, 1}, {1}};
+  twice.cache = {1, 1};
+  twice.bw = {1, 1};
+  EXPECT_NONFATAL_FAILURE(expect_valid_mapping(twice, vcpus, platform),
+                          "VCPU 1 placements");
+}
+
+TEST(Phase2Rules, DryCachePoolTurnsTheNextGrantToBandwidth) {
+  // Two cores of 3 cache and 4 BW partitions leave one spare cache
+  // partition and two spare BW ones. Two identical VCPUs, one per core on
+  // the second core count (one core cannot hold both: 1.1 at (3, 4)), gain
+  // 0.3 per cache and 0.1 per BW partition. Core 0 takes the spare cache
+  // partition; core 1's best gain is still cache, on a grid with room for
+  // it, but the pool is dry, so every later grant is BW.
+  const auto platform = small_platform(2, 3, 4);
+  const auto& g = platform.grid;
+  const auto theta = [](unsigned c, unsigned b) {
+    return 1450 - 300 * (static_cast<int>(c) - 1) -
+           100 * (static_cast<int>(b) - 1);
+  };
+  const std::vector<Vcpu> vcpus = {vcpu_with(g, theta), vcpu_with(g, theta)};
+  const auto [res, events] = run_logged(vcpus, platform);
+  const auto steps = first_phase2(events, 2);
+  ASSERT_EQ(steps.size(), 4u);  // 1 cache grant, 2 BW grants, the stop
+  EXPECT_EQ(steps[0].kind, obs::DecisionKind::kPartitionGrant);
+  EXPECT_EQ(steps[0].core, 0);
+  EXPECT_EQ(steps[0].cache, 2);
+  EXPECT_EQ(steps[0].bw, 1);
+  std::int32_t cache[2] = {2, 1}, bw[2] = {1, 1};
+  for (std::size_t k = 1; k < 3; ++k) {
+    const auto& e = steps[k];
+    ASSERT_EQ(e.kind, obs::DecisionKind::kPartitionGrant) << k;
+    ASSERT_TRUE(e.core == 0 || e.core == 1) << k;
+    ++bw[e.core];
+    EXPECT_EQ(e.cache, cache[e.core]) << k;
+    EXPECT_EQ(e.bw, bw[e.core]) << k;
+  }
+  EXPECT_EQ(steps[3].kind, obs::DecisionKind::kGrantExhausted);
+  EXPECT_EQ(steps[3].cache, 0);  // the pools at the stop
+  EXPECT_EQ(steps[3].bw, 0);
+  EXPECT_FALSE(res.schedulable);
+}
+
+TEST(Phase2Rules, EqualGainsOnTwoCoresGrantTheLowerIndex) {
+  // Two identical VCPUs, one per core on the second core count (one core
+  // cannot hold both: 1.1 at (4, 4)): both cores are unschedulable with the
+  // same gains bit for bit, and the first grant goes to core 0.
+  const auto platform = small_platform(2, 4, 4);
+  const auto& g = platform.grid;
+  const auto theta = [](unsigned c, unsigned b) {
+    return 1300 - 200 * (static_cast<int>(c) - 1) -
+           50 * (static_cast<int>(b) - 1);
+  };
+  const std::vector<Vcpu> vcpus = {vcpu_with(g, theta), vcpu_with(g, theta)};
+  const auto [res, events] = run_logged(vcpus, platform);
+  const auto grants = first_phase2(events, 2);
+  ASSERT_FALSE(grants.empty());
+  EXPECT_EQ(grants[0].kind, obs::DecisionKind::kPartitionGrant);
+  EXPECT_EQ(grants[0].core, 0);
+  EXPECT_EQ(grants[0].cache, 2);
+  EXPECT_EQ(grants[0].bw, 1);
+}
+
+TEST(Phase2Rules, EqualCacheAndBandwidthGainsGrantCache) {
+  // One core; one more cache or one more BW partition cost the same budget
+  // (1.2 from 1.5), so both gains are the same double and cache wins.
+  const auto platform = small_platform(1, 3, 3);
+  const auto& g = platform.grid;
+  const std::vector<Vcpu> vcpus = {vcpu_with(g, [](unsigned c, unsigned b) {
+    return 1500 - 300 * (static_cast<int>(c) - 1) -
+           300 * (static_cast<int>(b) - 1);
+  })};
+  const auto [res, events] = run_logged(vcpus, platform);
+  const auto grants = first_phase2(events, 1);
+  ASSERT_FALSE(grants.empty());
+  EXPECT_EQ(grants[0].kind, obs::DecisionKind::kPartitionGrant);
+  EXPECT_EQ(grants[0].cache, 2);
+  EXPECT_EQ(grants[0].bw, 1);
+}
+
+TEST(Phase2Rules, GainsAtOrBelowTheCutOffEndTheLoopWithNoBeneficialGrant) {
+  // Period 2^50 ns: one more partition of either kind saves 1 ns, a gain of
+  // 2^-50 ≈ 8.9e-16 ≤ 1e-15, at every point short of (3, 3), where the
+  // VCPU fits (0.5). Phase 2 grants nothing, and every stop names no
+  // beneficial grant (the pools and the grid still had room).
+  const auto platform = small_platform(1, 3, 3);
+  const auto& g = platform.grid;
+  constexpr std::int64_t kPeriod = std::int64_t{1} << 50;
+  Vcpu v;
+  v.period = Time::ns(kPeriod);
+  v.budget = WcetFn(g);
+  for (unsigned c = g.c_min; c <= g.c_max; ++c)
+    for (unsigned b = g.b_min; b <= g.b_max; ++b)
+      v.budget.set(c, b,
+                   Time::ns(c == g.c_max && b == g.b_max
+                                ? kPeriod / 2
+                                : kPeriod + kPeriod / 4 - (c - 1) - (b - 1)));
+  const std::vector<Vcpu> vcpus = {v};
+  const auto [res, events] = run_logged(vcpus, platform);
+  EXPECT_FALSE(res.schedulable);
+  int stops = 0;
+  for (const auto& e : events) {
+    EXPECT_NE(e.kind, obs::DecisionKind::kPartitionGrant);
+    if (e.kind != obs::DecisionKind::kGrantExhausted) continue;
+    ++stops;
+    EXPECT_EQ(e.constraint, obs::DecisionConstraint::kNoBeneficialGrant);
+    EXPECT_EQ(e.core, 0);
+    EXPECT_EQ(e.value, 1.25);
+    EXPECT_EQ(e.margin, 0.25);
+  }
+  EXPECT_GT(stops, 0);
 }
 
 }  // namespace

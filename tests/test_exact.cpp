@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "analysis/schedulability.h"
 #include "analysis/theorems.h"
 #include "core/exact.h"
 #include "core/vm_alloc.h"
+#include "mapping_check.h"
 #include "model/platform.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -32,29 +31,12 @@ std::vector<Vcpu> small_vcpu_set(double util, std::uint64_t seed,
   return allocate_vms_heuristic(tasks, cfg, rng);
 }
 
-void expect_valid(const HvAllocResult& res, const std::vector<Vcpu>& vcpus,
-                  const PlatformSpec& platform) {
-  ASSERT_TRUE(res.schedulable);
-  EXPECT_LE(res.cores_used, platform.cores);
-  EXPECT_LE(res.total_cache(), platform.total_cache());
-  EXPECT_LE(res.total_bw(), platform.total_bw());
-  std::set<std::size_t> seen;
-  for (unsigned k = 0; k < res.cores_used; ++k) {
-    EXPECT_GE(res.cache[k], platform.grid.c_min);
-    EXPECT_GE(res.bw[k], platform.grid.b_min);
-    for (const auto v : res.vcpus_on_core[k]) seen.insert(v);
-    EXPECT_TRUE(analysis::core_schedulable(
-        vcpus, res.vcpus_on_core[k], res.cache[k], res.bw[k]));
-  }
-  EXPECT_EQ(seen.size(), vcpus.size());
-}
-
 TEST(Exact, FindsValidMappingOnEasyInstance) {
   const auto platform = PlatformSpec::A();
   const auto vcpus = small_vcpu_set(0.8, 1, 4);
   ASSERT_LE(vcpus.size(), 10u);
   const auto res = allocate_exact(vcpus, platform);
-  expect_valid(res, vcpus, platform);
+  tests::expect_valid_mapping(res, vcpus, platform);
 }
 
 TEST(Exact, ProvesInfeasibilityOfOverload) {
@@ -62,8 +44,10 @@ TEST(Exact, ProvesInfeasibilityOfOverload) {
   // Four VCPUs whose utilization exceeds 1 even at the full allocation on
   // more cores than exist cannot fit.
   const auto tasks_util = 4.8;
+  // Input rule: one VM with at most 4 VCPUs, within the exact search's
+  // default size limit.
   const auto vcpus = small_vcpu_set(tasks_util, 2, 4);
-  if (vcpus.size() > 10) GTEST_SKIP();
+  ASSERT_LE(vcpus.size(), 4u);
   EXPECT_FALSE(allocate_exact(vcpus, platform).schedulable);
 }
 
@@ -78,12 +62,12 @@ TEST(Exact, SingleVcpuUsesOneCore) {
 
 TEST(Exact, RefusesOversizedInstances) {
   const auto platform = PlatformSpec::A();
+  // Input rule: a 0.5 VM split into 2 VCPUs, one more than the limit.
   const auto vcpus = small_vcpu_set(0.5, 4, 2);
+  ASSERT_EQ(vcpus.size(), 2u);
   ExactConfig cfg;
   cfg.max_vcpus = 1;
-  if (vcpus.size() > 1) {
-    EXPECT_THROW(allocate_exact(vcpus, platform, cfg), util::Error);
-  }
+  EXPECT_THROW(allocate_exact(vcpus, platform, cfg), util::Error);
 }
 
 // Whenever the heuristic certifies an instance, the exact search must too
@@ -94,9 +78,10 @@ class ExactDominanceTest : public ::testing::TestWithParam<int> {};
 TEST_P(ExactDominanceTest, ExactCertifiesEverythingTheHeuristicDoes) {
   const auto platform = PlatformSpec::C();  // tight platform: 12 partitions
   const std::uint64_t seed = 400 + static_cast<std::uint64_t>(GetParam());
+  // Input rule: one VM with at most 3 VCPUs keeps the exact search small.
   const auto vcpus =
       small_vcpu_set(0.6 + 0.15 * GetParam(), seed, /*max_vcpus=*/3);
-  if (vcpus.size() > 8) GTEST_SKIP();
+  ASSERT_LE(vcpus.size(), 3u);
 
   Rng rng(seed);
   const auto heuristic = allocate_heuristic(vcpus, platform, {}, rng);
@@ -104,7 +89,7 @@ TEST_P(ExactDominanceTest, ExactCertifiesEverythingTheHeuristicDoes) {
   if (heuristic.schedulable) {
     EXPECT_TRUE(exact.schedulable) << "exact missed a feasible instance";
   }
-  if (exact.schedulable) expect_valid(exact, vcpus, platform);
+  if (exact.schedulable) tests::expect_valid_mapping(exact, vcpus, platform);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExactDominanceTest, ::testing::Range(0, 10));
@@ -117,8 +102,9 @@ class ExactOrderTest : public ::testing::TestWithParam<int> {};
 TEST_P(ExactOrderTest, ResultIsOrderInsensitive) {
   const auto platform = PlatformSpec::C();
   const std::uint64_t seed = 800 + static_cast<std::uint64_t>(GetParam());
+  // Input rule: one VM with at most 3 VCPUs keeps the exact search small.
   auto vcpus = small_vcpu_set(1.1, seed, 3);
-  if (vcpus.size() > 7) GTEST_SKIP();
+  ASSERT_LE(vcpus.size(), 3u);
   const bool forward = allocate_exact(vcpus, platform).schedulable;
 
   Rng rng(seed);

@@ -259,9 +259,9 @@ TEST(GoldenEquivalence, SweepHypervisorEffortCountersPinned) {
   EXPECT_EQ(c.candidate_packings, 550u);
   EXPECT_EQ(c.partition_grants, 26488u);
   EXPECT_EQ(c.vcpu_migrations, 2065u);
-  EXPECT_EQ(c.admission_tests, 81670u);
-  EXPECT_EQ(c.admission_passed, 39876u);
-  EXPECT_EQ(c.load_cache_hits, 120009u);
+  EXPECT_EQ(c.admission_tests, 34370u);
+  EXPECT_EQ(c.admission_passed, 3940u);
+  EXPECT_EQ(c.load_cache_hits, 29532u);
   EXPECT_EQ(c.kmeans_runs, 75u);
   EXPECT_EQ(c.kmeans_iterations, 160u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(c.kmeans_final_shift), 0u);

@@ -69,18 +69,15 @@ TEST(MetricsRegistry, GetOrCreateReturnsSameMetric) {
   reg.counter("a").inc(2);
   reg.counter("a").inc(3);
   EXPECT_EQ(reg.counter("a").value(), 5u);
-  reg.gauge("g").set(1.5);
-  EXPECT_DOUBLE_EQ(reg.gauge("g").value(), 1.5);
   reg.histogram("h", {1.0}).add(0.5);
   reg.histogram("h", {9.0}).add(0.7);  // bounds of the first call stick
   EXPECT_EQ(reg.histogram("h", {1.0}).count(), 2u);
-  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.size(), 2u);
 }
 
 TEST(MetricsRegistry, NameCollisionAcrossKindsThrows) {
   MetricsRegistry reg;
   reg.counter("x");
-  EXPECT_THROW(reg.gauge("x"), util::Error);
   EXPECT_THROW(reg.histogram("x", {1.0}), util::Error);
   EXPECT_EQ(reg.size(), 1u);
   EXPECT_NE(reg.find_counter("x"), nullptr);
@@ -719,7 +716,7 @@ TEST(Recorder, EndToEndWithSimulator) {
   s.set_observer(&rec);
   const auto horizon = Time::ms(200);
   s.run(horizon);
-  rec.finalize(s.stats(), horizon);
+  rec.finalize(s.stats());
 
   const auto* ratios = reg.find_histogram("task.0.response_ratio");
   ASSERT_NE(ratios, nullptr);

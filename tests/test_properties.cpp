@@ -7,6 +7,7 @@
 
 #include "analysis/schedulability.h"
 #include "core/strategy.h"
+#include "mapping_check.h"
 #include "model/platform.h"
 #include "oracle/prm.h"
 #include "oracle/regulated.h"
@@ -133,24 +134,7 @@ TEST_P(AllocatorStressTest, InvariantsHoldForRandomWorkloads) {
 
     // Every VCPU on exactly one core; resource pools respected; every
     // core schedulable under its allocation.
-    std::set<std::size_t> seen_vcpus;
-    EXPECT_LE(res.mapping.cores_used, platform.cores);
-    EXPECT_LE(res.mapping.total_cache(), platform.total_cache());
-    EXPECT_LE(res.mapping.total_bw(), platform.total_bw());
-    for (unsigned k = 0; k < res.mapping.cores_used; ++k) {
-      EXPECT_GE(res.mapping.cache[k], platform.grid.c_min);
-      EXPECT_LE(res.mapping.cache[k], platform.grid.c_max);
-      EXPECT_GE(res.mapping.bw[k], platform.grid.b_min);
-      EXPECT_LE(res.mapping.bw[k], platform.grid.b_max);
-      for (const auto vi : res.mapping.vcpus_on_core[k])
-        EXPECT_TRUE(seen_vcpus.insert(vi).second);
-      EXPECT_TRUE(analysis::core_schedulable(res.vcpus,
-                                             res.mapping.vcpus_on_core[k],
-                                             res.mapping.cache[k],
-                                             res.mapping.bw[k]))
-          << solution << " core " << k;
-    }
-    EXPECT_EQ(seen_vcpus.size(), res.vcpus.size());
+    tests::expect_valid_mapping(res.mapping, res.vcpus, platform, solution);
   }
 }
 

@@ -534,7 +534,7 @@ int cmd_simulate(const Args& a) {
   }
 
   if (a.report) {
-    recorder.finalize(st, au.horizon);
+    recorder.finalize(st);
     obs::record_alloc_counters(registry, res.counters);
     obs::write_report(std::cout, au.config, st, registry, au.horizon,
                       &res.counters);
