@@ -10,11 +10,7 @@ namespace vc2m::core {
 
 UtilColumns::UtilColumns(std::span<const model::Vcpu> vcpus,
                          const model::ResourceGrid& grid)
-    : vcpus_(vcpus), slot_(grid.size(), 0) {
-  // Room for every point's column up front: pages the search never fills
-  // are never touched, and no fill moves the columns already there.
-  values_.reserve(vcpus.size() * grid.size());
-}
+    : vcpus_(vcpus), slot_(grid.size(), 0) {}
 
 void UtilColumns::add_column(model::GridPoint p) {
   bool nonneg = true;
@@ -166,17 +162,17 @@ double CoreLoad::sum(model::GridPoint p, const double* col) const {
   return u;
 }
 
-double CoreLoad::utilization(model::GridPoint p) {
+double CoreLoad::sum_at(model::GridPoint p, UtilColumns* cols) {
   if (const double* u = cached(p)) return *u;
-  const double u = sum(p, nullptr);
+  if (cols) cols->fill(p);
+  const double u = sum(p, cols ? cols->column(p) : nullptr);
   keep(p, u);
   return u;
 }
 
-bool CoreLoad::verdict(model::GridPoint p, double* u) {
+bool CoreLoad::verdict(model::GridPoint p) {
   const std::size_t i = p.flat;
   if (!exact_) {
-    if (u) *u = sum(p, nullptr);
     if (sched_stamp_[i] == epoch_) {
       if (auto* ctr = util::alloc_counters()) ++ctr->load_cache_hits;
       return sched_[i] != 0;
@@ -189,27 +185,13 @@ bool CoreLoad::verdict(model::GridPoint p, double* u) {
     return ok;
   }
   if (demand_stamp_[i] == demand_epoch_) {
-    if (u) *u = sum(p, nullptr);
     if (auto* ctr = util::alloc_counters()) ++ctr->load_cache_hits;
     return catch_up(p) <= static_cast<__int128>(common_multiple_);
   }
   __int128 d = 0;
-  if (u) {
-    // One pass for D and Σ Θ/Π, the sum in member order as in sum().
-    double s = 0;
-    for (std::size_t k = 0; k < on_core_.size(); ++k) {
-      const std::size_t j = on_core_[k];
-      const model::Vcpu& v = vcpu(j);
-      const util::Time t = budget(v, p);
-      d += static_cast<__int128>(t.raw_ns()) * weight_[k];
-      s += t.ratio(v.period);
-    }
-    *u = s;
-  } else {
-    for (std::size_t k = 0; k < on_core_.size(); ++k)
-      d += static_cast<__int128>(budget(vcpu(on_core_[k]), p).raw_ns()) *
-           weight_[k];
-  }
+  for (std::size_t k = 0; k < on_core_.size(); ++k)
+    d += static_cast<__int128>(budget(vcpu(on_core_[k]), p).raw_ns()) *
+         weight_[k];
   demand_[i] = d;
   demand_stamp_[i] = demand_epoch_;
   demand_seen_[i] = static_cast<std::uint32_t>(edits_.size());
@@ -241,7 +223,7 @@ void count_test(bool ok) {
 }  // namespace
 
 bool CoreLoad::schedulable(model::GridPoint p) {
-  const bool ok = verdict(p, nullptr);
+  const bool ok = verdict(p);
   count_test(ok);
   return ok;
 }
@@ -251,78 +233,18 @@ CoreLoad::Probe CoreLoad::probe(model::GridPoint at, bool want_cache,
   VC2M_CHECK(!cols ||
              cols->vcpu_count() == placed_.size() + pending_.size());
   Probe r;
-  const double* u_at = cached(at);
-  if (cols && exact_) {
-    // u(at) first: when it is clear of 1 by more than its rounding error,
-    // it decides S ≤ 1 exactly and the demand pass is not needed.
-    cols->fill(at);
-    if (u_at) {
-      r.u = *u_at;
-    } else {
-      r.u = sum(at, cols->column(at));
-      keep(at, r.u);
-    }
-    r.schedulable = cols->nonneg(at) && clear_of_one(r.u, on_core_.size())
-                        ? r.u < 1
-                        : verdict(at, nullptr);
-  } else if (u_at) {
-    // The verdict and u(at): one pass when neither is cached.
-    r.u = *u_at;
-    r.schedulable = verdict(at, nullptr);
-  } else {
-    r.schedulable = verdict(at, &r.u);
-    keep(at, r.u);
-  }
+  // With columns, u(at) decides S ≤ 1 exactly when it is clear of 1 by
+  // more than its rounding error, and the demand pass is not needed.
+  if (cols) cols->fill(at);
+  r.u = sum_at(at, cols);
+  r.schedulable = cols && exact_ && cols->nonneg(at) &&
+                          clear_of_one(r.u, on_core_.size())
+                      ? r.u < 1
+                      : verdict(at);
   count_test(r.schedulable);
   if (r.schedulable) return r;
-
-  // The grant neighbours, in one pass for the sums not cached.
-  model::GridPoint pc, pb;
-  bool need_c = false, need_b = false;
-  if (want_cache) {
-    pc = grid_.more_cache(at);
-    if (const double* u = cached(pc))
-      r.u_cache = *u;
-    else
-      need_c = true;
-  }
-  if (want_bw) {
-    pb = grid_.more_bw(at);
-    if (const double* u = cached(pb))
-      r.u_bw = *u;
-    else
-      need_b = true;
-  }
-  if (!need_c && !need_b) return r;
-  if (!need_c || !need_b) {
-    const model::GridPoint p = need_c ? pc : pb;
-    if (cols) cols->fill(p);
-    const double u = sum(p, cols ? cols->column(p) : nullptr);
-    keep(p, u);
-    (need_c ? r.u_cache : r.u_bw) = u;
-    return r;
-  }
-  double uc = 0, ub = 0;
-  if (cols) {
-    cols->fill(pc);
-    cols->fill(pb);
-    const double* cc = cols->column(pc);
-    const double* cb = cols->column(pb);
-    for (const std::size_t j : on_core_) {
-      uc += cc[j];
-      ub += cb[j];
-    }
-  } else {
-    for (const std::size_t j : on_core_) {
-      const model::Vcpu& v = vcpu(j);
-      uc += budget(v, pc).ratio(v.period);
-      ub += budget(v, pb).ratio(v.period);
-    }
-  }
-  keep(pc, uc);
-  keep(pb, ub);
-  r.u_cache = uc;
-  r.u_bw = ub;
+  if (want_cache) r.u_cache = sum_at(grid_.more_cache(at), cols);
+  if (want_bw) r.u_bw = sum_at(grid_.more_bw(at), cols);
   return r;
 }
 

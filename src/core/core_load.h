@@ -30,11 +30,10 @@
 //
 //  - probe(at, …) is what a grant loop reads: the verdict at `at`, Σ Θ/Π
 //    at `at` and, on an unschedulable core, Σ Θ/Π at the two grant
-//    neighbours (one more cache / one more BW partition). A point missing
-//    from both caches costs one pass over the members for the verdict and
-//    u(at) together, and one more for the neighbours; every sum is taken
-//    in member order, so each equals utilization() bit for bit. The probe
-//    counts one admission test, as schedulable() does.
+//    neighbours (one more cache / one more BW partition). It answers from
+//    the same caches and the same in-order sums as schedulable() and
+//    utilization(), so each field equals theirs bit for bit, and it counts
+//    one admission test, as schedulable() does.
 //
 // A search that probes the same VCPUs at the same points again and again
 // (allocate_heuristic over its candidate packings) can hand probe() a
@@ -160,7 +159,7 @@ class CoreLoad {
     return utilization(grid_.point(c, b));
   }
   /// The same at p; p.flat must be p's index on this core's grid.
-  double utilization(model::GridPoint p);
+  double utilization(model::GridPoint p) { return sum_at(p, nullptr); }
 
   /// Exact Σ_j Θ_j(c,b)/Π_j ≤ 1 — same verdict as
   /// analysis::core_schedulable over members() at (c, b). Counts an
@@ -206,11 +205,13 @@ class CoreLoad {
   }
   /// The verdict at p without counting it as an admission test; counts a
   /// cache hit when it is served from a materialized demand or a cached
-  /// fallback verdict. With `u` given it also sets *u to Σ Θ/Π at p, in
-  /// the pass that sums D when one runs.
-  bool verdict(model::GridPoint p, double* u);
+  /// fallback verdict.
+  bool verdict(model::GridPoint p);
   /// Σ Θ/Π at p over the members, in member order, from `col` if given.
   double sum(model::GridPoint p, const double* col) const;
+  /// The cached sum at p, else sum() from p's column in `cols` (if given)
+  /// and keep it.
+  double sum_at(model::GridPoint p, UtilColumns* cols);
   /// Caches u as the sum at p for this membership epoch.
   void keep(model::GridPoint p, double u) {
     util_[p.flat] = u;
